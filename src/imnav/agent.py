@@ -10,7 +10,9 @@ context stream ([text; imagination] tokens attending over context + visual
 keys, which is what the attention probe inspects) and the visual stream
 (visual tokens attending over context keys, per the integration scheme).
 Action logits are per-navigable-view scores plus a stop score read off the
-history token.
+history token. Under teacher forcing the path is known in advance, so the T
+steps of an episode are encoded and decided in one pass over a leading step
+axis; greedy decoding runs the same code with T = 1 per decision.
 
 Masked imagination tokens are excluded from every key/query set, which is
 exactly the zero-attention-weight (-inf pre-softmax) semantics and makes
@@ -36,7 +38,7 @@ class AgentConfig:
     heads: int = 4
     cross_layers: int = 2
     k_views: int = 12
-    d_v: int = 16
+    d_v: int = 16                     # also the feature width of generated data
     mlp_hidden: int = 0               # 0 -> ceil(2d/3)
     dropout_rate: float = 0.15
     text_dropout: float = 0.3         # train-time word-identity dropout
@@ -221,9 +223,7 @@ class Agent:
             rows = (rng.random((len(token_ids), 1)) < keep).astype(np.float32) / np.float32(keep)
             x = nc.mul(x, nc.constant(np.repeat(rows, self.config.d, axis=1)))
         x = nc.add(x, nc.constant(sinusoid_table(len(token_ids), self.config.d)))
-        x = nc.add(x, self._mha(x, x, "t_", record=None))
-        x = nc.add(x, self._ffn(x, "t_"))
-        return x
+        return self._block(x, x, "t_")
 
     def encode_imaginations(self, features, train=False, rng=None):
         """(N, d_v) features -> ((N, d) tokens, all-true mask)."""
@@ -246,8 +246,7 @@ class Agent:
             x = nc.matmul(x, p["im_m3"])
         else:
             x = nc.add(x, nc.constant(sinusoid_table(feats.shape[0], self.config.d)))
-            x = nc.add(x, self._mha(x, x, "im_", record=None))
-            x = nc.add(x, self._ffn(x, "im_"))
+            x = self._block(x, x, "im_")
         if self.config.imag_order_encoding:
             x = nc.add(x, nc.constant(sinusoid_table(feats.shape[0], self.config.d)))
         return x, np.ones(feats.shape[0], dtype=bool)
@@ -258,55 +257,55 @@ class Agent:
         rows = nc.take_rows(text_tokens, list(sub.noun_token_indices))
         return nc.reshape(nc.mean(rows, axis=0), (self.config.d,))
 
-    def encode_observation(self, panorama, hist_state):
-        """K views + history token; returns ((K+1, d) tokens, next history)."""
-        pano = np.asarray(panorama, dtype=np.float32)
-        if pano.shape != (self.config.k_views, self.config.d_v):
-            raise ShapeError(f"panorama must be ({self.config.k_views}, {self.config.d_v}), got {pano.shape}")
+    def encode_observation(self, panoramas, hist_state):
+        """T steps of K views: (T, K, d_v) panoramas and the history before the
+        first step -> ((T, K+1, d) tokens, history after the last step).
+
+        Token 0 of step t is the history token, which summarises steps < t.
+        """
+        cfg = self.config
+        pano = np.asarray(panoramas, dtype=np.float32)
+        if pano.ndim != 3 or pano.shape[1:] != (cfg.k_views, cfg.d_v):
+            raise ShapeError(f"panoramas must be (T, {cfg.k_views}, {cfg.d_v}), got {pano.shape}")
         p = self.params
+        steps = pano.shape[0]
         views = nc.add(nc.matmul(nc.constant(pano), p["vis_proj"]), p["view_embed"])
-        pooled = nc.reshape(nc.mean(views, axis=0), (1, self.config.d))
-        new_hist = nc.tanh(nc.add(nc.matmul(hist_state, p["hist_wh"]),
-                                  nc.matmul(pooled, p["hist_wp"])))
-        tokens = nc.concat([hist_state, views], axis=0)
-        return tokens, new_hist
+        pooled = nc.matmul(nc.mean(views, axis=1), p["hist_wp"])               # (T, d)
+        hists = [hist_state]
+        for t in range(steps):
+            hists.append(nc.tanh(nc.add(nc.matmul(hists[-1], p["hist_wh"]),
+                                        nc.take_rows(pooled, [t]))))
+        hist_tokens = nc.reshape(nc.concat(hists[:-1], axis=0), (steps, 1, cfg.d))
+        return nc.concat([hist_tokens, views], axis=1), hists[-1]
 
     # ------------------------------------------------------------------
     # attention plumbing
     # ------------------------------------------------------------------
 
-    def _mha(self, q_tokens, kv_tokens, prefix, record):
+    def _block(self, q_tokens, kv_tokens, prefix, record=None):
+        """Residual attention then residual feed-forward, over (..., n, d)."""
         p = self.params
-        heads = self.config.heads
-        d = self.config.d
-        dh = d // heads
-        tq = q_tokens.shape[0]
-        tk = kv_tokens.shape[0]
-        q = nc.transpose(nc.reshape(nc.matmul(q_tokens, p[prefix + "wq"]), (tq, heads, dh)), (1, 0, 2))
-        k = nc.transpose(nc.reshape(nc.matmul(kv_tokens, p[prefix + "wk"]), (tk, heads, dh)), (1, 0, 2))
-        v = nc.transpose(nc.reshape(nc.matmul(kv_tokens, p[prefix + "wv"]), (tk, heads, dh)), (1, 0, 2))
-        scores = nc.scale(nc.matmul(q, nc.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
-        weights = nc.softmax(scores, axis=-1)
-        if record is not None:
-            record.append(weights.values.copy())
-        out = nc.matmul(weights, v)
-        out = nc.reshape(nc.transpose(out, (1, 0, 2)), (tq, d))
-        return nc.matmul(out, p[prefix + "wo"])
-
-    def _ffn(self, x, prefix):
-        p = self.params
-        return nc.matmul(nc.relu(nc.matmul(x, p[prefix + "ff1"])), p[prefix + "ff2"])
+        x = nc.add(q_tokens, nc.attention(q_tokens, kv_tokens, p[prefix + "wq"], p[prefix + "wk"],
+                                          p[prefix + "wv"], p[prefix + "wo"], self.config.heads,
+                                          record=record))
+        return nc.add(x, nc.ffn(x, p[prefix + "ff1"], p[prefix + "ff2"]))
 
     # ------------------------------------------------------------------
     # cross-modal policy
     # ------------------------------------------------------------------
 
-    def cross_modal_step(self, context, visual_tokens, nav, record_attention=False):
-        """One decision: action logits over sorted navigable views plus stop.
+    def cross_modal_step(self, context, visual_tokens, navs, record_attention=False):
+        """T decisions at once over (T, K+1, d) visual tokens; `navs[t]` is the
+        sorted navigable (view, neighbor) list of step t. The context tokens
+        are shared by all steps.
 
-        Returns (logits, view_scores, attention records).
+        Returns (per-step logits over [navigable views; stop], (T, K, 1) view
+        scores, per-step lists of attention records or None).
         """
         cfg = self.config
+        steps = visual_tokens.shape[0]
+        if len(navs) != steps:
+            raise ShapeError(f"{len(navs)} navigable lists for {steps} steps")
         live = context.live_imag()
         ctx = context.text
         vis = visual_tokens
@@ -316,56 +315,50 @@ class Agent:
             if cfg.concat_target == "text":
                 ctx = nc.concat([ctx, live], axis=0)
             else:
-                vis = nc.concat([vis, live], axis=0)
+                vis = nc.concat([vis, nc.expand(live, steps)], axis=1)
+        ctx = nc.expand(ctx, steps)
 
-        n_vis = vis.shape[0]
+        n_vis = vis.shape[1]
         if cfg.concat_target == "text":
             ctx_kinds = ("text",) * n_text + ("imagination",) * n_imag
             vis_kinds = ("visual",) * n_vis
         else:
             ctx_kinds = ("text",) * n_text
-            vis_kinds = ("visual",) * (self.config.k_views + 1) + ("imagination",) * n_imag
+            vis_kinds = ("visual",) * (cfg.k_views + 1) + ("imagination",) * n_imag
 
-        records = [] if record_attention else None
+        raws = []   # per layer and stream: (T, heads, Tq, Tk) weights
         for layer in range(cfg.cross_layers):
-            raw = [] if record_attention else None
-            keys = nc.concat([ctx, vis], axis=0)
-            ctx = nc.add(ctx, self._mha(ctx, keys, f"c{layer}_", raw))
-            ctx = nc.add(ctx, self._ffn(ctx, f"c{layer}_"))
+            c_raw = [] if record_attention else None
+            ctx = self._block(ctx, nc.concat([ctx, vis], axis=1), f"c{layer}_", c_raw)
+            v_raw = [] if record_attention else None
+            vis = self._block(vis, ctx, f"v{layer}_", v_raw)
             if record_attention:
-                records.append(AttentionRecord(
-                    layer=layer, stream="context", weights=raw[0],
-                    query_kinds=ctx_kinds, key_kinds=ctx_kinds + vis_kinds))
-            raw = [] if record_attention else None
-            vis = nc.add(vis, self._mha(vis, ctx, f"v{layer}_", raw))
-            vis = nc.add(vis, self._ffn(vis, f"v{layer}_"))
-            if record_attention:
-                records.append(AttentionRecord(
-                    layer=layer, stream="visual", weights=raw[0],
-                    query_kinds=vis_kinds, key_kinds=ctx_kinds))
+                raws.append((layer, "context", c_raw[0], ctx_kinds, ctx_kinds + vis_kinds))
+                raws.append((layer, "visual", v_raw[0], vis_kinds, ctx_kinds))
+        records = None
+        if record_attention:
+            records = [[AttentionRecord(layer=layer, stream=stream, weights=w[t],
+                                        query_kinds=qk, key_kinds=kk)
+                        for layer, stream, w, qk, kk in raws] for t in range(steps)]
 
-        view_tokens = nc.take_rows(vis, list(range(1, cfg.k_views + 1)))
-        hist_token = nc.take_rows(vis, [0])
+        k = cfg.k_views
+        view_tokens = nc.take_rows(vis, list(range(1, k + 1)), axis=1)       # (T, K, d)
+        hist_token = nc.take_rows(vis, [0], axis=1)                          # (T, 1, d)
         # state-conditioned matching score plus a per-view bias term
-        match = nc.scale(nc.matmul(view_tokens, nc.transpose(hist_token, (1, 0))),
-                         1.0 / math.sqrt(cfg.d))                            # (K, 1)
+        match = nc.scale(nc.matmul(view_tokens, nc.transpose(hist_token, (0, 2, 1))),
+                         1.0 / math.sqrt(cfg.d))                            # (T, K, 1)
         view_scores = nc.add(match, nc.matmul(view_tokens, self.params["act_w"]))
-        stop_score = nc.matmul(hist_token, self.params["stop_w"])           # (1, 1)
-        if nav:
-            nav_scores = nc.take_rows(view_scores, [v for v, _ in nav])
-            logits = nc.concat([nav_scores, stop_score], axis=0)
-        else:
-            logits = stop_score
-        logits = nc.reshape(logits, (len(nav) + 1,))
-
+        stop_score = nc.matmul(hist_token, self.params["stop_w"])           # (T, 1, 1)
+        scores = nc.concat([view_scores, stop_score], axis=1)               # (T, K+1, 1)
         if cfg.fusion == "late" and live is not None:
             pooled = nc.reshape(nc.mean(live, axis=0), (1, cfg.d))
             strength = nc.matmul(pooled, self.params["gate_w"])             # (1, 1)
-            cand = nc.concat([nc.take_rows(vis, [v + 1 for v, _ in nav]), hist_token], axis=0)
-            gates = nc.sigmoid(nc.matmul(cand, self.params["gate_u"]))      # (n+1, 1)
-            bonus = nc.reshape(nc.mul(gates, nc.concat([strength] * (len(nav) + 1), axis=0)),
-                               (len(nav) + 1,))
-            logits = nc.add(logits, bonus)
+            cand = nc.concat([view_tokens, hist_token], axis=1)
+            gates = nc.sigmoid(nc.matmul(cand, self.params["gate_u"]))      # (T, K+1, 1)
+            scores = nc.add(scores, nc.mul(gates, strength))
+        flat = nc.reshape(scores, (steps * (k + 1),))
+        logits = [nc.take_rows(flat, [t * (k + 1) + v for v, _ in nav] + [t * (k + 1) + k])
+                  for t, nav in enumerate(navs)]
         return logits, view_scores, records
 
 
@@ -409,8 +402,8 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
             max_steps=None, record_attention=False):
     """Run one episode.
 
-    teacher mode walks the teacher path and records logits for supervision;
-    argmax mode follows the greedy policy until stop or max_steps (ties break
+    teacher mode decides every step of the teacher path in one pass and records
+    logits for supervision; argmax mode follows the greedy policy until stop or max_steps (ties break
     to the lowest action index). Deterministic given the rng streams.
     """
     cfg = agent.config
@@ -422,47 +415,47 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
     context = build_context(agent, token_ids, imaginations, kept_subs,
                             imag_mask=imag_mask, train=train, rng=drop_rng)
     hist = agent.params["hist_init"]
-    node = episode.start
-    visited = [node]
-    actions, spaces, logits_list, teacher_actions = [], [], [], []
     attn = [] if record_attention else None
-    grounding_view = None
     truncated = False
 
-    for t in range(max_steps):
-        nav = wd.navigable(world, node)
-        obs = wd.observation_at(world, node, obs_rng)
-        vis_tokens, hist = agent.encode_observation(obs, hist)
-        logits, view_scores, recs = agent.cross_modal_step(
-            context, vis_tokens, nav, record_attention=record_attention)
-        stop_index = len(nav)
-
-        if mode == "teacher":
-            if t < len(episode.teacher_path) - 1:
-                nxt = episode.teacher_path[t + 1]
-                action = next(i for i, (_, nb) in enumerate(nav) if nb == nxt)
-            else:
-                action = stop_index
-            teacher_actions.append(action)
-        elif mode == "argmax":
+    if mode == "teacher":
+        # the path is known in advance: draw its observations in path order,
+        # then encode and decide all steps in one pass
+        visited = list(episode.teacher_path)
+        spaces = [wd.navigable(world, node) for node in visited]
+        obs = np.stack([wd.observation_at(world, node, obs_rng) for node in visited])
+        vis_tokens, _ = agent.encode_observation(obs, hist)
+        logits_list, view_scores, recs = agent.cross_modal_step(
+            context, vis_tokens, spaces, record_attention=record_attention)
+        actions = [next(i for i, (_, nb) in enumerate(nav) if nb == nxt)
+                   for nav, nxt in zip(spaces, visited[1:])] + [len(spaces[-1])]
+        teacher_actions = list(actions)
+        attn = recs
+    elif mode == "argmax":
+        node = episode.start
+        visited = [node]
+        actions, spaces, logits_list, teacher_actions = [], [], [], []
+        for _ in range(max_steps):
+            nav = wd.navigable(world, node)
+            obs = wd.observation_at(world, node, obs_rng)
+            vis_tokens, hist = agent.encode_observation(obs[None], hist)
+            (logits,), view_scores, recs = agent.cross_modal_step(
+                context, vis_tokens, [nav], record_attention=record_attention)
             action = int(np.argmax(logits.values))
+            logits_list.append(logits)
+            actions.append(action)
+            spaces.append(nav)
+            if record_attention:
+                attn.extend(recs)
+            if action == len(nav):
+                break
+            node = nav[action][1]
+            visited.append(node)
         else:
-            raise ContractError(f"unknown rollout mode {mode!r}")
-
-        logits_list.append(logits)
-        actions.append(action)
-        spaces.append(nav)
-        if record_attention:
-            attn.append(recs)
-
-        if action == stop_index:
-            grounding_view = int(np.argmax(view_scores.values[:, 0]))
-            break
-        node = nav[action][1]
-        visited.append(node)
+            truncated = True
     else:
-        truncated = True
-        grounding_view = int(np.argmax(view_scores.values[:, 0]))
+        raise ContractError(f"unknown rollout mode {mode!r}")
+    grounding_view = int(np.argmax(view_scores.values[-1, :, 0]))
 
     aux_pairs = []
     if train and context.imag is not None and agent.config.imag_source == "imagination":

@@ -53,7 +53,7 @@ def command_line():
 
 def load_assets(args):
     library = wd.load_library(getattr(args, "library", None) or DATA_DIR / "landmarks.txt",
-                              d_v=getattr(args, "d_v", 16))
+                              d_v=getattr(args, "d_v", ag.AgentConfig.d_v))
     templates = ins.load_templates(getattr(args, "templates", None) or DATA_DIR / "templates.txt")
     lexicon = ins.load_lexicon(
         getattr(args, "lexicon_nouns", None) or DATA_DIR / "lexicon_nouns.txt",
@@ -233,7 +233,7 @@ def read_experiment_spec(path):
     wc, ic = wd.WorldConfig, im.ImaginationConfig
     spec["world"] = dict(
         layout=w.get("layout", wc.layout), n_forks=int(w.get("n_forks", wc.n_forks)),
-        k_views=int(w.get("k_views", wc.k_views)), d_v=int(w.get("d_v", 16)),
+        k_views=int(w.get("k_views", wc.k_views)), d_v=int(w.get("d_v", ag.AgentConfig.d_v)),
         sigma_obs=float(w.get("sigma_obs", wc.sigma_obs)), mode=w.get("mode", "fine"),
         train_worlds=int(w.get("train_worlds", 500)),
         val_seen_worlds=int(w.get("val_seen_worlds", 100)),
@@ -447,6 +447,9 @@ def cmd_report(args):
     rows = []
     for path in args.metrics:
         rows.extend(serial.read_metrics(path))
+    for row in rows:   # metrics.tsv stores percentages; summarize takes fractions
+        row["sr"] /= 100.0
+        row["spl"] /= 100.0
     summary = summarize(rows)
     text = format_summary(summary)
     tsv = ["split\tcondition\tsr_mean\tsr_std\tspl_mean\tspl_std\tne_mean\ttl_mean\truns"]
@@ -479,7 +482,7 @@ def build_parser():
     p.add_argument("--n-nodes", type=int, default=wd.WorldConfig.n_nodes)
     p.add_argument("--n-forks", type=int, default=wd.WorldConfig.n_forks)
     p.add_argument("--k", type=int, default=wd.WorldConfig.k_views)
-    p.add_argument("--d-v", type=int, default=16)
+    p.add_argument("--d-v", type=int, default=ag.AgentConfig.d_v)
     p.add_argument("--sigma-obs", type=float, default=wd.WorldConfig.sigma_obs)
     p.add_argument("--library", default=None)
     p.add_argument("--seed", type=int, required=True)

@@ -4,9 +4,16 @@ Values are float32 by default (float64 is supported and propagates, which is
 what the gradient-check tests use). Reductions accumulate in float64 and cast
 back to the input dtype. A tape is just the implicit graph of Tensor parents;
 `backward` walks it in reverse topological order.
+
+`attention` and `ffn` are fused ops: each records one tape node for a whole
+transformer sub-block and makes the same numpy calls as the equivalent chain
+of single ops. Both, like `matmul` against a 2D weight, accept leading batch
+axes, so the steps of a teacher-forced episode run as one pass.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -120,27 +127,37 @@ def backward(loss):
 # core ops
 # ---------------------------------------------------------------------------
 
+def _weight_grad(x, g):
+    """Gradient of a 2D weight w in x @ w, summed over x's leading batch axes."""
+    return np.matmul(x.reshape(-1, x.shape[-1]).T, g.reshape(-1, g.shape[-1]))
+
+
 def matmul(a, b):
-    """np.matmul semantics for 2D, or batched 3D (batch dims must match)."""
+    """np.matmul semantics for 2D, batched 3D (batch dims must match), or a
+    batched (..., n, k) operand against a shared 2D (k, m) weight."""
     if a.values.ndim < 2 or b.values.ndim < 2:
         raise ShapeError("matmul needs >=2D operands")
     if a.values.shape[-1] != b.values.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.values.shape} @ {b.values.shape}")
-    if a.values.ndim != b.values.ndim:
-        raise ShapeError("matmul operands must have equal rank")
+    if a.values.ndim != b.values.ndim and b.values.ndim != 2:
+        raise ShapeError("matmul operands must have equal rank, or a 2D right operand")
     vals = np.matmul(a.values, b.values)
 
     def back(g):
         if a.requires_grad:
             a.accumulate_grad(np.matmul(g, np.swapaxes(b.values, -1, -2)))
         if b.requires_grad:
-            b.accumulate_grad(np.matmul(np.swapaxes(a.values, -1, -2), g))
+            if b.values.ndim == 2:
+                b.accumulate_grad(_weight_grad(a.values, g))
+            else:
+                b.accumulate_grad(np.matmul(np.swapaxes(a.values, -1, -2), g))
 
     return _result(vals, (a, b), back)
 
 
 def add(a, b):
-    """Elementwise add; also supports (N, d) + (d,) row broadcast."""
+    """Elementwise add; `b` may also be broadcast over leading axes of `a`,
+    e.g. (N, d) + (d,) or (T, K, d) + (K, d)."""
     av, bv = a.values, b.values
     if av.shape == bv.shape:
         vals = av + bv
@@ -151,14 +168,15 @@ def add(a, b):
             if b.requires_grad:
                 b.accumulate_grad(g)
 
-    elif av.ndim == 2 and bv.ndim == 1 and av.shape[1] == bv.shape[0]:
+    elif bv.ndim < av.ndim and av.shape[av.ndim - bv.ndim:] == bv.shape:
         vals = av + bv
+        lead = tuple(range(av.ndim - bv.ndim))
 
         def back(g):
             if a.requires_grad:
                 a.accumulate_grad(g)
             if b.requires_grad:
-                b.accumulate_grad(g.sum(axis=0, dtype=np.float64).astype(bv.dtype))
+                b.accumulate_grad(g.sum(axis=lead, dtype=np.float64).astype(bv.dtype))
 
     else:
         raise ShapeError(f"add shapes incompatible: {av.shape} + {bv.shape}")
@@ -170,12 +188,13 @@ def sub(a, b):
 
 
 def mul(a, b):
-    """Elementwise product; also (N, d) * (d,) row broadcast."""
+    """Elementwise product with numpy broadcasting, e.g. (N, d) * (d,) or
+    (T, n, 1) * (1, 1)."""
     av, bv = a.values, b.values
-    if not (av.shape == bv.shape
-            or (av.ndim == 2 and bv.ndim == 1 and av.shape[1] == bv.shape[0])
-            or av.ndim == 0 or bv.ndim == 0):
-        raise ShapeError(f"mul shapes incompatible: {av.shape} * {bv.shape}")
+    try:
+        np.broadcast_shapes(av.shape, bv.shape)
+    except ValueError:
+        raise ShapeError(f"mul shapes incompatible: {av.shape} * {bv.shape}") from None
     vals = av * bv
 
     def back(g):
@@ -243,18 +262,25 @@ def tanh(a):
     return _result(vals, (a,), back)
 
 
-def softmax(a, axis=-1):
-    """Stabilized softmax. -inf entries get weight exactly 0."""
-    x = a.values
+def _softmax(x, axis):
     m = np.max(x, axis=axis, keepdims=True)
     e = np.exp(x - m)
     denom = e.sum(axis=axis, keepdims=True, dtype=np.float64).astype(x.dtype)
-    vals = e / denom
+    return e / denom
+
+
+def _softmax_grad(vals, g, axis):
+    dot = (g * vals).sum(axis=axis, keepdims=True, dtype=np.float64).astype(vals.dtype)
+    return vals * (g - dot)
+
+
+def softmax(a, axis=-1):
+    """Stabilized softmax. -inf entries get weight exactly 0."""
+    vals = _softmax(a.values, axis)
 
     def back(g):
         if a.requires_grad:
-            dot = (g * vals).sum(axis=axis, keepdims=True, dtype=np.float64).astype(x.dtype)
-            a.accumulate_grad(vals * (g - dot))
+            a.accumulate_grad(_softmax_grad(vals, g, axis))
 
     return _result(vals, (a,), back)
 
@@ -385,16 +411,27 @@ def cross_entropy(logits, target):
     return _result(vals, (logits,), back)
 
 
-def take_rows(a, indices):
-    """Gather rows along axis 0; backward scatter-adds."""
-    idx = np.asarray(indices, dtype=np.intp)
-    vals = a.values[idx]
+def take_rows(a, indices, axis=0):
+    """Gather entries along `axis` (rows by default); backward scatter-adds."""
+    sel = (slice(None),) * axis + (np.asarray(indices, dtype=np.intp),)
+    vals = a.values[sel]
 
     def back(g):
         if a.requires_grad:
             acc = np.zeros_like(a.values)
-            np.add.at(acc, idx, g)
+            np.add.at(acc, sel, g)
             a.accumulate_grad(acc)
+
+    return _result(vals, (a,), back)
+
+
+def expand(a, n):
+    """n copies of `a` stacked along a new leading axis."""
+    vals = np.broadcast_to(a.values, (n,) + a.values.shape).copy()
+
+    def back(g):
+        if a.requires_grad:
+            a.accumulate_grad(g.sum(axis=0, dtype=np.float64).astype(a.values.dtype))
 
     return _result(vals, (a,), back)
 
@@ -418,6 +455,81 @@ def transpose(a, axes):
             a.accumulate_grad(np.transpose(g, inv))
 
     return _result(vals, (a,), back)
+
+
+# ---------------------------------------------------------------------------
+# fused transformer ops
+# ---------------------------------------------------------------------------
+
+def attention(xq, xkv, wq, wk, wv, wo, heads, record=None):
+    """Multi-head attention of queries xq (..., tq, d) over keys/values
+    xkv (..., tk, d): projections, scaled dot-product softmax and the output
+    projection, recorded as one tape node. Leading batch axes must match.
+    When `record` is a list it receives a copy of the (..., heads, tq, tk)
+    attention weights."""
+    xqv, xkvv = xq.values, xkv.values
+    lead = xqv.shape[:-2]
+    if xqv.ndim < 2 or xkvv.shape[:-2] != lead:
+        raise ShapeError(f"attention batch axes differ: {xqv.shape} vs {xkvv.shape}")
+    d = wq.values.shape[1]
+    if d % heads != 0:
+        raise ShapeError(f"attention width {d} not divisible by {heads} heads")
+    dh = d // heads
+    tq, tk = xqv.shape[-2], xkvv.shape[-2]
+    nb = len(lead)
+    # (..., t, heads, dh) <-> (..., heads, t, dh); the permutation is its own inverse
+    perm = tuple(range(nb)) + (nb + 1, nb, nb + 2)
+
+    def split(x, t):
+        return np.transpose(x.reshape(lead + (t, heads, dh)), perm)
+
+    def merge(x, t):
+        return np.transpose(x, perm).reshape(lead + (t, d))
+
+    q = split(np.matmul(xqv, wq.values), tq)
+    k = split(np.matmul(xkvv, wk.values), tk)
+    v = split(np.matmul(xkvv, wv.values), tk)
+    scores = np.matmul(q, np.swapaxes(k, -1, -2))
+    c = np.asarray(1.0 / math.sqrt(dh), dtype=scores.dtype)
+    weights = _softmax(scores * c, -1)
+    if record is not None:
+        record.append(weights.copy())
+    out = merge(np.matmul(weights, v), tq)
+    vals = np.matmul(out, wo.values)
+
+    def back(g):
+        if wo.requires_grad:
+            wo.accumulate_grad(_weight_grad(out, g))
+        g_out = split(np.matmul(g, wo.values.T), tq)
+        g_scores = _softmax_grad(weights, np.matmul(g_out, np.swapaxes(v, -1, -2)), -1) * c
+        g_q = merge(np.matmul(g_scores, k), tq)
+        g_k = merge(np.matmul(np.swapaxes(g_scores, -1, -2), q), tk)
+        g_v = merge(np.matmul(np.swapaxes(weights, -1, -2), g_out), tk)
+        for x, w, gp in ((xq, wq, g_q), (xkv, wk, g_k), (xkv, wv, g_v)):
+            if w.requires_grad:
+                w.accumulate_grad(_weight_grad(x.values, gp))
+            if x.requires_grad:
+                x.accumulate_grad(np.matmul(gp, w.values.T))
+
+    return _result(vals, (xq, xkv, wq, wk, wv, wo), back)
+
+
+def ffn(x, w1, w2):
+    """relu(x @ w1) @ w2 recorded as one tape node; x is (..., n, d)."""
+    h = np.maximum(np.matmul(x.values, w1.values), 0)
+    vals = np.matmul(h, w2.values)
+
+    def back(g):
+        if w2.requires_grad:
+            w2.accumulate_grad(_weight_grad(h, g))
+        if w1.requires_grad or x.requires_grad:
+            g_h = np.matmul(g, w2.values.T) * (h > 0)
+            if w1.requires_grad:
+                w1.accumulate_grad(_weight_grad(x.values, g_h))
+            if x.requires_grad:
+                x.accumulate_grad(np.matmul(g_h, w1.values.T))
+
+    return _result(vals, (x, w1, w2), back)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +602,7 @@ class Adam:
             if group not in live:
                 continue
             if t.grad is None:
-                raise ContractError(f"adam_step: missing grad for {name!r}")
+                raise ContractError(f"Adam.step: missing grad for {name!r}")
             lr = lr_by_group[group]
             tstep = self.steps[group]
             m = self.m[name]
@@ -503,7 +615,3 @@ class Adam:
             mhat = m / (1.0 - self.beta1 ** tstep)
             vhat = v / (1.0 - self.beta2 ** tstep)
             t.values -= (lr * mhat / (np.sqrt(vhat) + self.eps)).astype(t.values.dtype)
-
-
-def adam_step(optimizer, lr_by_group):
-    optimizer.step(lr_by_group)

@@ -144,14 +144,14 @@ class TestNounPhraseMean:
 class TestEncodeObservation:
     def test_initial_history_token(self, setup):
         obs = wd.observation_at(setup["world"], 0, np.random.default_rng(0))
-        tokens, _ = setup["agent"].encode_observation(obs, setup["agent"].params["hist_init"])
-        assert np.array_equal(tokens.values[0], setup["agent"].params["hist_init"].values[0])
+        tokens, _ = setup["agent"].encode_observation(obs[None], setup["agent"].params["hist_init"])
+        assert np.array_equal(tokens.values[0, 0], setup["agent"].params["hist_init"].values[0])
 
     def test_pure_function(self, setup):
         obs = wd.observation_at(setup["world"], 0, np.random.default_rng(1))
         h0 = setup["agent"].params["hist_init"]
-        a, ha = setup["agent"].encode_observation(obs, h0)
-        b, hb = setup["agent"].encode_observation(obs, h0)
+        a, ha = setup["agent"].encode_observation(obs[None], h0)
+        b, hb = setup["agent"].encode_observation(obs[None], h0)
         assert a.values.tobytes() == b.values.tobytes()
         assert ha.values.tobytes() == hb.values.tobytes()
 
@@ -160,9 +160,9 @@ class TestEncodeObservation:
         h0 = setup["agent"].params["hist_init"]
         obs1 = wd.observation_at(setup["world"], 0, rng)
         obs2 = wd.observation_at(setup["world"], 2, rng)
-        _, h1 = setup["agent"].encode_observation(obs1, h0)
-        tokens_a, _ = setup["agent"].encode_observation(obs2, h0)
-        tokens_b, _ = setup["agent"].encode_observation(obs2, h1)
+        _, h1 = setup["agent"].encode_observation(obs1[None], h0)
+        tokens_a, _ = setup["agent"].encode_observation(obs2[None], h0)
+        tokens_b, _ = setup["agent"].encode_observation(obs2[None], h1)
         assert h1.values.tobytes() != h0.values.tobytes()
         assert tokens_a.values.tobytes() != tokens_b.values.tobytes()
 
@@ -246,8 +246,8 @@ class TestCrossModal:
         agent = setup["agent"]
         context = ag.build_context(agent, setup["token_ids"], [], [])
         obs = wd.observation_at(setup["world"], 0, np.random.default_rng(0))
-        vis, _ = agent.encode_observation(obs, agent.params["hist_init"])
-        logits, _, _ = agent.cross_modal_step(context, vis, [])
+        vis, _ = agent.encode_observation(obs[None], agent.params["hist_init"])
+        (logits,), _, _ = agent.cross_modal_step(context, vis, [[]])
         assert logits.shape == (1,)
 
 
@@ -349,6 +349,55 @@ class TestRollout:
         assert traj.truncated or traj.actions[-1] == len(traj.action_spaces[-1])
 
 
+class TestBatchedTeacher:
+    """A teacher rollout runs all steps in one pass; it must equal deciding the
+    same teacher path one step at a time, and draw the same random numbers."""
+
+    @staticmethod
+    def stepwise(agent, s, rng):
+        context = ag.build_context(agent, s["token_ids"], s["imags"], s["record"].kept,
+                                   train=True, rng=rng)
+        world, hist, logits = s["world"], agent.params["hist_init"], []
+        for node in s["episode"].teacher_path:
+            obs = wd.observation_at(world, node, rng)
+            vis, hist = agent.encode_observation(obs[None], hist)
+            (step_logits,), _, _ = agent.cross_modal_step(context, vis,
+                                                          [wd.navigable(world, node)])
+            logits.append(step_logits)
+        return logits
+
+    @staticmethod
+    def loss(logits, actions):
+        return nc.mean(nc.concat([nc.reshape(nc.cross_entropy(l, a), (1,))
+                                  for l, a in zip(logits, actions)], axis=0))
+
+    @pytest.mark.parametrize("overrides", [{}, {"fusion": "late"}, {"concat_target": "visual"}])
+    def test_matches_stepwise_decisions(self, setup, overrides):
+        cfg = ag.AgentConfig(vocab_size=setup["agent"].config.vocab_size, **overrides)
+        agent = ag.Agent(cfg, ag.init_params(cfg, seed=8))
+        batched_rng, stepwise_rng = np.random.default_rng(3), np.random.default_rng(3)
+        traj = ag.rollout(agent, setup["episode"], setup["token_ids"],
+                          setup["record"].instruction.tokens, setup["imags"], "teacher",
+                          obs_rng=batched_rng, kept_subs=setup["record"].kept,
+                          train=True, drop_rng=batched_rng)
+        agent.params.zero_grads()
+        nc.backward(self.loss(traj.logits, traj.teacher_actions))
+        batched_grads = {name: t.grad.copy() for name, t in agent.params.items()
+                         if t.grad is not None}
+
+        reference = self.stepwise(agent, setup, stepwise_rng)
+        assert batched_rng.bit_generator.state == stepwise_rng.bit_generator.state
+        assert len(traj.logits) == len(reference) == len(setup["episode"].teacher_path)
+        for a, b in zip(traj.logits, reference):
+            assert a.shape == b.shape
+            assert np.abs(a.values - b.values).max() < 1e-5
+        agent.params.zero_grads()
+        nc.backward(self.loss(reference, traj.teacher_actions))
+        for name, grad in batched_grads.items():
+            want = agent.params[name].grad
+            assert np.abs(grad - want).max() < 1e-5 * max(1.0, float(np.abs(want).max())), name
+
+
 class TestAttentionProbe:
     @staticmethod
     def _rig_rows(traj, fill):
@@ -417,8 +466,8 @@ class TestAgentGradcheck:
             text = a.encode_text([1, 3, 5])
             h, mask = a.encode_imaginations(feats)
             ctx = ag.EncodedContext(text=text, imag=h, imag_mask=mask)
-            vis, _ = a.encode_observation(pano, store["hist_init"])
-            logits, _, _ = a.cross_modal_step(ctx, vis, [(0, 1), (2, 3)])
+            vis, _ = a.encode_observation(pano[None], store["hist_init"])
+            (logits,), _, _ = a.cross_modal_step(ctx, vis, [[(0, 1), (2, 3)]])
             return nc.cross_entropy(logits, 1)
 
         arrays = [params[name].values.astype(np.float64) for name in checked]

@@ -219,3 +219,33 @@ class TestAblateSmoke:
         assert run_cli(["ablate", "--spec", spec_path, "--out-dir", out_dir, "--quiet"]) == 0
         cfg = tr.load_checkpoint(out_dir / "ckpt" / "imagine_4.bin").agent_config
         assert (cfg.d_v, cfg.k_views) == (24, 8)
+
+    def test_report_matches_ablate_summary(self, tmp_path):
+        spec_path = tmp_path / "exp.cfg"
+        spec_path.write_text(
+            "[experiment]\n"
+            "name = report\nseeds = 5 6\nconditions = baseline imagine\ndata_seed = 3\n"
+            "[world]\ntrain_worlds = 8\nval_seen_worlds = 6\nval_unseen_worlds = 6\n"
+            "[agent]\nd = 32\nheads = 2\ncross_layers = 1\n"
+            "[train]\nbase_iterations = 30\niterations = 10\n")
+        out_dir = tmp_path / "out"
+        assert run_cli(["ablate", "--spec", spec_path, "--out-dir", out_dir, "--quiet"]) == 0
+        merged = tmp_path / "report.tsv"
+        assert run_cli(["report", out_dir / "metrics.tsv", "--out", merged]) == 0
+
+        summary = {}
+        for line in (out_dir / "summary.txt").read_text().splitlines()[1:]:
+            if not line.strip():
+                break
+            f = line.split()
+            summary[(f[0], f[1])] = [float(f[i]) for i in (2, 4, 5, 7)]
+        body = [l.split("\t") for l in merged.read_text().splitlines()
+                if not l.startswith("#")]
+        assert body[0][2:6] == ["sr_mean", "sr_std", "spl_mean", "spl_std"]
+        report = {(f[0], f[1]): [float(x) for x in f[2:6]] for f in body[1:]}
+        assert report.keys() == summary.keys() and len(report) == 4
+        assert any(v[0] > 0.0 for v in summary.values())   # a scale error would show
+        # metrics.tsv stores each row to 0.01 points and both outputs print to
+        # 0.01 points, so the two agree to within one printed step
+        for key, want in summary.items():
+            assert max(abs(a - b) for a, b in zip(report[key], want)) <= 0.01 + 1e-9, key

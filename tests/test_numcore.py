@@ -226,6 +226,120 @@ class TestGradcheckPerOp:
         assert x.grad[0, 2] == 0.0
 
 
+def attention_chain(xq, xkv, wq, wk, wv, wo, heads):
+    """Unbatched attention as a chain of single ops (the fused op's oracle)."""
+    d = wq.shape[1]
+    dh = d // heads
+    tq, tk = xq.shape[0], xkv.shape[0]
+
+    def split(x, t):
+        return nc.transpose(nc.reshape(x, (t, heads, dh)), (1, 0, 2))
+
+    q = split(nc.matmul(xq, wq), tq)
+    k = split(nc.matmul(xkv, wk), tk)
+    v = split(nc.matmul(xkv, wv), tk)
+    scores = nc.scale(nc.matmul(q, nc.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
+    out = nc.matmul(nc.softmax(scores, axis=-1), v)
+    return nc.matmul(nc.reshape(nc.transpose(out, (1, 0, 2)), (tq, d)), wo)
+
+
+class TestFusedOps:
+    D, HEADS, HIDDEN = 4, 2, 3
+
+    def weights(self, rng, dtype=np.float64):
+        return [rng.normal(size=(self.D, self.D)).astype(dtype) for _ in range(4)]
+
+    def test_attention_gradcheck(self):
+        rng = np.random.default_rng(13)
+        for lead in ((), (2,)):
+            probe = rng.normal(size=lead + (3, self.D))
+
+            def cross(ts):
+                out = nc.attention(ts[0], ts[1], *ts[2:], heads=self.HEADS)
+                return nc.mean(nc.mul(out, nc.constant(probe)))
+
+            def self_attn(ts):
+                out = nc.attention(ts[0], ts[0], *ts[1:], heads=self.HEADS)
+                return nc.mean(nc.mul(out, nc.constant(probe)))
+
+            w = [0.5 * a for a in self.weights(rng)]
+            xq = rng.normal(size=lead + (3, self.D))
+            xkv = rng.normal(size=lead + (5, self.D))
+            check_gradients(cross, [xq, xkv] + w, tol=1e-4)
+            check_gradients(self_attn, [xq] + w, tol=1e-4)
+
+    def test_ffn_gradcheck(self):
+        rng = np.random.default_rng(17)
+        for lead in ((), (2,)):
+            done = 0
+            while done < 2:
+                x = rng.normal(size=lead + (3, self.D))
+                w1 = rng.normal(size=(self.D, self.HIDDEN))
+                w2 = rng.normal(size=(self.HIDDEN, self.D))
+                # keep relu pre-activations away from the kink so the FD oracle is valid
+                if np.abs(x @ w1).min() < 0.05:
+                    continue
+                probe = rng.normal(size=lead + (3, self.D))
+                check_gradients(lambda ts: nc.mean(nc.mul(nc.ffn(*ts), nc.constant(probe))),
+                                [x, w1, w2], tol=1e-4)
+                done += 1
+
+    def test_attention_forward_equals_op_chain(self):
+        rng = np.random.default_rng(19)
+        w = [t(a) for a in self.weights(rng, np.float32)]
+        xq = t(rng.normal(size=(3, self.D)))
+        xkv = t(rng.normal(size=(5, self.D)))
+        record = []
+        fused = nc.attention(xq, xkv, *w, heads=self.HEADS, record=record)
+        chain = attention_chain(xq, xkv, *w, heads=self.HEADS)
+        assert np.array_equal(fused.values, chain.values)
+        assert record[0].shape == (self.HEADS, 3, 5)
+        assert np.abs(record[0].sum(axis=-1) - 1.0).max() < 1e-6
+
+        # a batch axis runs every slice as its own unbatched call
+        bq = rng.normal(size=(3, 2, self.D)).astype(np.float32)
+        bkv = rng.normal(size=(3, 4, self.D)).astype(np.float32)
+        batched = nc.attention(t(bq), t(bkv), *w, heads=self.HEADS).values
+        for i in range(3):
+            one = attention_chain(t(bq[i]), t(bkv[i]), *w, heads=self.HEADS).values
+            assert np.abs(batched[i] - one).max() < 1e-6
+
+    def test_ffn_forward_equals_op_chain(self):
+        rng = np.random.default_rng(23)
+        x = t(rng.normal(size=(2, 3, self.D)))
+        w1 = t(rng.normal(size=(self.D, self.HIDDEN)))
+        w2 = t(rng.normal(size=(self.HIDDEN, self.D)))
+        fused = nc.ffn(x, w1, w2).values
+        for i in range(2):
+            xi = t(x.values[i])
+            chain = nc.matmul(nc.relu(nc.matmul(xi, w1)), w2).values
+            assert np.array_equal(nc.ffn(xi, w1, w2).values, chain)
+            assert np.abs(fused[i] - chain).max() < 1e-6
+
+    def test_attention_rejects_mismatched_batch(self):
+        rng = np.random.default_rng(29)
+        w = [t(a) for a in self.weights(rng, np.float32)]
+        with pytest.raises(ShapeError):
+            nc.attention(t(np.zeros((2, 3, self.D))), t(np.zeros((3, 3, self.D))), *w,
+                         heads=self.HEADS)
+
+    def test_batching_ops_grad(self):
+        """The broadcasting forms the batched agent pass relies on."""
+        rng = np.random.default_rng(31)
+        cases = [
+            # (T, K, d) + (K, d) and (T, n, 1) * (1, 1) broadcasts
+            (lambda ts: nc.mean(nc.mul(nc.add(ts[0], ts[1]), ts[0])), [(2, 3, 4), (3, 4)]),
+            (lambda ts: nc.mean(nc.mul(nc.mul(ts[0], ts[1]), ts[0])), [(2, 3, 1), (1, 1)]),
+            # batched operand against a shared 2D weight
+            (lambda ts: nc.mean(nc.mul(nc.matmul(ts[0], ts[1]), nc.matmul(ts[0], ts[1]))),
+             [(2, 3, 4), (4, 2)]),
+            (lambda ts: nc.mean(nc.mul(nc.take_rows(ts[0], [2, 0, 2], axis=1),
+                                       nc.expand(ts[1], 2))), [(2, 3, 4), (3, 4)]),
+        ]
+        for build, shapes in cases:
+            check_gradients(build, [rng.normal(size=s) for s in shapes], tol=1e-4)
+
+
 class TestDeterminism:
     def test_same_seed_same_result(self):
         def run(seed):
