@@ -22,11 +22,12 @@ null-imagination runs bit-identical to runs without imagination tokens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import numcore as nc
+from . import serial
 from . import world as wd
 from .errors import ConfigurationError, ContractError, ShapeError, VocabularyError
 
@@ -66,26 +67,12 @@ class AgentConfig:
                 raise ConfigurationError(f"{name}={value!r} not in {allowed}")
 
     def to_text(self):
-        keys = ("vocab_size", "d", "heads", "cross_layers", "k_views", "d_v", "mlp_hidden",
-                "dropout_rate", "text_dropout", "fusion", "imagination_encoder",
-                "concat_target", "imag_source", "imag_order_encoding", "max_steps")
-        return "\n".join(f"{k}={getattr(self, k)}" for k in keys)
+        return "\n".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
 
     @classmethod
     def from_text(cls, text):
-        kw = {}
-        for line in text.strip().splitlines():
-            k, _, v = line.partition("=")
-            if k in ("vocab_size", "d", "heads", "cross_layers", "k_views", "d_v",
-                     "mlp_hidden", "max_steps"):
-                kw[k] = int(v)
-            elif k in ("dropout_rate", "text_dropout"):
-                kw[k] = float(v)
-            elif k == "imag_order_encoding":
-                kw[k] = v == "True"
-            else:
-                kw[k] = v
-        return cls(**kw)
+        pairs = (line.partition("=") for line in text.strip().splitlines())
+        return cls(**{k: serial.parse_field(cls, k, v) for k, _, v in pairs})
 
 
 _SINUSOID_CACHE = {}

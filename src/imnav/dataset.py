@@ -1,12 +1,17 @@
-"""Split assembly: worlds -> episodes -> instructions -> imaginations."""
+"""Split assembly: worlds -> episodes -> instructions -> imaginations, either
+generated or read from the files of gen-world, gen-corpus and imagine."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 from . import imagination as im
 from . import instructions as ins
+from . import serial
 from . import world as wd
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 @dataclass
@@ -25,30 +30,59 @@ class Split:
     split: str
 
 
+def load_assets(d_v=None, library=None):
+    """The packaged data: the landmark library (`library` if given, else the
+    packaged one at feature width `d_v`), the instruction templates, and the
+    tagger lexicon extended with the library's landmark words."""
+    if library is None:
+        library = wd.load_library(DATA_DIR / "landmarks.txt", d_v=d_v)
+    templates = ins.load_templates(DATA_DIR / "templates.txt")
+    lexicon = ins.load_lexicon(DATA_DIR / "lexicon_nouns.txt",
+                               DATA_DIR / "lexicon_blacklist.txt", library)
+    return library, templates, lexicon
+
+
+def bundle(episodes, records, imagination_sets, vocab, library, split):
+    """Pair each episode with its instruction record, imaginations and token ids."""
+    word_to_id = {w: i for i, w in enumerate(vocab)}
+    items = [EpisodeBundle(episode=ep, record=rec, imaginations=imags,
+                           token_ids=tuple(word_to_id[t] for t in rec.instruction.tokens))
+             for ep, rec, imags in zip(episodes, records, imagination_sets)]
+    return Split(items=items, vocab=vocab, library=library, split=split)
+
+
+def generate_episodes(world_config, n_worlds, mode, seed):
+    """`n_worlds` generated worlds with one episode each."""
+    worlds = [wd.generate_world(world_config, seed=seed * 1009 + i) for i in range(n_worlds)]
+    return [wd.sample_episode(w, mode, seed=seed * 31 + i) for i, w in enumerate(worlds)]
+
+
 def build_split(world_config, n_worlds, mode, templates, lexicon, vocab,
                 imagination_config, world_seed, text_seed, imagine_seed):
     """Generate `n_worlds` worlds with one episode each and build the corpus."""
-    word_to_id = {w: i for i, w in enumerate(vocab)}
-    worlds = [wd.generate_world(world_config, seed=world_seed * 1009 + i)
-              for i in range(n_worlds)]
-    episodes = [wd.sample_episode(w, mode, seed=world_seed * 31 + i)
-                for i, w in enumerate(worlds)]
+    episodes = generate_episodes(world_config, n_worlds, mode, world_seed)
     records = ins.build_corpus(episodes, templates, lexicon, seed=text_seed, vocab=vocab)
     sets = im.imagine_dataset(records, world_config.library, imagination_config, seed=imagine_seed)
-    items = []
-    for ep, rec, imags in zip(episodes, records, sets):
-        ids = tuple(word_to_id[t] for t in rec.instruction.tokens)
-        items.append(EpisodeBundle(episode=ep, record=rec, imaginations=imags, token_ids=ids))
-    return Split(items=items, vocab=vocab, library=world_config.library,
-                 split=world_config.split)
+    return bundle(episodes, records, sets, vocab, world_config.library, world_config.split)
+
+
+def read_split(worlds_path, corpus_path, imaginations_path):
+    """The split stored in a worlds, a corpus and an imaginations file."""
+    library, pairs = serial.read_worlds(worlds_path)
+    records, world_indices = serial.read_corpus(corpus_path, pairs)
+    sets = serial.read_imaginations(imaginations_path, len(records), library.d_v)
+    _, templates, _ = load_assets(library=library)
+    return bundle([pairs[i][1] for i in world_indices], records, sets,
+                  ins.build_vocab(templates, library), library,
+                  pairs[0][0].split if pairs else "train")
 
 
 def standard_splits(library, templates, lexicon, *, layout=wd.WorldConfig.layout,
                     n_forks=wd.WorldConfig.n_forks, k_views=wd.WorldConfig.k_views,
-                    sigma_obs=wd.WorldConfig.sigma_obs, mode="fine",
-                    train_n=160, val_seen_n=60, val_unseen_n=60,
-                    imagination_config=None, data_seed=0):
-    """The desk-scale dataset triple used by experiments and tests."""
+                    sigma_obs=wd.WorldConfig.sigma_obs, mode=wd.EPISODE_MODES[0],
+                    train_n, val_seen_n, val_unseen_n,
+                    imagination_config=None, data_seed):
+    """The train/val_seen/val_unseen triple used by experiments and tests."""
     vocab = ins.build_vocab(templates, library)
     imagination_config = imagination_config or im.ImaginationConfig()
     base = wd.WorldConfig(library=library, layout=layout, n_forks=n_forks,

@@ -48,11 +48,15 @@ class MetricsRecord:
 
     def as_row(self):
         """TSV row with 2-decimal percentage metrics."""
-        def pct(x):
-            return "-" if x is None else f"{100.0 * x:.2f}"
-        return "\t".join([self.split, self.policy, pct(self.sr), pct(self.spl),
+        return "\t".join([self.split, self.policy, percent(self.sr), percent(self.spl),
                           f"{self.ne_mean:.4f}", f"{self.tl_mean:.4f}",
-                          pct(self.rgs), pct(self.rgspl), str(self.count), str(self.seed)])
+                          percent(self.rgs), percent(self.rgspl), str(self.count),
+                          str(self.seed)])
+
+
+def percent(fraction, spec=".2f"):
+    """A rate held as a fraction, printed in percent ("-" for None)."""
+    return "-" if fraction is None else format(100.0 * fraction, spec)
 
 
 def success(final_pos, goal_pos, radius=SUCCESS_RADIUS):
@@ -90,11 +94,11 @@ def rgspl(results):
     return total / len(results)
 
 
-def grounding_success(result, stop_placements, chosen_view, target_landmark):
+def grounding_success(succeeded, stop_placements, chosen_view, target_landmark):
     """Coarse-mode grounding: success and the chosen view shows the target."""
-    if result.grounded is None and target_landmark is None:
+    if target_landmark is None:
         raise ContractError("grounding_success is a coarse-mode metric")
-    if not result.success:
+    if not succeeded:
         return False
     return any(cid == target_landmark and view == chosen_view
                for cid, view in stop_placements)
@@ -143,9 +147,8 @@ def evaluate(agent, items, policy, seed, radius=SUCCESS_RADIUS, split=None):
             grounded = None
             if ep.mode == "coarse":
                 coarse = True
-                grounded = ok and any(
-                    cid == ep.target_landmark and view == traj.grounding_view
-                    for cid, view in ep.world.placements.get(final, ()))
+                grounded = grounding_success(ok, ep.world.placements.get(final, ()),
+                                             traj.grounding_view, ep.target_landmark)
             results.append(EpisodeResult(
                 episode_id=i, final_node=final, success=ok, ne=ne, tl=tl,
                 shortest_len=shortest, path_len=tl, grounded=grounded))

@@ -3,6 +3,9 @@
 Subcommands: gen-world, gen-corpus, imagine, train, eval, ablate,
 probe-attention, report. Exit codes: 0 ok, 1 runtime/I-O error, 2 usage.
 
+Flags and spec keys take their types and defaults from the fields of
+WorldConfig, ImaginationConfig, AgentConfig, TrainConfig and ExperimentSpec.
+
 Ablations reuse checkpoints the way the test-time conditions require: the
 baseline is the trained base agent; imagine finetunes from it; null/wrong/
 goal-only evaluate the imagine checkpoint under the matching policy; the
@@ -13,10 +16,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import shlex
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +31,8 @@ from . import instructions as ins
 from . import serial
 from . import training as tr
 from . import world as wd
+from .dataset import DATA_DIR  # noqa: F401  (re-exported for perfbench/)
 from .errors import ConfigurationError, FormatError, ImnavError
-
-DATA_DIR = Path(__file__).parent / "data"
 
 TRAIN_CONDITIONS = {
     # condition -> (aux_loss, agent-config overrides)
@@ -47,36 +48,65 @@ TEST_CONDITIONS = {"null_test": "null", "wrong_test": "wrong", "goal_only": "goa
 ALL_CONDITIONS = ("baseline",) + tuple(TRAIN_CONDITIONS) + tuple(TEST_CONDITIONS)
 
 
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """An ablation matrix. `world` and `agent` hold WorldConfig and AgentConfig
+    fields, which become configs once the library and vocabulary exist."""
+    name: str = "experiment"
+    seeds: tuple[int, ...] = (101, 102, 103, 104, 105)
+    conditions: tuple[str, ...] = ("baseline", "imagine")
+    data_seed: int = 0
+    mode: str = wd.EPISODE_MODES[0]
+    train_worlds: int = 500
+    val_seen_worlds: int = 100
+    val_unseen_worlds: int = 100
+    base_iterations: int = 1400
+    base_lr: float = tr.TrainConfig.flat_lr
+    world: dict = field(default_factory=dict)
+    agent: dict = field(default_factory=dict)
+    imagination: im.ImaginationConfig = im.ImaginationConfig()
+    train: tr.TrainConfig = tr.TrainConfig()
+
+    def __post_init__(self):
+        if not self.seeds:
+            raise ConfigurationError("experiment needs at least one seed")
+        unknown = [c for c in self.conditions if c not in ALL_CONDITIONS]
+        if unknown:
+            raise ConfigurationError(f"unknown conditions {unknown}; valid: {ALL_CONDITIONS}")
+        # test-time conditions evaluate the imagine checkpoint, and imagine
+        # finetunes from the baseline, so those are trained when needed
+        needed = (("imagine", "baseline") if any(c in TEST_CONDITIONS for c in self.conditions)
+                  else ("baseline",) if "imagine" in self.conditions else ())
+        object.__setattr__(self, "conditions", tuple(
+            c for c in needed if c not in self.conditions) + tuple(self.conditions))
+
+
+def _keys(cls, names):
+    return {name: (cls, name) for name in names.split()}
+
+
+# spec section -> {key: (dataclass, field)}; a spec may set nothing else
+SPEC_KEYS = {
+    "experiment": _keys(ExperimentSpec, "name seeds conditions data_seed"),
+    "world": {**_keys(wd.WorldConfig, "layout n_forks k_views sigma_obs"),
+              **_keys(ag.AgentConfig, "d_v"),
+              **_keys(ExperimentSpec, "mode train_worlds val_seen_worlds val_unseen_worlds"),
+              **_keys(im.ImaginationConfig, "fidelity sigma_gen")},
+    "agent": _keys(ag.AgentConfig, "d heads cross_layers"),
+    "train": {**_keys(ExperimentSpec, "base_iterations base_lr"),
+              **_keys(tr.TrainConfig, "iterations batch_size tau lr_multiplier "
+                                      "stage_fractions aux_in_all_stages"),
+              "lambda": (tr.TrainConfig, "lam"), "infonce_lambda": (tr.TrainConfig, "infonce_lam")},
+}
+
+
 def command_line():
     return "imnav " + " ".join(shlex.quote(a) for a in sys.argv[1:])
 
 
-def load_assets(args):
-    library = wd.load_library(getattr(args, "library", None) or DATA_DIR / "landmarks.txt",
-                              d_v=getattr(args, "d_v", ag.AgentConfig.d_v))
-    templates = ins.load_templates(getattr(args, "templates", None) or DATA_DIR / "templates.txt")
-    lexicon = ins.load_lexicon(
-        getattr(args, "lexicon_nouns", None) or DATA_DIR / "lexicon_nouns.txt",
-        getattr(args, "lexicon_blacklist", None) or DATA_DIR / "lexicon_blacklist.txt",
-        library)
-    return library, templates, lexicon
-
-
-def items_from_files(worlds_path, corpus_path, imaginations_path, templates=None):
-    library, pairs = serial.read_worlds(worlds_path)
-    records, world_indices = serial.read_corpus(corpus_path, pairs)
-    sets = serial.read_imaginations(imaginations_path, len(records), library.d_v)
-    templates = templates or ins.load_templates(DATA_DIR / "templates.txt")
-    vocab = ins.build_vocab(templates, library)
-    word_to_id = {w: i for i, w in enumerate(vocab)}
-    items = []
-    for rec, w_idx, imags in zip(records, world_indices, sets):
-        episode = pairs[w_idx][1]
-        ids = tuple(word_to_id[t] for t in rec.instruction.tokens)
-        items.append(ds.EpisodeBundle(episode=episode, record=rec, imaginations=imags,
-                                      token_ids=ids))
-    split_name = pairs[0][0].split if pairs else "train"
-    return ds.Split(items=items, vocab=vocab, library=library, split=split_name)
+def _fields_of(cls, args):
+    """The fields of config dataclass `cls` that the parsed `args` carry."""
+    return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
 
 
 # ---------------------------------------------------------------------------
@@ -84,30 +114,19 @@ def items_from_files(worlds_path, corpus_path, imaginations_path, templates=None
 # ---------------------------------------------------------------------------
 
 def cmd_gen_world(args):
-    library, _, _ = load_assets(args)
-    cfg = wd.WorldConfig(library=library, layout=args.layout, n_nodes=args.n_nodes,
-                         k_views=args.k, sigma_obs=args.sigma_obs, split=args.split,
-                         n_forks=args.n_forks)
-    pairs = []
-    for i in range(args.count):
-        world = wd.generate_world(cfg, seed=args.seed * 1009 + i)
-        episode = wd.sample_episode(world, args.mode, seed=args.seed * 31 + i)
-        pairs.append((world, episode))
+    library, _, _ = ds.load_assets(args.d_v)
+    cfg = wd.WorldConfig(library=library, **_fields_of(wd.WorldConfig, args))
+    pairs = [(ep.world, ep) for ep in ds.generate_episodes(cfg, args.count, args.mode, args.seed)]
     serial.write_worlds(args.out, library, pairs, command=command_line(), seed=args.seed)
     print(f"wrote {len(pairs)} worlds to {args.out}")
     return 0
 
 
 def cmd_gen_corpus(args):
-    _, pairs = serial.read_worlds(args.worlds)
-    library = pairs[0][0].library
-    templates = ins.load_templates(args.templates or DATA_DIR / "templates.txt")
-    lexicon = ins.load_lexicon(args.lexicon_nouns or DATA_DIR / "lexicon_nouns.txt",
-                               args.lexicon_blacklist or DATA_DIR / "lexicon_blacklist.txt",
-                               library)
-    vocab = ins.build_vocab(templates, library)
-    episodes = [ep for _, ep in pairs]
-    records = ins.build_corpus(episodes, templates, lexicon, seed=args.seed, vocab=vocab)
+    library, pairs = serial.read_worlds(args.worlds)
+    _, templates, lexicon = ds.load_assets(library=library)
+    records = ins.build_corpus([ep for _, ep in pairs], templates, lexicon, seed=args.seed,
+                               vocab=ins.build_vocab(templates, library))
     serial.write_corpus(args.out, records, list(range(len(records))),
                         command=command_line(), seed=args.seed)
     seg, kept, vsize = ins.corpus_stats(records)
@@ -119,7 +138,7 @@ def cmd_gen_corpus(args):
 def cmd_imagine(args):
     library, pairs = serial.read_worlds(args.worlds)
     records, _ = serial.read_corpus(args.corpus, pairs)
-    cfg = im.ImaginationConfig(sigma_gen=args.sigma_gen, fidelity=args.fidelity)
+    cfg = im.ImaginationConfig(**_fields_of(im.ImaginationConfig, args))
     sets = im.imagine_dataset(records, library, cfg, seed=args.seed)
     serial.write_imaginations(args.out, sets, command=command_line(), seed=args.seed)
     total = sum(len(g) for g in sets)
@@ -127,40 +146,29 @@ def cmd_imagine(args):
     return 0
 
 
-def _agent_config(split, args=None, overrides=None):
+def _agent_config(split, **overrides):
     """Agent config whose vocabulary, d_v and k_views are those of `split`."""
     kw = dict(vocab_size=len(split.vocab), d_v=split.library.d_v)
     if split.items:
         kw["k_views"] = split.items[0].episode.world.k_views
-    if args is not None:
-        kw.update(d=args.d, heads=args.heads, cross_layers=args.cross_layers)
-    if overrides:
-        kw.update(overrides)
-    return ag.AgentConfig(**kw)
+    return ag.AgentConfig(**{**kw, **overrides})
 
 
 def cmd_train(args):
-    split = items_from_files(args.worlds, args.corpus, args.imaginations)
-    acfg = _agent_config(split, args)
+    split = ds.read_split(args.worlds, args.corpus, args.imaginations)
+    acfg = _agent_config(split, **_fields_of(ag.AgentConfig, args))
     init_values = None
     if args.init_from:
         base = tr.load_checkpoint(args.init_from)
-        acfg = replace(base.agent_config, **{k: getattr(acfg, k)
-                                             for k in ("vocab_size",)})
+        acfg = replace(base.agent_config, vocab_size=acfg.vocab_size)
         if args.condition in TRAIN_CONDITIONS:
             acfg = replace(acfg, **TRAIN_CONDITIONS[args.condition][1])
         init_values = base.values
-    cfg = tr.TrainConfig(
-        iterations=args.iters, batch_size=args.batch_size,
-        aux_loss=args.aux, schedule=args.schedule, flat_lr=args.flat_lr,
-        lam=args.lam, infonce_lam=args.infonce_lam, tau=args.tau,
-        lr_multiplier=args.lr_multiplier,
-        stage_fractions=tuple(args.stage_fractions),
-        use_imaginations=not args.no_imaginations,
-        eval_interval=args.eval_interval, seed=args.seed)
+    cfg = tr.TrainConfig(**_fields_of(tr.TrainConfig, args),
+                         use_imaginations=not args.no_imaginations)
     val_items = None
     if args.val_worlds:
-        val_items = items_from_files(args.val_worlds, args.val_corpus, args.val_imaginations).items
+        val_items = ds.read_split(args.val_worlds, args.val_corpus, args.val_imaginations).items
     ckpt, curves = tr.train(split, acfg, cfg, init_values=init_values, val_items=val_items)
     tr.save_checkpoint(ckpt, args.out)
     if args.curves:
@@ -170,9 +178,8 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    split = items_from_files(args.worlds, args.corpus, args.imaginations)
-    ckpt = tr.load_checkpoint(args.ckpt)
-    agent = tr.agent_from_checkpoint(ckpt)
+    split = ds.read_split(args.worlds, args.corpus, args.imaginations)
+    agent = tr.agent_from_checkpoint(tr.load_checkpoint(args.ckpt))
     rec = ev.evaluate(agent, split.items, args.policy, seed=args.seed, split=split.split)
     serial.write_metrics(args.out, [(rec, args.condition or args.policy)],
                          command=command_line(), seed=args.seed)
@@ -181,9 +188,8 @@ def cmd_eval(args):
 
 
 def cmd_probe_attention(args):
-    split = items_from_files(args.worlds, args.corpus, args.imaginations)
-    ckpt = tr.load_checkpoint(args.ckpt)
-    agent = tr.agent_from_checkpoint(ckpt)
+    split = ds.read_split(args.worlds, args.corpus, args.imaginations)
+    agent = tr.agent_from_checkpoint(tr.load_checkpoint(args.ckpt))
     item = split.items[args.episode]
     import imnav.numcore as nc
     with nc.no_grad():
@@ -205,82 +211,50 @@ def cmd_probe_attention(args):
 # ---------------------------------------------------------------------------
 
 def read_experiment_spec(path):
+    """The ExperimentSpec of an INI spec file. An unknown key, or a value that
+    does not parse as its field's type, raises ConfigurationError naming it."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    if not parser.read(path):
+    try:
+        found = parser.read(path)
+    except configparser.Error as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    if not found:
         raise FormatError(f"cannot read experiment spec {path}")
-    exp = parser["experiment"]
-    spec = dict(
-        name=exp.get("name", "experiment"),
-        seeds=[int(s) for s in exp.get("seeds", "101 102 103 104 105").split()],
-        conditions=exp.get("conditions", "baseline imagine").split(),
-        data_seed=exp.getint("data_seed", 0),
-    )
-    if not spec["seeds"]:
-        raise ConfigurationError("experiment needs at least one seed")
-    unknown = [c for c in spec["conditions"] if c not in ALL_CONDITIONS]
-    if unknown:
-        raise ConfigurationError(f"unknown conditions {unknown}; valid: {ALL_CONDITIONS}")
-    # test-time conditions evaluate the imagine checkpoint, so imagine (and the
-    # baseline it finetunes from) must be trained whenever any *_test is listed
-    if any(c in TEST_CONDITIONS for c in spec["conditions"]):
-        for required in ("baseline", "imagine"):
-            if required not in spec["conditions"]:
-                spec["conditions"].insert(0, required)
-    if "imagine" in spec["conditions"] and "baseline" not in spec["conditions"]:
-        spec["conditions"].insert(0, "baseline")
-
-    w = parser["world"] if parser.has_section("world") else {}
-    wc, ic = wd.WorldConfig, im.ImaginationConfig
-    spec["world"] = dict(
-        layout=w.get("layout", wc.layout), n_forks=int(w.get("n_forks", wc.n_forks)),
-        k_views=int(w.get("k_views", wc.k_views)), d_v=int(w.get("d_v", ag.AgentConfig.d_v)),
-        sigma_obs=float(w.get("sigma_obs", wc.sigma_obs)), mode=w.get("mode", "fine"),
-        train_worlds=int(w.get("train_worlds", 500)),
-        val_seen_worlds=int(w.get("val_seen_worlds", 100)),
-        val_unseen_worlds=int(w.get("val_unseen_worlds", 100)),
-        fidelity=float(w.get("fidelity", ic.fidelity)),
-        sigma_gen=float(w.get("sigma_gen", ic.sigma_gen)))
-    a = parser["agent"] if parser.has_section("agent") else {}
-    spec["agent"] = dict(d=int(a.get("d", 64)), heads=int(a.get("heads", 4)),
-                         cross_layers=int(a.get("cross_layers", 2)))
-    t = parser["train"] if parser.has_section("train") else {}
-    spec["train"] = dict(
-        base_iterations=int(t.get("base_iterations", 1400)),
-        base_lr=float(t.get("base_lr", 1e-3)),
-        iterations=int(t.get("iterations", 2000)),
-        batch_size=int(t.get("batch_size", 8)),
-        lam=float(t.get("lambda", 0.5)),
-        infonce_lam=float(t.get("infonce_lambda", 0.2)),
-        tau=float(t.get("tau", 0.1)),
-        lr_multiplier=float(t.get("lr_multiplier", 10.0)),
-        stage_fractions=tuple(float(x) for x in t.get("stage_fractions", "0.4 0.25 0.35").split()),
-        aux_in_all_stages=t.get("aux_in_all_stages", "false").lower() == "true")
-    return spec
+    values = {cls: {} for cls in (ExperimentSpec, wd.WorldConfig, ag.AgentConfig,
+                                  im.ImaginationConfig, tr.TrainConfig)}
+    for section in parser.sections():
+        for key, text in parser.items(section):
+            if key not in SPEC_KEYS.get(section, ()):
+                raise ConfigurationError(f"{path}: unknown key {section}.{key}")
+            cls, name = SPEC_KEYS[section][key]
+            try:
+                values[cls][name] = serial.parse_field(cls, name, text)
+            except ValueError as exc:
+                raise ConfigurationError(f"{path}: {section}.{key} = {text!r}: {exc}") from exc
+    return ExperimentSpec(**values[ExperimentSpec], world=values[wd.WorldConfig],
+                          agent=values[ag.AgentConfig],
+                          imagination=im.ImaginationConfig(**values[im.ImaginationConfig]),
+                          train=tr.TrainConfig(**values[tr.TrainConfig]))
 
 
-HYPOTHESES = (
+HYPOTHESES = (  # (name, lhs, rhs, margin): PASS when lhs - rhs >= margin SR points
     ("imagine>baseline", "imagine", "baseline", 5.0),
     ("correct>null", "imagine", "null_test", 0.0),
     ("correct>wrong", "imagine", "wrong_test", 3.0),
     ("sequential>goal_only", "imagine", "goal_only", 2.0),
     ("goal_only>=baseline", "goal_only", "baseline", 0.0),
     ("cosine>=no_aux", "imagine", "no_aux", 0.0),
+    ("infonce~cosine", "infonce", "imagine", None),  # None: PASS when |lhs - rhs| <= 2.0
 )
 
 
 def build_spec_splits(spec):
-    library = wd.load_library(DATA_DIR / "landmarks.txt", d_v=spec["world"]["d_v"])
-    templates = ins.load_templates(DATA_DIR / "templates.txt")
-    lexicon = ins.load_lexicon(DATA_DIR / "lexicon_nouns.txt",
-                               DATA_DIR / "lexicon_blacklist.txt", library)
-    w = spec["world"]
+    library, templates, lexicon = ds.load_assets(spec.agent.get("d_v", ag.AgentConfig.d_v))
     return ds.standard_splits(
-        library, templates, lexicon, layout=w["layout"], n_forks=w["n_forks"],
-        k_views=w["k_views"], sigma_obs=w["sigma_obs"], mode=w["mode"],
-        train_n=w["train_worlds"], val_seen_n=w["val_seen_worlds"],
-        val_unseen_n=w["val_unseen_worlds"],
-        imagination_config=im.ImaginationConfig(sigma_gen=w["sigma_gen"], fidelity=w["fidelity"]),
-        data_seed=spec["data_seed"])
+        library, templates, lexicon, **spec.world, mode=spec.mode,
+        train_n=spec.train_worlds, val_seen_n=spec.val_seen_worlds,
+        val_unseen_n=spec.val_unseen_worlds, imagination_config=spec.imagination,
+        data_seed=spec.data_seed)
 
 
 def _seed_job(spec, seed, out_dir, quiet):
@@ -288,58 +262,40 @@ def _seed_job(spec, seed, out_dir, quiet):
     evaluate all conditions; runs in its own process when parallelized."""
     out_dir = Path(out_dir)
     splits = build_spec_splits(spec)
-    t = spec["train"]
-    rows = []
-    checkpoints = {}
+    rows, checkpoints = [], {}
 
     def log(msg):
         if not quiet:
             print(f"[seed {seed}] {msg}", flush=True)
 
-    acfg = _agent_config(splits["train"], overrides=spec["agent"])
-    base_cfg = tr.TrainConfig(
-        iterations=t["base_iterations"], batch_size=t["batch_size"],
-        schedule="flat", flat_lr=t["base_lr"], aux_loss="none",
-        use_imaginations=False, seed=seed)
-    log(f"training base agent ({base_cfg.iterations} iterations)")
-    try:
-        base_ckpt, base_curves = tr.train(splits["train"], acfg, base_cfg)
-    except ImnavError as exc:
-        raise ImnavError(f"condition baseline failed at seed {seed}: {exc}") from exc
-    checkpoints["baseline"] = base_ckpt
-    tr.save_checkpoint(base_ckpt, out_dir / "ckpt" / f"baseline_{seed}.bin")
-    serial.write_curves(out_dir / "curves" / f"baseline_{seed}.tsv", base_curves,
-                        command=f"ablate {spec['name']}", seed=seed)
-
-    for cond in spec["conditions"]:
-        if cond == "baseline" or cond in TEST_CONDITIONS:
-            continue
-        aux, overrides = TRAIN_CONDITIONS[cond]
-        f_acfg = replace(acfg, **overrides)
-        f_cfg = tr.TrainConfig(
-            iterations=t["iterations"], batch_size=t["batch_size"],
-            aux_loss=aux, lam=t["lam"], infonce_lam=t["infonce_lam"], tau=t["tau"],
-            lr_multiplier=t["lr_multiplier"], stage_fractions=t["stage_fractions"],
-            aux_in_all_stages=t["aux_in_all_stages"], seed=seed)
-        log(f"finetuning condition {cond} ({f_cfg.iterations} iterations)")
+    def train(cond, agent_config, cfg, init_values=None):
+        log(f"training condition {cond} ({cfg.iterations} iterations)")
         try:
-            ckpt, curves = tr.train(splits["train"], f_acfg, f_cfg,
-                                    init_values=base_ckpt.values)
+            ckpt, curves = tr.train(splits["train"], agent_config, cfg, init_values=init_values)
         except ImnavError as exc:
             raise ImnavError(f"condition {cond} failed at seed {seed}: {exc}") from exc
         checkpoints[cond] = ckpt
         tr.save_checkpoint(ckpt, out_dir / "ckpt" / f"{cond}_{seed}.bin")
         serial.write_curves(out_dir / "curves" / f"{cond}_{seed}.tsv", curves,
-                            command=f"ablate {spec['name']}", seed=seed)
+                            command=f"ablate {spec.name}", seed=seed)
 
-    for cond in spec["conditions"]:
+    acfg = _agent_config(splits["train"], **spec.agent)
+    train("baseline", acfg, tr.TrainConfig(
+        iterations=spec.base_iterations, batch_size=spec.train.batch_size,
+        schedule="flat", flat_lr=spec.base_lr, aux_loss="none",
+        use_imaginations=False, seed=seed))
+    for cond in spec.conditions:
+        if cond in TRAIN_CONDITIONS:
+            aux, overrides = TRAIN_CONDITIONS[cond]
+            train(cond, replace(acfg, **overrides), replace(spec.train, aux_loss=aux, seed=seed),
+                  init_values=checkpoints["baseline"].values)
+
+    for cond in spec.conditions:
         if cond in TEST_CONDITIONS:
-            ckpt, policy = checkpoints["imagine"], TEST_CONDITIONS[cond]
-        elif cond == "baseline":
-            ckpt, policy = checkpoints["baseline"], "null"
+            trained, policy = "imagine", TEST_CONDITIONS[cond]
         else:
-            ckpt, policy = checkpoints[cond], "correct"
-        agent = tr.agent_from_checkpoint(ckpt)
+            trained, policy = cond, "null" if cond == "baseline" else "correct"
+        agent = tr.agent_from_checkpoint(checkpoints[trained])
         for split_name in ("val_seen", "val_unseen"):
             try:
                 rec = ev.evaluate(agent, splits[split_name].items, policy,
@@ -347,40 +303,37 @@ def _seed_job(spec, seed, out_dir, quiet):
             except ImnavError as exc:
                 raise ImnavError(f"condition {cond} failed at seed {seed}: {exc}") from exc
             rows.append((rec, cond))
-            log(f"{cond:20s} {split_name:10s} SR {rec.sr * 100:6.2f} SPL {rec.spl * 100:6.2f}")
+            log(f"{cond:20s} {split_name:10s} SR {ev.percent(rec.sr, '6.2f')} "
+                f"SPL {ev.percent(rec.spl, '6.2f')}")
     return rows
 
 
 def run_ablation(spec, out_dir, quiet=False, workers=1):
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "curves").mkdir(exist_ok=True)
-    (out_dir / "ckpt").mkdir(exist_ok=True)
+    for sub in ("curves", "ckpt"):
+        (out_dir / sub).mkdir(parents=True, exist_ok=True)
 
     rows = []
-    if workers > 1 and len(spec["seeds"]) > 1:
+    if workers > 1 and len(spec.seeds) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_seed_job, spec, seed, str(out_dir), quiet)
-                       for seed in spec["seeds"]]
+                       for seed in spec.seeds]
             for fut in futures:  # seed order keeps the output deterministic
                 rows.extend(fut.result())
     else:
-        for seed in spec["seeds"]:
+        for seed in spec.seeds:
             rows.extend(_seed_job(spec, seed, str(out_dir), quiet))
 
     serial.write_metrics(out_dir / "metrics.tsv", rows,
-                         command=f"ablate {spec['name']}", seed=spec["seeds"][0])
+                         command=f"ablate {spec.name}", seed=spec.seeds[0])
     summary = summarize([dict(split=r.split, condition=c, sr=r.sr, spl=r.spl, ne=r.ne_mean,
                               tl=r.tl_mean, rgs=r.rgs, rgspl=r.rgspl, n=r.count, seed=r.seed)
                          for r, c in rows])
-    verdicts = verdict_lines(summary, spec["conditions"])
-    with open(out_dir / "summary.txt", "w", encoding="utf-8") as fh:
-        fh.write(format_summary(summary) + "\n")
-        if verdicts:
-            fh.write("\n" + "\n".join(verdicts) + "\n")
-    with open(out_dir / "verdicts.txt", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(verdicts) + ("\n" if verdicts else ""))
+    verdicts = verdict_lines(summary, spec.conditions)
+    serial.write_text(out_dir / "summary.txt",
+                      [format_summary(summary)] + ([""] + verdicts if verdicts else []))
+    serial.write_text(out_dir / "verdicts.txt", verdicts)
     if not quiet:
         print(format_summary(summary))
         for line in verdicts:
@@ -409,31 +362,24 @@ def summarize(rows):
 def format_summary(summary):
     lines = ["split        condition             SR%             SPL%            NE      TL      runs"]
     for (split, cond), s in summary.items():
-        lines.append(f"{split:12s} {cond:20s} {100 * s['sr_mean']:6.2f} ± {100 * s['sr_std']:5.2f} "
-                     f"{100 * s['spl_mean']:6.2f} ± {100 * s['spl_std']:5.2f} "
+        lines.append(f"{split:12s} {cond:20s} {ev.percent(s['sr_mean'], '6.2f')} ± "
+                     f"{ev.percent(s['sr_std'], '5.2f')} {ev.percent(s['spl_mean'], '6.2f')} ± "
+                     f"{ev.percent(s['spl_std'], '5.2f')} "
                      f"{s['ne_mean']:7.3f} {s['tl_mean']:7.3f} {s['n_rows']:4d}")
     return "\n".join(lines)
 
 
 def verdict_lines(summary, conditions, split="val_unseen"):
+    """One PASS/FAIL line per hypothesis whose two conditions ran."""
     lines = []
     for name, lhs, rhs, margin in HYPOTHESES:
-        if lhs not in conditions or rhs not in conditions:
+        a, b = summary.get((split, lhs)), summary.get((split, rhs))
+        if lhs not in conditions or rhs not in conditions or a is None or b is None:
             continue
-        a = summary.get((split, lhs))
-        b = summary.get((split, rhs))
-        if a is None or b is None:
-            continue
-        delta = 100 * (a["sr_mean"] - b["sr_mean"])
-        status = "PASS" if delta >= margin else "FAIL"
-        lines.append(f"hypothesis {name}: {status} (Δ={delta:+.1f} SR)")
-    if "infonce" in conditions and "imagine" in conditions:
-        a = summary.get((split, "infonce"))
-        b = summary.get((split, "imagine"))
-        if a and b:
-            delta = 100 * (a["sr_mean"] - b["sr_mean"])
-            status = "PASS" if abs(delta) <= 2.0 else "FAIL"
-            lines.append(f"hypothesis infonce~cosine: {status} (Δ={delta:+.1f} SR)")
+        delta = a["sr_mean"] - b["sr_mean"]
+        ok = abs(100 * delta) <= 2.0 if margin is None else 100 * delta >= margin
+        lines.append(f"hypothesis {name}: {'PASS' if ok else 'FAIL'} "
+                     f"(Δ={ev.percent(delta, '+.1f')} SR)")
     return lines
 
 
@@ -444,23 +390,15 @@ def cmd_ablate(args):
 
 
 def cmd_report(args):
-    rows = []
-    for path in args.metrics:
-        rows.extend(serial.read_metrics(path))
-    for row in rows:   # metrics.tsv stores percentages; summarize takes fractions
-        row["sr"] /= 100.0
-        row["spl"] /= 100.0
+    rows = [row for path in args.metrics for row in serial.read_metrics(path)]
     summary = summarize(rows)
-    text = format_summary(summary)
     tsv = ["split\tcondition\tsr_mean\tsr_std\tspl_mean\tspl_std\tne_mean\ttl_mean\truns"]
     for (split, cond), s in summary.items():
-        tsv.append(f"{split}\t{cond}\t{100 * s['sr_mean']:.2f}\t{100 * s['sr_std']:.2f}"
-                   f"\t{100 * s['spl_mean']:.2f}\t{100 * s['spl_std']:.2f}"
-                   f"\t{s['ne_mean']:.4f}\t{s['tl_mean']:.4f}\t{s['n_rows']}")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(f"# produced-by: {command_line()}\n")
-        fh.write("\n".join(tsv) + "\n")
-    print(text)
+        tsv.append("\t".join([split, cond, *(ev.percent(s[k]) for k in
+                                             ("sr_mean", "sr_std", "spl_mean", "spl_std")),
+                              f"{s['ne_mean']:.4f}", f"{s['tl_mean']:.4f}", str(s["n_rows"])]))
+    serial.write_text(args.out, tsv, command=command_line())
+    print(format_summary(summary))
     print(f"merged {len(rows)} rows into {args.out}")
     return 0
 
@@ -469,31 +407,38 @@ def cmd_report(args):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _field_option(p, flag, cls, name, **kw):
+    """Add `flag`, which sets field `name` of config dataclass `cls` with that
+    field's type and default."""
+    parse, is_tuple = serial.field_type(cls, name)
+    default = getattr(cls, name)
+    if is_tuple:
+        kw["nargs"] = len(default)
+    p.add_argument(flag, dest=name, type=parse, default=default, **kw)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="imnav",
                                      description="Landmark-imagination navigation lab")
     sub = parser.add_subparsers(dest="command", required=True)
+    W, I, A, T = wd.WorldConfig, im.ImaginationConfig, ag.AgentConfig, tr.TrainConfig
 
     p = sub.add_parser("gen-world", help="generate a world + episode set")
-    p.add_argument("--layout", default=wd.WorldConfig.layout, choices=("forks", "ring", "random"))
-    p.add_argument("--split", default="train", choices=wd.SPLITS)
-    p.add_argument("--mode", default="fine", choices=("fine", "coarse"))
+    _field_option(p, "--layout", W, "layout", choices=("forks", "ring", "random"))
+    _field_option(p, "--split", W, "split", choices=wd.SPLITS)
+    _field_option(p, "--mode", ExperimentSpec, "mode", choices=wd.EPISODE_MODES)
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--n-nodes", type=int, default=wd.WorldConfig.n_nodes)
-    p.add_argument("--n-forks", type=int, default=wd.WorldConfig.n_forks)
-    p.add_argument("--k", type=int, default=wd.WorldConfig.k_views)
-    p.add_argument("--d-v", type=int, default=ag.AgentConfig.d_v)
-    p.add_argument("--sigma-obs", type=float, default=wd.WorldConfig.sigma_obs)
-    p.add_argument("--library", default=None)
+    _field_option(p, "--n-nodes", W, "n_nodes")
+    _field_option(p, "--n-forks", W, "n_forks")
+    _field_option(p, "--k", W, "k_views")
+    _field_option(p, "--d-v", A, "d_v")
+    _field_option(p, "--sigma-obs", W, "sigma_obs")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_world)
 
     p = sub.add_parser("gen-corpus", help="generate instructions for a world set")
     p.add_argument("--worlds", required=True)
-    p.add_argument("--templates", default=None)
-    p.add_argument("--lexicon-nouns", default=None)
-    p.add_argument("--lexicon-blacklist", default=None)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_corpus)
@@ -501,8 +446,8 @@ def build_parser():
     p = sub.add_parser("imagine", help="generate imaginations for a corpus")
     p.add_argument("--worlds", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--fidelity", type=float, default=im.ImaginationConfig.fidelity)
-    p.add_argument("--sigma-gen", type=float, default=im.ImaginationConfig.sigma_gen)
+    _field_option(p, "--fidelity", I, "fidelity")
+    _field_option(p, "--sigma-gen", I, "sigma_gen")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_imagine)
@@ -514,23 +459,23 @@ def build_parser():
     p.add_argument("--val-worlds", default=None)
     p.add_argument("--val-corpus", default=None)
     p.add_argument("--val-imaginations", default=None)
-    p.add_argument("--iters", type=int, default=2000)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--schedule", default="three_stage", choices=("three_stage", "flat"))
-    p.add_argument("--flat-lr", type=float, default=1e-3)
-    p.add_argument("--aux", default="cosine", choices=("cosine", "infonce", "none"))
-    p.add_argument("--lam", type=float, default=0.5)
-    p.add_argument("--infonce-lam", type=float, default=0.2)
-    p.add_argument("--tau", type=float, default=0.1)
-    p.add_argument("--lr-multiplier", type=float, default=10.0)
-    p.add_argument("--stage-fractions", type=float, nargs=3, default=[0.4, 0.25, 0.35])
+    _field_option(p, "--iters", T, "iterations")
+    _field_option(p, "--batch-size", T, "batch_size")
+    _field_option(p, "--schedule", T, "schedule", choices=("three_stage", "flat"))
+    _field_option(p, "--flat-lr", T, "flat_lr")
+    _field_option(p, "--aux", T, "aux_loss", choices=("cosine", "infonce", "none"))
+    _field_option(p, "--lam", T, "lam")
+    _field_option(p, "--infonce-lam", T, "infonce_lam")
+    _field_option(p, "--tau", T, "tau")
+    _field_option(p, "--lr-multiplier", T, "lr_multiplier")
+    _field_option(p, "--stage-fractions", T, "stage_fractions")
     p.add_argument("--no-imaginations", action="store_true")
     p.add_argument("--init-from", default=None)
     p.add_argument("--condition", default=None, choices=tuple(TRAIN_CONDITIONS))
-    p.add_argument("--eval-interval", type=int, default=0)
-    p.add_argument("--d", type=int, default=64)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--cross-layers", type=int, default=2)
+    _field_option(p, "--eval-interval", T, "eval_interval")
+    _field_option(p, "--d", A, "d")
+    _field_option(p, "--heads", A, "heads")
+    _field_option(p, "--cross-layers", A, "cross_layers")
     p.add_argument("--curves", default=None)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)

@@ -2,16 +2,24 @@
 
 One record per line, a type tag first. Float fields use decimal text: %.9g for
 float32 payloads (exact round-trip) and %.17g for float64 coordinates. Every
-artifact starts with the producing command line and seed as header comments.
+artifact starts with the producing command line and seed as header comments
+and is written atomically. Config values in text are parsed by field type.
 """
 
 from __future__ import annotations
+
+import functools
+import os
+import typing
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
 from . import instructions as ins
 from . import world as wd
 from .errors import FormatError
+from .imagination import Imagination
 
 WORLDS_TAG = "# imnav-worlds v1"
 CORPUS_TAG = "# imnav-corpus v1"
@@ -27,13 +35,53 @@ def f64(x):
     return f"{float(x):.17g}"
 
 
-def header_lines(tag, command, seed):
-    out = [tag]
+def _parse_bool(text):
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text.lower() == "true"
+
+
+@functools.cache
+def field_type(cls, name):
+    """(item parser, is_tuple) for field `name` of dataclass `cls`, from its
+    annotation: int, float, str, bool (true/false) or tuple[item, ...]."""
+    kind = typing.get_type_hints(cls)[name]
+    is_tuple = typing.get_origin(kind) is tuple
+    item = typing.get_args(kind)[0] if is_tuple else kind
+    return (_parse_bool if item is bool else item), is_tuple
+
+
+def parse_field(cls, name, text):
+    """The value of field `name` of dataclass `cls` written as `text`; tuple
+    items are separated by spaces. Raises ValueError on unparsable text."""
+    parse, is_tuple = field_type(cls, name)
+    return tuple(parse(t) for t in text.split()) if is_tuple else parse(text.strip())
+
+
+@contextmanager
+def atomic_open(path, mode="w"):
+    """A temporary file beside `path` that replaces it when the block completes
+    and is removed if the block raises: `path` is never left half-written."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text(path, lines, tag=None, command="", seed=None):
+    """Write `lines` under the header: format tag, producing command, seed."""
+    head = [tag] if tag else []
     if command:
-        out.append(f"# produced-by: {command}")
+        head.append(f"# produced-by: {command}")
     if seed is not None:
-        out.append(f"# seed: {seed}")
-    return out
+        head.append(f"# seed: {seed}")
+    with atomic_open(path) as fh:
+        fh.write("".join(line + "\n" for line in head + list(lines)))
 
 
 class LineReader:
@@ -60,8 +108,7 @@ class LineReader:
 
 def write_worlds(path, library, pairs, command="", seed=None):
     """`pairs` is a list of (World, Episode)."""
-    lines = header_lines(WORLDS_TAG, command, seed)
-    lines.append(f"library {len(library.classes)} {library.d_v}")
+    lines = [f"library {len(library.classes)} {library.d_v}"]
     for c in library.classes:
         lines.append("class {} {} {} {} {}".format(
             c.id, int(c.held_out), len(c.phrase), " ".join(c.phrase),
@@ -86,8 +133,7 @@ def write_worlds(path, library, pairs, command="", seed=None):
         lines.append(f"episode {w_idx} {episode.mode} {episode.start} {episode.goal} "
                      f"{target} {len(episode.teacher_path)} "
                      + " ".join(str(n) for n in episode.teacher_path))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, lines, WORLDS_TAG, command, seed)
 
 
 def read_worlds(path):
@@ -170,7 +216,7 @@ def read_worlds(path):
 # ---------------------------------------------------------------------------
 
 def write_corpus(path, records, world_indices, command="", seed=None):
-    lines = header_lines(CORPUS_TAG, command, seed)
+    lines = []
     for idx, (rec, w_idx) in enumerate(zip(records, world_indices)):
         instr = rec.instruction
         lines.append(f"instr {idx} {w_idx} {instr.mode} {len(instr.tokens)} "
@@ -187,8 +233,7 @@ def write_corpus(path, records, world_indices, command="", seed=None):
                          f"{sub.landmark_class if sub.landmark_class is not None else '-'} "
                          f"{phrases} {len(sub.noun_token_indices)}"
                          + (f" {indices}" if indices else ""))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, lines, CORPUS_TAG, command, seed)
 
 
 def read_corpus(path, pairs):
@@ -252,18 +297,13 @@ def read_corpus(path, pairs):
 # ---------------------------------------------------------------------------
 
 def write_imaginations(path, imagination_sets, command="", seed=None):
-    lines = header_lines(IMAGINE_TAG, command, seed)
-    for idx, group in enumerate(imagination_sets):
-        for im in group:
-            lines.append(f"imag {idx} {im.sub_index} {im.true_class} {im.emitted_class} "
-                         + " ".join(f32(x) for x in im.feature))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines = [f"imag {idx} {im.sub_index} {im.true_class} {im.emitted_class} "
+             + " ".join(f32(x) for x in im.feature)
+             for idx, group in enumerate(imagination_sets) for im in group]
+    write_text(path, lines, IMAGINE_TAG, command, seed)
 
 
 def read_imaginations(path, n_instructions, d_v):
-    from .imagination import Imagination
-
     reader = LineReader(path, IMAGINE_TAG)
     sets = [[] for _ in range(n_instructions)]
     for lineno, parts in reader.records():
@@ -287,21 +327,20 @@ def read_imaginations(path, n_instructions, d_v):
 
 def write_metrics(path, rows, command="", seed=None):
     """rows: list of (MetricsRecord, condition_name)."""
-    lines = []
-    if command:
-        lines.append(f"# produced-by: {command}")
-    if seed is not None:
-        lines.append(f"# seed: {seed}")
-    lines.append("\t".join(METRICS_COLUMNS))
+    lines = ["\t".join(METRICS_COLUMNS)]
     for rec, condition in rows:
         fields = rec.as_row().split("\t")
         fields[1] = condition
         lines.append("\t".join(fields))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, lines, command=command, seed=seed)
 
 
 def read_metrics(path):
+    """Rows of a metrics file as dicts, with SR/SPL/RGS/RGSPL converted from
+    the file's percentages to fractions."""
+    def fraction(text):
+        return None if text == "-" else float(text) / 100.0
+
     rows = []
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -315,10 +354,9 @@ def read_metrics(path):
         try:
             rows.append(dict(
                 split=parts[0], condition=parts[1],
-                sr=float(parts[2]), spl=float(parts[3]),
+                sr=fraction(parts[2]), spl=fraction(parts[3]),
                 ne=float(parts[4]), tl=float(parts[5]),
-                rgs=None if parts[6] == "-" else float(parts[6]),
-                rgspl=None if parts[7] == "-" else float(parts[7]),
+                rgs=fraction(parts[6]), rgspl=fraction(parts[7]),
                 n=int(parts[8]), seed=int(parts[9])))
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: bad field: {exc}") from exc
@@ -326,14 +364,8 @@ def read_metrics(path):
 
 
 def write_curves(path, curves, command="", seed=None):
-    lines = []
-    if command:
-        lines.append(f"# produced-by: {command}")
-    if seed is not None:
-        lines.append(f"# seed: {seed}")
-    lines.append("iter\tl_base\tl_aux\tval_sr")
+    lines = ["iter\tl_base\tl_aux\tval_sr"]
     for it, lb, la, sr in curves:
         sr_txt = "nan" if sr != sr else f"{sr:.6f}"
         lines.append(f"{it}\t{lb:.6f}\t{la:.6f}\t{sr_txt}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, lines, command=command, seed=seed)

@@ -14,13 +14,14 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import agent as ag
 from . import evaluation as ev
 from . import numcore as nc
+from . import serial
 from .errors import ConfigurationError, ContractError, FormatError, TrainingDiverged
 
 CHECKPOINT_MAGIC = b"IMNAV"
@@ -31,13 +32,13 @@ IMAGINATION_GROUPS = ("imagination_encoder", "type_embedding")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    iterations: int = 20000
+    iterations: int = 2000
     batch_size: int = 8
     lam: float = 0.5                  # weight on the cosine alignment loss
     aux_loss: str = "cosine"          # cosine | infonce | none
     infonce_lam: float = 0.2
     tau: float = 0.1
-    stage_fractions: tuple = (0.25, 0.25, 0.5)
+    stage_fractions: tuple[float, ...] = (0.25, 0.25, 0.5)
     stage1_lr: float = 1e-4
     stage2_imag_lr: float = 5e-5
     stage2_base_lr: float = 1e-6
@@ -52,8 +53,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if abs(sum(self.stage_fractions) - 1.0) > 1e-9:
-            raise ConfigurationError(f"stage fractions must sum to 1, got {self.stage_fractions}")
+        object.__setattr__(self, "stage_fractions", tuple(self.stage_fractions))
+        if (len(self.stage_fractions) != 3 or min(self.stage_fractions) < 0.0
+                or abs(sum(self.stage_fractions) - 1.0) > 1e-9):
+            raise ConfigurationError("stage fractions must be three non-negative numbers "
+                                     f"summing to 1, got {self.stage_fractions}")
         if self.lam < 0.0:
             raise ConfigurationError("lambda must be >= 0")
         if self.aux_loss not in ("cosine", "infonce", "none"):
@@ -64,6 +68,12 @@ class TrainConfig:
     @property
     def aux_lam(self):
         return self.infonce_lam if self.aux_loss == "infonce" else self.lam
+
+    @property
+    def stage_ends(self):
+        """The iterations at which stages 1 and 2 of the staged finetune end."""
+        f1, f2, _ = self.stage_fractions
+        return math.floor(self.iterations * f1), math.floor(self.iterations * (f1 + f2))
 
 
 @dataclass(frozen=True)
@@ -143,15 +153,12 @@ def total_loss(l_base, l_aux, lam):
 # ---------------------------------------------------------------------------
 
 def three_stage_schedule(iteration, cfg):
-    """Per-group (learning rate, trainable) for the staged finetune."""
+    """Per-group learning rate for the staged finetune (0 freezes a group)."""
     if not 0 <= iteration < cfg.iterations:
         raise ContractError(f"iteration {iteration} outside [0, {cfg.iterations})")
     if cfg.schedule == "flat":
-        lr = cfg.flat_lr
-        return {g: (lr, True) for g in ("base",) + IMAGINATION_GROUPS}
-    f1, f2, _ = cfg.stage_fractions
-    s1_end = math.floor(cfg.iterations * f1)
-    s2_end = math.floor(cfg.iterations * (f1 + f2))
+        return {g: cfg.flat_lr for g in ("base",) + IMAGINATION_GROUPS}
+    s1_end, s2_end = cfg.stage_ends
     m = cfg.lr_multiplier
     if iteration < s1_end:
         imag_lr, base_lr = cfg.stage1_lr * m, 0.0
@@ -159,18 +166,7 @@ def three_stage_schedule(iteration, cfg):
         imag_lr, base_lr = cfg.stage2_imag_lr * m, cfg.stage2_base_lr * m
     else:
         imag_lr = base_lr = cfg.stage3_lr * m
-    out = {g: (imag_lr, imag_lr > 0.0) for g in IMAGINATION_GROUPS}
-    out["base"] = (base_lr, base_lr > 0.0)
-    return out
-
-
-def stage_of(iteration, cfg):
-    f1, f2, _ = cfg.stage_fractions
-    if iteration < math.floor(cfg.iterations * f1):
-        return 1
-    if iteration < math.floor(cfg.iterations * (f1 + f2)):
-        return 2
-    return 3
+    return {**dict.fromkeys(IMAGINATION_GROUPS, imag_lr), "base": base_lr}
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +215,7 @@ def train(split, agent_config, cfg, init_values=None, val_items=None, resume=Non
     use_imag = cfg.use_imaginations
 
     for iteration in range(start_iter, cfg.iterations):
-        lr_flags = three_stage_schedule(iteration, cfg)
+        lrs = three_stage_schedule(iteration, cfg)
         batch_idx = rng.integers(len(items), size=cfg.batch_size)
         params.zero_grads()
 
@@ -240,7 +236,7 @@ def train(split, agent_config, cfg, init_values=None, val_items=None, resume=Non
         l_base = nc.mean(nc.concat(base_terms, axis=0))
 
         aux_active = cfg.aux_loss != "none" and (
-            cfg.aux_in_all_stages or cfg.schedule == "flat" or stage_of(iteration, cfg) > 1)
+            cfg.aux_in_all_stages or cfg.schedule == "flat" or iteration >= cfg.stage_ends[0])
         if aux_active and cfg.aux_loss == "cosine":
             l_aux, _ = cosine_alignment_loss(pairs)
         elif aux_active and cfg.aux_loss == "infonce":
@@ -258,7 +254,7 @@ def train(split, agent_config, cfg, init_values=None, val_items=None, resume=Non
         for t in (params[name] for name in params.names()):
             if t.grad is None:
                 t.grad = np.zeros_like(t.values)  # leaf off the compute path
-        opt.step({g: lr for g, (lr, _) in lr_flags.items()})
+        opt.step(lrs)
 
         val_sr = math.nan
         if cfg.eval_interval and val_items and (iteration + 1) % cfg.eval_interval == 0:
@@ -306,7 +302,7 @@ def _write_array(fh, name, arr):
 
 
 def save_checkpoint(ckpt, path):
-    with open(path, "wb") as fh:
+    with serial.atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<B", ckpt.version))
         _write_text(fh, ckpt.agent_config.to_text())

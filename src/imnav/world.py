@@ -25,6 +25,7 @@ PROTOTYPE_SEED = 2026
 PROTOTYPE_MAX_COS = 0.55
 
 SPLITS = ("train", "val_seen", "val_unseen")
+EPISODE_MODES = ("fine", "coarse")   # the first is the default
 
 
 @dataclass(frozen=True)
@@ -447,7 +448,7 @@ def sample_episode(world, mode, seed, min_hops=3, max_hops=7):
     """Deterministic episode draw. Fork worlds return their designated route;
     other layouts sample a (start, goal) pair whose shortest path has an edge
     count in [min_hops, max_hops]. Coarse episodes need a landmark at the goal."""
-    if mode not in ("fine", "coarse"):
+    if mode not in EPISODE_MODES:
         raise ConfigurationError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(np.random.SeedSequence([0xEB15, seed]))
 

@@ -85,20 +85,17 @@ class TestDistances:
 
 class TestGroundingSuccess:
     def test_failure_is_false_regardless(self):
-        r = result(False, grounded=False)
-        assert not ev.grounding_success(r, [(4, 2)], chosen_view=2, target_landmark=4)
+        assert not ev.grounding_success(False, [(4, 2)], chosen_view=2, target_landmark=4)
 
     def test_success_correct_view(self):
-        r = result(True, grounded=True)
-        assert ev.grounding_success(r, [(4, 2)], chosen_view=2, target_landmark=4)
+        assert ev.grounding_success(True, [(4, 2)], chosen_view=2, target_landmark=4)
 
     def test_success_wrong_view(self):
-        r = result(True, grounded=True)
-        assert not ev.grounding_success(r, [(4, 2)], chosen_view=5, target_landmark=4)
+        assert not ev.grounding_success(True, [(4, 2)], chosen_view=5, target_landmark=4)
 
     def test_fine_mode_rejected(self):
         with pytest.raises(ContractError):
-            ev.grounding_success(result(True, grounded=None), [], 0, None)
+            ev.grounding_success(True, [], 0, None)
 
 
 class TestEvaluate:

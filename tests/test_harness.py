@@ -1,13 +1,19 @@
+import configparser
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from imnav import agent as ag
 from imnav import harness
+from imnav import imagination as im
 from imnav import serial
 from imnav import training as tr
+from imnav import world as wd
 from imnav.errors import ConfigurationError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(args):
@@ -51,6 +57,13 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-m", "imnav.harness", "gen-world",
                                "--out", "w.txt"], capture_output=True)
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("flag", ["--templates", "--lexicon-nouns", "--lexicon-blacklist"])
+    def test_asset_path_flags_are_gone(self, tmp_path, flag):
+        # the packaged data files are the one source of templates and lexicon
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["gen-corpus", "--worlds", "w", "--seed", "1", "--out", "c", flag, "x"])
+        assert exc.value.code == 2
 
     def test_missing_input_file_exits_1(self, tmp_path):
         code = run_cli(["gen-corpus", "--worlds", tmp_path / "nope.txt", "--seed", "1",
@@ -141,18 +154,41 @@ class TestReportArithmetic:
 
 
 class TestExperimentSpec:
-    def write_spec(self, tmp_path, conditions="baseline imagine", seeds="1 2"):
+    def write_spec(self, tmp_path, conditions="baseline imagine", seeds="1 2",
+                   train="base_iterations = 8\niterations = 8\n"):
         path = tmp_path / "exp.cfg"
         path.write_text(
             "[experiment]\n"
             f"name = t\nseeds = {seeds}\nconditions = {conditions}\ndata_seed = 0\n"
             "[world]\ntrain_worlds = 6\nval_seen_worlds = 3\nval_unseen_worlds = 3\n"
-            "[train]\nbase_iterations = 8\niterations = 8\n")
+            "[train]\n" + train)
         return path
+
+    @pytest.mark.parametrize("train, named", [
+        ("base_iterations = 8\nlamda = 7\n", "train.lamda"),
+        ("base_iterations = 8\niterations = abc\n", "train.iterations"),
+        ("aux_in_all_stages = maybe\n", "train.aux_in_all_stages"),
+    ])
+    def test_bad_key_or_value_is_named(self, tmp_path, train, named):
+        path = self.write_spec(tmp_path, train=train)
+        with pytest.raises(ConfigurationError, match=named):
+            harness.read_experiment_spec(path)
+
+    def test_unknown_section_rejected(self, tmp_path):
+        path = self.write_spec(tmp_path)
+        path.write_text(path.read_text().replace("[train]", "[trian]"))
+        with pytest.raises(ConfigurationError, match="trian"):
+            harness.read_experiment_spec(path)
+
+    def test_two_stage_fractions_fail_before_training(self, tmp_path):
+        path = self.write_spec(tmp_path, train="stage_fractions = 0.5 0.5\n")
+        out_dir = tmp_path / "out"
+        assert run_cli(["ablate", "--spec", path, "--out-dir", out_dir, "--quiet"]) == 1
+        assert not out_dir.exists()
 
     def test_test_conditions_pull_in_imagine_and_baseline(self, tmp_path):
         spec = harness.read_experiment_spec(self.write_spec(tmp_path, conditions="wrong_test"))
-        assert "imagine" in spec["conditions"] and "baseline" in spec["conditions"]
+        assert "imagine" in spec.conditions and "baseline" in spec.conditions
 
     def test_unknown_condition_rejected(self, tmp_path):
         path = self.write_spec(tmp_path, conditions="bogus")
@@ -166,7 +202,60 @@ class TestExperimentSpec:
         assert lines == ["hypothesis correct>wrong: PASS (Δ=+20.0 SR)"]
 
 
+class TestDefaults:
+    """Flags and spec keys take their defaults from the config dataclass fields."""
+    REQUIRED = {
+        "gen-world": ["--seed", "1", "--out", "w"],
+        "imagine": ["--worlds", "w", "--corpus", "c", "--seed", "1", "--out", "i"],
+        "train": ["--worlds", "w", "--corpus", "c", "--imaginations", "i",
+                  "--seed", "1", "--out", "o"],
+    }
+    FIELDS = {
+        "gen-world": {wd.WorldConfig: ("layout", "split", "n_nodes", "n_forks", "k_views",
+                                       "sigma_obs"),
+                      ag.AgentConfig: ("d_v",), "ExperimentSpec": ("mode",)},
+        "imagine": {im.ImaginationConfig: ("fidelity", "sigma_gen")},
+        "train": {tr.TrainConfig: ("iterations", "batch_size", "schedule", "flat_lr",
+                                   "aux_loss", "lam", "infonce_lam", "tau", "lr_multiplier",
+                                   "stage_fractions", "eval_interval"),
+                  ag.AgentConfig: ("d", "heads", "cross_layers")},
+    }
+
+    @pytest.mark.parametrize("command", ["gen-world", "imagine", "train"])
+    def test_parser_defaults_are_field_defaults(self, command):
+        args = harness.build_parser().parse_args([command, *self.REQUIRED[command]])
+        for cls, names in self.FIELDS[command].items():
+            cls = getattr(harness, cls) if isinstance(cls, str) else cls
+            for name in names:
+                assert getattr(args, name) == getattr(cls, name), (command, name)
+
+    def test_spec_defaults_are_field_defaults(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("[experiment]\nname = defaults\n")
+        spec = harness.read_experiment_spec(path)
+        assert spec == harness.ExperimentSpec(name="defaults")
+        assert spec.train == tr.TrainConfig() and spec.imagination == im.ImaginationConfig()
+        assert spec.world == {} and spec.agent == {}
+
+
 class TestAblateSmoke:
+    def test_shipped_desk_spec_is_byte_identical_across_workers(self, tmp_path):
+        p = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        assert p.read(ROOT / "experiments" / "desk.cfg")
+        p["experiment"]["seeds"] = " ".join(p["experiment"]["seeds"].split()[:2])
+        p["world"].update(train_worlds="8", val_seen_worlds="4", val_unseen_worlds="4")
+        p["train"].update(base_iterations="4", iterations="4")
+        spec_path = tmp_path / "desk.cfg"
+        with open(spec_path, "w") as fh:
+            p.write(fh)
+        outs = [tmp_path / f"workers{n}" for n in (1, 2)]
+        for n, out in zip((1, 2), outs):
+            assert run_cli(["ablate", "--spec", spec_path, "--out-dir", out,
+                            "--workers", n, "--quiet"]) == 0
+        for name in ("metrics.tsv", "summary.txt", "verdicts.txt"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        assert len((outs[0] / "verdicts.txt").read_text().splitlines()) == 7
+
     def test_tiny_ablation_and_orchestration_equivalence(self, tmp_path):
         spec_path = tmp_path / "exp.cfg"
         spec_path.write_text(
@@ -203,7 +292,7 @@ class TestAblateSmoke:
         rec = ev.evaluate(agent, splits["val_unseen"].items, "null", seed=9, split="val_unseen")
         row = next(r for r in rows if r["condition"] == "null_test" and r["split"] == "val_unseen")
         # metrics.tsv holds 2-decimal percentages; at n=3 distinct SRs differ by 33.33
-        assert row["sr"] == float(f"{100 * rec.sr:.2f}")
+        assert row["sr"] == float(f"{100 * rec.sr:.2f}") / 100
 
     def test_spec_world_d_v_reaches_the_agent(self, tmp_path):
         # the agent's d_v and k_views come from the built worlds, not AgentConfig defaults

@@ -112,8 +112,8 @@ class TestMetrics:
         path = tmp_path / "m.tsv"
         serial.write_metrics(path, self.rows(), command="test", seed=7)
         rows = serial.read_metrics(path)
-        assert rows[0]["sr"] == 60.0 and rows[0]["rgs"] is None
-        assert rows[1]["rgs"] == 30.0
+        assert rows[0]["sr"] == 0.6 and rows[0]["rgs"] is None
+        assert rows[1]["rgs"] == 0.3
         assert rows[0]["condition"] == "imagine"
 
     def test_malformed_row_names_line(self, tmp_path):
@@ -132,3 +132,22 @@ class TestMetrics:
         text = path.read_text()
         assert "# produced-by: imnav eval --x" in text
         assert "# seed: 7" in text
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "summary.txt"
+        serial.write_text(path, ["old"])
+        with pytest.raises(RuntimeError):
+            with serial.atomic_open(path) as fh:
+                fh.write("new, half written")
+                raise RuntimeError("interrupted")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.txt"]
+
+    def test_header_then_lines(self, tmp_path):
+        path = tmp_path / "a.txt"
+        serial.write_text(path, ["x", "y"], tag="# tag v1", command="imnav t", seed=3)
+        assert path.read_text() == "# tag v1\n# produced-by: imnav t\n# seed: 3\nx\ny\n"
+        serial.write_text(path, [])
+        assert path.read_text() == ""

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -189,23 +190,23 @@ class TestSchedule:
 
     def test_stage1(self):
         lrs = tr.three_stage_schedule(10000, self.cfg())
-        assert lrs["base"] == (0.0, False)
-        assert lrs["imagination_encoder"] == (1e-4, True)
-        assert lrs["type_embedding"] == (1e-4, True)
+        assert lrs["base"] == 0.0
+        assert lrs["imagination_encoder"] == 1e-4
+        assert lrs["type_embedding"] == 1e-4
 
     def test_stage2(self):
         lrs = tr.three_stage_schedule(30000, self.cfg())
-        assert lrs["imagination_encoder"][0] == 5e-5
-        assert lrs["base"][0] == 1e-6
+        assert lrs["imagination_encoder"] == 5e-5
+        assert lrs["base"] == 1e-6
 
     def test_stage3(self):
         lrs = tr.three_stage_schedule(80000, self.cfg())
-        assert all(lr == 1e-6 for lr, _ in lrs.values())
+        assert all(lr == 1e-6 for lr in lrs.values())
 
     def test_multiplier_scales(self):
         cfg = tr.TrainConfig(iterations=1000, lr_multiplier=10.0)
         lrs = tr.three_stage_schedule(0, cfg)
-        assert lrs["imagination_encoder"][0] == 1e-3
+        assert lrs["imagination_encoder"] == 1e-3
 
     def test_out_of_range(self):
         with pytest.raises(ContractError):
@@ -214,6 +215,11 @@ class TestSchedule:
     def test_fractions_must_sum(self):
         with pytest.raises(ConfigurationError):
             tr.TrainConfig(stage_fractions=(0.5, 0.2, 0.2))
+
+    def test_fractions_must_be_three_non_negative(self):
+        for fractions in ((0.5, 0.5), (0.25, 0.25, 0.25, 0.25), (0.7, 0.5, -0.2)):
+            with pytest.raises(ConfigurationError):
+                tr.TrainConfig(stage_fractions=fractions)
 
 
 class TestTrainLoop:
@@ -320,6 +326,17 @@ class TestCheckpointIO:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             tr.load_checkpoint(path)
+
+    def test_failed_save_keeps_old_checkpoint(self, tiny_split, tiny_agent_config, tmp_path):
+        ckpt = self.make_ckpt(tiny_split, tiny_agent_config)
+        path = tmp_path / "a.ckpt"
+        tr.save_checkpoint(ckpt, path)
+        old = path.read_bytes()
+        # the Adam moments are written after the values, so this fails midway
+        with pytest.raises(KeyError):
+            tr.save_checkpoint(replace(ckpt, adam_m={}), path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["a.ckpt"]
 
     def test_truncated_file(self, tiny_split, tiny_agent_config, tmp_path):
         ckpt = self.make_ckpt(tiny_split, tiny_agent_config)
