@@ -10,6 +10,7 @@ from . import imagination as im
 from . import instructions as ins
 from . import serial
 from . import world as wd
+from .errors import FormatError
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -45,9 +46,17 @@ def load_assets(d_v=None, library=None):
 def bundle(episodes, records, imagination_sets, vocab, library, split):
     """Pair each episode with its instruction record, imaginations and token ids."""
     word_to_id = {w: i for i, w in enumerate(vocab)}
+
+    def token_ids(index, rec):
+        try:
+            return tuple(word_to_id[t] for t in rec.instruction.tokens)
+        except KeyError as exc:
+            raise FormatError(f"instruction {index}: word {exc.args[0]!r} is not in the "
+                              "vocabulary of the packaged templates and landmarks") from None
+
     items = [EpisodeBundle(episode=ep, record=rec, imaginations=imags,
-                           token_ids=tuple(word_to_id[t] for t in rec.instruction.tokens))
-             for ep, rec, imags in zip(episodes, records, imagination_sets)]
+                           token_ids=token_ids(i, rec))
+             for i, (ep, rec, imags) in enumerate(zip(episodes, records, imagination_sets))]
     return Split(items=items, vocab=vocab, library=library, split=split)
 
 

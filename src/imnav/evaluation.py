@@ -13,6 +13,7 @@ import numpy as np
 
 from . import agent as ag
 from . import imagination as im
+from . import numcore as nc
 from . import world as wd
 from .errors import ConfigurationError, ContractError, InputError
 
@@ -131,7 +132,6 @@ def evaluate(agent, items, policy, seed, radius=SUCCESS_RADIUS, split=None):
 
     results = []
     coarse = False
-    import imnav.numcore as nc
     with nc.no_grad():
         for i, item in enumerate(items):
             ep = item.episode

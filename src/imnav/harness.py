@@ -28,6 +28,7 @@ from . import dataset as ds
 from . import evaluation as ev
 from . import imagination as im
 from . import instructions as ins
+from . import numcore as nc
 from . import serial
 from . import training as tr
 from . import world as wd
@@ -191,7 +192,6 @@ def cmd_probe_attention(args):
     split = ds.read_split(args.worlds, args.corpus, args.imaginations)
     agent = tr.agent_from_checkpoint(tr.load_checkpoint(args.ckpt))
     item = split.items[args.episode]
-    import imnav.numcore as nc
     with nc.no_grad():
         traj = ag.rollout(agent, item.episode, item.token_ids, item.record.instruction.tokens,
                           item.imaginations, "teacher",

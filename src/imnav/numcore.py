@@ -361,52 +361,61 @@ def l2_norm(a):
 
 
 def cosine_similarity(a, b, eps=1e-8):
-    """a.b / (|a||b|) for 1D vectors, with a near-zero-norm guard."""
-    av = a.values.astype(np.float64)
-    bv = b.values.astype(np.float64)
-    if av.ndim != 1 or bv.ndim != 1 or av.shape != bv.shape:
-        raise ShapeError(f"cosine_similarity needs equal 1D vectors, got {av.shape}, {bv.shape}")
-    na = np.sqrt((av * av).sum())
-    nb = np.sqrt((bv * bv).sum())
-    if na <= eps or nb <= eps:
-        raise NumericGuardError(f"cosine_similarity norm below guard: |a|={na:.3g} |b|={nb:.3g}")
-    dot = (av * bv).sum()
-    c = dot / (na * nb)
-    vals = np.asarray(c, dtype=a.values.dtype)
+    """Cosines of every row of a (P, d) with every row of b (Q, d), as a
+    (P, Q) matrix recorded as one tape node; 1D a and b give their scalar
+    cosine (the P = Q = 1 case). Float64 inside, with a near-zero-norm guard."""
+    av = np.atleast_2d(a.values).astype(np.float64)
+    bv = np.atleast_2d(b.values).astype(np.float64)
+    if a.values.ndim != b.values.ndim or av.ndim != 2 or av.shape[1] != bv.shape[1]:
+        raise ShapeError("cosine_similarity needs two 1D vectors or two 2D row sets of "
+                         f"equal width, got {a.values.shape}, {b.values.shape}")
+    na = np.sqrt((av * av).sum(axis=1))
+    nb = np.sqrt((bv * bv).sum(axis=1))
+    if na.min() <= eps or nb.min() <= eps:
+        raise NumericGuardError(f"cosine_similarity norm below guard: |a|={na.min():.3g} "
+                                f"|b|={nb.min():.3g}")
+    norms = np.outer(na, nb)
+    c = np.matmul(av, bv.T) / norms
+    vals = c.reshape(a.values.shape[:-1] + b.values.shape[:-1]).astype(a.values.dtype)
 
     def back(g):
-        g64 = float(g)
+        g64 = np.asarray(g, dtype=np.float64).reshape(c.shape)
+        g_dot = g64 / norms
+        g_c = g64 * c
         if a.requires_grad:
-            ga = g64 * (bv / (na * nb) - c * av / (na * na))
-            a.accumulate_grad(ga.astype(a.values.dtype))
+            ga = np.matmul(g_dot, bv) - (g_c.sum(axis=1) / (na * na))[:, None] * av
+            a.accumulate_grad(ga.reshape(a.values.shape).astype(a.values.dtype))
         if b.requires_grad:
-            gb = g64 * (av / (na * nb) - c * bv / (nb * nb))
-            b.accumulate_grad(gb.astype(b.values.dtype))
+            gb = np.matmul(g_dot.T, av) - (g_c.sum(axis=0) / (nb * nb))[:, None] * bv
+            b.accumulate_grad(gb.reshape(b.values.shape).astype(b.values.dtype))
 
     return _result(vals, (a, b), back)
 
 
 def cross_entropy(logits, target):
-    """-log softmax(logits)[target], stabilized by max subtraction."""
+    """-log softmax(logits)[target] along the last axis, stabilized by max
+    subtraction: 1D logits and an int target give a scalar, (N, K) logits and
+    N targets give N losses. -inf logits get probability exactly 0."""
     x = logits.values
-    if x.ndim != 1:
-        raise ShapeError(f"cross_entropy expects 1D logits, got shape {x.shape}")
-    target = int(target)
-    if not 0 <= target < x.shape[0]:
-        raise IndexError(f"cross_entropy target {target} out of range for {x.shape[0]} logits")
+    target = np.asarray(target, dtype=np.intp)
+    if x.ndim not in (1, 2) or target.shape != x.shape[:-1]:
+        raise ShapeError(f"cross_entropy expects 1D or 2D logits with one target per row, "
+                         f"got shapes {x.shape} and {target.shape}")
+    if target.min() < 0 or target.max() >= x.shape[-1]:
+        raise IndexError(f"cross_entropy target {target} out of range for {x.shape[-1]} logits")
+    pick = (np.arange(x.shape[0]), target) if x.ndim == 2 else (target,)
     x64 = x.astype(np.float64)
-    m = x64.max()
-    z = x64 - m
-    logsum = np.log(np.exp(z).sum())
-    loss = logsum - z[target]
-    vals = np.asarray(loss, dtype=x.dtype)
+    z = x64 - x64.max(axis=-1, keepdims=True)
+    logsum = np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    vals = np.asarray(logsum[..., 0] - z[pick], dtype=x.dtype)
     probs = np.exp(z - logsum)
 
     def back(g):
         if logits.requires_grad:
             gl = probs.copy()
-            gl[target] -= 1.0
-            logits.accumulate_grad((float(g) * gl).astype(x.dtype))
+            gl[pick] -= 1.0
+            logits.accumulate_grad((np.asarray(g, dtype=np.float64)[..., None] * gl)
+                                   .astype(x.dtype))
 
     return _result(vals, (logits,), back)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,35 +112,41 @@ def imitation_loss(logits_list, teacher_actions):
     return nc.mean(nc.concat(steps, axis=0))
 
 
+def _rows(vectors):
+    """The (P, d) tensor whose rows are P 1D tensors."""
+    return nc.concat([nc.reshape(v, (1, v.shape[0])) for v in vectors], axis=0)
+
+
 def cosine_alignment_loss(pairs):
     """Mean (1 - cos(h_i, sbar_i)) over pairs; (zero, flag) when empty."""
     if not pairs:
         return nc.constant(np.float32(0.0)), True
-    terms = []
-    for h, s in pairs:
-        c = nc.cosine_similarity(h, s)
-        terms.append(nc.reshape(nc.add(nc.scale(c, -1.0), nc.constant(np.float32(1.0))), (1,)))
-    return nc.mean(nc.concat(terms, axis=0)), False
+    p = len(pairs)
+    h, s = (_rows(side) for side in zip(*pairs))
+    # cos(h_i, sbar_i) is the diagonal of the pairwise cosine matrix
+    cos = nc.take_rows(nc.reshape(nc.cosine_similarity(h, s), (p * p,)), np.arange(p) * (p + 1))
+    return nc.mean(nc.add(nc.scale(cos, -1.0), nc.constant(np.float32(1.0)))), False
 
 
 def infonce_loss(pairs, owners, tau):
     """Contrastive alignment: positives are own noun-phrase means, negatives
-    the noun-phrase means of other instructions in the batch."""
+    the noun-phrase means of other instructions in the batch.
+
+    One row-wise cross-entropy over the P x P cosine matrix: the positive
+    sits on the diagonal, and the other pairs of the same owner (the same
+    instruction) are masked out."""
     if tau <= 0.0:
         raise ConfigurationError(f"temperature must be > 0, got {tau}")
     if not pairs:
         return nc.constant(np.float32(0.0)), True
     if len(owners) != len(pairs):
         raise ContractError("owner list must align with pairs")
-    losses = []
-    for i, (h_i, s_i) in enumerate(pairs):
-        sims = [nc.reshape(nc.scale(nc.cosine_similarity(h_i, s_i), 1.0 / tau), (1,))]
-        for j, (_, s_j) in enumerate(pairs):
-            if owners[j] != owners[i]:
-                sims.append(nc.reshape(nc.scale(nc.cosine_similarity(h_i, s_j), 1.0 / tau), (1,)))
-        logits = nc.concat(sims, axis=0)
-        losses.append(nc.reshape(nc.cross_entropy(logits, 0), (1,)))
-    return nc.mean(nc.concat(losses, axis=0)), False
+    owners = np.asarray(owners)
+    keep = (owners[:, None] != owners[None, :]) | np.eye(len(pairs), dtype=bool)
+    h, s = (_rows(side) for side in zip(*pairs))
+    logits = nc.add(nc.scale(nc.cosine_similarity(h, s), 1.0 / tau),
+                    nc.constant(np.where(keep, 0.0, -np.inf).astype(np.float32)))
+    return nc.mean(nc.cross_entropy(logits, np.arange(len(pairs)))), False
 
 
 def total_loss(l_base, l_aux, lam):
@@ -182,6 +189,21 @@ def _diagnostic_dump(iteration, breakdown, params):
     return "\n".join(lines)
 
 
+@contextmanager
+def _frozen_off_tape(params, lrs):
+    """Take the parameters of groups with learning rate 0 off the tape for one
+    iteration: ops that read only frozen weights record no node, and frozen
+    weight gradients are never formed (their grads stay None)."""
+    frozen = [t for name, t in params.items() if lrs[params.group_of(name)] == 0.0]
+    for t in frozen:
+        t.requires_grad = False
+    try:
+        yield
+    finally:
+        for t in frozen:
+            t.requires_grad = True
+
+
 def train(split, agent_config, cfg, init_values=None, val_items=None, resume=None):
     """Run the loop; returns (Checkpoint, curves).
 
@@ -218,43 +240,44 @@ def train(split, agent_config, cfg, init_values=None, val_items=None, resume=Non
         lrs = three_stage_schedule(iteration, cfg)
         batch_idx = rng.integers(len(items), size=cfg.batch_size)
         params.zero_grads()
+        with _frozen_off_tape(params, lrs):
+            base_terms = []
+            pairs = []
+            owners = []
+            for b in batch_idx:
+                item = items[int(b)]
+                traj = ag.rollout(agent, item.episode, item.token_ids,
+                                  item.record.instruction.tokens,
+                                  item.imaginations if use_imag else [],
+                                  "teacher", obs_rng=rng, kept_subs=item.record.kept,
+                                  train=True, drop_rng=rng)
+                base_terms.append(nc.reshape(imitation_loss(traj.logits, traj.teacher_actions),
+                                             (1,)))
+                for pair in traj.aux_pairs:
+                    pairs.append(pair)
+                    owners.append(int(b))
+            l_base = nc.mean(nc.concat(base_terms, axis=0))
 
-        base_terms = []
-        pairs = []
-        owners = []
-        for b in batch_idx:
-            item = items[int(b)]
-            traj = ag.rollout(agent, item.episode, item.token_ids,
-                              item.record.instruction.tokens,
-                              item.imaginations if use_imag else [],
-                              "teacher", obs_rng=rng, kept_subs=item.record.kept,
-                              train=True, drop_rng=rng)
-            base_terms.append(nc.reshape(imitation_loss(traj.logits, traj.teacher_actions), (1,)))
-            for pair in traj.aux_pairs:
-                pairs.append(pair)
-                owners.append(int(b))
-        l_base = nc.mean(nc.concat(base_terms, axis=0))
-
-        aux_active = cfg.aux_loss != "none" and (
-            cfg.aux_in_all_stages or cfg.schedule == "flat" or iteration >= cfg.stage_ends[0])
-        if aux_active and cfg.aux_loss == "cosine":
-            l_aux, _ = cosine_alignment_loss(pairs)
-        elif aux_active and cfg.aux_loss == "infonce":
-            l_aux, _ = infonce_loss(pairs, owners, cfg.tau)
-        else:
-            l_aux = nc.constant(np.float32(0.0))
-        lam = cfg.aux_lam if cfg.aux_loss != "none" else 0.0
-        total = total_loss(l_base, l_aux, lam)
-        breakdown = LossBreakdown(l_base=float(l_base.values), l_aux=float(l_aux.values),
-                                  total=float(total.values), n_im=len(pairs))
-        if not math.isfinite(breakdown.total):
-            raise TrainingDiverged(f"non-finite loss at iteration {iteration}",
-                                   dump=_diagnostic_dump(iteration, breakdown, params))
-        nc.backward(total)
-        for t in (params[name] for name in params.names()):
-            if t.grad is None:
-                t.grad = np.zeros_like(t.values)  # leaf off the compute path
-        opt.step(lrs)
+            aux_active = cfg.aux_loss != "none" and (
+                cfg.aux_in_all_stages or cfg.schedule == "flat" or iteration >= cfg.stage_ends[0])
+            if aux_active and cfg.aux_loss == "cosine":
+                l_aux, _ = cosine_alignment_loss(pairs)
+            elif aux_active and cfg.aux_loss == "infonce":
+                l_aux, _ = infonce_loss(pairs, owners, cfg.tau)
+            else:
+                l_aux = nc.constant(np.float32(0.0))
+            lam = cfg.aux_lam if cfg.aux_loss != "none" else 0.0
+            total = total_loss(l_base, l_aux, lam)
+            breakdown = LossBreakdown(l_base=float(l_base.values), l_aux=float(l_aux.values),
+                                      total=float(total.values), n_im=len(pairs))
+            if not math.isfinite(breakdown.total):
+                raise TrainingDiverged(f"non-finite loss at iteration {iteration}",
+                                       dump=_diagnostic_dump(iteration, breakdown, params))
+            nc.backward(total)
+            for name, t in params.items():
+                if t.grad is None and lrs[params.group_of(name)] > 0.0:
+                    t.grad = np.zeros_like(t.values)  # trainable leaf off the compute path
+            opt.step(lrs)
 
         val_sr = math.nan
         if cfg.eval_interval and val_items and (iteration + 1) % cfg.eval_interval == 0:

@@ -70,6 +70,27 @@ class TestCli:
                         "--out", tmp_path / "c.txt"])
         assert code == 1
 
+    def test_unknown_corpus_word_exits_1(self, tmp_path, capsys):
+        worlds, corpus, imags = gen_dataset(tmp_path, count=3)
+        ckpt = tmp_path / "a.ckpt"
+        files = ["--worlds", worlds, "--corpus", corpus, "--imaginations", imags]
+        assert run_cli(["train", *files, "--iters", "1", "--schedule", "flat",
+                        "--seed", "5", "--out", ckpt]) == 0
+        lines = corpus.read_text().splitlines()
+        first = next(i for i, line in enumerate(lines) if line.startswith("instr "))
+        fields = lines[first].split(" ")
+        fields[5] = "stroll"          # instr <idx> <world> <mode> <n> <tokens...>
+        lines[first] = " ".join(fields)
+        corpus.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli(["train", *files, "--iters", "1", "--schedule", "flat",
+                        "--seed", "5", "--out", tmp_path / "b.ckpt"]) == 1
+        assert run_cli(["eval", "--ckpt", ckpt, *files, "--seed", "2",
+                        "--out", tmp_path / "m.tsv"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all("'stroll'" in line and "instruction 0" in line
+                                     for line in err)
+
     def test_train_eval_flow(self, tmp_path):
         worlds, corpus, imags = gen_dataset(tmp_path)
         ckpt = tmp_path / "a.ckpt"

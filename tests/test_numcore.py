@@ -95,6 +95,30 @@ class TestCosine:
         with pytest.raises(NumericGuardError):
             nc.cosine_similarity(t([0.0, 0.0]), t([1.0, 0.0]))
 
+    def test_matrix_holds_every_row_pair(self):
+        rng = np.random.default_rng(4)
+        h, s = rng.normal(size=(3, 5)), rng.normal(size=(4, 5))
+        got = nc.cosine_similarity(t(h), t(s)).values
+        assert got.shape == (3, 4)
+        for i in range(3):
+            for j in range(4):
+                want = nc.cosine_similarity(t(h[i]), t(s[j])).item()
+                assert abs(got[i, j] - want) < 1e-6
+
+    def test_single_row_is_the_vector_case(self):
+        a, b = [0.5, -1.5, 2.0], [1.0, 0.25, -0.5]
+        got = nc.cosine_similarity(t([a]), t([b])).values
+        assert got.shape == (1, 1)
+        assert got[0, 0] == nc.cosine_similarity(t(a), t(b)).item()
+
+    def test_zero_row_guarded(self):
+        with pytest.raises(NumericGuardError):
+            nc.cosine_similarity(t([[1.0, 0.0], [0.0, 0.0]]), t([[1.0, 1.0]]))
+
+    def test_mixed_ranks_rejected(self):
+        with pytest.raises(ShapeError):
+            nc.cosine_similarity(t([[1.0, 0.0]]), t([1.0, 0.0]))
+
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
@@ -124,6 +148,23 @@ class TestCrossEntropy:
         for _ in range(20):
             logits = rng.normal(size=5).astype(np.float32)
             assert nc.cross_entropy(t(logits), int(rng.integers(5))).item() >= 0.0
+
+    def test_rows_match_single_rows(self):
+        rng = np.random.default_rng(12)
+        logits = rng.normal(size=(4, 6)).astype(np.float32)
+        targets = [5, 0, 2, 2]
+        got = nc.cross_entropy(t(logits), targets).values
+        want = [nc.cross_entropy(t(row), k).item() for row, k in zip(logits, targets)]
+        assert got.shape == (4,) and np.array_equal(got, np.float32(want))
+
+    def test_neg_inf_logits_drop_out(self):
+        masked = nc.cross_entropy(t([[1.0, -np.inf, 0.5], [-np.inf, 2.0, 0.0]]), [2, 1])
+        kept = [nc.cross_entropy(t([1.0, 0.5]), 1).item(), nc.cross_entropy(t([2.0, 0.0]), 0).item()]
+        assert np.allclose(masked.values, kept, rtol=0, atol=1e-7)
+
+    def test_one_target_per_row(self):
+        with pytest.raises(ShapeError):
+            nc.cross_entropy(t(np.zeros((2, 3))), [0])
 
 
 class TestBackward:
@@ -196,7 +237,14 @@ class TestGradcheckPerOp:
             "reshape": lambda ts: nc.mean(nc.mul(nc.reshape(ts[0], (6,)), nc.reshape(ts[1], (6,)))),
             "transpose": lambda ts: nc.mean(nc.mul(nc.transpose(ts[0], (1, 0)), nc.transpose(ts[1], (1, 0)))),
             "cosine": lambda ts: nc.cosine_similarity(nc.reshape(ts[0], (6,)), nc.reshape(ts[1], (6,))),
+            # every row of ts[0] against every row of ts[1], weighted per pair
+            "cosine_rows": lambda ts: nc.sum_(nc.mul(nc.cosine_similarity(ts[0], ts[1]),
+                                                     nc.constant(np.array([[1.0, -2.0],
+                                                                           [0.5, 3.0]])))),
             "cross_entropy": lambda ts: nc.cross_entropy(nc.reshape(ts[0], (6,)), 2),
+            "cross_entropy_rows": lambda ts: nc.mean(nc.cross_entropy(
+                nc.add(ts[0], nc.constant(np.array([[0.0, 0.0, -np.inf], [0.0, -np.inf, 0.0]]))),
+                [1, 2])),
         }
         for name, build in cases.items():
             done = 0

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,14 +8,17 @@ import pytest
 
 from imnav import agent as ag
 from imnav import dataset as ds
+from imnav import evaluation as ev
+from imnav import harness
 from imnav import instructions as ins
 from imnav import numcore as nc
 from imnav import training as tr
 from imnav import world as wd
-from imnav.errors import ConfigurationError, ContractError, FormatError
+from imnav.errors import ConfigurationError, ContractError, FormatError, NumericGuardError
 from fdcheck import check_gradients
 
-DATA = Path(__file__).parent.parent / "src" / "imnav" / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "src" / "imnav" / "data"
 
 
 def vec(x):
@@ -35,6 +39,29 @@ def tiny_split():
 def tiny_agent_config(tiny_split):
     return ag.AgentConfig(vocab_size=len(tiny_split["train"].vocab), d=32, heads=2,
                           cross_layers=1, d_v=16)
+
+
+@pytest.fixture(scope="module")
+def desk_data():
+    """A few train worlds of the shipped desk spec, its agent and train configs."""
+    spec = harness.read_experiment_spec(ROOT / "experiments" / "desk.cfg")
+    spec = replace(spec, train_worlds=3, val_seen_worlds=1, val_unseen_worlds=1)
+    split = harness.build_spec_splits(spec)["train"]
+    return split, harness._agent_config(split, **spec.agent), spec.train
+
+
+def infonce_oracle(hs, ss, owners, tau):
+    """Mean InfoNCE loss written out pair by pair in float64."""
+    def cos(a, b):
+        return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+    total = 0.0
+    for i in range(len(hs)):
+        pos = math.exp(cos(hs[i], ss[i]) / tau)
+        denom = pos + sum(math.exp(cos(hs[i], ss[j]) / tau)
+                          for j in range(len(hs)) if owners[j] != owners[i])
+        total += -math.log(pos / denom)
+    return total / len(hs)
 
 
 class TestImitationLoss:
@@ -86,6 +113,11 @@ class TestCosineAlignment:
     def test_empty_returns_zero_with_flag(self):
         loss, skipped = tr.cosine_alignment_loss([])
         assert loss.item() == 0.0 and skipped
+
+    def test_zero_norm_guarded(self):
+        with pytest.raises(NumericGuardError):
+            tr.cosine_alignment_loss([(vec([1.0, 0.0]), vec([1.0, 1.0])),
+                                      (vec([0.0, 0.0]), vec([1.0, 0.0]))])
 
     def test_range_bound(self):
         rng = np.random.default_rng(3)
@@ -143,6 +175,24 @@ class TestInfoNCE:
             want += -math.log(pos / denom)
         want /= 4
         assert abs(loss.item() - want) < 1e-6
+
+    def test_item_drawn_twice_is_not_its_own_negative(self):
+        # an item drawn twice in one batch gives its pairs twice, with one owner
+        rng = np.random.default_rng(6)
+        hs = [rng.normal(size=4) + 0.1 for _ in range(3)]
+        ss = [rng.normal(size=4) + 0.1 for _ in range(3)]
+        drawn, owners = [0, 1, 0, 1, 2], [4, 4, 4, 4, 9]
+        pairs = [(vec(hs[i]), vec(ss[i])) for i in drawn]
+        loss, _ = tr.infonce_loss(pairs, owners, tau=0.2)
+        want = infonce_oracle([hs[i] for i in drawn], [ss[i] for i in drawn], owners, 0.2)
+        assert abs(loss.item() - want) < 1e-6
+        same, _ = tr.infonce_loss(pairs[:4], owners[:4], tau=0.2)
+        assert same.item() == 0.0
+
+    def test_zero_norm_guarded(self):
+        with pytest.raises(NumericGuardError):
+            tr.infonce_loss([(vec([1.0, 0.0]), vec([0.0, 0.0])), (vec([1.0, 1.0]), vec([1.0, 0.0]))],
+                            [0, 1], tau=0.1)
 
     def test_bad_temperature(self):
         with pytest.raises(ConfigurationError):
@@ -268,6 +318,34 @@ class TestTrainLoop:
             assert norm == 0.0, f"{name} got aux gradient {norm}"
         assert float(np.abs(params["t_im"].grad).max()) > 0.0
 
+    def test_lr0_groups_are_off_the_tape_for_one_iteration(self, desk_data, monkeypatch):
+        split, acfg, train_cfg = desk_data
+        cfg = replace(train_cfg, iterations=4, batch_size=1, seed=2)   # stages 0.5/0.25/0.25
+        stores, untracked = [], []
+        init_params, rollout = ag.init_params, ag.rollout
+
+        def recording_init(*args):
+            stores.append(init_params(*args))
+            return stores[-1]
+
+        def recording_rollout(agent, *args, **kwargs):
+            p = agent.params
+            untracked.append({p.group_of(n) for n, t in p.items() if not t.requires_grad})
+            if len(untracked) == fail_at:
+                raise RuntimeError("rollout failed")
+            return rollout(agent, *args, **kwargs)
+
+        monkeypatch.setattr(ag, "init_params", recording_init)
+        monkeypatch.setattr(ag, "rollout", recording_rollout)
+        fail_at = None
+        tr.train(split, acfg, cfg)
+        assert untracked == [{"base"}, {"base"}, set(), set()]
+        fail_at = 6
+        with pytest.raises(RuntimeError):
+            tr.train(split, acfg, cfg)
+        for store in stores:
+            assert all(t.requires_grad for _, t in store.items())
+
     def test_loss_decreases_on_small_corpus(self, tiny_split, tiny_agent_config):
         cfg = self.base_cfg(60, seed=1)
         _, curves = tr.train(tiny_split["train"], tiny_agent_config, cfg)
@@ -281,6 +359,84 @@ class TestTrainLoop:
         with pytest.raises(tr.TrainingDiverged) as exc:
             tr.train(tiny_split["train"], tiny_agent_config, cfg)
         assert "iteration" in exc.value.dump
+
+
+class TestStage1Gradients:
+    """Stage 1 takes the frozen base off the tape. The gradients it gives the
+    imagination groups must equal those of a full backward, which this test
+    gets by marking every parameter trainable before each rollout."""
+
+    def first_step(self, monkeypatch, split, acfg, cfg, full):
+        grads = []
+        adam_step, rollout = nc.Adam.step, ag.rollout
+
+        def capture(opt, lrs):
+            grads.append({n: None if t.grad is None else t.grad.copy()
+                          for n, t in opt.store.items()})
+            return adam_step(opt, lrs)
+
+        def all_tracked(agent, *args, **kwargs):
+            for _, t in agent.params.items():
+                t.requires_grad = True
+            return rollout(agent, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(nc.Adam, "step", capture)
+            if full:
+                m.setattr(ag, "rollout", all_tracked)
+            ckpt, _ = tr.train(split, acfg, cfg)
+        return grads[0], ckpt
+
+    @pytest.mark.parametrize("overrides", [{}, {"fusion": "late"},
+                                           {"imag_source": "text_mean"}])
+    def test_imagination_grads_match_full_backward(self, desk_data, monkeypatch, overrides):
+        split, acfg, train_cfg = desk_data
+        acfg = replace(acfg, **overrides)
+        cfg = replace(train_cfg, iterations=1, batch_size=2, stage_fractions=(1.0, 0.0, 0.0),
+                      seed=3)
+        frozen, ckpt = self.first_step(monkeypatch, split, acfg, cfg, full=False)
+        full, _ = self.first_step(monkeypatch, split, acfg, cfg, full=True)
+        params = ag.init_params(acfg, cfg.seed)
+        imag = [n for n in params.names() if params.group_of(n) != "base"]
+        for name in params.names():
+            if name in imag:
+                assert frozen[name].tobytes() == full[name].tobytes(), name
+            else:
+                assert frozen[name] is None and full[name] is not None, name
+        if acfg.imag_source == "text_mean":
+            # no trainable parameter lies on the loss path: nothing moves
+            assert not any(np.any(frozen[n]) for n in imag)
+            for name, t in params.items():
+                assert ckpt.values[name].tobytes() == t.values.tobytes(), name
+        else:
+            assert all(np.any(frozen[n]) for n in imag)
+
+
+class TestHookCallCounts:
+    """perfbench/tracing.py times an optimiser iteration at each
+    training.three_stage_schedule call and a greedy episode at each
+    agent.rollout call; a change to these counts must change it too."""
+
+    def test_once_per_iteration_and_per_episode(self, tiny_split, tiny_agent_config, monkeypatch):
+        calls = Counter()
+        schedule, rollout = tr.three_stage_schedule, ag.rollout
+
+        def counted_schedule(iteration, cfg):
+            calls["schedule"] += 1
+            return schedule(iteration, cfg)
+
+        def counted_rollout(agent, episode, token_ids, tokens, imaginations, mode, *a, **kw):
+            calls[mode] += 1
+            return rollout(agent, episode, token_ids, tokens, imaginations, mode, *a, **kw)
+
+        monkeypatch.setattr(tr, "three_stage_schedule", counted_schedule)
+        monkeypatch.setattr(ag, "rollout", counted_rollout)
+        ckpt, _ = tr.train(tiny_split["train"], tiny_agent_config,
+                           tr.TrainConfig(iterations=3, batch_size=2, seed=1))
+        assert calls == {"schedule": 3, "teacher": 6}
+        items = tiny_split["val_unseen"].items
+        ev.evaluate(tr.agent_from_checkpoint(ckpt), items, "correct", seed=0)
+        assert calls == {"schedule": 3, "teacher": 6, "argmax": len(items)}
 
 
 class TestCheckpointIO:
