@@ -10,9 +10,10 @@ context stream ([text; imagination] tokens attending over context + visual
 keys, which is what the attention probe inspects) and the visual stream
 (visual tokens attending over context keys, per the integration scheme).
 Action logits are per-navigable-view scores plus a stop score read off the
-history token. Under teacher forcing the path is known in advance, so the T
-steps of an episode are encoded and decided in one pass over a leading step
-axis; greedy decoding runs the same code with T = 1 per decision.
+history token. Under teacher forcing the path is known in advance, so each
+episode's T steps are encoded in one pass over a leading step axis, and the
+steps of all episodes of a training batch are decided in one padded pass
+(`decide`); greedy decoding runs the same code with one episode and T = 1.
 
 Masked imagination tokens are excluded from every key/query set, which is
 exactly the zero-attention-weight (-inf pre-softmax) semantics and makes
@@ -22,7 +23,8 @@ null-imagination runs bit-identical to runs without imagination tokens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -151,7 +153,6 @@ class EncodedContext:
     imag: nc.Tensor | None             # (N_live, d) or None; masked tokens already dropped
     imag_mask: np.ndarray              # original mask over the imagination list
     live_indices: tuple = ()           # imagination-list indices of the kept rows
-    sbar: list = field(default_factory=list)   # mean noun-phrase embeddings, aligned to kept subs
 
     def live_imag(self):
         """Unmasked imagination tokens (the -inf-masked ones carry exactly zero
@@ -183,6 +184,28 @@ class Trajectory:
     aux_pairs: list
     imaginations: list
     truncated: bool = False
+    # teacher mode: the inputs `decide` turns into logits
+    context: EncodedContext | None = None
+    visual: nc.Tensor | None = None    # (T, K+1, d)
+
+
+class StepLogits(Sequence):
+    """The per-step logits of one decided teacher trajectory: step t is row
+    first + t of the batch's padded logits, cut to its actions. A step is
+    sliced (and recorded on the tape) only when read; training reads the
+    padded logits directly."""
+
+    def __init__(self, padded, first, lengths):
+        self.padded, self.first, self.lengths = padded, first, lengths
+
+    def __len__(self):
+        return len(self.lengths)
+
+    def __getitem__(self, t):
+        t = range(len(self.lengths))[t]
+        width = self.padded.shape[1]
+        flat = nc.reshape(self.padded, (self.padded.values.size,))
+        return nc.take_rows(flat, (self.first + t) * width + np.arange(self.lengths[t]))
 
 
 class Agent:
@@ -246,9 +269,11 @@ class Agent:
 
     def encode_observation(self, panoramas, hist_state):
         """T steps of K views: (T, K, d_v) panoramas and the history before the
-        first step -> ((T, K+1, d) tokens, history after the last step).
+        first step -> ((T, K+1, d) tokens, (T, d) pooled views).
 
         Token 0 of step t is the history token, which summarises steps < t.
+        The history after the last step is left to `advance_history`, for the
+        callers that read it.
         """
         cfg = self.config
         pano = np.asarray(panoramas, dtype=np.float32)
@@ -259,94 +284,152 @@ class Agent:
         views = nc.add(nc.matmul(nc.constant(pano), p["vis_proj"]), p["view_embed"])
         pooled = nc.matmul(nc.mean(views, axis=1), p["hist_wp"])               # (T, d)
         hists = [hist_state]
-        for t in range(steps):
-            hists.append(nc.tanh(nc.add(nc.matmul(hists[-1], p["hist_wh"]),
-                                        nc.take_rows(pooled, [t]))))
-        hist_tokens = nc.reshape(nc.concat(hists[:-1], axis=0), (steps, 1, cfg.d))
-        return nc.concat([hist_tokens, views], axis=1), hists[-1]
+        for t in range(steps - 1):
+            hists.append(self.advance_history(hists[-1], nc.take_rows(pooled, [t])))
+        hist_tokens = nc.reshape(nc.concat(hists, axis=0), (steps, 1, cfg.d))
+        return nc.concat([hist_tokens, views], axis=1), pooled
+
+    def advance_history(self, hist_state, pooled_step):
+        """The (1, d) history after a step whose pooled views are (1, d)."""
+        return nc.tanh(nc.add(nc.matmul(hist_state, self.params["hist_wh"]), pooled_step))
 
     # ------------------------------------------------------------------
     # attention plumbing
     # ------------------------------------------------------------------
 
-    def _block(self, q_tokens, kv_tokens, prefix, record=None):
+    def _block(self, q_tokens, kv_tokens, prefix, record=None, mask=None):
         """Residual attention then residual feed-forward, over (..., n, d)."""
         p = self.params
         x = nc.add(q_tokens, nc.attention(q_tokens, kv_tokens, p[prefix + "wq"], p[prefix + "wk"],
                                           p[prefix + "wv"], p[prefix + "wo"], self.config.heads,
-                                          record=record))
+                                          record=record, mask=mask))
         return nc.add(x, nc.ffn(x, p[prefix + "ff1"], p[prefix + "ff2"]))
 
     # ------------------------------------------------------------------
     # cross-modal policy
     # ------------------------------------------------------------------
 
-    def cross_modal_step(self, context, visual_tokens, navs, record_attention=False):
-        """T decisions at once over (T, K+1, d) visual tokens; `navs[t]` is the
-        sorted navigable (view, neighbor) list of step t. The context tokens
-        are shared by all steps.
+    def cross_modal_step(self, contexts, visual_tokens, navs, record_attention=False):
+        """The decisions of B episodes in one pass. Episode b has the encoded
+        context `contexts[b]`, shared by its steps, and (T_b, K+1, d)
+        `visual_tokens[b]`; `navs` holds the sorted navigable (view, neighbor)
+        lists of all ΣT steps in episode order.
 
-        Returns (per-step logits over [navigable views; stop], (T, K, 1) view
-        scores, per-step lists of attention records or None).
+        Each step's token sets are padded to the batch's longest, and
+        key-padding masks keep the padding out of every softmax. Padded
+        queries are computed but read by nothing, so they get zero gradient.
+        With equal-length sets (one context) nothing is padded or masked.
+
+        Returns ((ΣT, A) logits over [navigable views; stop] padded with -inf,
+        (ΣT, K, 1) view scores, per-step lists of attention records or None).
         """
         cfg = self.config
-        steps = visual_tokens.shape[0]
-        if len(navs) != steps:
-            raise ShapeError(f"{len(navs)} navigable lists for {steps} steps")
-        live = context.live_imag()
-        ctx = context.text
-        vis = visual_tokens
-        n_text = context.text.shape[0]
-        n_imag = 0 if live is None else live.shape[0]
-        if live is not None and cfg.fusion == "early":
-            if cfg.concat_target == "text":
-                ctx = nc.concat([ctx, live], axis=0)
-            else:
-                vis = nc.concat([vis, nc.expand(live, steps)], axis=1)
-        ctx = nc.expand(ctx, steps)
+        d, k = cfg.d, cfg.k_views
+        counts = [v.shape[0] for v in visual_tokens]
+        steps = sum(counts)
+        if len(contexts) != len(counts) or len(navs) != steps:
+            raise ShapeError(f"{len(contexts)} contexts, {len(counts)} visual token sets and "
+                             f"{len(navs)} navigable lists for {steps} steps")
+        live = [c.live_imag() for c in contexts]
+        # early fusion puts the imagination tokens into one of the streams
+        imags = live if cfg.fusion == "early" else [None] * len(live)
+        n_text = [c.text.shape[0] for c in contexts]
+        n_imag = [0 if m is None else m.shape[0] for m in imags]
+        into_text = cfg.concat_target == "text"
+        n_ctx = [t + i for t, i in zip(n_text, n_imag)] if into_text else n_text
+        ctx = self._padded([[c.text] + ([m] if into_text and m is not None else [])
+                            for c, m in zip(contexts, imags)], n_ctx, counts)
+        vis = visual_tokens[0] if len(visual_tokens) == 1 else nc.concat(visual_tokens, axis=0)
+        n_vis = [k + 1] * len(contexts)
+        if not into_text and any(n_imag):
+            # imagination tokens after each step's views
+            n_vis = [k + 1 + n for n in n_imag]
+            extra = self._padded([[] if m is None else [m] for m in imags], n_imag, counts)
+            vis = nc.concat([vis, extra], axis=1)
+        # key masks, None when nothing is padded: then the arithmetic is
+        # exactly that of an unbatched pass
+        ctx_keys = _key_mask(counts, n_ctx)
+        both_keys = _key_mask(counts, n_ctx, n_vis)
 
-        n_vis = vis.shape[1]
-        if cfg.concat_target == "text":
-            ctx_kinds = ("text",) * n_text + ("imagination",) * n_imag
-            vis_kinds = ("visual",) * n_vis
-        else:
-            ctx_kinds = ("text",) * n_text
-            vis_kinds = ("visual",) * (cfg.k_views + 1) + ("imagination",) * n_imag
-
-        raws = []   # per layer and stream: (T, heads, Tq, Tk) weights
+        raws = []   # per layer and stream: (ΣT, heads, Tq, Tk) weights
         for layer in range(cfg.cross_layers):
             c_raw = [] if record_attention else None
-            ctx = self._block(ctx, nc.concat([ctx, vis], axis=1), f"c{layer}_", c_raw)
+            ctx = self._block(ctx, nc.concat([ctx, vis], axis=1), f"c{layer}_", c_raw, both_keys)
             v_raw = [] if record_attention else None
-            vis = self._block(vis, ctx, f"v{layer}_", v_raw)
+            vis = self._block(vis, ctx, f"v{layer}_", v_raw, ctx_keys)
             if record_attention:
-                raws.append((layer, "context", c_raw[0], ctx_kinds, ctx_kinds + vis_kinds))
-                raws.append((layer, "visual", v_raw[0], vis_kinds, ctx_kinds))
+                raws += [(layer, "context", c_raw[0]), (layer, "visual", v_raw[0])]
         records = None
         if record_attention:
-            records = [[AttentionRecord(layer=layer, stream=stream, weights=w[t],
-                                        query_kinds=qk, key_kinds=kk)
-                        for layer, stream, w, qk, kk in raws] for t in range(steps)]
+            records = []
+            for t, b in enumerate(np.repeat(np.arange(len(contexts)), counts)):
+                ctx_kinds = ("text",) * n_text[b] + ("imagination",) * (n_ctx[b] - n_text[b])
+                vis_kinds = ("visual",) * (k + 1) + ("imagination",) * (n_vis[b] - k - 1)
+                # each step's weights cut to its own (query, key) tokens, which
+                # lead each padded block
+                width = ctx.shape[1]
+                cuts = {"context": (n_ctx[b], np.r_[0:n_ctx[b], width:width + n_vis[b]],
+                                    ctx_kinds, ctx_kinds + vis_kinds),
+                        "visual": (n_vis[b], np.arange(n_ctx[b]), vis_kinds, ctx_kinds)}
+                step = []
+                for layer, stream, w in raws:
+                    queries, keys, query_kinds, key_kinds = cuts[stream]
+                    step.append(AttentionRecord(layer=layer, stream=stream,
+                                                weights=w[t][:, :queries][:, :, keys],
+                                                query_kinds=query_kinds, key_kinds=key_kinds))
+                records.append(step)
 
-        k = cfg.k_views
-        view_tokens = nc.take_rows(vis, list(range(1, k + 1)), axis=1)       # (T, K, d)
-        hist_token = nc.take_rows(vis, [0], axis=1)                          # (T, 1, d)
+        view_tokens = nc.take_rows(vis, list(range(1, k + 1)), axis=1)       # (ΣT, K, d)
+        hist_token = nc.take_rows(vis, [0], axis=1)                          # (ΣT, 1, d)
         # state-conditioned matching score plus a per-view bias term
         match = nc.scale(nc.matmul(view_tokens, nc.transpose(hist_token, (0, 2, 1))),
-                         1.0 / math.sqrt(cfg.d))                            # (T, K, 1)
+                         1.0 / math.sqrt(d))                                # (ΣT, K, 1)
         view_scores = nc.add(match, nc.matmul(view_tokens, self.params["act_w"]))
-        stop_score = nc.matmul(hist_token, self.params["stop_w"])           # (T, 1, 1)
-        scores = nc.concat([view_scores, stop_score], axis=1)               # (T, K+1, 1)
-        if cfg.fusion == "late" and live is not None:
-            pooled = nc.reshape(nc.mean(live, axis=0), (1, cfg.d))
-            strength = nc.matmul(pooled, self.params["gate_w"])             # (1, 1)
+        stop_score = nc.matmul(hist_token, self.params["stop_w"])           # (ΣT, 1, 1)
+        scores = nc.concat([view_scores, stop_score], axis=1)               # (ΣT, K+1, 1)
+        if cfg.fusion == "late" and any(m is not None for m in live):
+            # an episode without imaginations pools zeros: a gate strength of 0
+            pooled = [nc.constant(np.zeros((1, d), dtype=np.float32)) if m is None
+                      else nc.reshape(nc.mean(m, axis=0), (1, d)) for m in live]
+            pooled = pooled[0] if len(pooled) == 1 else nc.concat(pooled, axis=0)   # (B, d)
+            strength = nc.repeat(nc.reshape(nc.matmul(pooled, self.params["gate_w"]),
+                                            (len(live), 1, 1)), counts)         # (ΣT, 1, 1)
             cand = nc.concat([view_tokens, hist_token], axis=1)
-            gates = nc.sigmoid(nc.matmul(cand, self.params["gate_u"]))      # (T, K+1, 1)
+            gates = nc.sigmoid(nc.matmul(cand, self.params["gate_u"]))      # (ΣT, K+1, 1)
             scores = nc.add(scores, nc.mul(gates, strength))
-        flat = nc.reshape(scores, (steps * (k + 1),))
-        logits = [nc.take_rows(flat, [t * (k + 1) + v for v, _ in nav] + [t * (k + 1) + k])
-                  for t, nav in enumerate(navs)]
+        # step t's actions in the flat scores; padding repeats the stop index
+        lengths = [len(nav) + 1 for nav in navs]
+        width = max(lengths)
+        index = [[t * (k + 1) + v for v, _ in nav] + [t * (k + 1) + k] * (width - len(nav))
+                 for t, nav in enumerate(navs)]
+        logits = nc.take_rows(nc.reshape(scores, (steps * (k + 1),)), index)
+        if min(lengths) < width:
+            valid = np.arange(width) < np.array(lengths)[:, None]
+            logits = nc.add(logits, nc.constant(np.where(valid, 0.0, -np.inf).astype(np.float32)))
         return logits, view_scores, records
+
+    def _padded(self, parts, lengths, counts):
+        """(ΣT, max(lengths), d) tokens: episode b's rows (`parts[b]` stacked,
+        `lengths[b]` of them) zero-padded and repeated for its counts[b] steps."""
+        width = max(lengths)
+        pieces = []
+        for part, n in zip(parts, lengths):
+            pieces += part
+            if n < width:
+                pieces.append(nc.constant(np.zeros((width - n, self.config.d), dtype=np.float32)))
+        rows = pieces[0] if len(pieces) == 1 else nc.concat(pieces, axis=0)
+        rows = nc.reshape(rows, (len(lengths), width, self.config.d))
+        return rows if len(counts) == sum(counts) else nc.repeat(rows, counts)
+
+
+def _key_mask(counts, *blocks):
+    """The (ΣT, Σ widths) mask of the real tokens of padded blocks laid side by
+    side: block j holds episode b's blocks[j][b] tokens, then padding up to
+    max(blocks[j]). None when no token is padding."""
+    if all(min(n) == max(n) for n in blocks):
+        return None
+    valid = np.concatenate([np.arange(max(n)) < np.array(n)[:, None] for n in blocks], axis=1)
+    return np.repeat(valid, counts, axis=0)
 
 
 def build_context(agent, token_ids, imaginations, kept_subs, imag_mask=None,
@@ -354,10 +437,10 @@ def build_context(agent, token_ids, imaginations, kept_subs, imag_mask=None,
     """Encode text and imaginations once per episode.
 
     `imaginations` is the (possibly policy-transformed) list for the episode;
-    kept_subs aligns mean noun-phrase embeddings for the auxiliary loss.
+    under `imag_source = text_mean` each live imagination whose sub-instruction
+    is in kept_subs becomes that sub-instruction's mean noun-phrase embedding.
     """
     text = agent.encode_text(token_ids, train=train, rng=rng)
-    sbar = [agent.mean_nounphrase_embedding(s, text) for s in kept_subs]
     n = len(imaginations)
     if imag_mask is None:
         mask = np.ones(n, dtype=bool)
@@ -368,30 +451,37 @@ def build_context(agent, token_ids, imaginations, kept_subs, imag_mask=None,
     live = tuple(int(i) for i in np.nonzero(mask)[0])
 
     if agent.config.imag_source == "text_mean":
-        sub_by_index = {s.index: i for i, s in enumerate(kept_subs)}
-        rows = []
-        kept_live = []
-        for i in live:
-            im = imaginations[i]
-            if im.sub_index in sub_by_index:
-                rows.append(nc.reshape(sbar[sub_by_index[im.sub_index]], (1, agent.config.d)))
-                kept_live.append(i)
+        pairs = _kept_pairs(imaginations, live, kept_subs)
+        rows = [nc.reshape(agent.mean_nounphrase_embedding(sub, text), (1, agent.config.d))
+                for _, sub in pairs]
         imag = nc.concat(rows, axis=0) if rows else None
-        live = tuple(kept_live)
+        live = tuple(live[pos] for pos, _ in pairs)
     else:
         feats = np.stack([imaginations[i].feature for i in live]) if live else None
         imag, _ = agent.encode_imaginations(feats, train=train, rng=rng)
-    return EncodedContext(text=text, imag=imag, imag_mask=mask, live_indices=live, sbar=sbar)
+    return EncodedContext(text=text, imag=imag, imag_mask=mask, live_indices=live)
+
+
+def _kept_pairs(imaginations, indices, kept_subs):
+    """(position in `indices`, sub-instruction) of each listed imagination
+    whose sub-instruction was kept."""
+    by_index = {s.index: s for s in kept_subs}
+    return [(pos, by_index[imaginations[i].sub_index]) for pos, i in enumerate(indices)
+            if imaginations[i].sub_index in by_index]
 
 
 def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
             kept_subs=(), imag_mask=None, train=False, drop_rng=None,
-            max_steps=None, record_attention=False):
+            max_steps=None, record_attention=False, aux=False):
     """Run one episode.
 
-    teacher mode decides every step of the teacher path in one pass and records
-    logits for supervision; argmax mode follows the greedy policy until stop or max_steps (ties break
-    to the lowest action index). Deterministic given the rng streams.
+    teacher mode encodes the teacher path's observations and leaves the
+    decisions to `decide`, which runs every teacher episode of a batch in one
+    pass and fills the logits used for supervision. argmax mode follows the
+    greedy policy until stop or max_steps (ties break to the lowest action
+    index). With `aux`, the trajectory carries the (imagination token,
+    noun-phrase mean) pairs of the alignment loss. Deterministic given the rng
+    streams.
     """
     cfg = agent.config
     world = episode.world
@@ -404,30 +494,30 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
     hist = agent.params["hist_init"]
     attn = [] if record_attention else None
     truncated = False
+    visual = grounding_view = None
+    logits_list = []
 
     if mode == "teacher":
-        # the path is known in advance: draw its observations in path order,
-        # then encode and decide all steps in one pass
+        # the path is known in advance: draw its observations in path order
+        # and encode all steps in one pass
         visited = list(episode.teacher_path)
         spaces = [wd.navigable(world, node) for node in visited]
         obs = np.stack([wd.observation_at(world, node, obs_rng) for node in visited])
-        vis_tokens, _ = agent.encode_observation(obs, hist)
-        logits_list, view_scores, recs = agent.cross_modal_step(
-            context, vis_tokens, spaces, record_attention=record_attention)
+        visual, _ = agent.encode_observation(obs, hist)
         actions = [next(i for i, (_, nb) in enumerate(nav) if nb == nxt)
                    for nav, nxt in zip(spaces, visited[1:])] + [len(spaces[-1])]
         teacher_actions = list(actions)
-        attn = recs
     elif mode == "argmax":
         node = episode.start
         visited = [node]
-        actions, spaces, logits_list, teacher_actions = [], [], [], []
+        actions, spaces, teacher_actions = [], [], []
         for _ in range(max_steps):
             nav = wd.navigable(world, node)
             obs = wd.observation_at(world, node, obs_rng)
-            vis_tokens, hist = agent.encode_observation(obs[None], hist)
-            (logits,), view_scores, recs = agent.cross_modal_step(
-                context, vis_tokens, [nav], record_attention=record_attention)
+            vis_tokens, pooled = agent.encode_observation(obs[None], hist)
+            logits, view_scores, recs = agent.cross_modal_step(
+                [context], [vis_tokens], [nav], record_attention=record_attention)
+            logits = nc.reshape(logits, (len(nav) + 1,))
             action = int(np.argmax(logits.values))
             logits_list.append(logits)
             actions.append(action)
@@ -438,27 +528,48 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
                 break
             node = nav[action][1]
             visited.append(node)
+            hist = agent.advance_history(hist, pooled)
         else:
             truncated = True
+        grounding_view = int(np.argmax(view_scores.values[-1, :, 0]))
     else:
         raise ContractError(f"unknown rollout mode {mode!r}")
-    grounding_view = int(np.argmax(view_scores.values[-1, :, 0]))
 
     aux_pairs = []
-    if train and context.imag is not None and agent.config.imag_source == "imagination":
-        sub_by_index = {s.index: i for i, s in enumerate(kept_subs)}
-        for row, orig in enumerate(context.live_indices):
-            im = imaginations[orig]
-            if im.sub_index in sub_by_index:
-                h_i = nc.reshape(nc.take_rows(context.imag, [row]), (cfg.d,))
-                aux_pairs.append((h_i, context.sbar[sub_by_index[im.sub_index]]))
+    if aux and context.imag is not None and cfg.imag_source == "imagination":
+        for row, sub in _kept_pairs(imaginations, context.live_indices, kept_subs):
+            h_i = nc.reshape(nc.take_rows(context.imag, [row]), (cfg.d,))
+            aux_pairs.append((h_i, agent.mean_nounphrase_embedding(sub, context.text)))
 
     return Trajectory(episode=episode, token_ids=tuple(token_ids), tokens=tuple(tokens),
                       visited=visited, actions=actions, action_spaces=spaces,
                       logits=logits_list, teacher_actions=teacher_actions,
                       attention=attn, grounding_view=grounding_view,
                       aux_pairs=aux_pairs, imaginations=list(imaginations),
-                      truncated=truncated)
+                      truncated=truncated, context=context if mode == "teacher" else None,
+                      visual=visual)
+
+
+def decide(agent, trajectories):
+    """Decide the steps of teacher-mode trajectories in one padded pass.
+
+    Fills each trajectory's per-step logits, grounding view and, if it was
+    rolled out with record_attention, its per-step attention records. Returns
+    the (ΣT, A) logits of all steps in trajectory order, padded with -inf.
+    """
+    logits, view_scores, records = agent.cross_modal_step(
+        [t.context for t in trajectories], [t.visual for t in trajectories],
+        [nav for t in trajectories for nav in t.action_spaces],
+        record_attention=any(t.attention is not None for t in trajectories))
+    first = 0
+    for traj in trajectories:
+        steps = len(traj.action_spaces)
+        traj.logits = StepLogits(logits, first, [len(nav) + 1 for nav in traj.action_spaces])
+        traj.grounding_view = int(np.argmax(view_scores.values[first + steps - 1, :, 0]))
+        if traj.attention is not None:
+            traj.attention = records[first:first + steps]
+        first += steps
+    return logits
 
 
 def attention_probe(trajectory, layer, head, imag_index, k=3):

@@ -197,6 +197,7 @@ def cmd_probe_attention(args):
                           item.imaginations, "teacher",
                           obs_rng=np.random.default_rng(np.random.SeedSequence([0xE7A1, args.seed, args.episode])),
                           kept_subs=item.record.kept, record_attention=True)
+        ag.decide(agent, [traj])
     tokens, views = ag.attention_probe(traj, args.layer, args.head, args.imagination, k=args.k)
     print(f"episode {args.episode}, imagination {args.imagination} "
           f"(class {traj.imaginations[args.imagination].true_class}), "

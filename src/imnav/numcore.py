@@ -8,7 +8,8 @@ back to the input dtype. A tape is just the implicit graph of Tensor parents;
 `attention` and `ffn` are fused ops: each records one tape node for a whole
 transformer sub-block and makes the same numpy calls as the equivalent chain
 of single ops. Both, like `matmul` against a 2D weight, accept leading batch
-axes, so the steps of a teacher-forced episode run as one pass.
+axes, so the steps of every teacher-forced episode of a batch run as one
+pass; `attention`'s key mask keeps the padding of shorter episodes out.
 """
 
 from __future__ import annotations
@@ -434,13 +435,19 @@ def take_rows(a, indices, axis=0):
     return _result(vals, (a,), back)
 
 
-def expand(a, n):
-    """n copies of `a` stacked along a new leading axis."""
-    vals = np.broadcast_to(a.values, (n,) + a.values.shape).copy()
+def repeat(a, counts):
+    """Row i of `a` repeated counts[i] >= 1 times along the leading axis; the
+    backward sums each row's copies in float64."""
+    counts = np.asarray(counts, dtype=np.intp)
+    if counts.shape != a.values.shape[:1] or counts.min() < 1:
+        raise ShapeError(f"repeat needs one count >= 1 per row of {a.values.shape}, got {counts}")
+    vals = np.repeat(a.values, counts, axis=0)
+    starts = np.cumsum(counts) - counts
 
     def back(g):
         if a.requires_grad:
-            a.accumulate_grad(g.sum(axis=0, dtype=np.float64).astype(a.values.dtype))
+            a.accumulate_grad(np.add.reduceat(g, starts, axis=0, dtype=np.float64)
+                              .astype(a.values.dtype))
 
     return _result(vals, (a,), back)
 
@@ -470,16 +477,22 @@ def transpose(a, axes):
 # fused transformer ops
 # ---------------------------------------------------------------------------
 
-def attention(xq, xkv, wq, wk, wv, wo, heads, record=None):
+def attention(xq, xkv, wq, wk, wv, wo, heads, record=None, mask=None):
     """Multi-head attention of queries xq (..., tq, d) over keys/values
     xkv (..., tk, d): projections, scaled dot-product softmax and the output
     projection, recorded as one tape node. Leading batch axes must match.
-    When `record` is a list it receives a copy of the (..., heads, tq, tk)
-    attention weights."""
+    `mask`, a boolean (..., tk) array, keeps only the keys it marks true: the
+    others are set to -inf before the softmax, so they get weight exactly 0
+    and their inputs gradient exactly 0. When `record` is a list it receives
+    a copy of the (..., heads, tq, tk) attention weights."""
     xqv, xkvv = xq.values, xkv.values
     lead = xqv.shape[:-2]
     if xqv.ndim < 2 or xkvv.shape[:-2] != lead:
         raise ShapeError(f"attention batch axes differ: {xqv.shape} vs {xkvv.shape}")
+    if mask is not None and (mask.shape != lead + (xkvv.shape[-2],)
+                             or not mask.any(axis=-1).all()):
+        raise ShapeError(f"attention key mask must be {lead + (xkvv.shape[-2],)} with a "
+                         f"true entry per row, got {mask.shape}")
     d = wq.values.shape[1]
     if d % heads != 0:
         raise ShapeError(f"attention width {d} not divisible by {heads} heads")
@@ -500,7 +513,10 @@ def attention(xq, xkv, wq, wk, wv, wo, heads, record=None):
     v = split(np.matmul(xkvv, wv.values), tk)
     scores = np.matmul(q, np.swapaxes(k, -1, -2))
     c = np.asarray(1.0 / math.sqrt(dh), dtype=scores.dtype)
-    weights = _softmax(scores * c, -1)
+    scores = scores * c
+    if mask is not None:
+        scores = np.where(mask[..., None, None, :], scores, np.asarray(-np.inf, scores.dtype))
+    weights = _softmax(scores, -1)
     if record is not None:
         record.append(weights.copy())
     out = merge(np.matmul(weights, v), tq)

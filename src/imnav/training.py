@@ -101,15 +101,19 @@ class Checkpoint:
 # losses
 # ---------------------------------------------------------------------------
 
-def imitation_loss(logits_list, teacher_actions):
-    """Mean teacher-forced cross-entropy over the episode's steps."""
-    if len(logits_list) != len(teacher_actions):
-        raise ContractError(f"{len(logits_list)} logit vectors vs {len(teacher_actions)} teacher actions")
-    if not logits_list:
+def imitation_loss(logits, teacher_actions):
+    """Teacher-forced cross-entropy: the mean over episodes of each episode's
+    mean over its steps. `logits` holds the (ΣT, A) logits of every step in
+    episode order (padding at -inf) and teacher_actions[b] the actions of
+    episode b."""
+    counts = [len(actions) for actions in teacher_actions]
+    if not counts or min(counts) == 0:
         raise ContractError("empty trajectory")
-    steps = [nc.reshape(nc.cross_entropy(l, a), (1,))
-             for l, a in zip(logits_list, teacher_actions)]
-    return nc.mean(nc.concat(steps, axis=0))
+    if logits.values.ndim != 2 or logits.shape[0] != sum(counts):
+        raise ContractError(f"logits of shape {logits.shape} vs {sum(counts)} teacher actions")
+    weights = np.repeat([1.0 / (len(counts) * n) for n in counts], counts)
+    steps = nc.cross_entropy(logits, np.concatenate(teacher_actions))
+    return nc.sum_(nc.mul(steps, nc.constant(weights.astype(logits.dtype))))
 
 
 def _rows(vectors):
@@ -204,6 +208,43 @@ def _frozen_off_tape(params, lrs):
             t.requires_grad = True
 
 
+def _train_step(agent, opt, items, batch_idx, lrs, cfg, iteration, rng):
+    """Forward, backward and update of one iteration. The iteration's tape
+    lives only in this frame, so it is freed before the next forward."""
+    params = agent.params
+    # alignment pairs are built only in iterations whose loss reads them
+    aux = cfg.aux_loss != "none" and (
+        cfg.aux_in_all_stages or cfg.schedule == "flat" or iteration >= cfg.stage_ends[0])
+    batch = [items[int(b)] for b in batch_idx]
+    trajs = [ag.rollout(agent, item.episode, item.token_ids, item.record.instruction.tokens,
+                        item.imaginations if cfg.use_imaginations else [],
+                        "teacher", obs_rng=rng, kept_subs=item.record.kept,
+                        train=True, drop_rng=rng, aux=aux)
+             for item in batch]
+    l_base = imitation_loss(ag.decide(agent, trajs), [t.teacher_actions for t in trajs])
+    pairs = [pair for t in trajs for pair in t.aux_pairs]
+    owners = [int(b) for b, t in zip(batch_idx, trajs) for _ in t.aux_pairs]
+    if cfg.aux_loss == "cosine":
+        l_aux, _ = cosine_alignment_loss(pairs)
+    elif cfg.aux_loss == "infonce":
+        l_aux, _ = infonce_loss(pairs, owners, cfg.tau)
+    else:
+        l_aux = nc.constant(np.float32(0.0))
+    lam = cfg.aux_lam if cfg.aux_loss != "none" else 0.0
+    total = total_loss(l_base, l_aux, lam)
+    breakdown = LossBreakdown(l_base=float(l_base.values), l_aux=float(l_aux.values),
+                              total=float(total.values), n_im=len(pairs))
+    if not math.isfinite(breakdown.total):
+        raise TrainingDiverged(f"non-finite loss at iteration {iteration}",
+                               dump=_diagnostic_dump(iteration, breakdown, params))
+    nc.backward(total)
+    for name, t in params.items():
+        if t.grad is None and lrs[params.group_of(name)] > 0.0:
+            t.grad = np.zeros_like(t.values)  # trainable leaf off the compute path
+    opt.step(lrs)
+    return breakdown
+
+
 def train(split, agent_config, cfg, init_values=None, val_items=None, resume=None):
     """Run the loop; returns (Checkpoint, curves).
 
@@ -234,50 +275,13 @@ def train(split, agent_config, cfg, init_values=None, val_items=None, resume=Non
     agent = ag.Agent(agent_config, params)
     items = split.items
     curves = []
-    use_imag = cfg.use_imaginations
 
     for iteration in range(start_iter, cfg.iterations):
         lrs = three_stage_schedule(iteration, cfg)
         batch_idx = rng.integers(len(items), size=cfg.batch_size)
         params.zero_grads()
         with _frozen_off_tape(params, lrs):
-            base_terms = []
-            pairs = []
-            owners = []
-            for b in batch_idx:
-                item = items[int(b)]
-                traj = ag.rollout(agent, item.episode, item.token_ids,
-                                  item.record.instruction.tokens,
-                                  item.imaginations if use_imag else [],
-                                  "teacher", obs_rng=rng, kept_subs=item.record.kept,
-                                  train=True, drop_rng=rng)
-                base_terms.append(nc.reshape(imitation_loss(traj.logits, traj.teacher_actions),
-                                             (1,)))
-                for pair in traj.aux_pairs:
-                    pairs.append(pair)
-                    owners.append(int(b))
-            l_base = nc.mean(nc.concat(base_terms, axis=0))
-
-            aux_active = cfg.aux_loss != "none" and (
-                cfg.aux_in_all_stages or cfg.schedule == "flat" or iteration >= cfg.stage_ends[0])
-            if aux_active and cfg.aux_loss == "cosine":
-                l_aux, _ = cosine_alignment_loss(pairs)
-            elif aux_active and cfg.aux_loss == "infonce":
-                l_aux, _ = infonce_loss(pairs, owners, cfg.tau)
-            else:
-                l_aux = nc.constant(np.float32(0.0))
-            lam = cfg.aux_lam if cfg.aux_loss != "none" else 0.0
-            total = total_loss(l_base, l_aux, lam)
-            breakdown = LossBreakdown(l_base=float(l_base.values), l_aux=float(l_aux.values),
-                                      total=float(total.values), n_im=len(pairs))
-            if not math.isfinite(breakdown.total):
-                raise TrainingDiverged(f"non-finite loss at iteration {iteration}",
-                                       dump=_diagnostic_dump(iteration, breakdown, params))
-            nc.backward(total)
-            for name, t in params.items():
-                if t.grad is None and lrs[params.group_of(name)] > 0.0:
-                    t.grad = np.zeros_like(t.values)  # trainable leaf off the compute path
-            opt.step(lrs)
+            breakdown = _train_step(agent, opt, items, batch_idx, lrs, cfg, iteration, rng)
 
         val_sr = math.nan
         if cfg.eval_interval and val_items and (iteration + 1) % cfg.eval_interval == 0:

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ from imnav import agent as ag
 from imnav import imagination as im
 from imnav import instructions as ins
 from imnav import numcore as nc
+from imnav import training as tr
 from imnav import world as wd
 from imnav.errors import ConfigurationError, ContractError, VocabularyError
 from fdcheck import check_gradients
@@ -35,10 +37,14 @@ def setup():
 
 def run_rollout(s, imaginations, imag_mask=None, mode="teacher", seed=0, record_attention=False,
                 agent=None):
-    return ag.rollout(agent or s["agent"], s["episode"], s["token_ids"],
+    agent = agent or s["agent"]
+    traj = ag.rollout(agent, s["episode"], s["token_ids"],
                       s["record"].instruction.tokens, imaginations, mode,
                       obs_rng=np.random.default_rng(seed), kept_subs=s["record"].kept,
                       imag_mask=imag_mask, record_attention=record_attention)
+    if mode == "teacher":
+        ag.decide(agent, [traj])
+    return traj
 
 
 def _cast_params(params, dtype):
@@ -150,8 +156,9 @@ class TestEncodeObservation:
     def test_pure_function(self, setup):
         obs = wd.observation_at(setup["world"], 0, np.random.default_rng(1))
         h0 = setup["agent"].params["hist_init"]
-        a, ha = setup["agent"].encode_observation(obs[None], h0)
-        b, hb = setup["agent"].encode_observation(obs[None], h0)
+        a, pa = setup["agent"].encode_observation(obs[None], h0)
+        b, pb = setup["agent"].encode_observation(obs[None], h0)
+        ha, hb = (setup["agent"].advance_history(h0, p) for p in (pa, pb))
         assert a.values.tobytes() == b.values.tobytes()
         assert ha.values.tobytes() == hb.values.tobytes()
 
@@ -160,7 +167,8 @@ class TestEncodeObservation:
         h0 = setup["agent"].params["hist_init"]
         obs1 = wd.observation_at(setup["world"], 0, rng)
         obs2 = wd.observation_at(setup["world"], 2, rng)
-        _, h1 = setup["agent"].encode_observation(obs1[None], h0)
+        _, pooled = setup["agent"].encode_observation(obs1[None], h0)
+        h1 = setup["agent"].advance_history(h0, pooled)
         tokens_a, _ = setup["agent"].encode_observation(obs2[None], h0)
         tokens_b, _ = setup["agent"].encode_observation(obs2[None], h1)
         assert h1.values.tobytes() != h0.values.tobytes()
@@ -234,6 +242,7 @@ class TestCrossModal:
                           setup["record"].instruction.tokens, setup["imags"], "teacher",
                           obs_rng=np.random.default_rng(0), kept_subs=setup["record"].kept,
                           train=True, drop_rng=np.random.default_rng(1))
+        ag.decide(agent, [traj])
         loss = nc.mean(nc.concat([nc.reshape(nc.cross_entropy(l, a), (1,))
                                   for l, a in zip(traj.logits, traj.teacher_actions)], axis=0))
         agent.params.zero_grads()
@@ -247,8 +256,8 @@ class TestCrossModal:
         context = ag.build_context(agent, setup["token_ids"], [], [])
         obs = wd.observation_at(setup["world"], 0, np.random.default_rng(0))
         vis, _ = agent.encode_observation(obs[None], agent.params["hist_init"])
-        (logits,), _, _ = agent.cross_modal_step(context, vis, [[]])
-        assert logits.shape == (1,)
+        logits, _, _ = agent.cross_modal_step([context], [vis], [[]])
+        assert logits.shape == (1, 1)
 
 
 class TestLateFusion:
@@ -279,6 +288,7 @@ class TestLateFusion:
                           setup["record"].instruction.tokens, setup["imags"], "teacher",
                           obs_rng=np.random.default_rng(0), kept_subs=setup["record"].kept,
                           train=True, drop_rng=np.random.default_rng(1))
+        ag.decide(agent, [traj])
         loss = nc.mean(nc.concat([nc.reshape(nc.cross_entropy(l, a), (1,))
                                   for l, a in zip(traj.logits, traj.teacher_actions)], axis=0))
         agent.params.zero_grads()
@@ -301,6 +311,7 @@ class TestVariants:
                           setup["record"].instruction.tokens, setup["imags"], "teacher",
                           obs_rng=np.random.default_rng(0), kept_subs=setup["record"].kept,
                           train=True, drop_rng=np.random.default_rng(1))
+        ag.decide(agent, [traj])
         loss = nc.mean(nc.concat([nc.reshape(nc.cross_entropy(l, a), (1,))
                                   for l, a in zip(traj.logits, traj.teacher_actions)], axis=0))
         agent.params.zero_grads()
@@ -360,10 +371,11 @@ class TestBatchedTeacher:
         world, hist, logits = s["world"], agent.params["hist_init"], []
         for node in s["episode"].teacher_path:
             obs = wd.observation_at(world, node, rng)
-            vis, hist = agent.encode_observation(obs[None], hist)
-            (step_logits,), _, _ = agent.cross_modal_step(context, vis,
-                                                          [wd.navigable(world, node)])
-            logits.append(step_logits)
+            nav = wd.navigable(world, node)
+            vis, pooled = agent.encode_observation(obs[None], hist)
+            step_logits, _, _ = agent.cross_modal_step([context], [vis], [nav])
+            logits.append(nc.reshape(step_logits, (len(nav) + 1,)))
+            hist = agent.advance_history(hist, pooled)
         return logits
 
     @staticmethod
@@ -380,6 +392,7 @@ class TestBatchedTeacher:
                           setup["record"].instruction.tokens, setup["imags"], "teacher",
                           obs_rng=batched_rng, kept_subs=setup["record"].kept,
                           train=True, drop_rng=batched_rng)
+        ag.decide(agent, [traj])
         agent.params.zero_grads()
         nc.backward(self.loss(traj.logits, traj.teacher_actions))
         batched_grads = {name: t.grad.copy() for name, t in agent.params.items()
@@ -396,6 +409,138 @@ class TestBatchedTeacher:
         for name, grad in batched_grads.items():
             want = agent.params[name].grad
             assert np.abs(grad - want).max() < 1e-5 * max(1.0, float(np.abs(want).max())), name
+
+
+@pytest.fixture(scope="module")
+def episodes(setup):
+    """Three teacher episodes with different path lengths and instruction
+    lengths: every imagination masked, no imaginations, all imaginations."""
+    library, vocab = setup["library"], setup["vocab"]
+    templates = ins.load_templates(DATA / "templates.txt")
+    lexicon = ins.load_lexicon(DATA / "lexicon_nouns.txt", DATA / "lexicon_blacklist.txt", library)
+    word_to_id = {w: i for i, w in enumerate(vocab)}
+    out = []
+    for seed, forks, policy in ((1, 2, "masked"), (2, 3, "none"), (3, 2, "all")):
+        world = wd.generate_world(wd.WorldConfig(library=library, layout="forks", n_forks=forks),
+                                  seed=seed)
+        episode = wd.sample_episode(world, "fine", seed=0)
+        record = ins.build_record(ins.generate_instruction(episode, templates, seed=seed,
+                                                           vocab=vocab), lexicon)
+        imags = im.imagine_dataset([record], library, im.ImaginationConfig(sigma_gen=0.0),
+                                   seed=seed)[0]
+        out.append(dict(episode=episode, tokens=record.instruction.tokens, kept=record.kept,
+                        token_ids=[word_to_id[t] for t in record.instruction.tokens],
+                        imags=[] if policy == "none" else imags,
+                        mask=np.zeros(len(imags), dtype=bool) if policy == "masked" else None))
+    assert len({len(e["episode"].teacher_path) for e in out}) > 1
+    assert len({len(e["tokens"]) for e in out}) > 1
+    return out
+
+
+def unbatched_logits(agent, context, vis, nav):
+    """One decision as a plain unbatched pass makes it: the context copied to
+    the step, nothing padded, no mask. The reference for a batch of one."""
+    cfg, p = agent.config, agent.params
+    ctx, live = context.text, context.imag
+    if live is not None and cfg.fusion == "early":
+        if cfg.concat_target == "text":
+            ctx = nc.concat([ctx, live], axis=0)
+        else:
+            vis = nc.concat([vis, nc.reshape(live, (1,) + live.shape)], axis=1)
+    ctx = nc.reshape(ctx, (1,) + ctx.shape)
+    for layer in range(cfg.cross_layers):
+        ctx = agent._block(ctx, nc.concat([ctx, vis], axis=1), f"c{layer}_")
+        vis = agent._block(vis, ctx, f"v{layer}_")
+    k = cfg.k_views
+    views = nc.take_rows(vis, list(range(1, k + 1)), axis=1)
+    hist = nc.take_rows(vis, [0], axis=1)
+    match = nc.scale(nc.matmul(views, nc.transpose(hist, (0, 2, 1))), 1.0 / math.sqrt(cfg.d))
+    scores = nc.concat([nc.add(match, nc.matmul(views, p["act_w"])),
+                        nc.matmul(hist, p["stop_w"])], axis=1)
+    if cfg.fusion == "late" and live is not None:
+        strength = nc.matmul(nc.reshape(nc.mean(live, axis=0), (1, cfg.d)), p["gate_w"])
+        gates = nc.sigmoid(nc.matmul(nc.concat([views, hist], axis=1), p["gate_u"]))
+        scores = nc.add(scores, nc.mul(gates, strength))
+    return nc.take_rows(nc.reshape(scores, (k + 1,)), [v for v, _ in nav] + [k])
+
+
+class TestPaddedBatch:
+    """The teacher episodes of a batch are decided in one padded pass; it must
+    equal deciding each episode on its own, and draw the same random numbers."""
+
+    VARIANTS = [{}, {"fusion": "late"}, {"concat_target": "visual"}, {"imag_source": "text_mean"}]
+
+    @staticmethod
+    def make(setup, overrides):
+        cfg = ag.AgentConfig(vocab_size=setup["agent"].config.vocab_size, **overrides)
+        return ag.Agent(cfg, ag.init_params(cfg, seed=9))
+
+    @staticmethod
+    def roll(agent, eps, rng):
+        return [ag.rollout(agent, e["episode"], e["token_ids"], e["tokens"], e["imags"], "teacher",
+                           obs_rng=rng, kept_subs=e["kept"], imag_mask=e["mask"], train=True,
+                           drop_rng=rng) for e in eps]
+
+    @staticmethod
+    def masks_seen(monkeypatch):
+        seen, attention = [], nc.attention
+
+        def spy(*args, mask=None, **kwargs):
+            seen.append(mask)
+            return attention(*args, mask=mask, **kwargs)
+
+        monkeypatch.setattr(nc, "attention", spy)
+        return seen
+
+    @pytest.mark.parametrize("overrides", VARIANTS)
+    def test_one_pass_equals_per_episode_passes(self, setup, episodes, overrides, monkeypatch):
+        agent = self.make(setup, overrides)
+        batched_rng, single_rng = np.random.default_rng(5), np.random.default_rng(5)
+        trajs = self.roll(agent, episodes, batched_rng)
+        masks = self.masks_seen(monkeypatch)
+        padded = ag.decide(agent, trajs)
+        assert any(m is not None for m in masks)           # the padding is exercised
+        assert padded.shape[0] == sum(len(t.action_spaces) for t in trajs)
+        agent.params.zero_grads()
+        nc.backward(tr.imitation_loss(padded, [t.teacher_actions for t in trajs]))
+        batched = {n: t.grad.copy() for n, t in agent.params.items() if t.grad is not None}
+
+        singles = []
+        for e in episodes:
+            (traj,) = self.roll(agent, [e], single_rng)
+            singles.append((traj, ag.decide(agent, [traj])))
+        assert batched_rng.bit_generator.state == single_rng.bit_generator.state
+        for tb, (ts, _) in zip(trajs, singles):
+            assert len(tb.logits) == len(ts.logits) == len(ts.episode.teacher_path)
+            for a, b in zip(tb.logits, ts.logits):
+                assert a.shape == b.shape
+                assert np.abs(a.values - b.values).max() < 1e-5
+            assert tb.grounding_view == ts.grounding_view
+        agent.params.zero_grads()
+        per_episode = [nc.reshape(tr.imitation_loss(logits, [t.teacher_actions]), (1,))
+                       for t, logits in singles]
+        nc.backward(nc.mean(nc.concat(per_episode, axis=0)))
+        assert set(batched) == {n for n, t in agent.params.items() if t.grad is not None}
+        for name, grad in batched.items():
+            want = agent.params[name].grad
+            assert np.abs(grad - want).max() < 1e-5 * max(1.0, float(np.abs(want).max())), name
+
+    @pytest.mark.parametrize("overrides", VARIANTS)
+    def test_batch_of_one_is_the_unbatched_pass_bitwise(self, setup, episodes, overrides,
+                                                        monkeypatch):
+        agent = self.make(setup, overrides)
+        masks = self.masks_seen(monkeypatch)
+        for e in episodes:
+            context = ag.build_context(agent, e["token_ids"], e["imags"], e["kept"],
+                                       imag_mask=e["mask"])
+            node = e["episode"].start
+            obs = wd.observation_at(e["episode"].world, node, np.random.default_rng(0))
+            vis, _ = agent.encode_observation(obs[None], agent.params["hist_init"])
+            nav = wd.navigable(e["episode"].world, node)
+            logits, _, _ = agent.cross_modal_step([context], [vis], [nav])
+            want = unbatched_logits(agent, context, vis, nav)
+            assert logits.values.tobytes() == want.values.tobytes()
+        assert masks and all(m is None for m in masks)
 
 
 class TestAttentionProbe:
@@ -467,8 +612,8 @@ class TestAgentGradcheck:
             h, mask = a.encode_imaginations(feats)
             ctx = ag.EncodedContext(text=text, imag=h, imag_mask=mask)
             vis, _ = a.encode_observation(pano[None], store["hist_init"])
-            (logits,), _, _ = a.cross_modal_step(ctx, vis, [[(0, 1), (2, 3)]])
-            return nc.cross_entropy(logits, 1)
+            logits, _, _ = a.cross_modal_step([ctx], [vis], [[(0, 1), (2, 3)]])
+            return nc.cross_entropy(nc.reshape(logits, (3,)), 1)
 
         arrays = [params[name].values.astype(np.float64) for name in checked]
         check_gradients(build, arrays, tol=1e-4)

@@ -316,6 +316,70 @@ class TestFusedOps:
             check_gradients(cross, [xq, xkv] + w, tol=1e-4)
             check_gradients(self_attn, [xq] + w, tol=1e-4)
 
+    def test_masked_attention_gradcheck(self):
+        rng = np.random.default_rng(37)
+        # a leading batch axis whose rows keep different keys, and one row
+        # keeping every key
+        mask = np.array([[True, False, True, True, False],
+                         [True, True, True, True, True],
+                         [False, False, False, True, False]])
+        probe = rng.normal(size=(3, 2, self.D))
+
+        def build(ts):
+            out = nc.attention(ts[0], ts[1], *ts[2:], heads=self.HEADS, mask=mask)
+            return nc.mean(nc.mul(out, nc.constant(probe)))
+
+        w = [0.5 * a for a in self.weights(rng)]
+        check_gradients(build, [rng.normal(size=(3, 2, self.D)), rng.normal(size=(3, 5, self.D))] + w,
+                        tol=1e-4)
+
+    def test_masked_keys_get_zero_weight_and_gradient(self):
+        rng = np.random.default_rng(41)
+        mask = np.array([[True, False, True, False], [False, True, True, True]])
+        w = [t(a) for a in self.weights(rng, np.float32)]
+        xq = nc.Tensor(rng.normal(size=(2, 3, self.D)).astype(np.float32), requires_grad=True)
+        xkv = nc.Tensor(rng.normal(size=(2, 4, self.D)).astype(np.float32), requires_grad=True)
+        record = []
+        out = nc.attention(xq, xkv, *w, heads=self.HEADS, record=record, mask=mask)
+        nc.backward(nc.mean(nc.mul(out, out)))
+        weights = record[0]                                     # (2, heads, 3, 4)
+        assert np.all(weights.transpose(0, 3, 1, 2)[~mask] == 0.0)
+        assert np.abs(weights.sum(axis=-1) - 1.0).max() < 1e-6
+        assert np.all(xkv.grad[~mask] == 0.0)
+        assert np.all(np.abs(xkv.grad[mask]).sum(axis=-1) > 0.0)
+        # changing a masked key's input changes nothing
+        moved = xkv.values.copy()
+        moved[~mask] += 100.0
+        again = nc.attention(xq, t(moved), *w, heads=self.HEADS, mask=mask)
+        assert again.values.tobytes() == out.values.tobytes()
+
+    def test_all_valid_mask_equals_no_mask_bitwise(self):
+        rng = np.random.default_rng(43)
+        values = [rng.normal(size=(3, 2, self.D)).astype(np.float32),
+                  rng.normal(size=(3, 5, self.D)).astype(np.float32)]
+        weights = self.weights(rng, np.float32)
+
+        def run(mask):
+            ts = [nc.Tensor(a.copy(), requires_grad=True) for a in values + weights]
+            out = nc.attention(ts[0], ts[1], *ts[2:], heads=self.HEADS, mask=mask)
+            nc.backward(nc.mean(nc.mul(out, out)))
+            return [out.values.tobytes()] + [x.grad.tobytes() for x in ts]
+
+        assert run(np.ones((3, 5), dtype=bool)) == run(None)
+
+    def test_mask_shape_and_empty_rows_rejected(self):
+        rng = np.random.default_rng(47)
+        w = [t(a) for a in self.weights(rng, np.float32)]
+        xq, xkv = t(np.zeros((2, 3, self.D))), t(np.zeros((2, 4, self.D)))
+        for bad in (np.ones((2, 3), dtype=bool), np.array([[True] * 4, [False] * 4])):
+            with pytest.raises(ShapeError):
+                nc.attention(xq, xkv, *w, heads=self.HEADS, mask=bad)
+
+    def test_repeat_rejects_bad_counts(self):
+        for counts in ([1], [1, 0], [2, -1]):
+            with pytest.raises(ShapeError):
+                nc.repeat(t(np.zeros((2, 3))), counts)
+
     def test_ffn_gradcheck(self):
         rng = np.random.default_rng(17)
         for lead in ((), (2,)):
@@ -382,7 +446,10 @@ class TestFusedOps:
             (lambda ts: nc.mean(nc.mul(nc.matmul(ts[0], ts[1]), nc.matmul(ts[0], ts[1]))),
              [(2, 3, 4), (4, 2)]),
             (lambda ts: nc.mean(nc.mul(nc.take_rows(ts[0], [2, 0, 2], axis=1),
-                                       nc.expand(ts[1], 2))), [(2, 3, 4), (3, 4)]),
+                                       nc.repeat(nc.reshape(ts[1], (1, 3, 4)), [2]))),
+             [(2, 3, 4), (3, 4)]),
+            # rows repeated unevenly, as per-episode tokens over their steps
+            (lambda ts: nc.mean(nc.mul(nc.repeat(ts[0], [2, 1, 3]), ts[1])), [(3, 2, 4), (6, 2, 4)]),
         ]
         for build, shapes in cases:
             check_gradients(build, [rng.normal(size=s) for s in shapes], tol=1e-4)

@@ -1,4 +1,5 @@
 import math
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -66,20 +67,20 @@ def infonce_oracle(hs, ss, owners, tau):
 
 class TestImitationLoss:
     def test_saturated_logits(self):
-        logits = [vec([1000.0, 0.0]), vec([0.0, 1000.0])]
-        loss = tr.imitation_loss(logits, [0, 1])
+        logits = vec([[1000.0, 0.0], [0.0, 1000.0]])
+        loss = tr.imitation_loss(logits, [[0, 1]])
         assert loss.item() < 1e-6
 
     def test_uniform_logits(self):
-        logits = [vec([0.0] * 4) for _ in range(3)]
-        loss = tr.imitation_loss(logits, [0, 1, 2])
+        logits = vec([[0.0] * 4 for _ in range(3)])
+        loss = tr.imitation_loss(logits, [[0, 1, 2]])
         assert abs(loss.item() - math.log(4)) < 1e-6
 
     def test_matches_per_step_oracle(self):
         rng = np.random.default_rng(0)
         raw = [rng.normal(size=5).astype(np.float32) for _ in range(3)]
         targets = [1, 4, 0]
-        loss = tr.imitation_loss([vec(r) for r in raw], targets)
+        loss = tr.imitation_loss(vec(np.stack(raw)), [targets])
         want = np.mean([
             -np.log(np.exp(r.astype(np.float64) - r.max())[t]
                     / np.exp(r.astype(np.float64) - r.max()).sum())
@@ -88,7 +89,7 @@ class TestImitationLoss:
 
     def test_length_mismatch(self):
         with pytest.raises(ContractError):
-            tr.imitation_loss([vec([0.0, 1.0])], [0, 1])
+            tr.imitation_loss(vec([[0.0, 1.0]]), [[0, 1]])
 
 
 class TestCosineAlignment:
@@ -305,7 +306,7 @@ class TestTrainLoop:
         traj = ag.rollout(agent, item.episode, item.token_ids, item.record.instruction.tokens,
                           item.imaginations, "teacher", obs_rng=np.random.default_rng(0),
                           kept_subs=item.record.kept, train=True,
-                          drop_rng=np.random.default_rng(0))
+                          drop_rng=np.random.default_rng(0), aux=True)
         loss, _ = tr.cosine_alignment_loss(traj.aux_pairs)
         params.zero_grads()
         nc.backward(loss)
@@ -437,6 +438,59 @@ class TestHookCallCounts:
         items = tiny_split["val_unseen"].items
         ev.evaluate(tr.agent_from_checkpoint(ckpt), items, "correct", seed=0)
         assert calls == {"schedule": 3, "teacher": 6, "argmax": len(items)}
+
+
+class TestIterationStructure:
+    """An iteration decides all its teacher episodes in one padded pass, and
+    frees its tape before the next forward starts."""
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_attention_calls_per_iteration(self, tiny_split, tiny_agent_config, monkeypatch,
+                                           batch_size):
+        calls = []
+        attention, schedule = nc.attention, tr.three_stage_schedule
+
+        def counted_schedule(iteration, cfg):
+            calls.append(0)
+            return schedule(iteration, cfg)
+
+        def counted_attention(*args, **kwargs):
+            calls[-1] += 1
+            return attention(*args, **kwargs)
+
+        monkeypatch.setattr(tr, "three_stage_schedule", counted_schedule)
+        monkeypatch.setattr(nc, "attention", counted_attention)
+        tr.train(tiny_split["train"], tiny_agent_config,
+                 tr.TrainConfig(iterations=4, batch_size=batch_size, seed=1))
+        # one text encoder per episode, then two streams per cross-modal layer
+        assert calls == [batch_size + 2 * tiny_agent_config.cross_layers] * 4
+
+    def test_previous_tape_is_freed_before_the_next_forward(self, tiny_split, tiny_agent_config,
+                                                             monkeypatch):
+        held, alive = [], []
+        backward, decide, schedule = nc.backward, ag.decide, tr.three_stage_schedule
+
+        def keep_loss(loss):
+            # a tensor's values array lives exactly as long as the tensor
+            held.append(weakref.ref(loss.values))
+            return backward(loss)
+
+        def keep_logits(agent, trajectories):
+            logits = decide(agent, trajectories)
+            held.append(weakref.ref(logits.values))
+            return logits
+
+        def check(iteration, cfg):
+            alive.append([ref() is not None for ref in held])
+            held.clear()
+            return schedule(iteration, cfg)
+
+        monkeypatch.setattr(nc, "backward", keep_loss)
+        monkeypatch.setattr(ag, "decide", keep_logits)
+        monkeypatch.setattr(tr, "three_stage_schedule", check)
+        tr.train(tiny_split["train"], tiny_agent_config,
+                 tr.TrainConfig(iterations=3, batch_size=2, schedule="flat", seed=1))
+        assert alive == [[], [False, False], [False, False]]
 
 
 class TestCheckpointIO:
