@@ -10,10 +10,12 @@ context stream ([text; imagination] tokens attending over context + visual
 keys, which is what the attention probe inspects) and the visual stream
 (visual tokens attending over context keys, per the integration scheme).
 Action logits are per-navigable-view scores plus a stop score read off the
-history token. Under teacher forcing the path is known in advance, so each
-episode's T steps are encoded in one pass over a leading step axis, and the
-steps of all episodes of a training batch are decided in one padded pass
-(`decide`); greedy decoding runs the same code with one episode and T = 1.
+history token. Under teacher forcing the path is known in advance, so a
+rollout only draws its dropout multipliers and observations, and `decide`
+encodes and decides all episodes of a training batch in one padded pass:
+one text, one imagination and one observation encoder pass over the batch
+(the histories step in lockstep), then the cross-modal layers over all
+steps. Greedy decoding runs the same code with one episode and T = 1.
 
 Masked imagination tokens are excluded from every key/query set, which is
 exactly the zero-attention-weight (-inf pre-softmax) semantics and makes
@@ -149,15 +151,22 @@ def init_params(config, seed):
 
 @dataclass
 class EncodedContext:
-    text: nc.Tensor                    # (L, d)
-    imag: nc.Tensor | None             # (N_live, d) or None; masked tokens already dropped
-    imag_mask: np.ndarray              # original mask over the imagination list
-    live_indices: tuple = ()           # imagination-list indices of the kept rows
+    """The encoded instructions and imaginations of B episodes."""
+    text: nc.Tensor            # (B, L_max, d), each instruction padded after its tokens
+    text_lengths: tuple        # L_b
+    imag: nc.Tensor | None     # (ΣN, d) live tokens in episode order; masked ones are absent
+    imag_counts: tuple         # N_b
 
-    def live_imag(self):
-        """Unmasked imagination tokens (the -inf-masked ones carry exactly zero
-        attention weight, i.e. they are absent from every key and query set)."""
-        return self.imag
+
+@dataclass(frozen=True)
+class ContextInputs:
+    """One episode's context before encoding, with its train-time dropout
+    multipliers already drawn (see `context_inputs`)."""
+    token_ids: tuple
+    nouns: tuple                      # (live row, noun-token positions) per kept sub-instruction
+    features: np.ndarray | None       # (N, d_v) live imagination features
+    text_keep: np.ndarray | None      # (L, 1) word-dropout multipliers
+    imag_keep: np.ndarray | None      # (N, d) imagination-token dropout multipliers
 
 
 @dataclass
@@ -181,12 +190,12 @@ class Trajectory:
     teacher_actions: list
     attention: list | None
     grounding_view: int | None
-    aux_pairs: list
+    aux_pairs: list                    # (imagination token row, noun-token positions)
     imaginations: list
     truncated: bool = False
     # teacher mode: the inputs `decide` turns into logits
-    context: EncodedContext | None = None
-    visual: nc.Tensor | None = None    # (T, K+1, d)
+    inputs: ContextInputs | None = None
+    observations: np.ndarray | None = None   # (T, K, d_v)
 
 
 class StepLogits(Sequence):
@@ -217,80 +226,107 @@ class Agent:
     # encoders
     # ------------------------------------------------------------------
 
-    def encode_text(self, token_ids, train=False, rng=None):
-        if len(token_ids) == 0:
+    def encode_text(self, instructions, keep=None):
+        """B token-id sequences -> (B, L_max, d) tokens, each instruction
+        padded after its tokens (`_valid` of the lengths marks the real ones).
+
+        `keep` holds train-time (L_b, 1) word-dropout multipliers per
+        instruction (see `nc.dropout_mask`): a dropped word's row is zeroed,
+        and its position survives via the position encoding.
+        """
+        lengths = [len(ids) for ids in instructions]
+        if not lengths or min(lengths) == 0:
             raise ContractError("cannot encode an empty instruction")
-        ids = np.asarray(token_ids, dtype=np.intp)
+        width = max(lengths)
+        ids = np.zeros((len(lengths), width), dtype=np.intp)
+        for b, seq in enumerate(instructions):
+            ids[b, :lengths[b]] = seq
         if ids.min() < 0 or ids.max() >= self.config.vocab_size:
             raise VocabularyError(f"token id outside vocabulary of size {self.config.vocab_size}")
-        p = self.params
-        x = nc.take_rows(p["tok_embed"], ids)
-        # word-identity dropout: whole token rows are zeroed (inverted scaling),
-        # positions survive via the position encoding
-        rate = self.config.text_dropout
-        if train and rate > 0.0:
-            keep = 1.0 - rate
-            rows = (rng.random((len(token_ids), 1)) < keep).astype(np.float32) / np.float32(keep)
-            x = nc.mul(x, nc.constant(np.repeat(rows, self.config.d, axis=1)))
-        x = nc.add(x, nc.constant(sinusoid_table(len(token_ids), self.config.d)))
-        return self._block(x, x, "t_")
+        x = nc.take_rows(self.params["tok_embed"], ids)
+        if keep is not None and any(k is not None for k in keep):
+            rows = np.ones((len(lengths), width, 1), dtype=np.float32)
+            for b, k in enumerate(keep):
+                if k is not None:
+                    rows[b, :lengths[b]] = k
+            x = nc.dropout(x, rows)
+        x = nc.add(x, nc.constant(sinusoid_table(width, self.config.d)))
+        return self._block(x, x, "t_", mask=_valid(lengths))
 
-    def encode_imaginations(self, features, train=False, rng=None):
-        """(N, d_v) features -> ((N, d) tokens, all-true mask)."""
+    def encode_imaginations(self, features, counts=None, keep=None):
+        """(ΣN, d_v) features of the imaginations of B episodes, counts[b] of
+        them from episode b in order (default: one episode) -> (ΣN, d)
+        tokens, or None when there are none. `keep` holds train-time (ΣN, d)
+        dropout multipliers (see `nc.dropout_mask`)."""
         if features is None or len(features) == 0:
-            return None, np.zeros(0, dtype=bool)
+            return None
         feats = np.asarray(features, dtype=np.float32)
         if feats.ndim != 2 or feats.shape[1] != self.config.d_v:
             raise ShapeError(f"imagination features must be (N, {self.config.d_v}), got {feats.shape}")
-        p = self.params
+        counts = [feats.shape[0]] if counts is None else list(counts)
+        if sum(counts) != feats.shape[0]:
+            raise ShapeError(f"{feats.shape[0]} imagination features for counts {counts}")
+        p, d = self.params, self.config.d
         # the d_v -> d projection is shared with the observation pathway: both
         # kinds of features come from the same (identity) vision encoder, so
         # one projection keeps them in a common space and matching transfers
         # to landmark classes never seen in training
         x = nc.matmul(nc.constant(feats), p["vis_proj"])
         x = nc.add(x, p["t_im"])
-        x = nc.dropout(x, self.config.dropout_rate, rng, train)
+        x = nc.dropout(x, keep)
         if self.config.imagination_encoder == "mlp":
             x = nc.relu(nc.matmul(x, p["im_m1"]))
             x = nc.relu(nc.matmul(x, p["im_m2"]))
             x = nc.matmul(x, p["im_m3"])
         else:
-            x = nc.add(x, nc.constant(sinusoid_table(feats.shape[0], self.config.d)))
-            x = self._block(x, x, "im_")
+            # self-attention within each episode's set
+            x = nc.add(x, nc.constant(_positions(counts, d)))
+            sets = [n for n in counts if n]
+            padded = _pad(x, sets)
+            x = _unpad(self._block(padded, padded, "im_", mask=_valid(sets)), sets)
         if self.config.imag_order_encoding:
-            x = nc.add(x, nc.constant(sinusoid_table(feats.shape[0], self.config.d)))
-        return x, np.ones(feats.shape[0], dtype=bool)
+            x = nc.add(x, nc.constant(_positions(counts, d)))
+        return x
 
-    def mean_nounphrase_embedding(self, sub, text_tokens):
-        if not sub.noun_token_indices:
-            raise ContractError("sub-instruction has no noun-phrase token positions")
-        rows = nc.take_rows(text_tokens, list(sub.noun_token_indices))
-        return nc.reshape(nc.mean(rows, axis=0), (self.config.d,))
+    def encode_observation(self, panoramas, hist_state, counts=None):
+        """The steps of B episodes: (ΣT, K, d_v) panoramas, counts[b] of them
+        from episode b in order (default: one episode), and the (1, d) or
+        (B, d) history before each episode's first step -> ((ΣT, K+1, d)
+        tokens, (ΣT, d) pooled views).
 
-    def encode_observation(self, panoramas, hist_state):
-        """T steps of K views: (T, K, d_v) panoramas and the history before the
-        first step -> ((T, K+1, d) tokens, (T, d) pooled views).
-
-        Token 0 of step t is the history token, which summarises steps < t.
-        The history after the last step is left to `advance_history`, for the
-        callers that read it.
+        Token 0 of an episode's step t is its history token, which summarises
+        the episode's steps < t; the B histories advance in lockstep,
+        max(T) - 1 times. The history after the last step is left to
+        `advance_history`, for the callers that read it.
         """
         cfg = self.config
         pano = np.asarray(panoramas, dtype=np.float32)
         if pano.ndim != 3 or pano.shape[1:] != (cfg.k_views, cfg.d_v):
             raise ShapeError(f"panoramas must be (T, {cfg.k_views}, {cfg.d_v}), got {pano.shape}")
-        p = self.params
         steps = pano.shape[0]
+        counts = [steps] if counts is None else list(counts)
+        if sum(counts) != steps or min(counts) < 1:
+            raise ShapeError(f"{steps} panoramas for step counts {counts}")
+        p, batch = self.params, len(counts)
         views = nc.add(nc.matmul(nc.constant(pano), p["vis_proj"]), p["view_embed"])
-        pooled = nc.matmul(nc.mean(views, axis=1), p["hist_wp"])               # (T, d)
-        hists = [hist_state]
-        for t in range(steps - 1):
-            hists.append(self.advance_history(hists[-1], nc.take_rows(pooled, [t])))
-        hist_tokens = nc.reshape(nc.concat(hists, axis=0), (steps, 1, cfg.d))
+        pooled = nc.matmul(nc.mean(views, axis=1), p["hist_wp"])               # (ΣT, d)
+        hist_tokens = hist_state if hist_state.shape[0] == batch else nc.repeat(hist_state, [batch])
+        if max(counts) > 1:
+            hists, lengths = [hist_tokens], np.asarray(counts)
+            starts = np.cumsum(lengths) - lengths
+            for t in range(max(counts) - 1):
+                # an episode with fewer steps re-reads its last row; the
+                # histories that follow from it are never read
+                hists.append(self.advance_history(
+                    hists[-1], nc.take_rows(pooled, starts + np.minimum(t, lengths - 1))))
+            # step t of episode b is row t * B + b of the stacked histories
+            order = np.concatenate([np.arange(n) * batch + b for b, n in enumerate(counts)])
+            hist_tokens = nc.take_rows(nc.concat(hists, axis=0), order)
+        hist_tokens = nc.reshape(hist_tokens, (steps, 1, cfg.d))
         return nc.concat([hist_tokens, views], axis=1), pooled
 
     def advance_history(self, hist_state, pooled_step):
-        """The (1, d) history after a step whose pooled views are (1, d)."""
+        """The (B, d) histories after a step whose pooled views are (B, d)."""
         return nc.tanh(nc.add(nc.matmul(hist_state, self.params["hist_wh"]), pooled_step))
 
     # ------------------------------------------------------------------
@@ -309,47 +345,49 @@ class Agent:
     # cross-modal policy
     # ------------------------------------------------------------------
 
-    def cross_modal_step(self, contexts, visual_tokens, navs, record_attention=False):
-        """The decisions of B episodes in one pass. Episode b has the encoded
-        context `contexts[b]`, shared by its steps, and (T_b, K+1, d)
-        `visual_tokens[b]`; `navs` holds the sorted navigable (view, neighbor)
+    def cross_modal_step(self, context, visual_tokens, counts, navs, record_attention=False):
+        """The decisions of B episodes in one pass. `context` holds their
+        encoded instructions and imaginations, shared by each episode's
+        steps; episode b has counts[b] consecutive steps of the (ΣT, K+1, d)
+        `visual_tokens`; `navs` holds the sorted navigable (view, neighbor)
         lists of all ΣT steps in episode order.
 
         Each step's token sets are padded to the batch's longest, and
         key-padding masks keep the padding out of every softmax. Padded
         queries are computed but read by nothing, so they get zero gradient.
-        With equal-length sets (one context) nothing is padded or masked.
+        With equal-length sets (one episode) nothing is padded or masked.
 
         Returns ((ΣT, A) logits over [navigable views; stop] padded with -inf,
         (ΣT, K, 1) view scores, per-step lists of attention records or None).
         """
         cfg = self.config
         d, k = cfg.d, cfg.k_views
-        counts = [v.shape[0] for v in visual_tokens]
-        steps = sum(counts)
-        if len(contexts) != len(counts) or len(navs) != steps:
-            raise ShapeError(f"{len(contexts)} contexts, {len(counts)} visual token sets and "
-                             f"{len(navs)} navigable lists for {steps} steps")
-        live = [c.live_imag() for c in contexts]
+        batch, steps = len(counts), visual_tokens.shape[0]
+        if context.text.shape[0] != batch or sum(counts) != steps or len(navs) != steps:
+            raise ShapeError(f"{context.text.shape[0]} contexts, step counts {list(counts)}, "
+                             f"{steps} visual token sets and {len(navs)} navigable lists")
+        # masks of the real tokens, None when nothing is padded: then the
+        # arithmetic is exactly that of an unbatched pass
+        ctx, ctx_valid = context.text, _valid(context.text_lengths)
+        vis, vis_valid = visual_tokens, None
         # early fusion puts the imagination tokens into one of the streams
-        imags = live if cfg.fusion == "early" else [None] * len(live)
-        n_text = [c.text.shape[0] for c in contexts]
-        n_imag = [0 if m is None else m.shape[0] for m in imags]
-        into_text = cfg.concat_target == "text"
-        n_ctx = [t + i for t, i in zip(n_text, n_imag)] if into_text else n_text
-        ctx = self._padded([[c.text] + ([m] if into_text and m is not None else [])
-                            for c, m in zip(contexts, imags)], n_ctx, counts)
-        vis = visual_tokens[0] if len(visual_tokens) == 1 else nc.concat(visual_tokens, axis=0)
-        n_vis = [k + 1] * len(contexts)
-        if not into_text and any(n_imag):
-            # imagination tokens after each step's views
-            n_vis = [k + 1 + n for n in n_imag]
-            extra = self._padded([[] if m is None else [m] for m in imags], n_imag, counts)
-            vis = nc.concat([vis, extra], axis=1)
-        # key masks, None when nothing is padded: then the arithmetic is
-        # exactly that of an unbatched pass
-        ctx_keys = _key_mask(counts, n_ctx)
-        both_keys = _key_mask(counts, n_ctx, n_vis)
+        n_ctx_imag = n_vis_imag = (0,) * batch
+        if cfg.fusion == "early" and context.imag is not None:
+            imag = _pad(context.imag, context.imag_counts)
+            imag_block = (_valid(context.imag_counts), imag.shape[1])
+            if cfg.concat_target == "text":
+                n_ctx_imag = context.imag_counts
+                ctx_valid = _joined(batch, (ctx_valid, ctx.shape[1]), imag_block)
+                ctx = nc.concat([ctx, imag], axis=1)
+            else:
+                # imagination tokens after each step's views
+                n_vis_imag = context.imag_counts
+                vis_valid = _joined(batch, (None, k + 1), imag_block)
+                vis = nc.concat([vis, _per_step(imag, counts)], axis=1)
+        ctx = _per_step(ctx, counts)
+        ctx_keys = _keys(ctx_valid, counts)
+        both_keys = _keys(_joined(batch, (ctx_valid, ctx.shape[1]), (vis_valid, vis.shape[1])),
+                          counts)
 
         raws = []   # per layer and stream: (ΣT, heads, Tq, Tk) weights
         for layer in range(cfg.cross_layers):
@@ -362,20 +400,22 @@ class Agent:
         records = None
         if record_attention:
             records = []
-            for t, b in enumerate(np.repeat(np.arange(len(contexts)), counts)):
-                ctx_kinds = ("text",) * n_text[b] + ("imagination",) * (n_ctx[b] - n_text[b])
-                vis_kinds = ("visual",) * (k + 1) + ("imagination",) * (n_vis[b] - k - 1)
-                # each step's weights cut to its own (query, key) tokens, which
-                # lead each padded block
-                width = ctx.shape[1]
-                cuts = {"context": (n_ctx[b], np.r_[0:n_ctx[b], width:width + n_vis[b]],
+            width = ctx.shape[1]
+            for t, b in enumerate(np.repeat(np.arange(batch), counts)):
+                ctx_kinds = ("text",) * context.text_lengths[b] + ("imagination",) * n_ctx_imag[b]
+                vis_kinds = ("visual",) * (k + 1) + ("imagination",) * n_vis_imag[b]
+                # each step's weights cut to its own (query, key) tokens
+                ctx_pos = np.arange(width) if ctx_valid is None else np.flatnonzero(ctx_valid[b])
+                vis_pos = (np.arange(vis.shape[1]) if vis_valid is None
+                           else np.flatnonzero(vis_valid[b]))
+                cuts = {"context": (ctx_pos, np.r_[ctx_pos, width + vis_pos],
                                     ctx_kinds, ctx_kinds + vis_kinds),
-                        "visual": (n_vis[b], np.arange(n_ctx[b]), vis_kinds, ctx_kinds)}
+                        "visual": (vis_pos, ctx_pos, vis_kinds, ctx_kinds)}
                 step = []
                 for layer, stream, w in raws:
                     queries, keys, query_kinds, key_kinds = cuts[stream]
                     step.append(AttentionRecord(layer=layer, stream=stream,
-                                                weights=w[t][:, :queries][:, :, keys],
+                                                weights=w[t][:, queries][:, :, keys],
                                                 query_kinds=query_kinds, key_kinds=key_kinds))
                 records.append(step)
 
@@ -387,13 +427,11 @@ class Agent:
         view_scores = nc.add(match, nc.matmul(view_tokens, self.params["act_w"]))
         stop_score = nc.matmul(hist_token, self.params["stop_w"])           # (ΣT, 1, 1)
         scores = nc.concat([view_scores, stop_score], axis=1)               # (ΣT, K+1, 1)
-        if cfg.fusion == "late" and any(m is not None for m in live):
+        if cfg.fusion == "late" and context.imag is not None:
             # an episode without imaginations pools zeros: a gate strength of 0
-            pooled = [nc.constant(np.zeros((1, d), dtype=np.float32)) if m is None
-                      else nc.reshape(nc.mean(m, axis=0), (1, d)) for m in live]
-            pooled = pooled[0] if len(pooled) == 1 else nc.concat(pooled, axis=0)   # (B, d)
+            pooled = nc.segment_mean(context.imag, context.imag_counts)    # (B, d)
             strength = nc.repeat(nc.reshape(nc.matmul(pooled, self.params["gate_w"]),
-                                            (len(live), 1, 1)), counts)         # (ΣT, 1, 1)
+                                            (batch, 1, 1)), counts)         # (ΣT, 1, 1)
             cand = nc.concat([view_tokens, hist_token], axis=1)
             gates = nc.sigmoid(nc.matmul(cand, self.params["gate_u"]))      # (ΣT, K+1, 1)
             scores = nc.add(scores, nc.mul(gates, strength))
@@ -408,39 +446,85 @@ class Agent:
             logits = nc.add(logits, nc.constant(np.where(valid, 0.0, -np.inf).astype(np.float32)))
         return logits, view_scores, records
 
-    def _padded(self, parts, lengths, counts):
-        """(ΣT, max(lengths), d) tokens: episode b's rows (`parts[b]` stacked,
-        `lengths[b]` of them) zero-padded and repeated for its counts[b] steps."""
-        width = max(lengths)
-        pieces = []
-        for part, n in zip(parts, lengths):
-            pieces += part
-            if n < width:
-                pieces.append(nc.constant(np.zeros((width - n, self.config.d), dtype=np.float32)))
-        rows = pieces[0] if len(pieces) == 1 else nc.concat(pieces, axis=0)
-        rows = nc.reshape(rows, (len(lengths), width, self.config.d))
-        return rows if len(counts) == sum(counts) else nc.repeat(rows, counts)
 
-
-def _key_mask(counts, *blocks):
-    """The (ΣT, Σ widths) mask of the real tokens of padded blocks laid side by
-    side: block j holds episode b's blocks[j][b] tokens, then padding up to
-    max(blocks[j]). None when no token is padding."""
-    if all(min(n) == max(n) for n in blocks):
+def _valid(lengths):
+    """The (B, max length) mask of the real tokens of B sets padded after
+    their lengths[b] tokens; None when no set is padded."""
+    if min(lengths) == max(lengths):
         return None
-    valid = np.concatenate([np.arange(max(n)) < np.array(n)[:, None] for n in blocks], axis=1)
-    return np.repeat(valid, counts, axis=0)
+    lengths = np.asarray(lengths)
+    return np.arange(lengths.max()) < lengths[:, None]
 
 
-def build_context(agent, token_ids, imaginations, kept_subs, imag_mask=None,
-                  train=False, rng=None):
-    """Encode text and imaginations once per episode.
+def _joined(batch, *blocks):
+    """The mask of (mask or None, width) token blocks of B episodes laid side
+    by side; None when no block is padded."""
+    if all(valid is None for valid, _ in blocks):
+        return None
+    return np.concatenate([np.ones((batch, width), dtype=bool) if valid is None else valid
+                           for valid, width in blocks], axis=1)
+
+
+def _keys(valid, counts):
+    """A mask of B episodes' tokens as the key mask of their steps."""
+    return None if valid is None else np.repeat(valid, counts, axis=0)
+
+
+def _per_step(tokens, counts):
+    """(B, n, d) tokens of B episodes repeated for each episode's steps."""
+    return tokens if len(counts) == sum(counts) else nc.repeat(tokens, counts)
+
+
+def _pad(rows, counts):
+    """The (Σn, d) rows of B consecutive sets, counts[b] >= 0 rows in set b,
+    as (B, max n, d) tokens with each set padded after its rows. Padding
+    repeats row 0; the masks of `_valid` keep it out."""
+    width = max(counts)
+    if min(counts) == width:
+        return nc.reshape(rows, (len(counts), width, rows.shape[-1]))
+    counts = np.asarray(counts)
+    slots = np.arange(width)
+    starts = np.cumsum(counts) - counts
+    return nc.take_rows(rows, np.where(slots < counts[:, None], starts[:, None] + slots, 0))
+
+
+def _unpad(padded, counts):
+    """The (Σn, d) real rows of `_pad`'s (B, max n, d) tokens, in order."""
+    batch, width, d = padded.shape
+    flat = nc.reshape(padded, (batch * width, d))
+    valid = _valid(counts)
+    return flat if valid is None else nc.take_rows(flat, np.flatnonzero(valid))
+
+
+def _positions(counts, d):
+    """Sinusoid position rows for B consecutive sets of counts[b] tokens,
+    counted from 0 within each set."""
+    return sinusoid_table(max(counts), d)[np.concatenate([np.arange(n) for n in counts])]
+
+
+def noun_phrase_means(text, groups):
+    """(P, d) mean noun-phrase embeddings: row p averages the (B, L_max, d)
+    `text` tokens of instruction groups[p][0] at positions groups[p][1]."""
+    if any(len(positions) == 0 for _, positions in groups):
+        raise ContractError("sub-instruction has no noun-phrase token positions")
+    batch, width, d = text.shape
+    index = [b * width + i for b, positions in groups for i in positions]
+    return nc.segment_mean(nc.take_rows(nc.reshape(text, (batch * width, d)), index),
+                           [len(positions) for _, positions in groups])
+
+
+def context_inputs(agent, token_ids, imaginations, kept_subs, imag_mask=None,
+                   train=False, rng=None):
+    """One episode's context before encoding, with its train-time dropout
+    multipliers drawn from `rng`: word dropout first, then dropout over the
+    imagination tokens.
 
     `imaginations` is the (possibly policy-transformed) list for the episode;
-    under `imag_source = text_mean` each live imagination whose sub-instruction
-    is in kept_subs becomes that sub-instruction's mean noun-phrase embedding.
+    masked ones are left out. Under `imag_source = text_mean` each live
+    imagination whose sub-instruction is in kept_subs becomes that
+    sub-instruction's mean noun-phrase embedding.
     """
-    text = agent.encode_text(token_ids, train=train, rng=rng)
+    cfg = agent.config
     n = len(imaginations)
     if imag_mask is None:
         mask = np.ones(n, dtype=bool)
@@ -449,17 +533,35 @@ def build_context(agent, token_ids, imaginations, kept_subs, imag_mask=None,
         if mask.shape[0] != n:
             raise ShapeError("imagination mask length mismatch")
     live = tuple(int(i) for i in np.nonzero(mask)[0])
+    nouns = tuple((row, sub.noun_token_indices)
+                  for row, sub in _kept_pairs(imaginations, live, kept_subs))
+    text_keep = nc.dropout_mask((len(token_ids), 1), cfg.text_dropout, rng, train)
+    features = imag_keep = None
+    if live and cfg.imag_source == "imagination":
+        features = np.stack([imaginations[i].feature for i in live])
+        imag_keep = nc.dropout_mask((len(live), cfg.d), cfg.dropout_rate, rng, train)
+    return ContextInputs(token_ids=tuple(token_ids), nouns=nouns, features=features,
+                         text_keep=text_keep, imag_keep=imag_keep)
 
+
+def build_context(agent, inputs):
+    """Encode the instructions and imaginations of B episodes, given their
+    `context_inputs`, with one text encoder and one imagination encoder
+    pass."""
+    text = agent.encode_text([x.token_ids for x in inputs], [x.text_keep for x in inputs])
     if agent.config.imag_source == "text_mean":
-        pairs = _kept_pairs(imaginations, live, kept_subs)
-        rows = [nc.reshape(agent.mean_nounphrase_embedding(sub, text), (1, agent.config.d))
-                for _, sub in pairs]
-        imag = nc.concat(rows, axis=0) if rows else None
-        live = tuple(live[pos] for pos, _ in pairs)
+        counts = tuple(len(x.nouns) for x in inputs)
+        imag = noun_phrase_means(text, [(b, positions) for b, x in enumerate(inputs)
+                                        for _, positions in x.nouns]) if any(counts) else None
     else:
-        feats = np.stack([imaginations[i].feature for i in live]) if live else None
-        imag, _ = agent.encode_imaginations(feats, train=train, rng=rng)
-    return EncodedContext(text=text, imag=imag, imag_mask=mask, live_indices=live)
+        live = [x for x in inputs if x.features is not None]
+        counts = tuple(0 if x.features is None else len(x.features) for x in inputs)
+        keep = [x.imag_keep for x in live if x.imag_keep is not None]
+        imag = agent.encode_imaginations(
+            np.concatenate([x.features for x in live]) if live else None, counts,
+            np.concatenate(keep) if keep else None)
+    return EncodedContext(text=text, text_lengths=tuple(len(x.token_ids) for x in inputs),
+                          imag=imag, imag_counts=counts)
 
 
 def _kept_pairs(imaginations, indices, kept_subs):
@@ -475,13 +577,13 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
             max_steps=None, record_attention=False, aux=False):
     """Run one episode.
 
-    teacher mode encodes the teacher path's observations and leaves the
-    decisions to `decide`, which runs every teacher episode of a batch in one
-    pass and fills the logits used for supervision. argmax mode follows the
-    greedy policy until stop or max_steps (ties break to the lowest action
-    index). With `aux`, the trajectory carries the (imagination token,
-    noun-phrase mean) pairs of the alignment loss. Deterministic given the rng
-    streams.
+    teacher mode only draws: the dropout multipliers, then the teacher
+    path's observations in path order. `decide` encodes and decides every
+    teacher episode of a batch in one pass and fills the logits used for
+    supervision. argmax mode follows the greedy policy until stop or
+    max_steps (ties break to the lowest action index). With `aux`, the
+    trajectory lists the (imagination token, noun-phrase) pairs of the
+    alignment loss. Deterministic given the rng streams.
     """
     cfg = agent.config
     world = episode.world
@@ -489,25 +591,23 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
     if mode == "teacher" and max_steps < len(episode.teacher_path):
         raise ContractError("max_steps too small for the teacher path")
 
-    context = build_context(agent, token_ids, imaginations, kept_subs,
+    inputs = context_inputs(agent, token_ids, imaginations, kept_subs,
                             imag_mask=imag_mask, train=train, rng=drop_rng)
-    hist = agent.params["hist_init"]
     attn = [] if record_attention else None
     truncated = False
-    visual = grounding_view = None
+    observations = grounding_view = None
     logits_list = []
 
     if mode == "teacher":
-        # the path is known in advance: draw its observations in path order
-        # and encode all steps in one pass
         visited = list(episode.teacher_path)
         spaces = [wd.navigable(world, node) for node in visited]
-        obs = np.stack([wd.observation_at(world, node, obs_rng) for node in visited])
-        visual, _ = agent.encode_observation(obs, hist)
+        observations = np.stack([wd.observation_at(world, node, obs_rng) for node in visited])
         actions = [next(i for i, (_, nb) in enumerate(nav) if nb == nxt)
                    for nav, nxt in zip(spaces, visited[1:])] + [len(spaces[-1])]
         teacher_actions = list(actions)
     elif mode == "argmax":
+        context = build_context(agent, [inputs])
+        hist = agent.params["hist_init"]
         node = episode.start
         visited = [node]
         actions, spaces, teacher_actions = [], [], []
@@ -516,7 +616,7 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
             obs = wd.observation_at(world, node, obs_rng)
             vis_tokens, pooled = agent.encode_observation(obs[None], hist)
             logits, view_scores, recs = agent.cross_modal_step(
-                [context], [vis_tokens], [nav], record_attention=record_attention)
+                context, vis_tokens, [1], [nav], record_attention=record_attention)
             logits = nc.reshape(logits, (len(nav) + 1,))
             action = int(np.argmax(logits.values))
             logits_list.append(logits)
@@ -535,41 +635,48 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
     else:
         raise ContractError(f"unknown rollout mode {mode!r}")
 
-    aux_pairs = []
-    if aux and context.imag is not None and cfg.imag_source == "imagination":
-        for row, sub in _kept_pairs(imaginations, context.live_indices, kept_subs):
-            h_i = nc.reshape(nc.take_rows(context.imag, [row]), (cfg.d,))
-            aux_pairs.append((h_i, agent.mean_nounphrase_embedding(sub, context.text)))
-
+    aux_pairs = list(inputs.nouns) if aux and cfg.imag_source == "imagination" else []
     return Trajectory(episode=episode, token_ids=tuple(token_ids), tokens=tuple(tokens),
                       visited=visited, actions=actions, action_spaces=spaces,
                       logits=logits_list, teacher_actions=teacher_actions,
                       attention=attn, grounding_view=grounding_view,
                       aux_pairs=aux_pairs, imaginations=list(imaginations),
-                      truncated=truncated, context=context if mode == "teacher" else None,
-                      visual=visual)
+                      truncated=truncated, inputs=inputs if mode == "teacher" else None,
+                      observations=observations)
 
 
 def decide(agent, trajectories):
-    """Decide the steps of teacher-mode trajectories in one padded pass.
+    """Encode and decide the steps of teacher-mode trajectories in one padded
+    pass: one text, one imagination and one observation encoder pass over
+    the batch, then `cross_modal_step`.
 
     Fills each trajectory's per-step logits, grounding view and, if it was
-    rolled out with record_attention, its per-step attention records. Returns
-    the (ΣT, A) logits of all steps in trajectory order, padded with -inf.
+    rolled out with record_attention, its per-step attention records.
+    Returns the (ΣT, A) logits of all steps in trajectory order, padded with
+    -inf, and the (P, d) imagination tokens h and noun-phrase means s̄ of the
+    trajectories' alignment pairs in order (None and None without pairs).
     """
+    context = build_context(agent, [t.inputs for t in trajectories])
+    counts = [len(t.action_spaces) for t in trajectories]
+    visual, _ = agent.encode_observation(np.concatenate([t.observations for t in trajectories]),
+                                         agent.params["hist_init"], counts)
     logits, view_scores, records = agent.cross_modal_step(
-        [t.context for t in trajectories], [t.visual for t in trajectories],
-        [nav for t in trajectories for nav in t.action_spaces],
+        context, visual, counts, [nav for t in trajectories for nav in t.action_spaces],
         record_attention=any(t.attention is not None for t in trajectories))
     first = 0
-    for traj in trajectories:
-        steps = len(traj.action_spaces)
+    for traj, steps in zip(trajectories, counts):
         traj.logits = StepLogits(logits, first, [len(nav) + 1 for nav in traj.action_spaces])
         traj.grounding_view = int(np.argmax(view_scores.values[first + steps - 1, :, 0]))
         if traj.attention is not None:
             traj.attention = records[first:first + steps]
         first += steps
-    return logits
+    pairs = [(b, row, positions) for b, t in enumerate(trajectories)
+             for row, positions in t.aux_pairs]
+    if not pairs:
+        return logits, None, None
+    starts = np.cumsum(context.imag_counts) - context.imag_counts
+    h = nc.take_rows(context.imag, [starts[b] + row for b, row, _ in pairs])
+    return logits, h, noun_phrase_means(context.text, [(b, p) for b, _, p in pairs])
 
 
 def attention_probe(trajectory, layer, head, imag_index, k=3):

@@ -286,14 +286,27 @@ def softmax(a, axis=-1):
     return _result(vals, (a,), back)
 
 
-def dropout(a, rate, rng, train):
-    """Inverted dropout: scales by 1/keep at train time, identity at eval."""
+def dropout_mask(shape, rate, rng, train=True, dtype=DEFAULT_DTYPE):
+    """The draw step of inverted dropout: per entry 1/keep where
+    rng.random(shape) < keep, else 0. None, drawing nothing, at eval or
+    rate 0."""
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0,1), got {rate}")
     if not train or rate == 0.0:
-        return a
+        return None
     keep = 1.0 - rate
-    mask = (rng.random(a.values.shape) < keep).astype(a.values.dtype) / np.asarray(keep, dtype=a.values.dtype)
+    return (rng.random(shape) < keep).astype(dtype) / np.asarray(keep, dtype=dtype)
+
+
+def dropout(a, mask):
+    """The apply step of inverted dropout: `a` times multipliers from
+    `dropout_mask`, which may broadcast over a's trailing axes of size 1.
+    A None mask is the identity."""
+    if mask is None:
+        return a
+    shape = a.values.shape
+    if mask.ndim != len(shape) or any(m not in (1, n) for m, n in zip(mask.shape, shape)):
+        raise ShapeError(f"dropout mask {mask.shape} does not broadcast to {a.values.shape}")
     vals = a.values * mask
 
     def back(g):
@@ -332,6 +345,28 @@ def mean(a, axis=None):
                 a.accumulate_grad(np.full_like(a.values, g / n))
             else:
                 a.accumulate_grad(np.repeat(np.expand_dims(g, axis) / n, a.values.shape[axis], axis=axis))
+
+    return _result(vals, (a,), back)
+
+
+def segment_mean(a, counts):
+    """Means of consecutive row groups: row i is the mean of the next
+    counts[i] rows of `a` (a zero row for an empty group), each accumulated
+    in float64 exactly as `mean(rows, axis=0)`."""
+    counts = np.asarray(counts, dtype=np.intp)
+    if counts.ndim != 1 or counts.min(initial=0) < 0 or counts.sum() != a.values.shape[0]:
+        raise ShapeError(f"segment_mean needs counts >= 0 summing to {a.values.shape[0]}, "
+                         f"got {counts}")
+    ends = np.cumsum(counts)
+    vals = np.zeros((len(counts),) + a.values.shape[1:], dtype=a.values.dtype)
+    for i, (start, end) in enumerate(zip(ends - counts, ends)):
+        if end > start:
+            vals[i] = a.values[start:end].mean(axis=0, dtype=np.float64)
+
+    def back(g):
+        if a.requires_grad:
+            sizes = np.maximum(counts, 1).astype(g.dtype).reshape((-1,) + (1,) * (g.ndim - 1))
+            a.accumulate_grad(np.repeat(g / sizes, counts, axis=0))
 
     return _result(vals, (a,), back)
 

@@ -116,41 +116,36 @@ def imitation_loss(logits, teacher_actions):
     return nc.sum_(nc.mul(steps, nc.constant(weights.astype(logits.dtype))))
 
 
-def _rows(vectors):
-    """The (P, d) tensor whose rows are P 1D tensors."""
-    return nc.concat([nc.reshape(v, (1, v.shape[0])) for v in vectors], axis=0)
-
-
-def cosine_alignment_loss(pairs):
-    """Mean (1 - cos(h_i, sbar_i)) over pairs; (zero, flag) when empty."""
-    if not pairs:
+def cosine_alignment_loss(h, s):
+    """Mean (1 - cos(h_i, sbar_i)) over the rows of (P, d) h and s̄; (zero,
+    flag) when there are no pairs (h is None)."""
+    if h is None:
         return nc.constant(np.float32(0.0)), True
-    p = len(pairs)
-    h, s = (_rows(side) for side in zip(*pairs))
+    p = h.shape[0]
     # cos(h_i, sbar_i) is the diagonal of the pairwise cosine matrix
     cos = nc.take_rows(nc.reshape(nc.cosine_similarity(h, s), (p * p,)), np.arange(p) * (p + 1))
     return nc.mean(nc.add(nc.scale(cos, -1.0), nc.constant(np.float32(1.0)))), False
 
 
-def infonce_loss(pairs, owners, tau):
-    """Contrastive alignment: positives are own noun-phrase means, negatives
-    the noun-phrase means of other instructions in the batch.
+def infonce_loss(h, s, owners, tau):
+    """Contrastive alignment over the rows of (P, d) h and s̄: positives are
+    own noun-phrase means, negatives the noun-phrase means of other
+    instructions in the batch.
 
     One row-wise cross-entropy over the P x P cosine matrix: the positive
     sits on the diagonal, and the other pairs of the same owner (the same
     instruction) are masked out."""
     if tau <= 0.0:
         raise ConfigurationError(f"temperature must be > 0, got {tau}")
-    if not pairs:
+    if h is None:
         return nc.constant(np.float32(0.0)), True
-    if len(owners) != len(pairs):
+    if len(owners) != h.shape[0]:
         raise ContractError("owner list must align with pairs")
     owners = np.asarray(owners)
-    keep = (owners[:, None] != owners[None, :]) | np.eye(len(pairs), dtype=bool)
-    h, s = (_rows(side) for side in zip(*pairs))
+    keep = (owners[:, None] != owners[None, :]) | np.eye(len(owners), dtype=bool)
     logits = nc.add(nc.scale(nc.cosine_similarity(h, s), 1.0 / tau),
                     nc.constant(np.where(keep, 0.0, -np.inf).astype(np.float32)))
-    return nc.mean(nc.cross_entropy(logits, np.arange(len(pairs)))), False
+    return nc.mean(nc.cross_entropy(logits, np.arange(len(owners)))), False
 
 
 def total_loss(l_base, l_aux, lam):
@@ -221,19 +216,19 @@ def _train_step(agent, opt, items, batch_idx, lrs, cfg, iteration, rng):
                         "teacher", obs_rng=rng, kept_subs=item.record.kept,
                         train=True, drop_rng=rng, aux=aux)
              for item in batch]
-    l_base = imitation_loss(ag.decide(agent, trajs), [t.teacher_actions for t in trajs])
-    pairs = [pair for t in trajs for pair in t.aux_pairs]
+    logits, h, s = ag.decide(agent, trajs)
+    l_base = imitation_loss(logits, [t.teacher_actions for t in trajs])
     owners = [int(b) for b, t in zip(batch_idx, trajs) for _ in t.aux_pairs]
     if cfg.aux_loss == "cosine":
-        l_aux, _ = cosine_alignment_loss(pairs)
+        l_aux, _ = cosine_alignment_loss(h, s)
     elif cfg.aux_loss == "infonce":
-        l_aux, _ = infonce_loss(pairs, owners, cfg.tau)
+        l_aux, _ = infonce_loss(h, s, owners, cfg.tau)
     else:
         l_aux = nc.constant(np.float32(0.0))
     lam = cfg.aux_lam if cfg.aux_loss != "none" else 0.0
     total = total_loss(l_base, l_aux, lam)
     breakdown = LossBreakdown(l_base=float(l_base.values), l_aux=float(l_aux.values),
-                              total=float(total.values), n_im=len(pairs))
+                              total=float(total.values), n_im=len(owners))
     if not math.isfinite(breakdown.total):
         raise TrainingDiverged(f"non-finite loss at iteration {iteration}",
                                dump=_diagnostic_dump(iteration, breakdown, params))

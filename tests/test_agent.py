@@ -72,22 +72,22 @@ class TestConfig:
 class TestEncodeText:
     def test_empty_rejected(self, setup):
         with pytest.raises(ContractError):
-            setup["agent"].encode_text([])
+            setup["agent"].encode_text([[]])
 
     def test_unknown_token(self, setup):
         with pytest.raises(VocabularyError):
-            setup["agent"].encode_text([10 ** 6])
+            setup["agent"].encode_text([[10 ** 6]])
 
     def test_eval_deterministic(self, setup):
-        a = setup["agent"].encode_text(setup["token_ids"])
-        b = setup["agent"].encode_text(setup["token_ids"])
+        a = setup["agent"].encode_text([setup["token_ids"]])
+        b = setup["agent"].encode_text([setup["token_ids"]])
         assert a.values.tobytes() == b.values.tobytes()
 
     def test_position_encoding_active(self, setup):
         ids = setup["token_ids"]
         permuted = list(reversed(ids))
-        a = setup["agent"].encode_text(ids).values
-        b = setup["agent"].encode_text(permuted).values
+        a = setup["agent"].encode_text([ids]).values[0]
+        b = setup["agent"].encode_text([permuted]).values[0]
         # compare the embedding of the first token of `a` against the same
         # word's embedding at its permuted position
         assert not np.allclose(a[0], b[-1], atol=1e-6)
@@ -95,8 +95,7 @@ class TestEncodeText:
 
 class TestEncodeImaginations:
     def test_empty_gives_none(self, setup):
-        h, mask = setup["agent"].encode_imaginations(None)
-        assert h is None and mask.size == 0
+        assert setup["agent"].encode_imaginations(None) is None
 
     def test_zero_mlp_weights_give_zero_tokens(self, setup):
         cfg = setup["agent"].config
@@ -105,7 +104,7 @@ class TestEncodeImaginations:
             params[name].values[:] = 0.0
         agent = ag.Agent(cfg, params)
         feats = np.stack([i.feature for i in setup["imags"]])
-        h, _ = agent.encode_imaginations(feats)
+        h = agent.encode_imaginations(feats)
         assert np.abs(h.values).max() == 0.0
 
     def test_full_scale_layer_shapes(self):
@@ -117,34 +116,39 @@ class TestEncodeImaginations:
 
     def test_dropout_only_at_train(self, setup):
         feats = np.stack([i.feature for i in setup["imags"]])
-        a, _ = setup["agent"].encode_imaginations(feats, train=False)
-        b, _ = setup["agent"].encode_imaginations(feats, train=False)
+        cfg = setup["agent"].config
+        a = setup["agent"].encode_imaginations(feats)
+        b = setup["agent"].encode_imaginations(
+            feats, keep=nc.dropout_mask((len(feats), cfg.d), cfg.dropout_rate, None, train=False))
         assert a.values.tobytes() == b.values.tobytes()
-        c, _ = setup["agent"].encode_imaginations(feats, train=True, rng=np.random.default_rng(0))
+        keep = nc.dropout_mask((len(feats), cfg.d), cfg.dropout_rate, np.random.default_rng(0))
+        c = setup["agent"].encode_imaginations(feats, keep=keep)
         assert a.values.tobytes() != c.values.tobytes()
 
 
 class TestNounPhraseMean:
     def test_single_token_mean_is_that_embedding(self, setup):
-        text = setup["agent"].encode_text(setup["token_ids"])
-        sub = setup["record"].kept[0]
-        single = ins.SubInstruction(index=0, span=sub.span, tokens=sub.tokens,
-                                    noun_token_indices=(sub.noun_token_indices[0],))
-        got = setup["agent"].mean_nounphrase_embedding(single, text)
-        assert np.allclose(got.values, text.values[sub.noun_token_indices[0]], atol=1e-7)
+        text = setup["agent"].encode_text([setup["token_ids"]])
+        first = setup["record"].kept[0].noun_token_indices[0]
+        got = ag.noun_phrase_means(text, [(0, (first,))])
+        assert np.allclose(got.values[0], text.values[0, first], atol=1e-7)
 
     def test_mean_matches_oracle(self, setup):
-        text = setup["agent"].encode_text(setup["token_ids"])
+        ids = setup["token_ids"]
+        # a longer second instruction pads the first
+        text = setup["agent"].encode_text([ids, ids + ids[:3]])
         sub = setup["record"].kept[0]
-        got = setup["agent"].mean_nounphrase_embedding(sub, text).values
-        want = text.values[list(sub.noun_token_indices)].mean(axis=0)
-        assert np.abs(got - want).max() < 1e-6
+        got = ag.noun_phrase_means(text, [(1, sub.noun_token_indices),
+                                          (0, sub.noun_token_indices)]).values
+        for row, b in zip(got, (1, 0)):
+            want = text.values[b, list(sub.noun_token_indices)].mean(axis=0)
+            assert np.abs(row - want).max() < 1e-6
 
     def test_no_indices_rejected(self, setup):
-        text = setup["agent"].encode_text(setup["token_ids"])
+        text = setup["agent"].encode_text([setup["token_ids"]])
         sub = ins.SubInstruction(index=0, span=(0, 2), tokens=("go", "straight"))
         with pytest.raises(ContractError):
-            setup["agent"].mean_nounphrase_embedding(sub, text)
+            ag.noun_phrase_means(text, [(0, sub.noun_token_indices)])
 
 
 class TestEncodeObservation:
@@ -253,10 +257,10 @@ class TestCrossModal:
 
     def test_empty_navigable_gives_stop_only(self, setup):
         agent = setup["agent"]
-        context = ag.build_context(agent, setup["token_ids"], [], [])
+        context = ag.build_context(agent, [ag.context_inputs(agent, setup["token_ids"], [], [])])
         obs = wd.observation_at(setup["world"], 0, np.random.default_rng(0))
         vis, _ = agent.encode_observation(obs[None], agent.params["hist_init"])
-        logits, _, _ = agent.cross_modal_step([context], [vis], [[]])
+        logits, _, _ = agent.cross_modal_step(context, vis, [1], [[]])
         assert logits.shape == (1, 1)
 
 
@@ -305,7 +309,7 @@ class TestVariants:
     def test_transformer_encoder_forward_and_grad(self, setup):
         agent = self.make(setup, imagination_encoder="transformer")
         feats = np.stack([i.feature for i in setup["imags"]])
-        h, mask = agent.encode_imaginations(feats)
+        h = agent.encode_imaginations(feats)
         assert h.shape == (len(setup["imags"]), agent.config.d)
         traj = ag.rollout(agent, setup["episode"], setup["token_ids"],
                           setup["record"].instruction.tokens, setup["imags"], "teacher",
@@ -353,6 +357,25 @@ class TestRollout:
         b = run_rollout(setup, setup["imags"], mode="argmax", seed=5)
         assert a.visited == b.visited and a.actions == b.actions
 
+    def test_teacher_rollout_draw_order(self, setup):
+        """Word dropout, then imagination dropout, then each step's observation."""
+        agent, world, cfg = setup["agent"], setup["world"], setup["agent"].config
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        traj = ag.rollout(agent, setup["episode"], setup["token_ids"],
+                          setup["record"].instruction.tokens, setup["imags"], "teacher",
+                          obs_rng=rng, kept_subs=setup["record"].kept, train=True, drop_rng=rng)
+
+        def keep(shape, rate):
+            return (ref.random(shape) < 1.0 - rate).astype(np.float32) / np.float32(1.0 - rate)
+
+        assert np.array_equal(traj.inputs.text_keep,
+                              keep((len(setup["token_ids"]), 1), cfg.text_dropout))
+        assert np.array_equal(traj.inputs.imag_keep,
+                              keep((len(setup["imags"]), cfg.d), cfg.dropout_rate))
+        assert np.array_equal(traj.observations, np.stack(
+            [wd.observation_at(world, node, ref) for node in setup["episode"].teacher_path]))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_truncation_sets_flag(self, setup):
         traj = ag.rollout(setup["agent"], setup["episode"], setup["token_ids"],
                           setup["record"].instruction.tokens, [], "argmax",
@@ -366,14 +389,15 @@ class TestBatchedTeacher:
 
     @staticmethod
     def stepwise(agent, s, rng):
-        context = ag.build_context(agent, s["token_ids"], s["imags"], s["record"].kept,
-                                   train=True, rng=rng)
+        context = ag.build_context(agent, [ag.context_inputs(agent, s["token_ids"], s["imags"],
+                                                             s["record"].kept, train=True,
+                                                             rng=rng)])
         world, hist, logits = s["world"], agent.params["hist_init"], []
         for node in s["episode"].teacher_path:
             obs = wd.observation_at(world, node, rng)
             nav = wd.navigable(world, node)
             vis, pooled = agent.encode_observation(obs[None], hist)
-            step_logits, _, _ = agent.cross_modal_step([context], [vis], [nav])
+            step_logits, _, _ = agent.cross_modal_step(context, vis, [1], [nav])
             logits.append(nc.reshape(step_logits, (len(nav) + 1,)))
             hist = agent.advance_history(hist, pooled)
         return logits
@@ -413,14 +437,15 @@ class TestBatchedTeacher:
 
 @pytest.fixture(scope="module")
 def episodes(setup):
-    """Three teacher episodes with different path lengths and instruction
-    lengths: every imagination masked, no imaginations, all imaginations."""
+    """Four teacher episodes with different path lengths and instruction
+    lengths: every imagination masked, no imaginations, all imaginations,
+    all but the first imagination masked."""
     library, vocab = setup["library"], setup["vocab"]
     templates = ins.load_templates(DATA / "templates.txt")
     lexicon = ins.load_lexicon(DATA / "lexicon_nouns.txt", DATA / "lexicon_blacklist.txt", library)
     word_to_id = {w: i for i, w in enumerate(vocab)}
     out = []
-    for seed, forks, policy in ((1, 2, "masked"), (2, 3, "none"), (3, 2, "all")):
+    for seed, forks, policy in ((1, 2, "masked"), (2, 3, "none"), (3, 2, "all"), (4, 3, "some")):
         world = wd.generate_world(wd.WorldConfig(library=library, layout="forks", n_forks=forks),
                                   seed=seed)
         episode = wd.sample_episode(world, "fine", seed=0)
@@ -431,7 +456,8 @@ def episodes(setup):
         out.append(dict(episode=episode, tokens=record.instruction.tokens, kept=record.kept,
                         token_ids=[word_to_id[t] for t in record.instruction.tokens],
                         imags=[] if policy == "none" else imags,
-                        mask=np.zeros(len(imags), dtype=bool) if policy == "masked" else None))
+                        mask={"masked": np.zeros(len(imags), dtype=bool),
+                              "some": np.arange(len(imags)) == 0}.get(policy)))
     assert len({len(e["episode"].teacher_path) for e in out}) > 1
     assert len({len(e["tokens"]) for e in out}) > 1
     return out
@@ -441,7 +467,7 @@ def unbatched_logits(agent, context, vis, nav):
     """One decision as a plain unbatched pass makes it: the context copied to
     the step, nothing padded, no mask. The reference for a batch of one."""
     cfg, p = agent.config, agent.params
-    ctx, live = context.text, context.imag
+    ctx, live = nc.reshape(context.text, context.text.shape[1:]), context.imag
     if live is not None and cfg.fusion == "early":
         if cfg.concat_target == "text":
             ctx = nc.concat([ctx, live], axis=0)
@@ -476,10 +502,10 @@ class TestPaddedBatch:
         return ag.Agent(cfg, ag.init_params(cfg, seed=9))
 
     @staticmethod
-    def roll(agent, eps, rng):
+    def roll(agent, eps, rng, aux=False):
         return [ag.rollout(agent, e["episode"], e["token_ids"], e["tokens"], e["imags"], "teacher",
                            obs_rng=rng, kept_subs=e["kept"], imag_mask=e["mask"], train=True,
-                           drop_rng=rng) for e in eps]
+                           drop_rng=rng, aux=aux) for e in eps]
 
     @staticmethod
     def masks_seen(monkeypatch):
@@ -498,7 +524,7 @@ class TestPaddedBatch:
         batched_rng, single_rng = np.random.default_rng(5), np.random.default_rng(5)
         trajs = self.roll(agent, episodes, batched_rng)
         masks = self.masks_seen(monkeypatch)
-        padded = ag.decide(agent, trajs)
+        padded, _, _ = ag.decide(agent, trajs)
         assert any(m is not None for m in masks)           # the padding is exercised
         assert padded.shape[0] == sum(len(t.action_spaces) for t in trajs)
         agent.params.zero_grads()
@@ -508,7 +534,7 @@ class TestPaddedBatch:
         singles = []
         for e in episodes:
             (traj,) = self.roll(agent, [e], single_rng)
-            singles.append((traj, ag.decide(agent, [traj])))
+            singles.append((traj, ag.decide(agent, [traj])[0]))
         assert batched_rng.bit_generator.state == single_rng.bit_generator.state
         for tb, (ts, _) in zip(trajs, singles):
             assert len(tb.logits) == len(ts.logits) == len(ts.episode.teacher_path)
@@ -531,16 +557,70 @@ class TestPaddedBatch:
         agent = self.make(setup, overrides)
         masks = self.masks_seen(monkeypatch)
         for e in episodes:
-            context = ag.build_context(agent, e["token_ids"], e["imags"], e["kept"],
-                                       imag_mask=e["mask"])
+            context = ag.build_context(agent, [ag.context_inputs(agent, e["token_ids"], e["imags"],
+                                                                 e["kept"], imag_mask=e["mask"])])
             node = e["episode"].start
             obs = wd.observation_at(e["episode"].world, node, np.random.default_rng(0))
             vis, _ = agent.encode_observation(obs[None], agent.params["hist_init"])
             nav = wd.navigable(e["episode"].world, node)
-            logits, _, _ = agent.cross_modal_step([context], [vis], [nav])
+            logits, _, _ = agent.cross_modal_step(context, vis, [1], [nav])
             want = unbatched_logits(agent, context, vis, nav)
             assert logits.values.tobytes() == want.values.tobytes()
         assert masks and all(m is None for m in masks)
+
+
+class TestBatchedIteration:
+    """A training iteration encodes its whole batch in one pass: one text
+    encoder over padded instructions, one imagination encoder over every
+    live imagination, one observation encoder whose histories step in
+    lockstep. Its loss and gradients must equal those of decoding each
+    episode alone, and it must draw the same random numbers."""
+
+    VARIANTS = TestPaddedBatch.VARIANTS + [{"imagination_encoder": "transformer"},
+                                           {"imag_order_encoding": True}]
+    LAM = 0.5
+
+    @classmethod
+    def loss(cls, base_terms, h, s):
+        return tr.total_loss(base_terms, tr.cosine_alignment_loss(h, s)[0], cls.LAM)
+
+    @pytest.mark.parametrize("overrides", VARIANTS)
+    def test_iteration_equals_per_episode_decoding(self, setup, episodes, overrides):
+        agent = TestPaddedBatch.make(setup, overrides)
+        batched_rng, single_rng = np.random.default_rng(11), np.random.default_rng(11)
+        trajs = TestPaddedBatch.roll(agent, episodes, batched_rng, aux=True)
+        # unequal instruction lengths, imagination sets and teacher paths
+        assert len({len(t.inputs.token_ids) for t in trajs}) == len(trajs)
+        live = [np.count_nonzero(np.ones(len(e["imags"])) if e["mask"] is None else e["mask"])
+                for e in episodes]
+        assert sorted(live)[:2] == [0, 0] and len(set(live)) == 3
+        assert len({len(t.visited) for t in trajs}) == 2
+        logits, h, s = ag.decide(agent, trajs)
+        batched_loss = self.loss(tr.imitation_loss(logits, [t.teacher_actions for t in trajs]),
+                                 h, s)
+        agent.params.zero_grads()
+        nc.backward(batched_loss)
+        batched = {n: t.grad.copy() for n, t in agent.params.items() if t.grad is not None}
+
+        singles = []
+        for e in episodes:
+            (traj,) = TestPaddedBatch.roll(agent, [e], single_rng, aux=True)
+            singles.append((traj, *ag.decide(agent, [traj])))
+        assert batched_rng.bit_generator.state == single_rng.bit_generator.state
+        base = nc.mean(nc.concat([nc.reshape(tr.imitation_loss(lg, [t.teacher_actions]), (1,))
+                                  for t, lg, _, _ in singles], axis=0))
+        hs = [(hb, sb) for _, _, hb, sb in singles if hb is not None]
+        assert (h is None) == (not hs) == (agent.config.imag_source == "text_mean")
+        if hs:
+            h, s = (nc.concat(side, axis=0) for side in zip(*hs))
+        single_loss = self.loss(base, h, s)
+        assert abs(batched_loss.item() - single_loss.item()) < 1e-6
+        agent.params.zero_grads()
+        nc.backward(single_loss)
+        assert set(batched) == {n for n, t in agent.params.items() if t.grad is not None}
+        for name, grad in batched.items():
+            want = agent.params[name].grad
+            assert np.abs(grad - want).max() < 1e-5 * max(1.0, float(np.abs(want).max())), name
 
 
 class TestAttentionProbe:
@@ -608,11 +688,10 @@ class TestAgentGradcheck:
                 else:
                     store.add(name, nc.Tensor(params[name].values.astype(np.float64)), group)
             a = ag.Agent(cfg, store)
-            text = a.encode_text([1, 3, 5])
-            h, mask = a.encode_imaginations(feats)
-            ctx = ag.EncodedContext(text=text, imag=h, imag_mask=mask)
+            ctx = ag.EncodedContext(text=a.encode_text([[1, 3, 5]]), text_lengths=(3,),
+                                    imag=a.encode_imaginations(feats), imag_counts=(2,))
             vis, _ = a.encode_observation(pano[None], store["hist_init"])
-            logits, _, _ = a.cross_modal_step([ctx], [vis], [[(0, 1), (2, 3)]])
+            logits, _, _ = a.cross_modal_step(ctx, vis, [1], [[(0, 1), (2, 3)]])
             return nc.cross_entropy(nc.reshape(logits, (3,)), 1)
 
         arrays = [params[name].values.astype(np.float64) for name in checked]

@@ -55,13 +55,13 @@ class TestForward:
 
     def test_dropout_eval_is_identity(self):
         x = t(np.ones((4, 4)))
-        out = nc.dropout(x, 0.5, np.random.default_rng(0), train=False)
-        assert out is x
+        mask = nc.dropout_mask(x.shape, 0.5, np.random.default_rng(0), train=False)
+        assert mask is None and nc.dropout(x, mask) is x
 
     def test_dropout_inverted_scaling_preserves_mean(self):
         rng = np.random.default_rng(1)
         x = t(np.ones((200, 200)))
-        out = nc.dropout(x, 0.3, rng, train=True)
+        out = nc.dropout(x, nc.dropout_mask(x.shape, 0.3, rng))
         assert abs(out.values.mean() - 1.0) < 0.02
 
     def test_concat_and_mean(self):
@@ -450,9 +450,41 @@ class TestFusedOps:
              [(2, 3, 4), (3, 4)]),
             # rows repeated unevenly, as per-episode tokens over their steps
             (lambda ts: nc.mean(nc.mul(nc.repeat(ts[0], [2, 1, 3]), ts[1])), [(3, 2, 4), (6, 2, 4)]),
+            # sets padded by a 2D gather, grouped means with an empty group,
+            # and word dropout broadcast over the feature axis
+            (lambda ts: nc.mean(nc.mul(nc.take_rows(ts[0], [[0, 2], [1, 0]]), ts[1])),
+             [(3, 4), (2, 2, 4)]),
+            (lambda ts: nc.mean(nc.mul(nc.segment_mean(ts[0], [2, 0, 3]), ts[1])), [(5, 4), (3, 4)]),
+            (lambda ts: nc.mean(nc.mul(nc.dropout(ts[0], keep), ts[0])), [(2, 3, 4)]),
         ]
+        keep = np.array([[[2.0], [0.0], [2.0]], [[0.0], [2.0], [2.0]]])
         for build, shapes in cases:
             check_gradients(build, [rng.normal(size=s) for s in shapes], tol=1e-4)
+
+    def test_segment_mean_equals_mean_of_each_group(self):
+        x = t(np.random.default_rng(32).normal(size=(6, 5)))
+        out = nc.segment_mean(x, [1, 3, 0, 2])
+        for row, (start, end) in zip(out.values, [(0, 1), (1, 4), (4, 4), (4, 6)]):
+            want = (nc.mean(t(x.values[start:end]), axis=0).values if end > start
+                    else np.zeros(5, dtype=np.float32))
+            assert row.tobytes() == want.tobytes()
+        for counts in ([1, 3], [2, -1, 5], [[6]]):
+            with pytest.raises(ShapeError):
+                nc.segment_mean(x, counts)
+
+    def test_dropout_draw_then_apply(self):
+        """The draw is one rng.random(shape) < keep, scaled by 1/keep."""
+        rng, ref = np.random.default_rng(33), np.random.default_rng(33)
+        mask = nc.dropout_mask((5, 1), 0.3, rng)
+        keep = np.float32(0.7)
+        assert mask.tobytes() == ((ref.random((5, 1)) < 0.7).astype(np.float32) / keep).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+        x = t(np.ones((5, 3)))
+        assert np.array_equal(nc.dropout(x, mask).values, np.repeat(mask, 3, axis=1))
+        with pytest.raises(ShapeError):
+            nc.dropout(x, np.ones((3, 1), dtype=np.float32))
+        with pytest.raises(ContractError):
+            nc.dropout_mask((2,), 1.0, rng)
 
 
 class TestDeterminism:
@@ -460,7 +492,8 @@ class TestDeterminism:
         def run(seed):
             rng = np.random.default_rng(seed)
             x = t(rng.normal(size=(4, 4)))
-            y = nc.dropout(nc.softmax(x, axis=1), 0.2, np.random.default_rng(seed + 1), train=True)
+            y = nc.dropout(nc.softmax(x, axis=1),
+                           nc.dropout_mask((4, 4), 0.2, np.random.default_rng(seed + 1)))
             return y.values.tobytes()
 
         assert run(3) == run(3)

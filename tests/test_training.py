@@ -26,6 +26,15 @@ def vec(x):
     return nc.Tensor(np.asarray(x, dtype=np.float32), requires_grad=True)
 
 
+def rows(pairs):
+    """The (P, d) h and s̄ of P pairs (h_i, s̄_i) of 1D tensors; (None, None)
+    for no pairs."""
+    if not pairs:
+        return None, None
+    return tuple(nc.concat([nc.reshape(v, (1, v.shape[0])) for v in side], axis=0)
+                 for side in zip(*pairs))
+
+
 @pytest.fixture(scope="module")
 def tiny_split():
     library = wd.load_library(DATA / "landmarks.txt", d_v=16)
@@ -95,37 +104,37 @@ class TestImitationLoss:
 class TestCosineAlignment:
     def test_identical_pairs_zero(self):
         a = vec([1.0, 2.0, 3.0])
-        loss, skipped = tr.cosine_alignment_loss([(a, vec([1.0, 2.0, 3.0]))])
+        loss, skipped = tr.cosine_alignment_loss(*rows([(a, vec([1.0, 2.0, 3.0]))]))
         assert abs(loss.item()) < 1e-6 and not skipped
 
     def test_antipodal_pairs_two(self):
-        loss, _ = tr.cosine_alignment_loss([(vec([1.0, 0.0]), vec([-1.0, 0.0]))])
+        loss, _ = tr.cosine_alignment_loss(*rows([(vec([1.0, 0.0]), vec([-1.0, 0.0]))]))
         assert abs(loss.item() - 2.0) < 1e-6
 
     def test_orthogonal_pair_one(self):
-        loss, _ = tr.cosine_alignment_loss([(vec([1.0, 0.0]), vec([0.0, 1.0]))])
+        loss, _ = tr.cosine_alignment_loss(*rows([(vec([1.0, 0.0]), vec([0.0, 1.0]))]))
         assert abs(loss.item() - 1.0) < 1e-6
 
     def test_mixed_mean(self):
         pairs = [(vec([1.0, 0.0]), vec([1.0, 0.0])), (vec([1.0, 0.0]), vec([0.0, 1.0]))]
-        loss, _ = tr.cosine_alignment_loss(pairs)
+        loss, _ = tr.cosine_alignment_loss(*rows(pairs))
         assert abs(loss.item() - 0.5) < 1e-6
 
     def test_empty_returns_zero_with_flag(self):
-        loss, skipped = tr.cosine_alignment_loss([])
+        loss, skipped = tr.cosine_alignment_loss(*rows([]))
         assert loss.item() == 0.0 and skipped
 
     def test_zero_norm_guarded(self):
         with pytest.raises(NumericGuardError):
-            tr.cosine_alignment_loss([(vec([1.0, 0.0]), vec([1.0, 1.0])),
-                                      (vec([0.0, 0.0]), vec([1.0, 0.0]))])
+            tr.cosine_alignment_loss(*rows([(vec([1.0, 0.0]), vec([1.0, 1.0])),
+                                            (vec([0.0, 0.0]), vec([1.0, 0.0]))]))
 
     def test_range_bound(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             pairs = [(vec(rng.normal(size=6) + 0.01), vec(rng.normal(size=6) + 0.01))
                      for _ in range(4)]
-            loss, _ = tr.cosine_alignment_loss(pairs)
+            loss, _ = tr.cosine_alignment_loss(*rows(pairs))
             assert -1e-6 <= loss.item() <= 2.0 + 1e-6
 
     def test_gradient_vs_finite_differences(self):
@@ -133,7 +142,7 @@ class TestCosineAlignment:
 
         def build(ts):
             pairs = [(nc.reshape(ts[0], (6,)), nc.reshape(ts[1], (6,)))]
-            return tr.cosine_alignment_loss(pairs)[0]
+            return tr.cosine_alignment_loss(*rows(pairs))[0]
 
         for _ in range(5):
             a = rng.normal(size=(2, 3)) + 0.2
@@ -144,14 +153,14 @@ class TestCosineAlignment:
 class TestInfoNCE:
     def test_no_negatives_zero(self):
         pair = (vec([1.0, 0.5]), vec([0.5, 1.0]))
-        loss, _ = tr.infonce_loss([pair], [0], tau=0.1)
+        loss, _ = tr.infonce_loss(*rows([pair]), [0], tau=0.1)
         assert loss.item() == 0.0
 
     def test_symmetric_two_way_ln2(self):
         # one negative with identical similarity to the positive
         h = vec([1.0, 0.0])
         pairs = [(h, vec([1.0, 0.0])), (vec([0.0, 1.0]), vec([1.0, 0.0]))]
-        loss, _ = tr.infonce_loss(pairs, [0, 1], tau=0.1)
+        loss, _ = tr.infonce_loss(*rows(pairs), [0, 1], tau=0.1)
         # pair 0: positive sim 1, negative (owner 1) sim 1 -> ln 2
         # pair 1: positive sim 0 vs negative sim 0 -> ln 2
         assert abs(loss.item() - math.log(2)) < 1e-6
@@ -163,7 +172,7 @@ class TestInfoNCE:
         owners = [0, 0, 1, 2]
         tau = 0.2
         pairs = [(vec(h), vec(s)) for h, s in zip(hs, ss)]
-        loss, _ = tr.infonce_loss(pairs, owners, tau)
+        loss, _ = tr.infonce_loss(*rows(pairs), owners, tau)
 
         def cos(a, b):
             return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
@@ -184,25 +193,26 @@ class TestInfoNCE:
         ss = [rng.normal(size=4) + 0.1 for _ in range(3)]
         drawn, owners = [0, 1, 0, 1, 2], [4, 4, 4, 4, 9]
         pairs = [(vec(hs[i]), vec(ss[i])) for i in drawn]
-        loss, _ = tr.infonce_loss(pairs, owners, tau=0.2)
+        loss, _ = tr.infonce_loss(*rows(pairs), owners, tau=0.2)
         want = infonce_oracle([hs[i] for i in drawn], [ss[i] for i in drawn], owners, 0.2)
         assert abs(loss.item() - want) < 1e-6
-        same, _ = tr.infonce_loss(pairs[:4], owners[:4], tau=0.2)
+        same, _ = tr.infonce_loss(*rows(pairs[:4]), owners[:4], tau=0.2)
         assert same.item() == 0.0
 
     def test_zero_norm_guarded(self):
         with pytest.raises(NumericGuardError):
-            tr.infonce_loss([(vec([1.0, 0.0]), vec([0.0, 0.0])), (vec([1.0, 1.0]), vec([1.0, 0.0]))],
+            tr.infonce_loss(*rows([(vec([1.0, 0.0]), vec([0.0, 0.0])),
+                                   (vec([1.0, 1.0]), vec([1.0, 0.0]))]),
                             [0, 1], tau=0.1)
 
     def test_bad_temperature(self):
         with pytest.raises(ConfigurationError):
-            tr.infonce_loss([(vec([1.0]), vec([1.0]))], [0], tau=0.0)
+            tr.infonce_loss(*rows([(vec([1.0]), vec([1.0]))]), [0], tau=0.0)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(9)
         pairs = [(vec(rng.normal(size=5) + 0.2), vec(rng.normal(size=5) + 0.2)) for _ in range(5)]
-        loss, _ = tr.infonce_loss(pairs, list(range(5)), tau=0.1)
+        loss, _ = tr.infonce_loss(*rows(pairs), list(range(5)), tau=0.1)
         assert loss.item() >= 0.0
 
     def test_gradient_vs_finite_differences(self):
@@ -211,7 +221,7 @@ class TestInfoNCE:
         def build(ts):
             pairs = [(nc.reshape(ts[0], (6,)), nc.reshape(ts[1], (6,))),
                      (nc.reshape(nc.scale(ts[0], 0.5), (6,)), nc.reshape(nc.scale(ts[1], 2.0), (6,)))]
-            return tr.infonce_loss(pairs, [0, 1], tau=0.3)[0]
+            return tr.infonce_loss(*rows(pairs), [0, 1], tau=0.3)[0]
 
         for _ in range(5):
             a = rng.normal(size=(2, 3)) + 0.2
@@ -307,7 +317,8 @@ class TestTrainLoop:
                           item.imaginations, "teacher", obs_rng=np.random.default_rng(0),
                           kept_subs=item.record.kept, train=True,
                           drop_rng=np.random.default_rng(0), aux=True)
-        loss, _ = tr.cosine_alignment_loss(traj.aux_pairs)
+        _, h, s = ag.decide(agent, [traj])
+        loss, _ = tr.cosine_alignment_loss(h, s)
         params.zero_grads()
         nc.backward(loss)
         on_path = {"vis_proj", "im_m1", "im_m2", "im_m3", "t_im", "tok_embed",
@@ -462,8 +473,27 @@ class TestIterationStructure:
         monkeypatch.setattr(nc, "attention", counted_attention)
         tr.train(tiny_split["train"], tiny_agent_config,
                  tr.TrainConfig(iterations=4, batch_size=batch_size, seed=1))
-        # one text encoder per episode, then two streams per cross-modal layer
-        assert calls == [batch_size + 2 * tiny_agent_config.cross_layers] * 4
+        # one text encoder for the batch, then two streams per cross-modal layer
+        assert calls == [1 + 2 * tiny_agent_config.cross_layers] * 4
+
+    def test_desk_base_iteration_records_at_most_100_tape_nodes(self, desk_data, monkeypatch):
+        split, acfg, _ = desk_data
+        nodes, backward = [], nc.backward
+
+        def counted(loss):
+            seen, stack = set(), [loss]
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen and node._parents:
+                    seen.add(id(node))
+                    stack.extend(node._parents)
+            nodes.append(len(seen))
+            return backward(loss)
+
+        monkeypatch.setattr(nc, "backward", counted)
+        tr.train(split, acfg, tr.TrainConfig(iterations=3, batch_size=8, schedule="flat",
+                                             aux_loss="none", use_imaginations=False, seed=4))
+        assert len(nodes) == 3 and max(nodes) <= 100
 
     def test_previous_tape_is_freed_before_the_next_forward(self, tiny_split, tiny_agent_config,
                                                              monkeypatch):
@@ -476,9 +506,9 @@ class TestIterationStructure:
             return backward(loss)
 
         def keep_logits(agent, trajectories):
-            logits = decide(agent, trajectories)
-            held.append(weakref.ref(logits.values))
-            return logits
+            decided = decide(agent, trajectories)
+            held.append(weakref.ref(decided[0].values))
+            return decided
 
         def check(iteration, cfg):
             alive.append([ref() is not None for ref in held])
