@@ -10,6 +10,13 @@ transformer sub-block and makes the same numpy calls as the equivalent chain
 of single ops. Both, like `matmul` against a 2D weight, accept leading batch
 axes, so the steps of every teacher-forced episode of a batch run as one
 pass; `attention`'s key mask keeps the padding of shorter episodes out.
+
+Layout rule for the kernels: a 2D weight enters every input-gradient matmul
+as a contiguous transpose (`_transposed`), because numpy multiplies a batched
+operand by a transposed view on a slow path but by a contiguous copy through
+BLAS. `attention`'s softmax, forward and backward, works in place on the
+score arrays it has just created, so each score tensor is walked as few times
+as possible; its forward values are bit-identical to the out-of-place formula.
 """
 
 from __future__ import annotations
@@ -128,6 +135,11 @@ def backward(loss):
 # core ops
 # ---------------------------------------------------------------------------
 
+def _transposed(w):
+    """A 2D weight's transpose as a contiguous copy, for input gradients."""
+    return np.ascontiguousarray(w.values.T)
+
+
 def _weight_grad(x, g):
     """Gradient of a 2D weight w in x @ w, summed over x's leading batch axes."""
     return np.matmul(x.reshape(-1, x.shape[-1]).T, g.reshape(-1, g.shape[-1]))
@@ -146,7 +158,8 @@ def matmul(a, b):
 
     def back(g):
         if a.requires_grad:
-            a.accumulate_grad(np.matmul(g, np.swapaxes(b.values, -1, -2)))
+            bt = _transposed(b) if b.values.ndim == 2 else np.swapaxes(b.values, -1, -2)
+            a.accumulate_grad(np.matmul(g, bt))
         if b.requires_grad:
             if b.values.ndim == 2:
                 b.accumulate_grad(_weight_grad(a.values, g))
@@ -263,25 +276,39 @@ def tanh(a):
     return _result(vals, (a,), back)
 
 
-def _softmax(x, axis):
-    m = np.max(x, axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    denom = e.sum(axis=axis, keepdims=True, dtype=np.float64).astype(x.dtype)
-    return e / denom
+def _row_max(x):
+    """x.max(axis=-1, keepdims=True), bit for bit, from one pass over a
+    C-ordered copy of x.T: numpy reduces a short trailing axis row by row,
+    but a leading one as whole slabs. Max is exact, so the order is free."""
+    return np.ascontiguousarray(x.T).max(axis=0).T[..., None]
 
 
-def _softmax_grad(vals, g, axis):
-    dot = (g * vals).sum(axis=axis, keepdims=True, dtype=np.float64).astype(vals.dtype)
-    return vals * (g - dot)
+def _softmax(x, axis=-1):
+    """Stabilized softmax along `axis`, computed in x's own buffer, which the
+    caller owns: subtract the row max, exp, divide by the float64-accumulated
+    sum. -inf entries get weight exactly 0."""
+    rows = x.swapaxes(axis, -1)         # a view, so the work lands in x
+    rows -= _row_max(rows)
+    np.exp(rows, out=rows)
+    rows /= rows.sum(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
+    return x
+
+
+def _softmax_grad(vals, g, axis=-1):
+    """The softmax input gradient vals * (g - sum(g * vals)), computed in g's
+    own buffer, which the caller owns."""
+    g -= (g * vals).sum(axis=axis, keepdims=True, dtype=np.float64).astype(vals.dtype)
+    g *= vals
+    return g
 
 
 def softmax(a, axis=-1):
     """Stabilized softmax. -inf entries get weight exactly 0."""
-    vals = _softmax(a.values, axis)
+    vals = _softmax(a.values.copy(), axis)
 
     def back(g):
         if a.requires_grad:
-            a.accumulate_grad(_softmax_grad(vals, g, axis))
+            a.accumulate_grad(_softmax_grad(vals, g.copy(), axis))
 
     return _result(vals, (a,), back)
 
@@ -457,15 +484,25 @@ def cross_entropy(logits, target):
 
 
 def take_rows(a, indices, axis=0):
-    """Gather entries along `axis` (rows by default); backward scatter-adds."""
-    sel = (slice(None),) * axis + (np.asarray(indices, dtype=np.intp),)
+    """Gather entries along `axis` (rows by default); backward scatter-adds,
+    by plain indexing when no entry is gathered twice."""
+    idx = np.asarray(indices, dtype=np.intp)
+    lead = (slice(None),) * axis
+    sel = lead + (idx,)
     vals = a.values[sel]
 
     def back(g):
         if a.requires_grad:
             acc = np.zeros_like(a.values)
-            np.add.at(acc, sel, g)
-            a.accumulate_grad(acc)
+            n = a.values.shape[len(lead)]
+            if np.bincount((idx % n).ravel(), minlength=n).max(initial=0) <= 1:
+                acc[sel] += g           # 0 + g per entry, exactly as np.add.at
+            else:
+                np.add.at(acc, sel, g)
+            if a.grad is None:
+                a.grad = acc
+            else:
+                a.grad += acc
 
     return _result(vals, (a,), back)
 
@@ -548,10 +585,11 @@ def attention(xq, xkv, wq, wk, wv, wo, heads, record=None, mask=None):
     v = split(np.matmul(xkvv, wv.values), tk)
     scores = np.matmul(q, np.swapaxes(k, -1, -2))
     c = np.asarray(1.0 / math.sqrt(dh), dtype=scores.dtype)
-    scores = scores * c
+    scores *= c
     if mask is not None:
-        scores = np.where(mask[..., None, None, :], scores, np.asarray(-np.inf, scores.dtype))
-    weights = _softmax(scores, -1)
+        # + 0 keeps a score, + -inf masks it: the values of np.where(mask, ...)
+        scores += np.where(mask, 0.0, -np.inf).astype(scores.dtype)[..., None, None, :]
+    weights = _softmax(scores)
     if record is not None:
         record.append(weights.copy())
     out = merge(np.matmul(weights, v), tq)
@@ -560,8 +598,9 @@ def attention(xq, xkv, wq, wk, wv, wo, heads, record=None, mask=None):
     def back(g):
         if wo.requires_grad:
             wo.accumulate_grad(_weight_grad(out, g))
-        g_out = split(np.matmul(g, wo.values.T), tq)
-        g_scores = _softmax_grad(weights, np.matmul(g_out, np.swapaxes(v, -1, -2)), -1) * c
+        g_out = split(np.matmul(g, _transposed(wo)), tq)
+        g_scores = _softmax_grad(weights, np.matmul(g_out, np.swapaxes(v, -1, -2)))
+        g_scores *= c
         g_q = merge(np.matmul(g_scores, k), tq)
         g_k = merge(np.matmul(np.swapaxes(g_scores, -1, -2), q), tk)
         g_v = merge(np.matmul(np.swapaxes(weights, -1, -2), g_out), tk)
@@ -569,7 +608,7 @@ def attention(xq, xkv, wq, wk, wv, wo, heads, record=None, mask=None):
             if w.requires_grad:
                 w.accumulate_grad(_weight_grad(x.values, gp))
             if x.requires_grad:
-                x.accumulate_grad(np.matmul(gp, w.values.T))
+                x.accumulate_grad(np.matmul(gp, _transposed(w)))
 
     return _result(vals, (xq, xkv, wq, wk, wv, wo), back)
 
@@ -583,11 +622,12 @@ def ffn(x, w1, w2):
         if w2.requires_grad:
             w2.accumulate_grad(_weight_grad(h, g))
         if w1.requires_grad or x.requires_grad:
-            g_h = np.matmul(g, w2.values.T) * (h > 0)
+            g_h = np.matmul(g, _transposed(w2))
+            g_h *= h > 0
             if w1.requires_grad:
                 w1.accumulate_grad(_weight_grad(x.values, g_h))
             if x.requires_grad:
-                x.accumulate_grad(np.matmul(g_h, w1.values.T))
+                x.accumulate_grad(np.matmul(g_h, _transposed(w1)))
 
     return _result(vals, (x, w1, w2), back)
 

@@ -487,6 +487,105 @@ class TestFusedOps:
             nc.dropout_mask((2,), 1.0, rng)
 
 
+def out_of_place_softmax(x, axis=-1):
+    """The softmax formula as written before it worked in place."""
+    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True, dtype=np.float64).astype(x.dtype)
+
+
+class TestKernels:
+    """The in-place and contiguous-transpose kernels against the formulas
+    they replace: forward values bit for bit, input gradients within float32
+    tolerance, scatter gradients bit for bit."""
+
+    def test_row_max_and_softmax_bitwise(self):
+        rng = np.random.default_rng(51)
+        for shape in ((7, 38), (3, 4, 5, 38)):
+            x = rng.normal(size=shape).astype(np.float32)
+            x[..., 30:] = -np.inf                      # padded keys
+            x[(0,) * (x.ndim - 1)] = -np.inf           # a row with no finite entry
+            x.reshape(-1, shape[-1])[1, 3] = 0.0
+            assert nc._row_max(x).tobytes() == x.max(axis=-1, keepdims=True).tobytes()
+        y = rng.normal(size=(4, 6, 5)).astype(np.float32)
+        for axis in (0, 1, -1):
+            assert (nc.softmax(t(y), axis=axis).values.tobytes()
+                    == out_of_place_softmax(y, axis).tobytes())
+
+    def test_masked_attention_equals_where_then_softmax_bitwise(self):
+        rng = np.random.default_rng(53)
+        d, heads, tq, tk = 16, 4, 6, 9
+        mask = np.ones((4, tk), dtype=bool)
+        mask[0, 5:] = False
+        mask[1, 1:] = False
+        mask[3, ::2] = False                           # mask[2] keeps every key
+        xq = rng.normal(size=(4, tq, d)).astype(np.float32)
+        xkv = rng.normal(size=(4, tk, d)).astype(np.float32)
+        wq, wk, wv, wo = [(0.5 * rng.normal(size=(d, d))).astype(np.float32) for _ in range(4)]
+        record = []
+        out = nc.attention(t(xq), t(xkv), t(wq), t(wk), t(wv), t(wo), heads=heads,
+                           record=record, mask=mask)
+
+        def split(x):
+            return x.reshape(x.shape[:2] + (heads, d // heads)).transpose(0, 2, 1, 3)
+
+        q, k, v = split(xq @ wq), split(xkv @ wk), split(xkv @ wv)
+        scores = (q @ k.transpose(0, 1, 3, 2)) * np.float32(1.0 / math.sqrt(d // heads))
+        weights = out_of_place_softmax(
+            np.where(mask[:, None, None, :], scores, np.float32(-np.inf)))
+        want = (weights @ v).transpose(0, 2, 1, 3).reshape(4, tq, d) @ wo
+        assert record[0].tobytes() == weights.tobytes()
+        assert out.values.tobytes() == want.tobytes()
+
+    def test_input_gradients_match_float64(self):
+        rng = np.random.default_rng(57)
+        x = rng.normal(size=(5, 7, 8))
+        kv = rng.normal(size=(5, 9, 8))
+        w = [0.5 * rng.normal(size=(8, 8)) for _ in range(4)]
+        w1, w2 = 0.5 * rng.normal(size=(8, 12)), 0.5 * rng.normal(size=(12, 8))
+        probe = rng.normal(size=(5, 7, 8))
+        cases = [
+            (lambda ts: nc.matmul(ts[0], ts[1]), [x, w[0]]),
+            (lambda ts: nc.attention(ts[0], ts[1], *ts[2:], heads=2), [x, kv] + w),
+            (lambda ts: nc.attention(ts[0], ts[0], *ts[1:], heads=2), [x] + w),
+            (lambda ts: nc.ffn(*ts), [x, w1, w2]),
+        ]
+        for build, arrays in cases:
+            grads = {}
+            for dtype in (np.float32, np.float64):
+                ts = [nc.Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+                nc.backward(nc.sum_(nc.mul(build(ts), nc.constant(probe.astype(dtype)))))
+                grads[dtype] = [ts[0].grad] + ([ts[1].grad] if ts[1].values.ndim == 3 else [])
+            for g32, g64 in zip(grads[np.float32], grads[np.float64]):
+                assert g32.dtype == np.float32
+                assert np.abs(g32 - g64).max() <= 1e-5 * np.abs(g64).max()
+
+    def test_take_rows_grad_equals_scatter_add_bitwise(self):
+        """Distinct indices are scattered by plain indexing, repeated ones by
+        np.add.at; both equal np.add.at into zeros, bit for bit, also when
+        the gradient accumulates over two gathers of one tensor."""
+        rng = np.random.default_rng(59)
+        cases = [([4, 0, 2], 0), ([[1, 3], [0, 4]], 0), ([-1, 0], 0),    # distinct
+                 ([2, 0, 2, 2], 0), ([4, -1], 0), ([[1, 1], [0, 1]], 0),  # repeated
+                 ([3, 0], 1), ([1, 1, 4], 1)]                            # along axis 1
+        for indices, axis in cases:
+            x = rng.normal(size=(5, 5, 3)).astype(np.float32)
+            sel = (slice(None),) * axis + (np.asarray(indices),)
+            probes = [rng.normal(size=x[sel].shape).astype(np.float32) for _ in range(2)]
+            for gathers in (1, 2):
+                xt = t(x, grad=True)
+                loss = nc.sum_(nc.concat([nc.reshape(nc.mul(nc.take_rows(xt, indices, axis),
+                                                            nc.constant(p)), (-1,))
+                                          for p in probes[:gathers]]))
+                nc.backward(loss)
+                parts = []
+                for p in probes[:gathers]:
+                    acc = np.zeros_like(x)
+                    np.add.at(acc, sel, p)
+                    parts.append(acc)
+                want = parts[0] if gathers == 1 else parts[0] + parts[1]
+                assert xt.grad.tobytes() == want.tobytes(), (indices, axis, gathers)
+
+
 class TestDeterminism:
     def test_same_seed_same_result(self):
         def run(seed):
