@@ -2,20 +2,21 @@
 
 Encoders: token embeddings + sinusoidal positions + one self-attention block
 for text; a linear projection + type embedding + bias-free 3-layer MLP for
-imaginations (or a small transformer block, as an ablation); per-view linear
-projection + view-index embedding + a recurrent summary token for panoramas.
+imaginations, each encoded on its own; per-view linear projection +
+view-index embedding + a recurrent summary token for panoramas.
 
 The cross-modal policy alternates two attention streams per layer: the
 context stream ([text; imagination] tokens attending over context + visual
 keys, which is what the attention probe inspects) and the visual stream
-(visual tokens attending over context keys, per the integration scheme).
-Action logits are per-navigable-view scores plus a stop score read off the
-history token. Under teacher forcing the path is known in advance, so a
-rollout only draws its dropout multipliers and observations, and `decide`
-encodes and decides all episodes of a training batch in one padded pass:
-one text, one imagination and one observation encoder pass over the batch
-(the histories step in lockstep), then the cross-modal layers over all
-steps. Greedy decoding runs the same code with one episode and T = 1.
+(visual tokens attending over context keys). Imagination tokens join only
+the context stream, with no order encoding: they form a set. Action logits
+are per-navigable-view scores plus a stop score read off the history token.
+Under teacher forcing the path is known in advance, so a rollout only draws
+its dropout multipliers and observations, and `decide` encodes and decides
+all episodes of a training batch in one padded pass: one text, one
+imagination and one observation encoder pass over the batch (the histories
+step in lockstep), then the cross-modal layers over all steps. Greedy
+decoding runs the same code with one episode and T = 1.
 
 Masked imagination tokens are excluded from every key/query set, which is
 exactly the zero-attention-weight (-inf pre-softmax) semantics and makes
@@ -33,7 +34,7 @@ import numpy as np
 from . import numcore as nc
 from . import serial
 from . import world as wd
-from .errors import ConfigurationError, ContractError, ShapeError, VocabularyError
+from .errors import ConfigurationError, ContractError, FormatError, ShapeError, VocabularyError
 
 
 @dataclass(frozen=True)
@@ -47,11 +48,7 @@ class AgentConfig:
     mlp_hidden: int = 0               # 0 -> ceil(2d/3)
     dropout_rate: float = 0.15
     text_dropout: float = 0.3         # train-time word-identity dropout
-    fusion: str = "early"             # early | late
-    imagination_encoder: str = "mlp"  # mlp | transformer
-    concat_target: str = "text"       # text | visual
     imag_source: str = "imagination"  # imagination | text_mean
-    imag_order_encoding: bool = False
     max_steps: int = 15
 
     def __post_init__(self):
@@ -61,22 +58,44 @@ class AgentConfig:
             raise ConfigurationError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
         if self.mlp_hidden == 0:
             object.__setattr__(self, "mlp_hidden", math.ceil(2 * self.d / 3))
-        for name, value, allowed in (
-            ("fusion", self.fusion, ("early", "late")),
-            ("imagination_encoder", self.imagination_encoder, ("mlp", "transformer")),
-            ("concat_target", self.concat_target, ("text", "visual")),
-            ("imag_source", self.imag_source, ("imagination", "text_mean")),
-        ):
-            if value not in allowed:
-                raise ConfigurationError(f"{name}={value!r} not in {allowed}")
+        if self.imag_source not in ("imagination", "text_mean"):
+            raise ConfigurationError(f"imag_source={self.imag_source!r} not in "
+                                     "('imagination', 'text_mean')")
 
     def to_text(self):
         return "\n".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
 
     @classmethod
     def from_text(cls, text):
-        pairs = (line.partition("=") for line in text.strip().splitlines())
-        return cls(**{k: serial.parse_field(cls, k, v) for k, _, v in pairs})
+        """The config of `to_text`'s lines. A malformed line, an unknown key,
+        a bad value or a removed variant raises FormatError naming it."""
+        known = {f.name for f in fields(cls)}
+        values = {}
+        for line in text.strip().splitlines():
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise FormatError(f"agent config line {line!r} is not key=value")
+            if key in RETIRED_KEYS:
+                if value != RETIRED_KEYS[key]:
+                    raise FormatError(f"agent config {key}={value} names a removed variant; "
+                                      f"only {key}={RETIRED_KEYS[key]} loads")
+                continue
+            if key not in known:
+                raise FormatError(f"unknown agent config key {key!r}")
+            try:
+                values[key] = serial.parse_field(cls, key, value)
+            except ValueError as exc:
+                raise FormatError(f"agent config {key}={value!r}: {exc}") from None
+        try:
+            return cls(**values)
+        except (TypeError, ConfigurationError) as exc:
+            raise FormatError(f"agent config: {exc}") from None
+
+
+# keys of removed agent variants, which older checkpoints store, with the one
+# value each may hold: the value the remaining agent computes
+RETIRED_KEYS = {"fusion": "early", "imagination_encoder": "mlp", "concat_target": "text",
+                "imag_order_encoding": "False"}
 
 
 _SINUSOID_CACHE = {}
@@ -132,18 +151,9 @@ def init_params(config, seed):
     base("act_w", xavier((d, 1)))
     base("stop_w", xavier((d, 1)))
 
-    if config.imagination_encoder == "mlp":
-        imag("im_m1", xavier((d, mh)))
-        imag("im_m2", xavier((mh, mh)))
-        imag("im_m3", xavier((mh, d)))
-    else:
-        for p in ("im_wq", "im_wk", "im_wv", "im_wo"):
-            imag(p, xavier((d, d)))
-        imag("im_ff1", xavier((d, mh)))
-        imag("im_ff2", xavier((mh, d)))
-    if config.fusion == "late":
-        imag("gate_u", xavier((d, 1)))
-        imag("gate_w", xavier((d, 1)))
+    imag("im_m1", xavier((d, mh)))
+    imag("im_m2", xavier((mh, mh)))
+    imag("im_m3", xavier((mh, d)))
 
     store.add("t_im", gauss((d,), 0.3), "type_embedding")
     return store
@@ -253,20 +263,17 @@ class Agent:
         x = nc.add(x, nc.constant(sinusoid_table(width, self.config.d)))
         return self._block(x, x, "t_", mask=_valid(lengths))
 
-    def encode_imaginations(self, features, counts=None, keep=None):
-        """(ΣN, d_v) features of the imaginations of B episodes, counts[b] of
-        them from episode b in order (default: one episode) -> (ΣN, d)
-        tokens, or None when there are none. `keep` holds train-time (ΣN, d)
-        dropout multipliers (see `nc.dropout_mask`)."""
+    def encode_imaginations(self, features, keep=None):
+        """(ΣN, d_v) imagination features, of any number of episodes -> (ΣN, d)
+        tokens, or None when there are none. Each row is encoded on its own.
+        `keep` holds train-time (ΣN, d) dropout multipliers (see
+        `nc.dropout_mask`)."""
         if features is None or len(features) == 0:
             return None
         feats = np.asarray(features, dtype=np.float32)
         if feats.ndim != 2 or feats.shape[1] != self.config.d_v:
             raise ShapeError(f"imagination features must be (N, {self.config.d_v}), got {feats.shape}")
-        counts = [feats.shape[0]] if counts is None else list(counts)
-        if sum(counts) != feats.shape[0]:
-            raise ShapeError(f"{feats.shape[0]} imagination features for counts {counts}")
-        p, d = self.params, self.config.d
+        p = self.params
         # the d_v -> d projection is shared with the observation pathway: both
         # kinds of features come from the same (identity) vision encoder, so
         # one projection keeps them in a common space and matching transfers
@@ -274,19 +281,9 @@ class Agent:
         x = nc.matmul(nc.constant(feats), p["vis_proj"])
         x = nc.add(x, p["t_im"])
         x = nc.dropout(x, keep)
-        if self.config.imagination_encoder == "mlp":
-            x = nc.relu(nc.matmul(x, p["im_m1"]))
-            x = nc.relu(nc.matmul(x, p["im_m2"]))
-            x = nc.matmul(x, p["im_m3"])
-        else:
-            # self-attention within each episode's set
-            x = nc.add(x, nc.constant(_positions(counts, d)))
-            sets = [n for n in counts if n]
-            padded = _pad(x, sets)
-            x = _unpad(self._block(padded, padded, "im_", mask=_valid(sets)), sets)
-        if self.config.imag_order_encoding:
-            x = nc.add(x, nc.constant(_positions(counts, d)))
-        return x
+        x = nc.relu(nc.matmul(x, p["im_m1"]))
+        x = nc.relu(nc.matmul(x, p["im_m2"]))
+        return nc.matmul(x, p["im_m3"])
 
     def encode_observation(self, panoramas, hist_state, counts=None):
         """The steps of B episodes: (ΣT, K, d_v) panoramas, counts[b] of them
@@ -352,7 +349,7 @@ class Agent:
         `visual_tokens`; `navs` holds the sorted navigable (view, neighbor)
         lists of all ΣT steps in episode order.
 
-        Each step's token sets are padded to the batch's longest, and
+        Each step's context tokens are padded to the batch's longest, and
         key-padding masks keep the padding out of every softmax. Padded
         queries are computed but read by nothing, so they get zero gradient.
         With equal-length sets (one episode) nothing is padded or masked.
@@ -366,28 +363,20 @@ class Agent:
         if context.text.shape[0] != batch or sum(counts) != steps or len(navs) != steps:
             raise ShapeError(f"{context.text.shape[0]} contexts, step counts {list(counts)}, "
                              f"{steps} visual token sets and {len(navs)} navigable lists")
-        # masks of the real tokens, None when nothing is padded: then the
-        # arithmetic is exactly that of an unbatched pass
+        # masks of the real context tokens, None when nothing is padded: then
+        # the arithmetic is exactly that of an unbatched pass. The visual
+        # token sets all have K + 1 tokens.
         ctx, ctx_valid = context.text, _valid(context.text_lengths)
-        vis, vis_valid = visual_tokens, None
-        # early fusion puts the imagination tokens into one of the streams
-        n_ctx_imag = n_vis_imag = (0,) * batch
-        if cfg.fusion == "early" and context.imag is not None:
-            imag = _pad(context.imag, context.imag_counts)
-            imag_block = (_valid(context.imag_counts), imag.shape[1])
-            if cfg.concat_target == "text":
-                n_ctx_imag = context.imag_counts
-                ctx_valid = _joined(batch, (ctx_valid, ctx.shape[1]), imag_block)
-                ctx = nc.concat([ctx, imag], axis=1)
-            else:
-                # imagination tokens after each step's views
-                n_vis_imag = context.imag_counts
-                vis_valid = _joined(batch, (None, k + 1), imag_block)
-                vis = nc.concat([vis, _per_step(imag, counts)], axis=1)
+        vis = visual_tokens
+        n_imag = (0,) * batch
+        if context.imag is not None:
+            n_imag = context.imag_counts
+            imag = _pad(context.imag, n_imag)
+            ctx_valid = _joined(batch, (ctx_valid, ctx.shape[1]), (_valid(n_imag), imag.shape[1]))
+            ctx = nc.concat([ctx, imag], axis=1)
         ctx = _per_step(ctx, counts)
         ctx_keys = _keys(ctx_valid, counts)
-        both_keys = _keys(_joined(batch, (ctx_valid, ctx.shape[1]), (vis_valid, vis.shape[1])),
-                          counts)
+        both_keys = _keys(_joined(batch, (ctx_valid, ctx.shape[1]), (None, k + 1)), counts)
 
         raws = []   # per layer and stream: (ΣT, heads, Tq, Tk) weights
         for layer in range(cfg.cross_layers):
@@ -401,13 +390,11 @@ class Agent:
         if record_attention:
             records = []
             width = ctx.shape[1]
+            vis_pos, vis_kinds = np.arange(k + 1), ("visual",) * (k + 1)
             for t, b in enumerate(np.repeat(np.arange(batch), counts)):
-                ctx_kinds = ("text",) * context.text_lengths[b] + ("imagination",) * n_ctx_imag[b]
-                vis_kinds = ("visual",) * (k + 1) + ("imagination",) * n_vis_imag[b]
+                ctx_kinds = ("text",) * context.text_lengths[b] + ("imagination",) * n_imag[b]
                 # each step's weights cut to its own (query, key) tokens
                 ctx_pos = np.arange(width) if ctx_valid is None else np.flatnonzero(ctx_valid[b])
-                vis_pos = (np.arange(vis.shape[1]) if vis_valid is None
-                           else np.flatnonzero(vis_valid[b]))
                 cuts = {"context": (ctx_pos, np.r_[ctx_pos, width + vis_pos],
                                     ctx_kinds, ctx_kinds + vis_kinds),
                         "visual": (vis_pos, ctx_pos, vis_kinds, ctx_kinds)}
@@ -427,14 +414,6 @@ class Agent:
         view_scores = nc.add(match, nc.matmul(view_tokens, self.params["act_w"]))
         stop_score = nc.matmul(hist_token, self.params["stop_w"])           # (ΣT, 1, 1)
         scores = nc.concat([view_scores, stop_score], axis=1)               # (ΣT, K+1, 1)
-        if cfg.fusion == "late" and context.imag is not None:
-            # an episode without imaginations pools zeros: a gate strength of 0
-            pooled = nc.segment_mean(context.imag, context.imag_counts)    # (B, d)
-            strength = nc.repeat(nc.reshape(nc.matmul(pooled, self.params["gate_w"]),
-                                            (batch, 1, 1)), counts)         # (ΣT, 1, 1)
-            cand = nc.concat([view_tokens, hist_token], axis=1)
-            gates = nc.sigmoid(nc.matmul(cand, self.params["gate_u"]))      # (ΣT, K+1, 1)
-            scores = nc.add(scores, nc.mul(gates, strength))
         # step t's actions in the flat scores; padding repeats the stop index
         lengths = [len(nav) + 1 for nav in navs]
         width = max(lengths)
@@ -486,20 +465,6 @@ def _pad(rows, counts):
     slots = np.arange(width)
     starts = np.cumsum(counts) - counts
     return nc.take_rows(rows, np.where(slots < counts[:, None], starts[:, None] + slots, 0))
-
-
-def _unpad(padded, counts):
-    """The (Σn, d) real rows of `_pad`'s (B, max n, d) tokens, in order."""
-    batch, width, d = padded.shape
-    flat = nc.reshape(padded, (batch * width, d))
-    valid = _valid(counts)
-    return flat if valid is None else nc.take_rows(flat, np.flatnonzero(valid))
-
-
-def _positions(counts, d):
-    """Sinusoid position rows for B consecutive sets of counts[b] tokens,
-    counted from 0 within each set."""
-    return sinusoid_table(max(counts), d)[np.concatenate([np.arange(n) for n in counts])]
 
 
 def noun_phrase_means(text, groups):
@@ -558,7 +523,7 @@ def build_context(agent, inputs):
         counts = tuple(0 if x.features is None else len(x.features) for x in inputs)
         keep = [x.imag_keep for x in live if x.imag_keep is not None]
         imag = agent.encode_imaginations(
-            np.concatenate([x.features for x in live]) if live else None, counts,
+            np.concatenate([x.features for x in live]) if live else None,
             np.concatenate(keep) if keep else None)
     return EncodedContext(text=text, text_lengths=tuple(len(x.token_ids) for x in inputs),
                           imag=imag, imag_counts=counts)

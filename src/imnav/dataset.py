@@ -62,8 +62,8 @@ def bundle(episodes, records, imagination_sets, vocab, library, split):
 
 def generate_episodes(world_config, n_worlds, mode, seed):
     """`n_worlds` generated worlds with one episode each."""
-    worlds = [wd.generate_world(world_config, seed=seed * 1009 + i) for i in range(n_worlds)]
-    return [wd.sample_episode(w, mode, seed=seed * 31 + i) for i, w in enumerate(worlds)]
+    return [wd.sample_episode(wd.generate_world(world_config, seed=seed * 1009 + i), mode)
+            for i in range(n_worlds)]
 
 
 def build_split(world_config, n_worlds, mode, templates, lexicon, vocab,

@@ -41,9 +41,6 @@ TRAIN_CONDITIONS = {
     "no_aux": ("none", {}),
     "infonce": ("infonce", {}),
     "text_only": ("cosine", {"imag_source": "text_mean"}),
-    "transformer_encoder": ("cosine", {"imagination_encoder": "transformer"}),
-    "visual_concat": ("cosine", {"concat_target": "visual"}),
-    "late_fusion": ("cosine", {"fusion": "late"}),
 }
 TEST_CONDITIONS = {"null_test": "null", "wrong_test": "wrong", "goal_only": "goal_only"}
 ALL_CONDITIONS = ("baseline",) + tuple(TRAIN_CONDITIONS) + tuple(TEST_CONDITIONS)
@@ -71,6 +68,11 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.seeds:
             raise ConfigurationError("experiment needs at least one seed")
+        if self.base_iterations < 0:
+            raise ConfigurationError(f"base_iterations must be >= 0, got {self.base_iterations}")
+        for name in ("train_worlds", "val_seen_worlds", "val_unseen_worlds"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
         unknown = [c for c in self.conditions if c not in ALL_CONDITIONS]
         if unknown:
             raise ConfigurationError(f"unknown conditions {unknown}; valid: {ALL_CONDITIONS}")
@@ -156,6 +158,8 @@ def _agent_config(split, **overrides):
 
 
 def cmd_train(args):
+    cfg = tr.TrainConfig(**_fields_of(tr.TrainConfig, args),
+                         use_imaginations=not args.no_imaginations)
     split = ds.read_split(args.worlds, args.corpus, args.imaginations)
     acfg = _agent_config(split, **_fields_of(ag.AgentConfig, args))
     init_values = None
@@ -165,8 +169,6 @@ def cmd_train(args):
         if args.condition in TRAIN_CONDITIONS:
             acfg = replace(acfg, **TRAIN_CONDITIONS[args.condition][1])
         init_values = base.values
-    cfg = tr.TrainConfig(**_fields_of(tr.TrainConfig, args),
-                         use_imaginations=not args.no_imaginations)
     val_items = None
     if args.val_worlds:
         val_items = ds.read_split(args.val_worlds, args.val_corpus, args.val_imaginations).items
@@ -246,6 +248,7 @@ HYPOTHESES = (  # (name, lhs, rhs, margin): PASS when lhs - rhs >= margin SR poi
     ("goal_only>=baseline", "goal_only", "baseline", 0.0),
     ("cosine>=no_aux", "imagine", "no_aux", 0.0),
     ("infonce~cosine", "infonce", "imagine", None),  # None: PASS when |lhs - rhs| <= 2.0
+    ("imagine>text_only", "imagine", "text_only", 5.0),
 )
 
 
@@ -425,11 +428,9 @@ def build_parser():
     W, I, A, T = wd.WorldConfig, im.ImaginationConfig, ag.AgentConfig, tr.TrainConfig
 
     p = sub.add_parser("gen-world", help="generate a world + episode set")
-    _field_option(p, "--layout", W, "layout", choices=("forks", "ring", "random"))
     _field_option(p, "--split", W, "split", choices=wd.SPLITS)
     _field_option(p, "--mode", ExperimentSpec, "mode", choices=wd.EPISODE_MODES)
     p.add_argument("--count", type=int, default=100)
-    _field_option(p, "--n-nodes", W, "n_nodes")
     _field_option(p, "--n-forks", W, "n_forks")
     _field_option(p, "--k", W, "k_views")
     _field_option(p, "--d-v", A, "d_v")

@@ -61,6 +61,12 @@ class TrainConfig:
                                      f"summing to 1, got {self.stage_fractions}")
         if self.lam < 0.0:
             raise ConfigurationError("lambda must be >= 0")
+        if self.iterations < 0:
+            raise ConfigurationError(f"iterations must be >= 0, got {self.iterations}")
+        if self.batch_size < 1:
+            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.tau <= 0.0:
+            raise ConfigurationError(f"tau must be > 0, got {self.tau}")
         if self.aux_loss not in ("cosine", "infonce", "none"):
             raise ConfigurationError(f"unknown aux_loss {self.aux_loss!r}")
         if self.schedule not in ("three_stage", "flat"):

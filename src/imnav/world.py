@@ -6,9 +6,12 @@ landmark class) or the shared background vector, plus isotropic observation
 noise. Edges are bound to views by heading angle, so "move through view v" is
 the discrete action space.
 
-The `forks` layout builds disambiguation chains: at each fork the two branches
-are geometrically mirrored and differ only in which landmark class is shown,
-so route choice is informative only through landmark identity.
+Every world is a chain of disambiguation forks (the one layout, `forks`): at
+each fork the two branches are geometrically mirrored and differ only in
+which landmark class is shown, so route choice is informative only through
+landmark identity. Each world designates its route, from the start of the
+approach corridor to the end of the last correct branch, and that route is
+its episode.
 """
 
 from __future__ import annotations
@@ -111,15 +114,12 @@ class WorldConfig:
     """World generation settings. These defaults are the only ones:
     `dataset.standard_splits`, experiment specs and `gen-world` read them."""
     library: Library
-    layout: str = "forks"        # forks | ring | random
-    n_nodes: int = 12            # ring / random layouts
+    layout: str = "forks"        # the only layout; experiment specs name it
     k_views: int = 12
     sigma_obs: float = 0.12
     split: str = "train"
     n_forks: int = 2
     pre_len: int = 1
-    extra_edges: int = 2         # random layout
-    placement_rate: float = 0.5  # ring / random layouts
 
 
 @dataclass
@@ -133,7 +133,7 @@ class World:
     view_map: dict                     # node -> {view: neighbor}
     placements: dict                   # node -> ((class_id, view), ...)
     library: Library
-    designated: tuple | None = None    # (start, goal) for fork worlds
+    designated: tuple | None = None    # (start, goal) of the route
     _adj: dict = field(default_factory=dict, repr=False)
     _base: dict = field(default_factory=dict, repr=False)
 
@@ -231,24 +231,30 @@ def _assign_views(positions, adj, k_views):
     return view_map
 
 
-def _free_view(view_map, placements, node, k_views, rng):
-    used = set(view_map[node]) | {v for _, v in placements.get(node, ())}
+def _free_view(view_map, node, placed, k_views, rng):
+    """A random view of `node` that no edge and no (class, view) of `placed` uses."""
+    used = set(view_map[node]) | {v for _, v in placed}
     free = [v for v in range(k_views) if v not in used]
     if not free:
         raise ConfigurationError(f"no free view at node {node}")
     return int(free[int(rng.integers(len(free)))])
 
 
-def _check_config(cfg, n_nodes, max_degree):
-    if n_nodes < 8:
-        raise ConfigurationError(f"world needs >= 8 nodes, got {n_nodes}")
+FORK_DEGREE = 3   # a fork node's edges: the approach and its two branches
+
+
+def _check_config(cfg):
+    if cfg.layout != "forks":
+        raise ConfigurationError(f"unknown layout {cfg.layout!r}; the only layout is 'forks'")
+    if cfg.n_forks < 1:
+        raise ConfigurationError("forks layout needs n_forks >= 1")
     if not cfg.library.classes:
         raise ConfigurationError("landmark library is empty")
     if cfg.library.d_v < 8:
         raise ConfigurationError("d_v must be >= 8")
-    if cfg.k_views < max_degree + 1:
+    if cfg.k_views < FORK_DEGREE + 1:
         raise ConfigurationError(
-            f"K={cfg.k_views} too small for max degree {max_degree} (need K >= degree + 1)")
+            f"K={cfg.k_views} too small for max degree {FORK_DEGREE} (need K >= degree + 1)")
     if cfg.split not in SPLITS:
         raise ConfigurationError(f"unknown split {cfg.split!r}")
 
@@ -258,8 +264,6 @@ def _build_forks(cfg, rng):
     landmarks, correct branches by instruction landmarks."""
     pre = cfg.pre_len
     n_forks = cfg.n_forks
-    if n_forks < 1:
-        raise ConfigurationError("forks layout needs n_forks >= 1")
     # pad the approach corridor until the world has >= 8 nodes
     while 2 + pre + 3 * n_forks < 8:
         pre += 1
@@ -323,87 +327,19 @@ def _build_forks(cfg, rng):
             if toward is not None:
                 view = next(v for v, nb in view_map[node].items() if nb == toward)
             else:
-                view = _free_view(view_map, {node: tuple(out)}, node, cfg.k_views, rng)
+                view = _free_view(view_map, node, out, cfg.k_views, rng)
             out.append((cid, view))
         resolved[node] = tuple(out)
 
     return positions, tuple(sorted(tuple(sorted(e)) for e in edges)), view_map, resolved, (0, goal)
 
 
-def _build_ring(cfg, rng):
-    n = cfg.n_nodes
-    spacing = 1.5
-    radius = n * spacing / (2.0 * math.pi)
-    positions = np.asarray(
-        [(radius * math.cos(2 * math.pi * i / n), radius * math.sin(2 * math.pi * i / n))
-         for i in range(n)], dtype=np.float64)
-    edges = tuple(sorted(tuple(sorted((i, (i + 1) % n))) for i in range(n)))
-    return positions, edges, None, None, None
-
-
-def _build_random(cfg, rng):
-    n = cfg.n_nodes
-    side = math.sqrt(n) * 1.6
-    positions = rng.uniform(0.0, side, size=(n, 2))
-    edges = set()
-    degree = [0] * n
-    for i in range(1, n):
-        j = int(rng.integers(i))
-        edges.add((j, i))
-        degree[i] += 1
-        degree[j] += 1
-    cap = cfg.k_views - 2
-    for _ in range(cfg.extra_edges):
-        for _attempt in range(50):
-            a, b = int(rng.integers(n)), int(rng.integers(n))
-            if a == b:
-                continue
-            e = (min(a, b), max(a, b))
-            if e in edges or degree[a] >= cap or degree[b] >= cap:
-                continue
-            edges.add(e)
-            degree[a] += 1
-            degree[b] += 1
-            break
-    return positions, tuple(sorted(edges)), None, None, None
-
-
-def _scatter_placements(cfg, positions, view_map, rng):
-    pool = cfg.library.pool(cfg.split)
-    placements = {}
-    for node in range(len(positions)):
-        if rng.random() < cfg.placement_rate:
-            cid = pool[int(rng.integers(len(pool)))]
-            view = _free_view(view_map, placements, node, cfg.k_views, rng)
-            placements[node] = ((cid, view),)
-    return placements
-
-
 def generate_world(config, seed):
-    """Deterministic world construction; see WorldConfig for layouts."""
+    """Deterministic construction of a fork world."""
+    _check_config(config)
     rng = np.random.default_rng(np.random.SeedSequence([0xA11D, seed]))
-    if config.layout == "forks":
-        positions, edges, view_map, placements, designated = _build_forks(config, rng)
-    elif config.layout == "ring":
-        positions, edges, view_map, placements, designated = _build_ring(config, rng)
-    elif config.layout == "random":
-        positions, edges, view_map, placements, designated = _build_random(config, rng)
-    else:
-        raise ConfigurationError(f"unknown layout {config.layout!r}")
-
-    adj = {i: [] for i in range(len(positions))}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    max_degree = max(len(v) for v in adj.values())
-    _check_config(config, len(positions), max_degree)
-
-    if view_map is None:
-        view_map = _assign_views(positions, adj, config.k_views)
-    if placements is None:
-        placements = _scatter_placements(config, positions, view_map, rng)
-
-    world = World(
+    positions, edges, view_map, placements, designated = _build_forks(config, rng)
+    return World(
         k_views=config.k_views,
         d_v=config.library.d_v,
         sigma_obs=config.sigma_obs,
@@ -415,60 +351,18 @@ def generate_world(config, seed):
         library=config.library,
         designated=designated,
     )
-    # connectivity: BFS from node 0 must reach everything
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        node = frontier.pop()
-        for nb in world.neighbors(node):
-            if nb not in seen:
-                seen.add(nb)
-                frontier.append(nb)
-    if len(seen) != world.n_nodes:
-        raise ConfigurationError("generated graph is not connected")
-    return world
 
 
-def hop_distances(world, start):
-    """BFS hop counts from `start`."""
-    dist = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for nb in world.neighbors(node):
-                if nb not in dist:
-                    dist[nb] = dist[node] + 1
-                    nxt.append(nb)
-        frontier = nxt
-    return dist
-
-
-def sample_episode(world, mode, seed, min_hops=3, max_hops=7):
-    """Deterministic episode draw. Fork worlds return their designated route;
-    other layouts sample a (start, goal) pair whose shortest path has an edge
-    count in [min_hops, max_hops]. Coarse episodes need a landmark at the goal."""
+def sample_episode(world, mode, min_hops=3, max_hops=7):
+    """The episode of a world: its designated route, which must have an edge
+    count in [min_hops, max_hops]. Coarse episodes need a landmark at the
+    goal."""
     if mode not in EPISODE_MODES:
         raise ConfigurationError(f"unknown mode {mode!r}")
-    rng = np.random.default_rng(np.random.SeedSequence([0xEB15, seed]))
-
-    if world.designated is not None:
-        start, goal = world.designated
-        path, _ = shortest_path(world, start, goal)
-    else:
-        pairs = []
-        for a in range(world.n_nodes):
-            hops = hop_distances(world, a)
-            for b, h in sorted(hops.items()):
-                if min_hops <= h <= max_hops:
-                    if mode == "coarse" and not world.placements.get(b):
-                        continue
-                    pairs.append((a, b))
-        if not pairs:
-            raise SamplingError("no node pair at a valid graph distance")
-        start, goal = pairs[int(rng.integers(len(pairs)))]
-        path, _ = shortest_path(world, start, goal)
-
+    if world.designated is None:
+        raise SamplingError("world has no designated route")
+    start, goal = world.designated
+    path, _ = shortest_path(world, start, goal)
     if not (min_hops <= len(path) - 1 <= max_hops):
         raise SamplingError(f"teacher path has {len(path) - 1} edges, outside [{min_hops},{max_hops}]")
 

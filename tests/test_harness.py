@@ -25,7 +25,7 @@ def gen_dataset(tmp_path, split="train", count=6, seed=3, prefix=None, world_fla
     worlds = tmp_path / f"{prefix}_worlds.txt"
     corpus = tmp_path / f"{prefix}_corpus.txt"
     imags = tmp_path / f"{prefix}_imag.txt"
-    assert run_cli(["gen-world", "--layout", "forks", "--split", split, "--count", count,
+    assert run_cli(["gen-world", "--split", split, "--count", count,
                     "--seed", seed, "--out", worlds, *world_flags]) == 0
     assert run_cli(["gen-corpus", "--worlds", worlds, "--seed", seed + 1, "--out", corpus]) == 0
     assert run_cli(["imagine", "--worlds", worlds, "--corpus", corpus, "--seed", seed + 2,
@@ -63,6 +63,13 @@ class TestCli:
         # the packaged data files are the one source of templates and lexicon
         with pytest.raises(SystemExit) as exc:
             run_cli(["gen-corpus", "--worlds", "w", "--seed", "1", "--out", "c", flag, "x"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--layout", "--n-nodes"])
+    def test_removed_layout_flags_are_gone(self, flag):
+        # fork worlds are the only layout
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["gen-world", "--seed", "1", "--out", "w", flag, "8"])
         assert exc.value.code == 2
 
     def test_missing_input_file_exits_1(self, tmp_path):
@@ -201,6 +208,37 @@ class TestExperimentSpec:
         with pytest.raises(ConfigurationError, match="trian"):
             harness.read_experiment_spec(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("train.base_iterations", "-1"), ("world.train_worlds", "0"),
+        ("world.val_seen_worlds", "-2"), ("world.val_unseen_worlds", "0"),
+        ("train.iterations", "-1"), ("train.batch_size", "0"), ("train.tau", "0"),
+    ])
+    def test_bad_numbers_fail_before_training(self, tmp_path, capsys, key, value):
+        p = configparser.ConfigParser()
+        p.read(self.write_spec(tmp_path, conditions="baseline imagine infonce"))
+        section, name = key.split(".")
+        p[section][name] = value
+        path = tmp_path / "bad.cfg"
+        with open(path, "w") as fh:
+            p.write(fh)
+        with pytest.raises(ConfigurationError, match=name):
+            harness.read_experiment_spec(path)
+        out_dir = tmp_path / "out"
+        assert run_cli(["ablate", "--spec", path, "--out-dir", out_dir, "--quiet"]) == 1
+        assert name in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--iters", "-1"], "iterations"),
+        (["--batch-size", "0"], "batch_size"),
+        (["--tau", "0"], "tau"),
+    ])
+    def test_train_rejects_bad_numbers_before_reading_data(self, tmp_path, capsys, flags, named):
+        missing = tmp_path / "missing.txt"
+        assert run_cli(["train", "--worlds", missing, "--corpus", missing, "--imaginations",
+                        missing, "--seed", "1", "--out", tmp_path / "a.ckpt", *flags]) == 1
+        assert named in capsys.readouterr().err
+
     def test_two_stage_fractions_fail_before_training(self, tmp_path):
         path = self.write_spec(tmp_path, train="stage_fractions = 0.5 0.5\n")
         out_dir = tmp_path / "out"
@@ -222,6 +260,25 @@ class TestExperimentSpec:
         lines = harness.verdict_lines(summary, ["imagine", "wrong_test"])
         assert lines == ["hypothesis correct>wrong: PASS (Δ=+20.0 SR)"]
 
+    def test_text_only_verdict(self):
+        summary = {("val_unseen", "imagine"): dict(sr_mean=0.335, n_rows=1),
+                   ("val_unseen", "text_only"): dict(sr_mean=0.212, n_rows=1),
+                   ("val_unseen", "baseline"): dict(sr_mean=0.30, n_rows=1)}
+        lines = harness.verdict_lines(summary, ["baseline", "imagine", "text_only"])
+        assert "hypothesis imagine>text_only: PASS (Δ=+12.3 SR)" in lines
+        summary[("val_unseen", "text_only")] = dict(sr_mean=0.30, n_rows=1)
+        lines = harness.verdict_lines(summary, ["baseline", "imagine", "text_only"])
+        assert "hypothesis imagine>text_only: FAIL (Δ=+3.5 SR)" in lines
+        # no verdict without the text_only condition
+        lines = harness.verdict_lines(summary, ["baseline", "imagine"])
+        assert not any("text_only" in line for line in lines)
+
+    def test_every_condition_is_named_by_a_hypothesis(self):
+        # a trained or test-time condition that no verdict reads has no claim to test
+        named = {c for _, lhs, rhs, _ in harness.HYPOTHESES for c in (lhs, rhs)}
+        unnamed = set(harness.TRAIN_CONDITIONS) | set(harness.TEST_CONDITIONS)
+        assert not unnamed - named, sorted(unnamed - named)
+
 
 class TestDefaults:
     """Flags and spec keys take their defaults from the config dataclass fields."""
@@ -232,8 +289,7 @@ class TestDefaults:
                   "--seed", "1", "--out", "o"],
     }
     FIELDS = {
-        "gen-world": {wd.WorldConfig: ("layout", "split", "n_nodes", "n_forks", "k_views",
-                                       "sigma_obs"),
+        "gen-world": {wd.WorldConfig: ("split", "n_forks", "k_views", "sigma_obs"),
                       ag.AgentConfig: ("d_v",), "ExperimentSpec": ("mode",)},
         "imagine": {im.ImaginationConfig: ("fidelity", "sigma_gen")},
         "train": {tr.TrainConfig: ("iterations", "batch_size", "schedule", "flat_lr",

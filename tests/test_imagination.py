@@ -26,7 +26,7 @@ def corpus(library, lexicon):
     templates = ins.load_templates(DATA / "templates.txt")
     worlds = [wd.generate_world(wd.WorldConfig(library=library, layout="forks"), seed=s)
               for s in range(25)]
-    eps = [wd.sample_episode(w, "fine", seed=0) for w in worlds]
+    eps = [wd.sample_episode(w, "fine") for w in worlds]
     return ins.build_corpus(eps, templates, lexicon, seed=3)
 
 

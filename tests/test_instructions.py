@@ -27,7 +27,7 @@ def lexicon(library):
 @pytest.fixture(scope="module")
 def fine_episode(library):
     w = wd.generate_world(wd.WorldConfig(library=library, layout="forks"), seed=0)
-    return wd.sample_episode(w, "fine", seed=0)
+    return wd.sample_episode(w, "fine")
 
 
 def make_sub(text):
@@ -42,7 +42,7 @@ class TestGenerate:
 
     def test_coarse_single_segment(self, library, templates):
         w = wd.generate_world(wd.WorldConfig(library=library, layout="forks"), seed=2)
-        ep = wd.sample_episode(w, "coarse", seed=0)
+        ep = wd.sample_episode(w, "coarse")
         instr = ins.generate_instruction(ep, templates, seed=1)
         assert len(instr.gold_segments) == 1
         assert instr.gold_landmarks == (ep.target_landmark,)
@@ -101,7 +101,7 @@ class TestSegment:
     def test_matches_gold_on_corpus(self, library, templates, lexicon):
         worlds = [wd.generate_world(wd.WorldConfig(library=library, layout="forks"), seed=s)
                   for s in range(20)]
-        eps = [wd.sample_episode(w, "fine", seed=0) for w in worlds]
+        eps = [wd.sample_episode(w, "fine") for w in worlds]
         records = ins.build_corpus(eps, templates, lexicon, seed=5)
         for rec in records:
             got = tuple(s.span for s in rec.subs)
@@ -175,7 +175,7 @@ class TestCorpus:
     def test_kept_iff_landmark_template(self, library, templates, lexicon):
         worlds = [wd.generate_world(wd.WorldConfig(library=library, layout="forks"), seed=s)
                   for s in range(15)]
-        eps = [wd.sample_episode(w, "fine", seed=0) for w in worlds]
+        eps = [wd.sample_episode(w, "fine") for w in worlds]
         records = ins.build_corpus(eps, templates, lexicon, seed=2)
         for rec in records:
             for sub in rec.subs:
@@ -197,7 +197,7 @@ class TestCorpus:
     def test_stats_match_counting_oracle(self, library, templates, lexicon):
         worlds = [wd.generate_world(wd.WorldConfig(library=library, layout="forks"), seed=s)
                   for s in range(30)]
-        eps = [wd.sample_episode(w, "fine", seed=0) for w in worlds]
+        eps = [wd.sample_episode(w, "fine") for w in worlds]
         records = ins.build_corpus(eps, templates, lexicon, seed=7)
         avg_seg, avg_kept, vocab_size = ins.corpus_stats(records)
         # independent recount

@@ -21,7 +21,7 @@ def bundle():
     pairs = []
     for s in range(6):
         w = wd.generate_world(wd.WorldConfig(library=library, layout="forks"), seed=s)
-        pairs.append((w, wd.sample_episode(w, "fine", seed=s)))
+        pairs.append((w, wd.sample_episode(w, "fine")))
     records = ins.build_corpus([e for _, e in pairs], templates, lexicon, seed=1, vocab=vocab)
     sets = im.imagine_dataset(records, library, im.ImaginationConfig(), seed=2)
     return dict(library=library, pairs=pairs, records=records, sets=sets)

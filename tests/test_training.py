@@ -282,6 +282,15 @@ class TestSchedule:
             with pytest.raises(ConfigurationError):
                 tr.TrainConfig(stage_fractions=fractions)
 
+    @pytest.mark.parametrize("field, value", [("iterations", -1), ("batch_size", 0),
+                                              ("batch_size", -3), ("tau", 0.0), ("tau", -0.1)])
+    def test_bad_numbers_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            tr.TrainConfig(**{field: value})
+
+    def test_zero_iterations_allowed(self):
+        assert tr.TrainConfig(iterations=0).stage_ends == (0, 0)
+
 
 class TestTrainLoop:
     def base_cfg(self, n, seed=3):
@@ -399,8 +408,7 @@ class TestStage1Gradients:
             ckpt, _ = tr.train(split, acfg, cfg)
         return grads[0], ckpt
 
-    @pytest.mark.parametrize("overrides", [{}, {"fusion": "late"},
-                                           {"imag_source": "text_mean"}])
+    @pytest.mark.parametrize("overrides", [{}, {"imag_source": "text_mean"}])
     def test_imagination_grads_match_full_backward(self, desk_data, monkeypatch, overrides):
         split, acfg, train_cfg = desk_data
         acfg = replace(acfg, **overrides)

@@ -22,6 +22,29 @@ def fork_world(library):
     return wd.generate_world(cfg, seed=0)
 
 
+# (n_forks, split, seed): fork worlds of several sizes, splits and seeds
+WORLDS = [(1, "train", 0), (2, "val_seen", 3), (2, "val_unseen", 7), (3, "train", 11),
+          (4, "val_unseen", 5)]
+
+
+def fork_worlds(library):
+    for n_forks, split, seed in WORLDS:
+        yield wd.generate_world(wd.WorldConfig(library=library, n_forks=n_forks, split=split),
+                                seed=seed)
+
+
+def reachable(world, start):
+    """Breadth-first traversal oracle."""
+    seen, frontier = {start}, [start]
+    while frontier:
+        node = frontier.pop()
+        for nb in world.neighbors(node):
+            if nb not in seen:
+                seen.add(nb)
+                frontier.append(nb)
+    return seen
+
+
 class TestLibrary:
     def test_prototypes_unit_norm(self, library):
         for c in library.classes:
@@ -48,39 +71,39 @@ class TestLibrary:
 
 
 class TestGeneration:
-    def test_ring_deterministic_bitwise(self, library):
-        cfg = wd.WorldConfig(library=library, layout="ring", n_nodes=8)
-        w1 = wd.generate_world(cfg, seed=7)
-        w2 = wd.generate_world(cfg, seed=7)
-        assert w1.positions.tobytes() == w2.positions.tobytes()
-        assert w1.edges == w2.edges
-        assert w1.placements == w2.placements
-        assert w1.view_map == w2.view_map
+    def test_deterministic_bitwise(self, library):
+        for w1, w2 in zip(fork_worlds(library), fork_worlds(library)):
+            assert w1.positions.tobytes() == w2.positions.tobytes()
+            assert w1.edges == w2.edges
+            assert w1.placements == w2.placements
+            assert w1.view_map == w2.view_map
+            assert w1.designated == w2.designated
 
     def test_k_too_small_for_degree(self, library):
-        cfg = wd.WorldConfig(library=library, layout="forks", k_views=3)
-        with pytest.raises(ConfigurationError):
-            wd.generate_world(cfg, seed=0)
+        # checked before views are bound: with K below a node's degree the
+        # binding would search for a free view forever
+        for k_views in (1, 2, 3):
+            cfg = wd.WorldConfig(library=library, layout="forks", k_views=k_views)
+            with pytest.raises(ConfigurationError):
+                wd.generate_world(cfg, seed=0)
+
+    @pytest.mark.parametrize("layout", ["ring", "random"])
+    def test_other_layouts_rejected(self, library, layout):
+        with pytest.raises(ConfigurationError, match=layout):
+            wd.generate_world(wd.WorldConfig(library=library, layout=layout), seed=0)
 
     def test_default_config_connected(self, library):
-        w = wd.generate_world(wd.WorldConfig(library=library, layout="random", n_nodes=14), seed=0)
-        # breadth-first traversal oracle
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            n = frontier.pop()
-            for nb in w.neighbors(n):
-                if nb not in seen:
-                    seen.add(nb)
-                    frontier.append(nb)
-        assert len(seen) == w.n_nodes
+        for w in fork_worlds(library):
+            assert reachable(w, 0) == set(range(w.n_nodes))
 
     def test_edge_view_bijection(self, library):
-        for seed in range(4):
-            w = wd.generate_world(wd.WorldConfig(library=library, layout="random", n_nodes=12), seed=seed)
+        for w in fork_worlds(library):
             for a, b in w.edges:
                 assert sum(1 for nb in w.view_map[a].values() if nb == b) == 1
                 assert sum(1 for nb in w.view_map[b].values() if nb == a) == 1
+            # every bound view leads along an edge
+            bound = {tuple(sorted((a, b))) for a, views in w.view_map.items() for b in views.values()}
+            assert bound == set(w.edges)
 
     def test_fork_world_unseen_uses_held_out_classes(self, library):
         cfg = wd.WorldConfig(library=library, layout="forks", split="val_unseen")
@@ -103,20 +126,21 @@ class TestGeneration:
 
 
 class TestNavigable:
-    def test_degree_two_node(self, library):
-        w = wd.generate_world(wd.WorldConfig(library=library, layout="ring", n_nodes=10), seed=1)
-        assert len(wd.navigable(w, 0)) == 2
+    def test_degree_two_node(self, fork_world):
+        # node 1 lies on the approach corridor, between the start and fork 1
+        assert len(wd.navigable(fork_world, 1)) == 2
 
-    def test_ring_node_zero_neighbors(self, library):
-        n = 10
-        w = wd.generate_world(wd.WorldConfig(library=library, layout="ring", n_nodes=n), seed=1)
-        # oracle: enumerate the constructed ring edges incident to node 0
-        want = {1, n - 1}
-        got = {nb for _, nb in wd.navigable(w, 0)}
-        assert got == want
+    def test_neighbors_are_the_incident_edges(self, library):
+        for w in fork_worlds(library):
+            for node in range(w.n_nodes):
+                # oracle: enumerate the constructed edges incident to the node
+                want = {b if a == node else a for a, b in w.edges if node in (a, b)}
+                nav = wd.navigable(w, node)
+                assert {nb for _, nb in nav} == want
+                assert [v for v, _ in nav] == sorted(v for v, _ in nav)
 
     def test_isolated_node_hand_built(self, library):
-        w = wd.generate_world(wd.WorldConfig(library=library, layout="ring", n_nodes=8), seed=1)
+        w = wd.generate_world(wd.WorldConfig(library=library), seed=1)
         w.view_map[99] = {}
         assert wd.navigable(w, 99) == []
 
@@ -180,17 +204,14 @@ class TestShortestPath:
     def test_identity(self, fork_world):
         assert wd.shortest_path(fork_world, 3, 3) == ((3,), 0.0)
 
-    def test_line_segment(self, library):
-        w = wd.generate_world(wd.WorldConfig(library=library, layout="ring", n_nodes=9), seed=1)
-        path, dist = wd.shortest_path(w, 0, 2)
+    def test_line_segment(self, fork_world):
+        # the approach corridor: start, corridor node, first fork
+        path, dist = wd.shortest_path(fork_world, 0, 2)
         assert path == (0, 1, 2)
-        assert abs(dist - (w.edge_length(0, 1) + w.edge_length(1, 2))) < 1e-12
+        assert abs(dist - (fork_world.edge_length(0, 1) + fork_world.edge_length(1, 2))) < 1e-12
 
     def test_matches_brute_force_enumeration(self, library):
-        w = wd.generate_world(
-            wd.WorldConfig(library=library, layout="random", n_nodes=9, extra_edges=3), seed=11)
-
-        def brute(a, b):
+        def brute(w, a, b):
             best = None
             stack = [((a,), 0.0)]
             while stack:
@@ -209,47 +230,57 @@ class TestShortestPath:
                         stack.append((path + (nb,), dist + w.edge_length(node, nb)))
             return best
 
-        for a in range(w.n_nodes):
-            for b in range(w.n_nodes):
-                path, dist = wd.shortest_path(w, a, b)
-                bpath, bdist = brute(a, b)
-                assert abs(dist - bdist) < 1e-9
-                assert path == bpath
+        for w in fork_worlds(library):
+            for a in range(w.n_nodes):
+                for b in range(w.n_nodes):
+                    path, dist = wd.shortest_path(w, a, b)
+                    bpath, bdist = brute(w, a, b)
+                    assert abs(dist - bdist) < 1e-9
+                    assert path == bpath
 
     def test_triangle_inequality(self, library):
-        w = wd.generate_world(wd.WorldConfig(library=library, layout="random", n_nodes=10), seed=3)
         rng = np.random.default_rng(0)
-        for _ in range(40):
-            a, b, c = rng.integers(w.n_nodes, size=3)
-            dab = wd.shortest_path(w, int(a), int(b))[1]
-            dbc = wd.shortest_path(w, int(b), int(c))[1]
-            dac = wd.shortest_path(w, int(a), int(c))[1]
-            assert dac <= dab + dbc + 1e-9
+        for w in fork_worlds(library):
+            for _ in range(40):
+                a, b, c = rng.integers(w.n_nodes, size=3)
+                dab = wd.shortest_path(w, int(a), int(b))[1]
+                dbc = wd.shortest_path(w, int(b), int(c))[1]
+                dac = wd.shortest_path(w, int(a), int(c))[1]
+                assert dac <= dab + dbc + 1e-9
 
 
 class TestSampleEpisode:
     def test_deterministic(self, fork_world):
-        e1 = wd.sample_episode(fork_world, "fine", seed=5)
-        e2 = wd.sample_episode(fork_world, "fine", seed=5)
+        e1 = wd.sample_episode(fork_world, "fine")
+        e2 = wd.sample_episode(fork_world, "fine")
         assert e1.teacher_path == e2.teacher_path
         assert (e1.start, e1.goal) == (e2.start, e2.goal)
 
     def test_coarse_target_at_goal(self, fork_world):
-        ep = wd.sample_episode(fork_world, "coarse", seed=5)
+        ep = wd.sample_episode(fork_world, "coarse")
         assert ep.target_landmark is not None
         assert any(cid == ep.target_landmark for cid, _ in fork_world.placements[ep.goal])
 
     def test_too_small_world_errors(self, library):
+        # a hand-built world without a designated route has no episode
         positions = np.asarray([(0.0, 0.0), (1.0, 0.0)])
         w = wd.World(k_views=12, d_v=16, sigma_obs=0.0, split="train",
                      positions=positions, edges=((0, 1),),
                      view_map={0: {0: 1}, 1: {6: 0}}, placements={},
                      library=library)
-        with pytest.raises(SamplingError):
-            wd.sample_episode(w, "fine", seed=0)
+        with pytest.raises(SamplingError, match="designated"):
+            wd.sample_episode(w, "fine")
 
     def test_path_length_bounds(self, library):
-        for seed in range(5):
-            w = wd.generate_world(wd.WorldConfig(library=library, layout="random", n_nodes=16), seed=seed)
-            ep = wd.sample_episode(w, "fine", seed=seed)
-            assert 3 <= len(ep.teacher_path) - 1 <= 7
+        for n_forks in (1, 2, 3):
+            for seed in range(3):
+                w = wd.generate_world(wd.WorldConfig(library=library, n_forks=n_forks), seed=seed)
+                ep = wd.sample_episode(w, "fine")
+                assert (ep.start, ep.goal) == w.designated
+                assert 3 <= len(ep.teacher_path) - 1 <= 7
+
+    def test_route_longer_than_max_hops_errors(self, library):
+        # an approach edge plus two edges per fork: 9 > 7 with four forks
+        w = wd.generate_world(wd.WorldConfig(library=library, n_forks=4), seed=0)
+        with pytest.raises(SamplingError, match="9 edges"):
+            wd.sample_episode(w, "fine")
