@@ -451,7 +451,10 @@ class TestPaddedBatch:
     """The teacher episodes of a batch are decided in one padded pass; it must
     equal deciding each episode on its own, and draw the same random numbers."""
 
-    VARIANTS = [{}, {"imag_source": "text_mean"}]
+    # Explicit ids: each case keeps the name it had before the cases between
+    # them (late fusion, visual concatenation) were deleted.
+    VARIANTS = [pytest.param({}, id="overrides0"),
+                pytest.param({"imag_source": "text_mean"}, id="overrides3")]
 
     @staticmethod
     def make(setup, overrides):

@@ -408,7 +408,11 @@ class TestStage1Gradients:
             ckpt, _ = tr.train(split, acfg, cfg)
         return grads[0], ckpt
 
-    @pytest.mark.parametrize("overrides", [{}, {"imag_source": "text_mean"}])
+    # Explicit ids: each case keeps the name it had before the late-fusion
+    # case between them was deleted.
+    @pytest.mark.parametrize("overrides", [pytest.param({}, id="overrides0"),
+                                           pytest.param({"imag_source": "text_mean"},
+                                                        id="overrides2")])
     def test_imagination_grads_match_full_backward(self, desk_data, monkeypatch, overrides):
         split, acfg, train_cfg = desk_data
         acfg = replace(acfg, **overrides)
