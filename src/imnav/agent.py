@@ -16,7 +16,10 @@ its dropout multipliers and observations, and `decide` encodes and decides
 all episodes of a training batch in one padded pass: one text, one
 imagination and one observation encoder pass over the batch (the histories
 step in lockstep), then the cross-modal layers over all steps. Greedy
-decoding runs the same code with one episode and T = 1.
+decoding runs the same code with one episode and T = 1: its rollout encodes
+and joins the [text; imagination] context once per episode
+(`EncodedContext`), and each step reuses it, so a step pays only for the
+observation encoder, the cross-modal layers and the action head.
 
 Masked imagination tokens are excluded from every key/query set, which is
 exactly the zero-attention-weight (-inf pre-softmax) semantics and makes
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -161,11 +164,25 @@ def init_params(config, seed):
 
 @dataclass
 class EncodedContext:
-    """The encoded instructions and imaginations of B episodes."""
+    """The encoded instructions and imaginations of B episodes, and the
+    joined [text; imagination] context tokens of each episode with their
+    key mask, which the cross-modal layers read. They are joined once, here:
+    `decide` builds one context per batch and greedy `rollout` one per
+    episode, and every step of those episodes reuses it."""
     text: nc.Tensor            # (B, L_max, d), each instruction padded after its tokens
     text_lengths: tuple        # L_b
     imag: nc.Tensor | None     # (ΣN, d) live tokens in episode order; masked ones are absent
-    imag_counts: tuple         # N_b
+    imag_counts: tuple         # N_b, all 0 when imag is None
+    tokens: nc.Tensor = field(init=False)          # (B, n_max, d) text then imagination tokens
+    valid: np.ndarray | None = field(init=False)   # (B, n_max) real tokens; None: none padded
+
+    def __post_init__(self):
+        self.tokens, self.valid = self.text, _valid(self.text_lengths)
+        if self.imag is not None:
+            imag = _pad(self.imag, self.imag_counts)
+            self.valid = _joined(len(self.text_lengths), (self.valid, self.text.shape[1]),
+                                 (_valid(self.imag_counts), imag.shape[1]))
+            self.tokens = nc.concat([self.text, imag], axis=1)
 
 
 @dataclass(frozen=True)
@@ -366,15 +383,7 @@ class Agent:
         # masks of the real context tokens, None when nothing is padded: then
         # the arithmetic is exactly that of an unbatched pass. The visual
         # token sets all have K + 1 tokens.
-        ctx, ctx_valid = context.text, _valid(context.text_lengths)
-        vis = visual_tokens
-        n_imag = (0,) * batch
-        if context.imag is not None:
-            n_imag = context.imag_counts
-            imag = _pad(context.imag, n_imag)
-            ctx_valid = _joined(batch, (ctx_valid, ctx.shape[1]), (_valid(n_imag), imag.shape[1]))
-            ctx = nc.concat([ctx, imag], axis=1)
-        ctx = _per_step(ctx, counts)
+        ctx, ctx_valid, vis = _per_step(context.tokens, counts), context.valid, visual_tokens
         ctx_keys = _keys(ctx_valid, counts)
         both_keys = _keys(_joined(batch, (ctx_valid, ctx.shape[1]), (None, k + 1)), counts)
 
@@ -392,7 +401,8 @@ class Agent:
             width = ctx.shape[1]
             vis_pos, vis_kinds = np.arange(k + 1), ("visual",) * (k + 1)
             for t, b in enumerate(np.repeat(np.arange(batch), counts)):
-                ctx_kinds = ("text",) * context.text_lengths[b] + ("imagination",) * n_imag[b]
+                ctx_kinds = (("text",) * context.text_lengths[b]
+                             + ("imagination",) * context.imag_counts[b])
                 # each step's weights cut to its own (query, key) tokens
                 ctx_pos = np.arange(width) if ctx_valid is None else np.flatnonzero(ctx_valid[b])
                 cuts = {"context": (ctx_pos, np.r_[ctx_pos, width + vis_pos],
@@ -406,7 +416,7 @@ class Agent:
                                                 query_kinds=query_kinds, key_kinds=key_kinds))
                 records.append(step)
 
-        view_tokens = nc.take_rows(vis, list(range(1, k + 1)), axis=1)       # (ΣT, K, d)
+        view_tokens = nc.take_rows(vis, np.arange(1, k + 1), axis=1)         # (ΣT, K, d)
         hist_token = nc.take_rows(vis, [0], axis=1)                          # (ΣT, 1, d)
         # state-conditioned matching score plus a per-view bias term
         match = nc.scale(nc.matmul(view_tokens, nc.transpose(hist_token, (0, 2, 1))),
@@ -583,7 +593,7 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
             logits, view_scores, recs = agent.cross_modal_step(
                 context, vis_tokens, [1], [nav], record_attention=record_attention)
             logits = nc.reshape(logits, (len(nav) + 1,))
-            action = int(np.argmax(logits.values))
+            action = int(logits.values.argmax())
             logits_list.append(logits)
             actions.append(action)
             spaces.append(nav)

@@ -14,7 +14,6 @@ import numpy as np
 from . import agent as ag
 from . import imagination as im
 from . import numcore as nc
-from . import world as wd
 from .errors import ConfigurationError, ContractError, InputError
 
 SUCCESS_RADIUS = 1.0
@@ -142,7 +141,6 @@ def evaluate(agent, items, policy, seed, radius=SUCCESS_RADIUS, split=None):
             final = traj.visited[-1]
             ne = navigation_error(ep.world, final, ep.goal)
             tl = trajectory_length(ep.world, traj.visited)
-            _, shortest = wd.shortest_path(ep.world, ep.start, ep.goal)
             ok = ne <= radius
             grounded = None
             if ep.mode == "coarse":
@@ -151,7 +149,7 @@ def evaluate(agent, items, policy, seed, radius=SUCCESS_RADIUS, split=None):
                                              traj.grounding_view, ep.target_landmark)
             results.append(EpisodeResult(
                 episode_id=i, final_node=final, success=ok, ne=ne, tl=tl,
-                shortest_len=shortest, path_len=tl, grounded=grounded))
+                shortest_len=ep.shortest_len, path_len=tl, grounded=grounded))
 
     n = len(results)
     return MetricsRecord(

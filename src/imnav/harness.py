@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import os
 import shlex
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -73,6 +75,8 @@ class ExperimentSpec:
         for name in ("train_worlds", "val_seen_worlds", "val_unseen_worlds"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        wd.check_route_fits(self.world.get("n_forks", wd.WorldConfig.n_forks),
+                            ag.AgentConfig.max_steps)
         unknown = [c for c in self.conditions if c not in ALL_CONDITIONS]
         if unknown:
             raise ConfigurationError(f"unknown conditions {unknown}; valid: {ALL_CONDITIONS}")
@@ -117,6 +121,7 @@ def _fields_of(cls, args):
 # ---------------------------------------------------------------------------
 
 def cmd_gen_world(args):
+    wd.check_route_fits(args.n_forks, ag.AgentConfig.max_steps)
     library, _, _ = ds.load_assets(args.d_v)
     cfg = wd.WorldConfig(library=library, **_fields_of(wd.WorldConfig, args))
     pairs = [(ep.world, ep) for ep in ds.generate_episodes(cfg, args.count, args.mode, args.seed)]
@@ -263,7 +268,7 @@ def build_spec_splits(spec):
 
 def _seed_job(spec, seed, out_dir, quiet):
     """Train the base agent plus every finetune condition for one seed and
-    evaluate all conditions; runs in its own process when parallelized."""
+    evaluate all conditions; runs in a worker process of `run_ablation`."""
     out_dir = Path(out_dir)
     splits = build_spec_splits(spec)
     rows, checkpoints = [], {}
@@ -283,6 +288,9 @@ def _seed_job(spec, seed, out_dir, quiet):
         serial.write_curves(out_dir / "curves" / f"{cond}_{seed}.tsv", curves,
                             command=f"ablate {spec.name}", seed=seed)
 
+    serial.write_text(out_dir / "threads" / f"seed_{seed}.txt",
+                      [f"{name}={os.environ.get(name, 'unset')}" for name in BLAS_THREAD_VARS],
+                      command=f"ablate {spec.name}", seed=seed)
     acfg = _agent_config(splits["train"], **spec.agent)
     train("baseline", acfg, tr.TrainConfig(
         iterations=spec.base_iterations, batch_size=spec.train.batch_size,
@@ -312,22 +320,55 @@ def _seed_job(spec, seed, out_dir, quiet):
     return rows
 
 
+# the BLAS thread variables that seed workers run with at 1, and record
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@contextmanager
+def _one_blas_thread():
+    """Set the BLAS thread variables to 1 in this process's environment for
+    the block, then restore them. BLAS reads them once, when numpy loads, so
+    they pin the workers spawned inside the block and not this process."""
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def run_ablation(spec, out_dir, quiet=False, workers=1):
+    """Run every seed of `spec` in up to `workers` processes and write the
+    metrics, summary and verdicts.
+
+    Each seed runs in a worker spawned fresh with one BLAS thread, which it
+    records in threads/seed_<seed>.txt, so the output is the same bytes for
+    any `workers` and any inherited thread setting: BLAS results depend on
+    the thread count, and this process loaded numpy with its own. Workers
+    forked from this process would also inherit one BLAS thread per core;
+    two of them on two cores ran a base iteration 4-5 times slower than a
+    pinned worker."""
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    # imported here: they add 2 MB to every process that imports this module
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     out_dir = Path(out_dir)
-    for sub in ("curves", "ckpt"):
+    for sub in ("curves", "ckpt", "threads"):
         (out_dir / sub).mkdir(parents=True, exist_ok=True)
 
     rows = []
-    if workers > 1 and len(spec.seeds) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_seed_job, spec, seed, str(out_dir), quiet)
-                       for seed in spec.seeds]
-            for fut in futures:  # seed order keeps the output deterministic
-                rows.extend(fut.result())
-    else:
-        for seed in spec.seeds:
-            rows.extend(_seed_job(spec, seed, str(out_dir), quiet))
+    with _one_blas_thread(), ProcessPoolExecutor(
+            max_workers=min(workers, len(spec.seeds)),
+            mp_context=multiprocessing.get_context("spawn")) as pool:
+        futures = [pool.submit(_seed_job, spec, seed, str(out_dir), quiet) for seed in spec.seeds]
+        for fut in futures:  # seed order keeps the output deterministic
+            rows.extend(fut.result())
 
     serial.write_metrics(out_dir / "metrics.tsv", rows,
                          command=f"ablate {spec.name}", seed=spec.seeds[0])
@@ -498,7 +539,7 @@ def build_parser():
     p.add_argument("--spec", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--workers", type=int, default=1,
-                   help="seeds trained in parallel processes")
+                   help="seeds trained in parallel processes, each with one BLAS thread")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_ablate)
 

@@ -17,6 +17,17 @@ operand by a transposed view on a slow path but by a contiguous copy through
 BLAS. `attention`'s softmax, forward and backward, works in place on the
 score arrays it has just created, so each score tensor is walked as few times
 as possible; its forward values are bit-identical to the out-of-place formula.
+
+Op-result rule: an op hands `_result` the values it has just computed, and
+`_result` wraps them as they are, without `Tensor.__init__`'s checks. Ops
+compute only from the float32/float64 values of Tensors, so their values are
+float already; a numpy scalar (from a full reduction or a scalar index)
+becomes a 0-d array, and nothing is copied. `Tensor(values)` is for leaves
+and constants: it turns lists and scalars into arrays and casts any
+non-float array to float32, while float32/float64 arrays pass uncopied.
+Greedy decoding pushes one step of one episode through about 40 ops, so
+their cost is per-call overhead, not arithmetic: ops keep their Python and
+numpy calls few, and do work only the backward needs inside the backward.
 """
 
 from __future__ import annotations
@@ -93,12 +104,16 @@ def constant(values):
 
 
 def _result(values, parents, backward_fn):
-    """Build an op result, recording the tape edge when tracking is on."""
-    track = _grad_enabled and any(p.requires_grad for p in parents)
-    out = Tensor(values, requires_grad=track)
-    if track:
-        out._parents = tuple(parents)
-        out._backward = backward_fn
+    """Wrap an op's freshly computed float values (see the op-result rule in
+    the module docstring) as its result, recording the tape edge when
+    tracking is on."""
+    out = Tensor.__new__(Tensor)
+    out.values = values if type(values) is np.ndarray else np.asarray(values)
+    out.grad = None
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        out.requires_grad, out._parents, out._backward = True, parents, backward_fn
+    else:
+        out.requires_grad, out._parents, out._backward = False, (), None
     return out
 
 
@@ -184,12 +199,12 @@ def add(a, b):
 
     elif bv.ndim < av.ndim and av.shape[av.ndim - bv.ndim:] == bv.shape:
         vals = av + bv
-        lead = tuple(range(av.ndim - bv.ndim))
 
         def back(g):
             if a.requires_grad:
                 a.accumulate_grad(g)
             if b.requires_grad:
+                lead = tuple(range(av.ndim - bv.ndim))
                 b.accumulate_grad(g.sum(axis=lead, dtype=np.float64).astype(bv.dtype))
 
     else:
@@ -278,19 +293,20 @@ def tanh(a):
 
 def _row_max(x):
     """x.max(axis=-1, keepdims=True), bit for bit, from one pass over a
-    C-ordered copy of x.T: numpy reduces a short trailing axis row by row,
-    but a leading one as whole slabs. Max is exact, so the order is free."""
-    return np.ascontiguousarray(x.T).max(axis=0).T[..., None]
+    C-ordered copy of the transposed (rows, n) matrix of x: numpy reduces a
+    short trailing axis row by row, but a leading one as whole slabs. Max is
+    exact, so the order is free."""
+    n = x.shape[-1]
+    return np.ascontiguousarray(x.reshape(-1, n).T).max(axis=0).reshape(x.shape[:-1] + (1,))
 
 
-def _softmax(x, axis=-1):
-    """Stabilized softmax along `axis`, computed in x's own buffer, which the
-    caller owns: subtract the row max, exp, divide by the float64-accumulated
-    sum. -inf entries get weight exactly 0."""
-    rows = x.swapaxes(axis, -1)         # a view, so the work lands in x
-    rows -= _row_max(rows)
-    np.exp(rows, out=rows)
-    rows /= rows.sum(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
+def _softmax(x):
+    """Stabilized softmax along the last axis, computed in x's own buffer,
+    which the caller owns: subtract the row max, exp, divide by the
+    float64-accumulated sum. -inf entries get weight exactly 0."""
+    x -= _row_max(x)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
     return x
 
 
@@ -304,7 +320,8 @@ def _softmax_grad(vals, g, axis=-1):
 
 def softmax(a, axis=-1):
     """Stabilized softmax. -inf entries get weight exactly 0."""
-    vals = _softmax(a.values.copy(), axis)
+    vals = a.values.copy()
+    _softmax(vals.swapaxes(axis, -1))   # a view, so the work lands in vals
 
     def back(g):
         if a.requires_grad:
@@ -348,23 +365,25 @@ def concat(tensors, axis=0):
     if not tensors:
         raise ShapeError("concat of empty list")
     vals = np.concatenate([t.values for t in tensors], axis=axis)
-    sizes = [t.values.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
 
     def back(g):
-        for t, s, e in zip(tensors, offsets[:-1], offsets[1:]):
+        idx = [slice(None)] * g.ndim
+        start = 0
+        for t in tensors:
+            end = start + t.values.shape[axis]
             if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(s, e)
+                idx[axis] = slice(start, end)
                 t.accumulate_grad(g[tuple(idx)])
+            start = end
 
     return _result(vals, tuple(tensors), back)
 
 
 def mean(a, axis=None):
-    """Mean with float64 accumulation."""
-    vals = a.values.mean(axis=axis, dtype=np.float64).astype(a.values.dtype)
+    """Mean with float64 accumulation: the float64 sum divided by the count,
+    which is what np.mean(dtype=np.float64) computes."""
     n = a.values.size if axis is None else a.values.shape[axis]
+    vals = (np.add.reduce(a.values, axis=axis, dtype=np.float64) / n).astype(a.values.dtype)
 
     def back(g):
         if a.requires_grad:
@@ -535,12 +554,11 @@ def reshape(a, shape):
 
 
 def transpose(a, axes):
-    vals = np.transpose(a.values, axes)
-    inv = tuple(sorted(range(len(axes)), key=axes.__getitem__))
+    vals = a.values.transpose(axes)
 
     def back(g):
         if a.requires_grad:
-            a.accumulate_grad(np.transpose(g, inv))
+            a.accumulate_grad(g.transpose(np.argsort(axes)))
 
     return _result(vals, (a,), back)
 
@@ -561,30 +579,24 @@ def attention(xq, xkv, wq, wk, wv, wo, heads, record=None, mask=None):
     lead = xqv.shape[:-2]
     if xqv.ndim < 2 or xkvv.shape[:-2] != lead:
         raise ShapeError(f"attention batch axes differ: {xqv.shape} vs {xkvv.shape}")
-    if mask is not None and (mask.shape != lead + (xkvv.shape[-2],)
-                             or not mask.any(axis=-1).all()):
-        raise ShapeError(f"attention key mask must be {lead + (xkvv.shape[-2],)} with a "
+    tq, tk = xqv.shape[-2], xkvv.shape[-2]
+    if mask is not None and (mask.shape != lead + (tk,) or not mask.any(axis=-1).all()):
+        raise ShapeError(f"attention key mask must be {lead + (tk,)} with a "
                          f"true entry per row, got {mask.shape}")
     d = wq.values.shape[1]
     if d % heads != 0:
         raise ShapeError(f"attention width {d} not divisible by {heads} heads")
     dh = d // heads
-    tq, tk = xqv.shape[-2], xkvv.shape[-2]
     nb = len(lead)
     # (..., t, heads, dh) <-> (..., heads, t, dh); the permutation is its own inverse
     perm = tuple(range(nb)) + (nb + 1, nb, nb + 2)
-
-    def split(x, t):
-        return np.transpose(x.reshape(lead + (t, heads, dh)), perm)
-
-    def merge(x, t):
-        return np.transpose(x, perm).reshape(lead + (t, d))
-
-    q = split(np.matmul(xqv, wq.values), tq)
-    k = split(np.matmul(xkvv, wk.values), tk)
-    v = split(np.matmul(xkvv, wv.values), tk)
-    scores = np.matmul(q, np.swapaxes(k, -1, -2))
-    c = np.asarray(1.0 / math.sqrt(dh), dtype=scores.dtype)
+    q_heads, kv_heads, q_rows, kv_rows = (lead + (tq, heads, dh), lead + (tk, heads, dh),
+                                          lead + (tq, d), lead + (tk, d))
+    q = (xqv @ wq.values).reshape(q_heads).transpose(perm)
+    k = (xkvv @ wk.values).reshape(kv_heads).transpose(perm)
+    v = (xkvv @ wv.values).reshape(kv_heads).transpose(perm)
+    scores = q @ k.swapaxes(-1, -2)
+    c = scores.dtype.type(1.0 / math.sqrt(dh))
     scores *= c
     if mask is not None:
         # + 0 keeps a score, + -inf masks it: the values of np.where(mask, ...)
@@ -592,31 +604,32 @@ def attention(xq, xkv, wq, wk, wv, wo, heads, record=None, mask=None):
     weights = _softmax(scores)
     if record is not None:
         record.append(weights.copy())
-    out = merge(np.matmul(weights, v), tq)
-    vals = np.matmul(out, wo.values)
+    out = (weights @ v).transpose(perm).reshape(q_rows)
+    vals = out @ wo.values
 
     def back(g):
         if wo.requires_grad:
             wo.accumulate_grad(_weight_grad(out, g))
-        g_out = split(np.matmul(g, _transposed(wo)), tq)
-        g_scores = _softmax_grad(weights, np.matmul(g_out, np.swapaxes(v, -1, -2)))
+        g_out = (g @ _transposed(wo)).reshape(q_heads).transpose(perm)
+        g_scores = _softmax_grad(weights, g_out @ v.swapaxes(-1, -2))
         g_scores *= c
-        g_q = merge(np.matmul(g_scores, k), tq)
-        g_k = merge(np.matmul(np.swapaxes(g_scores, -1, -2), q), tk)
-        g_v = merge(np.matmul(np.swapaxes(weights, -1, -2), g_out), tk)
+        g_q = (g_scores @ k).transpose(perm).reshape(q_rows)
+        g_k = (g_scores.swapaxes(-1, -2) @ q).transpose(perm).reshape(kv_rows)
+        g_v = (weights.swapaxes(-1, -2) @ g_out).transpose(perm).reshape(kv_rows)
         for x, w, gp in ((xq, wq, g_q), (xkv, wk, g_k), (xkv, wv, g_v)):
             if w.requires_grad:
                 w.accumulate_grad(_weight_grad(x.values, gp))
             if x.requires_grad:
-                x.accumulate_grad(np.matmul(gp, _transposed(w)))
+                x.accumulate_grad(gp @ _transposed(w))
 
     return _result(vals, (xq, xkv, wq, wk, wv, wo), back)
 
 
 def ffn(x, w1, w2):
     """relu(x @ w1) @ w2 recorded as one tape node; x is (..., n, d)."""
-    h = np.maximum(np.matmul(x.values, w1.values), 0)
-    vals = np.matmul(h, w2.values)
+    h = x.values @ w1.values
+    np.maximum(h, 0, out=h)
+    vals = h @ w2.values
 
     def back(g):
         if w2.requires_grad:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -212,6 +213,12 @@ class Episode:
     mode: str                       # fine | coarse
     target_landmark: int | None = None
 
+    @cached_property
+    def shortest_len(self):
+        """Length of the shortest start-goal path, found once per episode:
+        evaluation reads it under every imagination policy."""
+        return shortest_path(self.world, self.start, self.goal)[1]
+
 
 def _assign_views(positions, adj, k_views):
     """Bind each edge to a heading-sector view per endpoint; collisions shift
@@ -241,6 +248,31 @@ def _free_view(view_map, node, placed, k_views, rng):
 
 
 FORK_DEGREE = 3   # a fork node's edges: the approach and its two branches
+MIN_NODES = 8     # the approach corridor is padded until a world has this many
+
+
+def _approach_len(n_forks, pre_len):
+    """Corridor nodes before the first fork: `pre_len`, padded until the
+    world's 2 + pre + 3 * n_forks nodes reach MIN_NODES."""
+    return max(pre_len, MIN_NODES - 2 - 3 * n_forks)
+
+
+def route_edges(n_forks, pre_len=WorldConfig.pre_len):
+    """Edge count of a fork world's route, which is its episode: the approach
+    corridor, then two edges per fork (onto the fork, onto its correct
+    branch)."""
+    return _approach_len(n_forks, pre_len) + 2 * n_forks
+
+
+def check_route_fits(n_forks, max_steps):
+    """ConfigurationError unless an agent that takes at most `max_steps`
+    decisions can follow the route of an `n_forks` world: one decision per
+    edge, then the stop."""
+    edges = route_edges(n_forks)
+    if edges + 1 > max_steps:
+        raise ConfigurationError(f"n_forks={n_forks} makes routes of {edges} edges, which take "
+                                 f"{edges + 1} decisions; the agent takes at most "
+                                 f"max_steps={max_steps}")
 
 
 def _check_config(cfg):
@@ -262,11 +294,8 @@ def _check_config(cfg):
 def _build_forks(cfg, rng):
     """Chain of mirrored forks; wrong branches are dead ends marked by decoy
     landmarks, correct branches by instruction landmarks."""
-    pre = cfg.pre_len
     n_forks = cfg.n_forks
-    # pad the approach corridor until the world has >= 8 nodes
-    while 2 + pre + 3 * n_forks < 8:
-        pre += 1
+    pre = _approach_len(n_forks, cfg.pre_len)
 
     positions = [(0.0, 0.0)]
     nodes_pre = []
@@ -353,18 +382,16 @@ def generate_world(config, seed):
     )
 
 
-def sample_episode(world, mode, min_hops=3, max_hops=7):
-    """The episode of a world: its designated route, which must have an edge
-    count in [min_hops, max_hops]. Coarse episodes need a landmark at the
-    goal."""
+def sample_episode(world, mode):
+    """The episode of a world: its designated route, whose length
+    (`route_edges`) follows from the world's config. Coarse episodes need a
+    landmark at the goal."""
     if mode not in EPISODE_MODES:
         raise ConfigurationError(f"unknown mode {mode!r}")
     if world.designated is None:
         raise SamplingError("world has no designated route")
     start, goal = world.designated
     path, _ = shortest_path(world, start, goal)
-    if not (min_hops <= len(path) - 1 <= max_hops):
-        raise SamplingError(f"teacher path has {len(path) - 1} edges, outside [{min_hops},{max_hops}]")
 
     target = None
     if mode == "coarse":

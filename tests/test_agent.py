@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from imnav import agent as ag
+from imnav import dataset as ds
+from imnav import evaluation as ev
 from imnav import imagination as im
 from imnav import instructions as ins
 from imnav import numcore as nc
@@ -427,13 +429,14 @@ def episodes(setup):
     return out
 
 
-def unbatched_logits(agent, context, vis, nav):
-    """One decision as a plain unbatched pass makes it: the context copied to
-    the step, nothing padded, no mask. The reference for a batch of one."""
+def unbatched_logits(agent, text, imag, vis, nav):
+    """One decision as a plain unbatched pass makes it: the (1, L, d) text and
+    (N, d) imagination tokens (or None) joined for the step, nothing padded,
+    no mask. The reference for a batch of one."""
     cfg, p = agent.config, agent.params
-    ctx = nc.reshape(context.text, context.text.shape[1:])
-    if context.imag is not None:
-        ctx = nc.concat([ctx, context.imag], axis=0)
+    ctx = nc.reshape(text, text.shape[1:])
+    if imag is not None:
+        ctx = nc.concat([ctx, imag], axis=0)
     ctx = nc.reshape(ctx, (1,) + ctx.shape)
     for layer in range(cfg.cross_layers):
         ctx = agent._block(ctx, nc.concat([ctx, vis], axis=1), f"c{layer}_")
@@ -445,6 +448,78 @@ def unbatched_logits(agent, context, vis, nav):
     scores = nc.concat([nc.add(match, nc.matmul(views, p["act_w"])),
                         nc.matmul(hist, p["stop_w"])], axis=1)
     return nc.take_rows(nc.reshape(scores, (k + 1,)), [v for v, _ in nav] + [k])
+
+
+class TestGreedyDecoding:
+    """Greedy `evaluate` joins each episode's context once and reuses it at
+    every step; under every imagination policy its actions and per-step
+    logits must be, bit for bit, those of a decoder that rebuilds each
+    step's context from the public ops."""
+
+    @pytest.fixture(scope="class")
+    def items(self, setup):
+        library = setup["library"]
+        templates = ins.load_templates(DATA / "templates.txt")
+        lexicon = ins.load_lexicon(DATA / "lexicon_nouns.txt", DATA / "lexicon_blacklist.txt",
+                                   library)
+        return ds.standard_splits(library, templates, lexicon, train_n=1, val_seen_n=1,
+                                  val_unseen_n=5, data_seed=3)["val_unseen"].items
+
+    @staticmethod
+    def stepwise(agent, item, imaginations, mask, rng):
+        """The greedy decisions of one episode, each step encoding the text and
+        imaginations again and joining them itself."""
+        inputs = ag.context_inputs(agent, item.token_ids, imaginations, item.record.kept,
+                                   imag_mask=mask)
+        world, node, hist = item.episode.world, item.episode.start, agent.params["hist_init"]
+        actions, logits = [], []
+        for _ in range(agent.config.max_steps):
+            nav = wd.navigable(world, node)
+            vis, pooled = agent.encode_observation(wd.observation_at(world, node, rng)[None], hist)
+            text = agent.encode_text([inputs.token_ids])
+            if agent.config.imag_source == "text_mean":
+                imag = (ag.noun_phrase_means(text, [(0, pos) for _, pos in inputs.nouns])
+                        if inputs.nouns else None)
+            else:
+                imag = agent.encode_imaginations(inputs.features)
+            step = unbatched_logits(agent, text, imag, vis, nav)
+            actions.append(int(np.argmax(step.values)))
+            logits.append(step.values.tobytes())
+            if actions[-1] == len(nav):
+                break
+            node = nav[actions[-1]][1]
+            hist = agent.advance_history(hist, pooled)
+        return actions, logits
+
+    @pytest.mark.parametrize("imag_source", ["imagination", "text_mean"])
+    def test_evaluate_equals_stepwise_decoding_bitwise(self, setup, items, imag_source,
+                                                       monkeypatch):
+        cfg = ag.AgentConfig(vocab_size=len(setup["vocab"]), d=32, heads=2,
+                             imag_source=imag_source)
+        agent = ag.Agent(cfg, ag.init_params(cfg, seed=4))
+        decoded, rollout = [], ag.rollout
+
+        def spy(*args, **kwargs):
+            decoded.append(rollout(*args, **kwargs))
+            return decoded[-1]
+
+        monkeypatch.setattr(ag, "rollout", spy)
+        steps = 0
+        for policy in ev.POLICIES:
+            decoded.clear()
+            ev.evaluate(agent, items, policy, seed=6)
+            sets, masks = ev.apply_policy([item.imaginations for item in items], policy, 6)
+            assert len(decoded) == len(items)
+            with nc.no_grad():
+                for i, (item, traj) in enumerate(zip(items, decoded)):
+                    rng = np.random.default_rng(np.random.SeedSequence([0xE7A1, 6, i]))
+                    actions, logits = self.stepwise(agent, item, sets[i],
+                                                    None if masks is None else masks[i], rng)
+                    assert traj.actions == actions, (policy, i)
+                    assert [step.values.tobytes() for step in traj.logits] == logits, (policy, i)
+                    steps += len(actions)
+        # the episodes carry imaginations and take several steps
+        assert all(item.imaginations for item in items) and steps > 2 * len(items) * 4
 
 
 class TestPaddedBatch:
@@ -524,7 +599,7 @@ class TestPaddedBatch:
             vis, _ = agent.encode_observation(obs[None], agent.params["hist_init"])
             nav = wd.navigable(e["episode"].world, node)
             logits, _, _ = agent.cross_modal_step(context, vis, [1], [nav])
-            want = unbatched_logits(agent, context, vis, nav)
+            want = unbatched_logits(agent, context.text, context.imag, vis, nav)
             assert logits.values.tobytes() == want.values.tobytes()
         assert masks and all(m is None for m in masks)
 

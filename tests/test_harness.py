@@ -1,4 +1,5 @@
 import configparser
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +72,17 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             run_cli(["gen-world", "--seed", "1", "--out", "w", flag, "8"])
         assert exc.value.code == 2
+
+    def test_route_longer_than_max_steps_exits_1_before_any_work(self, tmp_path, capsys):
+        # seven forks make 15-edge routes: 16 decisions with the stop, one
+        # more than AgentConfig.max_steps; six forks still fit
+        assert run_cli(["gen-world", "--n-forks", "6", "--count", "1", "--seed", "1",
+                        "--out", tmp_path / "w6.txt"]) == 0
+        assert run_cli(["gen-world", "--n-forks", "7", "--count", "1", "--seed", "1",
+                        "--out", tmp_path / "w7.txt"]) == 1
+        assert "n_forks=7" in capsys.readouterr().err and not (tmp_path / "w7.txt").exists()
+        with pytest.raises(ConfigurationError, match="n_forks=7"):
+            harness.ExperimentSpec(world={"n_forks": 7})
 
     def test_missing_input_file_exits_1(self, tmp_path):
         code = run_cli(["gen-corpus", "--worlds", tmp_path / "nope.txt", "--seed", "1",
@@ -316,7 +328,11 @@ class TestDefaults:
 
 
 class TestAblateSmoke:
-    def test_shipped_desk_spec_is_byte_identical_across_workers(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def desk_runs(self, tmp_path_factory):
+        """Output directories of a tiny two-seed desk ablation run with
+        --workers 1 and with --workers 2."""
+        tmp_path = tmp_path_factory.mktemp("desk")
         p = configparser.ConfigParser(inline_comment_prefixes=("#",))
         assert p.read(ROOT / "experiments" / "desk.cfg")
         p["experiment"]["seeds"] = " ".join(p["experiment"]["seeds"].split()[:2])
@@ -326,9 +342,27 @@ class TestAblateSmoke:
         with open(spec_path, "w") as fh:
             p.write(fh)
         outs = [tmp_path / f"workers{n}" for n in (1, 2)]
+        environ = dict(os.environ)
         for n, out in zip((1, 2), outs):
             assert run_cli(["ablate", "--spec", spec_path, "--out-dir", out,
                             "--workers", n, "--quiet"]) == 0
+        assert dict(os.environ) == environ   # pinning the workers leaves this process's settings
+        return outs
+
+    def test_workers_run_with_one_blas_thread(self, desk_runs, tmp_path):
+        seeds = harness.read_experiment_spec(ROOT / "experiments" / "desk.cfg").seeds[:2]
+        for out in desk_runs:
+            assert sorted(p.name for p in (out / "threads").iterdir()) == [
+                f"seed_{seed}.txt" for seed in seeds]
+            for seed in seeds:
+                lines = (out / "threads" / f"seed_{seed}.txt").read_text().splitlines()
+                assert lines[-2:] == ["OPENBLAS_NUM_THREADS=1", "OMP_NUM_THREADS=1"], (out, seed)
+        with pytest.raises(ConfigurationError, match="workers"):
+            harness.run_ablation(harness.ExperimentSpec(), tmp_path / "out", workers=0)
+        assert not (tmp_path / "out").exists()
+
+    def test_shipped_desk_spec_is_byte_identical_across_workers(self, desk_runs):
+        outs = desk_runs
         for name in ("metrics.tsv", "summary.txt", "verdicts.txt"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
         assert len((outs[0] / "verdicts.txt").read_text().splitlines()) == 7

@@ -277,10 +277,20 @@ class TestSampleEpisode:
                 w = wd.generate_world(wd.WorldConfig(library=library, n_forks=n_forks), seed=seed)
                 ep = wd.sample_episode(w, "fine")
                 assert (ep.start, ep.goal) == w.designated
-                assert 3 <= len(ep.teacher_path) - 1 <= 7
+                assert 3 <= len(ep.teacher_path) - 1 == wd.route_edges(n_forks) <= 7
+                assert ep.shortest_len == wd.shortest_path(w, ep.start, ep.goal)[1]
 
     def test_route_longer_than_max_hops_errors(self, library):
-        # an approach edge plus two edges per fork: 9 > 7 with four forks
-        w = wd.generate_world(wd.WorldConfig(library=library, n_forks=4), seed=0)
-        with pytest.raises(SamplingError, match="9 edges"):
-            wd.sample_episode(w, "fine")
+        # an approach edge plus two edges per fork: the hop bound is the
+        # route's own length, so four forks give a 9-edge episode
+        for n_forks in (4, 6):
+            w = wd.generate_world(wd.WorldConfig(library=library, n_forks=n_forks), seed=0)
+            ep = wd.sample_episode(w, "fine")
+            assert len(ep.teacher_path) - 1 == wd.route_edges(n_forks) == 1 + 2 * n_forks
+        # a route longer than the agent's step budget is a config error:
+        # 6 forks take 13 edges and a stop, 7 forks 15 edges and a stop
+        wd.check_route_fits(6, max_steps=14)
+        with pytest.raises(ConfigurationError, match="n_forks=7 makes routes of 15 edges"):
+            wd.check_route_fits(7, max_steps=15)
+        with pytest.raises(ConfigurationError, match="n_forks=6"):
+            wd.check_route_fits(6, max_steps=13)
