@@ -216,7 +216,6 @@ class Trajectory:
     logits: list
     teacher_actions: list
     attention: list | None
-    grounding_view: int | None
     aux_pairs: list                    # (imagination token row, noun-token positions)
     imaginations: list
     truncated: bool = False
@@ -372,7 +371,7 @@ class Agent:
         With equal-length sets (one episode) nothing is padded or masked.
 
         Returns ((ΣT, A) logits over [navigable views; stop] padded with -inf,
-        (ΣT, K, 1) view scores, per-step lists of attention records or None).
+        per-step lists of attention records or None).
         """
         cfg = self.config
         d, k = cfg.d, cfg.k_views
@@ -433,7 +432,7 @@ class Agent:
         if min(lengths) < width:
             valid = np.arange(width) < np.array(lengths)[:, None]
             logits = nc.add(logits, nc.constant(np.where(valid, 0.0, -np.inf).astype(np.float32)))
-        return logits, view_scores, records
+        return logits, records
 
 
 def _valid(lengths):
@@ -570,7 +569,7 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
                             imag_mask=imag_mask, train=train, rng=drop_rng)
     attn = [] if record_attention else None
     truncated = False
-    observations = grounding_view = None
+    observations = None
     logits_list = []
 
     if mode == "teacher":
@@ -590,7 +589,7 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
             nav = wd.navigable(world, node)
             obs = wd.observation_at(world, node, obs_rng)
             vis_tokens, pooled = agent.encode_observation(obs[None], hist)
-            logits, view_scores, recs = agent.cross_modal_step(
+            logits, recs = agent.cross_modal_step(
                 context, vis_tokens, [1], [nav], record_attention=record_attention)
             logits = nc.reshape(logits, (len(nav) + 1,))
             action = int(logits.values.argmax())
@@ -606,7 +605,6 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
             hist = agent.advance_history(hist, pooled)
         else:
             truncated = True
-        grounding_view = int(np.argmax(view_scores.values[-1, :, 0]))
     else:
         raise ContractError(f"unknown rollout mode {mode!r}")
 
@@ -614,8 +612,7 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
     return Trajectory(episode=episode, token_ids=tuple(token_ids), tokens=tuple(tokens),
                       visited=visited, actions=actions, action_spaces=spaces,
                       logits=logits_list, teacher_actions=teacher_actions,
-                      attention=attn, grounding_view=grounding_view,
-                      aux_pairs=aux_pairs, imaginations=list(imaginations),
+                      attention=attn, aux_pairs=aux_pairs, imaginations=list(imaginations),
                       truncated=truncated, inputs=inputs if mode == "teacher" else None,
                       observations=observations)
 
@@ -625,8 +622,8 @@ def decide(agent, trajectories):
     pass: one text, one imagination and one observation encoder pass over
     the batch, then `cross_modal_step`.
 
-    Fills each trajectory's per-step logits, grounding view and, if it was
-    rolled out with record_attention, its per-step attention records.
+    Fills each trajectory's per-step logits and, if it was rolled out with
+    record_attention, its per-step attention records.
     Returns the (ΣT, A) logits of all steps in trajectory order, padded with
     -inf, and the (P, d) imagination tokens h and noun-phrase means s̄ of the
     trajectories' alignment pairs in order (None and None without pairs).
@@ -635,13 +632,12 @@ def decide(agent, trajectories):
     counts = [len(t.action_spaces) for t in trajectories]
     visual, _ = agent.encode_observation(np.concatenate([t.observations for t in trajectories]),
                                          agent.params["hist_init"], counts)
-    logits, view_scores, records = agent.cross_modal_step(
+    logits, records = agent.cross_modal_step(
         context, visual, counts, [nav for t in trajectories for nav in t.action_spaces],
         record_attention=any(t.attention is not None for t in trajectories))
     first = 0
     for traj, steps in zip(trajectories, counts):
         traj.logits = StepLogits(logits, first, [len(nav) + 1 for nav in traj.action_spaces])
-        traj.grounding_view = int(np.argmax(view_scores.values[first + steps - 1, :, 0]))
         if traj.attention is not None:
             traj.attention = records[first:first + steps]
         first += steps

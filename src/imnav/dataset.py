@@ -60,16 +60,16 @@ def bundle(episodes, records, imagination_sets, vocab, library, split):
     return Split(items=items, vocab=vocab, library=library, split=split)
 
 
-def generate_episodes(world_config, n_worlds, mode, seed):
+def generate_episodes(world_config, n_worlds, seed):
     """`n_worlds` generated worlds with one episode each."""
-    return [wd.sample_episode(wd.generate_world(world_config, seed=seed * 1009 + i), mode)
+    return [wd.sample_episode(wd.generate_world(world_config, seed=seed * 1009 + i))
             for i in range(n_worlds)]
 
 
-def build_split(world_config, n_worlds, mode, templates, lexicon, vocab,
+def build_split(world_config, n_worlds, templates, lexicon, vocab,
                 imagination_config, world_seed, text_seed, imagine_seed):
     """Generate `n_worlds` worlds with one episode each and build the corpus."""
-    episodes = generate_episodes(world_config, n_worlds, mode, world_seed)
+    episodes = generate_episodes(world_config, n_worlds, world_seed)
     records = ins.build_corpus(episodes, templates, lexicon, seed=text_seed, vocab=vocab)
     sets = im.imagine_dataset(records, world_config.library, imagination_config, seed=imagine_seed)
     return bundle(episodes, records, sets, vocab, world_config.library, world_config.split)
@@ -88,10 +88,12 @@ def read_split(worlds_path, corpus_path, imaginations_path):
 
 def standard_splits(library, templates, lexicon, *, layout=wd.WorldConfig.layout,
                     n_forks=wd.WorldConfig.n_forks, k_views=wd.WorldConfig.k_views,
-                    sigma_obs=wd.WorldConfig.sigma_obs, mode=wd.EPISODE_MODES[0],
+                    sigma_obs=wd.WorldConfig.sigma_obs, mode=wd.EPISODE_MODE,
                     train_n, val_seen_n, val_unseen_n,
                     imagination_config=None, data_seed):
-    """The train/val_seen/val_unseen triple used by experiments and tests."""
+    """The train/val_seen/val_unseen triple used by experiments and tests.
+    `mode` must be the one episode mode; experiment specs still name it."""
+    wd.check_mode(mode)
     vocab = ins.build_vocab(templates, library)
     imagination_config = imagination_config or im.ImaginationConfig()
     base = wd.WorldConfig(library=library, layout=layout, n_forks=n_forks,
@@ -102,7 +104,7 @@ def standard_splits(library, templates, lexicon, *, layout=wd.WorldConfig.layout
                                       ("val_unseen", val_unseen_n, 90019)):
         cfg = replace(base, split=split_name)
         out[split_name] = build_split(
-            cfg, count, mode, templates, lexicon, vocab, imagination_config,
+            cfg, count, templates, lexicon, vocab, imagination_config,
             world_seed=data_seed * 7 + offset, text_seed=data_seed * 13 + offset + 1,
             imagine_seed=data_seed * 17 + offset + 2)
     return out

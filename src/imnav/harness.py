@@ -56,7 +56,7 @@ class ExperimentSpec:
     seeds: tuple[int, ...] = (101, 102, 103, 104, 105)
     conditions: tuple[str, ...] = ("baseline", "imagine")
     data_seed: int = 0
-    mode: str = wd.EPISODE_MODES[0]
+    mode: str = wd.EPISODE_MODE     # the one episode mode; specs may still name it
     train_worlds: int = 500
     val_seen_worlds: int = 100
     val_unseen_worlds: int = 100
@@ -70,6 +70,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.seeds:
             raise ConfigurationError("experiment needs at least one seed")
+        wd.check_mode(self.mode, "world.mode")
         if self.base_iterations < 0:
             raise ConfigurationError(f"base_iterations must be >= 0, got {self.base_iterations}")
         for name in ("train_worlds", "val_seen_worlds", "val_unseen_worlds"):
@@ -124,7 +125,7 @@ def cmd_gen_world(args):
     wd.check_route_fits(args.n_forks, ag.AgentConfig.max_steps)
     library, _, _ = ds.load_assets(args.d_v)
     cfg = wd.WorldConfig(library=library, **_fields_of(wd.WorldConfig, args))
-    pairs = [(ep.world, ep) for ep in ds.generate_episodes(cfg, args.count, args.mode, args.seed)]
+    pairs = [(ep.world, ep) for ep in ds.generate_episodes(cfg, args.count, args.seed)]
     serial.write_worlds(args.out, library, pairs, command=command_line(), seed=args.seed)
     print(f"wrote {len(pairs)} worlds to {args.out}")
     return 0
@@ -174,10 +175,7 @@ def cmd_train(args):
         if args.condition in TRAIN_CONDITIONS:
             acfg = replace(acfg, **TRAIN_CONDITIONS[args.condition][1])
         init_values = base.values
-    val_items = None
-    if args.val_worlds:
-        val_items = ds.read_split(args.val_worlds, args.val_corpus, args.val_imaginations).items
-    ckpt, curves = tr.train(split, acfg, cfg, init_values=init_values, val_items=val_items)
+    ckpt, curves = tr.train(split, acfg, cfg, init_values=init_values)
     tr.save_checkpoint(ckpt, args.out)
     if args.curves:
         serial.write_curves(args.curves, curves, command=command_line(), seed=args.seed)
@@ -202,7 +200,7 @@ def cmd_probe_attention(args):
     with nc.no_grad():
         traj = ag.rollout(agent, item.episode, item.token_ids, item.record.instruction.tokens,
                           item.imaginations, "teacher",
-                          obs_rng=np.random.default_rng(np.random.SeedSequence([0xE7A1, args.seed, args.episode])),
+                          obs_rng=ev.observation_rng(args.seed, args.episode),
                           kept_subs=item.record.kept, record_attention=True)
         ag.decide(agent, [traj])
     tokens, views = ag.attention_probe(traj, args.layer, args.head, args.imagination, k=args.k)
@@ -373,7 +371,7 @@ def run_ablation(spec, out_dir, quiet=False, workers=1):
     serial.write_metrics(out_dir / "metrics.tsv", rows,
                          command=f"ablate {spec.name}", seed=spec.seeds[0])
     summary = summarize([dict(split=r.split, condition=c, sr=r.sr, spl=r.spl, ne=r.ne_mean,
-                              tl=r.tl_mean, rgs=r.rgs, rgspl=r.rgspl, n=r.count, seed=r.seed)
+                              tl=r.tl_mean, n=r.count, seed=r.seed)
                          for r, c in rows])
     verdicts = verdict_lines(summary, spec.conditions)
     serial.write_text(out_dir / "summary.txt",
@@ -470,7 +468,6 @@ def build_parser():
 
     p = sub.add_parser("gen-world", help="generate a world + episode set")
     _field_option(p, "--split", W, "split", choices=wd.SPLITS)
-    _field_option(p, "--mode", ExperimentSpec, "mode", choices=wd.EPISODE_MODES)
     p.add_argument("--count", type=int, default=100)
     _field_option(p, "--n-forks", W, "n_forks")
     _field_option(p, "--k", W, "k_views")
@@ -499,9 +496,6 @@ def build_parser():
     p.add_argument("--worlds", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--imaginations", required=True)
-    p.add_argument("--val-worlds", default=None)
-    p.add_argument("--val-corpus", default=None)
-    p.add_argument("--val-imaginations", default=None)
     _field_option(p, "--iters", T, "iterations")
     _field_option(p, "--batch-size", T, "batch_size")
     _field_option(p, "--schedule", T, "schedule", choices=("three_stage", "flat"))
@@ -515,7 +509,6 @@ def build_parser():
     p.add_argument("--no-imaginations", action="store_true")
     p.add_argument("--init-from", default=None)
     p.add_argument("--condition", default=None, choices=tuple(TRAIN_CONDITIONS))
-    _field_option(p, "--eval-interval", T, "eval_interval")
     _field_option(p, "--d", A, "d")
     _field_option(p, "--heads", A, "heads")
     _field_option(p, "--cross-layers", A, "cross_layers")

@@ -1,9 +1,8 @@
 """Templated instruction generation, segmentation, and noun-phrase filtering.
 
-Instructions are closed-vocabulary token sequences built from templates: fine
-mode emits one segment per teacher-path step (landmark-referencing at steps
-whose target view shows a landmark, non-visual otherwise, goal-naming at the
-final step); coarse mode emits a single goal-naming segment.
+Instructions are closed-vocabulary token sequences built from templates, one
+segment per teacher-path step: landmark-referencing at steps whose target
+view shows a landmark, non-visual otherwise, goal-naming at the final step.
 
 Segmentation splits at delimiter tokens. The tagger is a lexicon chunker: a
 candidate noun phrase is a maximal run of lexicon words, rooted at its last
@@ -27,7 +26,10 @@ class TemplateSet:
     move: tuple      # non-visual step templates, token tuples
     step: tuple      # landmark step templates, '{}' marks the slot
     final: tuple     # goal-naming step templates
-    coarse: tuple    # whole-instruction templates
+    # no instruction uses these; they are read only for their words, which
+    # include `find`: without them the vocabulary has 85 words, not 86, and
+    # the token ids of every existing checkpoint would shift
+    coarse: tuple
 
     def all_words(self):
         out = set()
@@ -96,7 +98,6 @@ class Instruction:
     episode: object
     gold_segments: tuple          # ((start, end), ...) partition of [0, L)
     gold_landmarks: tuple         # class id or None per gold segment
-    mode: str
 
 
 @dataclass
@@ -119,9 +120,6 @@ def generate_instruction(episode, templates, seed, vocab=None):
     segments = []
     landmarks = []
 
-    def fill(template, phrase):
-        return tuple(phrase if w == "{}" else (w,) for w in template)
-
     def flat(template, phrase=()):
         out = []
         for w in template:
@@ -131,27 +129,21 @@ def generate_instruction(episode, templates, seed, vocab=None):
                 out.append(w)
         return out
 
-    if episode.mode == "coarse":
-        cls = world.library.by_id(episode.target_landmark)
-        tpl = templates.coarse[int(rng.integers(len(templates.coarse)))]
-        segments.append(flat(tpl, cls.phrase) + ["."])
-        landmarks.append(cls.id)
-    else:
-        path = episode.teacher_path
-        for i, (u, v) in enumerate(zip(path[:-1], path[1:])):
-            view = next(vw for vw, nb in world.view_map[u].items() if nb == v)
-            placed = {vw: cid for cid, vw in world.placements.get(u, ())}
-            last = i == len(path) - 2
-            if view in placed:
-                cls = world.library.by_id(placed[view])
-                pool = templates.final if last else templates.step
-                tpl = pool[int(rng.integers(len(pool)))]
-                segments.append(flat(tpl, cls.phrase) + ["."])
-                landmarks.append(cls.id)
-            else:
-                tpl = templates.move[int(rng.integers(len(templates.move)))]
-                segments.append(list(tpl) + ["."])
-                landmarks.append(None)
+    path = episode.teacher_path
+    for i, (u, v) in enumerate(zip(path[:-1], path[1:])):
+        view = next(vw for vw, nb in world.view_map[u].items() if nb == v)
+        placed = {vw: cid for cid, vw in world.placements.get(u, ())}
+        last = i == len(path) - 2
+        if view in placed:
+            cls = world.library.by_id(placed[view])
+            pool = templates.final if last else templates.step
+            tpl = pool[int(rng.integers(len(pool)))]
+            segments.append(flat(tpl, cls.phrase) + ["."])
+            landmarks.append(cls.id)
+        else:
+            tpl = templates.move[int(rng.integers(len(templates.move)))]
+            segments.append(list(tpl) + ["."])
+            landmarks.append(None)
 
     tokens = []
     spans = []
@@ -166,8 +158,7 @@ def generate_instruction(episode, templates, seed, vocab=None):
     if len(tokens) > 80:
         raise ConfigurationError(f"instruction too long: {len(tokens)} tokens")
     return Instruction(tokens=tuple(tokens), episode=episode,
-                       gold_segments=tuple(spans), gold_landmarks=tuple(landmarks),
-                       mode=episode.mode)
+                       gold_segments=tuple(spans), gold_landmarks=tuple(landmarks))
 
 
 def segment(instruction):

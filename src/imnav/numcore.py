@@ -86,9 +86,6 @@ class Tensor:
     def item(self):
         return float(self.values)
 
-    def zero_grad(self):
-        self.grad = None
-
     def accumulate_grad(self, g):
         if self.grad is None:
             self.grad = np.array(g, dtype=self.values.dtype, copy=True)
@@ -685,9 +682,6 @@ class ParamStore:
     def zero_grads(self):
         for t in self._params.values():
             t.grad = None
-
-    def copy_values(self):
-        return {k: v.values.copy() for k, v in self._params.items()}
 
 
 class Adam:

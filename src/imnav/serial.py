@@ -24,7 +24,7 @@ from .imagination import Imagination
 WORLDS_TAG = "# imnav-worlds v1"
 CORPUS_TAG = "# imnav-corpus v1"
 IMAGINE_TAG = "# imnav-imagine v1"
-METRICS_COLUMNS = ("split", "condition", "SR", "SPL", "NE", "TL", "RGS", "RGSPL", "n", "seed")
+METRICS_COLUMNS = ("split", "condition", "SR", "SPL", "NE", "TL", "n", "seed")
 
 
 def f32(x):
@@ -129,9 +129,9 @@ def write_worlds(path, library, pairs, command="", seed=None):
         for node in sorted(world.placements):
             for cid, view in world.placements[node]:
                 lines.append(f"place {w_idx} {node} {view} {cid}")
-        target = episode.target_landmark if episode.target_landmark is not None else "-"
+        # v1 columns: the mode, then the target landmark, which no episode has
         lines.append(f"episode {w_idx} {episode.mode} {episode.start} {episode.goal} "
-                     f"{target} {len(episode.teacher_path)} "
+                     f"- {len(episode.teacher_path)} "
                      + " ".join(str(n) for n in episode.teacher_path))
     write_text(path, lines, WORLDS_TAG, command, seed)
 
@@ -178,10 +178,11 @@ def read_worlds(path):
             elif tag == "episode":
                 idx = int(parts[1])
                 n = int(parts[6])
-                episodes_raw[idx] = dict(
-                    mode=parts[2], start=int(parts[3]), goal=int(parts[4]),
-                    target=None if parts[5] == "-" else int(parts[5]),
-                    path=tuple(int(x) for x in parts[7:7 + n]))
+                if parts[2] != wd.EPISODE_MODE or parts[5] != "-":
+                    reader.fail(lineno, f"episode mode {parts[2]!r} with target {parts[5]!r}: "
+                                f"the only episode mode is {wd.EPISODE_MODE!r}, without a target")
+                episodes_raw[idx] = dict(start=int(parts[3]), goal=int(parts[4]),
+                                         path=tuple(int(x) for x in parts[7:7 + n]))
             else:
                 reader.fail(lineno, f"unknown record tag {tag!r}")
         except (ValueError, IndexError, KeyError) as exc:
@@ -205,8 +206,7 @@ def read_worlds(path):
         episode = None
         if ep_raw:
             episode = wd.Episode(world=world, start=ep_raw["start"], goal=ep_raw["goal"],
-                                 teacher_path=ep_raw["path"], mode=ep_raw["mode"],
-                                 target_landmark=ep_raw["target"])
+                                 teacher_path=ep_raw["path"])
         pairs.append((world, episode))
     return library, pairs
 
@@ -219,7 +219,7 @@ def write_corpus(path, records, world_indices, command="", seed=None):
     lines = []
     for idx, (rec, w_idx) in enumerate(zip(records, world_indices)):
         instr = rec.instruction
-        lines.append(f"instr {idx} {w_idx} {instr.mode} {len(instr.tokens)} "
+        lines.append(f"instr {idx} {w_idx} {wd.EPISODE_MODE} {len(instr.tokens)} "
                      + " ".join(instr.tokens))
         golds = []
         for (s, e), cls in zip(instr.gold_segments, instr.gold_landmarks):
@@ -244,11 +244,14 @@ def read_corpus(path, pairs):
         try:
             tag = parts[0]
             if tag == "instr":
-                idx, w_idx, mode, n = int(parts[1]), int(parts[2]), parts[3], int(parts[4])
+                idx, w_idx, n = int(parts[1]), int(parts[2]), int(parts[4])
+                if parts[3] != wd.EPISODE_MODE:
+                    reader.fail(lineno, f"instruction mode {parts[3]!r}: the only episode mode "
+                                f"is {wd.EPISODE_MODE!r}")
                 tokens = tuple(parts[5:5 + n])
                 if len(tokens) != n:
                     reader.fail(lineno, "token count mismatch")
-                by_idx[idx] = dict(world=w_idx, mode=mode, tokens=tokens, gold=[], subs=[])
+                by_idx[idx] = dict(world=w_idx, tokens=tokens, gold=[], subs=[])
             elif tag == "gold":
                 idx, n = int(parts[1]), int(parts[2])
                 fields = parts[3:]
@@ -280,8 +283,7 @@ def read_corpus(path, pairs):
         instr = ins.Instruction(
             tokens=raw["tokens"], episode=episode,
             gold_segments=tuple(sp for sp, _ in raw["gold"]),
-            gold_landmarks=tuple(cls for _, cls in raw["gold"]),
-            mode=raw["mode"])
+            gold_landmarks=tuple(cls for _, cls in raw["gold"]))
         subs = sorted(raw["subs"], key=lambda s: s.index)
         for sub in subs:
             sub.tokens = instr.tokens[sub.span[0]:sub.span[1]]
@@ -336,17 +338,15 @@ def write_metrics(path, rows, command="", seed=None):
 
 
 def read_metrics(path):
-    """Rows of a metrics file as dicts, with SR/SPL/RGS/RGSPL converted from
-    the file's percentages to fractions."""
-    def fraction(text):
-        return None if text == "-" else float(text) / 100.0
-
+    """Rows of a metrics file as dicts, with SR/SPL converted from the file's
+    percentages to fractions."""
     rows = []
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     body = [(i + 1, l) for i, l in enumerate(lines) if l and not l.startswith("#")]
     if not body or body[0][1].split("\t") != list(METRICS_COLUMNS):
-        raise FormatError(f"{path}: missing metrics header row")
+        raise FormatError(f"{path}: expected a metrics header row with the columns "
+                          f"{' '.join(METRICS_COLUMNS)}")
     for lineno, line in body[1:]:
         parts = line.split("\t")
         if len(parts) != len(METRICS_COLUMNS):
@@ -354,18 +354,16 @@ def read_metrics(path):
         try:
             rows.append(dict(
                 split=parts[0], condition=parts[1],
-                sr=fraction(parts[2]), spl=fraction(parts[3]),
+                sr=float(parts[2]) / 100.0, spl=float(parts[3]) / 100.0,
                 ne=float(parts[4]), tl=float(parts[5]),
-                rgs=fraction(parts[6]), rgspl=fraction(parts[7]),
-                n=int(parts[8]), seed=int(parts[9])))
+                n=int(parts[6]), seed=int(parts[7])))
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: bad field: {exc}") from exc
     return rows
 
 
 def write_curves(path, curves, command="", seed=None):
-    lines = ["iter\tl_base\tl_aux\tval_sr"]
-    for it, lb, la, sr in curves:
-        sr_txt = "nan" if sr != sr else f"{sr:.6f}"
-        lines.append(f"{it}\t{lb:.6f}\t{la:.6f}\t{sr_txt}")
+    lines = ["iter\tl_base\tl_aux\tn_im"]
+    for it, lb, la, n_im in curves:
+        lines.append(f"{it}\t{lb:.6f}\t{la:.6f}\t{n_im}")
     write_text(path, lines, command=command, seed=seed)

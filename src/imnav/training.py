@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import agent as ag
-from . import evaluation as ev
 from . import numcore as nc
 from . import serial
 from .errors import ConfigurationError, ContractError, FormatError, TrainingDiverged
@@ -49,8 +48,6 @@ class TrainConfig:
     flat_lr: float = 1e-3
     aux_in_all_stages: bool = False
     use_imaginations: bool = True     # False for base-agent pretraining
-    eval_interval: int = 0            # 0 disables mid-training evaluation
-    eval_limit: int = 40
     seed: int = 0
 
     def __post_init__(self):
@@ -246,12 +243,13 @@ def _train_step(agent, opt, items, batch_idx, lrs, cfg, iteration, rng):
     return breakdown
 
 
-def train(split, agent_config, cfg, init_values=None, val_items=None, resume=None):
+def train(split, agent_config, cfg, init_values=None, resume=None):
     """Run the loop; returns (Checkpoint, curves).
 
-    curves rows are (iteration, l_base, l_aux, val_sr) with val_sr = nan off
-    the evaluation grid. `init_values` warm-starts parameters (base checkpoint
-    for finetunes); `resume` continues a saved checkpoint bitwise.
+    curves rows are (iteration, l_base, l_aux, n_im), n_im being the
+    iteration's alignment-pair count (0 where the loss reads none).
+    `init_values` warm-starts parameters (base checkpoint for finetunes);
+    `resume` continues a saved checkpoint bitwise.
     """
     if not split.items:
         raise ContractError("empty training split")
@@ -283,12 +281,7 @@ def train(split, agent_config, cfg, init_values=None, val_items=None, resume=Non
         params.zero_grads()
         with _frozen_off_tape(params, lrs):
             breakdown = _train_step(agent, opt, items, batch_idx, lrs, cfg, iteration, rng)
-
-        val_sr = math.nan
-        if cfg.eval_interval and val_items and (iteration + 1) % cfg.eval_interval == 0:
-            rec = ev.evaluate(agent, val_items[:cfg.eval_limit], "correct", seed=cfg.seed)
-            val_sr = rec.sr
-        curves.append((iteration, breakdown.l_base, breakdown.l_aux, val_sr))
+        curves.append((iteration, breakdown.l_base, breakdown.l_aux, breakdown.n_im))
 
     ckpt = Checkpoint(
         version=CHECKPOINT_VERSION,

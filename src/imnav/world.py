@@ -11,7 +11,8 @@ each fork the two branches are geometrically mirrored and differ only in
 which landmark class is shown, so route choice is informative only through
 landmark identity. Each world designates its route, from the start of the
 approach corridor to the end of the last correct branch, and that route is
-its episode.
+its episode. Episodes have one mode, `fine`: the instruction gives one
+segment per route step (see `instructions`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ PROTOTYPE_SEED = 2026
 PROTOTYPE_MAX_COS = 0.55
 
 SPLITS = ("train", "val_seen", "val_unseen")
-EPISODE_MODES = ("fine", "coarse")   # the first is the default
+EPISODE_MODE = "fine"   # the only episode mode; specs and data files still name it
 
 
 @dataclass(frozen=True)
@@ -204,14 +205,19 @@ def shortest_path(world, a, b):
     raise SamplingError(f"no path from {a} to {b}")
 
 
+def check_mode(mode, key="mode"):
+    """ConfigurationError unless `mode`, the value of `key`, is EPISODE_MODE."""
+    if mode != EPISODE_MODE:
+        raise ConfigurationError(f"{key} = {mode!r}: the only episode mode is {EPISODE_MODE!r}")
+
+
 @dataclass(frozen=True)
 class Episode:
     world: World
     start: int
     goal: int
     teacher_path: tuple
-    mode: str                       # fine | coarse
-    target_landmark: int | None = None
+    mode = EPISODE_MODE             # not a field: every episode has this mode
 
     @cached_property
     def shortest_len(self):
@@ -382,22 +388,11 @@ def generate_world(config, seed):
     )
 
 
-def sample_episode(world, mode):
+def sample_episode(world):
     """The episode of a world: its designated route, whose length
-    (`route_edges`) follows from the world's config. Coarse episodes need a
-    landmark at the goal."""
-    if mode not in EPISODE_MODES:
-        raise ConfigurationError(f"unknown mode {mode!r}")
+    (`route_edges`) follows from the world's config."""
     if world.designated is None:
         raise SamplingError("world has no designated route")
     start, goal = world.designated
     path, _ = shortest_path(world, start, goal)
-
-    target = None
-    if mode == "coarse":
-        goal_placements = sorted(world.placements.get(goal, ()))
-        if not goal_placements:
-            raise SamplingError(f"coarse episode goal {goal} has no landmark placement")
-        target = goal_placements[0][0]
-    return Episode(world=world, start=start, goal=goal, teacher_path=tuple(path),
-                   mode=mode, target_landmark=target)
+    return Episode(world=world, start=start, goal=goal, teacher_path=tuple(path))

@@ -26,7 +26,7 @@ def setup():
     lexicon = ins.load_lexicon(DATA / "lexicon_nouns.txt", DATA / "lexicon_blacklist.txt", library)
     vocab = ins.build_vocab(templates, library)
     world = wd.generate_world(wd.WorldConfig(library=library), seed=1)
-    episode = wd.sample_episode(world, "fine")
+    episode = wd.sample_episode(world)
     record = ins.build_record(ins.generate_instruction(episode, templates, seed=2, vocab=vocab), lexicon)
     imags = im.imagine_dataset([record], library, im.ImaginationConfig(sigma_gen=0.0, fidelity=1.0), seed=0)[0]
     config = ag.AgentConfig(vocab_size=len(vocab))
@@ -291,7 +291,7 @@ class TestCrossModal:
         context = ag.build_context(agent, [ag.context_inputs(agent, setup["token_ids"], [], [])])
         obs = wd.observation_at(setup["world"], 0, np.random.default_rng(0))
         vis, _ = agent.encode_observation(obs[None], agent.params["hist_init"])
-        logits, _, _ = agent.cross_modal_step(context, vis, [1], [[]])
+        logits, _ = agent.cross_modal_step(context, vis, [1], [[]])
         assert logits.shape == (1, 1)
 
 
@@ -363,7 +363,7 @@ class TestBatchedTeacher:
             obs = wd.observation_at(world, node, rng)
             nav = wd.navigable(world, node)
             vis, pooled = agent.encode_observation(obs[None], hist)
-            step_logits, _, _ = agent.cross_modal_step(context, vis, [1], [nav])
+            step_logits, _ = agent.cross_modal_step(context, vis, [1], [nav])
             logits.append(nc.reshape(step_logits, (len(nav) + 1,)))
             hist = agent.advance_history(hist, pooled)
         return logits
@@ -414,7 +414,7 @@ def episodes(setup):
     for seed, forks, policy in ((1, 2, "masked"), (2, 3, "none"), (3, 2, "all"), (4, 3, "some")):
         world = wd.generate_world(wd.WorldConfig(library=library, n_forks=forks),
                                   seed=seed)
-        episode = wd.sample_episode(world, "fine")
+        episode = wd.sample_episode(world)
         record = ins.build_record(ins.generate_instruction(episode, templates, seed=seed,
                                                            vocab=vocab), lexicon)
         imags = im.imagine_dataset([record], library, im.ImaginationConfig(sigma_gen=0.0),
@@ -576,7 +576,6 @@ class TestPaddedBatch:
             for a, b in zip(tb.logits, ts.logits):
                 assert a.shape == b.shape
                 assert np.abs(a.values - b.values).max() < 1e-5
-            assert tb.grounding_view == ts.grounding_view
         agent.params.zero_grads()
         per_episode = [nc.reshape(tr.imitation_loss(logits, [t.teacher_actions]), (1,))
                        for t, logits in singles]
@@ -598,7 +597,7 @@ class TestPaddedBatch:
             obs = wd.observation_at(e["episode"].world, node, np.random.default_rng(0))
             vis, _ = agent.encode_observation(obs[None], agent.params["hist_init"])
             nav = wd.navigable(e["episode"].world, node)
-            logits, _, _ = agent.cross_modal_step(context, vis, [1], [nav])
+            logits, _ = agent.cross_modal_step(context, vis, [1], [nav])
             want = unbatched_logits(agent, context.text, context.imag, vis, nav)
             assert logits.values.tobytes() == want.values.tobytes()
         assert masks and all(m is None for m in masks)
@@ -725,7 +724,7 @@ class TestAgentGradcheck:
             ctx = ag.EncodedContext(text=a.encode_text([[1, 3, 5]]), text_lengths=(3,),
                                     imag=a.encode_imaginations(feats), imag_counts=(2,))
             vis, _ = a.encode_observation(pano[None], store["hist_init"])
-            logits, _, _ = a.cross_modal_step(ctx, vis, [1], [[(0, 1), (2, 3)]])
+            logits, _ = a.cross_modal_step(ctx, vis, [1], [[(0, 1), (2, 3)]])
             return nc.cross_entropy(nc.reshape(logits, (3,)), 1)
 
         arrays = [params[name].values.astype(np.float64) for name in checked]

@@ -1,5 +1,6 @@
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from imnav.errors import ConfigurationError, ContractError, InputError
 DATA = Path(__file__).parent.parent / "src" / "imnav" / "data"
 
 
-def result(success=True, ne=0.0, tl=1.0, shortest=1.0, grounded=None, eid=0):
+def result(success=True, ne=0.0, tl=1.0, shortest=1.0, eid=0):
     return ev.EpisodeResult(episode_id=eid, final_node=0, success=success, ne=ne,
-                            tl=tl, shortest_len=shortest, path_len=tl, grounded=grounded)
+                            tl=tl, shortest_len=shortest)
 
 
 @pytest.fixture(scope="module")
@@ -35,14 +36,34 @@ def small_agent(splits):
 
 
 class TestSuccess:
-    def test_at_goal(self):
-        assert ev.success((0.0, 0.0), (0.0, 0.0), radius=1.0)
+    """`evaluate` counts an episode as a success when its final node lies
+    within the radius of the goal, boundary included."""
 
-    def test_boundary_inclusive(self):
-        assert ev.success((1.0, 0.0), (0.0, 0.0), radius=1.0)
+    @staticmethod
+    def stop_at(monkeypatch, splits, small_agent, final, radius):
+        """The metrics of one episode whose rollout moves from the start to
+        `final` and stops there."""
+        item = splits["val_seen"].items[0]
+        monkeypatch.setattr(ag, "rollout", lambda *args, **kwargs: SimpleNamespace(
+            visited=[item.episode.start, final]))
+        return ev.evaluate(small_agent, [item], "correct", seed=0, radius=radius)
 
-    def test_just_outside(self):
-        assert not ev.success((1.0 + 1e-9, 0.0), (0.0, 0.0), radius=1.0)
+    def test_at_goal(self, monkeypatch, splits, small_agent):
+        goal = splits["val_seen"].items[0].episode.goal
+        rec = self.stop_at(monkeypatch, splits, small_agent, goal, radius=0.0)
+        assert rec.ne_mean == 0.0 and rec.sr == 1.0
+
+    def test_boundary_inclusive(self, monkeypatch, splits, small_agent):
+        ep = splits["val_seen"].items[0].episode
+        ne = ev.navigation_error(ep.world, ep.start, ep.goal)
+        assert ne > 0.0
+        assert self.stop_at(monkeypatch, splits, small_agent, ep.start, radius=ne).sr == 1.0
+
+    def test_just_outside(self, monkeypatch, splits, small_agent):
+        ep = splits["val_seen"].items[0].episode
+        ne = ev.navigation_error(ep.world, ep.start, ep.goal)
+        rec = self.stop_at(monkeypatch, splits, small_agent, ep.start, radius=np.nextafter(ne, 0.0))
+        assert rec.sr == 0.0 and rec.spl == 0.0
 
 
 class TestSpl:
@@ -81,21 +102,6 @@ class TestDistances:
         want = sum(float(np.linalg.norm(w.positions[a] - w.positions[b]))
                    for a, b in zip(path[:-1], path[1:]))
         assert abs(ev.trajectory_length(w, path) - want) < 1e-12
-
-
-class TestGroundingSuccess:
-    def test_failure_is_false_regardless(self):
-        assert not ev.grounding_success(False, [(4, 2)], chosen_view=2, target_landmark=4)
-
-    def test_success_correct_view(self):
-        assert ev.grounding_success(True, [(4, 2)], chosen_view=2, target_landmark=4)
-
-    def test_success_wrong_view(self):
-        assert not ev.grounding_success(True, [(4, 2)], chosen_view=5, target_landmark=4)
-
-    def test_fine_mode_rejected(self):
-        with pytest.raises(ContractError):
-            ev.grounding_success(True, [], 0, None)
 
 
 class TestEvaluate:
@@ -138,22 +144,9 @@ class TestEvaluate:
             shortest = wd.shortest_path(ep.world, ep.start, ep.goal)[1]
             results.append(ev.EpisodeResult(episode_id=i, final_node=path[-1],
                                             success=ne <= 1.0, ne=ne, tl=tl,
-                                            shortest_len=shortest, path_len=tl))
+                                            shortest_len=shortest))
         assert all(r.success for r in results)
         assert ev.spl(results) == 1.0
-
-    def test_coarse_mode_rgs_bounded(self, splits):
-        library = splits["train"].library
-        templates = ins.load_templates(DATA / "templates.txt")
-        lexicon = ins.load_lexicon(DATA / "lexicon_nouns.txt", DATA / "lexicon_blacklist.txt", library)
-        coarse = ds.standard_splits(library, templates, lexicon, mode="coarse",
-                                    train_n=4, val_seen_n=4, val_unseen_n=4, data_seed=5)
-        cfg = ag.AgentConfig(vocab_size=len(coarse["train"].vocab), d=32, heads=2, cross_layers=1)
-        agent = ag.Agent(cfg, ag.init_params(cfg, seed=1))
-        rec = ev.evaluate(agent, coarse["val_seen"].items, "correct", seed=0)
-        assert rec.rgs is not None and rec.rgspl is not None
-        assert rec.rgs <= rec.sr
-        assert rec.rgspl <= rec.spl + 1e-12
 
     def test_metrics_against_brute_force(self, splits, small_agent):
         """Aggregate metrics equal an independent recomputation from rollouts."""

@@ -73,6 +73,36 @@ class TestCli:
             run_cli(["gen-world", "--seed", "1", "--out", "w", flag, "8"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command, flag", [
+        ("gen-world", "--mode"), ("train", "--val-worlds"), ("train", "--val-corpus"),
+        ("train", "--val-imaginations"), ("train", "--eval-interval")])
+    def test_episode_mode_and_mid_training_eval_flags_are_gone(self, command, flag):
+        required = ["--worlds", "w", "--corpus", "c", "--imaginations", "i"] * (command == "train")
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, *required, "--seed", "1", "--out", "o", flag, "x"])
+        assert exc.value.code == 2
+
+    def test_worlds_file_with_coarse_episode_exits_1(self, tmp_path, capsys):
+        worlds, _, _ = gen_dataset(tmp_path, count=2)
+        lines = worlds.read_text().splitlines()
+        idx = next(i for i, line in enumerate(lines) if line.startswith("episode 1 "))
+        lines[idx] = lines[idx].replace(" fine ", " coarse ", 1)
+        worlds.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli(["gen-corpus", "--worlds", worlds, "--seed", "1",
+                        "--out", tmp_path / "c.txt"]) == 1
+        err = capsys.readouterr().err
+        assert f":{idx + 1}:" in err and "'coarse'" in err
+        assert not (tmp_path / "c.txt").exists()
+
+    def test_report_rejects_the_old_metrics_header(self, tmp_path, capsys):
+        path = tmp_path / "old.tsv"
+        path.write_text("split\tcondition\tSR\tSPL\tNE\tTL\tRGS\tRGSPL\tn\tseed\n"
+                        "val_unseen\timagine\t50.00\t40.00\t1.0\t4.0\t-\t-\t40\t1\n")
+        assert run_cli(["report", path, "--out", tmp_path / "r.tsv"]) == 1
+        assert "split condition SR SPL NE TL n seed" in capsys.readouterr().err
+        assert not (tmp_path / "r.tsv").exists()
+
     def test_route_longer_than_max_steps_exits_1_before_any_work(self, tmp_path, capsys):
         # seven forks make 15-edge routes: 16 decisions with the stop, one
         # more than AgentConfig.max_steps; six forks still fit
@@ -169,9 +199,9 @@ class TestCli:
 class TestReportArithmetic:
     def test_two_seed_mean_and_stdev(self):
         rows = [dict(split="val_unseen", condition="imagine", sr=0.60, spl=0.5, ne=1.0,
-                     tl=4.0, rgs=None, rgspl=None, n=40, seed=1),
+                     tl=4.0, n=40, seed=1),
                 dict(split="val_unseen", condition="imagine", sr=0.62, spl=0.5, ne=1.0,
-                     tl=4.0, rgs=None, rgspl=None, n=40, seed=2)]
+                     tl=4.0, n=40, seed=2)]
         summary = harness.summarize(rows)
         s = summary[("val_unseen", "imagine")]
         assert abs(s["sr_mean"] - 0.61) < 1e-12
@@ -179,7 +209,7 @@ class TestReportArithmetic:
 
     def test_single_row_identity(self):
         rows = [dict(split="val_seen", condition="baseline", sr=0.5, spl=0.4, ne=1.0,
-                     tl=3.0, rgs=None, rgspl=None, n=10, seed=3)]
+                     tl=3.0, n=10, seed=3)]
         s = harness.summarize(rows)[("val_seen", "baseline")]
         assert s["sr_mean"] == 0.5 and s["sr_std"] == 0.0
 
@@ -188,7 +218,7 @@ class TestReportArithmetic:
         for cond in ("a", "b"):
             for seed in (1, 2, 3):
                 rows.append(dict(split="val_unseen", condition=cond, sr=0.1, spl=0.1,
-                                 ne=1.0, tl=1.0, rgs=None, rgspl=None, n=5, seed=seed))
+                                 ne=1.0, tl=1.0, n=5, seed=seed))
         summary = harness.summarize(rows)
         assert sum(s["n_rows"] for s in summary.values()) == len(rows)
 
@@ -257,6 +287,16 @@ class TestExperimentSpec:
         assert run_cli(["ablate", "--spec", path, "--out-dir", out_dir, "--quiet"]) == 1
         assert not out_dir.exists()
 
+    def test_coarse_mode_fails_before_building_data(self, tmp_path, capsys):
+        path = self.write_spec(tmp_path)
+        path.write_text(path.read_text().replace("[world]\n", "[world]\nmode = coarse\n"))
+        with pytest.raises(ConfigurationError, match="world.mode"):
+            harness.read_experiment_spec(path)
+        out_dir = tmp_path / "out"
+        assert run_cli(["ablate", "--spec", path, "--out-dir", out_dir, "--quiet"]) == 1
+        assert "world.mode" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_test_conditions_pull_in_imagine_and_baseline(self, tmp_path):
         spec = harness.read_experiment_spec(self.write_spec(tmp_path, conditions="wrong_test"))
         assert "imagine" in spec.conditions and "baseline" in spec.conditions
@@ -302,11 +342,11 @@ class TestDefaults:
     }
     FIELDS = {
         "gen-world": {wd.WorldConfig: ("split", "n_forks", "k_views", "sigma_obs"),
-                      ag.AgentConfig: ("d_v",), "ExperimentSpec": ("mode",)},
+                      ag.AgentConfig: ("d_v",)},
         "imagine": {im.ImaginationConfig: ("fidelity", "sigma_gen")},
         "train": {tr.TrainConfig: ("iterations", "batch_size", "schedule", "flat_lr",
                                    "aux_loss", "lam", "infonce_lam", "tau", "lr_multiplier",
-                                   "stage_fractions", "eval_interval"),
+                                   "stage_fractions"),
                   ag.AgentConfig: ("d", "heads", "cross_layers")},
     }
 
@@ -314,7 +354,6 @@ class TestDefaults:
     def test_parser_defaults_are_field_defaults(self, command):
         args = harness.build_parser().parse_args([command, *self.REQUIRED[command]])
         for cls, names in self.FIELDS[command].items():
-            cls = getattr(harness, cls) if isinstance(cls, str) else cls
             for name in names:
                 assert getattr(args, name) == getattr(cls, name), (command, name)
 

@@ -26,7 +26,7 @@ def corpus(library, lexicon):
     templates = ins.load_templates(DATA / "templates.txt")
     worlds = [wd.generate_world(wd.WorldConfig(library=library, layout="forks"), seed=s)
               for s in range(25)]
-    eps = [wd.sample_episode(w, "fine") for w in worlds]
+    eps = [wd.sample_episode(w) for w in worlds]
     return ins.build_corpus(eps, templates, lexicon, seed=3)
 
 
@@ -93,7 +93,7 @@ class TestImagineDataset:
     def test_no_kept_segments_gives_empty_list(self, library, lexicon):
         instr = ins.Instruction(tokens=tuple("go straight . turn left .".split()),
                                 episode=None, gold_segments=((0, 3), (3, 6)),
-                                gold_landmarks=(None, None), mode="fine")
+                                gold_landmarks=(None, None))
         rec = ins.build_record(instr, lexicon)
         sets = im.imagine_dataset([rec], library, im.ImaginationConfig(), seed=0)
         assert sets == [[]]

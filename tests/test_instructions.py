@@ -27,7 +27,7 @@ def lexicon(library):
 @pytest.fixture(scope="module")
 def fine_episode(library):
     w = wd.generate_world(wd.WorldConfig(library=library, layout="forks"), seed=0)
-    return wd.sample_episode(w, "fine")
+    return wd.sample_episode(w)
 
 
 def make_sub(text):
@@ -39,13 +39,6 @@ class TestGenerate:
     def test_one_segment_per_path_step(self, fine_episode, templates):
         instr = ins.generate_instruction(fine_episode, templates, seed=1)
         assert len(instr.gold_segments) == len(fine_episode.teacher_path) - 1
-
-    def test_coarse_single_segment(self, library, templates):
-        w = wd.generate_world(wd.WorldConfig(library=library, layout="forks"), seed=2)
-        ep = wd.sample_episode(w, "coarse")
-        instr = ins.generate_instruction(ep, templates, seed=1)
-        assert len(instr.gold_segments) == 1
-        assert instr.gold_landmarks == (ep.target_landmark,)
 
     def test_deterministic(self, fine_episode, templates):
         a = ins.generate_instruction(fine_episode, templates, seed=9)
@@ -75,33 +68,33 @@ class TestGenerate:
 class TestSegment:
     def test_two_segments(self):
         instr = ins.Instruction(tokens=tuple("walk past the sofa . turn left .".split()),
-                                episode=None, gold_segments=(), gold_landmarks=(), mode="fine")
+                                episode=None, gold_segments=(), gold_landmarks=())
         subs = ins.segment(instr)
         assert len(subs) == 2
         assert subs[0].tokens == tuple("walk past the sofa .".split())
 
     def test_no_delimiters_single_segment(self):
         instr = ins.Instruction(tokens=("go", "straight"), episode=None,
-                                gold_segments=(), gold_landmarks=(), mode="fine")
+                                gold_segments=(), gold_landmarks=())
         subs = ins.segment(instr)
         assert len(subs) == 1
         assert subs[0].span == (0, 2)
 
     def test_then_is_a_delimiter(self):
         instr = ins.Instruction(tokens=tuple("go straight then turn at the sofa".split()),
-                                episode=None, gold_segments=(), gold_landmarks=(), mode="fine")
+                                episode=None, gold_segments=(), gold_landmarks=())
         assert len(ins.segment(instr)) == 2
 
     def test_empty_instruction_rejected(self):
         instr = ins.Instruction(tokens=(), episode=None, gold_segments=(),
-                                gold_landmarks=(), mode="fine")
+                                gold_landmarks=())
         with pytest.raises(InputError):
             ins.segment(instr)
 
     def test_matches_gold_on_corpus(self, library, templates, lexicon):
         worlds = [wd.generate_world(wd.WorldConfig(library=library, layout="forks"), seed=s)
                   for s in range(20)]
-        eps = [wd.sample_episode(w, "fine") for w in worlds]
+        eps = [wd.sample_episode(w) for w in worlds]
         records = ins.build_corpus(eps, templates, lexicon, seed=5)
         for rec in records:
             got = tuple(s.span for s in rec.subs)
@@ -175,7 +168,7 @@ class TestCorpus:
     def test_kept_iff_landmark_template(self, library, templates, lexicon):
         worlds = [wd.generate_world(wd.WorldConfig(library=library, layout="forks"), seed=s)
                   for s in range(15)]
-        eps = [wd.sample_episode(w, "fine") for w in worlds]
+        eps = [wd.sample_episode(w) for w in worlds]
         records = ins.build_corpus(eps, templates, lexicon, seed=2)
         for rec in records:
             for sub in rec.subs:
@@ -185,7 +178,7 @@ class TestCorpus:
         def fake(nsubs, nkept):
             rec = ins.InstructionRecord(
                 instruction=ins.Instruction(tokens=("a",), episode=None, gold_segments=(),
-                                            gold_landmarks=(), mode="fine"))
+                                            gold_landmarks=()))
             rec.subs = [None] * nsubs
             rec.kept = [None] * nkept
             return rec
@@ -197,7 +190,7 @@ class TestCorpus:
     def test_stats_match_counting_oracle(self, library, templates, lexicon):
         worlds = [wd.generate_world(wd.WorldConfig(library=library, layout="forks"), seed=s)
                   for s in range(30)]
-        eps = [wd.sample_episode(w, "fine") for w in worlds]
+        eps = [wd.sample_episode(w) for w in worlds]
         records = ins.build_corpus(eps, templates, lexicon, seed=7)
         avg_seg, avg_kept, vocab_size = ins.corpus_stats(records)
         # independent recount

@@ -21,7 +21,7 @@ def bundle():
     pairs = []
     for s in range(6):
         w = wd.generate_world(wd.WorldConfig(library=library, layout="forks"), seed=s)
-        pairs.append((w, wd.sample_episode(w, "fine")))
+        pairs.append((w, wd.sample_episode(w)))
     records = ins.build_corpus([e for _, e in pairs], templates, lexicon, seed=1, vocab=vocab)
     sets = im.imagine_dataset(records, library, im.ImaginationConfig(), seed=2)
     return dict(library=library, pairs=pairs, records=records, sets=sets)
@@ -43,8 +43,8 @@ class TestWorldsRoundTrip:
             assert w0.view_map == w1.view_map
             assert {k: tuple(sorted(v)) for k, v in w0.placements.items()} == \
                    {k: tuple(sorted(v)) for k, v in w1.placements.items()}
-            assert (e0.start, e0.goal, e0.teacher_path, e0.mode, e0.target_landmark) == \
-                   (e1.start, e1.goal, e1.teacher_path, e1.mode, e1.target_landmark)
+            assert (e0.start, e0.goal, e0.teacher_path, e0.mode) == \
+                   (e1.start, e1.goal, e1.teacher_path, e1.mode)
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -60,6 +60,22 @@ class TestWorldsRoundTrip:
         lines[idx] = "node 0 0 oops 1.0"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError) as exc:
+            serial.read_worlds(path)
+        assert f":{idx + 1}:" in str(exc.value)
+
+    @pytest.mark.parametrize("column, value", [(2, "coarse"), (5, "3")])
+    def test_episode_other_than_fine_rejected(self, bundle, tmp_path, column, value):
+        # v1 episode lines keep a mode and a target column: fine and "-"
+        path = tmp_path / "w.txt"
+        serial.write_worlds(path, bundle["library"], bundle["pairs"])
+        lines = path.read_text().splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.startswith("episode"))
+        fields = lines[idx].split(" ")
+        assert (fields[2], fields[5]) == ("fine", "-")
+        fields[column] = value
+        lines[idx] = " ".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="fine") as exc:
             serial.read_worlds(path)
         assert f":{idx + 1}:" in str(exc.value)
 
@@ -84,6 +100,21 @@ class TestCorpusRoundTrip:
                 assert s0.noun_token_indices == s1.noun_token_indices
             assert len(r0.kept) == len(r1.kept)
 
+    def test_instruction_other_than_fine_rejected(self, bundle, tmp_path):
+        wpath = tmp_path / "w.txt"
+        serial.write_worlds(wpath, bundle["library"], bundle["pairs"])
+        _, pairs = serial.read_worlds(wpath)
+        cpath = tmp_path / "c.txt"
+        serial.write_corpus(cpath, bundle["records"], list(range(len(bundle["records"]))))
+        lines = cpath.read_text().splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.startswith("instr"))
+        assert " fine " in lines[idx]   # instr <idx> <world> <mode> <n> <tokens...>
+        lines[idx] = lines[idx].replace(" fine ", " coarse ", 1)
+        cpath.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="fine") as exc:
+            serial.read_corpus(cpath, pairs)
+        assert f":{idx + 1}:" in str(exc.value)
+
 
 class TestImaginationsRoundTrip:
     def test_exact(self, bundle, tmp_path):
@@ -101,19 +132,18 @@ class TestImaginationsRoundTrip:
 class TestMetrics:
     def rows(self):
         from imnav.evaluation import MetricsRecord
-        return [(MetricsRecord(sr=0.6, spl=0.55, ne_mean=1.2, tl_mean=4.5, rgs=None,
-                               rgspl=None, count=40, seed=7, split="val_unseen",
-                               policy="correct"), "imagine"),
-                (MetricsRecord(sr=0.62, spl=0.57, ne_mean=1.1, tl_mean=4.4, rgs=0.3,
-                               rgspl=0.2, count=40, seed=8, split="val_unseen",
-                               policy="correct"), "imagine")]
+        return [(MetricsRecord(sr=0.6, spl=0.55, ne_mean=1.2, tl_mean=4.5, count=40, seed=7,
+                               split="val_unseen", policy="correct"), "imagine"),
+                (MetricsRecord(sr=0.62, spl=0.57, ne_mean=1.1, tl_mean=4.4, count=40, seed=8,
+                               split="val_unseen", policy="correct"), "imagine")]
 
     def test_roundtrip_and_percentages(self, tmp_path):
         path = tmp_path / "m.tsv"
         serial.write_metrics(path, self.rows(), command="test", seed=7)
         rows = serial.read_metrics(path)
-        assert rows[0]["sr"] == 0.6 and rows[0]["rgs"] is None
-        assert rows[1]["rgs"] == 0.3
+        assert rows[0]["sr"] == 0.6 and rows[0]["spl"] == 0.55
+        assert rows[1]["sr"] == 0.62 and (rows[1]["ne"], rows[1]["tl"]) == (1.1, 4.4)
+        assert (rows[1]["n"], rows[1]["seed"]) == (40, 8)
         assert rows[0]["condition"] == "imagine"
 
     def test_malformed_row_names_line(self, tmp_path):

@@ -367,6 +367,28 @@ class TestTrainLoop:
         for store in stores:
             assert all(t.requires_grad for _, t in store.items())
 
+    def test_curves_count_alignment_pairs(self, tiny_split, tiny_agent_config, monkeypatch):
+        """The fourth column of a curve row is the iteration's alignment-pair
+        count: 0 in a base training and in stage 1 of a cosine finetune,
+        whose losses read no pairs, and LossBreakdown.n_im in every row."""
+        counts, step = [], tr._train_step
+
+        def recording_step(*args):
+            breakdown = step(*args)
+            counts.append(breakdown.n_im)
+            return breakdown
+
+        monkeypatch.setattr(tr, "_train_step", recording_step)
+        base, curves = tr.train(tiny_split["train"], tiny_agent_config, self.base_cfg(3))
+        assert [c[3] for c in curves] == counts == [0, 0, 0]
+        counts.clear()
+        cfg = tr.TrainConfig(iterations=8, batch_size=2, aux_loss="cosine", seed=5)
+        _, curves = tr.train(tiny_split["train"], tiny_agent_config, cfg,
+                             init_values=base.values)
+        stage1 = cfg.stage_ends[0]
+        assert [c[3] for c in curves] == counts
+        assert counts[:stage1] == [0] * stage1 and min(counts[stage1:]) > 0
+
     def test_loss_decreases_on_small_corpus(self, tiny_split, tiny_agent_config):
         cfg = self.base_cfg(60, seed=1)
         _, curves = tr.train(tiny_split["train"], tiny_agent_config, cfg)
@@ -567,7 +589,7 @@ class TestCheckpointIO:
                                            resume=tr.load_checkpoint(path))
         for name in full.values:
             assert full.values[name].tobytes() == resumed.values[name].tobytes()
-        assert [c[:3] for c in full_curves[4:]] == [c[:3] for c in resumed_curves]
+        assert full_curves[4:] == resumed_curves
 
     def test_corrupt_magic(self, tiny_split, tiny_agent_config, tmp_path):
         ckpt = self.make_ckpt(tiny_split, tiny_agent_config)

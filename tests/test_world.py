@@ -251,15 +251,22 @@ class TestShortestPath:
 
 class TestSampleEpisode:
     def test_deterministic(self, fork_world):
-        e1 = wd.sample_episode(fork_world, "fine")
-        e2 = wd.sample_episode(fork_world, "fine")
+        e1 = wd.sample_episode(fork_world)
+        e2 = wd.sample_episode(fork_world)
         assert e1.teacher_path == e2.teacher_path
         assert (e1.start, e1.goal) == (e2.start, e2.goal)
 
-    def test_coarse_target_at_goal(self, fork_world):
-        ep = wd.sample_episode(fork_world, "coarse")
-        assert ep.target_landmark is not None
-        assert any(cid == ep.target_landmark for cid, _ in fork_world.placements[ep.goal])
+    def test_coarse_mode_rejected_before_any_world_is_built(self, library, monkeypatch):
+        from imnav import dataset as ds
+
+        def no_world(*args, **kwargs):
+            raise AssertionError("a world was generated")
+
+        monkeypatch.setattr(wd, "generate_world", no_world)
+        _, templates, lexicon = ds.load_assets(library=library)
+        with pytest.raises(ConfigurationError, match="mode = 'coarse'"):
+            ds.standard_splits(library, templates, lexicon, mode="coarse", train_n=2,
+                               val_seen_n=1, val_unseen_n=1, data_seed=0)
 
     def test_too_small_world_errors(self, library):
         # a hand-built world without a designated route has no episode
@@ -269,13 +276,13 @@ class TestSampleEpisode:
                      view_map={0: {0: 1}, 1: {6: 0}}, placements={},
                      library=library)
         with pytest.raises(SamplingError, match="designated"):
-            wd.sample_episode(w, "fine")
+            wd.sample_episode(w)
 
     def test_path_length_bounds(self, library):
         for n_forks in (1, 2, 3):
             for seed in range(3):
                 w = wd.generate_world(wd.WorldConfig(library=library, n_forks=n_forks), seed=seed)
-                ep = wd.sample_episode(w, "fine")
+                ep = wd.sample_episode(w)
                 assert (ep.start, ep.goal) == w.designated
                 assert 3 <= len(ep.teacher_path) - 1 == wd.route_edges(n_forks) <= 7
                 assert ep.shortest_len == wd.shortest_path(w, ep.start, ep.goal)[1]
@@ -285,7 +292,7 @@ class TestSampleEpisode:
         # route's own length, so four forks give a 9-edge episode
         for n_forks in (4, 6):
             w = wd.generate_world(wd.WorldConfig(library=library, n_forks=n_forks), seed=0)
-            ep = wd.sample_episode(w, "fine")
+            ep = wd.sample_episode(w)
             assert len(ep.teacher_path) - 1 == wd.route_edges(n_forks) == 1 + 2 * n_forks
         # a route longer than the agent's step budget is a config error:
         # 6 forks take 13 edges and a stop, 7 forks 15 edges and a stop
