@@ -6,10 +6,11 @@ probe-attention, report. Exit codes: 0 ok, 1 runtime/I-O error, 2 usage.
 Flags and spec keys take their types and defaults from the fields of
 WorldConfig, ImaginationConfig, AgentConfig, TrainConfig and ExperimentSpec.
 
-Ablations reuse checkpoints the way the test-time conditions require: the
-baseline is the trained base agent; imagine finetunes from it; null/wrong/
-goal-only evaluate the imagine checkpoint under the matching policy; the
-remaining conditions are separate finetunes from the same base.
+Each condition is defined once: `training_job` gives the configs that train
+it, `eval_policy` the policy it is evaluated under. `ablate`, `train` and
+`eval` all use them, so `train` and `eval` on an ablation's data and seed
+compute what it computes. The baseline trains from scratch, the other trained
+conditions finetune it, and null/wrong/goal-only evaluate imagine's checkpoint.
 """
 
 from __future__ import annotations
@@ -155,26 +156,45 @@ def cmd_imagine(args):
     return 0
 
 
-def _agent_config(split, **overrides):
-    """Agent config whose vocabulary, d_v and k_views are those of `split`."""
-    kw = dict(vocab_size=len(split.vocab), d_v=split.library.d_v)
+def _agent_config(split, spec):
+    """The base agent of `spec` on `split`, with its vocabulary, k_views and d_v."""
+    kw = dict(vocab_size=len(split.vocab))
     if split.items:
         kw["k_views"] = split.items[0].episode.world.k_views
-    return ag.AgentConfig(**{**kw, **overrides})
+    acfg = ag.AgentConfig(**kw, **spec.agent)
+    if acfg.d_v != split.library.d_v:
+        raise ConfigurationError(f"the spec has world.d_v = {acfg.d_v}, "
+                                 f"but the data have d_v = {split.library.d_v}")
+    return acfg
+
+
+def training_job(spec, condition, seed, base_agent):
+    """The (AgentConfig, TrainConfig) that train `condition` of `spec` at `seed`:
+    `base_agent` is the baseline's agent, which the finetunes start from."""
+    if condition == "baseline":
+        return base_agent, tr.TrainConfig(
+            iterations=spec.base_iterations, batch_size=spec.train.batch_size, schedule="flat",
+            flat_lr=spec.base_lr, aux_loss="none", use_imaginations=False, seed=seed)
+    aux, overrides = TRAIN_CONDITIONS[condition]
+    return replace(base_agent, **overrides), replace(spec.train, aux_loss=aux, seed=seed)
+
+
+def eval_policy(condition):
+    """The test-time imagination policy that `condition` is evaluated under."""
+    return "null" if condition == "baseline" else TEST_CONDITIONS.get(condition, "correct")
 
 
 def cmd_train(args):
-    cfg = tr.TrainConfig(**_fields_of(tr.TrainConfig, args),
-                         use_imaginations=not args.no_imaginations)
+    spec = read_experiment_spec(args.spec)
+    if (args.condition == "baseline") == (args.init_from is not None):
+        raise ConfigurationError(f"{args.condition} {'takes no' if args.init_from else 'needs'} "
+                                 "--init-from: a finetune starts from the baseline's checkpoint")
     split = ds.read_split(args.worlds, args.corpus, args.imaginations)
-    acfg = _agent_config(split, **_fields_of(ag.AgentConfig, args))
-    init_values = None
+    base_agent, init_values = _agent_config(split, spec), None
     if args.init_from:
         base = tr.load_checkpoint(args.init_from)
-        acfg = replace(base.agent_config, vocab_size=acfg.vocab_size)
-        if args.condition in TRAIN_CONDITIONS:
-            acfg = replace(acfg, **TRAIN_CONDITIONS[args.condition][1])
-        init_values = base.values
+        base_agent, init_values = base.agent_config, base.values
+    acfg, cfg = training_job(spec, args.condition, args.seed, base_agent)
     ckpt, curves = tr.train(split, acfg, cfg, init_values=init_values)
     tr.save_checkpoint(ckpt, args.out)
     if args.curves:
@@ -186,10 +206,10 @@ def cmd_train(args):
 def cmd_eval(args):
     split = ds.read_split(args.worlds, args.corpus, args.imaginations)
     agent = tr.agent_from_checkpoint(tr.load_checkpoint(args.ckpt))
-    rec = ev.evaluate(agent, split.items, args.policy, seed=args.seed, split=split.split)
-    serial.write_metrics(args.out, [(rec, args.condition or args.policy)],
-                         command=command_line(), seed=args.seed)
-    print(rec.as_row())
+    cond = args.condition
+    rec = ev.evaluate(agent, split.items, eval_policy(cond), seed=args.seed, split=split.split)
+    serial.write_metrics(args.out, [(rec, cond)], command=command_line(), seed=args.seed)
+    print(serial.metrics_row(rec, cond))
     return 0
 
 
@@ -275,7 +295,8 @@ def _seed_job(spec, seed, out_dir, quiet):
         if not quiet:
             print(f"[seed {seed}] {msg}", flush=True)
 
-    def train(cond, agent_config, cfg, init_values=None):
+    def train(cond, init_values=None):
+        agent_config, cfg = training_job(spec, cond, seed, acfg)
         log(f"training condition {cond} ({cfg.iterations} iterations)")
         try:
             ckpt, curves = tr.train(splits["train"], agent_config, cfg, init_values=init_values)
@@ -289,26 +310,18 @@ def _seed_job(spec, seed, out_dir, quiet):
     serial.write_text(out_dir / "threads" / f"seed_{seed}.txt",
                       [f"{name}={os.environ.get(name, 'unset')}" for name in BLAS_THREAD_VARS],
                       command=f"ablate {spec.name}", seed=seed)
-    acfg = _agent_config(splits["train"], **spec.agent)
-    train("baseline", acfg, tr.TrainConfig(
-        iterations=spec.base_iterations, batch_size=spec.train.batch_size,
-        schedule="flat", flat_lr=spec.base_lr, aux_loss="none",
-        use_imaginations=False, seed=seed))
+    acfg = _agent_config(splits["train"], spec)
+    train("baseline")
     for cond in spec.conditions:
         if cond in TRAIN_CONDITIONS:
-            aux, overrides = TRAIN_CONDITIONS[cond]
-            train(cond, replace(acfg, **overrides), replace(spec.train, aux_loss=aux, seed=seed),
-                  init_values=checkpoints["baseline"].values)
+            train(cond, init_values=checkpoints["baseline"].values)
 
     for cond in spec.conditions:
-        if cond in TEST_CONDITIONS:
-            trained, policy = "imagine", TEST_CONDITIONS[cond]
-        else:
-            trained, policy = cond, "null" if cond == "baseline" else "correct"
-        agent = tr.agent_from_checkpoint(checkpoints[trained])
+        agent = tr.agent_from_checkpoint(
+            checkpoints["imagine" if cond in TEST_CONDITIONS else cond])
         for split_name in ("val_seen", "val_unseen"):
             try:
-                rec = ev.evaluate(agent, splits[split_name].items, policy,
+                rec = ev.evaluate(agent, splits[split_name].items, eval_policy(cond),
                                   seed=seed, split=split_name)
             except ImnavError as exc:
                 raise ImnavError(f"condition {cond} failed at seed {seed}: {exc}") from exc
@@ -464,7 +477,7 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="imnav",
                                      description="Landmark-imagination navigation lab")
     sub = parser.add_subparsers(dest="command", required=True)
-    W, I, A, T = wd.WorldConfig, im.ImaginationConfig, ag.AgentConfig, tr.TrainConfig
+    W, I, A = wd.WorldConfig, im.ImaginationConfig, ag.AgentConfig
 
     p = sub.add_parser("gen-world", help="generate a world + episode set")
     _field_option(p, "--split", W, "split", choices=wd.SPLITS)
@@ -492,38 +505,24 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_imagine)
 
-    p = sub.add_parser("train", help="train or finetune an agent")
+    p = sub.add_parser("train", help="train one condition of a spec, as an ablation seed does")
+    p.add_argument("--spec", required=True, help="experiment spec; its [agent] and [train] apply")
+    p.add_argument("--condition", required=True, choices=("baseline",) + tuple(TRAIN_CONDITIONS))
     p.add_argument("--worlds", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--imaginations", required=True)
-    _field_option(p, "--iters", T, "iterations")
-    _field_option(p, "--batch-size", T, "batch_size")
-    _field_option(p, "--schedule", T, "schedule", choices=("three_stage", "flat"))
-    _field_option(p, "--flat-lr", T, "flat_lr")
-    _field_option(p, "--aux", T, "aux_loss", choices=("cosine", "infonce", "none"))
-    _field_option(p, "--lam", T, "lam")
-    _field_option(p, "--infonce-lam", T, "infonce_lam")
-    _field_option(p, "--tau", T, "tau")
-    _field_option(p, "--lr-multiplier", T, "lr_multiplier")
-    _field_option(p, "--stage-fractions", T, "stage_fractions")
-    p.add_argument("--no-imaginations", action="store_true")
-    p.add_argument("--init-from", default=None)
-    p.add_argument("--condition", default=None, choices=tuple(TRAIN_CONDITIONS))
-    _field_option(p, "--d", A, "d")
-    _field_option(p, "--heads", A, "heads")
-    _field_option(p, "--cross-layers", A, "cross_layers")
+    p.add_argument("--init-from", default=None, help="the baseline checkpoint a finetune starts from")
     p.add_argument("--curves", default=None)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
+    p = sub.add_parser("eval", help="evaluate a checkpoint on a split under a condition's policy")
     p.add_argument("--ckpt", required=True)
+    p.add_argument("--condition", required=True, choices=ALL_CONDITIONS)
     p.add_argument("--worlds", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--imaginations", required=True)
-    p.add_argument("--policy", default="correct", choices=ev.POLICIES)
-    p.add_argument("--condition", default=None)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)

@@ -181,8 +181,10 @@ def read_worlds(path):
                 if parts[2] != wd.EPISODE_MODE or parts[5] != "-":
                     reader.fail(lineno, f"episode mode {parts[2]!r} with target {parts[5]!r}: "
                                 f"the only episode mode is {wd.EPISODE_MODE!r}, without a target")
+                if len(parts) != 7 + n:
+                    reader.fail(lineno, f"episode path says {n} nodes but lists {len(parts) - 7}")
                 episodes_raw[idx] = dict(start=int(parts[3]), goal=int(parts[4]),
-                                         path=tuple(int(x) for x in parts[7:7 + n]))
+                                         path=tuple(int(x) for x in parts[7:]))
             else:
                 reader.fail(lineno, f"unknown record tag {tag!r}")
         except (ValueError, IndexError, KeyError) as exc:
@@ -329,12 +331,14 @@ def read_imaginations(path, n_instructions, d_v):
 
 def write_metrics(path, rows, command="", seed=None):
     """rows: list of (MetricsRecord, condition_name)."""
-    lines = ["\t".join(METRICS_COLUMNS)]
-    for rec, condition in rows:
-        fields = rec.as_row().split("\t")
-        fields[1] = condition
-        lines.append("\t".join(fields))
-    write_text(path, lines, command=command, seed=seed)
+    write_text(path, ["\t".join(METRICS_COLUMNS)] + [metrics_row(*row) for row in rows],
+               command=command, seed=seed)
+
+
+def metrics_row(rec, condition):
+    """The metrics-file row of MetricsRecord `rec` under `condition`."""
+    split, _, *rest = rec.as_row().split("\t")
+    return "\t".join([split, condition, *rest])
 
 
 def read_metrics(path):

@@ -29,6 +29,10 @@ CHECKPOINT_VERSION = 1
 
 IMAGINATION_GROUPS = ("imagination_encoder", "type_embedding")
 
+# (imagination groups, base) learning rates of the three finetune stages, in
+# the published ratios; TrainConfig.lr_multiplier scales them
+STAGE_LRS = ((1e-4, 0.0), (5e-5, 1e-6), (1e-6, 1e-6))
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -39,10 +43,6 @@ class TrainConfig:
     infonce_lam: float = 0.2
     tau: float = 0.1
     stage_fractions: tuple[float, ...] = (0.25, 0.25, 0.5)
-    stage1_lr: float = 1e-4
-    stage2_imag_lr: float = 5e-5
-    stage2_base_lr: float = 1e-6
-    stage3_lr: float = 1e-6
     lr_multiplier: float = 10.0
     schedule: str = "three_stage"     # three_stage | flat
     flat_lr: float = 1e-3
@@ -168,13 +168,8 @@ def three_stage_schedule(iteration, cfg):
     if cfg.schedule == "flat":
         return {g: cfg.flat_lr for g in ("base",) + IMAGINATION_GROUPS}
     s1_end, s2_end = cfg.stage_ends
-    m = cfg.lr_multiplier
-    if iteration < s1_end:
-        imag_lr, base_lr = cfg.stage1_lr * m, 0.0
-    elif iteration < s2_end:
-        imag_lr, base_lr = cfg.stage2_imag_lr * m, cfg.stage2_base_lr * m
-    else:
-        imag_lr = base_lr = cfg.stage3_lr * m
+    stage = 0 if iteration < s1_end else 1 if iteration < s2_end else 2
+    imag_lr, base_lr = (lr * cfg.lr_multiplier for lr in STAGE_LRS[stage])
     return {**dict.fromkeys(IMAGINATION_GROUPS, imag_lr), "base": base_lr}
 
 

@@ -121,7 +121,6 @@ class WorldConfig:
     sigma_obs: float = 0.12
     split: str = "train"
     n_forks: int = 2
-    pre_len: int = 1
 
 
 @dataclass
@@ -255,19 +254,20 @@ def _free_view(view_map, node, placed, k_views, rng):
 
 FORK_DEGREE = 3   # a fork node's edges: the approach and its two branches
 MIN_NODES = 8     # the approach corridor is padded until a world has this many
+PRE_LEN = 1       # the shortest approach corridor
 
 
-def _approach_len(n_forks, pre_len):
-    """Corridor nodes before the first fork: `pre_len`, padded until the
+def _approach_len(n_forks):
+    """Corridor nodes before the first fork: PRE_LEN, padded until the
     world's 2 + pre + 3 * n_forks nodes reach MIN_NODES."""
-    return max(pre_len, MIN_NODES - 2 - 3 * n_forks)
+    return max(PRE_LEN, MIN_NODES - 2 - 3 * n_forks)
 
 
-def route_edges(n_forks, pre_len=WorldConfig.pre_len):
+def route_edges(n_forks):
     """Edge count of a fork world's route, which is its episode: the approach
     corridor, then two edges per fork (onto the fork, onto its correct
     branch)."""
-    return _approach_len(n_forks, pre_len) + 2 * n_forks
+    return _approach_len(n_forks) + 2 * n_forks
 
 
 def check_route_fits(n_forks, max_steps):
@@ -301,7 +301,7 @@ def _build_forks(cfg, rng):
     """Chain of mirrored forks; wrong branches are dead ends marked by decoy
     landmarks, correct branches by instruction landmarks."""
     n_forks = cfg.n_forks
-    pre = _approach_len(n_forks, cfg.pre_len)
+    pre = _approach_len(n_forks)
 
     positions = [(0.0, 0.0)]
     nodes_pre = []

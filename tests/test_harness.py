@@ -15,10 +15,35 @@ from imnav import world as wd
 from imnav.errors import ConfigurationError
 
 ROOT = Path(__file__).resolve().parent.parent
+SMALL_AGENT = "d = 32\nheads = 2\ncross_layers = 1\n"
 
 
 def run_cli(args):
     return harness.main([str(a) for a in args])
+
+
+def run_harness(*args):
+    """`python -m imnav.harness ARGS` in a child process with one BLAS thread,
+    as `ablate`'s workers run, that imports imnav from this checkout's src/
+    whether or not the package is installed."""
+    env = {**os.environ, **dict.fromkeys(harness.BLAS_THREAD_VARS, "1")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "imnav.harness", *map(str, args)],
+                          capture_output=True, text=True, env=env)
+
+
+def write_spec(tmp_path, conditions="baseline imagine", seeds="1 2", data_seed=0, world="",
+               sizes=(6, 3, 3), agent="", train="base_iterations = 8\niterations = 8\n"):
+    """An experiment spec file; `world`, `agent` and `train` hold extra lines
+    of their sections, and `sizes` the three split sizes."""
+    path = tmp_path / "exp.cfg"
+    path.write_text(
+        "[experiment]\n"
+        f"name = t\nseeds = {seeds}\nconditions = {conditions}\ndata_seed = {data_seed}\n"
+        "[world]\n" + world
+        + "train_worlds = {}\nval_seen_worlds = {}\nval_unseen_worlds = {}\n".format(*sizes)
+        + ("[agent]\n" + agent if agent else "") + "[train]\n" + train)
+    return path
 
 
 def gen_dataset(tmp_path, split="train", count=6, seed=3, prefix=None, world_flags=()):
@@ -44,20 +69,17 @@ class TestCli:
         assert a.read_bytes() == b.read_bytes()
 
     def test_unknown_flag_exits_2(self):
-        proc = subprocess.run([sys.executable, "-m", "imnav.harness", "gen-world",
-                               "--bogus-flag", "1"], capture_output=True)
-        assert proc.returncode == 2
+        proc = run_harness("gen-world", "--bogus-flag", "1")
+        assert proc.returncode == 2 and proc.stderr.startswith("usage: imnav gen-world")
 
     def test_eval_requires_checkpoint_flag(self):
-        proc = subprocess.run([sys.executable, "-m", "imnav.harness", "eval",
-                               "--worlds", "w", "--corpus", "c", "--imaginations", "i",
-                               "--seed", "0", "--out", "m"], capture_output=True)
-        assert proc.returncode == 2
+        proc = run_harness("eval", "--condition", "imagine", "--worlds", "w", "--corpus", "c",
+                           "--imaginations", "i", "--seed", "0", "--out", "m")
+        assert proc.returncode == 2 and "--ckpt" in proc.stderr
 
     def test_seed_required_for_generation(self):
-        proc = subprocess.run([sys.executable, "-m", "imnav.harness", "gen-world",
-                               "--out", "w.txt"], capture_output=True)
-        assert proc.returncode == 2
+        proc = run_harness("gen-world", "--out", "w.txt")
+        assert proc.returncode == 2 and "--seed" in proc.stderr
 
     @pytest.mark.parametrize("flag", ["--templates", "--lexicon-nouns", "--lexicon-blacklist"])
     def test_asset_path_flags_are_gone(self, tmp_path, flag):
@@ -77,7 +99,8 @@ class TestCli:
         ("gen-world", "--mode"), ("train", "--val-worlds"), ("train", "--val-corpus"),
         ("train", "--val-imaginations"), ("train", "--eval-interval")])
     def test_episode_mode_and_mid_training_eval_flags_are_gone(self, command, flag):
-        required = ["--worlds", "w", "--corpus", "c", "--imaginations", "i"] * (command == "train")
+        required = ["--spec", "s", "--condition", "baseline", "--worlds", "w", "--corpus", "c",
+                    "--imaginations", "i"] * (command == "train")
         with pytest.raises(SystemExit) as exc:
             run_cli([command, *required, "--seed", "1", "--out", "o", flag, "x"])
         assert exc.value.code == 2
@@ -119,12 +142,25 @@ class TestCli:
                         "--out", tmp_path / "c.txt"])
         assert code == 1
 
+    def test_worlds_file_with_short_episode_path_exits_1(self, tmp_path, capsys):
+        worlds, _, _ = gen_dataset(tmp_path, count=2)
+        lines = worlds.read_text().splitlines()
+        idx = next(i for i, line in enumerate(lines) if line.startswith("episode 1 "))
+        lines[idx] = lines[idx].rsplit(" ", 1)[0]     # drop the goal, keep the node count
+        worlds.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli(["gen-corpus", "--worlds", worlds, "--seed", "1",
+                        "--out", tmp_path / "c.txt"]) == 1
+        assert f":{idx + 1}:" in capsys.readouterr().err
+        assert not (tmp_path / "c.txt").exists()
+
     def test_unknown_corpus_word_exits_1(self, tmp_path, capsys):
         worlds, corpus, imags = gen_dataset(tmp_path, count=3)
         ckpt = tmp_path / "a.ckpt"
         files = ["--worlds", worlds, "--corpus", corpus, "--imaginations", imags]
-        assert run_cli(["train", *files, "--iters", "1", "--schedule", "flat",
-                        "--seed", "5", "--out", ckpt]) == 0
+        spec = write_spec(tmp_path, agent=SMALL_AGENT, train="base_iterations = 1\n")
+        baseline = ["--spec", spec, "--condition", "baseline"]
+        assert run_cli(["train", *baseline, *files, "--seed", "5", "--out", ckpt]) == 0
         lines = corpus.read_text().splitlines()
         first = next(i for i, line in enumerate(lines) if line.startswith("instr "))
         fields = lines[first].split(" ")
@@ -132,46 +168,52 @@ class TestCli:
         lines[first] = " ".join(fields)
         corpus.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
-        assert run_cli(["train", *files, "--iters", "1", "--schedule", "flat",
-                        "--seed", "5", "--out", tmp_path / "b.ckpt"]) == 1
-        assert run_cli(["eval", "--ckpt", ckpt, *files, "--seed", "2",
+        assert run_cli(["train", *baseline, *files, "--seed", "5",
+                        "--out", tmp_path / "b.ckpt"]) == 1
+        assert run_cli(["eval", "--ckpt", ckpt, "--condition", "baseline", *files, "--seed", "2",
                         "--out", tmp_path / "m.tsv"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all("'stroll'" in line and "instruction 0" in line
                                      for line in err)
 
-    def test_train_eval_flow(self, tmp_path):
+    def test_train_eval_flow(self, tmp_path, capsys):
         worlds, corpus, imags = gen_dataset(tmp_path)
         ckpt = tmp_path / "a.ckpt"
         curves = tmp_path / "curves.tsv"
-        assert run_cli(["train", "--worlds", worlds, "--corpus", corpus,
-                        "--imaginations", imags, "--iters", "12", "--schedule", "flat",
-                        "--aux", "none", "--seed", "5", "--out", ckpt,
-                        "--curves", curves]) == 0
+        spec = write_spec(tmp_path, agent=SMALL_AGENT, train="base_iterations = 12\n")
+        assert run_cli(["train", "--spec", spec, "--condition", "baseline", "--worlds", worlds,
+                        "--corpus", corpus, "--imaginations", imags, "--seed", "5",
+                        "--out", ckpt, "--curves", curves]) == 0
         metrics = tmp_path / "m.tsv"
-        assert run_cli(["eval", "--ckpt", ckpt, "--worlds", worlds, "--corpus", corpus,
-                        "--imaginations", imags, "--policy", "correct", "--seed", "2",
+        capsys.readouterr()
+        assert run_cli(["eval", "--ckpt", ckpt, "--condition", "baseline", "--worlds", worlds,
+                        "--corpus", corpus, "--imaginations", imags, "--seed", "2",
                         "--out", metrics]) == 0
         rows = serial.read_metrics(metrics)
-        assert len(rows) == 1 and rows[0]["n"] == 6
+        assert len(rows) == 1 and rows[0]["n"] == 6 and rows[0]["condition"] == "baseline"
         assert curves.read_text().count("\n") >= 12
+        # the printed row is the row written
+        assert capsys.readouterr().out.splitlines() == metrics.read_text().splitlines()[-1:]
 
     def test_train_takes_d_v_and_k_views_from_worlds(self, tmp_path):
         worlds, corpus, imags = gen_dataset(tmp_path, count=3,
                                             world_flags=("--d-v", "24", "--k", "8"))
         ckpt = tmp_path / "a.ckpt"
-        assert run_cli(["train", "--worlds", worlds, "--corpus", corpus,
-                        "--imaginations", imags, "--iters", "2", "--schedule", "flat",
-                        "--d", "32", "--heads", "2", "--cross-layers", "1",
-                        "--seed", "5", "--out", ckpt]) == 0
+        spec = write_spec(tmp_path, world="d_v = 24\n", agent=SMALL_AGENT,
+                          train="base_iterations = 2\n")
+        assert run_cli(["train", "--spec", spec, "--condition", "baseline", "--worlds", worlds,
+                        "--corpus", corpus, "--imaginations", imags, "--seed", "5",
+                        "--out", ckpt]) == 0
         cfg = tr.load_checkpoint(ckpt).agent_config
         assert (cfg.d_v, cfg.k_views) == (24, 8)
 
     def test_probe_attention_runs(self, tmp_path, capsys):
         worlds, corpus, imags = gen_dataset(tmp_path)
         ckpt = tmp_path / "a.ckpt"
-        run_cli(["train", "--worlds", worlds, "--corpus", corpus, "--imaginations", imags,
-                 "--iters", "6", "--schedule", "flat", "--seed", "5", "--out", ckpt])
+        spec = write_spec(tmp_path, agent=SMALL_AGENT, train="base_iterations = 6\n")
+        assert run_cli(["train", "--spec", spec, "--condition", "baseline", "--worlds", worlds,
+                        "--corpus", corpus, "--imaginations", imags, "--seed", "5",
+                        "--out", ckpt]) == 0
         assert run_cli(["probe-attention", "--ckpt", ckpt, "--worlds", worlds,
                         "--corpus", corpus, "--imaginations", imags, "--episode", "0",
                         "--imagination", "0", "--layer", "0", "--head", "1"]) == 0
@@ -181,14 +223,16 @@ class TestCli:
     def test_report_merges_and_aggregates(self, tmp_path):
         worlds, corpus, imags = gen_dataset(tmp_path)
         ckpt = tmp_path / "a.ckpt"
-        run_cli(["train", "--worlds", worlds, "--corpus", corpus, "--imaginations", imags,
-                 "--iters", "6", "--schedule", "flat", "--seed", "5", "--out", ckpt])
+        spec = write_spec(tmp_path, agent=SMALL_AGENT, train="base_iterations = 6\n")
+        assert run_cli(["train", "--spec", spec, "--condition", "baseline", "--worlds", worlds,
+                        "--corpus", corpus, "--imaginations", imags, "--seed", "5",
+                        "--out", ckpt]) == 0
         m1 = tmp_path / "m1.tsv"
         m2 = tmp_path / "m2.tsv"
-        run_cli(["eval", "--ckpt", ckpt, "--worlds", worlds, "--corpus", corpus,
-                 "--imaginations", imags, "--seed", "1", "--out", m1])
-        run_cli(["eval", "--ckpt", ckpt, "--worlds", worlds, "--corpus", corpus,
-                 "--imaginations", imags, "--seed", "2", "--out", m2])
+        for seed, out in (("1", m1), ("2", m2)):
+            assert run_cli(["eval", "--ckpt", ckpt, "--condition", "baseline", "--worlds", worlds,
+                            "--corpus", corpus, "--imaginations", imags, "--seed", seed,
+                            "--out", out]) == 0
         out = tmp_path / "summary.tsv"
         assert run_cli(["report", m1, m2, "--out", out]) == 0
         merged = out.read_text().splitlines()
@@ -224,28 +268,18 @@ class TestReportArithmetic:
 
 
 class TestExperimentSpec:
-    def write_spec(self, tmp_path, conditions="baseline imagine", seeds="1 2",
-                   train="base_iterations = 8\niterations = 8\n"):
-        path = tmp_path / "exp.cfg"
-        path.write_text(
-            "[experiment]\n"
-            f"name = t\nseeds = {seeds}\nconditions = {conditions}\ndata_seed = 0\n"
-            "[world]\ntrain_worlds = 6\nval_seen_worlds = 3\nval_unseen_worlds = 3\n"
-            "[train]\n" + train)
-        return path
-
     @pytest.mark.parametrize("train, named", [
         ("base_iterations = 8\nlamda = 7\n", "train.lamda"),
         ("base_iterations = 8\niterations = abc\n", "train.iterations"),
         ("aux_in_all_stages = maybe\n", "train.aux_in_all_stages"),
     ])
     def test_bad_key_or_value_is_named(self, tmp_path, train, named):
-        path = self.write_spec(tmp_path, train=train)
+        path = write_spec(tmp_path, train=train)
         with pytest.raises(ConfigurationError, match=named):
             harness.read_experiment_spec(path)
 
     def test_unknown_section_rejected(self, tmp_path):
-        path = self.write_spec(tmp_path)
+        path = write_spec(tmp_path)
         path.write_text(path.read_text().replace("[train]", "[trian]"))
         with pytest.raises(ConfigurationError, match="trian"):
             harness.read_experiment_spec(path)
@@ -257,7 +291,7 @@ class TestExperimentSpec:
     ])
     def test_bad_numbers_fail_before_training(self, tmp_path, capsys, key, value):
         p = configparser.ConfigParser()
-        p.read(self.write_spec(tmp_path, conditions="baseline imagine infonce"))
+        p.read(write_spec(tmp_path, conditions="baseline imagine infonce"))
         section, name = key.split(".")
         p[section][name] = value
         path = tmp_path / "bad.cfg"
@@ -270,25 +304,28 @@ class TestExperimentSpec:
         assert name in capsys.readouterr().err
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("flags, named", [
-        (["--iters", "-1"], "iterations"),
-        (["--batch-size", "0"], "batch_size"),
-        (["--tau", "0"], "tau"),
+    @pytest.mark.parametrize("flags, named", [   # flags: [train] lines of the spec
+        (["iterations = -1"], "iterations"),
+        (["batch_size = 0"], "batch_size"),
+        (["tau = 0"], "tau"),
     ])
     def test_train_rejects_bad_numbers_before_reading_data(self, tmp_path, capsys, flags, named):
         missing = tmp_path / "missing.txt"
-        assert run_cli(["train", "--worlds", missing, "--corpus", missing, "--imaginations",
-                        missing, "--seed", "1", "--out", tmp_path / "a.ckpt", *flags]) == 1
-        assert named in capsys.readouterr().err
+        spec = write_spec(tmp_path, train="".join(line + "\n" for line in flags))
+        assert run_cli(["train", "--spec", spec, "--condition", "baseline", "--worlds", missing,
+                        "--corpus", missing, "--imaginations", missing, "--seed", "1",
+                        "--out", tmp_path / "a.ckpt"]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "missing input file" not in err
 
     def test_two_stage_fractions_fail_before_training(self, tmp_path):
-        path = self.write_spec(tmp_path, train="stage_fractions = 0.5 0.5\n")
+        path = write_spec(tmp_path, train="stage_fractions = 0.5 0.5\n")
         out_dir = tmp_path / "out"
         assert run_cli(["ablate", "--spec", path, "--out-dir", out_dir, "--quiet"]) == 1
         assert not out_dir.exists()
 
     def test_coarse_mode_fails_before_building_data(self, tmp_path, capsys):
-        path = self.write_spec(tmp_path)
+        path = write_spec(tmp_path)
         path.write_text(path.read_text().replace("[world]\n", "[world]\nmode = coarse\n"))
         with pytest.raises(ConfigurationError, match="world.mode"):
             harness.read_experiment_spec(path)
@@ -298,11 +335,11 @@ class TestExperimentSpec:
         assert not out_dir.exists()
 
     def test_test_conditions_pull_in_imagine_and_baseline(self, tmp_path):
-        spec = harness.read_experiment_spec(self.write_spec(tmp_path, conditions="wrong_test"))
+        spec = harness.read_experiment_spec(write_spec(tmp_path, conditions="wrong_test"))
         assert "imagine" in spec.conditions and "baseline" in spec.conditions
 
     def test_unknown_condition_rejected(self, tmp_path):
-        path = self.write_spec(tmp_path, conditions="bogus")
+        path = write_spec(tmp_path, conditions="bogus")
         with pytest.raises(ConfigurationError):
             harness.read_experiment_spec(path)
 
@@ -337,20 +374,14 @@ class TestDefaults:
     REQUIRED = {
         "gen-world": ["--seed", "1", "--out", "w"],
         "imagine": ["--worlds", "w", "--corpus", "c", "--seed", "1", "--out", "i"],
-        "train": ["--worlds", "w", "--corpus", "c", "--imaginations", "i",
-                  "--seed", "1", "--out", "o"],
     }
     FIELDS = {
         "gen-world": {wd.WorldConfig: ("split", "n_forks", "k_views", "sigma_obs"),
                       ag.AgentConfig: ("d_v",)},
         "imagine": {im.ImaginationConfig: ("fidelity", "sigma_gen")},
-        "train": {tr.TrainConfig: ("iterations", "batch_size", "schedule", "flat_lr",
-                                   "aux_loss", "lam", "infonce_lam", "tau", "lr_multiplier",
-                                   "stage_fractions"),
-                  ag.AgentConfig: ("d", "heads", "cross_layers")},
     }
 
-    @pytest.mark.parametrize("command", ["gen-world", "imagine", "train"])
+    @pytest.mark.parametrize("command", ["gen-world", "imagine"])
     def test_parser_defaults_are_field_defaults(self, command):
         args = harness.build_parser().parse_args([command, *self.REQUIRED[command]])
         for cls, names in self.FIELDS[command].items():
@@ -407,13 +438,8 @@ class TestAblateSmoke:
         assert len((outs[0] / "verdicts.txt").read_text().splitlines()) == 7
 
     def test_tiny_ablation_and_orchestration_equivalence(self, tmp_path):
-        spec_path = tmp_path / "exp.cfg"
-        spec_path.write_text(
-            "[experiment]\n"
-            "name = smoke\nseeds = 9\nconditions = baseline imagine null_test\ndata_seed = 1\n"
-            "[world]\ntrain_worlds = 6\nval_seen_worlds = 3\nval_unseen_worlds = 3\n"
-            "[agent]\nd = 32\nheads = 2\ncross_layers = 1\n"
-            "[train]\nbase_iterations = 10\niterations = 10\n")
+        spec_path = write_spec(tmp_path, "baseline imagine null_test", seeds="9", data_seed=1,
+                               agent=SMALL_AGENT, train="base_iterations = 10\niterations = 10\n")
         out_dir = tmp_path / "out"
         assert run_cli(["ablate", "--spec", spec_path, "--out-dir", out_dir, "--quiet"]) == 0
         rows = serial.read_metrics(out_dir / "metrics.tsv")
@@ -446,27 +472,17 @@ class TestAblateSmoke:
 
     def test_spec_world_d_v_reaches_the_agent(self, tmp_path):
         # the agent's d_v and k_views come from the built worlds, not AgentConfig defaults
-        spec_path = tmp_path / "exp.cfg"
-        spec_path.write_text(
-            "[experiment]\n"
-            "name = dv\nseeds = 4\nconditions = baseline imagine\ndata_seed = 2\n"
-            "[world]\nd_v = 24\nk_views = 8\ntrain_worlds = 4\nval_seen_worlds = 2\n"
-            "val_unseen_worlds = 2\n"
-            "[agent]\nd = 32\nheads = 2\ncross_layers = 1\n"
-            "[train]\nbase_iterations = 3\niterations = 3\n")
+        spec_path = write_spec(tmp_path, seeds="4", data_seed=2, world="d_v = 24\nk_views = 8\n",
+                               sizes=(4, 2, 2), agent=SMALL_AGENT,
+                               train="base_iterations = 3\niterations = 3\n")
         out_dir = tmp_path / "out"
         assert run_cli(["ablate", "--spec", spec_path, "--out-dir", out_dir, "--quiet"]) == 0
         cfg = tr.load_checkpoint(out_dir / "ckpt" / "imagine_4.bin").agent_config
         assert (cfg.d_v, cfg.k_views) == (24, 8)
 
     def test_report_matches_ablate_summary(self, tmp_path):
-        spec_path = tmp_path / "exp.cfg"
-        spec_path.write_text(
-            "[experiment]\n"
-            "name = report\nseeds = 5 6\nconditions = baseline imagine\ndata_seed = 3\n"
-            "[world]\ntrain_worlds = 8\nval_seen_worlds = 6\nval_unseen_worlds = 6\n"
-            "[agent]\nd = 32\nheads = 2\ncross_layers = 1\n"
-            "[train]\nbase_iterations = 30\niterations = 10\n")
+        spec_path = write_spec(tmp_path, seeds="5 6", data_seed=3, sizes=(8, 6, 6),
+                               agent=SMALL_AGENT, train="base_iterations = 30\niterations = 10\n")
         out_dir = tmp_path / "out"
         assert run_cli(["ablate", "--spec", spec_path, "--out-dir", out_dir, "--quiet"]) == 0
         merged = tmp_path / "report.tsv"
@@ -488,3 +504,114 @@ class TestAblateSmoke:
         # 0.01 points, so the two agree to within one printed step
         for key, want in summary.items():
             assert max(abs(a - b) for a, b in zip(report[key], want)) <= 0.01 + 1e-9, key
+
+
+class TestCliEqualsAblate:
+    """`imnav train` and `imnav eval` on CLI-generated files compute, byte for
+    byte, what `imnav ablate` computes for the same spec, seed and data."""
+    SEED, DATA_SEED = 3, 1
+    CONDITIONS = "baseline imagine null_test wrong_test goal_only no_aux infonce text_only"
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        """The spec, the ablation's output directory and the CLI's train and
+        val_unseen files."""
+        tmp_path = tmp_path_factory.mktemp("cli_ablate")
+        spec = write_spec(tmp_path, self.CONDITIONS, seeds=str(self.SEED),
+                          data_seed=self.DATA_SEED, world="d_v = 24\n", sizes=(6, 2, 4),
+                          agent=SMALL_AGENT, train="base_iterations = 6\niterations = 8\n")
+        out = tmp_path / "ablate"
+        assert run_cli(["ablate", "--spec", spec, "--out-dir", out, "--quiet"]) == 0
+        files = {}
+        for split, offset in (("train", 0), ("val_unseen", 90019)):
+            # the seeds dataset.standard_splits derives from the spec's data_seed
+            d = self.DATA_SEED
+            worlds, corpus, imags = (tmp_path / f"{split}_{kind}.txt"
+                                     for kind in ("worlds", "corpus", "imag"))
+            assert run_cli(["gen-world", "--split", split, "--count", 6 if split == "train" else 4,
+                            "--d-v", "24", "--seed", 7 * d + offset, "--out", worlds]) == 0
+            assert run_cli(["gen-corpus", "--worlds", worlds, "--seed", 13 * d + offset + 1,
+                            "--out", corpus]) == 0
+            assert run_cli(["imagine", "--worlds", worlds, "--corpus", corpus,
+                            "--seed", 17 * d + offset + 2, "--out", imags]) == 0
+            files[split] = ["--worlds", worlds, "--corpus", corpus, "--imaginations", imags]
+        return spec, out, files
+
+    @staticmethod
+    def body(path):
+        return [line for line in Path(path).read_text().splitlines() if not line.startswith("#")]
+
+    def test_train_and_eval_reproduce_the_ablation(self, run, tmp_path):
+        spec, out, files = run
+        seed = self.SEED
+        for cond in ("baseline", "imagine", "no_aux", "infonce", "text_only"):
+            init = [] if cond == "baseline" else ["--init-from", tmp_path / "baseline.bin"]
+            proc = run_harness("train", "--spec", spec, "--condition", cond, *files["train"],
+                               *init, "--seed", seed, "--out", tmp_path / f"{cond}.bin",
+                               "--curves", tmp_path / f"{cond}.tsv")
+            assert proc.returncode == 0, proc.stderr
+            assert ((tmp_path / f"{cond}.bin").read_bytes()
+                    == (out / "ckpt" / f"{cond}_{seed}.bin").read_bytes()), cond
+            assert (self.body(tmp_path / f"{cond}.tsv")
+                    == self.body(out / "curves" / f"{cond}_{seed}.tsv")), cond
+        rows = {line.split("\t")[1]: line for line in self.body(out / "metrics.tsv")
+                if line.startswith("val_unseen\t")}
+        assert sorted(rows) == sorted(self.CONDITIONS.split())
+        for cond, want in rows.items():
+            ckpt = tmp_path / ("imagine.bin" if cond in harness.TEST_CONDITIONS else f"{cond}.bin")
+            proc = run_harness("eval", "--ckpt", ckpt, "--condition", cond, *files["val_unseen"],
+                               "--seed", seed, "--out", tmp_path / f"m_{cond}.tsv")
+            assert proc.returncode == 0, proc.stderr
+            assert self.body(tmp_path / f"m_{cond}.tsv")[1:] == [want], cond
+            assert proc.stdout.splitlines() == [want], cond
+
+    @pytest.mark.parametrize("condition, init", [("imagine", False), ("text_only", False),
+                                                 ("baseline", True)])
+    def test_init_from_required_for_finetunes_only(self, run, tmp_path, capsys, condition, init):
+        spec, out, files = run
+        extra = ["--init-from", out / "ckpt" / f"baseline_{self.SEED}.bin"] * init
+        capsys.readouterr()
+        assert run_cli(["train", "--spec", spec, "--condition", condition, *files["train"],
+                        *extra, "--seed", "1", "--out", tmp_path / "a.bin"]) == 1
+        assert "--init-from" in capsys.readouterr().err
+        assert not (tmp_path / "a.bin").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--iters", "4"), ("--batch-size", "2"), ("--schedule", "flat"), ("--flat-lr", "0.1"),
+        ("--aux", "none"), ("--lam", "0.5"), ("--infonce-lam", "0.2"), ("--tau", "0.1"),
+        ("--lr-multiplier", "1"), ("--stage-fractions", "0.5 0.25 0.25"),
+        ("--no-imaginations", None), ("--d", "32"), ("--heads", "2"), ("--cross-layers", "1")])
+    def test_removed_train_flags_exit_2(self, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["train", "--spec", "s", "--condition", "baseline", "--worlds", "w",
+                     "--corpus", "c", "--imaginations", "i", "--seed", "1", "--out", "o",
+                     flag, *(value.split() if value else [])])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command, args", [
+        ("train", ["--spec", "s"]),
+        ("eval", ["--ckpt", "k"]),
+        ("eval", ["--ckpt", "k", "--condition", "imagine", "--policy", "null"]),
+        ("eval", ["--ckpt", "k", "--condition", "correct"])])
+    def test_condition_is_required_and_replaces_policy(self, command, args):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, *args, "--worlds", "w", "--corpus", "c", "--imaginations", "i",
+                     "--seed", "1", "--out", "o"])
+        assert exc.value.code == 2
+
+    def test_spec_d_v_must_match_the_files(self, run, tmp_path, capsys):
+        spec, out, files = run
+        other = tmp_path / "spec.cfg"     # world.d_v left at its default, 16; the files have 24
+        other.write_text(spec.read_text().replace("d_v = 24\n", ""))
+        capsys.readouterr()
+        assert run_cli(["train", "--spec", other, "--condition", "baseline", *files["train"],
+                        "--seed", "1", "--out", tmp_path / "a.bin"]) == 1
+        err = capsys.readouterr().err
+        assert "d_v = 16" in err and "d_v = 24" in err
+        assert not (tmp_path / "a.bin").exists()
+
+    def test_eval_policy_per_condition(self):
+        assert {c: harness.eval_policy(c) for c in harness.ALL_CONDITIONS} == {
+            "baseline": "null", "imagine": "correct", "no_aux": "correct",
+            "infonce": "correct", "text_only": "correct", "null_test": "null",
+            "wrong_test": "wrong", "goal_only": "goal_only"}

@@ -80,6 +80,20 @@ class TestWorldsRoundTrip:
         assert f":{idx + 1}:" in str(exc.value)
 
 
+    @pytest.mark.parametrize("edit", ["drop", "add"])
+    def test_episode_node_count_must_match_its_path(self, bundle, tmp_path, edit):
+        path = tmp_path / "w.txt"
+        serial.write_worlds(path, bundle["library"], bundle["pairs"])
+        lines = path.read_text().splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.startswith("episode"))
+        # episode <w> <mode> <start> <goal> <target> <n> <nodes...>
+        lines[idx] = lines[idx].rsplit(" ", 1)[0] if edit == "drop" else lines[idx] + " 0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="nodes") as exc:
+            serial.read_worlds(path)
+        assert f":{idx + 1}:" in str(exc.value)
+
+
 class TestCorpusRoundTrip:
     def test_exact(self, bundle, tmp_path):
         wpath = tmp_path / "w.txt"

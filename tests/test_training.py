@@ -57,7 +57,7 @@ def desk_data():
     spec = harness.read_experiment_spec(ROOT / "experiments" / "desk.cfg")
     spec = replace(spec, train_worlds=3, val_seen_worlds=1, val_unseen_worlds=1)
     split = harness.build_spec_splits(spec)["train"]
-    return split, harness._agent_config(split, **spec.agent), spec.train
+    return split, harness._agent_config(split, spec), spec.train
 
 
 def infonce_oracle(hs, ss, owners, tau):
