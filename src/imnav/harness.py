@@ -74,6 +74,7 @@ class ExperimentSpec:
         wd.check_mode(self.mode, "world.mode")
         if self.base_iterations < 0:
             raise ConfigurationError(f"base_iterations must be >= 0, got {self.base_iterations}")
+        tr.check_number("base_lr", self.base_lr)
         for name in ("train_worlds", "val_seen_worlds", "val_unseen_worlds"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -221,12 +221,11 @@ def write_corpus(path, records, world_indices, command="", seed=None):
     lines = []
     for idx, (rec, w_idx) in enumerate(zip(records, world_indices)):
         instr = rec.instruction
-        lines.append(f"instr {idx} {w_idx} {wd.EPISODE_MODE} {len(instr.tokens)} "
-                     + " ".join(instr.tokens))
-        golds = []
-        for (s, e), cls in zip(instr.gold_segments, instr.gold_landmarks):
-            golds.append(f"{s} {e} {cls if cls is not None else '-'}")
-        lines.append(f"gold {idx} {len(instr.gold_segments)} " + " ".join(golds))
+        lines.append(f"instr {idx} {w_idx} {wd.EPISODE_MODE} {len(instr.tokens)}"
+                     + "".join(f" {t}" for t in instr.tokens))
+        golds = "".join(f" {s} {e} {cls if cls is not None else '-'}"
+                        for (s, e), cls in zip(instr.gold_segments, instr.gold_landmarks))
+        lines.append(f"gold {idx} {len(instr.gold_segments)}{golds}")
         for sub in rec.subs:
             phrases = "+".join(p.replace(" ", "_") for p in sub.noun_phrases) or "-"
             indices = " ".join(str(i) for i in sub.noun_token_indices)
@@ -250,12 +249,14 @@ def read_corpus(path, pairs):
                 if parts[3] != wd.EPISODE_MODE:
                     reader.fail(lineno, f"instruction mode {parts[3]!r}: the only episode mode "
                                 f"is {wd.EPISODE_MODE!r}")
-                tokens = tuple(parts[5:5 + n])
-                if len(tokens) != n:
-                    reader.fail(lineno, "token count mismatch")
-                by_idx[idx] = dict(world=w_idx, tokens=tokens, gold=[], subs=[])
+                if len(parts) != 5 + n:
+                    reader.fail(lineno, f"instruction says {n} tokens but lists {len(parts) - 5}")
+                by_idx[idx] = dict(world=w_idx, tokens=tuple(parts[5:]), gold=[], subs=[])
             elif tag == "gold":
                 idx, n = int(parts[1]), int(parts[2])
+                if len(parts) != 3 + 3 * n:
+                    reader.fail(lineno, f"gold says {n} segments but lists "
+                                f"{len(parts) - 3} fields, not {3 * n}")
                 fields = parts[3:]
                 golds = []
                 for k in range(n):
@@ -265,11 +266,14 @@ def read_corpus(path, pairs):
             elif tag == "seg":
                 idx = int(parts[1])
                 n_idx = int(parts[8])
+                if len(parts) != 9 + n_idx:
+                    reader.fail(lineno, f"segment says {n_idx} noun token indices but lists "
+                                f"{len(parts) - 9}")
                 sub = ins.SubInstruction(
                     index=int(parts[2]), span=(int(parts[3]), int(parts[4])),
                     tokens=(),
                     noun_phrases=tuple(p.replace("_", " ") for p in parts[7].split("+")) if parts[7] != "-" else (),
-                    noun_token_indices=tuple(int(x) for x in parts[9:9 + n_idx]),
+                    noun_token_indices=tuple(int(x) for x in parts[9:]),
                     landmark_class=None if parts[6] == "-" else int(parts[6]),
                     filter_verdict=None if parts[5] == "None" else parts[5])
                 by_idx[idx]["subs"].append(sub)

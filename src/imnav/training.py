@@ -11,11 +11,12 @@ ratios and are scaled by a global multiplier for desk-scale convergence.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +33,14 @@ IMAGINATION_GROUPS = ("imagination_encoder", "type_embedding")
 # (imagination groups, base) learning rates of the three finetune stages, in
 # the published ratios; TrainConfig.lr_multiplier scales them
 STAGE_LRS = ((1e-4, 0.0), (5e-5, 1e-6), (1e-6, 1e-6))
+
+
+def check_number(name, value, positive=True):
+    """Raise ConfigurationError naming `name` unless `value` is a finite number
+    > 0 (>= 0 when not `positive`)."""
+    if not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
+        raise ConfigurationError(f"{name} must be a finite number {'>' if positive else '>='} 0, "
+                                 f"got {value}")
 
 
 @dataclass(frozen=True)
@@ -56,14 +65,14 @@ class TrainConfig:
                 or abs(sum(self.stage_fractions) - 1.0) > 1e-9):
             raise ConfigurationError("stage fractions must be three non-negative numbers "
                                      f"summing to 1, got {self.stage_fractions}")
-        if self.lam < 0.0:
-            raise ConfigurationError("lambda must be >= 0")
+        for name in ("lam", "infonce_lam"):
+            check_number(name, getattr(self, name), positive=False)
+        for name in ("tau", "lr_multiplier", "flat_lr"):
+            check_number(name, getattr(self, name))
         if self.iterations < 0:
             raise ConfigurationError(f"iterations must be >= 0, got {self.iterations}")
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.tau <= 0.0:
-            raise ConfigurationError(f"tau must be > 0, got {self.tau}")
         if self.aux_loss not in ("cosine", "infonce", "none"):
             raise ConfigurationError(f"unknown aux_loss {self.aux_loss!r}")
         if self.schedule not in ("three_stage", "flat"):
@@ -238,6 +247,47 @@ def _train_step(agent, opt, items, batch_idx, lrs, cfg, iteration, rng):
     return breakdown
 
 
+# The state at the end of stage 1 of this process's last three-stage finetune:
+# (split, key, Checkpoint, curve rows), or None (see train)
+_stage1 = None
+
+
+def clear_stage1():
+    """Forget the stored stage 1, so that the next finetune computes its own."""
+    global _stage1
+    _stage1 = None
+
+
+def _stage1_key(agent_config, cfg, init_values):
+    """What stage 1 of a finetune reads besides its split, or None when train
+    neither keeps nor reuses stage 1. Unless the alignment loss runs in all
+    stages, stage 1 reads none of its fields, so they are set to fixed values."""
+    if cfg.schedule == "flat" or init_values is None or cfg.stage_ends[0] == 0:
+        return None
+    if not cfg.aux_in_all_stages:
+        cfg = replace(cfg, aux_loss="none", lam=0.0, infonce_lam=0.0, tau=1.0)
+    digest = hashlib.blake2b()
+    for name, arr in init_values.items():
+        arr = np.ascontiguousarray(arr)
+        digest.update(f"{name} {arr.dtype.str} {arr.shape}".encode())
+        digest.update(arr)
+    return agent_config, digest.digest(), cfg
+
+
+def _checkpoint(agent_config, params, opt, rng, iteration):
+    """A copy of the training state after `iteration` iterations."""
+    return Checkpoint(
+        version=CHECKPOINT_VERSION,
+        agent_config=agent_config,
+        values={k: v.values.copy() for k, v in params.items()},
+        adam_m={k: v.copy() for k, v in opt.m.items()},
+        adam_v={k: v.copy() for k, v in opt.v.items()},
+        adam_steps=dict(opt.steps),
+        iteration=iteration,
+        rng_state=rng.bit_generator.state,
+    )
+
+
 def train(split, agent_config, cfg, init_values=None, resume=None):
     """Run the loop; returns (Checkpoint, curves).
 
@@ -245,9 +295,17 @@ def train(split, agent_config, cfg, init_values=None, resume=None):
     iteration's alignment-pair count (0 where the loss reads none).
     `init_values` warm-starts parameters (base checkpoint for finetunes);
     `resume` continues a saved checkpoint bitwise.
+
+    A three-stage finetune from `init_values` keeps a copy of its state and
+    curve rows at the end of stage 1. A later call whose stage 1 reads the
+    same split object, agent config, init values and config (up to the
+    alignment loss, when that is off in stage 1) resumes from that copy
+    instead of recomputing stage 1; its results are the same bytes.
     """
+    global _stage1
     if not split.items:
         raise ContractError("empty training split")
+    key = None if resume is not None else _stage1_key(agent_config, cfg, init_values)
     params = ag.init_params(agent_config, cfg.seed)
     if init_values is not None:
         for name, arr in init_values.items():
@@ -255,6 +313,9 @@ def train(split, agent_config, cfg, init_values=None, resume=None):
                 params[name].values[...] = arr
     opt = nc.Adam(params)
     rng = np.random.default_rng(np.random.SeedSequence([0x7E41, cfg.seed]))
+    curves = []
+    if key is not None and _stage1 is not None and _stage1[0] is split and _stage1[1] == key:
+        resume, curves = _stage1[2], list(_stage1[3])
     start_iter = 0
     if resume is not None:
         for name, arr in resume.values.items():
@@ -268,7 +329,6 @@ def train(split, agent_config, cfg, init_values=None, resume=None):
 
     agent = ag.Agent(agent_config, params)
     items = split.items
-    curves = []
 
     for iteration in range(start_iter, cfg.iterations):
         lrs = three_stage_schedule(iteration, cfg)
@@ -277,18 +337,11 @@ def train(split, agent_config, cfg, init_values=None, resume=None):
         with _frozen_off_tape(params, lrs):
             breakdown = _train_step(agent, opt, items, batch_idx, lrs, cfg, iteration, rng)
         curves.append((iteration, breakdown.l_base, breakdown.l_aux, breakdown.n_im))
+        if key is not None and iteration + 1 == cfg.stage_ends[0]:
+            _stage1 = (split, key, _checkpoint(agent_config, params, opt, rng, iteration + 1),
+                       tuple(curves))
 
-    ckpt = Checkpoint(
-        version=CHECKPOINT_VERSION,
-        agent_config=agent_config,
-        values={k: v.values.copy() for k, v in params.items()},
-        adam_m={k: v.copy() for k, v in opt.m.items()},
-        adam_v={k: v.copy() for k, v in opt.v.items()},
-        adam_steps=dict(opt.steps),
-        iteration=cfg.iterations,
-        rng_state=rng.bit_generator.state,
-    )
-    return ckpt, curves
+    return _checkpoint(agent_config, params, opt, rng, cfg.iterations), curves
 
 
 def agent_from_checkpoint(ckpt):

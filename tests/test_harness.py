@@ -304,6 +304,22 @@ class TestExperimentSpec:
         assert name in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("infonce_lambda", "-0.2", "infonce_lam"), ("lambda", "nan", "lam"),
+        ("lambda", "inf", "lam"), ("tau", "nan", "tau"), ("tau", "inf", "tau"),
+        ("lr_multiplier", "0", "lr_multiplier"), ("lr_multiplier", "-10", "lr_multiplier"),
+        ("base_lr", "0", "base_lr"), ("base_lr", "-1e-3", "base_lr"), ("base_lr", "nan", "base_lr"),
+    ])
+    def test_bad_training_numbers_fail_before_training(self, tmp_path, capsys, key, value, named):
+        path = write_spec(tmp_path, conditions="baseline imagine infonce",
+                          train=f"base_iterations = 8\niterations = 8\n{key} = {value}\n")
+        with pytest.raises(ConfigurationError, match=named):
+            harness.read_experiment_spec(path)
+        out_dir = tmp_path / "out"
+        assert run_cli(["ablate", "--spec", path, "--out-dir", out_dir, "--quiet"]) == 1
+        assert named in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("flags, named", [   # flags: [train] lines of the spec
         (["iterations = -1"], "iterations"),
         (["batch_size = 0"], "batch_size"),

@@ -130,6 +130,25 @@ class TestCorpusRoundTrip:
         assert f":{idx + 1}:" in str(exc.value)
 
 
+    @pytest.mark.parametrize("tag, named", [("instr", "tokens"), ("gold", "segments"),
+                                            ("seg", "indices")])
+    def test_a_field_past_the_count_names_the_line(self, bundle, tmp_path, tag, named):
+        # instr <idx> <world> <mode> <n> <n tokens>; gold <idx> <n> <3n fields>;
+        # seg <idx> <index> <start> <end> <verdict> <class> <phrases> <n> <n indices>
+        wpath = tmp_path / "w.txt"
+        serial.write_worlds(wpath, bundle["library"], bundle["pairs"])
+        _, pairs = serial.read_worlds(wpath)
+        cpath = tmp_path / "c.txt"
+        serial.write_corpus(cpath, bundle["records"], list(range(len(bundle["records"]))))
+        lines = cpath.read_text().splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.startswith(tag + " "))
+        lines[idx] += " left" if tag == "instr" else " 0"
+        cpath.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=named) as exc:
+            serial.read_corpus(cpath, pairs)
+        assert f":{idx + 1}:" in str(exc.value)
+
+
 class TestImaginationsRoundTrip:
     def test_exact(self, bundle, tmp_path):
         path = tmp_path / "i.txt"

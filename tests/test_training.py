@@ -282,8 +282,12 @@ class TestSchedule:
             with pytest.raises(ConfigurationError):
                 tr.TrainConfig(stage_fractions=fractions)
 
-    @pytest.mark.parametrize("field, value", [("iterations", -1), ("batch_size", 0),
-                                              ("batch_size", -3), ("tau", 0.0), ("tau", -0.1)])
+    @pytest.mark.parametrize("field, value", [
+        ("iterations", -1), ("batch_size", 0), ("batch_size", -3), ("tau", 0.0), ("tau", -0.1),
+        ("tau", math.inf), ("tau", math.nan), ("lam", -0.5), ("lam", math.nan),
+        ("lam", math.inf), ("infonce_lam", -0.2), ("infonce_lam", math.nan),
+        ("lr_multiplier", 0.0), ("lr_multiplier", -10.0), ("lr_multiplier", math.inf),
+        ("flat_lr", 0.0), ("flat_lr", -1e-3), ("flat_lr", math.nan)])
     def test_bad_numbers_rejected_naming_the_field(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             tr.TrainConfig(**{field: value})
@@ -630,3 +634,164 @@ class TestCheckpointIO:
         assert curves_a == curves_b
         for name in a.values:
             assert a.values[name].tobytes() == b.values[name].tobytes()
+
+
+class TestStage1Reuse:
+    """A three-stage finetune keeps its state at the end of stage 1, and a later
+    finetune whose stage 1 reads the same inputs resumes from it."""
+
+    @pytest.fixture(scope="class")
+    def base(self, tiny_split, tiny_agent_config):
+        cfg = tr.TrainConfig(iterations=3, batch_size=2, schedule="flat", aux_loss="none",
+                             use_imaginations=False, seed=3)
+        return tr.train(tiny_split["train"], tiny_agent_config, cfg)[0].values
+
+    @staticmethod
+    def cfg(aux, **kw):
+        return tr.TrainConfig(**{**dict(iterations=8, batch_size=2, aux_loss=aux, seed=5,
+                                        stage_fractions=(0.5, 0.25, 0.25)), **kw})
+
+    @pytest.fixture
+    def scheduled(self, monkeypatch):
+        """The iterations training.three_stage_schedule is called for."""
+        calls, schedule = [], tr.three_stage_schedule
+
+        def counted(iteration, cfg):
+            calls.append(iteration)
+            return schedule(iteration, cfg)
+
+        monkeypatch.setattr(tr, "three_stage_schedule", counted)
+        return calls
+
+    @staticmethod
+    def assert_same_run(a, b):
+        (ckpt_a, curves_a), (ckpt_b, curves_b) = a, b
+        assert curves_a == curves_b
+        assert (ckpt_a.iteration, ckpt_a.adam_steps, ckpt_a.rng_state, ckpt_a.agent_config) == \
+               (ckpt_b.iteration, ckpt_b.adam_steps, ckpt_b.rng_state, ckpt_b.agent_config)
+        for name in ("values", "adam_m", "adam_v"):
+            x, y = getattr(ckpt_a, name), getattr(ckpt_b, name)
+            assert list(x) == list(y)
+            for k in x:
+                assert x[k].dtype == y[k].dtype and x[k].tobytes() == y[k].tobytes(), (name, k)
+
+    def test_reused_stage1_gives_the_same_bytes(self, tiny_split, tiny_agent_config, base,
+                                                scheduled):
+        split, losses = tiny_split["train"], ("cosine", "infonce", "none")
+        warm = [tr.train(split, tiny_agent_config, self.cfg(aux), init_values=base)
+                for aux in losses]
+        assert scheduled == list(range(8)) + list(range(4, 8)) * 2
+        cold = []
+        for aux in losses:
+            tr.clear_stage1()
+            cold.append(tr.train(split, tiny_agent_config, self.cfg(aux), init_values=base))
+        for a, b in zip(warm, cold):
+            self.assert_same_run(a, b)
+
+    @pytest.mark.parametrize("change", [
+        "seed", "batch_size", "iterations", "stage_fractions", "lr_multiplier",
+        "use_imaginations", "agent_config", "init_values", "split", "aux_in_all_stages"])
+    def test_a_changed_input_recomputes_stage1(self, tiny_split, tiny_agent_config, base,
+                                               scheduled, change):
+        split, acfg, values = tiny_split["train"], tiny_agent_config, base
+        first, cfg = self.cfg("cosine"), self.cfg("infonce")
+        if change == "aux_in_all_stages":
+            first, cfg = (self.cfg(aux, aux_in_all_stages=True) for aux in ("cosine", "infonce"))
+        elif change == "agent_config":
+            acfg = replace(acfg, text_dropout=0.2)
+        elif change == "init_values":
+            values = dict(base)
+            name = next(iter(values))
+            values[name] = values[name].copy()
+            values[name].flat[0] += 1.0
+        elif change == "split":
+            split = replace(split)
+        else:
+            cfg = replace(cfg, **{change: dict(
+                seed=6, batch_size=3, iterations=12, stage_fractions=(0.25, 0.25, 0.5),
+                lr_multiplier=5.0, use_imaginations=False)[change]})
+        tr.train(tiny_split["train"], tiny_agent_config, first, init_values=base)
+        scheduled.clear()
+        tr.train(split, acfg, cfg, init_values=values)
+        assert scheduled == list(range(cfg.iterations))
+
+    def test_alignment_loss_in_all_stages_still_reuses_its_own_stage1(
+            self, tiny_split, tiny_agent_config, base, scheduled):
+        cfg = self.cfg("cosine", aux_in_all_stages=True)
+        tr.train(tiny_split["train"], tiny_agent_config, cfg, init_values=base)
+        scheduled.clear()
+        tr.train(tiny_split["train"], tiny_agent_config, cfg, init_values=base)
+        assert scheduled == list(range(4, 8))
+
+    def test_mutating_outputs_and_inputs_leaves_the_stored_stage1(
+            self, tiny_split, tiny_agent_config, base, scheduled):
+        split = tiny_split["train"]
+        tr.clear_stage1()
+        want = tr.train(split, tiny_agent_config, self.cfg("infonce"), init_values=base)
+        tr.clear_stage1()
+        values = {k: v.copy() for k, v in base.items()}
+        ckpt, curves = tr.train(split, tiny_agent_config, self.cfg("cosine"), init_values=values)
+        for name in ("values", "adam_m", "adam_v"):
+            for arr in getattr(ckpt, name).values():
+                arr[...] = 7.0
+        ckpt.adam_steps.clear()
+        ckpt.rng_state["state"]["state"] = 1
+        curves[0] = curves[1]
+        for arr in values.values():
+            arr[...] = 0.0
+        scheduled.clear()
+        got = tr.train(split, tiny_agent_config, self.cfg("infonce"), init_values=base)
+        assert scheduled == list(range(4, 8))
+        self.assert_same_run(got, want)
+
+    @pytest.mark.parametrize("run", ["flat", "no_init_values", "resume", "no_stage1",
+                                     "diverged"])
+    def test_nothing_is_stored_or_reused_without_a_key(self, tiny_split, tiny_agent_config,
+                                                       base, scheduled, monkeypatch, run):
+        split, cfg, kw = tiny_split["train"], self.cfg("cosine"), dict(init_values=base)
+        if run == "flat":
+            cfg = replace(cfg, schedule="flat")
+        elif run == "no_init_values":
+            kw = {}
+        elif run == "resume":   # with a stored stage 1 that the same call without resume reuses
+            tr.train(split, tiny_agent_config, cfg, **kw)
+            kw["resume"] = tr.train(split, tiny_agent_config, replace(cfg, iterations=0))[0]
+        elif run == "no_stage1":
+            cfg = replace(cfg, stage_fractions=(0.0, 0.5, 0.5))
+        else:
+            step = tr._train_step
+
+            def diverge_at_1(*args):
+                if args[6] == 1:
+                    raise tr.TrainingDiverged("non-finite loss at iteration 1")
+                return step(*args)
+
+            monkeypatch.setattr(tr, "_train_step", diverge_at_1)
+        stored = tr._stage1
+        for _ in range(2):
+            scheduled.clear()
+            try:
+                tr.train(split, tiny_agent_config, cfg, **kw)
+            except tr.TrainingDiverged:
+                assert run == "diverged"
+            assert tr._stage1 is stored
+        assert scheduled == (list(range(2)) if run == "diverged" else list(range(cfg.iterations)))
+
+    @pytest.mark.parametrize("in_all_stages", [False, True])
+    def test_stage1_reads_no_alignment_loss_field(self, tiny_split, tiny_agent_config, base,
+                                                  in_all_stages):
+        """The invariant the stored stage 1's key rests on: with the alignment
+        loss off in stage 1, cosine, InfoNCE and no-aux finetunes give the same
+        stage-1 rows and the same state at the stage-1 boundary."""
+        runs = []
+        for aux in ("cosine", "infonce", "none"):
+            tr.clear_stage1()
+            _, curves = tr.train(tiny_split["train"], tiny_agent_config,
+                                 self.cfg(aux, aux_in_all_stages=in_all_stages),
+                                 init_values=base)
+            runs.append((tr._stage1[2], curves[:4]))
+        if in_all_stages:
+            assert runs[0][1] != runs[1][1] != runs[2][1] != runs[0][1]
+        else:
+            for other in runs[1:]:
+                self.assert_same_run(runs[0], other)
