@@ -21,15 +21,13 @@ and joins the [text; imagination] context once per episode
 (`EncodedContext`), and each step reuses it, so a step pays only for the
 observation encoder, the cross-modal layers and the action head.
 
-Masked imagination tokens are excluded from every key/query set, which is
-exactly the zero-attention-weight (-inf pre-softmax) semantics and makes
-null-imagination runs bit-identical to runs without imagination tokens.
+An episode's imaginations are whatever list it is handed: a test-time policy
+transforms the lists before the rollout, and `null` hands over none.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -46,7 +44,7 @@ class AgentConfig:
     d: int = 64
     heads: int = 4
     cross_layers: int = 2
-    k_views: int = 12
+    k_views: int = wd.WorldConfig.k_views
     d_v: int = 16                     # also the feature width of generated data
     mlp_hidden: int = 0               # 0 -> ceil(2d/3)
     dropout_rate: float = 0.15
@@ -171,7 +169,7 @@ class EncodedContext:
     episode, and every step of those episodes reuses it."""
     text: nc.Tensor            # (B, L_max, d), each instruction padded after its tokens
     text_lengths: tuple        # L_b
-    imag: nc.Tensor | None     # (ΣN, d) live tokens in episode order; masked ones are absent
+    imag: nc.Tensor | None     # (ΣN, d) imagination tokens in episode order
     imag_counts: tuple         # N_b, all 0 when imag is None
     tokens: nc.Tensor = field(init=False)          # (B, n_max, d) text then imagination tokens
     valid: np.ndarray | None = field(init=False)   # (B, n_max) real tokens; None: none padded
@@ -190,8 +188,8 @@ class ContextInputs:
     """One episode's context before encoding, with its train-time dropout
     multipliers already drawn (see `context_inputs`)."""
     token_ids: tuple
-    nouns: tuple                      # (live row, noun-token positions) per kept sub-instruction
-    features: np.ndarray | None       # (N, d_v) live imagination features
+    nouns: tuple                      # (row, noun-token positions) per kept sub-instruction
+    features: np.ndarray | None       # (N, d_v) imagination features
     text_keep: np.ndarray | None      # (L, 1) word-dropout multipliers
     imag_keep: np.ndarray | None      # (N, d) imagination-token dropout multipliers
 
@@ -213,7 +211,7 @@ class Trajectory:
     visited: list
     actions: list
     action_spaces: list
-    logits: list
+    logits: list                       # argmax: (A,) per step; teacher: empty (`decide`)
     teacher_actions: list
     attention: list | None
     aux_pairs: list                    # (imagination token row, noun-token positions)
@@ -222,25 +220,6 @@ class Trajectory:
     # teacher mode: the inputs `decide` turns into logits
     inputs: ContextInputs | None = None
     observations: np.ndarray | None = None   # (T, K, d_v)
-
-
-class StepLogits(Sequence):
-    """The per-step logits of one decided teacher trajectory: step t is row
-    first + t of the batch's padded logits, cut to its actions. A step is
-    sliced (and recorded on the tape) only when read; training reads the
-    padded logits directly."""
-
-    def __init__(self, padded, first, lengths):
-        self.padded, self.first, self.lengths = padded, first, lengths
-
-    def __len__(self):
-        return len(self.lengths)
-
-    def __getitem__(self, t):
-        t = range(len(self.lengths))[t]
-        width = self.padded.shape[1]
-        flat = nc.reshape(self.padded, (self.padded.values.size,))
-        return nc.take_rows(flat, (self.first + t) * width + np.arange(self.lengths[t]))
 
 
 class Agent:
@@ -487,33 +466,23 @@ def noun_phrase_means(text, groups):
                            [len(positions) for _, positions in groups])
 
 
-def context_inputs(agent, token_ids, imaginations, kept_subs, imag_mask=None,
-                   train=False, rng=None):
+def context_inputs(agent, token_ids, imaginations, kept_subs, train=False, rng=None):
     """One episode's context before encoding, with its train-time dropout
     multipliers drawn from `rng`: word dropout first, then dropout over the
     imagination tokens.
 
-    `imaginations` is the (possibly policy-transformed) list for the episode;
-    masked ones are left out. Under `imag_source = text_mean` each live
-    imagination whose sub-instruction is in kept_subs becomes that
-    sub-instruction's mean noun-phrase embedding.
+    `imaginations` is the (possibly policy-transformed) list for the episode.
+    Under `imag_source = text_mean` each imagination whose sub-instruction is
+    in kept_subs becomes that sub-instruction's mean noun-phrase embedding.
     """
     cfg = agent.config
-    n = len(imaginations)
-    if imag_mask is None:
-        mask = np.ones(n, dtype=bool)
-    else:
-        mask = np.asarray(imag_mask, dtype=bool)
-        if mask.shape[0] != n:
-            raise ShapeError("imagination mask length mismatch")
-    live = tuple(int(i) for i in np.nonzero(mask)[0])
     nouns = tuple((row, sub.noun_token_indices)
-                  for row, sub in _kept_pairs(imaginations, live, kept_subs))
+                  for row, sub in _kept_pairs(imaginations, kept_subs))
     text_keep = nc.dropout_mask((len(token_ids), 1), cfg.text_dropout, rng, train)
     features = imag_keep = None
-    if live and cfg.imag_source == "imagination":
-        features = np.stack([imaginations[i].feature for i in live])
-        imag_keep = nc.dropout_mask((len(live), cfg.d), cfg.dropout_rate, rng, train)
+    if imaginations and cfg.imag_source == "imagination":
+        features = np.stack([im.feature for im in imaginations])
+        imag_keep = nc.dropout_mask((len(imaginations), cfg.d), cfg.dropout_rate, rng, train)
     return ContextInputs(token_ids=tuple(token_ids), nouns=nouns, features=features,
                          text_keep=text_keep, imag_keep=imag_keep)
 
@@ -528,26 +497,26 @@ def build_context(agent, inputs):
         imag = noun_phrase_means(text, [(b, positions) for b, x in enumerate(inputs)
                                         for _, positions in x.nouns]) if any(counts) else None
     else:
-        live = [x for x in inputs if x.features is not None]
+        imagined = [x for x in inputs if x.features is not None]
         counts = tuple(0 if x.features is None else len(x.features) for x in inputs)
-        keep = [x.imag_keep for x in live if x.imag_keep is not None]
+        keep = [x.imag_keep for x in imagined if x.imag_keep is not None]
         imag = agent.encode_imaginations(
-            np.concatenate([x.features for x in live]) if live else None,
+            np.concatenate([x.features for x in imagined]) if imagined else None,
             np.concatenate(keep) if keep else None)
     return EncodedContext(text=text, text_lengths=tuple(len(x.token_ids) for x in inputs),
                           imag=imag, imag_counts=counts)
 
 
-def _kept_pairs(imaginations, indices, kept_subs):
-    """(position in `indices`, sub-instruction) of each listed imagination
-    whose sub-instruction was kept."""
+def _kept_pairs(imaginations, kept_subs):
+    """(row, sub-instruction) of each imagination whose sub-instruction was
+    kept."""
     by_index = {s.index: s for s in kept_subs}
-    return [(pos, by_index[imaginations[i].sub_index]) for pos, i in enumerate(indices)
-            if imaginations[i].sub_index in by_index]
+    return [(row, by_index[im.sub_index]) for row, im in enumerate(imaginations)
+            if im.sub_index in by_index]
 
 
 def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
-            kept_subs=(), imag_mask=None, train=False, drop_rng=None,
+            kept_subs=(), train=False, drop_rng=None,
             max_steps=None, record_attention=False, aux=False):
     """Run one episode.
 
@@ -565,8 +534,7 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
     if mode == "teacher" and max_steps < len(episode.teacher_path):
         raise ContractError("max_steps too small for the teacher path")
 
-    inputs = context_inputs(agent, token_ids, imaginations, kept_subs,
-                            imag_mask=imag_mask, train=train, rng=drop_rng)
+    inputs = context_inputs(agent, token_ids, imaginations, kept_subs, train=train, rng=drop_rng)
     attn = [] if record_attention else None
     truncated = False
     observations = None
@@ -622,11 +590,12 @@ def decide(agent, trajectories):
     pass: one text, one imagination and one observation encoder pass over
     the batch, then `cross_modal_step`.
 
-    Fills each trajectory's per-step logits and, if it was rolled out with
-    record_attention, its per-step attention records.
     Returns the (ΣT, A) logits of all steps in trajectory order, padded with
-    -inf, and the (P, d) imagination tokens h and noun-phrase means s̄ of the
-    trajectories' alignment pairs in order (None and None without pairs).
+    -inf (step t of the first trajectory is row t; its first len(nav) + 1
+    columns are its actions), and the (P, d) imagination tokens h and
+    noun-phrase means s̄ of the trajectories' alignment pairs in order (None
+    and None without pairs). Fills the per-step attention records of each
+    trajectory rolled out with record_attention.
     """
     context = build_context(agent, [t.inputs for t in trajectories])
     counts = [len(t.action_spaces) for t in trajectories]
@@ -637,7 +606,6 @@ def decide(agent, trajectories):
         record_attention=any(t.attention is not None for t in trajectories))
     first = 0
     for traj, steps in zip(trajectories, counts):
-        traj.logits = StepLogits(logits, first, [len(nav) + 1 for nav in traj.action_spaces])
         if traj.attention is not None:
             traj.attention = records[first:first + steps]
         first += steps
@@ -675,7 +643,7 @@ def attention_probe(trajectory, layer, head, imag_index, k=3):
         raise IndexError(f"head {head} out of range")
     query_positions = [i for i, kind in enumerate(rec.query_kinds) if kind == "imagination"]
     if imag_index >= len(query_positions):
-        raise IndexError("imagination token was masked out of the context")
+        raise IndexError(f"imagination {imag_index} has no token in the context")
     row = rec.weights[head, query_positions[imag_index]]
 
     def topk(indices, labels):

@@ -6,6 +6,10 @@ success-weighted-by-inverse-path-length definition,
 SPL = (1/N) * sum_i S_i * l_i / max(p_i, l_i), with l_i the shortest-path
 length and p_i the agent's traversed length (TL). Metric arithmetic is
 float64.
+
+A metrics row is a (MetricsRecord, condition) pair: `evaluate` makes the
+record, `write_metrics` writes rows as a TSV with SR and SPL in percent to
+2 decimals, and `read_metrics` reads them back.
 """
 
 from __future__ import annotations
@@ -17,11 +21,13 @@ import numpy as np
 from . import agent as ag
 from . import imagination as im
 from . import numcore as nc
-from .errors import ConfigurationError, ContractError, InputError
+from . import serial
+from .errors import ConfigurationError, ContractError, FormatError, InputError
 
 SUCCESS_RADIUS = 1.0
 
 POLICIES = ("correct", "null", "wrong", "goal_only")
+METRICS_COLUMNS = ("split", "condition", "SR", "SPL", "NE", "TL", "n", "seed")
 
 
 @dataclass(frozen=True)
@@ -43,13 +49,6 @@ class MetricsRecord:
     count: int
     seed: int
     split: str
-    policy: str
-
-    def as_row(self):
-        """TSV row with 2-decimal percentage metrics."""
-        return "\t".join([self.split, self.policy, percent(self.sr), percent(self.spl),
-                          f"{self.ne_mean:.4f}", f"{self.tl_mean:.4f}", str(self.count),
-                          str(self.seed)])
 
 
 def percent(fraction, spec=".2f"):
@@ -84,16 +83,17 @@ def observation_rng(seed, episode_index):
 
 
 def apply_policy(imagination_sets, policy, seed):
-    """Test-time imagination transformations (masks returned separately)."""
+    """The imagination list each episode is handed under a test-time policy:
+    its own (correct), none (null), another instruction's (wrong), or only
+    its last (goal_only)."""
     if policy == "correct":
-        return [list(g) for g in imagination_sets], None
+        return [list(g) for g in imagination_sets]
     if policy == "null":
-        masks = [np.zeros(len(g), dtype=bool) for g in imagination_sets]
-        return [list(g) for g in imagination_sets], masks
+        return [[] for _ in imagination_sets]
     if policy == "wrong":
-        return im.shuffle_wrong(imagination_sets, seed), None
+        return im.shuffle_wrong(imagination_sets, seed)
     if policy == "goal_only":
-        return [im.goal_only(g) for g in imagination_sets], None
+        return [im.goal_only(g) for g in imagination_sets]
     raise ConfigurationError(f"unknown imagination policy {policy!r}")
 
 
@@ -105,8 +105,7 @@ def evaluate(agent, items, policy, seed, radius=SUCCESS_RADIUS, split=None):
     """
     if not items:
         raise InputError("evaluate called with an empty dataset")
-    sets = [it.imaginations for it in items]
-    sets, masks = apply_policy(sets, policy, seed)
+    sets = apply_policy([it.imaginations for it in items], policy, seed)
 
     results = []
     with nc.no_grad():
@@ -114,8 +113,7 @@ def evaluate(agent, items, policy, seed, radius=SUCCESS_RADIUS, split=None):
             ep = item.episode
             traj = ag.rollout(agent, ep, item.token_ids, item.record.instruction.tokens,
                               sets[i], "argmax", obs_rng=observation_rng(seed, i),
-                              kept_subs=item.record.kept,
-                              imag_mask=None if masks is None else masks[i])
+                              kept_subs=item.record.kept)
             final = traj.visited[-1]
             ne = navigation_error(ep.world, final, ep.goal)
             results.append(EpisodeResult(
@@ -129,5 +127,41 @@ def evaluate(agent, items, policy, seed, radius=SUCCESS_RADIUS, split=None):
         ne_mean=sum(r.ne for r in results) / n,
         tl_mean=sum(r.tl for r in results) / n,
         count=n, seed=seed,
-        split=split or items[0].episode.world.split,
-        policy=policy)
+        split=split or items[0].episode.world.split)
+
+
+def metrics_line(rec, condition):
+    """The metrics-file line of the row (rec, condition)."""
+    return "\t".join([rec.split, condition, percent(rec.sr), percent(rec.spl),
+                      f"{rec.ne_mean:.4f}", f"{rec.tl_mean:.4f}", str(rec.count), str(rec.seed)])
+
+
+def write_metrics(path, rows, command="", seed=None):
+    """Write (MetricsRecord, condition) rows under a header row."""
+    serial.write_text(path, ["\t".join(METRICS_COLUMNS)] + [metrics_line(*row) for row in rows],
+                      command=command, seed=seed)
+
+
+def read_metrics(path):
+    """The (MetricsRecord, condition) rows of a metrics file, with SR and SPL
+    converted from the file's percentages to fractions."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    body = [(i + 1, l) for i, l in enumerate(lines) if l and not l.startswith("#")]
+    if not body or body[0][1].split("\t") != list(METRICS_COLUMNS):
+        raise FormatError(f"{path}: expected a metrics header row with the columns "
+                          f"{' '.join(METRICS_COLUMNS)}")
+    rows = []
+    for lineno, line in body[1:]:
+        parts = line.split("\t")
+        if len(parts) != len(METRICS_COLUMNS):
+            raise FormatError(f"{path}:{lineno}: expected {len(METRICS_COLUMNS)} columns, "
+                              f"got {len(parts)}")
+        try:
+            rows.append((MetricsRecord(
+                sr=float(parts[2]) / 100.0, spl=float(parts[3]) / 100.0, ne_mean=float(parts[4]),
+                tl_mean=float(parts[5]), count=int(parts[6]), seed=int(parts[7]),
+                split=parts[0]), parts[1]))
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: bad field: {exc}") from exc
+    return rows

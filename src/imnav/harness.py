@@ -8,9 +8,11 @@ WorldConfig, ImaginationConfig, AgentConfig, TrainConfig and ExperimentSpec.
 
 Each condition is defined once: `training_job` gives the configs that train
 it, `eval_policy` the policy it is evaluated under. `ablate`, `train` and
-`eval` all use them, so `train` and `eval` on an ablation's data and seed
-compute what it computes. The baseline trains from scratch, the other trained
-conditions finetune it, and null/wrong/goal-only evaluate imagine's checkpoint.
+`eval` all use them, and all run their work in workers spawned with one BLAS
+thread (`_pinned_pool`), so `train` and `eval` on an ablation's data and seed
+compute what it computes, byte for byte. The baseline trains from scratch,
+the other trained conditions finetune it, and null/wrong/goal-only evaluate
+imagine's checkpoint.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import shlex
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -185,7 +188,7 @@ def eval_policy(condition):
     return "null" if condition == "baseline" else TEST_CONDITIONS.get(condition, "correct")
 
 
-def cmd_train(args):
+def _train(args):
     spec = read_experiment_spec(args.spec)
     if (args.condition == "baseline") == (args.init_from is not None):
         raise ConfigurationError(f"{args.condition} {'takes no' if args.init_from else 'needs'} "
@@ -200,21 +203,19 @@ def cmd_train(args):
     tr.save_checkpoint(ckpt, args.out)
     if args.curves:
         serial.write_curves(args.curves, curves, command=command_line(), seed=args.seed)
-    print(f"trained {cfg.iterations} iterations, checkpoint at {args.out}")
-    return 0
+    return f"trained {cfg.iterations} iterations, checkpoint at {args.out}"
 
 
-def cmd_eval(args):
+def _eval(args):
     split = ds.read_split(args.worlds, args.corpus, args.imaginations)
     agent = tr.agent_from_checkpoint(tr.load_checkpoint(args.ckpt))
-    cond = args.condition
-    rec = ev.evaluate(agent, split.items, eval_policy(cond), seed=args.seed, split=split.split)
-    serial.write_metrics(args.out, [(rec, cond)], command=command_line(), seed=args.seed)
-    print(serial.metrics_row(rec, cond))
-    return 0
+    row = (ev.evaluate(agent, split.items, eval_policy(args.condition), seed=args.seed,
+                       split=split.split), args.condition)
+    ev.write_metrics(args.out, [row], command=command_line(), seed=args.seed)
+    return ev.metrics_line(*row)
 
 
-def cmd_probe_attention(args):
+def _probe_attention(args):
     split = ds.read_split(args.worlds, args.corpus, args.imaginations)
     agent = tr.agent_from_checkpoint(tr.load_checkpoint(args.ckpt))
     item = split.items[args.episode]
@@ -225,11 +226,20 @@ def cmd_probe_attention(args):
                           kept_subs=item.record.kept, record_attention=True)
         ag.decide(agent, [traj])
     tokens, views = ag.attention_probe(traj, args.layer, args.head, args.imagination, k=args.k)
-    print(f"episode {args.episode}, imagination {args.imagination} "
-          f"(class {traj.imaginations[args.imagination].true_class}), "
-          f"layer {args.layer}, head {args.head}")
-    print("top attended language tokens: " + ", ".join(f"{t} ({w:.3f})" for t, w in tokens))
-    print("top attended views:           " + ", ".join(f"{v} ({w:.3f})" for v, w in views))
+    return "\n".join([
+        f"episode {args.episode}, imagination {args.imagination} "
+        f"(class {traj.imaginations[args.imagination].true_class}), "
+        f"layer {args.layer}, head {args.head}",
+        "top attended language tokens: " + ", ".join(f"{t} ({w:.3f})" for t, w in tokens),
+        "top attended views:           " + ", ".join(f"{v} ({w:.3f})" for v, w in views)])
+
+
+def _run_pinned(work, args):
+    """Run `work(args)` in a pinned worker (see `_pinned_pool`) and print the
+    text it returns: `train` on an ablation's data and seed then writes that
+    ablation's checkpoint, whatever this process's BLAS thread count."""
+    with _pinned_pool(1) as pool:
+        print(pool.submit(work, args).result())
     return 0
 
 
@@ -353,40 +363,45 @@ def _one_blas_thread():
                 os.environ[name] = value
 
 
-def run_ablation(spec, out_dir, quiet=False, workers=1):
-    """Run every seed of `spec` in up to `workers` processes and write the
-    metrics, summary and verdicts.
-
-    Each seed runs in a worker spawned fresh with one BLAS thread, which it
-    records in threads/seed_<seed>.txt, so the output is the same bytes for
-    any `workers` and any inherited thread setting: BLAS results depend on
-    the thread count, and this process loaded numpy with its own. Workers
-    forked from this process would also inherit one BLAS thread per core;
-    two of them on two cores ran a base iteration 4-5 times slower than a
-    pinned worker."""
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+@contextmanager
+def _pinned_pool(workers):
+    """A pool of up to `workers` processes, each spawned fresh with one BLAS
+    thread. BLAS results depend on the thread count, and this process loaded
+    numpy with its own, so work run in the pool gives the same bytes for any
+    inherited thread setting. Workers forked from this process would also
+    inherit one BLAS thread per core; two of them on two cores ran a base
+    iteration 4-5 times slower than a pinned worker."""
     # imported here: they add 2 MB to every process that imports this module
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    with _one_blas_thread(), ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        yield pool
+
+
+def run_ablation(spec, out_dir, quiet=False, workers=1):
+    """Run every seed of `spec` in up to `workers` processes and write the
+    metrics, summary and verdicts.
+
+    Each seed runs in a `_pinned_pool` worker, which records its thread
+    setting in threads/seed_<seed>.txt, so the output is the same bytes for
+    any `workers` and any inherited thread setting."""
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
     out_dir = Path(out_dir)
     for sub in ("curves", "ckpt", "threads"):
         (out_dir / sub).mkdir(parents=True, exist_ok=True)
 
     rows = []
-    with _one_blas_thread(), ProcessPoolExecutor(
-            max_workers=min(workers, len(spec.seeds)),
-            mp_context=multiprocessing.get_context("spawn")) as pool:
+    with _pinned_pool(min(workers, len(spec.seeds))) as pool:
         futures = [pool.submit(_seed_job, spec, seed, str(out_dir), quiet) for seed in spec.seeds]
         for fut in futures:  # seed order keeps the output deterministic
             rows.extend(fut.result())
 
-    serial.write_metrics(out_dir / "metrics.tsv", rows,
-                         command=f"ablate {spec.name}", seed=spec.seeds[0])
-    summary = summarize([dict(split=r.split, condition=c, sr=r.sr, spl=r.spl, ne=r.ne_mean,
-                              tl=r.tl_mean, n=r.count, seed=r.seed)
-                         for r, c in rows])
+    ev.write_metrics(out_dir / "metrics.tsv", rows,
+                     command=f"ablate {spec.name}", seed=spec.seeds[0])
+    summary = summarize(rows)
     verdicts = verdict_lines(summary, spec.conditions)
     serial.write_text(out_dir / "summary.txt",
                       [format_summary(summary)] + ([""] + verdicts if verdicts else []))
@@ -399,20 +414,21 @@ def run_ablation(spec, out_dir, quiet=False, workers=1):
 
 
 def summarize(rows):
-    """Group rows by (split, condition): mean and sample stdev over seeds."""
+    """Group (MetricsRecord, condition) rows by (split, condition): mean and
+    sample stdev over seeds."""
     groups = {}
-    for row in rows:
-        groups.setdefault((row["split"], row["condition"]), []).append(row)
+    for rec, cond in rows:
+        groups.setdefault((rec.split, cond), []).append(rec)
     out = {}
     for key, members in sorted(groups.items()):
-        srs = [m["sr"] for m in members]
-        spls = [m["spl"] for m in members]
+        srs = [m.sr for m in members]
+        spls = [m.spl for m in members]
         out[key] = dict(
             n_rows=len(members),
             sr_mean=float(np.mean(srs)), sr_std=float(np.std(srs, ddof=1)) if len(srs) > 1 else 0.0,
             spl_mean=float(np.mean(spls)), spl_std=float(np.std(spls, ddof=1)) if len(spls) > 1 else 0.0,
-            ne_mean=float(np.mean([m["ne"] for m in members])),
-            tl_mean=float(np.mean([m["tl"] for m in members])))
+            ne_mean=float(np.mean([m.ne_mean for m in members])),
+            tl_mean=float(np.mean([m.tl_mean for m in members])))
     return out
 
 
@@ -447,7 +463,7 @@ def cmd_ablate(args):
 
 
 def cmd_report(args):
-    rows = [row for path in args.metrics for row in serial.read_metrics(path)]
+    rows = [row for path in args.metrics for row in ev.read_metrics(path)]
     summary = summarize(rows)
     tsv = ["split\tcondition\tsr_mean\tsr_std\tspl_mean\tspl_std\tne_mean\ttl_mean\truns"]
     for (split, cond), s in summary.items():
@@ -516,7 +532,7 @@ def build_parser():
     p.add_argument("--curves", default=None)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=partial(_run_pinned, _train))
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a split under a condition's policy")
     p.add_argument("--ckpt", required=True)
@@ -526,7 +542,7 @@ def build_parser():
     p.add_argument("--imaginations", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=partial(_run_pinned, _eval))
 
     p = sub.add_parser("ablate", help="run an ablation matrix from a spec file")
     p.add_argument("--spec", required=True)
@@ -547,7 +563,7 @@ def build_parser():
     p.add_argument("--head", type=int, default=0)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_probe_attention)
+    p.set_defaults(func=partial(_run_pinned, _probe_attention))
 
     p = sub.add_parser("report", help="merge metrics files into a summary")
     p.add_argument("metrics", nargs="+")

@@ -200,13 +200,6 @@ def _candidate_runs(sub, lexicon):
     return out
 
 
-def extract_noun_phrases(sub, lexicon):
-    """Informative noun phrases: candidate runs not rooted on the blacklist."""
-    if not lexicon.noun_lexicon:
-        raise ConfigurationError("empty noun lexicon")
-    return [" ".join(words) for words, _, blk in _candidate_runs(sub, lexicon) if not blk]
-
-
 def filter_sub_instructions(subs, lexicon):
     """Assign verdicts and return the kept sub-instructions in order."""
     kept = []

@@ -1,4 +1,4 @@
-"""Versioned text serialization: worlds, corpora, imaginations, metrics.
+"""Versioned text serialization: worlds, corpora, imaginations, curves.
 
 One record per line, a type tag first. Float fields use decimal text: %.9g for
 float32 payloads (exact round-trip) and %.17g for float64 coordinates. Every
@@ -24,7 +24,6 @@ from .imagination import Imagination
 WORLDS_TAG = "# imnav-worlds v1"
 CORPUS_TAG = "# imnav-corpus v1"
 IMAGINE_TAG = "# imnav-imagine v1"
-METRICS_COLUMNS = ("split", "condition", "SR", "SPL", "NE", "TL", "n", "seed")
 
 
 def f32(x):
@@ -330,45 +329,8 @@ def read_imaginations(path, n_instructions, d_v):
 
 
 # ---------------------------------------------------------------------------
-# metrics and curves
+# curves
 # ---------------------------------------------------------------------------
-
-def write_metrics(path, rows, command="", seed=None):
-    """rows: list of (MetricsRecord, condition_name)."""
-    write_text(path, ["\t".join(METRICS_COLUMNS)] + [metrics_row(*row) for row in rows],
-               command=command, seed=seed)
-
-
-def metrics_row(rec, condition):
-    """The metrics-file row of MetricsRecord `rec` under `condition`."""
-    split, _, *rest = rec.as_row().split("\t")
-    return "\t".join([split, condition, *rest])
-
-
-def read_metrics(path):
-    """Rows of a metrics file as dicts, with SR/SPL converted from the file's
-    percentages to fractions."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    body = [(i + 1, l) for i, l in enumerate(lines) if l and not l.startswith("#")]
-    if not body or body[0][1].split("\t") != list(METRICS_COLUMNS):
-        raise FormatError(f"{path}: expected a metrics header row with the columns "
-                          f"{' '.join(METRICS_COLUMNS)}")
-    for lineno, line in body[1:]:
-        parts = line.split("\t")
-        if len(parts) != len(METRICS_COLUMNS):
-            raise FormatError(f"{path}:{lineno}: expected {len(METRICS_COLUMNS)} columns, got {len(parts)}")
-        try:
-            rows.append(dict(
-                split=parts[0], condition=parts[1],
-                sr=float(parts[2]) / 100.0, spl=float(parts[3]) / 100.0,
-                ne=float(parts[4]), tl=float(parts[5]),
-                n=int(parts[6]), seed=int(parts[7])))
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: bad field: {exc}") from exc
-    return rows
-
 
 def write_curves(path, curves, command="", seed=None):
     lines = ["iter\tl_base\tl_aux\tn_im"]

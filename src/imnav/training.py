@@ -129,14 +129,14 @@ def imitation_loss(logits, teacher_actions):
 
 
 def cosine_alignment_loss(h, s):
-    """Mean (1 - cos(h_i, sbar_i)) over the rows of (P, d) h and s̄; (zero,
-    flag) when there are no pairs (h is None)."""
+    """Mean (1 - cos(h_i, sbar_i)) over the rows of (P, d) h and s̄; zero
+    when there are no pairs (h is None)."""
     if h is None:
-        return nc.constant(np.float32(0.0)), True
+        return nc.constant(np.float32(0.0))
     p = h.shape[0]
     # cos(h_i, sbar_i) is the diagonal of the pairwise cosine matrix
     cos = nc.take_rows(nc.reshape(nc.cosine_similarity(h, s), (p * p,)), np.arange(p) * (p + 1))
-    return nc.mean(nc.add(nc.scale(cos, -1.0), nc.constant(np.float32(1.0)))), False
+    return nc.mean(nc.add(nc.scale(cos, -1.0), nc.constant(np.float32(1.0))))
 
 
 def infonce_loss(h, s, owners, tau):
@@ -146,18 +146,18 @@ def infonce_loss(h, s, owners, tau):
 
     One row-wise cross-entropy over the P x P cosine matrix: the positive
     sits on the diagonal, and the other pairs of the same owner (the same
-    instruction) are masked out."""
+    instruction) are masked out. Zero when there are no pairs (h is None)."""
     if tau <= 0.0:
         raise ConfigurationError(f"temperature must be > 0, got {tau}")
     if h is None:
-        return nc.constant(np.float32(0.0)), True
+        return nc.constant(np.float32(0.0))
     if len(owners) != h.shape[0]:
         raise ContractError("owner list must align with pairs")
     owners = np.asarray(owners)
     keep = (owners[:, None] != owners[None, :]) | np.eye(len(owners), dtype=bool)
     logits = nc.add(nc.scale(nc.cosine_similarity(h, s), 1.0 / tau),
                     nc.constant(np.where(keep, 0.0, -np.inf).astype(np.float32)))
-    return nc.mean(nc.cross_entropy(logits, np.arange(len(owners)))), False
+    return nc.mean(nc.cross_entropy(logits, np.arange(len(owners))))
 
 
 def total_loss(l_base, l_aux, lam):
@@ -227,9 +227,9 @@ def _train_step(agent, opt, items, batch_idx, lrs, cfg, iteration, rng):
     l_base = imitation_loss(logits, [t.teacher_actions for t in trajs])
     owners = [int(b) for b, t in zip(batch_idx, trajs) for _ in t.aux_pairs]
     if cfg.aux_loss == "cosine":
-        l_aux, _ = cosine_alignment_loss(h, s)
+        l_aux = cosine_alignment_loss(h, s)
     elif cfg.aux_loss == "infonce":
-        l_aux, _ = infonce_loss(h, s, owners, cfg.tau)
+        l_aux = infonce_loss(h, s, owners, cfg.tau)
     else:
         l_aux = nc.constant(np.float32(0.0))
     lam = cfg.aux_lam if cfg.aux_loss != "none" else 0.0

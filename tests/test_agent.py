@@ -38,16 +38,27 @@ def setup():
                 record=record, imags=imags, agent=agent, token_ids=token_ids)
 
 
-def run_rollout(s, imaginations, imag_mask=None, mode="teacher", seed=0, record_attention=False,
-                agent=None):
+def run_rollout(s, imaginations, mode="teacher", seed=0, record_attention=False, agent=None):
     agent = agent or s["agent"]
     traj = ag.rollout(agent, s["episode"], s["token_ids"],
                       s["record"].instruction.tokens, imaginations, mode,
                       obs_rng=np.random.default_rng(seed), kept_subs=s["record"].kept,
-                      imag_mask=imag_mask, record_attention=record_attention)
+                      record_attention=record_attention)
     if mode == "teacher":
         ag.decide(agent, [traj])
     return traj
+
+
+def step_rows(logits, trajectories):
+    """Per trajectory, the (A_t,) logit values of each step, cut from the
+    padded (ΣT, A) logits `decide` returned for those trajectories."""
+    out, first = [], 0
+    for traj in trajectories:
+        out.append([logits.values[first + t, :len(nav) + 1]
+                    for t, nav in enumerate(traj.action_spaces)])
+        first += len(traj.action_spaces)
+    assert first == logits.shape[0]
+    return out
 
 
 def _cast_params(params, dtype):
@@ -219,33 +230,6 @@ class TestEncodeObservation:
         assert tokens_a.values.tobytes() != tokens_b.values.tobytes()
 
 
-class TestMaskingEquivalence:
-    def test_null_mask_equals_removed_bitwise(self, setup):
-        masked = run_rollout(setup, setup["imags"],
-                             imag_mask=np.zeros(len(setup["imags"]), dtype=bool), mode="argmax")
-        removed = run_rollout(setup, [], mode="argmax")
-        assert len(masked.logits) == len(removed.logits)
-        for a, b in zip(masked.logits, removed.logits):
-            assert a.values.tobytes() == b.values.tobytes()
-        assert masked.visited == removed.visited
-
-    def test_partial_mask_drops_only_masked_token(self, setup):
-        mask = np.array([True] * len(setup["imags"]))
-        mask[0] = False
-        partial = run_rollout(setup, setup["imags"], imag_mask=mask, mode="argmax")
-        subset = run_rollout(setup, setup["imags"][1:], mode="argmax")
-        for a, b in zip(partial.logits, subset.logits):
-            assert a.values.tobytes() == b.values.tobytes()
-
-    def test_baseline_containment(self, setup):
-        # an agent handed zero imaginations computes the baseline function
-        empty = run_rollout(setup, [], mode="argmax")
-        masked = run_rollout(setup, setup["imags"],
-                             imag_mask=np.zeros(len(setup["imags"]), dtype=bool), mode="argmax")
-        for a, b in zip(empty.logits, masked.logits):
-            assert a.values.tobytes() == b.values.tobytes()
-
-
 class TestPermutationInvariance:
     def test_set_semantics_without_order_encoding(self, setup):
         # float64 keeps reduction-reordering noise below the 1e-6 bound;
@@ -277,9 +261,8 @@ class TestCrossModal:
                           setup["record"].instruction.tokens, setup["imags"], "teacher",
                           obs_rng=np.random.default_rng(0), kept_subs=setup["record"].kept,
                           train=True, drop_rng=np.random.default_rng(1))
-        ag.decide(agent, [traj])
-        loss = nc.mean(nc.concat([nc.reshape(nc.cross_entropy(l, a), (1,))
-                                  for l, a in zip(traj.logits, traj.teacher_actions)], axis=0))
+        logits, _, _ = ag.decide(agent, [traj])
+        loss = tr.imitation_loss(logits, [traj.teacher_actions])
         agent.params.zero_grads()
         nc.backward(loss)
         for name in ("t_im", "im_m1", "vis_proj"):
@@ -301,15 +284,16 @@ class TestVariants:
         return ag.Agent(cfg, ag.init_params(cfg, seed=6))
 
     def test_text_mean_source_runs_and_masks(self, setup):
+        # each imagination of a kept sub-instruction becomes a noun-phrase
+        # mean token; an episode handed none (null) gets no such token
         agent = self.make(setup, imag_source="text_mean")
-        with_tokens = run_rollout(setup, setup["imags"], mode="argmax", agent=agent)
-        masked = run_rollout(setup, setup["imags"],
-                             imag_mask=np.zeros(len(setup["imags"]), dtype=bool),
-                             mode="argmax", agent=agent)
-        removed = run_rollout(setup, [], mode="argmax", agent=agent)
-        for a, b in zip(masked.logits, removed.logits):
-            assert a.values.tobytes() == b.values.tobytes()
-        assert len(with_tokens.logits) >= 1
+        kept = setup["record"].kept
+        with_tokens, null = (ag.context_inputs(agent, setup["token_ids"], imags, kept)
+                             for imags in (setup["imags"], []))
+        assert with_tokens.features is None and len(with_tokens.nouns) == len(setup["imags"])
+        assert ag.build_context(agent, [with_tokens]).imag.shape[0] == len(setup["imags"])
+        assert null.nouns == () and ag.build_context(agent, [null]).imag is None
+        assert len(run_rollout(setup, setup["imags"], mode="argmax", agent=agent).logits) >= 1
 
 
 class TestRollout:
@@ -382,18 +366,19 @@ class TestBatchedTeacher:
                           setup["record"].instruction.tokens, setup["imags"], "teacher",
                           obs_rng=batched_rng, kept_subs=setup["record"].kept,
                           train=True, drop_rng=batched_rng)
-        ag.decide(agent, [traj])
+        logits, _, _ = ag.decide(agent, [traj])
         agent.params.zero_grads()
-        nc.backward(self.loss(traj.logits, traj.teacher_actions))
+        nc.backward(tr.imitation_loss(logits, [traj.teacher_actions]))
         batched_grads = {name: t.grad.copy() for name, t in agent.params.items()
                          if t.grad is not None}
 
         reference = self.stepwise(agent, setup, stepwise_rng)
         assert batched_rng.bit_generator.state == stepwise_rng.bit_generator.state
-        assert len(traj.logits) == len(reference) == len(setup["episode"].teacher_path)
-        for a, b in zip(traj.logits, reference):
+        (steps,) = step_rows(logits, [traj])
+        assert len(steps) == len(reference) == len(setup["episode"].teacher_path)
+        for a, b in zip(steps, reference):
             assert a.shape == b.shape
-            assert np.abs(a.values - b.values).max() < 1e-5
+            assert np.abs(a - b.values).max() < 1e-5
         agent.params.zero_grads()
         nc.backward(self.loss(reference, traj.teacher_actions))
         for name, grad in batched_grads.items():
@@ -404,14 +389,14 @@ class TestBatchedTeacher:
 @pytest.fixture(scope="module")
 def episodes(setup):
     """Four teacher episodes with different path lengths and instruction
-    lengths: every imagination masked, no imaginations, all imaginations,
-    all but the first imagination masked."""
+    lengths, handed no imaginations (as under the null policy and as in
+    base training), all their imaginations, or only the first."""
     library, vocab = setup["library"], setup["vocab"]
     templates = ins.load_templates(DATA / "templates.txt")
     lexicon = ins.load_lexicon(DATA / "lexicon_nouns.txt", DATA / "lexicon_blacklist.txt", library)
     word_to_id = {w: i for i, w in enumerate(vocab)}
     out = []
-    for seed, forks, policy in ((1, 2, "masked"), (2, 3, "none"), (3, 2, "all"), (4, 3, "some")):
+    for seed, forks, n_imags in ((1, 2, 0), (2, 3, 0), (3, 2, None), (4, 3, 1)):
         world = wd.generate_world(wd.WorldConfig(library=library, n_forks=forks),
                                   seed=seed)
         episode = wd.sample_episode(world)
@@ -421,9 +406,7 @@ def episodes(setup):
                                    seed=seed)[0]
         out.append(dict(episode=episode, tokens=record.instruction.tokens, kept=record.kept,
                         token_ids=[word_to_id[t] for t in record.instruction.tokens],
-                        imags=[] if policy == "none" else imags,
-                        mask={"masked": np.zeros(len(imags), dtype=bool),
-                              "some": np.arange(len(imags)) == 0}.get(policy)))
+                        imags=imags[:n_imags]))
     assert len({len(e["episode"].teacher_path) for e in out}) > 1
     assert len({len(e["tokens"]) for e in out}) > 1
     return out
@@ -466,11 +449,10 @@ class TestGreedyDecoding:
                                   val_unseen_n=5, data_seed=3)["val_unseen"].items
 
     @staticmethod
-    def stepwise(agent, item, imaginations, mask, rng):
+    def stepwise(agent, item, imaginations, rng):
         """The greedy decisions of one episode, each step encoding the text and
         imaginations again and joining them itself."""
-        inputs = ag.context_inputs(agent, item.token_ids, imaginations, item.record.kept,
-                                   imag_mask=mask)
+        inputs = ag.context_inputs(agent, item.token_ids, imaginations, item.record.kept)
         world, node, hist = item.episode.world, item.episode.start, agent.params["hist_init"]
         actions, logits = [], []
         for _ in range(agent.config.max_steps):
@@ -508,13 +490,12 @@ class TestGreedyDecoding:
         for policy in ev.POLICIES:
             decoded.clear()
             ev.evaluate(agent, items, policy, seed=6)
-            sets, masks = ev.apply_policy([item.imaginations for item in items], policy, 6)
+            sets = ev.apply_policy([item.imaginations for item in items], policy, 6)
             assert len(decoded) == len(items)
             with nc.no_grad():
                 for i, (item, traj) in enumerate(zip(items, decoded)):
                     rng = np.random.default_rng(np.random.SeedSequence([0xE7A1, 6, i]))
-                    actions, logits = self.stepwise(agent, item, sets[i],
-                                                    None if masks is None else masks[i], rng)
+                    actions, logits = self.stepwise(agent, item, sets[i], rng)
                     assert traj.actions == actions, (policy, i)
                     assert [step.values.tobytes() for step in traj.logits] == logits, (policy, i)
                     steps += len(actions)
@@ -539,7 +520,7 @@ class TestPaddedBatch:
     @staticmethod
     def roll(agent, eps, rng, aux=False):
         return [ag.rollout(agent, e["episode"], e["token_ids"], e["tokens"], e["imags"], "teacher",
-                           obs_rng=rng, kept_subs=e["kept"], imag_mask=e["mask"], train=True,
+                           obs_rng=rng, kept_subs=e["kept"], train=True,
                            drop_rng=rng, aux=aux) for e in eps]
 
     @staticmethod
@@ -571,11 +552,12 @@ class TestPaddedBatch:
             (traj,) = self.roll(agent, [e], single_rng)
             singles.append((traj, ag.decide(agent, [traj])[0]))
         assert batched_rng.bit_generator.state == single_rng.bit_generator.state
-        for tb, (ts, _) in zip(trajs, singles):
-            assert len(tb.logits) == len(ts.logits) == len(ts.episode.teacher_path)
-            for a, b in zip(tb.logits, ts.logits):
+        for tb, (ts, single) in zip(step_rows(padded, trajs), singles):
+            (ts_steps,) = step_rows(single, [ts])
+            assert len(tb) == len(ts_steps) == len(ts.episode.teacher_path)
+            for a, b in zip(tb, ts_steps):
                 assert a.shape == b.shape
-                assert np.abs(a.values - b.values).max() < 1e-5
+                assert np.abs(a - b).max() < 1e-5
         agent.params.zero_grads()
         per_episode = [nc.reshape(tr.imitation_loss(logits, [t.teacher_actions]), (1,))
                        for t, logits in singles]
@@ -592,7 +574,7 @@ class TestPaddedBatch:
         masks = self.masks_seen(monkeypatch)
         for e in episodes:
             context = ag.build_context(agent, [ag.context_inputs(agent, e["token_ids"], e["imags"],
-                                                                 e["kept"], imag_mask=e["mask"])])
+                                                                 e["kept"])])
             node = e["episode"].start
             obs = wd.observation_at(e["episode"].world, node, np.random.default_rng(0))
             vis, _ = agent.encode_observation(obs[None], agent.params["hist_init"])
@@ -615,7 +597,7 @@ class TestBatchedIteration:
 
     @classmethod
     def loss(cls, base_terms, h, s):
-        return tr.total_loss(base_terms, tr.cosine_alignment_loss(h, s)[0], cls.LAM)
+        return tr.total_loss(base_terms, tr.cosine_alignment_loss(h, s), cls.LAM)
 
     @pytest.mark.parametrize("overrides", VARIANTS)
     def test_iteration_equals_per_episode_decoding(self, setup, episodes, overrides):
@@ -624,9 +606,8 @@ class TestBatchedIteration:
         trajs = TestPaddedBatch.roll(agent, episodes, batched_rng, aux=True)
         # unequal instruction lengths, imagination sets and teacher paths
         assert len({len(t.inputs.token_ids) for t in trajs}) == len(trajs)
-        live = [np.count_nonzero(np.ones(len(e["imags"])) if e["mask"] is None else e["mask"])
-                for e in episodes]
-        assert sorted(live)[:2] == [0, 0] and len(set(live)) == 3
+        counts = [len(e["imags"]) for e in episodes]
+        assert sorted(counts)[:2] == [0, 0] and len(set(counts)) == 3
         assert len({len(t.visited) for t in trajs}) == 2
         logits, h, s = ag.decide(agent, trajs)
         batched_loss = self.loss(tr.imitation_loss(logits, [t.teacher_actions for t in trajs]),

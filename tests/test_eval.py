@@ -124,8 +124,12 @@ class TestEvaluate:
                                      token_ids=i.token_ids)
                     for i in splits["val_seen"].items]
         removed = ev.evaluate(small_agent, stripped, "correct", seed=1)
-        assert nulled.sr == removed.sr and nulled.spl == removed.spl
-        assert nulled.ne_mean == removed.ne_mean and nulled.tl_mean == removed.tl_mean
+        assert nulled == removed
+
+    def test_null_hands_over_no_imaginations(self, splits):
+        sets = [i.imaginations for i in splits["val_seen"].items]
+        assert all(sets)
+        assert ev.apply_policy(sets, "null", seed=1) == [[] for _ in sets]
 
     def test_spl_bounded_by_sr(self, splits, small_agent):
         for policy in ("correct", "null", "wrong", "goal_only"):
@@ -152,7 +156,7 @@ class TestEvaluate:
         """Aggregate metrics equal an independent recomputation from rollouts."""
         items = splits["val_unseen"].items
         rec = ev.evaluate(small_agent, items, "correct", seed=9)
-        sets, masks = ev.apply_policy([i.imaginations for i in items], "correct", 9)
+        sets = ev.apply_policy([i.imaginations for i in items], "correct", 9)
         srs, spls, nes, tls = [], [], [], []
         import imnav.numcore as nc
         with nc.no_grad():
@@ -179,7 +183,7 @@ class TestEvaluate:
 
     def test_row_formatting(self, splits, small_agent):
         rec = ev.evaluate(small_agent, splits["val_seen"].items, "correct", seed=0)
-        row = rec.as_row()
-        fields = row.split("\t")
-        assert fields[0] == "val_seen" and fields[1] == "correct"
+        fields = ev.metrics_line(rec, "imagine").split("\t")
+        assert len(fields) == len(ev.METRICS_COLUMNS)
+        assert fields[0] == "val_seen" and fields[1] == "imagine"
         float(fields[2])  # SR percentage parses

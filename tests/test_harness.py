@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 from imnav import agent as ag
+from imnav import evaluation as ev
 from imnav import harness
 from imnav import imagination as im
-from imnav import serial
 from imnav import training as tr
 from imnav import world as wd
 from imnav.errors import ConfigurationError
@@ -22,11 +22,13 @@ def run_cli(args):
     return harness.main([str(a) for a in args])
 
 
-def run_harness(*args):
-    """`python -m imnav.harness ARGS` in a child process with one BLAS thread,
-    as `ablate`'s workers run, that imports imnav from this checkout's src/
-    whether or not the package is installed."""
-    env = {**os.environ, **dict.fromkeys(harness.BLAS_THREAD_VARS, "1")}
+def run_harness(*args, blas_threads=None):
+    """`python -m imnav.harness ARGS` in a child process that imports imnav
+    from this checkout's src/ whether or not the package is installed; with
+    `blas_threads`, the child's BLAS thread variables are set to it."""
+    env = dict(os.environ)
+    if blas_threads is not None:
+        env.update(dict.fromkeys(harness.BLAS_THREAD_VARS, str(blas_threads)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "imnav.harness", *map(str, args)],
                           capture_output=True, text=True, env=env)
@@ -189,8 +191,8 @@ class TestCli:
         assert run_cli(["eval", "--ckpt", ckpt, "--condition", "baseline", "--worlds", worlds,
                         "--corpus", corpus, "--imaginations", imags, "--seed", "2",
                         "--out", metrics]) == 0
-        rows = serial.read_metrics(metrics)
-        assert len(rows) == 1 and rows[0]["n"] == 6 and rows[0]["condition"] == "baseline"
+        (rec, cond), = ev.read_metrics(metrics)
+        assert rec.count == 6 and cond == "baseline"
         assert curves.read_text().count("\n") >= 12
         # the printed row is the row written
         assert capsys.readouterr().out.splitlines() == metrics.read_text().splitlines()[-1:]
@@ -240,20 +242,22 @@ class TestCli:
         assert len(body) == 1 and body[0].endswith("\t2")
 
 
+def metrics_row(split, condition, sr, spl=0.5, ne=1.0, tl=4.0, n=40, seed=1):
+    return ev.MetricsRecord(sr=sr, spl=spl, ne_mean=ne, tl_mean=tl, count=n, seed=seed,
+                            split=split), condition
+
+
 class TestReportArithmetic:
     def test_two_seed_mean_and_stdev(self):
-        rows = [dict(split="val_unseen", condition="imagine", sr=0.60, spl=0.5, ne=1.0,
-                     tl=4.0, n=40, seed=1),
-                dict(split="val_unseen", condition="imagine", sr=0.62, spl=0.5, ne=1.0,
-                     tl=4.0, n=40, seed=2)]
+        rows = [metrics_row("val_unseen", "imagine", 0.60, seed=1),
+                metrics_row("val_unseen", "imagine", 0.62, seed=2)]
         summary = harness.summarize(rows)
         s = summary[("val_unseen", "imagine")]
         assert abs(s["sr_mean"] - 0.61) < 1e-12
         assert abs(100 * s["sr_std"] - 1.4142135) < 1e-4
 
     def test_single_row_identity(self):
-        rows = [dict(split="val_seen", condition="baseline", sr=0.5, spl=0.4, ne=1.0,
-                     tl=3.0, n=10, seed=3)]
+        rows = [metrics_row("val_seen", "baseline", 0.5, spl=0.4, tl=3.0, n=10, seed=3)]
         s = harness.summarize(rows)[("val_seen", "baseline")]
         assert s["sr_mean"] == 0.5 and s["sr_std"] == 0.0
 
@@ -261,10 +265,20 @@ class TestReportArithmetic:
         rows = []
         for cond in ("a", "b"):
             for seed in (1, 2, 3):
-                rows.append(dict(split="val_unseen", condition=cond, sr=0.1, spl=0.1,
-                                 ne=1.0, tl=1.0, n=5, seed=seed))
+                rows.append(metrics_row("val_unseen", cond, 0.1, spl=0.1, tl=1.0, n=5, seed=seed))
         summary = harness.summarize(rows)
         assert sum(s["n_rows"] for s in summary.values()) == len(rows)
+
+    def test_summary_of_read_rows_equals_summary_of_written_rows(self, tmp_path):
+        # rates exact at 2 decimals, so the file loses nothing
+        rows = [metrics_row(split, cond, sr, spl=spl, ne=ne, seed=seed)
+                for split, cond, sr, spl, ne, seed in (
+                    ("val_unseen", "imagine", 0.25, 0.125, 1.5, 1),
+                    ("val_unseen", "imagine", 0.75, 0.5, 0.25, 2),
+                    ("val_seen", "null_test", 0.5, 0.375, 2.0, 1))]
+        path = tmp_path / "m.tsv"
+        ev.write_metrics(path, rows)
+        assert harness.summarize(ev.read_metrics(path)) == harness.summarize(rows)
 
 
 class TestExperimentSpec:
@@ -458,7 +472,7 @@ class TestAblateSmoke:
                                agent=SMALL_AGENT, train="base_iterations = 10\niterations = 10\n")
         out_dir = tmp_path / "out"
         assert run_cli(["ablate", "--spec", spec_path, "--out-dir", out_dir, "--quiet"]) == 0
-        rows = serial.read_metrics(out_dir / "metrics.tsv")
+        rows = ev.read_metrics(out_dir / "metrics.tsv")
         # 3 conditions x 2 splits x 1 seed
         assert len(rows) == 6
         assert (out_dir / "summary.txt").exists()
@@ -478,13 +492,12 @@ class TestAblateSmoke:
                                    harness.DATA_DIR / "lexicon_blacklist.txt", library)
         splits = ds.standard_splits(library, templates, lexicon, train_n=6, val_seen_n=3,
                                     val_unseen_n=3, data_seed=1)
-        from imnav import evaluation as ev
         ckpt = tr.load_checkpoint(out_dir / "ckpt" / "imagine_9.bin")
         agent = tr.agent_from_checkpoint(ckpt)
         rec = ev.evaluate(agent, splits["val_unseen"].items, "null", seed=9, split="val_unseen")
-        row = next(r for r in rows if r["condition"] == "null_test" and r["split"] == "val_unseen")
+        row = next(r for r, c in rows if c == "null_test" and r.split == "val_unseen")
         # metrics.tsv holds 2-decimal percentages; at n=3 distinct SRs differ by 33.33
-        assert row["sr"] == float(f"{100 * rec.sr:.2f}") / 100
+        assert row.sr == float(f"{100 * rec.sr:.2f}") / 100
 
     def test_spec_world_d_v_reaches_the_agent(self, tmp_path):
         # the agent's d_v and k_views come from the built worlds, not AgentConfig defaults
@@ -580,6 +593,15 @@ class TestCliEqualsAblate:
             assert proc.returncode == 0, proc.stderr
             assert self.body(tmp_path / f"m_{cond}.tsv")[1:] == [want], cond
             assert proc.stdout.splitlines() == [want], cond
+
+    def test_train_checkpoint_ignores_inherited_blas_threads(self, run, tmp_path):
+        spec, _, files = run
+        ckpts = [tmp_path / f"threads{n}.bin" for n in (2, 1)]
+        for n, ckpt in zip((2, 1), ckpts):
+            proc = run_harness("train", "--spec", spec, "--condition", "baseline", *files["train"],
+                               "--seed", self.SEED, "--out", ckpt, blas_threads=n)
+            assert proc.returncode == 0, proc.stderr
+        assert ckpts[0].read_bytes() == ckpts[1].read_bytes()
 
     @pytest.mark.parametrize("condition, init", [("imagine", False), ("text_only", False),
                                                  ("baseline", True)])

@@ -102,15 +102,25 @@ class TestSegment:
 
 
 class TestExtract:
+    """The informative noun phrases `filter_sub_instructions` records: the
+    runs of lexicon words not rooted on the blacklist."""
+
+    @staticmethod
+    def filtered(text, lexicon):
+        sub = make_sub(text)
+        ins.filter_sub_instructions([sub], lexicon)
+        return sub.filter_verdict, sub.noun_phrases, sub.noun_token_indices
+
     def test_pool_table(self, lexicon):
-        assert ins.extract_noun_phrases(make_sub("walk past the pool table"), lexicon) == ["pool table"]
+        assert self.filtered("walk past the pool table", lexicon) == (
+            "kept", ("pool table",), (3, 4))
 
     def test_go_straight_then_left_has_none(self, lexicon):
-        assert ins.extract_noun_phrases(make_sub("go straight then left"), lexicon) == []
+        assert self.filtered("go straight then left", lexicon) == ("blacklisted", (), ())
 
     def test_multiword_runs(self, lexicon):
-        got = ins.extract_noun_phrases(make_sub("enter the kitchen with blue walls"), lexicon)
-        assert got == ["kitchen", "blue walls"]
+        assert self.filtered("enter the kitchen with blue walls", lexicon) == (
+            "kept", ("kitchen", "blue walls"), (2, 4, 5))
 
 
 class TestFilter:

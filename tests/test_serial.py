@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from imnav import evaluation as ev
 from imnav import imagination as im
 from imnav import instructions as ins
 from imnav import serial
@@ -163,35 +164,34 @@ class TestImaginationsRoundTrip:
 
 
 class TestMetrics:
-    def rows(self):
-        from imnav.evaluation import MetricsRecord
-        return [(MetricsRecord(sr=0.6, spl=0.55, ne_mean=1.2, tl_mean=4.5, count=40, seed=7,
-                               split="val_unseen", policy="correct"), "imagine"),
-                (MetricsRecord(sr=0.62, spl=0.57, ne_mean=1.1, tl_mean=4.4, count=40, seed=8,
-                               split="val_unseen", policy="correct"), "imagine")]
+    @staticmethod
+    def rows():
+        """(MetricsRecord, condition) rows whose rates are exact in the file's
+        2-decimal percentages."""
+        return [(ev.MetricsRecord(sr=0.6, spl=0.55, ne_mean=1.2, tl_mean=4.5, count=40, seed=7,
+                                  split="val_unseen"), "imagine"),
+                (ev.MetricsRecord(sr=0.62, spl=0.57, ne_mean=1.1, tl_mean=4.4, count=40, seed=8,
+                                  split="val_seen"), "null_test")]
 
     def test_roundtrip_and_percentages(self, tmp_path):
         path = tmp_path / "m.tsv"
-        serial.write_metrics(path, self.rows(), command="test", seed=7)
-        rows = serial.read_metrics(path)
-        assert rows[0]["sr"] == 0.6 and rows[0]["spl"] == 0.55
-        assert rows[1]["sr"] == 0.62 and (rows[1]["ne"], rows[1]["tl"]) == (1.1, 4.4)
-        assert (rows[1]["n"], rows[1]["seed"]) == (40, 8)
-        assert rows[0]["condition"] == "imagine"
+        ev.write_metrics(path, self.rows(), command="test", seed=7)
+        assert "\tnull_test\t62.00\t57.00\t1.1000\t4.4000\t40\t8" in path.read_text()
+        assert ev.read_metrics(path) == self.rows()
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "m.tsv"
-        serial.write_metrics(path, self.rows())
+        ev.write_metrics(path, self.rows())
         lines = path.read_text().splitlines()
         lines.append("too\tfew\tcolumns")
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError) as exc:
-            serial.read_metrics(path)
+            ev.read_metrics(path)
         assert str(len(lines)) in str(exc.value)
 
     def test_header_carries_command_and_seed(self, tmp_path):
         path = tmp_path / "m.tsv"
-        serial.write_metrics(path, self.rows(), command="imnav eval --x", seed=7)
+        ev.write_metrics(path, self.rows(), command="imnav eval --x", seed=7)
         text = path.read_text()
         assert "# produced-by: imnav eval --x" in text
         assert "# seed: 7" in text

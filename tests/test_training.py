@@ -104,25 +104,24 @@ class TestImitationLoss:
 class TestCosineAlignment:
     def test_identical_pairs_zero(self):
         a = vec([1.0, 2.0, 3.0])
-        loss, skipped = tr.cosine_alignment_loss(*rows([(a, vec([1.0, 2.0, 3.0]))]))
-        assert abs(loss.item()) < 1e-6 and not skipped
+        loss = tr.cosine_alignment_loss(*rows([(a, vec([1.0, 2.0, 3.0]))]))
+        assert abs(loss.item()) < 1e-6
 
     def test_antipodal_pairs_two(self):
-        loss, _ = tr.cosine_alignment_loss(*rows([(vec([1.0, 0.0]), vec([-1.0, 0.0]))]))
+        loss = tr.cosine_alignment_loss(*rows([(vec([1.0, 0.0]), vec([-1.0, 0.0]))]))
         assert abs(loss.item() - 2.0) < 1e-6
 
     def test_orthogonal_pair_one(self):
-        loss, _ = tr.cosine_alignment_loss(*rows([(vec([1.0, 0.0]), vec([0.0, 1.0]))]))
+        loss = tr.cosine_alignment_loss(*rows([(vec([1.0, 0.0]), vec([0.0, 1.0]))]))
         assert abs(loss.item() - 1.0) < 1e-6
 
     def test_mixed_mean(self):
         pairs = [(vec([1.0, 0.0]), vec([1.0, 0.0])), (vec([1.0, 0.0]), vec([0.0, 1.0]))]
-        loss, _ = tr.cosine_alignment_loss(*rows(pairs))
+        loss = tr.cosine_alignment_loss(*rows(pairs))
         assert abs(loss.item() - 0.5) < 1e-6
 
-    def test_empty_returns_zero_with_flag(self):
-        loss, skipped = tr.cosine_alignment_loss(*rows([]))
-        assert loss.item() == 0.0 and skipped
+    def test_empty_returns_zero(self):
+        assert tr.cosine_alignment_loss(*rows([])).item() == 0.0
 
     def test_zero_norm_guarded(self):
         with pytest.raises(NumericGuardError):
@@ -134,7 +133,7 @@ class TestCosineAlignment:
         for _ in range(20):
             pairs = [(vec(rng.normal(size=6) + 0.01), vec(rng.normal(size=6) + 0.01))
                      for _ in range(4)]
-            loss, _ = tr.cosine_alignment_loss(*rows(pairs))
+            loss = tr.cosine_alignment_loss(*rows(pairs))
             assert -1e-6 <= loss.item() <= 2.0 + 1e-6
 
     def test_gradient_vs_finite_differences(self):
@@ -142,7 +141,7 @@ class TestCosineAlignment:
 
         def build(ts):
             pairs = [(nc.reshape(ts[0], (6,)), nc.reshape(ts[1], (6,)))]
-            return tr.cosine_alignment_loss(*rows(pairs))[0]
+            return tr.cosine_alignment_loss(*rows(pairs))
 
         for _ in range(5):
             a = rng.normal(size=(2, 3)) + 0.2
@@ -153,14 +152,14 @@ class TestCosineAlignment:
 class TestInfoNCE:
     def test_no_negatives_zero(self):
         pair = (vec([1.0, 0.5]), vec([0.5, 1.0]))
-        loss, _ = tr.infonce_loss(*rows([pair]), [0], tau=0.1)
+        loss = tr.infonce_loss(*rows([pair]), [0], tau=0.1)
         assert loss.item() == 0.0
 
     def test_symmetric_two_way_ln2(self):
         # one negative with identical similarity to the positive
         h = vec([1.0, 0.0])
         pairs = [(h, vec([1.0, 0.0])), (vec([0.0, 1.0]), vec([1.0, 0.0]))]
-        loss, _ = tr.infonce_loss(*rows(pairs), [0, 1], tau=0.1)
+        loss = tr.infonce_loss(*rows(pairs), [0, 1], tau=0.1)
         # pair 0: positive sim 1, negative (owner 1) sim 1 -> ln 2
         # pair 1: positive sim 0 vs negative sim 0 -> ln 2
         assert abs(loss.item() - math.log(2)) < 1e-6
@@ -172,7 +171,7 @@ class TestInfoNCE:
         owners = [0, 0, 1, 2]
         tau = 0.2
         pairs = [(vec(h), vec(s)) for h, s in zip(hs, ss)]
-        loss, _ = tr.infonce_loss(*rows(pairs), owners, tau)
+        loss = tr.infonce_loss(*rows(pairs), owners, tau)
 
         def cos(a, b):
             return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
@@ -193,10 +192,10 @@ class TestInfoNCE:
         ss = [rng.normal(size=4) + 0.1 for _ in range(3)]
         drawn, owners = [0, 1, 0, 1, 2], [4, 4, 4, 4, 9]
         pairs = [(vec(hs[i]), vec(ss[i])) for i in drawn]
-        loss, _ = tr.infonce_loss(*rows(pairs), owners, tau=0.2)
+        loss = tr.infonce_loss(*rows(pairs), owners, tau=0.2)
         want = infonce_oracle([hs[i] for i in drawn], [ss[i] for i in drawn], owners, 0.2)
         assert abs(loss.item() - want) < 1e-6
-        same, _ = tr.infonce_loss(*rows(pairs[:4]), owners[:4], tau=0.2)
+        same = tr.infonce_loss(*rows(pairs[:4]), owners[:4], tau=0.2)
         assert same.item() == 0.0
 
     def test_zero_norm_guarded(self):
@@ -212,7 +211,7 @@ class TestInfoNCE:
     def test_nonnegative(self):
         rng = np.random.default_rng(9)
         pairs = [(vec(rng.normal(size=5) + 0.2), vec(rng.normal(size=5) + 0.2)) for _ in range(5)]
-        loss, _ = tr.infonce_loss(*rows(pairs), list(range(5)), tau=0.1)
+        loss = tr.infonce_loss(*rows(pairs), list(range(5)), tau=0.1)
         assert loss.item() >= 0.0
 
     def test_gradient_vs_finite_differences(self):
@@ -221,7 +220,7 @@ class TestInfoNCE:
         def build(ts):
             pairs = [(nc.reshape(ts[0], (6,)), nc.reshape(ts[1], (6,))),
                      (nc.reshape(nc.scale(ts[0], 0.5), (6,)), nc.reshape(nc.scale(ts[1], 2.0), (6,)))]
-            return tr.infonce_loss(*rows(pairs), [0, 1], tau=0.3)[0]
+            return tr.infonce_loss(*rows(pairs), [0, 1], tau=0.3)
 
         for _ in range(5):
             a = rng.normal(size=(2, 3)) + 0.2
@@ -331,7 +330,7 @@ class TestTrainLoop:
                           kept_subs=item.record.kept, train=True,
                           drop_rng=np.random.default_rng(0), aux=True)
         _, h, s = ag.decide(agent, [traj])
-        loss, _ = tr.cosine_alignment_loss(h, s)
+        loss = tr.cosine_alignment_loss(h, s)
         params.zero_grads()
         nc.backward(loss)
         on_path = {"vis_proj", "im_m1", "im_m2", "im_m3", "t_im", "tok_embed",
