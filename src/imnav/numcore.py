@@ -6,17 +6,26 @@ back to the input dtype. A tape is just the implicit graph of Tensor parents;
 `backward` walks it in reverse topological order.
 
 `attention` and `ffn` are fused ops: each records one tape node for a whole
-transformer sub-block and makes the same numpy calls as the equivalent chain
-of single ops. Both, like `matmul` against a 2D weight, accept leading batch
+transformer sub-block and computes the values of the equivalent chain of
+single ops. Both, like `matmul` against a 2D weight, accept leading batch
 axes, so the steps of every teacher-forced episode of a batch run as one
 pass; `attention`'s key mask keeps the padding of shorter episodes out.
 
-Layout rule for the kernels: a 2D weight enters every input-gradient matmul
-as a contiguous transpose (`_transposed`), because numpy multiplies a batched
-operand by a transposed view on a slow path but by a contiguous copy through
-BLAS. `attention`'s softmax, forward and backward, works in place on the
-score arrays it has just created, so each score tensor is walked as few times
-as possible; its forward values are bit-identical to the out-of-place formula.
+Layout rule for the kernels: numpy multiplies a batched operand by a
+transposed view on a slow path but by a contiguous copy through BLAS, so
+every input gradient against a 2D weight multiplies by `_transposed(w)`,
+and `attention` copies q^T and g_out^T before multiplying by them. Its
+softmax works key-major, in one (tk, ..., heads, tq) buffer per pass, so
+the scale, mask bias, max subtraction, exp and float64 key sum each run
+over contiguous rows as long as all queries of all heads, and every batched
+product reads or writes a (..., heads, tk, tq) view of that buffer which
+BLAS takes as it is. Per-head operands are (..., heads, t, dh) views of
+(..., t, d) rows (`_heads`), so the products write `o` and the gradients of
+q, k and v by `out=` straight into their row layout. The weights are
+bit-identical to the row-wise out-of-place formula. A backward hands each
+gradient it has just computed to `Tensor.take_grad`, which keeps a first
+one uncopied; views and arrays shared with other tensors go through
+`accumulate_grad`.
 
 Op-result rule: an op hands `_result` the values it has just computed, and
 `_result` wraps them as they are, without `Tensor.__init__`'s checks. Ops
@@ -91,6 +100,15 @@ class Tensor:
             self.grad = np.array(g, dtype=self.values.dtype, copy=True)
         else:
             self.grad += g
+
+    def take_grad(self, g):
+        """accumulate_grad for a gradient the caller has just computed and
+        hands over: nothing else may hold g, and a first one of the values'
+        dtype is kept as it is, uncopied."""
+        if self.grad is None and g.dtype == self.values.dtype:
+            self.grad = g
+        else:
+            self.accumulate_grad(g)
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, grad={self.requires_grad})"
@@ -171,12 +189,12 @@ def matmul(a, b):
     def back(g):
         if a.requires_grad:
             bt = _transposed(b) if b.values.ndim == 2 else np.swapaxes(b.values, -1, -2)
-            a.accumulate_grad(np.matmul(g, bt))
+            a.take_grad(np.matmul(g, bt))
         if b.requires_grad:
             if b.values.ndim == 2:
-                b.accumulate_grad(_weight_grad(a.values, g))
+                b.take_grad(_weight_grad(a.values, g))
             else:
-                b.accumulate_grad(np.matmul(np.swapaxes(a.values, -1, -2), g))
+                b.take_grad(np.matmul(np.swapaxes(a.values, -1, -2), g))
 
     return _result(vals, (a, b), back)
 
@@ -288,43 +306,34 @@ def tanh(a):
     return _result(vals, (a,), back)
 
 
-def _row_max(x):
-    """x.max(axis=-1, keepdims=True), bit for bit, from one pass over a
-    C-ordered copy of the transposed (rows, n) matrix of x: numpy reduces a
-    short trailing axis row by row, but a leading one as whole slabs. Max is
-    exact, so the order is free."""
-    n = x.shape[-1]
-    return np.ascontiguousarray(x.reshape(-1, n).T).max(axis=0).reshape(x.shape[:-1] + (1,))
+def _softmax_keys(s):
+    """Stabilized softmax over axis 0, the keys, computed in s's own buffer,
+    which the caller owns: subtract the max over keys, exp, divide by the
+    float64-accumulated key sum. -inf entries get weight exactly 0."""
+    s -= s.max(axis=0)
+    np.exp(s, out=s)
+    s /= s.sum(axis=0, dtype=np.float64).astype(s.dtype)
+    return s
 
 
-def _softmax(x):
-    """Stabilized softmax along the last axis, computed in x's own buffer,
-    which the caller owns: subtract the row max, exp, divide by the
-    float64-accumulated sum. -inf entries get weight exactly 0."""
-    x -= _row_max(x)
-    np.exp(x, out=x)
-    x /= x.sum(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
-    return x
-
-
-def _softmax_grad(vals, g, axis=-1):
-    """The softmax input gradient vals * (g - sum(g * vals)), computed in g's
-    own buffer, which the caller owns."""
-    g -= (g * vals).sum(axis=axis, keepdims=True, dtype=np.float64).astype(vals.dtype)
-    g *= vals
+def _softmax_keys_grad(w, g):
+    """The input gradient w * (g - sum over keys of g * w) of key-major
+    weights w, computed in g's own buffer, which the caller owns."""
+    g -= (g * w).sum(axis=0, dtype=np.float64).astype(w.dtype)
+    g *= w
     return g
 
 
 def softmax(a, axis=-1):
     """Stabilized softmax. -inf entries get weight exactly 0."""
-    vals = a.values.copy()
-    _softmax(vals.swapaxes(axis, -1))   # a view, so the work lands in vals
+    keys = _softmax_keys(np.moveaxis(a.values, axis, 0).copy())
 
     def back(g):
         if a.requires_grad:
-            a.accumulate_grad(_softmax_grad(vals, g.copy(), axis))
+            g_keys = _softmax_keys_grad(keys, np.moveaxis(g, axis, 0).copy())
+            a.take_grad(np.moveaxis(g_keys, 0, axis))
 
-    return _result(vals, (a,), back)
+    return _result(np.moveaxis(keys, 0, axis), (a,), back)
 
 
 def dropout_mask(shape, rate, rng, train=True, dtype=DEFAULT_DTYPE):
@@ -564,6 +573,21 @@ def transpose(a, axes):
 # fused transformer ops
 # ---------------------------------------------------------------------------
 
+def _heads(rows, heads):
+    """The (..., heads, t, dh) per-head view of (..., t, heads * dh) rows
+    whose last axis is contiguous, so that splitting it is a view: writing
+    to it writes the rows."""
+    return rows.reshape(rows.shape[:-1] + (heads, -1)).swapaxes(-2, -3)
+
+
+def _key_major(tk, lead, heads, tq, dtype):
+    """An uninitialized key-major (tk, ..., heads, tq) buffer and its
+    (..., heads, tk, tq) view."""
+    buf = np.empty((tk,) + lead + (heads, tq), dtype)
+    nb = len(lead)
+    return buf, buf.transpose(tuple(range(1, nb + 2)) + (0, nb + 2))
+
+
 def attention(xq, xkv, wq, wk, wv, wo, heads, record=None, mask=None):
     """Multi-head attention of queries xq (..., tq, d) over keys/values
     xkv (..., tk, d): projections, scaled dot-product softmax and the output
@@ -583,41 +607,50 @@ def attention(xq, xkv, wq, wk, wv, wo, heads, record=None, mask=None):
     d = wq.values.shape[1]
     if d % heads != 0:
         raise ShapeError(f"attention width {d} not divisible by {heads} heads")
-    dh = d // heads
-    nb = len(lead)
-    # (..., t, heads, dh) <-> (..., heads, t, dh); the permutation is its own inverse
-    perm = tuple(range(nb)) + (nb + 1, nb, nb + 2)
-    q_heads, kv_heads, q_rows, kv_rows = (lead + (tq, heads, dh), lead + (tk, heads, dh),
-                                          lead + (tq, d), lead + (tk, d))
-    q = (xqv @ wq.values).reshape(q_heads).transpose(perm)
-    k = (xkvv @ wk.values).reshape(kv_heads).transpose(perm)
-    v = (xkvv @ wv.values).reshape(kv_heads).transpose(perm)
-    scores = q @ k.swapaxes(-1, -2)
-    c = scores.dtype.type(1.0 / math.sqrt(dh))
-    scores *= c
+    q, k, v = xqv @ wq.values, xkvv @ wk.values, xkvv @ wv.values
+    qh, kh, vh = _heads(q, heads), _heads(k, heads), _heads(v, heads)
+    dtype = np.result_type(q, k, v)
+    weights, weights_h = _key_major(tk, lead, heads, tq, dtype)
+    np.matmul(kh, np.ascontiguousarray(qh.swapaxes(-1, -2)), out=weights_h)
+    c = dtype.type(1.0 / math.sqrt(d // heads))
+    weights *= c
     if mask is not None:
         # + 0 keeps a score, + -inf masks it: the values of np.where(mask, ...)
-        scores += np.where(mask, 0.0, -np.inf).astype(scores.dtype)[..., None, None, :]
-    weights = _softmax(scores)
+        keys_first = mask.transpose((mask.ndim - 1,) + tuple(range(mask.ndim - 1)))
+        weights += np.where(keys_first, 0.0, -np.inf).astype(dtype)[..., None, None]
+    _softmax_keys(weights)
     if record is not None:
-        record.append(weights.copy())
-    out = (weights @ v).transpose(perm).reshape(q_rows)
+        record.append(np.ascontiguousarray(weights_h.swapaxes(-1, -2)))
+    out = np.empty(lead + (tq, d), dtype)
+    np.matmul(weights_h.swapaxes(-1, -2), vh, out=_heads(out, heads))
     vals = out @ wo.values
 
     def back(g):
         if wo.requires_grad:
-            wo.accumulate_grad(_weight_grad(out, g))
-        g_out = (g @ _transposed(wo)).reshape(q_heads).transpose(perm)
-        g_scores = _softmax_grad(weights, g_out @ v.swapaxes(-1, -2))
+            wo.take_grad(_weight_grad(out, g))
+        g_out = _heads(g @ _transposed(wo), heads)
+        g_scores, g_scores_h = _key_major(tk, lead, heads, tq, dtype)
+        np.matmul(vh, np.ascontiguousarray(g_out.swapaxes(-1, -2)), out=g_scores_h)
+        _softmax_keys_grad(weights, g_scores)
         g_scores *= c
-        g_q = (g_scores @ k).transpose(perm).reshape(q_rows)
-        g_k = (g_scores.swapaxes(-1, -2) @ q).transpose(perm).reshape(kv_rows)
-        g_v = (weights.swapaxes(-1, -2) @ g_out).transpose(perm).reshape(kv_rows)
-        for x, w, gp in ((xq, wq, g_q), (xkv, wk, g_k), (xkv, wv, g_v)):
-            if w.requires_grad:
-                w.accumulate_grad(_weight_grad(x.values, gp))
-            if x.requires_grad:
-                x.accumulate_grad(gp @ _transposed(w))
+        g_q = np.empty(lead + (tq, d), dtype)
+        np.matmul(g_scores_h.swapaxes(-1, -2), kh, out=_heads(g_q, heads))
+        # [g_k | g_v] rows, so that wk and wv get their gradients from one product
+        g_kv = np.empty(lead + (tk, 2 * d), dtype)
+        np.matmul(g_scores_h, qh, out=_heads(g_kv[..., :d], heads))
+        np.matmul(weights_h, g_out, out=_heads(g_kv[..., d:], heads))
+        if wq.requires_grad:
+            wq.take_grad(_weight_grad(xqv, g_q))
+        if xq.requires_grad:
+            xq.take_grad(g_q @ _transposed(wq))
+        if wk.requires_grad or wv.requires_grad:
+            g_wkv = _weight_grad(xkvv, g_kv)
+            for w, g_w in ((wk, g_wkv[:, :d]), (wv, g_wkv[:, d:])):
+                if w.requires_grad:
+                    w.take_grad(g_w)
+        if xkv.requires_grad:
+            for w, g_x in ((wk, g_kv[..., :d]), (wv, g_kv[..., d:])):
+                xkv.take_grad(g_x @ _transposed(w))
 
     return _result(vals, (xq, xkv, wq, wk, wv, wo), back)
 
@@ -630,14 +663,14 @@ def ffn(x, w1, w2):
 
     def back(g):
         if w2.requires_grad:
-            w2.accumulate_grad(_weight_grad(h, g))
+            w2.take_grad(_weight_grad(h, g))
         if w1.requires_grad or x.requires_grad:
             g_h = np.matmul(g, _transposed(w2))
             g_h *= h > 0
             if w1.requires_grad:
-                w1.accumulate_grad(_weight_grad(x.values, g_h))
+                w1.take_grad(_weight_grad(x.values, g_h))
             if x.requires_grad:
-                x.accumulate_grad(np.matmul(g_h, _transposed(w1)))
+                x.take_grad(np.matmul(g_h, _transposed(w1)))
 
     return _result(vals, (x, w1, w2), back)
 

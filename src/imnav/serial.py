@@ -156,6 +156,8 @@ def read_worlds(path):
                 classes.append(wd.LandmarkClass(cid, words, proto, held))
             elif tag == "background":
                 background = np.asarray([float(x) for x in parts[1:]], dtype=np.float32)
+                if len(background) != d_v:
+                    reader.fail(lineno, f"background has {len(background)} dims, expected {d_v}")
             elif tag == "world":
                 idx = int(parts[1])
                 worlds_raw[idx] = dict(
@@ -250,6 +252,8 @@ def read_corpus(path, pairs):
                                 f"is {wd.EPISODE_MODE!r}")
                 if len(parts) != 5 + n:
                     reader.fail(lineno, f"instruction says {n} tokens but lists {len(parts) - 5}")
+                if not 0 <= w_idx < len(pairs):
+                    reader.fail(lineno, f"world index {w_idx} outside the {len(pairs)} worlds")
                 by_idx[idx] = dict(world=w_idx, tokens=tuple(parts[5:]), gold=[], subs=[])
             elif tag == "gold":
                 idx, n = int(parts[1]), int(parts[2])
@@ -318,6 +322,9 @@ def read_imaginations(path, n_instructions, d_v):
             reader.fail(lineno, f"unknown record tag {parts[0]!r}")
         try:
             idx = int(parts[1])
+            if not 0 <= idx < n_instructions:
+                reader.fail(lineno, f"instruction index {idx} outside the {n_instructions} "
+                            f"instructions")
             feature = np.asarray([float(x) for x in parts[5:]], dtype=np.float32)
             if len(feature) != d_v:
                 reader.fail(lineno, f"feature has {len(feature)} dims, expected {d_v}")

@@ -494,22 +494,49 @@ def out_of_place_softmax(x, axis=-1):
 
 
 class TestKernels:
-    """The in-place and contiguous-transpose kernels against the formulas
-    they replace: forward values bit for bit, input gradients within float32
-    tolerance, scatter gradients bit for bit."""
+    """The in-place, key-major and contiguous-transpose kernels against the
+    formulas they replace: forward values bit for bit, gradients within
+    float32 tolerance, scatter gradients bit for bit."""
 
     def test_row_max_and_softmax_bitwise(self):
         rng = np.random.default_rng(51)
         for shape in ((7, 38), (3, 4, 5, 38)):
             x = rng.normal(size=shape).astype(np.float32)
             x[..., 30:] = -np.inf                      # padded keys
-            x[(0,) * (x.ndim - 1)] = -np.inf           # a row with no finite entry
             x.reshape(-1, shape[-1])[1, 3] = 0.0
-            assert nc._row_max(x).tobytes() == x.max(axis=-1, keepdims=True).tobytes()
+            assert nc.softmax(t(x)).values.tobytes() == out_of_place_softmax(x).tobytes()
         y = rng.normal(size=(4, 6, 5)).astype(np.float32)
         for axis in (0, 1, -1):
             assert (nc.softmax(t(y), axis=axis).values.tobytes()
                     == out_of_place_softmax(y, axis).tobytes())
+
+    @pytest.mark.parametrize("batch, tq, tk", [(1200, 22, 35), (2000, 13, 22)])
+    def test_key_major_weights_equal_row_major_softmax_bitwise(self, batch, tq, tk):
+        """The cross-modal shapes of a desk iteration (48 steps), with the
+        batch grown to over 10^5 (step, head, query) rows: the key-major
+        softmax, whose float64 key sum adds in another order than numpy's
+        pairwise row sum, gives the row-major weights bit for bit."""
+        rng = np.random.default_rng(61)
+        d, heads = 64, 4
+        mask = np.ones((batch, tk), dtype=bool)
+        for b, n in enumerate(rng.integers(1, tk + 1, size=batch)):
+            mask[b, n:] = False                        # padded keys
+        xq = rng.normal(size=(batch, tq, d)).astype(np.float32)
+        xkv = rng.normal(size=(batch, tk, d)).astype(np.float32)
+        wq, wk = [(0.3 * rng.normal(size=(d, d))).astype(np.float32) for _ in range(2)]
+        record = []
+        nc.attention(t(xq), t(xkv), t(wq), t(wk), t(wk), t(wk), heads=heads,
+                     record=record, mask=mask)
+
+        def split(x):
+            return x.reshape(x.shape[:2] + (heads, d // heads)).transpose(0, 2, 1, 3)
+
+        q, k = split(xq @ wq), split(xkv @ wk)
+        scores = (q @ k.transpose(0, 1, 3, 2)) * np.float32(1.0 / math.sqrt(d // heads))
+        weights = out_of_place_softmax(
+            np.where(mask[:, None, None, :], scores, np.float32(-np.inf)))
+        assert batch * heads * tq >= 10 ** 5
+        assert record[0].tobytes() == weights.tobytes()
 
     def test_masked_attention_equals_where_then_softmax_bitwise(self):
         rng = np.random.default_rng(53)
@@ -537,6 +564,7 @@ class TestKernels:
         assert out.values.tobytes() == want.tobytes()
 
     def test_input_gradients_match_float64(self):
+        """Input and weight gradients (for attention: xq, xkv, wq, wk, wv, wo)."""
         rng = np.random.default_rng(57)
         x = rng.normal(size=(5, 7, 8))
         kv = rng.normal(size=(5, 9, 8))
@@ -554,10 +582,47 @@ class TestKernels:
             for dtype in (np.float32, np.float64):
                 ts = [nc.Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
                 nc.backward(nc.sum_(nc.mul(build(ts), nc.constant(probe.astype(dtype)))))
-                grads[dtype] = [ts[0].grad] + ([ts[1].grad] if ts[1].values.ndim == 3 else [])
+                grads[dtype] = [x.grad for x in ts]
             for g32, g64 in zip(grads[np.float32], grads[np.float64]):
                 assert g32.dtype == np.float32
                 assert np.abs(g32 - g64).max() <= 1e-5 * np.abs(g64).max()
+
+    def test_taken_gradients_sum_and_stay_unshared(self, monkeypatch):
+        """take_grad keeps a first gradient uncopied and changes nothing else:
+        a tensor read twice by matmul, and one read by attention as queries
+        and keys, get the gradients that copying each first one gives, bit
+        for bit, and no tensor's grad shares memory with another's."""
+        rng = np.random.default_rng(63)
+        d = 8
+        arrays = ([rng.normal(size=(3, 5, d))]
+                  + [0.5 * rng.normal(size=(d, d)) for _ in range(6)]
+                  + [0.5 * rng.normal(size=(d, 12)), 0.5 * rng.normal(size=(12, d))])
+        probe = t(rng.normal(size=(3, 5, d)))
+
+        def run():
+            x, m1, m2, wq, wk, wv, wo, f1, f2 = [t(a, grad=True) for a in arrays]
+            h = nc.matmul(x, m1)
+            a = nc.add(nc.attention(h, h, wq, wk, wv, wo, heads=2), nc.matmul(x, m2))
+            loss = nc.sum_(nc.mul(nc.ffn(a, f1, f2), probe))
+            nc.backward(loss)
+            seen, stack = {}, [loss]
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen[id(node)] = node
+                    stack.extend(node._parents)
+            return [x, h, m1, m2, wq, wk, wv, wo, f1, f2], list(seen.values())
+
+        ours, nodes = run()
+        grads = [n.grad for n in nodes if n.requires_grad]
+        assert len(grads) == 16 and all(g is not None for g in grads)
+        for i, a in enumerate(grads):
+            for b in grads[i + 1:]:
+                assert not np.shares_memory(a, b)
+        monkeypatch.setattr(nc.Tensor, "take_grad", nc.Tensor.accumulate_grad)
+        copied, _ = run()
+        for a, b in zip(ours, copied):
+            assert a.grad.tobytes() == b.grad.tobytes()
 
     def test_take_rows_grad_equals_scatter_add_bitwise(self):
         """Distinct indices are scattered by plain indexing, repeated ones by

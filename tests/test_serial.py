@@ -95,6 +95,18 @@ class TestWorldsRoundTrip:
         assert f":{idx + 1}:" in str(exc.value)
 
 
+    def test_background_width_must_be_d_v(self, bundle, tmp_path):
+        path = tmp_path / "w.txt"
+        serial.write_worlds(path, bundle["library"], bundle["pairs"])
+        lines = path.read_text().splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.startswith("background "))
+        lines[idx] = lines[idx].rsplit(" ", 1)[0]           # d_v - 1 values
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="background has 15 dims, expected 16") as exc:
+            serial.read_worlds(path)
+        assert f":{idx + 1}:" in str(exc.value)
+
+
 class TestCorpusRoundTrip:
     def test_exact(self, bundle, tmp_path):
         wpath = tmp_path / "w.txt"
@@ -150,6 +162,24 @@ class TestCorpusRoundTrip:
         assert f":{idx + 1}:" in str(exc.value)
 
 
+    @pytest.mark.parametrize("world", ["past_last", "-1"])
+    def test_world_index_out_of_range_names_the_line(self, bundle, tmp_path, world):
+        wpath = tmp_path / "w.txt"
+        serial.write_worlds(wpath, bundle["library"], bundle["pairs"])
+        _, pairs = serial.read_worlds(wpath)
+        cpath = tmp_path / "c.txt"
+        serial.write_corpus(cpath, bundle["records"], list(range(len(bundle["records"]))))
+        lines = cpath.read_text().splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.startswith("instr "))
+        fields = lines[idx].split(" ")                      # instr <idx> <world> ...
+        fields[2] = str(len(pairs)) if world == "past_last" else world
+        lines[idx] = " ".join(fields)
+        cpath.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="world index") as exc:
+            serial.read_corpus(cpath, pairs)
+        assert f":{idx + 1}:" in str(exc.value)
+
+
 class TestImaginationsRoundTrip:
     def test_exact(self, bundle, tmp_path):
         path = tmp_path / "i.txt"
@@ -161,6 +191,20 @@ class TestImaginationsRoundTrip:
                 assert np.array_equal(a.feature, b.feature)
                 assert (a.sub_index, a.true_class, a.emitted_class) == \
                        (b.sub_index, b.true_class, b.emitted_class)
+
+    @pytest.mark.parametrize("instruction", ["past_last", "-1"])
+    def test_instruction_index_out_of_range_names_the_line(self, bundle, tmp_path, instruction):
+        path = tmp_path / "i.txt"
+        serial.write_imaginations(path, bundle["sets"])
+        lines = path.read_text().splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.startswith("imag "))
+        fields = lines[idx].split(" ")                      # imag <instruction> ...
+        fields[1] = str(len(bundle["sets"])) if instruction == "past_last" else instruction
+        lines[idx] = " ".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="instruction index") as exc:
+            serial.read_imaginations(path, len(bundle["sets"]), bundle["library"].d_v)
+        assert f":{idx + 1}:" in str(exc.value)
 
 
 class TestMetrics:
