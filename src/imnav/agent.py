@@ -35,7 +35,8 @@ import numpy as np
 from . import numcore as nc
 from . import serial
 from . import world as wd
-from .errors import ConfigurationError, ContractError, FormatError, ShapeError, VocabularyError
+from .errors import (ConfigurationError, ContractError, FormatError, IndexRangeError, ShapeError,
+                     VocabularyError)
 
 
 @dataclass(frozen=True)
@@ -623,8 +624,9 @@ def attention_probe(trajectory, layer, head, imag_index, k=3):
     first step where the imagination's referent is visible in the panorama."""
     if trajectory.attention is None:
         raise ContractError("trajectory has no attention records")
-    if imag_index >= len(trajectory.imaginations):
-        raise IndexError(f"imagination index {imag_index} out of range")
+    if not 0 <= imag_index < len(trajectory.imaginations):
+        raise IndexRangeError(f"imagination {imag_index} outside the episode's "
+                              f"{len(trajectory.imaginations)} imaginations")
     target = trajectory.imaginations[imag_index].true_class
     world = trajectory.episode.world
     step = None
@@ -637,13 +639,13 @@ def attention_probe(trajectory, layer, head, imag_index, k=3):
 
     recs = [r for r in trajectory.attention[step] if r.stream == "context" and r.layer == layer]
     if not recs:
-        raise IndexError(f"no context attention at layer {layer}")
+        raise IndexRangeError(f"no context attention at layer {layer}")
     rec = recs[0]
-    if head >= rec.weights.shape[0]:
-        raise IndexError(f"head {head} out of range")
+    if not 0 <= head < rec.weights.shape[0]:
+        raise IndexRangeError(f"head {head} outside the {rec.weights.shape[0]} heads")
     query_positions = [i for i, kind in enumerate(rec.query_kinds) if kind == "imagination"]
     if imag_index >= len(query_positions):
-        raise IndexError(f"imagination {imag_index} has no token in the context")
+        raise IndexRangeError(f"imagination {imag_index} has no token in the context")
     row = rec.weights[head, query_positions[imag_index]]
 
     def topk(indices, labels):

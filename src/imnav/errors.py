@@ -17,6 +17,10 @@ class ContractError(ImnavError):
     """A documented precondition was violated by the caller."""
 
 
+class IndexRangeError(ImnavError, IndexError):
+    """An index given by the caller is outside what it indexes."""
+
+
 class VocabularyError(ImnavError):
     """A token or phrase is outside the closed vocabulary."""
 

@@ -39,7 +39,7 @@ from . import serial
 from . import training as tr
 from . import world as wd
 from .dataset import DATA_DIR  # noqa: F401  (re-exported for perfbench/)
-from .errors import ConfigurationError, FormatError, ImnavError
+from .errors import ConfigurationError, FormatError, ImnavError, IndexRangeError
 
 TRAIN_CONDITIONS = {
     # condition -> (aux_loss, agent-config overrides)
@@ -217,6 +217,9 @@ def _eval(args):
 
 def _probe_attention(args):
     split = ds.read_split(args.worlds, args.corpus, args.imaginations)
+    if not 0 <= args.episode < len(split.items):
+        raise IndexRangeError(f"episode {args.episode} outside the split's "
+                              f"{len(split.items)} episodes")
     agent = tr.agent_from_checkpoint(tr.load_checkpoint(args.ckpt))
     item = split.items[args.episode]
     with nc.no_grad():

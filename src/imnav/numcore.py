@@ -16,12 +16,12 @@ transposed view on a slow path but by a contiguous copy through BLAS, so
 every input gradient against a 2D weight multiplies by `_transposed(w)`,
 and `attention` copies q^T and g_out^T before multiplying by them. Its
 softmax works key-major, in one (tk, ..., heads, tq) buffer per pass, so
-the scale, mask bias, max subtraction, exp and float64 key sum each run
-over contiguous rows as long as all queries of all heads, and every batched
-product reads or writes a (..., heads, tk, tq) view of that buffer which
-BLAS takes as it is. Per-head operands are (..., heads, t, dh) views of
-(..., t, d) rows (`_heads`), so the products write `o` and the gradients of
-q, k and v by `out=` straight into their row layout. The weights are
+the scale, the -inf of a masked key, max subtraction, exp and float64 key
+sum each run over contiguous rows as long as all queries of all heads, and
+every batched product reads or writes a (..., heads, tk, tq) view of that
+buffer which BLAS takes as it is. Per-head operands are (..., heads, t, dh)
+views of (..., t, d) rows (`_heads`), so the products write `o` and the
+gradients of q, k and v by `out=` straight into their row layout. The weights are
 bit-identical to the row-wise out-of-place formula. A backward hands each
 gradient it has just computed to `Tensor.take_grad`, which keeps a first
 one uncopied; views and arrays shared with other tensors go through
@@ -615,9 +615,7 @@ def attention(xq, xkv, wq, wk, wv, wo, heads, record=None, mask=None):
     c = dtype.type(1.0 / math.sqrt(d // heads))
     weights *= c
     if mask is not None:
-        # + 0 keeps a score, + -inf masks it: the values of np.where(mask, ...)
-        keys_first = mask.transpose((mask.ndim - 1,) + tuple(range(mask.ndim - 1)))
-        weights += np.where(keys_first, 0.0, -np.inf).astype(dtype)[..., None, None]
+        weights[~mask.transpose((mask.ndim - 1,) + tuple(range(mask.ndim - 1)))] = -np.inf
     _softmax_keys(weights)
     if record is not None:
         record.append(np.ascontiguousarray(weights_h.swapaxes(-1, -2)))

@@ -61,6 +61,20 @@ def gen_dataset(tmp_path, split="train", count=6, seed=3, prefix=None, world_fla
     return worlds, corpus, imags
 
 
+@pytest.fixture(scope="module")
+def probe_inputs(tmp_path_factory):
+    """probe-attention's input flags: a 6-episode split and a baseline
+    checkpoint trained on it."""
+    tmp_path = tmp_path_factory.mktemp("probe")
+    worlds, corpus, imags = gen_dataset(tmp_path)
+    ckpt = tmp_path / "a.ckpt"
+    spec = write_spec(tmp_path, agent=SMALL_AGENT, train="base_iterations = 6\n")
+    assert run_cli(["train", "--spec", spec, "--condition", "baseline", "--worlds", worlds,
+                    "--corpus", corpus, "--imaginations", imags, "--seed", "5",
+                    "--out", ckpt]) == 0
+    return ["--ckpt", ckpt, "--worlds", worlds, "--corpus", corpus, "--imaginations", imags]
+
+
 class TestCli:
     def test_gen_world_deterministic_files(self, tmp_path):
         a = tmp_path / "a.txt"
@@ -209,18 +223,23 @@ class TestCli:
         cfg = tr.load_checkpoint(ckpt).agent_config
         assert (cfg.d_v, cfg.k_views) == (24, 8)
 
-    def test_probe_attention_runs(self, tmp_path, capsys):
-        worlds, corpus, imags = gen_dataset(tmp_path)
-        ckpt = tmp_path / "a.ckpt"
-        spec = write_spec(tmp_path, agent=SMALL_AGENT, train="base_iterations = 6\n")
-        assert run_cli(["train", "--spec", spec, "--condition", "baseline", "--worlds", worlds,
-                        "--corpus", corpus, "--imaginations", imags, "--seed", "5",
-                        "--out", ckpt]) == 0
-        assert run_cli(["probe-attention", "--ckpt", ckpt, "--worlds", worlds,
-                        "--corpus", corpus, "--imaginations", imags, "--episode", "0",
+    def test_probe_attention_runs(self, probe_inputs, capsys):
+        assert run_cli(["probe-attention", *probe_inputs, "--episode", "0",
                         "--imagination", "0", "--layer", "0", "--head", "1"]) == 0
         out = capsys.readouterr().out
         assert "top attended language tokens" in out
+
+    @pytest.mark.parametrize("flag, value, names", [
+        ("--head", -1, "head -1"), ("--imagination", -1, "imagination -1"),
+        ("--episode", -1, "episode -1"), ("--episode", 6, "episode 6"),
+        ("--layer", 1, "layer 1")],
+        ids=["head_-1", "imagination_-1", "episode_-1", "episode_past_split", "layer_1"])
+    def test_probe_attention_bad_index_exits_1(self, probe_inputs, capsys, flag, value, names):
+        """Each index is checked against what it indexes (6 episodes, 2
+        heads, one cross-modal layer), negative ones included."""
+        assert run_cli(["probe-attention", *probe_inputs, flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and names in err
 
     def test_report_merges_and_aggregates(self, tmp_path):
         worlds, corpus, imags = gen_dataset(tmp_path)

@@ -563,6 +563,33 @@ class TestKernels:
         assert record[0].tobytes() == weights.tobytes()
         assert out.values.tobytes() == want.tobytes()
 
+    def test_masked_attention_keeps_negative_zero_scores_bitwise(self):
+        """Query 0 scores 2^-75 * -2^-74 = -2^-149 against every key of head 0,
+        which the 1/2 scale rounds to -0.0; the weights of those kept -0.0
+        scores equal the row-major softmax of np.where(mask, scores, -inf)."""
+        rng = np.random.default_rng(59)
+        d, heads, tq, tk = 16, 4, 3, 7
+        mask = np.ones((2, tk), dtype=bool)
+        mask[0, 4:] = False
+        xq = rng.normal(size=(2, tq, d)).astype(np.float32)
+        xkv = rng.normal(size=(2, tk, d)).astype(np.float32)
+        xq[:, 0, :4] = [2.0 ** -75, 0.0, 0.0, 0.0]
+        xkv[:, :, 0] = -(2.0 ** -74)
+        eye = np.eye(d, dtype=np.float32)
+        record = []
+        nc.attention(t(xq), t(xkv), t(eye), t(eye), t(eye), t(eye), heads=heads,
+                     record=record, mask=mask)
+
+        def split(x):
+            return x.reshape(x.shape[:2] + (heads, d // heads)).transpose(0, 2, 1, 3)
+
+        scores = (split(xq) @ split(xkv).transpose(0, 1, 3, 2)) * np.float32(0.5)
+        kept = scores[:, 0, 0][mask]
+        assert (kept == 0).all() and np.signbit(kept).all()
+        weights = out_of_place_softmax(
+            np.where(mask[:, None, None, :], scores, np.float32(-np.inf)))
+        assert record[0].tobytes() == weights.tobytes()
+
     def test_input_gradients_match_float64(self):
         """Input and weight gradients (for attention: xq, xkv, wq, wk, wv, wo)."""
         rng = np.random.default_rng(57)

@@ -1,4 +1,6 @@
+import ctypes
 import math
+import platform
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -558,6 +560,48 @@ class TestIterationStructure:
         tr.train(tiny_split["train"], tiny_agent_config,
                  tr.TrainConfig(iterations=3, batch_size=2, schedule="flat", seed=1))
         assert alive == [[], [False, False], [False, False]]
+
+
+class TestFreedHeap:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc")
+    def test_later_iterations_reuse_the_freed_heap(self, desk_data, monkeypatch):
+        """A desk base iteration faults in almost no fresh pages once the
+        heap has grown: it reuses what the previous iteration freed, where
+        glibc's defaults gave it back to the kernel (about 620 minor faults
+        per iteration)."""
+        import resource
+
+        split, acfg, train_cfg = desk_data
+        cfg = replace(train_cfg, iterations=10, schedule="flat", aux_loss="none",
+                      use_imaginations=False, seed=4)
+        faults, step = [], tr._train_step
+
+        def counting_step(*args):
+            breakdown = step(*args)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+            return breakdown
+
+        monkeypatch.setattr(tr, "_train_step", counting_step)
+        tr.train(split, acfg, cfg)
+        later = np.diff(faults)[3:]
+        assert later.mean() < 64, f"minor faults per iteration: {later}"
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc")
+    def test_setting_is_idempotent(self):
+        assert tr._keep_freed_heap() and tr._keep_freed_heap()
+
+    @staticmethod
+    def no_library(name):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    @pytest.mark.parametrize("library", ["no_mallopt", "no_library"])
+    def test_no_mallopt_is_a_silent_no_op(self, library, monkeypatch, tiny_split,
+                                          tiny_agent_config):
+        monkeypatch.setattr(ctypes, "CDLL",
+                            self.no_library if library == "no_library" else lambda name: object())
+        assert tr._keep_freed_heap() is False
+        tr.train(tiny_split["train"], tiny_agent_config,
+                 tr.TrainConfig(iterations=1, batch_size=2, schedule="flat", seed=1))
 
 
 class TestCheckpointIO:
