@@ -327,12 +327,13 @@ class Agent:
     # ------------------------------------------------------------------
 
     def _block(self, q_tokens, kv_tokens, prefix, record=None, mask=None):
-        """Residual attention then residual feed-forward, over (..., n, d)."""
+        """Residual attention then residual feed-forward, over (..., n, d):
+        two tape nodes, since `nc.attention` and `nc.ffn` each add their
+        input."""
         p = self.params
-        x = nc.add(q_tokens, nc.attention(q_tokens, kv_tokens, p[prefix + "wq"], p[prefix + "wk"],
-                                          p[prefix + "wv"], p[prefix + "wo"], self.config.heads,
-                                          record=record, mask=mask))
-        return nc.add(x, nc.ffn(x, p[prefix + "ff1"], p[prefix + "ff2"]))
+        x = nc.attention(q_tokens, kv_tokens, p[prefix + "wq"], p[prefix + "wk"], p[prefix + "wv"],
+                         p[prefix + "wo"], self.config.heads, record=record, mask=mask)
+        return nc.ffn(x, p[prefix + "ff1"], p[prefix + "ff2"])
 
     # ------------------------------------------------------------------
     # cross-modal policy
@@ -522,12 +523,13 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
     """Run one episode.
 
     teacher mode only draws: the dropout multipliers, then the teacher
-    path's observations in path order. `decide` encodes and decides every
-    teacher episode of a batch in one pass and fills the logits used for
-    supervision. argmax mode follows the greedy policy until stop or
-    max_steps (ties break to the lowest action index). With `aux`, the
-    trajectory lists the (imagination token, noun-phrase) pairs of the
-    alignment loss. Deterministic given the rng streams.
+    path's observations in path order, all in one `observation_at` call.
+    `decide` encodes and decides every teacher episode of a batch in one
+    pass and fills the logits used for supervision. argmax mode follows the
+    greedy policy until stop or max_steps (ties break to the lowest action
+    index), drawing each step's observation when it reaches the node. With
+    `aux`, the trajectory lists the (imagination token, noun-phrase) pairs
+    of the alignment loss. Deterministic given the rng streams.
     """
     cfg = agent.config
     world = episode.world
@@ -544,7 +546,7 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
     if mode == "teacher":
         visited = list(episode.teacher_path)
         spaces = [wd.navigable(world, node) for node in visited]
-        observations = np.stack([wd.observation_at(world, node, obs_rng) for node in visited])
+        observations = wd.observation_at(world, visited, obs_rng)
         actions = [next(i for i, (_, nb) in enumerate(nav) if nb == nxt)
                    for nav, nxt in zip(spaces, visited[1:])] + [len(spaces[-1])]
         teacher_actions = list(actions)
@@ -556,8 +558,8 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
         actions, spaces, teacher_actions = [], [], []
         for _ in range(max_steps):
             nav = wd.navigable(world, node)
-            obs = wd.observation_at(world, node, obs_rng)
-            vis_tokens, pooled = agent.encode_observation(obs[None], hist)
+            vis_tokens, pooled = agent.encode_observation(
+                wd.observation_at(world, [node], obs_rng), hist)
             logits, recs = agent.cross_modal_step(
                 context, vis_tokens, [1], [nav], record_attention=record_attention)
             logits = nc.reshape(logits, (len(nav) + 1,))
@@ -624,6 +626,8 @@ def attention_probe(trajectory, layer, head, imag_index, k=3):
     first step where the imagination's referent is visible in the panorama."""
     if trajectory.attention is None:
         raise ContractError("trajectory has no attention records")
+    if k < 1:
+        raise IndexRangeError(f"k {k} is below 1: the top-k lists need at least one entry")
     if not 0 <= imag_index < len(trajectory.imaginations):
         raise IndexRangeError(f"imagination {imag_index} outside the episode's "
                               f"{len(trajectory.imaginations)} imaginations")

@@ -127,6 +127,8 @@ def _fields_of(cls, args):
 # ---------------------------------------------------------------------------
 
 def cmd_gen_world(args):
+    if args.count < 1:
+        raise ConfigurationError(f"--count {args.count}: a world file needs at least one world")
     wd.check_route_fits(args.n_forks, ag.AgentConfig.max_steps)
     library, _, _ = ds.load_assets(args.d_v)
     cfg = wd.WorldConfig(library=library, **_fields_of(wd.WorldConfig, args))

@@ -5,11 +5,19 @@ what the gradient-check tests use). Reductions accumulate in float64 and cast
 back to the input dtype. A tape is just the implicit graph of Tensor parents;
 `backward` walks it in reverse topological order.
 
-`attention` and `ffn` are fused ops: each records one tape node for a whole
-transformer sub-block and computes the values of the equivalent chain of
-single ops. Both, like `matmul` against a 2D weight, accept leading batch
-axes, so the steps of every teacher-forced episode of a batch run as one
-pass; `attention`'s key mask keeps the padding of shorter episodes out.
+`attention` and `ffn` are fused residual sub-blocks: each records one tape
+node for a whole transformer sub-block, residual add included, and computes
+the values of its input plus the equivalent chain of single ops. Each adds
+its input into its own fresh output buffer, and its backward first hands
+that residual gradient to the input through `accumulate_grad`, in the order
+a separate `add` node's backward used to. Both, like `matmul` against a 2D
+weight, accept leading batch axes, so the steps of every teacher-forced
+episode of a batch run as one pass; `attention`'s key mask keeps the
+padding of shorter episodes out.
+
+`Adam` keeps each parameter group's values and moments in one flat buffer,
+whose views the parameters and moment dicts hold, and updates a group in
+one pass of elementwise operations over its gathered gradients.
 
 Layout rule for the kernels: numpy multiplies a batched operand by a
 transposed view on a slow path but by a contiguous copy through BLAS, so
@@ -589,9 +597,10 @@ def _key_major(tk, lead, heads, tq, dtype):
 
 
 def attention(xq, xkv, wq, wk, wv, wo, heads, record=None, mask=None):
-    """Multi-head attention of queries xq (..., tq, d) over keys/values
-    xkv (..., tk, d): projections, scaled dot-product softmax and the output
-    projection, recorded as one tape node. Leading batch axes must match.
+    """The residual attention sub-block xq + MHA(xq, xkv) of queries
+    xq (..., tq, d) over keys/values xkv (..., tk, d): projections, scaled
+    dot-product softmax, the output projection and the residual add,
+    recorded as one tape node. Leading batch axes must match.
     `mask`, a boolean (..., tk) array, keeps only the keys it marks true: the
     others are set to -inf before the softmax, so they get weight exactly 0
     and their inputs gradient exactly 0. When `record` is a list it receives
@@ -622,8 +631,11 @@ def attention(xq, xkv, wq, wk, wv, wo, heads, record=None, mask=None):
     out = np.empty(lead + (tq, d), dtype)
     np.matmul(weights_h.swapaxes(-1, -2), vh, out=_heads(out, heads))
     vals = out @ wo.values
+    vals += xqv
 
     def back(g):
+        if xq.requires_grad:
+            xq.accumulate_grad(g)   # the residual; copied, since g is read below
         if wo.requires_grad:
             wo.take_grad(_weight_grad(out, g))
         g_out = _heads(g @ _transposed(wo), heads)
@@ -654,12 +666,16 @@ def attention(xq, xkv, wq, wk, wv, wo, heads, record=None, mask=None):
 
 
 def ffn(x, w1, w2):
-    """relu(x @ w1) @ w2 recorded as one tape node; x is (..., n, d)."""
+    """The residual feed-forward sub-block x + relu(x @ w1) @ w2, recorded as
+    one tape node; x is (..., n, d)."""
     h = x.values @ w1.values
     np.maximum(h, 0, out=h)
     vals = h @ w2.values
+    vals += x.values
 
     def back(g):
+        if x.requires_grad:
+            x.accumulate_grad(g)    # the residual; copied, since g is read below
         if w2.requires_grad:
             w2.take_grad(_weight_grad(h, g))
         if w1.requires_grad or x.requires_grad:
@@ -718,8 +734,18 @@ class ParamStore:
 class Adam:
     """Adam with bias correction; per-group step counters and learning rates.
 
+    Each group's parameter values and moments live in one flat buffer per
+    group, and every parameter's `.values`, `m[name]` and `v[name]` become
+    views of it, so writes through them (warm starts, resumes) reach the
+    buffers. A step gathers a live group's gradients into one preallocated
+    buffer and runs the per-tensor update once over the whole group, into
+    preallocated temporaries. Every operation is elementwise, so the bits
+    are those of updating one tensor at a time. A group's parameters must
+    share one dtype.
+
     Groups with lr == 0 are skipped entirely: no parameter writes, no moment
-    updates, no step-count increment.
+    updates, no step-count increment. A step missing a live gradient raises
+    before it changes anything.
     """
 
     def __init__(self, store, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -727,29 +753,51 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m = {k: np.zeros_like(t.values) for k, t in store.items()}
-        self.v = {k: np.zeros_like(t.values) for k, t in store.items()}
+        self.m, self.v, self._grads = {}, {}, {}
+        self._flat = {}     # group -> (names, values, grads, m, v, two temporaries)
+        for group in store.groups():
+            names = [name for name in store.names() if store.group_of(name) == group]
+            dtypes = {store[name].values.dtype for name in names}
+            if len(dtypes) > 1:
+                raise ContractError(f"Adam: group {group!r} mixes dtypes "
+                                    f"{sorted(map(str, dtypes))}")
+            flat = np.zeros((6, sum(store[name].values.size for name in names)), dtypes.pop())
+            values, grads, m, v = flat[:4]
+            start = 0
+            for name in names:
+                t = store[name]
+                end = start + t.values.size
+                values[start:end] = t.values.ravel()
+                t.values = values[start:end].reshape(t.values.shape)
+                for views, buf in ((self._grads, grads), (self.m, m), (self.v, v)):
+                    views[name] = buf[start:end].reshape(t.values.shape)
+                start = end
+            self._flat[group] = (names, *flat)
         self.steps = {g: 0 for g in store.groups()}
 
     def step(self, lr_by_group):
-        live = {g for g, lr in lr_by_group.items() if lr > 0.0}
-        for g in live:
-            self.steps[g] += 1
-        for name, t in self.store.items():
-            group = self.store.group_of(name)
-            if group not in live:
-                continue
-            if t.grad is None:
-                raise ContractError(f"Adam.step: missing grad for {name!r}")
-            lr = lr_by_group[group]
-            tstep = self.steps[group]
-            m = self.m[name]
-            v = self.v[name]
-            g32 = t.grad.astype(t.values.dtype, copy=False)
+        live = [g for g, lr in lr_by_group.items() if lr > 0.0]
+        for group in live:
+            for name in self._flat[group][0]:
+                g = self.store[name].grad
+                if g is None:
+                    raise ContractError(f"Adam.step: missing grad for {name!r}")
+                np.copyto(self._grads[name], g, casting="same_kind")
+        for group in live:
+            _, values, grads, m, v, upd, den = self._flat[group]
+            self.steps[group] += 1
+            lr, tstep = lr_by_group[group], self.steps[group]
+            # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) (g g)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g32
+            m += np.multiply(grads, 1.0 - self.beta1, out=upd)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g32 * g32)
-            mhat = m / (1.0 - self.beta1 ** tstep)
-            vhat = v / (1.0 - self.beta2 ** tstep)
-            t.values -= (lr * mhat / (np.sqrt(vhat) + self.eps)).astype(t.values.dtype)
+            np.multiply(grads, grads, out=upd)
+            v += np.multiply(upd, 1.0 - self.beta2, out=upd)
+            # values -= lr mhat / (sqrt(vhat) + eps)
+            np.divide(v, 1.0 - self.beta2 ** tstep, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            np.divide(m, 1.0 - self.beta1 ** tstep, out=upd)
+            upd *= lr
+            upd /= den
+            values -= upd

@@ -172,15 +172,20 @@ def navigable(world, node):
     return sorted(world.view_map[node].items())
 
 
-def observation_at(world, node, rng):
-    """Sample a (K, d_v) panorama: base features plus fresh isotropic noise."""
-    if node not in world.view_map:
-        raise KeyError(f"unknown node {node}")
-    base = world.base_panorama(node)
+def observation_at(world, nodes, rng):
+    """Sample the (T, K, d_v) panoramas seen at a sequence of T nodes: base
+    features plus fresh isotropic noise. The noise of all T is one
+    `rng.normal` call, which draws what one call per node, in node order,
+    would draw."""
+    for node in nodes:
+        if node not in world.view_map:
+            raise KeyError(f"unknown node {node}")
+    base = np.stack([world.base_panorama(node) for node in nodes])
     if world.sigma_obs == 0.0:
-        return base.copy()
+        return base
     noise = rng.normal(0.0, world.sigma_obs, size=base.shape).astype(np.float32)
-    return base + noise
+    noise += base
+    return noise
 
 
 def shortest_path(world, a, b):

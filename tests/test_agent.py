@@ -204,15 +204,15 @@ class TestNounPhraseMean:
 
 class TestEncodeObservation:
     def test_initial_history_token(self, setup):
-        obs = wd.observation_at(setup["world"], 0, np.random.default_rng(0))
-        tokens, _ = setup["agent"].encode_observation(obs[None], setup["agent"].params["hist_init"])
+        obs = wd.observation_at(setup["world"], [0], np.random.default_rng(0))
+        tokens, _ = setup["agent"].encode_observation(obs, setup["agent"].params["hist_init"])
         assert np.array_equal(tokens.values[0, 0], setup["agent"].params["hist_init"].values[0])
 
     def test_pure_function(self, setup):
-        obs = wd.observation_at(setup["world"], 0, np.random.default_rng(1))
+        obs = wd.observation_at(setup["world"], [0], np.random.default_rng(1))
         h0 = setup["agent"].params["hist_init"]
-        a, pa = setup["agent"].encode_observation(obs[None], h0)
-        b, pb = setup["agent"].encode_observation(obs[None], h0)
+        a, pa = setup["agent"].encode_observation(obs, h0)
+        b, pb = setup["agent"].encode_observation(obs, h0)
         ha, hb = (setup["agent"].advance_history(h0, p) for p in (pa, pb))
         assert a.values.tobytes() == b.values.tobytes()
         assert ha.values.tobytes() == hb.values.tobytes()
@@ -220,12 +220,12 @@ class TestEncodeObservation:
     def test_history_evolves_with_observation(self, setup):
         rng = np.random.default_rng(2)
         h0 = setup["agent"].params["hist_init"]
-        obs1 = wd.observation_at(setup["world"], 0, rng)
-        obs2 = wd.observation_at(setup["world"], 2, rng)
-        _, pooled = setup["agent"].encode_observation(obs1[None], h0)
+        obs1 = wd.observation_at(setup["world"], [0], rng)
+        obs2 = wd.observation_at(setup["world"], [2], rng)
+        _, pooled = setup["agent"].encode_observation(obs1, h0)
         h1 = setup["agent"].advance_history(h0, pooled)
-        tokens_a, _ = setup["agent"].encode_observation(obs2[None], h0)
-        tokens_b, _ = setup["agent"].encode_observation(obs2[None], h1)
+        tokens_a, _ = setup["agent"].encode_observation(obs2, h0)
+        tokens_b, _ = setup["agent"].encode_observation(obs2, h1)
         assert h1.values.tobytes() != h0.values.tobytes()
         assert tokens_a.values.tobytes() != tokens_b.values.tobytes()
 
@@ -247,6 +247,21 @@ class TestPermutationInvariance:
 
 
 class TestCrossModal:
+    def test_block_records_two_tape_nodes(self, setup):
+        """A residual attention and feed-forward block is the attention node
+        and the ffn node, with no separate residual adds."""
+        agent = setup["agent"]
+        x = nc.Tensor(np.random.default_rng(3).normal(size=(2, 5, agent.config.d))
+                      .astype(np.float32), requires_grad=True)
+        out = agent._block(x, x, "c0_")
+        nodes, stack = {}, [out]
+        while stack:
+            node = stack.pop()
+            if node._backward is not None and id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node._parents)
+        assert len(nodes) == 2
+
     def test_attention_rows_sum_to_one(self, setup):
         traj = run_rollout(setup, setup["imags"], mode="teacher", record_attention=True)
         assert traj.attention
@@ -272,8 +287,8 @@ class TestCrossModal:
     def test_empty_navigable_gives_stop_only(self, setup):
         agent = setup["agent"]
         context = ag.build_context(agent, [ag.context_inputs(agent, setup["token_ids"], [], [])])
-        obs = wd.observation_at(setup["world"], 0, np.random.default_rng(0))
-        vis, _ = agent.encode_observation(obs[None], agent.params["hist_init"])
+        obs = wd.observation_at(setup["world"], [0], np.random.default_rng(0))
+        vis, _ = agent.encode_observation(obs, agent.params["hist_init"])
         logits, _ = agent.cross_modal_step(context, vis, [1], [[]])
         assert logits.shape == (1, 1)
 
@@ -322,8 +337,8 @@ class TestRollout:
                               keep((len(setup["token_ids"]), 1), cfg.text_dropout))
         assert np.array_equal(traj.inputs.imag_keep,
                               keep((len(setup["imags"]), cfg.d), cfg.dropout_rate))
-        assert np.array_equal(traj.observations, np.stack(
-            [wd.observation_at(world, node, ref) for node in setup["episode"].teacher_path]))
+        assert np.array_equal(traj.observations, np.concatenate(
+            [wd.observation_at(world, [node], ref) for node in setup["episode"].teacher_path]))
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_truncation_sets_flag(self, setup):
@@ -344,9 +359,9 @@ class TestBatchedTeacher:
                                                              rng=rng)])
         world, hist, logits = s["world"], agent.params["hist_init"], []
         for node in s["episode"].teacher_path:
-            obs = wd.observation_at(world, node, rng)
+            obs = wd.observation_at(world, [node], rng)
             nav = wd.navigable(world, node)
-            vis, pooled = agent.encode_observation(obs[None], hist)
+            vis, pooled = agent.encode_observation(obs, hist)
             step_logits, _ = agent.cross_modal_step(context, vis, [1], [nav])
             logits.append(nc.reshape(step_logits, (len(nav) + 1,)))
             hist = agent.advance_history(hist, pooled)
@@ -457,7 +472,7 @@ class TestGreedyDecoding:
         actions, logits = [], []
         for _ in range(agent.config.max_steps):
             nav = wd.navigable(world, node)
-            vis, pooled = agent.encode_observation(wd.observation_at(world, node, rng)[None], hist)
+            vis, pooled = agent.encode_observation(wd.observation_at(world, [node], rng), hist)
             text = agent.encode_text([inputs.token_ids])
             if agent.config.imag_source == "text_mean":
                 imag = (ag.noun_phrase_means(text, [(0, pos) for _, pos in inputs.nouns])
@@ -576,8 +591,8 @@ class TestPaddedBatch:
             context = ag.build_context(agent, [ag.context_inputs(agent, e["token_ids"], e["imags"],
                                                                  e["kept"])])
             node = e["episode"].start
-            obs = wd.observation_at(e["episode"].world, node, np.random.default_rng(0))
-            vis, _ = agent.encode_observation(obs[None], agent.params["hist_init"])
+            obs = wd.observation_at(e["episode"].world, [node], np.random.default_rng(0))
+            vis, _ = agent.encode_observation(obs, agent.params["hist_init"])
             nav = wd.navigable(e["episode"].world, node)
             logits, _ = agent.cross_modal_step(context, vis, [1], [nav])
             want = unbatched_logits(agent, context.text, context.imag, vis, nav)

@@ -153,6 +153,14 @@ class TestCli:
         with pytest.raises(ConfigurationError, match="n_forks=7"):
             harness.ExperimentSpec(world={"n_forks": 7})
 
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_gen_world_count_below_1_exits_1_writing_nothing(self, tmp_path, capsys, count):
+        out = tmp_path / "w.txt"
+        assert run_cli(["gen-world", "--count", count, "--seed", "1", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"--count {count}" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_input_file_exits_1(self, tmp_path):
         code = run_cli(["gen-corpus", "--worlds", tmp_path / "nope.txt", "--seed", "1",
                         "--out", tmp_path / "c.txt"])
@@ -232,8 +240,9 @@ class TestCli:
     @pytest.mark.parametrize("flag, value, names", [
         ("--head", -1, "head -1"), ("--imagination", -1, "imagination -1"),
         ("--episode", -1, "episode -1"), ("--episode", 6, "episode 6"),
-        ("--layer", 1, "layer 1")],
-        ids=["head_-1", "imagination_-1", "episode_-1", "episode_past_split", "layer_1"])
+        ("--layer", 1, "layer 1"), ("--k", 0, "k 0"), ("--k", -1, "k -1")],
+        ids=["head_-1", "imagination_-1", "episode_-1", "episode_past_split", "layer_1", "k_0",
+             "k_-1"])
     def test_probe_attention_bad_index_exits_1(self, probe_inputs, capsys, flag, value, names):
         """Each index is checked against what it indexes (6 episodes, 2
         heads, one cross-modal layer), negative ones included."""

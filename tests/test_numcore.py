@@ -403,7 +403,7 @@ class TestFusedOps:
         xkv = t(rng.normal(size=(5, self.D)))
         record = []
         fused = nc.attention(xq, xkv, *w, heads=self.HEADS, record=record)
-        chain = attention_chain(xq, xkv, *w, heads=self.HEADS)
+        chain = nc.add(xq, attention_chain(xq, xkv, *w, heads=self.HEADS))
         assert np.array_equal(fused.values, chain.values)
         assert record[0].shape == (self.HEADS, 3, 5)
         assert np.abs(record[0].sum(axis=-1) - 1.0).max() < 1e-6
@@ -413,7 +413,7 @@ class TestFusedOps:
         bkv = rng.normal(size=(3, 4, self.D)).astype(np.float32)
         batched = nc.attention(t(bq), t(bkv), *w, heads=self.HEADS).values
         for i in range(3):
-            one = attention_chain(t(bq[i]), t(bkv[i]), *w, heads=self.HEADS).values
+            one = bq[i] + attention_chain(t(bq[i]), t(bkv[i]), *w, heads=self.HEADS).values
             assert np.abs(batched[i] - one).max() < 1e-6
 
     def test_ffn_forward_equals_op_chain(self):
@@ -424,7 +424,7 @@ class TestFusedOps:
         fused = nc.ffn(x, w1, w2).values
         for i in range(2):
             xi = t(x.values[i])
-            chain = nc.matmul(nc.relu(nc.matmul(xi, w1)), w2).values
+            chain = nc.add(xi, nc.matmul(nc.relu(nc.matmul(xi, w1)), w2)).values
             assert np.array_equal(nc.ffn(xi, w1, w2).values, chain)
             assert np.abs(fused[i] - chain).max() < 1e-6
 
@@ -485,6 +485,128 @@ class TestFusedOps:
             nc.dropout(x, np.ones((3, 1), dtype=np.float32))
         with pytest.raises(ContractError):
             nc.dropout_mask((2,), 1.0, rng)
+
+
+def sublayer_attention(xq, xkv, wq, wk, wv, wo, heads, record=None, mask=None):
+    """The fused attention op without its residual add, as one tape node:
+    the oracle whose input plus output `nc.attention` must equal."""
+    xqv, xkvv = xq.values, xkv.values
+    lead, tq, tk, d = xqv.shape[:-2], xqv.shape[-2], xkvv.shape[-2], wq.values.shape[1]
+    q, k, v = xqv @ wq.values, xkvv @ wk.values, xkvv @ wv.values
+    qh, kh, vh = nc._heads(q, heads), nc._heads(k, heads), nc._heads(v, heads)
+    dtype = np.result_type(q, k, v)
+    weights, weights_h = nc._key_major(tk, lead, heads, tq, dtype)
+    np.matmul(kh, np.ascontiguousarray(qh.swapaxes(-1, -2)), out=weights_h)
+    c = dtype.type(1.0 / math.sqrt(d // heads))
+    weights *= c
+    if mask is not None:
+        weights[~mask.transpose((mask.ndim - 1,) + tuple(range(mask.ndim - 1)))] = -np.inf
+    nc._softmax_keys(weights)
+    if record is not None:
+        record.append(np.ascontiguousarray(weights_h.swapaxes(-1, -2)))
+    out = np.empty(lead + (tq, d), dtype)
+    np.matmul(weights_h.swapaxes(-1, -2), vh, out=nc._heads(out, heads))
+
+    def back(g):
+        if wo.requires_grad:
+            wo.take_grad(nc._weight_grad(out, g))
+        g_out = nc._heads(g @ nc._transposed(wo), heads)
+        g_scores, g_scores_h = nc._key_major(tk, lead, heads, tq, dtype)
+        np.matmul(vh, np.ascontiguousarray(g_out.swapaxes(-1, -2)), out=g_scores_h)
+        nc._softmax_keys_grad(weights, g_scores)
+        g_scores *= c
+        g_q = np.empty(lead + (tq, d), dtype)
+        np.matmul(g_scores_h.swapaxes(-1, -2), kh, out=nc._heads(g_q, heads))
+        g_kv = np.empty(lead + (tk, 2 * d), dtype)
+        np.matmul(g_scores_h, qh, out=nc._heads(g_kv[..., :d], heads))
+        np.matmul(weights_h, g_out, out=nc._heads(g_kv[..., d:], heads))
+        if wq.requires_grad:
+            wq.take_grad(nc._weight_grad(xqv, g_q))
+        if xq.requires_grad:
+            xq.take_grad(g_q @ nc._transposed(wq))
+        if wk.requires_grad or wv.requires_grad:
+            g_wkv = nc._weight_grad(xkvv, g_kv)
+            for w, g_w in ((wk, g_wkv[:, :d]), (wv, g_wkv[:, d:])):
+                if w.requires_grad:
+                    w.take_grad(g_w)
+        if xkv.requires_grad:
+            for w, g_x in ((wk, g_kv[..., :d]), (wv, g_kv[..., d:])):
+                xkv.take_grad(g_x @ nc._transposed(w))
+
+    return nc._result(out @ wo.values, (xq, xkv, wq, wk, wv, wo), back)
+
+
+def sublayer_ffn(x, w1, w2):
+    """The fused feed-forward op without its residual add (the oracle)."""
+    h = x.values @ w1.values
+    np.maximum(h, 0, out=h)
+
+    def back(g):
+        if w2.requires_grad:
+            w2.take_grad(nc._weight_grad(h, g))
+        g_h = np.matmul(g, nc._transposed(w2))
+        g_h *= h > 0
+        if w1.requires_grad:
+            w1.take_grad(nc._weight_grad(x.values, g_h))
+        if x.requires_grad:
+            x.take_grad(np.matmul(g_h, nc._transposed(w1)))
+
+    return nc._result(h @ w2.values, (x, w1, w2), back)
+
+
+class TestResidualSubBlocks:
+    """`attention` and `ffn` equal their input plus the sub-layer op, as a
+    separate `add` node used to make them, byte for byte in values, in the
+    recorded weights and in every input and weight gradient."""
+
+    @staticmethod
+    def run(op, arrays, dtype, self_attn=False, **kwargs):
+        leaves = [nc.Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+        ins = [leaves[0]] + leaves if self_attn else leaves
+        out = op(*ins, **kwargs)
+        probe = np.random.default_rng(5).normal(size=out.shape).astype(dtype)
+        nc.backward(nc.sum_(nc.mul(out, nc.constant(probe))))
+        return [out.values.tobytes()] + [x.grad.tobytes() for x in leaves]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["mask", "no_mask", "record", "xq_is_xkv"])
+    def test_attention_equals_input_plus_sublayer(self, dtype, case):
+        rng = np.random.default_rng(71)
+        d, heads = 8, 2
+        arrays = [rng.normal(size=(3, 5, d)), rng.normal(size=(3, 7, d))]
+        arrays += [0.5 * rng.normal(size=(d, d)) for _ in range(4)]
+        mask = None
+        if case == "mask":
+            mask = np.ones((3, 7), dtype=bool)
+            mask[0, 4:] = False
+            mask[2, ::2] = False
+        self_attn = case == "xq_is_xkv"
+        if self_attn:
+            del arrays[1]
+        records = {}
+
+        def op(fn, key):
+            def build(xq, xkv, *w):
+                record = records.setdefault(key, []) if case == "record" else None
+                if fn is nc.attention:
+                    return nc.attention(xq, xkv, *w, heads=heads, record=record, mask=mask)
+                return nc.add(xq, fn(xq, xkv, *w, heads=heads, record=record, mask=mask))
+            return build
+
+        got = self.run(op(nc.attention, "got"), arrays, dtype, self_attn)
+        want = self.run(op(sublayer_attention, "want"), arrays, dtype, self_attn)
+        assert got == want
+        if case == "record":
+            assert records["got"][0].tobytes() == records["want"][0].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ffn_equals_input_plus_sublayer(self, dtype):
+        rng = np.random.default_rng(73)
+        arrays = [rng.normal(size=(3, 5, 8)), 0.5 * rng.normal(size=(8, 6)),
+                  0.5 * rng.normal(size=(6, 8))]
+        got = self.run(nc.ffn, arrays, dtype)
+        want = self.run(lambda x, w1, w2: nc.add(x, sublayer_ffn(x, w1, w2)), arrays, dtype)
+        assert got == want
 
 
 def out_of_place_softmax(x, axis=-1):
@@ -559,7 +681,7 @@ class TestKernels:
         scores = (q @ k.transpose(0, 1, 3, 2)) * np.float32(1.0 / math.sqrt(d // heads))
         weights = out_of_place_softmax(
             np.where(mask[:, None, None, :], scores, np.float32(-np.inf)))
-        want = (weights @ v).transpose(0, 2, 1, 3).reshape(4, tq, d) @ wo
+        want = xq + (weights @ v).transpose(0, 2, 1, 3).reshape(4, tq, d) @ wo
         assert record[0].tobytes() == weights.tobytes()
         assert out.values.tobytes() == want.tobytes()
 
@@ -712,10 +834,16 @@ class TestAdam:
         assert abs(float(x.values) - 4.9) < 1e-4
 
     def test_missing_grad_raises(self):
+        """The error names the parameter, and the step changes nothing."""
         store = nc.ParamStore()
-        store.add("x", t(5.0), "base")
-        with pytest.raises(ContractError):
-            nc.Adam(store).step({"base": 0.1})
+        a = store.add("a", t([1.0, 2.0]), "base")
+        store.add("b", t([3.0]), "imagination_encoder")
+        a.grad = np.ones_like(a.values)
+        opt = nc.Adam(store)
+        with pytest.raises(ContractError, match="missing grad for 'b'"):
+            opt.step({"base": 0.1, "imagination_encoder": 0.1})
+        assert a.values.tolist() == [1.0, 2.0] and not opt.m["a"].any()
+        assert opt.steps == {"base": 0, "imagination_encoder": 0}
 
     def test_five_step_trace_matches_reference(self):
         # independent reference Adam on f(x) = x^2 (grad 2x)
@@ -743,3 +871,101 @@ class TestAdam:
             opt.step({"base": lr})
             got.append(float(x.values))
         assert np.abs(np.array(got) - np.array(ref)).max() < 1e-7
+
+    SHAPES = {"a": ((3, 4), "base"), "b": ((), "base"), "c": ((5,), "imagination_encoder"),
+              "d": ((2, 3), "base"), "e": ((4, 2), "imagination_encoder"),
+              "f": ((6,), "type_embedding")}
+
+    @staticmethod
+    def reference_step(values, m, v, grads, steps, lr_by_group, groups,
+                       beta1=0.9, beta2=0.999, eps=1e-8):
+        """The per-tensor Adam update, one parameter at a time."""
+        live = {g for g, lr in lr_by_group.items() if lr > 0.0}
+        for g in live:
+            steps[g] += 1
+        for name in values:
+            group = groups[name]
+            if group not in live:
+                continue
+            lr, tstep = lr_by_group[group], steps[group]
+            g32 = grads[name].astype(values[name].dtype, copy=False)
+            m[name] *= beta1
+            m[name] += (1.0 - beta1) * g32
+            v[name] *= beta2
+            v[name] += (1.0 - beta2) * (g32 * g32)
+            mhat = m[name] / (1.0 - beta1 ** tstep)
+            vhat = v[name] / (1.0 - beta2 ** tstep)
+            values[name] -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(values[name].dtype)
+
+    def store_and_reference(self, rng):
+        store = nc.ParamStore()
+        for name, (shape, group) in self.SHAPES.items():
+            store.add(name, t(rng.normal(size=shape)), group)
+        groups = {name: group for name, (_, group) in self.SHAPES.items()}
+        ref = dict(values={n: p.values.copy() for n, p in store.items()},
+                   m={n: np.zeros_like(p.values) for n, p in store.items()},
+                   v={n: np.zeros_like(p.values) for n, p in store.items()},
+                   steps=dict.fromkeys(store.groups(), 0), groups=groups)
+        return store, ref
+
+    def assert_equal_bytes(self, store, opt, ref):
+        for name, p in store.items():
+            assert p.values.tobytes() == ref["values"][name].tobytes(), name
+            assert opt.m[name].tobytes() == ref["m"][name].tobytes(), name
+            assert opt.v[name].tobytes() == ref["v"][name].tobytes(), name
+        assert opt.steps == ref["steps"]
+
+    def test_flat_buffers_equal_per_tensor_formula(self):
+        """Several steps with a frozen group, changing learning rates and
+        float64 gradients give the per-tensor formula's bytes."""
+        rng = np.random.default_rng(81)
+        store, ref = self.store_and_reference(rng)
+        opt = nc.Adam(store)
+        schedule = [
+            {"base": 0.01, "imagination_encoder": 0.01, "type_embedding": 0.01},
+            {"base": 0.0, "imagination_encoder": 0.02, "type_embedding": 0.02},
+            {"base": 0.003, "imagination_encoder": 0.0, "type_embedding": 0.02},
+            {"base": 0.05, "imagination_encoder": 0.001, "type_embedding": 0.0},
+            {"base": 0.05, "imagination_encoder": 0.001, "type_embedding": 0.01},
+        ]
+        for i, lrs in enumerate(schedule):
+            grads = {}
+            for name, p in store.items():
+                dtype = np.float64 if (i + len(name)) % 2 else np.float32
+                grads[name] = rng.normal(size=p.values.shape).astype(dtype)
+                p.grad = grads[name].copy()
+            opt.step(lrs)
+            self.reference_step(ref["values"], ref["m"], ref["v"], grads, ref["steps"], lrs,
+                                ref["groups"])
+            self.assert_equal_bytes(store, opt, ref)
+        assert all(p.values.dtype == np.float32 for _, p in store.items())
+
+    def test_in_place_writes_reach_the_flat_buffers(self):
+        """Warm starts and resumes write into params[name].values and
+        opt.m/opt.v in place; the next step reads what they wrote."""
+        rng = np.random.default_rng(83)
+        store, ref = self.store_and_reference(rng)
+        opt = nc.Adam(store)
+        for name, p in store.items():
+            for arrays, held in ((ref["values"], p.values), (ref["m"], opt.m[name]),
+                                 (ref["v"], opt.v[name])):
+                arrays[name][...] = np.abs(rng.normal(size=held.shape))
+                held[...] = arrays[name]
+        opt.steps.update(base=3, imagination_encoder=1)
+        ref["steps"].update(base=3, imagination_encoder=1)
+        lrs = {"base": 0.01, "imagination_encoder": 0.02, "type_embedding": 0.03}
+        grads = {name: rng.normal(size=p.values.shape).astype(np.float32)
+                 for name, p in store.items()}
+        for name, p in store.items():
+            p.grad = grads[name]
+        opt.step(lrs)
+        self.reference_step(ref["values"], ref["m"], ref["v"], grads, ref["steps"], lrs,
+                            ref["groups"])
+        self.assert_equal_bytes(store, opt, ref)
+
+    def test_group_with_mixed_dtypes_rejected(self):
+        store = nc.ParamStore()
+        store.add("a", t([1.0]), "base")
+        store.add("b", nc.Tensor(np.ones(2)), "base")
+        with pytest.raises(ContractError, match="'base'"):
+            nc.Adam(store)

@@ -155,14 +155,14 @@ class TestObservation:
         w = wd.generate_world(cfg, seed=2)
         rng = np.random.default_rng(0)
         for node, entries in w.placements.items():
-            pano = wd.observation_at(w, node, rng)
+            pano = wd.observation_at(w, [node], rng)[0]
             for cid, view in entries:
                 assert np.array_equal(pano[view], library.by_id(cid).prototype)
 
     def test_zero_noise_background(self, library):
         cfg = wd.WorldConfig(library=library, layout="forks", sigma_obs=0.0)
         w = wd.generate_world(cfg, seed=2)
-        pano = wd.observation_at(w, 0, np.random.default_rng(0))
+        pano = wd.observation_at(w, [0], np.random.default_rng(0))[0]
         placed = {v for _, v in w.placements.get(0, ())}
         edgev = set(w.view_map[0])
         for v in range(w.k_views):
@@ -174,7 +174,7 @@ class TestObservation:
         w = wd.generate_world(cfg, seed=2)
         rng = np.random.default_rng(42)
         base = w.base_panorama(0)
-        draws = np.stack([wd.observation_at(w, 0, rng) - base for _ in range(1000)])
+        draws = np.stack([wd.observation_at(w, [0], rng)[0] - base for _ in range(1000)])
         var = draws.reshape(-1).var()
         assert abs(var - 0.01) < 0.001
 
@@ -183,7 +183,8 @@ class TestObservation:
         w = wd.generate_world(cfg, seed=4)
         rng = np.random.default_rng(5)
         base = w.base_panorama(2)
-        noise = np.concatenate([(wd.observation_at(w, 2, rng) - base).ravel() for _ in range(200)])
+        noise = np.concatenate([(wd.observation_at(w, [2], rng)[0] - base).ravel()
+                                for _ in range(200)])
         frac = float((np.abs(noise) <= 3 * 0.05).mean())
         assert abs(frac - 0.997) < 0.004
 
@@ -194,10 +195,24 @@ class TestObservation:
             w = wd.generate_world(cfg, seed=seed)
             rng = np.random.default_rng(0)
             for node, entries in w.placements.items():
-                pano = wd.observation_at(w, node, rng)
+                pano = wd.observation_at(w, [node], rng)[0]
                 for cid, view in entries:
                     sims = protos @ pano[view]
                     assert int(np.argmax(sims)) == cid
+
+    @pytest.mark.parametrize("sigma", [0.12, 0.0])
+    def test_path_draw_equals_per_node_draws(self, library, sigma):
+        """One call over a teacher path draws what one call per node does,
+        and leaves the generator in the same state."""
+        cfg = wd.WorldConfig(library=library, layout="forks", sigma_obs=sigma)
+        path = wd.sample_episode(wd.generate_world(cfg, seed=3)).teacher_path
+        world = wd.generate_world(cfg, seed=3)
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        got = wd.observation_at(world, path, rng)
+        want = np.concatenate([wd.observation_at(world, [node], ref) for node in path])
+        assert got.shape == (len(path), world.k_views, library.d_v) and got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestShortestPath:
