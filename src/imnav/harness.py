@@ -39,7 +39,7 @@ from . import serial
 from . import training as tr
 from . import world as wd
 from .dataset import DATA_DIR  # noqa: F401  (re-exported for perfbench/)
-from .errors import ConfigurationError, FormatError, ImnavError, IndexRangeError
+from .errors import ConfigurationError, FormatError, ImnavError, IndexRangeError, InputError
 
 TRAIN_CONDITIONS = {
     # condition -> (aux_loss, agent-config overrides)
@@ -72,8 +72,13 @@ class ExperimentSpec:
     train: tr.TrainConfig = tr.TrainConfig()
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ConfigurationError("experiment needs at least one seed")
+        for name in ("seeds", "conditions"):
+            values = getattr(self, name)
+            if not values:
+                raise ConfigurationError(f"experiment lists no {name}")
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigurationError(f"experiment lists {name} {repeated} more than once")
         wd.check_mode(self.mode, "world.mode")
         if self.base_iterations < 0:
             raise ConfigurationError(f"base_iterations must be >= 0, got {self.base_iterations}")
@@ -420,10 +425,15 @@ def run_ablation(spec, out_dir, quiet=False, workers=1):
 
 def summarize(rows):
     """Group (MetricsRecord, condition) rows by (split, condition): mean and
-    sample stdev over seeds."""
+    sample stdev over seeds. Two rows of one (split, condition, seed) raise
+    InputError, since each seed counts once."""
     groups = {}
     for rec, cond in rows:
-        groups.setdefault((rec.split, cond), []).append(rec)
+        members = groups.setdefault((rec.split, cond), [])
+        if any(m.seed == rec.seed for m in members):
+            raise InputError(f"two metrics rows for split {rec.split}, condition {cond}, "
+                             f"seed {rec.seed}")
+        members.append(rec)
     out = {}
     for key, members in sorted(groups.items()):
         srs = [m.sr for m in members]

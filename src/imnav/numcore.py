@@ -2,18 +2,21 @@
 
 Values are float32 by default (float64 is supported and propagates, which is
 what the gradient-check tests use). Reductions accumulate in float64 and cast
-back to the input dtype. A tape is just the implicit graph of Tensor parents;
-`backward` walks it in reverse topological order.
+back to the input dtype, with one exception: the softmax key sums of
+`softmax` and `attention` run in the values' dtype. Each adds at most about
+40 non-negative terms, so in float32 it is within tk * 2^-24 (2.4e-6 at 40
+keys) relative of the exact sum, and a float64 cast cost about 5x the sum.
+A tape is just the implicit graph of Tensor parents; `backward` walks it in
+reverse topological order.
 
 `attention` and `ffn` are fused residual sub-blocks: each records one tape
 node for a whole transformer sub-block, residual add included, and computes
 the values of its input plus the equivalent chain of single ops. Each adds
-its input into its own fresh output buffer, and its backward first hands
-that residual gradient to the input through `accumulate_grad`, in the order
-a separate `add` node's backward used to. Both, like `matmul` against a 2D
-weight, accept leading batch axes, so the steps of every teacher-forced
-episode of a batch run as one pass; `attention`'s key mask keeps the
-padding of shorter episodes out.
+its input into its own fresh output buffer, and its backward adds the
+residual gradient in place into the input gradient it computes. Both, like
+`matmul` against a 2D weight, accept leading batch axes, so the steps of
+every teacher-forced episode of a batch run as one pass; `attention`'s key
+mask keeps the padding of shorter episodes out.
 
 `Adam` keeps each parameter group's values and moments in one flat buffer,
 whose views the parameters and moment dicts hold, and updates a group in
@@ -24,16 +27,22 @@ transposed view on a slow path but by a contiguous copy through BLAS, so
 every input gradient against a 2D weight multiplies by `_transposed(w)`,
 and `attention` copies q^T and g_out^T before multiplying by them. Its
 softmax works key-major, in one (tk, ..., heads, tq) buffer per pass, so
-the scale, the -inf of a masked key, max subtraction, exp and float64 key
-sum each run over contiguous rows as long as all queries of all heads, and
+the scale, the -inf of a masked key, max subtraction, exp and key sum
+each run over contiguous rows as long as all queries of all heads, and
 every batched product reads or writes a (..., heads, tk, tq) view of that
 buffer which BLAS takes as it is. Per-head operands are (..., heads, t, dh)
 views of (..., t, d) rows (`_heads`), so the products write `o` and the
-gradients of q, k and v by `out=` straight into their row layout. The weights are
-bit-identical to the row-wise out-of-place formula. A backward hands each
-gradient it has just computed to `Tensor.take_grad`, which keeps a first
-one uncopied; views and arrays shared with other tensors go through
-`accumulate_grad`.
+gradients of q, k and v by `out=` straight into their row layout. The
+weights are bit-identical to the row-wise out-of-place formula whose key
+sum adds the keys in order.
+
+Gradient ownership rule: `backward` releases each interior node's gradient
+as that node's backward takes it, so every backward owns the `g` it
+receives, and only leaves keep their gradients. A backward hands `g`, views
+of it or arrays it has just computed to `Tensor.take_grad`, which keeps a
+first one uncopied, so no two tensors may be handed overlapping memory:
+`add` copies `g` only for its second operand when both need it, and
+`concat`, `reshape` and `transpose` pass disjoint views of `g`.
 
 Op-result rule: an op hands `_result` the values it has just computed, and
 `_result` wraps them as they are, without `Tensor.__init__`'s checks. Ops
@@ -103,20 +112,16 @@ class Tensor:
     def item(self):
         return float(self.values)
 
-    def accumulate_grad(self, g):
-        if self.grad is None:
-            self.grad = np.array(g, dtype=self.values.dtype, copy=True)
-        else:
-            self.grad += g
-
     def take_grad(self, g):
-        """accumulate_grad for a gradient the caller has just computed and
-        hands over: nothing else may hold g, and a first one of the values'
-        dtype is kept as it is, uncopied."""
-        if self.grad is None and g.dtype == self.values.dtype:
+        """Add g, which the caller hands over, to this tensor's gradient:
+        nothing else may hold g, so a first one of the values' dtype becomes
+        the gradient uncopied, and a later one is added into it in place."""
+        if self.grad is not None:
+            self.grad += g
+        elif type(g) is np.ndarray and g.dtype == self.values.dtype:
             self.grad = g
         else:
-            self.accumulate_grad(g)
+            self.grad = np.array(g, dtype=self.values.dtype)
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, grad={self.requires_grad})"
@@ -143,8 +148,11 @@ def _result(values, parents, backward_fn):
 def backward(loss):
     """Populate grads of all requires_grad leaves reachable from `loss`.
 
-    Repeated calls without a grad reset accumulate, matching the optimizer
-    contract. `loss` must be a scalar produced by recorded ops.
+    Each interior node's gradient is released (set to None) as its backward
+    takes it, so that backward owns the array and may hand it, or views of
+    it, to its inputs uncopied; only leaves keep their gradients. Repeated
+    calls without a grad reset accumulate into the leaves, matching the
+    optimizer contract. `loss` must be a scalar produced by recorded ops.
     """
     if loss.values.ndim != 0 and loss.values.size != 1:
         raise ContractError(f"backward expects a scalar, got shape {loss.values.shape}")
@@ -163,10 +171,11 @@ def backward(loss):
         for p in node._parents:
             if id(p) not in visited:
                 stack.append((p, False))
-    loss.accumulate_grad(np.ones_like(loss.values))
+    loss.take_grad(np.ones_like(loss.values))
     for node in reversed(topo):
         if node._backward is not None:
-            node._backward(node.grad)
+            g, node.grad = node.grad, None
+            node._backward(g)
 
 
 # ---------------------------------------------------------------------------
@@ -216,19 +225,19 @@ def add(a, b):
 
         def back(g):
             if a.requires_grad:
-                a.accumulate_grad(g)
+                a.take_grad(g)
             if b.requires_grad:
-                b.accumulate_grad(g)
+                b.take_grad(g.copy() if a.requires_grad else g)
 
     elif bv.ndim < av.ndim and av.shape[av.ndim - bv.ndim:] == bv.shape:
         vals = av + bv
 
         def back(g):
             if a.requires_grad:
-                a.accumulate_grad(g)
+                a.take_grad(g)
             if b.requires_grad:
                 lead = tuple(range(av.ndim - bv.ndim))
-                b.accumulate_grad(g.sum(axis=lead, dtype=np.float64).astype(bv.dtype))
+                b.take_grad(g.sum(axis=lead, dtype=np.float64).astype(bv.dtype))
 
     else:
         raise ShapeError(f"add shapes incompatible: {av.shape} + {bv.shape}")
@@ -254,12 +263,12 @@ def mul(a, b):
             ga = g * bv
             if ga.shape != av.shape:
                 ga = _reduce_to(ga, av.shape, av.dtype)
-            a.accumulate_grad(ga)
+            a.take_grad(ga)
         if b.requires_grad:
             gb = g * av
             if gb.shape != bv.shape:
                 gb = _reduce_to(gb, bv.shape, bv.dtype)
-            b.accumulate_grad(gb)
+            b.take_grad(gb)
 
     return _result(vals, (a, b), back)
 
@@ -279,7 +288,7 @@ def scale(a, c):
 
     def back(g):
         if a.requires_grad:
-            a.accumulate_grad(g * np.asarray(c, dtype=a.values.dtype))
+            a.take_grad(g * np.asarray(c, dtype=a.values.dtype))
 
     return _result(vals, (a,), back)
 
@@ -289,7 +298,7 @@ def relu(a):
 
     def back(g):
         if a.requires_grad:
-            a.accumulate_grad(g * (a.values > 0))
+            a.take_grad(g * (a.values > 0))
 
     return _result(vals, (a,), back)
 
@@ -299,7 +308,7 @@ def sigmoid(a):
 
     def back(g):
         if a.requires_grad:
-            a.accumulate_grad(g * vals * (1.0 - vals))
+            a.take_grad(g * vals * (1.0 - vals))
 
     return _result(vals, (a,), back)
 
@@ -309,7 +318,7 @@ def tanh(a):
 
     def back(g):
         if a.requires_grad:
-            a.accumulate_grad(g * (1.0 - vals * vals))
+            a.take_grad(g * (1.0 - vals * vals))
 
     return _result(vals, (a,), back)
 
@@ -317,17 +326,22 @@ def tanh(a):
 def _softmax_keys(s):
     """Stabilized softmax over axis 0, the keys, computed in s's own buffer,
     which the caller owns: subtract the max over keys, exp, divide by the
-    float64-accumulated key sum. -inf entries get weight exactly 0."""
+    key sum. -inf entries get weight exactly 0. The sum of the tk
+    non-negative exps runs in s's dtype, not float64: in float32 it is
+    within tk * 2^-24 relative of the exact sum, so each weight is within
+    (tk + 2) * 2^-24 relative of the float64-sum weight (two more roundings,
+    one per quotient)."""
     s -= s.max(axis=0)
     np.exp(s, out=s)
-    s /= s.sum(axis=0, dtype=np.float64).astype(s.dtype)
+    s /= s.sum(axis=0)
     return s
 
 
 def _softmax_keys_grad(w, g):
     """The input gradient w * (g - sum over keys of g * w) of key-major
-    weights w, computed in g's own buffer, which the caller owns."""
-    g -= (g * w).sum(axis=0, dtype=np.float64).astype(w.dtype)
+    weights w, computed in g's own buffer, which the caller owns; the key
+    sum runs in g's dtype, as in `_softmax_keys`."""
+    g -= (g * w).sum(axis=0)
     g *= w
     return g
 
@@ -369,7 +383,7 @@ def dropout(a, mask):
 
     def back(g):
         if a.requires_grad:
-            a.accumulate_grad(g * mask)
+            a.take_grad(g * mask)
 
     return _result(vals, (a,), back)
 
@@ -387,7 +401,7 @@ def concat(tensors, axis=0):
             end = start + t.values.shape[axis]
             if t.requires_grad:
                 idx[axis] = slice(start, end)
-                t.accumulate_grad(g[tuple(idx)])
+                t.take_grad(g[tuple(idx)])
             start = end
 
     return _result(vals, tuple(tensors), back)
@@ -402,9 +416,9 @@ def mean(a, axis=None):
     def back(g):
         if a.requires_grad:
             if axis is None:
-                a.accumulate_grad(np.full_like(a.values, g / n))
+                a.take_grad(np.full_like(a.values, g / n))
             else:
-                a.accumulate_grad(np.repeat(np.expand_dims(g, axis) / n, a.values.shape[axis], axis=axis))
+                a.take_grad(np.repeat(np.expand_dims(g, axis) / n, a.values.shape[axis], axis=axis))
 
     return _result(vals, (a,), back)
 
@@ -426,7 +440,7 @@ def segment_mean(a, counts):
     def back(g):
         if a.requires_grad:
             sizes = np.maximum(counts, 1).astype(g.dtype).reshape((-1,) + (1,) * (g.ndim - 1))
-            a.accumulate_grad(np.repeat(g / sizes, counts, axis=0))
+            a.take_grad(np.repeat(g / sizes, counts, axis=0))
 
     return _result(vals, (a,), back)
 
@@ -437,9 +451,9 @@ def sum_(a, axis=None):
     def back(g):
         if a.requires_grad:
             if axis is None:
-                a.accumulate_grad(np.full_like(a.values, g))
+                a.take_grad(np.full_like(a.values, g))
             else:
-                a.accumulate_grad(np.repeat(np.expand_dims(g, axis), a.values.shape[axis], axis=axis))
+                a.take_grad(np.repeat(np.expand_dims(g, axis), a.values.shape[axis], axis=axis))
 
     return _result(vals, (a,), back)
 
@@ -451,7 +465,7 @@ def l2_norm(a):
     def back(g):
         if a.requires_grad:
             denom = max(float(nrm), 1e-30)
-            a.accumulate_grad(g * (a.values / np.asarray(denom, dtype=a.values.dtype)))
+            a.take_grad(g * (a.values / np.asarray(denom, dtype=a.values.dtype)))
 
     return _result(nrm, (a,), back)
 
@@ -480,10 +494,10 @@ def cosine_similarity(a, b, eps=1e-8):
         g_c = g64 * c
         if a.requires_grad:
             ga = np.matmul(g_dot, bv) - (g_c.sum(axis=1) / (na * na))[:, None] * av
-            a.accumulate_grad(ga.reshape(a.values.shape).astype(a.values.dtype))
+            a.take_grad(ga.reshape(a.values.shape).astype(a.values.dtype))
         if b.requires_grad:
             gb = np.matmul(g_dot.T, av) - (g_c.sum(axis=0) / (nb * nb))[:, None] * bv
-            b.accumulate_grad(gb.reshape(b.values.shape).astype(b.values.dtype))
+            b.take_grad(gb.reshape(b.values.shape).astype(b.values.dtype))
 
     return _result(vals, (a, b), back)
 
@@ -510,7 +524,7 @@ def cross_entropy(logits, target):
         if logits.requires_grad:
             gl = probs.copy()
             gl[pick] -= 1.0
-            logits.accumulate_grad((np.asarray(g, dtype=np.float64)[..., None] * gl)
+            logits.take_grad((np.asarray(g, dtype=np.float64)[..., None] * gl)
                                    .astype(x.dtype))
 
     return _result(vals, (logits,), back)
@@ -532,10 +546,7 @@ def take_rows(a, indices, axis=0):
                 acc[sel] += g           # 0 + g per entry, exactly as np.add.at
             else:
                 np.add.at(acc, sel, g)
-            if a.grad is None:
-                a.grad = acc
-            else:
-                a.grad += acc
+            a.take_grad(acc)
 
     return _result(vals, (a,), back)
 
@@ -551,7 +562,7 @@ def repeat(a, counts):
 
     def back(g):
         if a.requires_grad:
-            a.accumulate_grad(np.add.reduceat(g, starts, axis=0, dtype=np.float64)
+            a.take_grad(np.add.reduceat(g, starts, axis=0, dtype=np.float64)
                               .astype(a.values.dtype))
 
     return _result(vals, (a,), back)
@@ -562,7 +573,7 @@ def reshape(a, shape):
 
     def back(g):
         if a.requires_grad:
-            a.accumulate_grad(g.reshape(a.values.shape))
+            a.take_grad(g.reshape(a.values.shape))
 
     return _result(vals, (a,), back)
 
@@ -572,7 +583,7 @@ def transpose(a, axes):
 
     def back(g):
         if a.requires_grad:
-            a.accumulate_grad(g.transpose(np.argsort(axes)))
+            a.take_grad(g.transpose(np.argsort(axes)))
 
     return _result(vals, (a,), back)
 
@@ -634,8 +645,6 @@ def attention(xq, xkv, wq, wk, wv, wo, heads, record=None, mask=None):
     vals += xqv
 
     def back(g):
-        if xq.requires_grad:
-            xq.accumulate_grad(g)   # the residual; copied, since g is read below
         if wo.requires_grad:
             wo.take_grad(_weight_grad(out, g))
         g_out = _heads(g @ _transposed(wo), heads)
@@ -652,15 +661,16 @@ def attention(xq, xkv, wq, wk, wv, wo, heads, record=None, mask=None):
         if wq.requires_grad:
             wq.take_grad(_weight_grad(xqv, g_q))
         if xq.requires_grad:
-            xq.take_grad(g_q @ _transposed(wq))
+            g_xq = g_q @ _transposed(wq)
+            g_xq += g               # the residual
+            xq.take_grad(g_xq)
         if wk.requires_grad or wv.requires_grad:
             g_wkv = _weight_grad(xkvv, g_kv)
             for w, g_w in ((wk, g_wkv[:, :d]), (wv, g_wkv[:, d:])):
                 if w.requires_grad:
                     w.take_grad(g_w)
         if xkv.requires_grad:
-            for w, g_x in ((wk, g_kv[..., :d]), (wv, g_kv[..., d:])):
-                xkv.take_grad(g_x @ _transposed(w))
+            xkv.take_grad(g_kv @ np.concatenate((_transposed(wk), _transposed(wv))))
 
     return _result(vals, (xq, xkv, wq, wk, wv, wo), back)
 
@@ -674,8 +684,6 @@ def ffn(x, w1, w2):
     vals += x.values
 
     def back(g):
-        if x.requires_grad:
-            x.accumulate_grad(g)    # the residual; copied, since g is read below
         if w2.requires_grad:
             w2.take_grad(_weight_grad(h, g))
         if w1.requires_grad or x.requires_grad:
@@ -684,7 +692,9 @@ def ffn(x, w1, w2):
             if w1.requires_grad:
                 w1.take_grad(_weight_grad(x.values, g_h))
             if x.requires_grad:
-                x.take_grad(np.matmul(g_h, _transposed(w1)))
+                g_x = np.matmul(g_h, _transposed(w1))
+                g_x += g            # the residual
+                x.take_grad(g_x)
 
     return _result(vals, (x, w1, w2), back)
 

@@ -1,9 +1,15 @@
-"""Runs the benchmark's own self-test (perfbench/selftest.py).
+"""The benchmark's own self-test (perfbench/selftest.py), and its reference
+passes at full size.
 
-It fails when a change breaks what the benchmark relies on: the functions its
-tracer wraps, one `agent.rollout` call per episode, one
+The self-test fails when a change breaks what the benchmark relies on: the
+functions its tracer wraps, one `agent.rollout` call per episode, one
 `training.three_stage_schedule` call per iteration, and the checks that each
 run makes. Takes about 20 seconds on a 2-core x86-64 box.
+
+The reference test runs each workload's seed-101 pass at full size and
+compares it with perfbench/data/reference.json within the benchmark's own
+tolerances, so a float-level change that drifts out of them fails here.
+Takes a few seconds.
 """
 
 import subprocess
@@ -12,8 +18,35 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# run from perfbench/, with one BLAS thread as every benchmark run has
+REFERENCE_PASSES = """
+import machine  # noqa: F401  (pins BLAS threads before numpy loads)
+
+import json
+
+import desk
+import workloads as wl
+
+plan = wl.Plan(spec=desk.read_spec())
+want = json.loads((wl.DATA_DIR / "reference.json").read_text(encoding="utf-8"))
+sizes = (want["ref_seed"], want["base_iterations"], want["finetune_iterations"])
+assert sizes == (plan.ref_seed, plan.base_iterations, plan.finetune_iterations), sizes
+got = wl.record_reference(plan)
+for name in wl.WORKLOADS:
+    ok = wl.reference_ok(name, got[name], want[name])
+    print(name, "matches" if ok else "DIFFERS", json.dumps(got[name]) if not ok else "")
+    assert ok, name
+"""
+
 
 def test_perfbench_selftest_passes():
     proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")], cwd=ROOT,
                           capture_output=True, text=True, timeout=900)
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+
+
+def test_reference_passes_match_recorded_reference():
+    proc = subprocess.run([sys.executable, "-c", REFERENCE_PASSES], cwd=ROOT / "perfbench",
+                          capture_output=True, text=True, timeout=900)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert proc.stdout.count("matches") == 3, proc.stdout

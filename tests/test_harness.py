@@ -12,7 +12,7 @@ from imnav import harness
 from imnav import imagination as im
 from imnav import training as tr
 from imnav import world as wd
-from imnav.errors import ConfigurationError
+from imnav.errors import ConfigurationError, InputError
 
 ROOT = Path(__file__).resolve().parent.parent
 SMALL_AGENT = "d = 32\nheads = 2\ncross_layers = 1\n"
@@ -297,6 +297,24 @@ class TestReportArithmetic:
         summary = harness.summarize(rows)
         assert sum(s["n_rows"] for s in summary.values()) == len(rows)
 
+    def test_two_rows_of_one_seed_are_rejected(self, tmp_path, capsys):
+        """Seed 1 twice would count as two runs: a mean SR of 0.433, where the
+        two seeds' mean is 0.4. So summarize, and report over overlapping
+        metrics files, fail instead."""
+        rows = [metrics_row("val_unseen", "imagine", 0.5, seed=1),
+                metrics_row("val_unseen", "imagine", 0.5, seed=1),
+                metrics_row("val_unseen", "imagine", 0.3, seed=2)]
+        with pytest.raises(InputError, match="seed 1"):
+            harness.summarize(rows)
+        two_seeds = harness.summarize(rows[1:])[("val_unseen", "imagine")]
+        assert abs(two_seeds["sr_mean"] - 0.4) < 1e-12
+        paths = [tmp_path / "m1.tsv", tmp_path / "m2.tsv"]
+        ev.write_metrics(paths[0], rows[:1])
+        ev.write_metrics(paths[1], rows[1:])
+        assert run_cli(["report", *paths, "--out", tmp_path / "r.tsv"]) == 1
+        assert "seed 1" in capsys.readouterr().err
+        assert not (tmp_path / "r.tsv").exists()
+
     def test_summary_of_read_rows_equals_summary_of_written_rows(self, tmp_path):
         # rates exact at 2 decimals, so the file loses nothing
         rows = [metrics_row(split, cond, sr, spl=spl, ne=ne, seed=seed)
@@ -395,6 +413,26 @@ class TestExperimentSpec:
     def test_test_conditions_pull_in_imagine_and_baseline(self, tmp_path):
         spec = harness.read_experiment_spec(write_spec(tmp_path, conditions="wrong_test"))
         assert "imagine" in spec.conditions and "baseline" in spec.conditions
+
+    @pytest.mark.parametrize("fields, named", [
+        ({"seeds": (101, 101)}, r"seeds \[101\]"),
+        ({"seeds": (101, 102, 101, 102)}, r"seeds \[101, 102\]"),
+        ({"conditions": ("imagine", "imagine")}, r"conditions \['imagine'\]"),
+        ({"conditions": ("baseline", "wrong_test", "baseline")}, r"conditions \['baseline'\]"),
+        ({"conditions": ()}, "no conditions"),
+    ])
+    def test_duplicate_or_empty_entries_rejected(self, fields, named):
+        with pytest.raises(ConfigurationError, match=named):
+            harness.ExperimentSpec(**fields)
+
+    def test_empty_conditions_fail_before_training(self, tmp_path, capsys):
+        """An empty conditions list would train a baseline per seed, evaluate
+        nothing and exit 0."""
+        path = write_spec(tmp_path, conditions="")
+        out_dir = tmp_path / "out"
+        assert run_cli(["ablate", "--spec", path, "--out-dir", out_dir, "--quiet"]) == 1
+        assert "no conditions" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_unknown_condition_rejected(self, tmp_path):
         path = write_spec(tmp_path, conditions="bogus")

@@ -530,8 +530,8 @@ def sublayer_attention(xq, xkv, wq, wk, wv, wo, heads, record=None, mask=None):
                 if w.requires_grad:
                     w.take_grad(g_w)
         if xkv.requires_grad:
-            for w, g_x in ((wk, g_kv[..., :d]), (wv, g_kv[..., d:])):
-                xkv.take_grad(g_x @ nc._transposed(w))
+            # [g_k | g_v] @ [wk^T; wv^T]: one product for both input gradients
+            xkv.take_grad(g_kv @ np.concatenate((nc._transposed(wk), nc._transposed(wv))))
 
     return nc._result(out @ wo.values, (xq, xkv, wq, wk, wv, wo), back)
 
@@ -610,9 +610,14 @@ class TestResidualSubBlocks:
 
 
 def out_of_place_softmax(x, axis=-1):
-    """The softmax formula as written before it worked in place."""
+    """The softmax formula as written before it worked in place, with the
+    kernels' key sum: the keys added one after another in x's dtype."""
     e = np.exp(x - np.max(x, axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True, dtype=np.float64).astype(x.dtype)
+    keys = np.moveaxis(e, axis, 0)
+    total = keys[0].copy()
+    for row in keys[1:]:
+        total += row
+    return e / np.expand_dims(total, axis)
 
 
 class TestKernels:
@@ -636,8 +641,8 @@ class TestKernels:
     def test_key_major_weights_equal_row_major_softmax_bitwise(self, batch, tq, tk):
         """The cross-modal shapes of a desk iteration (48 steps), with the
         batch grown to over 10^5 (step, head, query) rows: the key-major
-        softmax, whose float64 key sum adds in another order than numpy's
-        pairwise row sum, gives the row-major weights bit for bit."""
+        softmax, whose key sum runs down contiguous key rows, gives the
+        row-major weights of the in-order key sum bit for bit."""
         rng = np.random.default_rng(61)
         d, heads = 64, 4
         mask = np.ones((batch, tk), dtype=bool)
@@ -684,6 +689,43 @@ class TestKernels:
         want = xq + (weights @ v).transpose(0, 2, 1, 3).reshape(4, tq, d) @ wo
         assert record[0].tobytes() == weights.tobytes()
         assert out.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tq, tk", [(22, 35), (13, 22)])
+    def test_float32_key_sums_stay_within_their_bound(self, tq, tk):
+        """At the cross-modal shapes of a desk iteration (48 steps, padded
+        keys), the weights of the float32 key sum are within (tk + 2) * 2^-24
+        relative of the float64-sum formula's: tk * 2^-24 for the sum of tk
+        non-negative terms, plus one rounding per quotient. Every row of
+        kept keys sums to 1 within 1e-6."""
+        rng = np.random.default_rng(67)
+        batch, d, heads = 48, 64, 4
+        mask = np.ones((batch, tk), dtype=bool)
+        for b, n in enumerate(rng.integers(1, tk + 1, size=batch)):
+            mask[b, n:] = False                        # padded keys
+        mask[::5, 0] = False                           # and a masked first key
+        mask[::5, -1] = True
+        xq = rng.normal(size=(batch, tq, d)).astype(np.float32)
+        xkv = rng.normal(size=(batch, tk, d)).astype(np.float32)
+        # scores of about unit scale, so that many keys share the weight
+        wq, wk = [(0.1 * rng.normal(size=(d, d))).astype(np.float32) for _ in range(2)]
+        record = []
+        nc.attention(t(xq), t(xkv), t(wq), t(wk), t(wk), t(wk), heads=heads,
+                     record=record, mask=mask)
+
+        def split(x):
+            return x.reshape(x.shape[:2] + (heads, d // heads)).transpose(0, 2, 1, 3)
+
+        q, k = split(xq @ wq), split(xkv @ wk)
+        scores = (q @ k.transpose(0, 1, 3, 2)) * np.float32(1.0 / math.sqrt(d // heads))
+        scores = np.where(mask[:, None, None, :], scores, np.float32(-np.inf))
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+        got = record[0]
+        assert np.median(mask.sum(axis=1)) > tk / 3
+        assert np.all(got[~np.broadcast_to(mask[:, None, None, :], got.shape)] == 0.0)
+        err = np.abs(got.astype(np.float64) - want) / np.where(want > 0, want, 1.0)
+        assert err.max() <= (tk + 2) * 2.0 ** -24
+        assert np.abs(got.sum(axis=-1, dtype=np.float64) - 1.0).max() <= 1e-6
 
     def test_masked_attention_keeps_negative_zero_scores_bitwise(self):
         """Query 0 scores 2^-75 * -2^-74 = -2^-149 against every key of head 0,
@@ -739,8 +781,9 @@ class TestKernels:
     def test_taken_gradients_sum_and_stay_unshared(self, monkeypatch):
         """take_grad keeps a first gradient uncopied and changes nothing else:
         a tensor read twice by matmul, and one read by attention as queries
-        and keys, get the gradients that copying each first one gives, bit
-        for bit, and no tensor's grad shares memory with another's."""
+        and keys, get the gradients that copying each handed-over one gives,
+        bit for bit. backward releases every interior gradient, and no
+        leaf's grad shares memory with another's."""
         rng = np.random.default_rng(63)
         d = 8
         arrays = ([rng.normal(size=(3, 5, d))]
@@ -749,26 +792,19 @@ class TestKernels:
         probe = t(rng.normal(size=(3, 5, d)))
 
         def run():
-            x, m1, m2, wq, wk, wv, wo, f1, f2 = [t(a, grad=True) for a in arrays]
+            leaves = [t(a, grad=True) for a in arrays]
+            x, m1, m2, wq, wk, wv, wo, f1, f2 = leaves
             h = nc.matmul(x, m1)
             a = nc.add(nc.attention(h, h, wq, wk, wv, wo, heads=2), nc.matmul(x, m2))
             loss = nc.sum_(nc.mul(nc.ffn(a, f1, f2), probe))
             nc.backward(loss)
-            seen, stack = {}, [loss]
-            while stack:
-                node = stack.pop()
-                if id(node) not in seen:
-                    seen[id(node)] = node
-                    stack.extend(node._parents)
-            return [x, h, m1, m2, wq, wk, wv, wo, f1, f2], list(seen.values())
+            return leaves, tape_nodes(loss)
 
         ours, nodes = run()
-        grads = [n.grad for n in nodes if n.requires_grad]
-        assert len(grads) == 16 and all(g is not None for g in grads)
-        for i, a in enumerate(grads):
-            for b in grads[i + 1:]:
-                assert not np.shares_memory(a, b)
-        monkeypatch.setattr(nc.Tensor, "take_grad", nc.Tensor.accumulate_grad)
+        interior = [n for n in nodes if n._backward is not None]
+        assert len(interior) == 7 and all(n.grad is None for n in interior)
+        assert_unshared([x.grad for x in ours])
+        copy_every_gradient(monkeypatch)
         copied, _ = run()
         for a, b in zip(ours, copied):
             assert a.grad.tobytes() == b.grad.tobytes()
@@ -798,6 +834,78 @@ class TestKernels:
                     parts.append(acc)
                 want = parts[0] if gathers == 1 else parts[0] + parts[1]
                 assert xt.grad.tobytes() == want.tobytes(), (indices, axis, gathers)
+
+
+def tape_nodes(loss):
+    """Every tensor reachable from `loss` through recorded parents."""
+    seen, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def assert_unshared(grads):
+    assert all(g is not None for g in grads)
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+def copy_every_gradient(monkeypatch):
+    """Make take_grad copy every gradient it is handed, as before gradients
+    were handed over uncopied."""
+    take = nc.Tensor.take_grad
+    monkeypatch.setattr(nc.Tensor, "take_grad", lambda self, g: take(self, np.array(g)))
+
+
+class TestGradientOwnership:
+    """After backward every interior gradient is released, no two leaf
+    gradients share memory, and each leaf gradient equals, bit for bit, the
+    one a run that copies every handed-over gradient gives: a backward that
+    hands g or views of it on uncopied never writes where another tensor
+    reads."""
+
+    CASES = {
+        # both operands of an add need g: the first gets g, the second a copy
+        "add_same_tensor": lambda x, w: nc.add(nc.add(x, x),
+                                               nc.matmul(nc.add(nc.tanh(x), nc.tanh(x)), w)),
+        "add_interior_twice": lambda x, w: nc.add(*[nc.matmul(x, w)] * 2),
+        # disjoint views of g, two of them into one tensor
+        "concat_same_tensor": lambda x, w: nc.matmul(nc.concat([x, nc.relu(x), x], axis=1), w),
+        "concat_interior_twice": lambda x, w: nc.concat([nc.matmul(x, w)] * 2, axis=0),
+        # a leaf adopts a transposed view of g, then more is added into it
+        "reshape_transpose_chain": lambda x, w: nc.add(nc.add(nc.reshape(nc.transpose(
+            nc.reshape(nc.transpose(x, (2, 0, 1)), (4, 15)), (1, 0)), (3, 5, 4)), x),
+            nc.matmul(x, w)),
+        # xq is xkv: the residual and the q and k/v input gradients add up
+        "self_attention": lambda x, w: nc.attention(*[nc.matmul(x, w)] * 2, w, w, w, w, heads=2),
+        "self_attention_leaf": lambda x, w: nc.ffn(nc.attention(x, x, w, w, w, w, heads=2),
+                                                   w, w),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_interior_released_leaves_unshared_and_bitwise(self, case, monkeypatch):
+        rng = np.random.default_rng(73)
+        arrays = [rng.normal(size=(3, 5, 4)), 0.5 * rng.normal(size=(4, 4))]
+
+        def run():
+            x, w = [t(a, grad=True) for a in arrays]
+            out = self.CASES[case](x, w)
+            probe = np.random.default_rng(5).normal(size=out.shape).astype(np.float32)
+            loss = nc.sum_(nc.mul(out, nc.constant(probe)))
+            nc.backward(loss)
+            return [x, w], tape_nodes(loss)
+
+        ours, nodes = run()
+        assert all(n.grad is None for n in nodes if n._backward is not None)
+        assert_unshared([x.grad for x in ours])
+        copy_every_gradient(monkeypatch)
+        copied, _ = run()
+        for a, b in zip(ours, copied):
+            assert a.grad.tobytes() == b.grad.tobytes()
 
 
 class TestDeterminism:
