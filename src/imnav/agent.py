@@ -7,8 +7,9 @@ view-index embedding + a recurrent summary token for panoramas.
 
 The cross-modal policy alternates two attention streams per layer: the
 context stream ([text; imagination] tokens attending over context + visual
-keys, which is what the attention probe inspects) and the visual stream
-(visual tokens attending over context keys). Imagination tokens join only
+keys) and the visual stream (visual tokens attending over context keys).
+`decide(record=)` hands back each layer's raw context-stream weights, which
+is what the attention probe inspects. Imagination tokens join only
 the context stream, with no order encoding: they form a set. Action logits
 are per-navigable-view scores plus a stop score read off the history token.
 Under teacher forcing the path is known in advance, so a rollout only draws
@@ -196,25 +197,13 @@ class ContextInputs:
 
 
 @dataclass
-class AttentionRecord:
-    layer: int
-    stream: str          # context | visual
-    weights: np.ndarray  # (heads, Tq, Tk)
-    query_kinds: tuple
-    key_kinds: tuple
-
-
-@dataclass
 class Trajectory:
     episode: object
-    token_ids: tuple
     tokens: tuple
     visited: list
-    actions: list
+    actions: list                      # teacher: the teacher path's actions
     action_spaces: list
     logits: list                       # argmax: (A,) per step; teacher: empty (`decide`)
-    teacher_actions: list
-    attention: list | None
     aux_pairs: list                    # (imagination token row, noun-token positions)
     imaginations: list
     truncated: bool = False
@@ -339,7 +328,7 @@ class Agent:
     # cross-modal policy
     # ------------------------------------------------------------------
 
-    def cross_modal_step(self, context, visual_tokens, counts, navs, record_attention=False):
+    def cross_modal_step(self, context, visual_tokens, counts, navs, record=None):
         """The decisions of B episodes in one pass. `context` holds their
         encoded instructions and imaginations, shared by each episode's
         steps; episode b has counts[b] consecutive steps of the (ΣT, K+1, d)
@@ -351,8 +340,12 @@ class Agent:
         queries are computed but read by nothing, so they get zero gradient.
         With equal-length sets (one episode) nothing is padded or masked.
 
-        Returns ((ΣT, A) logits over [navigable views; stop] padded with -inf,
-        per-step lists of attention records or None).
+        Returns the (ΣT, A) logits over [navigable views; stop] padded with
+        -inf. When `record` is a list it receives, per layer, the context
+        stream's (ΣT, heads, Tq, Tk) attention weights as `nc.attention`
+        records them, padding included: queries are the Tq padded context
+        tokens, keys those tokens then the K + 1 visual tokens, and padded
+        keys weigh exactly 0. The visual stream records nothing.
         """
         cfg = self.config
         d, k = cfg.d, cfg.k_views
@@ -367,34 +360,9 @@ class Agent:
         ctx_keys = _keys(ctx_valid, counts)
         both_keys = _keys(_joined(batch, (ctx_valid, ctx.shape[1]), (None, k + 1)), counts)
 
-        raws = []   # per layer and stream: (ΣT, heads, Tq, Tk) weights
         for layer in range(cfg.cross_layers):
-            c_raw = [] if record_attention else None
-            ctx = self._block(ctx, nc.concat([ctx, vis], axis=1), f"c{layer}_", c_raw, both_keys)
-            v_raw = [] if record_attention else None
-            vis = self._block(vis, ctx, f"v{layer}_", v_raw, ctx_keys)
-            if record_attention:
-                raws += [(layer, "context", c_raw[0]), (layer, "visual", v_raw[0])]
-        records = None
-        if record_attention:
-            records = []
-            width = ctx.shape[1]
-            vis_pos, vis_kinds = np.arange(k + 1), ("visual",) * (k + 1)
-            for t, b in enumerate(np.repeat(np.arange(batch), counts)):
-                ctx_kinds = (("text",) * context.text_lengths[b]
-                             + ("imagination",) * context.imag_counts[b])
-                # each step's weights cut to its own (query, key) tokens
-                ctx_pos = np.arange(width) if ctx_valid is None else np.flatnonzero(ctx_valid[b])
-                cuts = {"context": (ctx_pos, np.r_[ctx_pos, width + vis_pos],
-                                    ctx_kinds, ctx_kinds + vis_kinds),
-                        "visual": (vis_pos, ctx_pos, vis_kinds, ctx_kinds)}
-                step = []
-                for layer, stream, w in raws:
-                    queries, keys, query_kinds, key_kinds = cuts[stream]
-                    step.append(AttentionRecord(layer=layer, stream=stream,
-                                                weights=w[t][:, queries][:, :, keys],
-                                                query_kinds=query_kinds, key_kinds=key_kinds))
-                records.append(step)
+            ctx = self._block(ctx, nc.concat([ctx, vis], axis=1), f"c{layer}_", record, both_keys)
+            vis = self._block(vis, ctx, f"v{layer}_", mask=ctx_keys)
 
         view_tokens = nc.take_rows(vis, np.arange(1, k + 1), axis=1)         # (ΣT, K, d)
         hist_token = nc.take_rows(vis, [0], axis=1)                          # (ΣT, 1, d)
@@ -413,7 +381,7 @@ class Agent:
         if min(lengths) < width:
             valid = np.arange(width) < np.array(lengths)[:, None]
             logits = nc.add(logits, nc.constant(np.where(valid, 0.0, -np.inf).astype(np.float32)))
-        return logits, records
+        return logits
 
 
 def _valid(lengths):
@@ -518,27 +486,25 @@ def _kept_pairs(imaginations, kept_subs):
 
 
 def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
-            kept_subs=(), train=False, drop_rng=None,
-            max_steps=None, record_attention=False, aux=False):
+            kept_subs=(), train=False, drop_rng=None, aux=False):
     """Run one episode.
 
     teacher mode only draws: the dropout multipliers, then the teacher
     path's observations in path order, all in one `observation_at` call.
     `decide` encodes and decides every teacher episode of a batch in one
-    pass and fills the logits used for supervision. argmax mode follows the
-    greedy policy until stop or max_steps (ties break to the lowest action
-    index), drawing each step's observation when it reaches the node. With
-    `aux`, the trajectory lists the (imagination token, noun-phrase) pairs
-    of the alignment loss. Deterministic given the rng streams.
+    pass, and the teacher path's `actions` supervise its logits. argmax mode
+    follows the greedy policy until stop or `AgentConfig.max_steps` (ties
+    break to the lowest action index), drawing each step's observation when
+    it reaches the node. With `aux`, the trajectory lists the (imagination
+    token, noun-phrase) pairs of the alignment loss. Deterministic given the
+    rng streams.
     """
     cfg = agent.config
     world = episode.world
-    max_steps = max_steps or cfg.max_steps
-    if mode == "teacher" and max_steps < len(episode.teacher_path):
+    if mode == "teacher" and cfg.max_steps < len(episode.teacher_path):
         raise ContractError("max_steps too small for the teacher path")
 
     inputs = context_inputs(agent, token_ids, imaginations, kept_subs, train=train, rng=drop_rng)
-    attn = [] if record_attention else None
     truncated = False
     observations = None
     logits_list = []
@@ -549,26 +515,22 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
         observations = wd.observation_at(world, visited, obs_rng)
         actions = [next(i for i, (_, nb) in enumerate(nav) if nb == nxt)
                    for nav, nxt in zip(spaces, visited[1:])] + [len(spaces[-1])]
-        teacher_actions = list(actions)
     elif mode == "argmax":
         context = build_context(agent, [inputs])
         hist = agent.params["hist_init"]
         node = episode.start
         visited = [node]
-        actions, spaces, teacher_actions = [], [], []
-        for _ in range(max_steps):
+        actions, spaces = [], []
+        for _ in range(cfg.max_steps):
             nav = wd.navigable(world, node)
             vis_tokens, pooled = agent.encode_observation(
                 wd.observation_at(world, [node], obs_rng), hist)
-            logits, recs = agent.cross_modal_step(
-                context, vis_tokens, [1], [nav], record_attention=record_attention)
-            logits = nc.reshape(logits, (len(nav) + 1,))
+            logits = nc.reshape(agent.cross_modal_step(context, vis_tokens, [1], [nav]),
+                                (len(nav) + 1,))
             action = int(logits.values.argmax())
             logits_list.append(logits)
             actions.append(action)
             spaces.append(nav)
-            if record_attention:
-                attn.extend(recs)
             if action == len(nav):
                 break
             node = nav[action][1]
@@ -580,15 +542,13 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
         raise ContractError(f"unknown rollout mode {mode!r}")
 
     aux_pairs = list(inputs.nouns) if aux and cfg.imag_source == "imagination" else []
-    return Trajectory(episode=episode, token_ids=tuple(token_ids), tokens=tuple(tokens),
-                      visited=visited, actions=actions, action_spaces=spaces,
-                      logits=logits_list, teacher_actions=teacher_actions,
-                      attention=attn, aux_pairs=aux_pairs, imaginations=list(imaginations),
-                      truncated=truncated, inputs=inputs if mode == "teacher" else None,
-                      observations=observations)
+    return Trajectory(episode=episode, tokens=tuple(tokens), visited=visited, actions=actions,
+                      action_spaces=spaces, logits=logits_list, aux_pairs=aux_pairs,
+                      imaginations=list(imaginations), truncated=truncated,
+                      inputs=inputs if mode == "teacher" else None, observations=observations)
 
 
-def decide(agent, trajectories):
+def decide(agent, trajectories, record=None):
     """Encode and decide the steps of teacher-mode trajectories in one padded
     pass: one text, one imagination and one observation encoder pass over
     the batch, then `cross_modal_step`.
@@ -597,21 +557,15 @@ def decide(agent, trajectories):
     -inf (step t of the first trajectory is row t; its first len(nav) + 1
     columns are its actions), and the (P, d) imagination tokens h and
     noun-phrase means s̄ of the trajectories' alignment pairs in order (None
-    and None without pairs). Fills the per-step attention records of each
-    trajectory rolled out with record_attention.
+    and None without pairs). `record` is handed to `cross_modal_step`: a list
+    receives each layer's (ΣT, heads, Tq, Tk) context-stream weights.
     """
     context = build_context(agent, [t.inputs for t in trajectories])
     counts = [len(t.action_spaces) for t in trajectories]
     visual, _ = agent.encode_observation(np.concatenate([t.observations for t in trajectories]),
                                          agent.params["hist_init"], counts)
-    logits, records = agent.cross_modal_step(
-        context, visual, counts, [nav for t in trajectories for nav in t.action_spaces],
-        record_attention=any(t.attention is not None for t in trajectories))
-    first = 0
-    for traj, steps in zip(trajectories, counts):
-        if traj.attention is not None:
-            traj.attention = records[first:first + steps]
-        first += steps
+    logits = agent.cross_modal_step(
+        context, visual, counts, [nav for t in trajectories for nav in t.action_spaces], record)
     pairs = [(b, row, positions) for b, t in enumerate(trajectories)
              for row, positions in t.aux_pairs]
     if not pairs:
@@ -621,10 +575,15 @@ def decide(agent, trajectories):
     return logits, h, noun_phrase_means(context.text, [(b, p) for b, _, p in pairs])
 
 
-def attention_probe(trajectory, layer, head, imag_index, k=3):
+def attention_probe(trajectory, weights, layer, head, imag_index, k=3):
     """Top-k text tokens and views attended by an imagination query, at the
-    first step where the imagination's referent is visible in the panorama."""
-    if trajectory.attention is None:
+    first step where the imagination's referent is visible in the panorama.
+
+    `weights` is what `decide(record=)` recorded for this trajectory alone:
+    per layer, the (T, heads, Tq, Tk) context-stream weights, whose queries
+    are [text; imagination] and whose keys are those tokens then the
+    history token and the K views."""
+    if not weights:
         raise ContractError("trajectory has no attention records")
     if k < 1:
         raise IndexRangeError(f"k {k} is below 1: the top-k lists need at least one entry")
@@ -638,29 +597,27 @@ def attention_probe(trajectory, layer, head, imag_index, k=3):
         if any(cid == target for cid, _ in world.placements.get(node, ())):
             step = t
             break
-    if step is None or step >= len(trajectory.attention):
+    if step is None or step >= weights[0].shape[0]:
         raise ContractError(f"referent class {target} never visible along the trajectory")
 
-    recs = [r for r in trajectory.attention[step] if r.stream == "context" and r.layer == layer]
-    if not recs:
+    if not 0 <= layer < len(weights):
         raise IndexRangeError(f"no context attention at layer {layer}")
-    rec = recs[0]
-    if not 0 <= head < rec.weights.shape[0]:
-        raise IndexRangeError(f"head {head} outside the {rec.weights.shape[0]} heads")
-    query_positions = [i for i, kind in enumerate(rec.query_kinds) if kind == "imagination"]
-    if imag_index >= len(query_positions):
+    rec = weights[layer][step]                                  # (heads, Tq, Tk)
+    if not 0 <= head < rec.shape[0]:
+        raise IndexRangeError(f"head {head} outside the {rec.shape[0]} heads")
+    n_text, n_queries = len(trajectory.tokens), rec.shape[1]
+    if imag_index >= n_queries - n_text:
         raise IndexRangeError(f"imagination {imag_index} has no token in the context")
-    row = rec.weights[head, query_positions[imag_index]]
+    row = rec[head, n_text + imag_index]
 
     def topk(indices, labels):
         weightsv = row[indices]
         order = np.argsort(-weightsv, kind="stable")[:k]
         return [(labels[i], float(weightsv[i])) for i in order]
 
-    text_keys = [i for i, kind in enumerate(rec.key_kinds) if kind == "text"]
-    vis_keys = [i for i, kind in enumerate(rec.key_kinds) if kind == "visual"]
-    top_tokens = topk(text_keys, [trajectory.tokens[j] for j in range(len(text_keys))])
+    top_tokens = topk(np.arange(n_text), trajectory.tokens)
     # visual keys: history token first, then the K views
+    vis_keys = np.arange(n_queries, rec.shape[2])
     view_labels = ["history"] + [f"view{j}" for j in range(world.k_views)]
     top_views = topk(vis_keys, view_labels[:len(vis_keys)])
     return top_tokens, top_views

@@ -233,9 +233,11 @@ def _probe_attention(args):
         traj = ag.rollout(agent, item.episode, item.token_ids, item.record.instruction.tokens,
                           item.imaginations, "teacher",
                           obs_rng=ev.observation_rng(args.seed, args.episode),
-                          kept_subs=item.record.kept, record_attention=True)
-        ag.decide(agent, [traj])
-    tokens, views = ag.attention_probe(traj, args.layer, args.head, args.imagination, k=args.k)
+                          kept_subs=item.record.kept)
+        weights = []
+        ag.decide(agent, [traj], record=weights)
+    tokens, views = ag.attention_probe(traj, weights, args.layer, args.head, args.imagination,
+                                       k=args.k)
     return "\n".join([
         f"episode {args.episode}, imagination {args.imagination} "
         f"(class {traj.imaginations[args.imagination].true_class}), "

@@ -135,7 +135,19 @@ def write_worlds(path, library, pairs, command="", seed=None):
     write_text(path, lines, WORLDS_TAG, command, seed)
 
 
+def _node(world, text):
+    """Node `text` of a world record; ValueError unless below its n_nodes."""
+    node = int(text)
+    if not 0 <= node < world["n_nodes"]:
+        raise ValueError(f"node {node} outside the world's {world['n_nodes']} nodes")
+    return node
+
+
 def read_worlds(path):
+    """The library and (World, Episode) pairs of a worlds file. FormatError
+    names the line of a malformed record, or of one that names a node its
+    world does not declare, and the world whose node records do not cover
+    0..n_nodes-1."""
     reader = LineReader(path, WORLDS_TAG)
     classes = []
     background = None
@@ -160,32 +172,36 @@ def read_worlds(path):
                     reader.fail(lineno, f"background has {len(background)} dims, expected {d_v}")
             elif tag == "world":
                 idx = int(parts[1])
-                worlds_raw[idx] = dict(
+                w = worlds_raw[idx] = dict(
                     split=parts[2], k_views=int(parts[3]), d_v=int(parts[4]),
                     sigma_obs=float(parts[5]), n_nodes=int(parts[6]),
-                    designated=None if parts[7] == "-" else (int(parts[7]), int(parts[8])),
-                    nodes={}, edges=[], views={}, places={})
+                    designated=None, nodes={}, edges=[], views={}, places={})
+                if parts[7] != "-":
+                    w["designated"] = (_node(w, parts[7]), _node(w, parts[8]))
             elif tag == "node":
                 w = worlds_raw[int(parts[1])]
-                w["nodes"][int(parts[2])] = (float(parts[3]), float(parts[4]))
+                w["nodes"][_node(w, parts[2])] = (float(parts[3]), float(parts[4]))
             elif tag == "edge":
-                worlds_raw[int(parts[1])]["edges"].append((int(parts[2]), int(parts[3])))
+                w = worlds_raw[int(parts[1])]
+                w["edges"].append((_node(w, parts[2]), _node(w, parts[3])))
             elif tag == "view":
                 w = worlds_raw[int(parts[1])]
-                w["views"].setdefault(int(parts[2]), {})[int(parts[3])] = int(parts[4])
+                w["views"].setdefault(_node(w, parts[2]), {})[int(parts[3])] = _node(w, parts[4])
             elif tag == "place":
                 w = worlds_raw[int(parts[1])]
-                w["places"].setdefault(int(parts[2]), []).append((int(parts[4]), int(parts[3])))
+                w["places"].setdefault(_node(w, parts[2]), []).append((int(parts[4]),
+                                                                       int(parts[3])))
             elif tag == "episode":
                 idx = int(parts[1])
+                w = worlds_raw[idx]
                 n = int(parts[6])
                 if parts[2] != wd.EPISODE_MODE or parts[5] != "-":
                     reader.fail(lineno, f"episode mode {parts[2]!r} with target {parts[5]!r}: "
                                 f"the only episode mode is {wd.EPISODE_MODE!r}, without a target")
                 if len(parts) != 7 + n:
                     reader.fail(lineno, f"episode path says {n} nodes but lists {len(parts) - 7}")
-                episodes_raw[idx] = dict(start=int(parts[3]), goal=int(parts[4]),
-                                         path=tuple(int(x) for x in parts[7:]))
+                episodes_raw[idx] = dict(start=_node(w, parts[3]), goal=_node(w, parts[4]),
+                                         path=tuple(_node(w, x) for x in parts[7:]))
             else:
                 reader.fail(lineno, f"unknown record tag {tag!r}")
         except (ValueError, IndexError, KeyError) as exc:
@@ -197,6 +213,9 @@ def read_worlds(path):
     pairs = []
     for idx in sorted(worlds_raw):
         raw = worlds_raw[idx]
+        if len(raw["nodes"]) != raw["n_nodes"]:    # each is below n_nodes
+            raise FormatError(f"{path}: world {idx} has node records for "
+                              f"{len(raw['nodes'])} of its {raw['n_nodes']} nodes")
         positions = np.asarray([raw["nodes"][i] for i in range(raw["n_nodes"])], dtype=np.float64)
         world = wd.World(
             k_views=raw["k_views"], d_v=raw["d_v"], sigma_obs=raw["sigma_obs"],

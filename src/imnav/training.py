@@ -114,18 +114,18 @@ class Checkpoint:
 # losses
 # ---------------------------------------------------------------------------
 
-def imitation_loss(logits, teacher_actions):
+def imitation_loss(logits, actions):
     """Teacher-forced cross-entropy: the mean over episodes of each episode's
     mean over its steps. `logits` holds the (ΣT, A) logits of every step in
-    episode order (padding at -inf) and teacher_actions[b] the actions of
+    episode order (padding at -inf) and actions[b] the teacher actions of
     episode b."""
-    counts = [len(actions) for actions in teacher_actions]
+    counts = [len(episode) for episode in actions]
     if not counts or min(counts) == 0:
         raise ContractError("empty trajectory")
     if logits.values.ndim != 2 or logits.shape[0] != sum(counts):
         raise ContractError(f"logits of shape {logits.shape} vs {sum(counts)} teacher actions")
     weights = np.repeat([1.0 / (len(counts) * n) for n in counts], counts)
-    steps = nc.cross_entropy(logits, np.concatenate(teacher_actions))
+    steps = nc.cross_entropy(logits, np.concatenate(actions))
     return nc.sum_(nc.mul(steps, nc.constant(weights.astype(logits.dtype))))
 
 
@@ -225,7 +225,7 @@ def _train_step(agent, opt, items, batch_idx, lrs, cfg, iteration, rng):
                         train=True, drop_rng=rng, aux=aux)
              for item in batch]
     logits, h, s = ag.decide(agent, trajs)
-    l_base = imitation_loss(logits, [t.teacher_actions for t in trajs])
+    l_base = imitation_loss(logits, [t.actions for t in trajs])
     owners = [int(b) for b, t in zip(batch_idx, trajs) for _ in t.aux_pairs]
     if cfg.aux_loss == "cosine":
         l_aux = cosine_alignment_loss(h, s)
@@ -345,9 +345,7 @@ def train(split, agent_config, cfg, init_values=None, resume=None):
     key = None if resume is not None else _stage1_key(agent_config, cfg, init_values)
     params = ag.init_params(agent_config, cfg.seed)
     if init_values is not None:
-        for name, arr in init_values.items():
-            if name in params:
-                params[name].values[...] = arr
+        load_values(params, init_values)
     opt = nc.Adam(params)
     rng = np.random.default_rng(np.random.SeedSequence([0x7E41, cfg.seed]))
     curves = []
@@ -355,8 +353,7 @@ def train(split, agent_config, cfg, init_values=None, resume=None):
         resume, curves = _stage1[2], list(_stage1[3])
     start_iter = 0
     if resume is not None:
-        for name, arr in resume.values.items():
-            params[name].values[...] = arr
+        load_values(params, resume.values)
         for name in resume.adam_m:
             opt.m[name][...] = resume.adam_m[name]
             opt.v[name][...] = resume.adam_v[name]
@@ -383,9 +380,24 @@ def train(split, agent_config, cfg, init_values=None, resume=None):
 
 def agent_from_checkpoint(ckpt):
     params = ag.init_params(ckpt.agent_config, seed=0)
-    for name, arr in ckpt.values.items():
-        params[name].values[...] = arr
+    load_values(params, ckpt.values)
     return ag.Agent(ckpt.agent_config, params)
+
+
+def load_values(params, values):
+    """Write a checkpoint's arrays (name -> array) into `params`, the
+    ParamStore of its agent config. FormatError names the array when a
+    parameter has none, an array names no parameter, or the shapes differ."""
+    for name in params.names():
+        if name not in values:
+            raise FormatError(f"checkpoint has no array for parameter {name!r}")
+    for name, arr in values.items():
+        if name not in params:
+            raise FormatError(f"checkpoint array {name!r} is not a parameter of its agent config")
+        if arr.shape != params[name].shape:
+            raise FormatError(f"checkpoint array {name!r} has shape {arr.shape}, "
+                              f"its agent config needs {params[name].shape}")
+        params[name].values[...] = arr
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +465,13 @@ class _Reader:
 
 
 def load_checkpoint(path):
+    try:
+        return _read_checkpoint(path)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: unreadable checkpoint text: {exc}") from None
+
+
+def _read_checkpoint(path):
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,14 +39,15 @@ def setup():
                 record=record, imags=imags, agent=agent, token_ids=token_ids)
 
 
-def run_rollout(s, imaginations, mode="teacher", seed=0, record_attention=False, agent=None):
+def run_rollout(s, imaginations, mode="teacher", seed=0, agent=None, record=None):
+    """One rollout of the setup episode; a teacher one is decided on its own,
+    and `record`, a list, receives its context-stream attention weights."""
     agent = agent or s["agent"]
     traj = ag.rollout(agent, s["episode"], s["token_ids"],
                       s["record"].instruction.tokens, imaginations, mode,
-                      obs_rng=np.random.default_rng(seed), kept_subs=s["record"].kept,
-                      record_attention=record_attention)
+                      obs_rng=np.random.default_rng(seed), kept_subs=s["record"].kept)
     if mode == "teacher":
-        ag.decide(agent, [traj])
+        ag.decide(agent, [traj], record=record)
     return traj
 
 
@@ -263,12 +265,12 @@ class TestCrossModal:
         assert len(nodes) == 2
 
     def test_attention_rows_sum_to_one(self, setup):
-        traj = run_rollout(setup, setup["imags"], mode="teacher", record_attention=True)
-        assert traj.attention
-        for step in traj.attention:
-            for rec in step:
-                sums = rec.weights.sum(axis=-1)
-                assert np.abs(sums - 1.0).max() < 1e-5
+        weights = []
+        run_rollout(setup, setup["imags"], mode="teacher", record=weights)
+        assert weights
+        for layer in weights:
+            sums = layer.sum(axis=-1)
+            assert np.abs(sums - 1.0).max() < 1e-5
 
     def test_grad_reaches_imagination_params(self, setup):
         agent = setup["agent"]
@@ -277,7 +279,7 @@ class TestCrossModal:
                           obs_rng=np.random.default_rng(0), kept_subs=setup["record"].kept,
                           train=True, drop_rng=np.random.default_rng(1))
         logits, _, _ = ag.decide(agent, [traj])
-        loss = tr.imitation_loss(logits, [traj.teacher_actions])
+        loss = tr.imitation_loss(logits, [traj.actions])
         agent.params.zero_grads()
         nc.backward(loss)
         for name in ("t_im", "im_m1", "vis_proj"):
@@ -289,7 +291,7 @@ class TestCrossModal:
         context = ag.build_context(agent, [ag.context_inputs(agent, setup["token_ids"], [], [])])
         obs = wd.observation_at(setup["world"], [0], np.random.default_rng(0))
         vis, _ = agent.encode_observation(obs, agent.params["hist_init"])
-        logits, _ = agent.cross_modal_step(context, vis, [1], [[]])
+        logits = agent.cross_modal_step(context, vis, [1], [[]])
         assert logits.shape == (1, 1)
 
 
@@ -315,7 +317,7 @@ class TestRollout:
     def test_teacher_mode_visits_teacher_path(self, setup):
         traj = run_rollout(setup, setup["imags"], mode="teacher")
         assert traj.visited == list(setup["episode"].teacher_path)
-        assert len(traj.teacher_actions) == len(setup["episode"].teacher_path)
+        assert len(traj.actions) == len(setup["episode"].teacher_path)
 
     def test_deterministic(self, setup):
         a = run_rollout(setup, setup["imags"], mode="argmax", seed=5)
@@ -342,9 +344,10 @@ class TestRollout:
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_truncation_sets_flag(self, setup):
-        traj = ag.rollout(setup["agent"], setup["episode"], setup["token_ids"],
+        agent = ag.Agent(replace(setup["agent"].config, max_steps=1), setup["agent"].params)
+        traj = ag.rollout(agent, setup["episode"], setup["token_ids"],
                           setup["record"].instruction.tokens, [], "argmax",
-                          obs_rng=np.random.default_rng(0), max_steps=1)
+                          obs_rng=np.random.default_rng(0))
         assert traj.truncated or traj.actions[-1] == len(traj.action_spaces[-1])
 
 
@@ -362,7 +365,7 @@ class TestBatchedTeacher:
             obs = wd.observation_at(world, [node], rng)
             nav = wd.navigable(world, node)
             vis, pooled = agent.encode_observation(obs, hist)
-            step_logits, _ = agent.cross_modal_step(context, vis, [1], [nav])
+            step_logits = agent.cross_modal_step(context, vis, [1], [nav])
             logits.append(nc.reshape(step_logits, (len(nav) + 1,)))
             hist = agent.advance_history(hist, pooled)
         return logits
@@ -383,7 +386,7 @@ class TestBatchedTeacher:
                           train=True, drop_rng=batched_rng)
         logits, _, _ = ag.decide(agent, [traj])
         agent.params.zero_grads()
-        nc.backward(tr.imitation_loss(logits, [traj.teacher_actions]))
+        nc.backward(tr.imitation_loss(logits, [traj.actions]))
         batched_grads = {name: t.grad.copy() for name, t in agent.params.items()
                          if t.grad is not None}
 
@@ -395,7 +398,7 @@ class TestBatchedTeacher:
             assert a.shape == b.shape
             assert np.abs(a - b.values).max() < 1e-5
         agent.params.zero_grads()
-        nc.backward(self.loss(reference, traj.teacher_actions))
+        nc.backward(self.loss(reference, traj.actions))
         for name, grad in batched_grads.items():
             want = agent.params[name].grad
             assert np.abs(grad - want).max() < 1e-5 * max(1.0, float(np.abs(want).max())), name
@@ -559,7 +562,7 @@ class TestPaddedBatch:
         assert any(m is not None for m in masks)           # the padding is exercised
         assert padded.shape[0] == sum(len(t.action_spaces) for t in trajs)
         agent.params.zero_grads()
-        nc.backward(tr.imitation_loss(padded, [t.teacher_actions for t in trajs]))
+        nc.backward(tr.imitation_loss(padded, [t.actions for t in trajs]))
         batched = {n: t.grad.copy() for n, t in agent.params.items() if t.grad is not None}
 
         singles = []
@@ -574,7 +577,7 @@ class TestPaddedBatch:
                 assert a.shape == b.shape
                 assert np.abs(a - b).max() < 1e-5
         agent.params.zero_grads()
-        per_episode = [nc.reshape(tr.imitation_loss(logits, [t.teacher_actions]), (1,))
+        per_episode = [nc.reshape(tr.imitation_loss(logits, [t.actions]), (1,))
                        for t, logits in singles]
         nc.backward(nc.mean(nc.concat(per_episode, axis=0)))
         assert set(batched) == {n for n, t in agent.params.items() if t.grad is not None}
@@ -594,10 +597,51 @@ class TestPaddedBatch:
             obs = wd.observation_at(e["episode"].world, [node], np.random.default_rng(0))
             vis, _ = agent.encode_observation(obs, agent.params["hist_init"])
             nav = wd.navigable(e["episode"].world, node)
-            logits, _ = agent.cross_modal_step(context, vis, [1], [nav])
+            logits = agent.cross_modal_step(context, vis, [1], [nav])
             want = unbatched_logits(agent, context.text, context.imag, vis, nav)
             assert logits.values.tobytes() == want.values.tobytes()
         assert masks and all(m is None for m in masks)
+
+    def test_record_of_a_padded_batch_cuts_to_each_episodes_record(self, setup, episodes):
+        """`decide(record=)` over two episodes with different context lengths
+        records padded (ΣT, heads, Tq, Tk) weights: padded keys weigh exactly
+        0, every row sums to 1, and each episode's real queries and keys equal
+        what deciding it alone records."""
+        agent = self.make(setup, {})
+        pair = [episodes[0], episodes[2]]
+
+        def roll(e, seed):
+            return ag.rollout(agent, e["episode"], e["token_ids"], e["tokens"], e["imags"],
+                              "teacher", obs_rng=np.random.default_rng(seed),
+                              kept_subs=e["kept"])
+
+        lengths = [(len(e["token_ids"]), len(e["imags"])) for e in pair]
+        assert len({text + imag for text, imag in lengths}) == 2
+        width = max(text for text, _ in lengths)
+        tq = width + max(imag for _, imag in lengths)
+        with nc.no_grad():
+            trajs = [roll(e, seed) for seed, e in enumerate(pair)]
+            padded = []
+            ag.decide(agent, trajs, record=padded)
+            assert len(padded) == agent.config.cross_layers
+            first = 0
+            for seed, (e, traj, (text, imag)) in enumerate(zip(pair, trajs, lengths)):
+                single = []
+                ag.decide(agent, [roll(e, seed)], record=single)
+                steps = len(traj.action_spaces)
+                queries = np.r_[np.arange(text), width + np.arange(imag)]
+                keys = np.r_[queries, tq + np.arange(agent.config.k_views + 1)]
+                pads = np.setdiff1d(np.arange(tq), queries)
+                for layer, alone in zip(padded, single):
+                    rows = layer[first:first + steps]
+                    assert rows.shape[-2:] == (tq, tq + agent.config.k_views + 1)
+                    assert np.abs(rows.sum(axis=-1) - 1.0).max() < 1e-5
+                    assert np.all(rows[..., pads] == 0.0)
+                    cut = rows[:, :, queries][..., keys]
+                    assert cut.shape == alone.shape
+                    assert np.abs(cut - alone).max() < 1e-6
+                first += steps
+            assert first == padded[0].shape[0]
 
 
 class TestBatchedIteration:
@@ -625,7 +669,7 @@ class TestBatchedIteration:
         assert sorted(counts)[:2] == [0, 0] and len(set(counts)) == 3
         assert len({len(t.visited) for t in trajs}) == 2
         logits, h, s = ag.decide(agent, trajs)
-        batched_loss = self.loss(tr.imitation_loss(logits, [t.teacher_actions for t in trajs]),
+        batched_loss = self.loss(tr.imitation_loss(logits, [t.actions for t in trajs]),
                                  h, s)
         agent.params.zero_grads()
         nc.backward(batched_loss)
@@ -636,7 +680,7 @@ class TestBatchedIteration:
             (traj,) = TestPaddedBatch.roll(agent, [e], single_rng, aux=True)
             singles.append((traj, *ag.decide(agent, [traj])))
         assert batched_rng.bit_generator.state == single_rng.bit_generator.state
-        base = nc.mean(nc.concat([nc.reshape(tr.imitation_loss(lg, [t.teacher_actions]), (1,))
+        base = nc.mean(nc.concat([nc.reshape(tr.imitation_loss(lg, [t.actions]), (1,))
                                   for t, lg, _, _ in singles], axis=0))
         hs = [(hb, sb) for _, _, hb, sb in singles if hb is not None]
         assert (h is None) == (not hs) == (agent.config.imag_source == "text_mean")
@@ -654,48 +698,52 @@ class TestBatchedIteration:
 
 class TestAttentionProbe:
     @staticmethod
-    def _rig_rows(traj, fill):
-        """Overwrite the imagination-query attention row at every step."""
-        for step in traj.attention:
-            for rec in step:
-                if rec.stream != "context" or rec.layer != 0:
-                    continue
-                qpos = [i for i, kk in enumerate(rec.query_kinds) if kk == "imagination"]
-                if qpos:
-                    fill(rec, qpos[0])
+    def recorded(setup):
+        """A teacher rollout and the context weights its own `decide` recorded."""
+        weights = []
+        traj = run_rollout(setup, setup["imags"], mode="teacher", record=weights)
+        return traj, weights
+
+    @staticmethod
+    def _rig_rows(traj, weights, fill):
+        """Overwrite the first imagination query's layer-0 attention row at
+        every step; the queries are [text; imagination]."""
+        for step in weights[0]:
+            fill(step, len(traj.tokens))
 
     def test_one_hot_row(self, setup):
-        traj = run_rollout(setup, setup["imags"], mode="teacher", record_attention=True)
+        traj, weights = self.recorded(setup)
 
-        def fill(rec, q):
-            rec.weights[0, q, :] = 0.0
-            rec.weights[0, q, 2] = 1.0
+        def fill(w, q):
+            w[0, q, :] = 0.0
+            w[0, q, 2] = 1.0
 
-        self._rig_rows(traj, fill)
-        tokens, _ = ag.attention_probe(traj, layer=0, head=0, imag_index=0, k=1)
+        self._rig_rows(traj, weights, fill)
+        tokens, _ = ag.attention_probe(traj, weights, layer=0, head=0, imag_index=0, k=1)
         assert tokens[0][0] == traj.tokens[2]
 
     def test_uniform_ties_break_low_index(self, setup):
-        traj = run_rollout(setup, setup["imags"], mode="teacher", record_attention=True)
+        traj, weights = self.recorded(setup)
 
-        def fill(rec, q):
-            rec.weights[0, q, :] = 1.0 / rec.weights.shape[2]
+        def fill(w, q):
+            w[0, q, :] = 1.0 / w.shape[2]
 
-        self._rig_rows(traj, fill)
-        tokens, views = ag.attention_probe(traj, layer=0, head=0, imag_index=0, k=2)
+        self._rig_rows(traj, weights, fill)
+        tokens, views = ag.attention_probe(traj, weights, layer=0, head=0, imag_index=0, k=2)
         assert tokens[0][0] == traj.tokens[0]
         assert views[0][0] == "history"
 
     def test_k_clamped_to_key_count(self, setup):
-        traj = run_rollout(setup, setup["imags"], mode="teacher", record_attention=True)
-        tokens, views = ag.attention_probe(traj, layer=0, head=0, imag_index=0, k=10 ** 6)
+        traj, weights = self.recorded(setup)
+        tokens, views = ag.attention_probe(traj, weights, layer=0, head=0, imag_index=0,
+                                           k=10 ** 6)
         assert len(tokens) == len(traj.tokens)
         assert len(views) == setup["world"].k_views + 1
 
     def test_bad_index(self, setup):
-        traj = run_rollout(setup, setup["imags"], mode="teacher", record_attention=True)
+        traj, weights = self.recorded(setup)
         with pytest.raises(IndexError):
-            ag.attention_probe(traj, layer=0, head=0, imag_index=99)
+            ag.attention_probe(traj, weights, layer=0, head=0, imag_index=99)
 
 
 class TestAgentGradcheck:
@@ -720,7 +768,7 @@ class TestAgentGradcheck:
             ctx = ag.EncodedContext(text=a.encode_text([[1, 3, 5]]), text_lengths=(3,),
                                     imag=a.encode_imaginations(feats), imag_counts=(2,))
             vis, _ = a.encode_observation(pano[None], store["hist_init"])
-            logits, _ = a.cross_modal_step(ctx, vis, [1], [[(0, 1), (2, 3)]])
+            logits = a.cross_modal_step(ctx, vis, [1], [[(0, 1), (2, 3)]])
             return nc.cross_entropy(nc.reshape(logits, (3,)), 1)
 
         arrays = [params[name].values.astype(np.float64) for name in checked]

@@ -240,9 +240,10 @@ class TestCli:
     @pytest.mark.parametrize("flag, value, names", [
         ("--head", -1, "head -1"), ("--imagination", -1, "imagination -1"),
         ("--episode", -1, "episode -1"), ("--episode", 6, "episode 6"),
-        ("--layer", 1, "layer 1"), ("--k", 0, "k 0"), ("--k", -1, "k -1")],
-        ids=["head_-1", "imagination_-1", "episode_-1", "episode_past_split", "layer_1", "k_0",
-             "k_-1"])
+        ("--layer", 1, "layer 1"), ("--layer", -1, "layer -1"), ("--k", 0, "k 0"),
+        ("--k", -1, "k -1")],
+        ids=["head_-1", "imagination_-1", "episode_-1", "episode_past_split", "layer_1",
+             "layer_-1", "k_0", "k_-1"])
     def test_probe_attention_bad_index_exits_1(self, probe_inputs, capsys, flag, value, names):
         """Each index is checked against what it indexes (6 episodes, 2
         heads, one cross-modal layer), negative ones included."""

@@ -95,6 +95,35 @@ class TestWorldsRoundTrip:
         assert f":{idx + 1}:" in str(exc.value)
 
 
+    def test_missing_node_record_names_the_world(self, bundle, tmp_path):
+        path = tmp_path / "w.txt"
+        serial.write_worlds(path, bundle["library"], bundle["pairs"])
+        lines = path.read_text().splitlines()
+        kept = [l for l in lines if not l.startswith("node 0 3 ")]
+        assert len(kept) == len(lines) - 1
+        path.write_text("\n".join(kept) + "\n")
+        with pytest.raises(FormatError, match="world 0 "):
+            serial.read_worlds(path)
+
+    @pytest.mark.parametrize("tag, column", [("world", 7), ("edge", 3), ("view", 2), ("view", 4),
+                                             ("place", 2), ("episode", 3), ("episode", 7)])
+    def test_undeclared_node_names_the_line(self, bundle, tmp_path, tag, column):
+        # world <w> <split> <k> <d_v> <sigma> <n_nodes> <start> <goal>; edge <w> <a> <b>;
+        # view <w> <node> <view> <neighbour>; place <w> <node> ...;
+        # episode <w> <mode> <start> <goal> <target> <n> <nodes...>
+        path = tmp_path / "w.txt"
+        serial.write_worlds(path, bundle["library"], bundle["pairs"])
+        lines = path.read_text().splitlines()
+        assert bundle["pairs"][0][0].n_nodes < 99
+        idx = next(i for i, l in enumerate(lines) if l.startswith(f"{tag} 0 "))
+        fields = lines[idx].split(" ")
+        fields[column] = "99"
+        lines[idx] = " ".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="node 99") as exc:
+            serial.read_worlds(path)
+        assert f":{idx + 1}:" in str(exc.value)
+
     def test_background_width_must_be_d_v(self, bundle, tmp_path):
         path = tmp_path / "w.txt"
         serial.write_worlds(path, bundle["library"], bundle["pairs"])

@@ -668,6 +668,43 @@ class TestCheckpointIO:
         with pytest.raises(FormatError):
             tr.load_checkpoint(path)
 
+    @pytest.mark.parametrize("named, edit", [
+        ("c0_wq", lambda arrays: {**arrays, "c0_wq": np.zeros((3, 3), np.float32)}),
+        ("zzz", lambda arrays: {**arrays, "zzz": np.zeros((2,), np.float32)}),
+        ("act_w", lambda arrays: {k: a for k, a in arrays.items() if k != "act_w"})],
+        ids=["other_shape", "unknown_name", "missing_name"])
+    def test_arrays_that_do_not_fit_the_config_raise_format_error_naming_them(
+            self, tiny_split, tiny_agent_config, tmp_path, named, edit):
+        ckpt = self.make_ckpt(tiny_split, tiny_agent_config, iters=1)
+        path = tmp_path / "bad.ckpt"
+        tr.save_checkpoint(replace(ckpt, **{field: edit(getattr(ckpt, field))
+                                            for field in ("values", "adam_m", "adam_v")}), path)
+        ckpt = tr.load_checkpoint(path)
+        cfg = tr.TrainConfig(iterations=2, batch_size=2, schedule="flat")
+        with pytest.raises(FormatError, match=named):
+            tr.agent_from_checkpoint(ckpt)
+        with pytest.raises(FormatError, match=named):
+            tr.train(tiny_split["train"], tiny_agent_config, cfg, init_values=ckpt.values)
+        with pytest.raises(FormatError, match=named):
+            tr.train(tiny_split["train"], tiny_agent_config, cfg, resume=ckpt)
+
+    @pytest.mark.parametrize("text", ["agent_config", "rng_state"])
+    def test_undecodable_text_raises_format_error(self, tiny_split, tiny_agent_config, tmp_path,
+                                                  text):
+        ckpt = self.make_ckpt(tiny_split, tiny_agent_config, iters=1)
+        path = tmp_path / "d.ckpt"
+        tr.save_checkpoint(ckpt, path)
+        raw = bytearray(path.read_bytes())
+        if text == "agent_config":
+            # magic, version byte, u32 length, then the config's UTF-8 text
+            raw[len(tr.CHECKPOINT_MAGIC) + 5] = 0xFF
+        else:
+            assert raw[-1:] == b"}"    # the RNG state's JSON ends the file
+            raw[-1:] = b"x"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError):
+            tr.load_checkpoint(path)
+
     def test_baseline_trace_equals_imagination_free_trace(self, tiny_split, tiny_agent_config):
         """lambda=0, aux none, no imaginations == the baseline agent's trace."""
         cfg_a = tr.TrainConfig(iterations=5, batch_size=2, schedule="flat", flat_lr=1e-3,
