@@ -16,11 +16,14 @@ Under teacher forcing the path is known in advance, so a rollout only draws
 its dropout multipliers and observations, and `decide` encodes and decides
 all episodes of a training batch in one padded pass: one text, one
 imagination and one observation encoder pass over the batch (the histories
-step in lockstep), then the cross-modal layers over all steps. Greedy
-decoding runs the same code with one episode and T = 1: its rollout encodes
-and joins the [text; imagination] context once per episode
-(`EncodedContext`), and each step reuses it, so a step pays only for the
-observation encoder, the cross-modal layers and the action head.
+step in lockstep), then the cross-modal layers over all steps. The first
+layer's context stream takes each episode's context once, not once per
+step: its queries, their keys and values and their scores are the same at
+every step of an episode. Greedy decoding runs the same code with one
+episode and T = 1: its rollout encodes and joins the [text; imagination]
+context once per episode (`EncodedContext`), and each step reuses it, so a
+step pays only for the observation encoder, the cross-modal layers and the
+action head.
 
 An episode's imaginations are whatever list it is handed: a test-time policy
 transforms the lists before the rollout, and `null` hands over none.
@@ -168,7 +171,8 @@ class EncodedContext:
     joined [text; imagination] context tokens of each episode with their
     key mask, which the cross-modal layers read. They are joined once, here:
     `decide` builds one context per batch and greedy `rollout` one per
-    episode, and every step of those episodes reuses it."""
+    episode, and every step of those episodes reads it; the first
+    cross-modal layer turns it into per-step tokens."""
     text: nc.Tensor            # (B, L_max, d), each instruction padded after its tokens
     text_lengths: tuple        # L_b
     imag: nc.Tensor | None     # (ΣN, d) imagination tokens in episode order
@@ -315,13 +319,14 @@ class Agent:
     # attention plumbing
     # ------------------------------------------------------------------
 
-    def _block(self, q_tokens, kv_tokens, prefix, record=None, mask=None):
+    def _block(self, q_tokens, kv_tokens, prefix, record=None, mask=None, counts=None):
         """Residual attention then residual feed-forward, over (..., n, d):
         two tape nodes, since `nc.attention` and `nc.ffn` each add their
-        input."""
+        input. `counts` gives `nc.attention`'s per-episode form."""
         p = self.params
         x = nc.attention(q_tokens, kv_tokens, p[prefix + "wq"], p[prefix + "wk"], p[prefix + "wv"],
-                         p[prefix + "wo"], self.config.heads, record=record, mask=mask)
+                         p[prefix + "wo"], self.config.heads, record=record, mask=mask,
+                         counts=counts)
         return nc.ffn(x, p[prefix + "ff1"], p[prefix + "ff2"])
 
     # ------------------------------------------------------------------
@@ -335,10 +340,16 @@ class Agent:
         `visual_tokens`; `navs` holds the sorted navigable (view, neighbor)
         lists of all ΣT steps in episode order.
 
-        Each step's context tokens are padded to the batch's longest, and
-        key-padding masks keep the padding out of every softmax. Padded
-        queries are computed but read by nothing, so they get zero gradient.
-        With equal-length sets (one episode) nothing is padded or masked.
+        When an episode has more than one step, layer 0's context stream
+        projects and scores the episode's context tokens once for all its
+        steps (`nc.attention(counts=)`); its output, and every later layer,
+        holds context tokens per step. With one step per episode, as in
+        greedy decoding, the context joins the step's visual tokens as at
+        every other layer. Each step's context tokens are padded to the
+        batch's longest, and key-padding masks keep the padding out of every
+        softmax. Padded queries are computed but read by nothing, so they get
+        zero gradient. With equal-length sets (one episode) nothing is
+        padded or masked.
 
         Returns the (ΣT, A) logits over [navigable views; stop] padded with
         -inf. When `record` is a list it receives, per layer, the context
@@ -356,12 +367,19 @@ class Agent:
         # masks of the real context tokens, None when nothing is padded: then
         # the arithmetic is exactly that of an unbatched pass. The visual
         # token sets all have K + 1 tokens.
-        ctx, ctx_valid, vis = _per_step(context.tokens, counts), context.valid, visual_tokens
+        ctx, ctx_valid, vis = context.tokens, context.valid, visual_tokens
         ctx_keys = _keys(ctx_valid, counts)
         both_keys = _keys(_joined(batch, (ctx_valid, ctx.shape[1]), (None, k + 1)), counts)
 
         for layer in range(cfg.cross_layers):
-            ctx = self._block(ctx, nc.concat([ctx, vis], axis=1), f"c{layer}_", record, both_keys)
+            if layer == 0 and batch < steps:
+                # an episode's steps share its context, so it is projected
+                # and scored once; a single step (greedy decoding) keeps the
+                # plain call, whose fewer numpy calls cost less there
+                ctx = self._block(ctx, vis, "c0_", record, ctx_valid, counts)
+            else:
+                ctx = self._block(ctx, nc.concat([ctx, vis], axis=1), f"c{layer}_", record,
+                                  both_keys)
             vis = self._block(vis, ctx, f"v{layer}_", mask=ctx_keys)
 
         view_tokens = nc.take_rows(vis, np.arange(1, k + 1), axis=1)         # (ΣT, K, d)
@@ -405,11 +423,6 @@ def _joined(batch, *blocks):
 def _keys(valid, counts):
     """A mask of B episodes' tokens as the key mask of their steps."""
     return None if valid is None else np.repeat(valid, counts, axis=0)
-
-
-def _per_step(tokens, counts):
-    """(B, n, d) tokens of B episodes repeated for each episode's steps."""
-    return tokens if len(counts) == sum(counts) else nc.repeat(tokens, counts)
 
 
 def _pad(rows, counts):

@@ -2,12 +2,14 @@
 
 Values are float32 by default (float64 is supported and propagates, which is
 what the gradient-check tests use). Reductions accumulate in float64 and cast
-back to the input dtype, with one exception: the softmax key sums of
-`softmax` and `attention` run in the values' dtype. Each adds at most about
-40 non-negative terms, so in float32 it is within tk * 2^-24 (2.4e-6 at 40
+back to the input dtype, with two exceptions that run in the values' dtype.
+The softmax key sums of `softmax` and `attention` each add at most about 40
+non-negative terms, so in float32 they are within tk * 2^-24 (2.4e-6 at 40
 keys) relative of the exact sum, and a float64 cast cost about 5x the sum.
-A tape is just the implicit graph of Tensor parents; `backward` walks it in
-reverse topological order.
+The sums over an episode's steps (`_segment_sum`, in `repeat`'s backward and
+`attention`'s per-episode form) are one-hot products through BLAS, about a
+tenth of the time of np.add.reduceat. A tape is just the implicit graph of
+Tensor parents; `backward` walks it in reverse topological order.
 
 `attention` and `ffn` are fused residual sub-blocks: each records one tape
 node for a whole transformer sub-block, residual add included, and computes
@@ -16,7 +18,11 @@ its input into its own fresh output buffer, and its backward adds the
 residual gradient in place into the input gradient it computes. Both, like
 `matmul` against a 2D weight, accept leading batch axes, so the steps of
 every teacher-forced episode of a batch run as one pass; `attention`'s key
-mask keeps the padding of shorter episodes out.
+mask keeps the padding of shorter episodes out. When the queries of a step
+are its episode's and also its first keys, as in the first cross-modal
+layer, `attention(counts=)` takes them once per episode: it projects and
+scores them once per episode, not once per step, and sums their gradients
+over the steps before the products with the weights.
 
 `Adam` keeps each parameter group's values and moments in one flat buffer,
 whose views the parameters and moment dicts hold, and updates a group in
@@ -34,7 +40,10 @@ buffer which BLAS takes as it is. Per-head operands are (..., heads, t, dh)
 views of (..., t, d) rows (`_heads`), so the products write `o` and the
 gradients of q, k and v by `out=` straight into their row layout. The
 weights are bit-identical to the row-wise out-of-place formula whose key
-sum adds the keys in order.
+sum adds the keys in order. The per-episode form writes its per-episode
+scores and each step's own into that one buffer, and keeps the one softmax
+and the one product with the values, so its float32 forward is
+bit-identical to the per-step call's.
 
 Gradient ownership rule: `backward` releases each interior node's gradient
 as that node's backward takes it, so every backward owns the `g` it
@@ -551,19 +560,34 @@ def take_rows(a, indices, axis=0):
     return _result(vals, (a,), back)
 
 
+def _counts(counts, rows, what):
+    """`counts` as an index array, checked to hold one count >= 1 per entry
+    of `rows`, a 1-tuple of the row count."""
+    counts = np.asarray(counts, dtype=np.intp)
+    if counts.shape != rows or counts.min(initial=1) < 1:
+        raise ShapeError(f"{what} needs one count >= 1 per row of {rows}, got {counts}")
+    return counts
+
+
+def _segment_sum(x, counts, axis=0):
+    """Sums of consecutive groups of x's entries along `axis`, counts[b] of
+    them in group b, as one product with a (B, sum(counts)) one-hot matrix
+    in x's dtype; np.add.reduceat takes about ten times as long."""
+    one_hot = np.repeat(np.eye(len(counts), dtype=x.dtype), counts, axis=1)
+    lead = x.shape[:axis]
+    sums = np.matmul(one_hot, x.reshape(lead + (x.shape[axis], -1)))
+    return sums.reshape(lead + (len(counts),) + x.shape[axis + 1:])
+
+
 def repeat(a, counts):
     """Row i of `a` repeated counts[i] >= 1 times along the leading axis; the
-    backward sums each row's copies in float64."""
-    counts = np.asarray(counts, dtype=np.intp)
-    if counts.shape != a.values.shape[:1] or counts.min() < 1:
-        raise ShapeError(f"repeat needs one count >= 1 per row of {a.values.shape}, got {counts}")
+    backward sums each row's copies in the values' dtype (`_segment_sum`)."""
+    counts = _counts(counts, a.values.shape[:1], "repeat")
     vals = np.repeat(a.values, counts, axis=0)
-    starts = np.cumsum(counts) - counts
 
     def back(g):
         if a.requires_grad:
-            a.take_grad(np.add.reduceat(g, starts, axis=0, dtype=np.float64)
-                              .astype(a.values.dtype))
+            a.take_grad(_segment_sum(g, counts))
 
     return _result(vals, (a,), back)
 
@@ -607,7 +631,34 @@ def _key_major(tk, lead, heads, tq, dtype):
     return buf, buf.transpose(tuple(range(1, nb + 2)) + (0, nb + 2))
 
 
-def attention(xq, xkv, wq, wk, wv, wo, heads, record=None, mask=None):
+def _attend(weights, weights_h, vh, wo, out_shape, heads, record):
+    """The softmax over keys of the scaled, masked key-major scores in
+    `weights`, in place, then the weighted values `out` (out_shape) and their
+    output projection."""
+    _softmax_keys(weights)
+    if record is not None:
+        record.append(np.ascontiguousarray(weights_h.swapaxes(-1, -2)))
+    out = np.empty(out_shape, weights.dtype)
+    np.matmul(weights_h.swapaxes(-1, -2), vh, out=_heads(out, heads))
+    return out, out @ wo.values
+
+
+def _attend_grad(g, out, weights, vh, wo, c, heads):
+    """The backward of `_attend` and of the scale c: wo's gradient, then the
+    per-head gradient of `out` and the key-major gradients of the unscaled
+    scores with their (..., heads, tk, tq) view."""
+    if wo.requires_grad:
+        wo.take_grad(_weight_grad(out, g))
+    g_out = _heads(g @ _transposed(wo), heads)
+    g_scores, g_scores_h = _key_major(weights.shape[0], out.shape[:-2], heads, out.shape[-2],
+                                      weights.dtype)
+    np.matmul(vh, np.ascontiguousarray(g_out.swapaxes(-1, -2)), out=g_scores_h)
+    _softmax_keys_grad(weights, g_scores)
+    g_scores *= c
+    return g_out, g_scores, g_scores_h
+
+
+def attention(xq, xkv, wq, wk, wv, wo, heads, record=None, mask=None, counts=None):
     """The residual attention sub-block xq + MHA(xq, xkv) of queries
     xq (..., tq, d) over keys/values xkv (..., tk, d): projections, scaled
     dot-product softmax, the output projection and the residual add,
@@ -615,7 +666,24 @@ def attention(xq, xkv, wq, wk, wv, wo, heads, record=None, mask=None):
     `mask`, a boolean (..., tk) array, keeps only the keys it marks true: the
     others are set to -inf before the softmax, so they get weight exactly 0
     and their inputs gradient exactly 0. When `record` is a list it receives
-    a copy of the (..., heads, tq, tk) attention weights."""
+    a copy of the (..., heads, tq, tk) attention weights.
+
+    With `counts`, xq holds the queries of B episodes, (B, tq, d), and xkv
+    the further keys of their steps, (sum(counts), tk', d), counts[b] >= 1
+    consecutive steps from episode b. Each step's queries are its episode's
+    xq, and its keys are those queries then its own xkv rows; `mask` is the
+    (B, tq) mask of the query keys. The result, the recorded weights and the
+    gradients are those of the call on `repeat(xq, counts)` and
+    `concat([repeat(xq, counts), xkv], axis=1)`, but the query, the query
+    keys and values and their scores are computed once per episode, and
+    their gradients are summed over the episode's steps before the products
+    with the weights and the input gradient. With OpenBLAS the float32
+    values and weights are bit-identical to that call's."""
+    d = wq.values.shape[1]
+    if d % heads != 0:
+        raise ShapeError(f"attention width {d} not divisible by {heads} heads")
+    if counts is not None:
+        return _episode_attention(xq, xkv, wq, wk, wv, wo, heads, record, mask, counts)
     xqv, xkvv = xq.values, xkv.values
     lead = xqv.shape[:-2]
     if xqv.ndim < 2 or xkvv.shape[:-2] != lead:
@@ -624,9 +692,6 @@ def attention(xq, xkv, wq, wk, wv, wo, heads, record=None, mask=None):
     if mask is not None and (mask.shape != lead + (tk,) or not mask.any(axis=-1).all()):
         raise ShapeError(f"attention key mask must be {lead + (tk,)} with a "
                          f"true entry per row, got {mask.shape}")
-    d = wq.values.shape[1]
-    if d % heads != 0:
-        raise ShapeError(f"attention width {d} not divisible by {heads} heads")
     q, k, v = xqv @ wq.values, xkvv @ wk.values, xkvv @ wv.values
     qh, kh, vh = _heads(q, heads), _heads(k, heads), _heads(v, heads)
     dtype = np.result_type(q, k, v)
@@ -636,22 +701,11 @@ def attention(xq, xkv, wq, wk, wv, wo, heads, record=None, mask=None):
     weights *= c
     if mask is not None:
         weights[~mask.transpose((mask.ndim - 1,) + tuple(range(mask.ndim - 1)))] = -np.inf
-    _softmax_keys(weights)
-    if record is not None:
-        record.append(np.ascontiguousarray(weights_h.swapaxes(-1, -2)))
-    out = np.empty(lead + (tq, d), dtype)
-    np.matmul(weights_h.swapaxes(-1, -2), vh, out=_heads(out, heads))
-    vals = out @ wo.values
+    out, vals = _attend(weights, weights_h, vh, wo, lead + (tq, d), heads, record)
     vals += xqv
 
     def back(g):
-        if wo.requires_grad:
-            wo.take_grad(_weight_grad(out, g))
-        g_out = _heads(g @ _transposed(wo), heads)
-        g_scores, g_scores_h = _key_major(tk, lead, heads, tq, dtype)
-        np.matmul(vh, np.ascontiguousarray(g_out.swapaxes(-1, -2)), out=g_scores_h)
-        _softmax_keys_grad(weights, g_scores)
-        g_scores *= c
+        g_out, g_scores, g_scores_h = _attend_grad(g, out, weights, vh, wo, c, heads)
         g_q = np.empty(lead + (tq, d), dtype)
         np.matmul(g_scores_h.swapaxes(-1, -2), kh, out=_heads(g_q, heads))
         # [g_k | g_v] rows, so that wk and wv get their gradients from one product
@@ -671,6 +725,84 @@ def attention(xq, xkv, wq, wk, wv, wo, heads, record=None, mask=None):
                     w.take_grad(g_w)
         if xkv.requires_grad:
             xkv.take_grad(g_kv @ np.concatenate((_transposed(wk), _transposed(wv))))
+
+    return _result(vals, (xq, xkv, wq, wk, wv, wo), back)
+
+
+def _episode_attention(xq, xkv, wq, wk, wv, wo, heads, record, mask, counts):
+    """`attention` with `counts`: the queries of an episode are also the first
+    keys of each of its steps."""
+    xqv, xkvv = xq.values, xkv.values
+    if xqv.ndim != 3 or xkvv.ndim != 3:
+        raise ShapeError(f"attention by episode needs (B, tq, d) queries and (steps, tk, d) "
+                         f"keys, got {xqv.shape} and {xkvv.shape}")
+    batch, tq, d = xqv.shape
+    counts = _counts(counts, (batch,), "attention by episode")
+    steps, tk = xkvv.shape[0], tq + xkvv.shape[1]
+    if counts.sum() != steps:
+        raise ShapeError(f"step counts {counts} do not sum to the {steps} key rows")
+    if mask is not None and mask.shape != (batch, tq):
+        raise ShapeError(f"attention query key mask must be {(batch, tq)}, got {mask.shape}")
+    episode = np.repeat(np.arange(batch), counts)          # each step's episode
+    # once per episode: q, the query keys and values, and their scores
+    q, k_own, v_own = xqv @ wq.values, xqv @ wk.values, xqv @ wv.values
+    k_step, v_step = xkvv @ wk.values, xkvv @ wv.values
+    qh, kh_own, kh_step = _heads(q, heads), _heads(k_own, heads), _heads(k_step, heads)
+    dtype = np.result_type(q, k_own, v_own, k_step, v_step)
+    q_t = np.ascontiguousarray(qh.swapaxes(-1, -2))
+    own, own_h = _key_major(tq, (batch,), heads, tq, dtype)
+    np.matmul(kh_own, q_t, out=own_h)
+    c = dtype.type(1.0 / math.sqrt(d // heads))
+    own *= c
+    if mask is not None:
+        own[~mask.T] = -np.inf
+    # per step: the episode's scores, then those of the step's own keys
+    weights, weights_h = _key_major(tk, (steps,), heads, tq, dtype)
+    np.take(own, episode, axis=1, out=weights[:tq], mode="clip")
+    np.matmul(kh_step, q_t[episode], out=weights_h[..., tq:, :])
+    weights[tq:] *= c
+    v = np.empty((steps, tk, d), dtype)
+    np.take(v_own, episode, axis=0, out=v[:, :tq], mode="clip")
+    v[:, tq:] = v_step
+    vh = _heads(v, heads)
+    out, vals = _attend(weights, weights_h, vh, wo, (steps, tq, d), heads, record)
+    vals += xqv[episode]
+
+    def back(g):
+        g_out, g_scores, g_scores_h = _attend_grad(g, out, weights, vh, wo, c, heads)
+        # the query keys' score gradients, summed over each episode's steps
+        own_gh = _segment_sum(g_scores[:tq], counts, axis=1).transpose(1, 2, 0, 3)
+        # per step: g_q from the step's keys | g_v of the query keys | the residual
+        per_step = np.empty((steps, tq, 3 * d), dtype)
+        np.matmul(g_scores_h[..., tq:, :].swapaxes(-1, -2), kh_step,
+                  out=_heads(per_step[..., :d], heads))
+        np.matmul(weights_h[..., :tq, :], g_out, out=_heads(per_step[..., d:2 * d], heads))
+        per_step[..., 2 * d:] = g
+        summed = _segment_sum(per_step, counts)
+        # [g_q | g_k | g_v] rows of xq, so that one product gives the
+        # gradients of wq, wk and wv, and one more that of xq
+        g_qkv = np.empty((batch, tq, 3 * d), dtype)
+        np.matmul(own_gh.swapaxes(-1, -2), kh_own, out=_heads(g_qkv[..., :d], heads))
+        g_qkv[..., :d] += summed[..., :d]
+        np.matmul(own_gh, qh, out=_heads(g_qkv[..., d:2 * d], heads))
+        g_qkv[..., 2 * d:] = summed[..., d:2 * d]
+        g_kv = np.empty((steps, tk - tq, 2 * d), dtype)       # [g_k | g_v] rows of xkv
+        np.matmul(g_scores_h[..., tq:, :], _heads(q[episode], heads),
+                  out=_heads(g_kv[..., :d], heads))
+        np.matmul(weights_h[..., tq:, :], g_out, out=_heads(g_kv[..., d:], heads))
+        if wq.requires_grad or wk.requires_grad or wv.requires_grad:
+            g_w = _weight_grad(xqv, g_qkv)
+            g_w[:, d:] += _weight_grad(xkvv, g_kv)
+            for i, w in enumerate((wq, wk, wv)):
+                if w.requires_grad:
+                    w.take_grad(g_w[:, i * d:(i + 1) * d])
+        w_t = np.concatenate((_transposed(wq), _transposed(wk), _transposed(wv)))
+        if xq.requires_grad:
+            g_xq = g_qkv @ w_t
+            g_xq += summed[..., 2 * d:]     # the residual
+            xq.take_grad(g_xq)
+        if xkv.requires_grad:
+            xkv.take_grad(g_kv @ w_t[d:])
 
     return _result(vals, (xq, xkv, wq, wk, wv, wo), back)
 

@@ -8,6 +8,7 @@ import pytest
 from imnav import agent as ag
 from imnav import dataset as ds
 from imnav import evaluation as ev
+from imnav import harness
 from imnav import imagination as im
 from imnav import instructions as ins
 from imnav import numcore as nc
@@ -601,6 +602,108 @@ class TestPaddedBatch:
             want = unbatched_logits(agent, context.text, context.imag, vis, nav)
             assert logits.values.tobytes() == want.values.tobytes()
         assert masks and all(m is None for m in masks)
+
+    @pytest.fixture(scope="class")
+    def desk_batch(self):
+        """Eight train episodes of the shipped desk spec, each with its
+        imaginations, and the spec's agent config."""
+        spec = harness.read_experiment_spec(ROOT / "experiments" / "desk.cfg")
+        spec = replace(spec, train_worlds=8, val_seen_worlds=1, val_unseen_worlds=1)
+        split = harness.build_spec_splits(spec)["train"]
+        return split.items, harness._agent_config(split, spec)
+
+    @staticmethod
+    def repeated_context(attention):
+        """`nc.attention` whose per-episode form repeats the queries over the
+        steps and joins them to the step's keys: the form's oracle."""
+        def op(xq, xkv, *weights, mask=None, counts=None, **kwargs):
+            if counts is None:
+                return attention(xq, xkv, *weights, mask=mask, **kwargs)
+            ctx = nc.repeat(xq, counts)
+            if mask is not None:
+                mask = np.concatenate([np.repeat(mask, counts, axis=0),
+                                       np.ones(xkv.shape[:2], dtype=bool)], axis=1)
+            return attention(ctx, nc.concat([ctx, xkv], axis=1), *weights, mask=mask, **kwargs)
+        return op
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_desk_batch_equals_repeated_context(self, desk_batch, dtype, monkeypatch):
+        """Layer 0 of the context stream projects and scores each episode's
+        context once for all its steps: on a padded desk batch the float32
+        logits equal, byte for byte, those of repeating the context over the
+        steps, and every parameter gradient agrees within rounding. (In
+        float64 OpenBLAS scores the repeated context's longer key blocks with
+        another kernel, whose sums may differ in the last bit.)"""
+        items, cfg = desk_batch
+        agent = ag.Agent(cfg, _cast_params(ag.init_params(cfg, seed=3), dtype))
+        rng = np.random.default_rng(8)
+        trajs = [ag.rollout(agent, it.episode, it.token_ids, it.record.instruction.tokens,
+                            it.imaginations, "teacher", obs_rng=rng, kept_subs=it.record.kept,
+                            train=True, drop_rng=rng) for it in items]
+        assert len({len(t.tokens) for t in trajs}) > 1 and all(t.imaginations for t in trajs)
+        assert min(len(t.action_spaces) for t in trajs) > 1
+        runs, forms, attention = [], [], nc.attention
+
+        def spy(*args, **kwargs):
+            forms.append(kwargs.get("counts"))
+            return attention(*args, **kwargs)
+
+        for op in (spy, self.repeated_context(attention)):
+            monkeypatch.setattr(nc, "attention", op)
+            agent.params.zero_grads()
+            logits, _, _ = ag.decide(agent, trajs)
+            nc.backward(tr.imitation_loss(logits, [t.actions for t in trajs]))
+            runs.append((logits.values.tobytes(),
+                         {n: t.grad for n, t in agent.params.items() if t.grad is not None}))
+        # layer 0's context stream alone takes the per-episode form
+        assert [c is not None for c in forms] == [False] + [True] + [False] * (
+            2 * cfg.cross_layers - 1)
+        (got, got_grads), (want, want_grads) = runs
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        if dtype == np.float32:
+            assert got == want
+        else:
+            got, want = np.frombuffer(got, dtype), np.frombuffer(want, dtype)
+            real = np.isfinite(want)
+            assert np.array_equal(real, np.isfinite(got))
+            assert np.abs(got[real] - want[real]).max() <= tol * np.abs(want[real]).max()
+        assert set(got_grads) == set(want_grads)
+        for name, grad in want_grads.items():
+            assert np.abs(got_grads[name] - grad).max() <= tol * np.abs(grad).max(), name
+
+    def test_greedy_step_keeps_the_plain_calls(self, setup, episodes, monkeypatch):
+        """A greedy step shares its context with no other step: it makes the
+        plain attention calls and the per-layer context joins it made before
+        the per-episode form, and its logits are the oracle's byte for byte."""
+        agent = self.make(setup, {})
+        e = episodes[2]
+        assert e["imags"]
+        context = ag.build_context(agent, [ag.context_inputs(agent, e["token_ids"], e["imags"],
+                                                             e["kept"])])
+        node = e["episode"].start
+        obs = wd.observation_at(e["episode"].world, [node], np.random.default_rng(0))
+        vis, _ = agent.encode_observation(obs, agent.params["hist_init"])
+        nav = wd.navigable(e["episode"].world, node)
+        attention, concat = nc.attention, nc.concat
+        monkeypatch.setattr(nc, "attention", self.repeated_context(attention))
+        oracle = agent.cross_modal_step(context, vis, [1], [nav]).values.tobytes()
+        calls = {"attention": [], "concat": 0}
+
+        def spy_attention(*args, **kwargs):
+            calls["attention"].append(kwargs.get("counts"))
+            return attention(*args, **kwargs)
+
+        def spy_concat(*args, **kwargs):
+            calls["concat"] += 1
+            return concat(*args, **kwargs)
+
+        monkeypatch.setattr(nc, "attention", spy_attention)
+        monkeypatch.setattr(nc, "concat", spy_concat)
+        logits = agent.cross_modal_step(context, vis, [1], [nav])
+        layers = agent.config.cross_layers
+        # two streams per layer; a context join per layer and the scores' join
+        assert calls == {"attention": [None] * 2 * layers, "concat": layers + 1}
+        assert logits.values.tobytes() == oracle
 
     def test_record_of_a_padded_batch_cuts_to_each_episodes_record(self, setup, episodes):
         """`decide(record=)` over two episodes with different context lengths

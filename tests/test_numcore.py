@@ -291,6 +291,27 @@ def attention_chain(xq, xkv, wq, wk, wv, wo, heads):
     return nc.matmul(nc.reshape(nc.transpose(out, (1, 0, 2)), (tq, d)), wo)
 
 
+def attention_by_repeat(xq, xkv, wq, wk, wv, wo, heads, record=None, mask=None, counts=None):
+    """`nc.attention` with its per-episode `counts` form composed from
+    `repeat`, `concat` and the plain call (the form's oracle)."""
+    if counts is None:
+        return nc.attention(xq, xkv, wq, wk, wv, wo, heads, record=record, mask=mask)
+    ctx = nc.repeat(xq, counts)
+    if mask is not None:
+        mask = np.concatenate([np.repeat(mask, counts, axis=0),
+                               np.ones(xkv.shape[:2], dtype=bool)], axis=1)
+    return nc.attention(ctx, nc.concat([ctx, xkv], axis=1), wq, wk, wv, wo, heads,
+                        record=record, mask=mask)
+
+
+# uneven steps per episode, and a (B, tq) mask padding two of the three
+# episodes' query keys
+EPISODE_COUNTS = (2, 1, 3)
+EPISODE_MASK = np.array([[True, True, True, False],
+                         [True, True, True, True],
+                         [True, True, False, False]])
+
+
 class TestFusedOps:
     D, HEADS, HIDDEN = 4, 2, 3
 
@@ -315,6 +336,44 @@ class TestFusedOps:
             xkv = rng.normal(size=lead + (5, self.D))
             check_gradients(cross, [xq, xkv] + w, tol=1e-4)
             check_gradients(self_attn, [xq] + w, tol=1e-4)
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["no_mask", "mask"])
+    def test_attention_by_episode_gradcheck(self, masked):
+        """The per-episode form against central differences, and its float64
+        gradients against those of its repeat/concat oracle."""
+        rng = np.random.default_rng(53)
+        mask = EPISODE_MASK if masked else None
+        probe = rng.normal(size=(sum(EPISODE_COUNTS), 4, self.D))
+        w = [0.5 * a for a in self.weights(rng)]
+        arrays = [rng.normal(size=(3, 4, self.D)), rng.normal(size=(6, 2, self.D))] + w
+
+        def build(op):
+            def loss(ts):
+                out = op(ts[0], ts[1], *ts[2:], heads=self.HEADS, mask=mask,
+                         counts=EPISODE_COUNTS)
+                return nc.mean(nc.mul(out, nc.constant(probe)))
+            return loss
+
+        check_gradients(build(nc.attention), arrays, tol=1e-4)
+        grads = []
+        for op in (nc.attention, attention_by_repeat):
+            leaves = [nc.Tensor(a, requires_grad=True) for a in arrays]
+            nc.backward(build(op)(leaves))
+            grads.append([x.grad for x in leaves])
+        for got, want in zip(*grads):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_attention_by_episode_rejects_bad_counts_and_mask(self):
+        rng = np.random.default_rng(59)
+        w = [t(a) for a in self.weights(rng, np.float32)]
+        xq, xkv = t(np.zeros((3, 4, self.D))), t(np.zeros((6, 2, self.D)))
+        bad = [dict(counts=[2, 1, 2]), dict(counts=[2, 1, 4]), dict(counts=[3, 0, 3]),
+               dict(counts=[3, 3]), dict(counts=[2, 1, 3], mask=np.ones((3, 6), dtype=bool)),
+               dict(counts=[2, 1, 3], mask=np.ones((6, 4), dtype=bool))]
+        for kwargs in bad:
+            with pytest.raises(ShapeError):
+                nc.attention(xq, xkv, *w, heads=self.HEADS, **kwargs)
+        nc.attention(xq, xkv, *w, heads=self.HEADS, counts=[2, 1, 3], mask=EPISODE_MASK)
 
     def test_masked_attention_gradcheck(self):
         rng = np.random.default_rng(37)
@@ -598,6 +657,30 @@ class TestResidualSubBlocks:
         assert got == want
         if case == "record":
             assert records["got"][0].tobytes() == records["want"][0].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("masked", [False, True], ids=["no_mask", "mask"])
+    def test_attention_by_episode_equals_repeated_queries(self, dtype, masked):
+        """The per-episode form gives the values and recorded weights of its
+        repeat/concat oracle byte for byte, and its gradients within
+        rounding: it sums over each episode's steps before the products."""
+        rng = np.random.default_rng(79)
+        d, heads = 8, 2
+        arrays = [rng.normal(size=(3, 4, d)), rng.normal(size=(6, 7, d))]
+        arrays += [0.5 * rng.normal(size=(d, d)) for _ in range(4)]
+        mask = EPISODE_MASK if masked else None
+        runs = []
+        for op in (nc.attention, attention_by_repeat):
+            record = []
+            got = self.run(lambda *ts: op(*ts, heads=heads, record=record, mask=mask,
+                                          counts=EPISODE_COUNTS), arrays, dtype)
+            runs.append((got, record[0].tobytes()))
+        (got, got_record), (want, want_record) = runs
+        assert got[0] == want[0] and got_record == want_record
+        tol = 1e-6 if dtype == np.float32 else 1e-12
+        for a, b in zip(got[1:], want[1:]):
+            a, b = np.frombuffer(a, dtype), np.frombuffer(b, dtype)
+            assert np.abs(a - b).max() <= tol * np.abs(b).max()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_ffn_equals_input_plus_sublayer(self, dtype):
