@@ -1,5 +1,5 @@
 """Split assembly: worlds -> episodes -> instructions -> imaginations, either
-generated or read from the files of gen-world, gen-corpus and imagine."""
+generated or read back from the data directory that `write_split` fills."""
 
 from __future__ import annotations
 
@@ -60,30 +60,45 @@ def bundle(episodes, records, imagination_sets, vocab, library, split):
     return Split(items=items, vocab=vocab, library=library, split=split)
 
 
-def generate_episodes(world_config, n_worlds, seed):
-    """`n_worlds` generated worlds with one episode each."""
-    return [wd.sample_episode(wd.generate_world(world_config, seed=seed * 1009 + i))
-            for i in range(n_worlds)]
-
-
 def build_split(world_config, n_worlds, templates, lexicon, vocab,
                 imagination_config, world_seed, text_seed, imagine_seed):
     """Generate `n_worlds` worlds with one episode each and build the corpus."""
-    episodes = generate_episodes(world_config, n_worlds, world_seed)
+    episodes = [wd.sample_episode(wd.generate_world(world_config, seed=world_seed * 1009 + i))
+                for i in range(n_worlds)]
     records = ins.build_corpus(episodes, templates, lexicon, seed=text_seed, vocab=vocab)
     sets = im.imagine_dataset(records, world_config.library, imagination_config, seed=imagine_seed)
     return bundle(episodes, records, sets, vocab, world_config.library, world_config.split)
 
 
-def read_split(worlds_path, corpus_path, imaginations_path):
-    """The split stored in a worlds, a corpus and an imaginations file."""
-    library, pairs = serial.read_worlds(worlds_path)
-    records, world_indices = serial.read_corpus(corpus_path, pairs)
-    sets = serial.read_imaginations(imaginations_path, len(records), library.d_v)
+def _split_paths(data_dir, split):
+    return [Path(data_dir) / f"{split}_{kind}.txt" for kind in ("worlds", "corpus", "imag")]
+
+
+def write_split(data_dir, split, command="", seed=None):
+    """Write `split` into `data_dir` as <split>_worlds.txt, <split>_corpus.txt
+    and <split>_imag.txt, and return its corpus statistics."""
+    worlds, corpus, imags = _split_paths(data_dir, split.split)
+    records = [item.record for item in split.items]
+    serial.write_worlds(worlds, split.library, [(item.episode.world, item.episode)
+                                                for item in split.items], command, seed)
+    serial.write_corpus(corpus, records, list(range(len(records))), command, seed)
+    serial.write_imaginations(imags, [item.imaginations for item in split.items], command, seed)
+    return ins.corpus_stats(records)
+
+
+def read_split(data_dir, split):
+    """Split `split` of a data directory that `write_split` filled. FormatError
+    if its worlds file holds worlds of another split."""
+    worlds, corpus, imags = _split_paths(data_dir, split)
+    library, pairs = serial.read_worlds(worlds)
+    others = sorted({world.split for world, _ in pairs} - {split})
+    if others:
+        raise FormatError(f"{worlds}: holds worlds of split {others[0]!r}, not {split!r}")
+    records, world_indices = serial.read_corpus(corpus, pairs)
+    sets = serial.read_imaginations(imags, len(records), library.d_v)
     _, templates, _ = load_assets(library=library)
     return bundle([pairs[i][1] for i in world_indices], records, sets,
-                  ins.build_vocab(templates, library), library,
-                  pairs[0][0].split if pairs else "train")
+                  ins.build_vocab(templates, library), library, split)
 
 
 def standard_splits(library, templates, lexicon, *, layout=wd.WorldConfig.layout,

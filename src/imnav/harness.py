@@ -1,10 +1,13 @@
 """Command-line front end and experiment orchestration.
 
-Subcommands: gen-world, gen-corpus, imagine, train, eval, ablate,
-probe-attention, report. Exit codes: 0 ok, 1 runtime/I-O error, 2 usage.
+Subcommands: data, train, eval, ablate, probe-attention, report. Exit codes:
+0 ok, 1 runtime/I-O error, 2 usage.
 
-Flags and spec keys take their types and defaults from the fields of
-WorldConfig, ImaginationConfig, AgentConfig, TrainConfig and ExperimentSpec.
+Spec keys take their types and defaults from the fields of WorldConfig,
+ImaginationConfig, AgentConfig, TrainConfig and ExperimentSpec. `data` writes
+a spec's three splits into a directory, as `ablate` does into its run
+directory's data/; `train`, `eval` and `probe-attention` read a split from it
+by name.
 
 Each condition is defined once: `training_job` gives the configs that train
 it, `eval_policy` the policy it is evaluated under. `ablate`, `train` and
@@ -23,7 +26,7 @@ import os
 import shlex
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -33,7 +36,6 @@ from . import agent as ag
 from . import dataset as ds
 from . import evaluation as ev
 from . import imagination as im
-from . import instructions as ins
 from . import numcore as nc
 from . import serial
 from . import training as tr
@@ -122,48 +124,15 @@ def command_line():
     return "imnav " + " ".join(shlex.quote(a) for a in sys.argv[1:])
 
 
-def _fields_of(cls, args):
-    """The fields of config dataclass `cls` that the parsed `args` carry."""
-    return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_gen_world(args):
-    if args.count < 1:
-        raise ConfigurationError(f"--count {args.count}: a world file needs at least one world")
-    wd.check_route_fits(args.n_forks, ag.AgentConfig.max_steps)
-    library, _, _ = ds.load_assets(args.d_v)
-    cfg = wd.WorldConfig(library=library, **_fields_of(wd.WorldConfig, args))
-    pairs = [(ep.world, ep) for ep in ds.generate_episodes(cfg, args.count, args.seed)]
-    serial.write_worlds(args.out, library, pairs, command=command_line(), seed=args.seed)
-    print(f"wrote {len(pairs)} worlds to {args.out}")
-    return 0
-
-
-def cmd_gen_corpus(args):
-    library, pairs = serial.read_worlds(args.worlds)
-    _, templates, lexicon = ds.load_assets(library=library)
-    records = ins.build_corpus([ep for _, ep in pairs], templates, lexicon, seed=args.seed,
-                               vocab=ins.build_vocab(templates, library))
-    serial.write_corpus(args.out, records, list(range(len(records))),
-                        command=command_line(), seed=args.seed)
-    seg, kept, vsize = ins.corpus_stats(records)
-    print(f"wrote {len(records)} instructions to {args.out} "
-          f"(avg segments {seg:.2f}, avg kept {kept:.2f}, vocab {vsize})")
-    return 0
-
-
-def cmd_imagine(args):
-    library, pairs = serial.read_worlds(args.worlds)
-    records, _ = serial.read_corpus(args.corpus, pairs)
-    cfg = im.ImaginationConfig(**_fields_of(im.ImaginationConfig, args))
-    sets = im.imagine_dataset(records, library, cfg, seed=args.seed)
-    serial.write_imaginations(args.out, sets, command=command_line(), seed=args.seed)
-    total = sum(len(g) for g in sets)
-    print(f"wrote {total} imaginations for {len(sets)} instructions to {args.out}")
+def cmd_data(args):
+    spec = read_experiment_spec(args.spec)
+    for name, (seg, kept, vsize) in write_data(spec, args.out, command_line()).items():
+        print(f"wrote {getattr(spec, name + '_worlds')} {name} episodes to {args.out} "
+              f"(avg segments {seg:.2f}, avg kept {kept:.2f}, vocab {vsize})")
     return 0
 
 
@@ -200,7 +169,7 @@ def _train(args):
     if (args.condition == "baseline") == (args.init_from is not None):
         raise ConfigurationError(f"{args.condition} {'takes no' if args.init_from else 'needs'} "
                                  "--init-from: a finetune starts from the baseline's checkpoint")
-    split = ds.read_split(args.worlds, args.corpus, args.imaginations)
+    split = ds.read_split(args.data, "train")
     base_agent, init_values = _agent_config(split, spec), None
     if args.init_from:
         base = tr.load_checkpoint(args.init_from)
@@ -214,7 +183,7 @@ def _train(args):
 
 
 def _eval(args):
-    split = ds.read_split(args.worlds, args.corpus, args.imaginations)
+    split = ds.read_split(args.data, args.split)
     agent = tr.agent_from_checkpoint(tr.load_checkpoint(args.ckpt))
     row = (ev.evaluate(agent, split.items, eval_policy(args.condition), seed=args.seed,
                        split=split.split), args.condition)
@@ -223,7 +192,7 @@ def _eval(args):
 
 
 def _probe_attention(args):
-    split = ds.read_split(args.worlds, args.corpus, args.imaginations)
+    split = ds.read_split(args.data, args.split)
     if not 0 <= args.episode < len(split.items):
         raise IndexRangeError(f"episode {args.episode} outside the split's "
                               f"{len(split.items)} episodes")
@@ -305,6 +274,17 @@ def build_spec_splits(spec):
         train_n=spec.train_worlds, val_seen_n=spec.val_seen_worlds,
         val_unseen_n=spec.val_unseen_worlds, imagination_config=spec.imagination,
         data_seed=spec.data_seed)
+
+
+def write_data(spec, out_dir, command):
+    """Build the three splits of `spec`, then write them into `out_dir` (see
+    `dataset.write_split`); returns {split: corpus statistics}. A spec that
+    cannot build raises before `out_dir` is made."""
+    splits = build_spec_splits(spec)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return {name: ds.write_split(out_dir, split, command=command, seed=spec.data_seed)
+            for name, split in splits.items()}
 
 
 def _seed_job(spec, seed, out_dir, quiet):
@@ -393,8 +373,9 @@ def _pinned_pool(workers):
 
 
 def run_ablation(spec, out_dir, quiet=False, workers=1):
-    """Run every seed of `spec` in up to `workers` processes and write the
-    metrics, summary and verdicts.
+    """Write the data of `spec` into data/ (see `write_data`), run every seed
+    in up to `workers` processes and write the metrics, summary and verdicts.
+    Each seed builds the same splits in memory.
 
     Each seed runs in a `_pinned_pool` worker, which records its thread
     setting in threads/seed_<seed>.txt, so the output is the same bytes for
@@ -402,6 +383,7 @@ def run_ablation(spec, out_dir, quiet=False, workers=1):
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     out_dir = Path(out_dir)
+    write_data(spec, out_dir / "data", command=f"ablate {spec.name}")
     for sub in ("curves", "ckpt", "threads"):
         (out_dir / sub).mkdir(parents=True, exist_ok=True)
 
@@ -497,54 +479,20 @@ def cmd_report(args):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _field_option(p, flag, cls, name, **kw):
-    """Add `flag`, which sets field `name` of config dataclass `cls` with that
-    field's type and default."""
-    parse, is_tuple = serial.field_type(cls, name)
-    default = getattr(cls, name)
-    if is_tuple:
-        kw["nargs"] = len(default)
-    p.add_argument(flag, dest=name, type=parse, default=default, **kw)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(prog="imnav",
                                      description="Landmark-imagination navigation lab")
     sub = parser.add_subparsers(dest="command", required=True)
-    W, I, A = wd.WorldConfig, im.ImaginationConfig, ag.AgentConfig
 
-    p = sub.add_parser("gen-world", help="generate a world + episode set")
-    _field_option(p, "--split", W, "split", choices=wd.SPLITS)
-    p.add_argument("--count", type=int, default=100)
-    _field_option(p, "--n-forks", W, "n_forks")
-    _field_option(p, "--k", W, "k_views")
-    _field_option(p, "--d-v", A, "d_v")
-    _field_option(p, "--sigma-obs", W, "sigma_obs")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_world)
-
-    p = sub.add_parser("gen-corpus", help="generate instructions for a world set")
-    p.add_argument("--worlds", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_corpus)
-
-    p = sub.add_parser("imagine", help="generate imaginations for a corpus")
-    p.add_argument("--worlds", required=True)
-    p.add_argument("--corpus", required=True)
-    _field_option(p, "--fidelity", I, "fidelity")
-    _field_option(p, "--sigma-gen", I, "sigma_gen")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_imagine)
+    p = sub.add_parser("data", help="write the train, val_seen and val_unseen splits of a spec")
+    p.add_argument("--spec", required=True, help="experiment spec; its [experiment] and [world] apply")
+    p.add_argument("--out", required=True, help="the data directory")
+    p.set_defaults(func=cmd_data)
 
     p = sub.add_parser("train", help="train one condition of a spec, as an ablation seed does")
     p.add_argument("--spec", required=True, help="experiment spec; its [agent] and [train] apply")
     p.add_argument("--condition", required=True, choices=("baseline",) + tuple(TRAIN_CONDITIONS))
-    p.add_argument("--worlds", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--imaginations", required=True)
+    p.add_argument("--data", required=True, help="a data directory; its train split is read")
     p.add_argument("--init-from", default=None, help="the baseline checkpoint a finetune starts from")
     p.add_argument("--curves", default=None)
     p.add_argument("--seed", type=int, required=True)
@@ -554,9 +502,8 @@ def build_parser():
     p = sub.add_parser("eval", help="evaluate a checkpoint on a split under a condition's policy")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--condition", required=True, choices=ALL_CONDITIONS)
-    p.add_argument("--worlds", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--imaginations", required=True)
+    p.add_argument("--data", required=True)
+    p.add_argument("--split", required=True, choices=wd.SPLITS)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=partial(_run_pinned, _eval))
@@ -571,9 +518,8 @@ def build_parser():
 
     p = sub.add_parser("probe-attention", help="top attended tokens/views for an imagination")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--worlds", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--imaginations", required=True)
+    p.add_argument("--data", required=True)
+    p.add_argument("--split", required=True, choices=wd.SPLITS)
     p.add_argument("--episode", type=int, default=0)
     p.add_argument("--imagination", type=int, default=0)
     p.add_argument("--layer", type=int, default=0)
@@ -586,6 +532,8 @@ def build_parser():
     p.add_argument("metrics", nargs="+")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report)
+    for p in sub.choices.values():   # a removed flag must fail, not abbreviate a kept one
+        p.allow_abbrev = False
     return parser
 
 

@@ -8,7 +8,6 @@ and is written atomically. Config values in text are parsed by field type.
 
 from __future__ import annotations
 
-import functools
 import os
 import typing
 from contextlib import contextmanager
@@ -40,20 +39,15 @@ def _parse_bool(text):
     return text.lower() == "true"
 
 
-@functools.cache
-def field_type(cls, name):
-    """(item parser, is_tuple) for field `name` of dataclass `cls`, from its
-    annotation: int, float, str, bool (true/false) or tuple[item, ...]."""
+def parse_field(cls, name, text):
+    """The value of field `name` of dataclass `cls` written as `text`, parsed
+    by the field's annotation: int, float, str, bool (true/false) or
+    tuple[item, ...], whose items are separated by spaces. Raises ValueError
+    on unparsable text."""
     kind = typing.get_type_hints(cls)[name]
     is_tuple = typing.get_origin(kind) is tuple
     item = typing.get_args(kind)[0] if is_tuple else kind
-    return (_parse_bool if item is bool else item), is_tuple
-
-
-def parse_field(cls, name, text):
-    """The value of field `name` of dataclass `cls` written as `text`; tuple
-    items are separated by spaces. Raises ValueError on unparsable text."""
-    parse, is_tuple = field_type(cls, name)
+    parse = _parse_bool if item is bool else item
     return tuple(parse(t) for t in text.split()) if is_tuple else parse(text.strip())
 
 
@@ -147,7 +141,7 @@ def read_worlds(path):
     """The library and (World, Episode) pairs of a worlds file. FormatError
     names the line of a malformed record, or of one that names a node its
     world does not declare, and the world whose node records do not cover
-    0..n_nodes-1."""
+    0..n_nodes-1 or that has no episode record."""
     reader = LineReader(path, WORLDS_TAG)
     classes = []
     background = None
@@ -225,11 +219,10 @@ def read_worlds(path):
             placements={n: tuple(v) for n, v in raw["places"].items()},
             library=library, designated=raw["designated"])
         ep_raw = episodes_raw.get(idx)
-        episode = None
-        if ep_raw:
-            episode = wd.Episode(world=world, start=ep_raw["start"], goal=ep_raw["goal"],
-                                 teacher_path=ep_raw["path"])
-        pairs.append((world, episode))
+        if ep_raw is None:
+            raise FormatError(f"{path}: world {idx} has no episode record")
+        pairs.append((world, wd.Episode(world=world, start=ep_raw["start"], goal=ep_raw["goal"],
+                                        teacher_path=ep_raw["path"])))
     return library, pairs
 
 

@@ -114,7 +114,7 @@ def load_library(path, d_v, seed=PROTOTYPE_SEED):
 @dataclass(frozen=True)
 class WorldConfig:
     """World generation settings. These defaults are the only ones:
-    `dataset.standard_splits`, experiment specs and `gen-world` read them."""
+    `dataset.standard_splits` and experiment specs read them."""
     library: Library
     layout: str = "forks"        # the only layout; experiment specs name it
     k_views: int = 12

@@ -1,12 +1,17 @@
 import configparser
+import dataclasses
 import os
+import re
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from imnav import agent as ag
+from imnav import dataset as ds
 from imnav import evaluation as ev
 from imnav import harness
 from imnav import imagination as im
@@ -16,6 +21,7 @@ from imnav.errors import ConfigurationError, InputError
 
 ROOT = Path(__file__).resolve().parent.parent
 SMALL_AGENT = "d = 32\nheads = 2\ncross_layers = 1\n"
+DATA_FILES = [f"{split}_{kind}.txt" for split in wd.SPLITS for kind in ("worlds", "corpus", "imag")]
 
 
 def run_cli(args):
@@ -48,91 +54,163 @@ def write_spec(tmp_path, conditions="baseline imagine", seeds="1 2", data_seed=0
     return path
 
 
-def gen_dataset(tmp_path, split="train", count=6, seed=3, prefix=None, world_flags=()):
-    prefix = prefix or split
-    worlds = tmp_path / f"{prefix}_worlds.txt"
-    corpus = tmp_path / f"{prefix}_corpus.txt"
-    imags = tmp_path / f"{prefix}_imag.txt"
-    assert run_cli(["gen-world", "--split", split, "--count", count,
-                    "--seed", seed, "--out", worlds, *world_flags]) == 0
-    assert run_cli(["gen-corpus", "--worlds", worlds, "--seed", seed + 1, "--out", corpus]) == 0
-    assert run_cli(["imagine", "--worlds", worlds, "--corpus", corpus, "--seed", seed + 2,
-                    "--out", imags]) == 0
-    return worlds, corpus, imags
+def gen_dataset(tmp_path, **spec):
+    """A spec (`write_spec(tmp_path, **spec)`) and the data directory that
+    `imnav data` writes from it."""
+    path = write_spec(tmp_path, **spec)
+    data = tmp_path / "data"
+    assert run_cli(["data", "--spec", path, "--out", data]) == 0
+    return path, data
+
+
+def parses(args):
+    """Whether the CLI accepts `args`: the tests of removed flags check that
+    their command line is accepted without the flag."""
+    harness.build_parser().parse_args([str(a) for a in args])
+    return True
+
+
+def edit_line(path, prefix, edit):
+    """Replace the first line of `path` that starts with `prefix` by
+    `edit(line)`, or drop it when `edit` returns None; returns its index."""
+    lines = path.read_text().splitlines()
+    idx = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    new = edit(lines[idx])
+    lines[idx:idx + 1] = [] if new is None else [new]
+    path.write_text("\n".join(lines) + "\n")
+    return idx
 
 
 @pytest.fixture(scope="module")
-def probe_inputs(tmp_path_factory):
-    """probe-attention's input flags: a 6-episode split and a baseline
-    checkpoint trained on it."""
-    tmp_path = tmp_path_factory.mktemp("probe")
-    worlds, corpus, imags = gen_dataset(tmp_path)
+def trained(tmp_path_factory):
+    """A small spec, its data directory (6 train, 3 val_seen and 3
+    val_unseen episodes) and a baseline checkpoint trained on it."""
+    tmp_path = tmp_path_factory.mktemp("trained")
+    spec, data = gen_dataset(tmp_path, agent=SMALL_AGENT, train="base_iterations = 6\n")
     ckpt = tmp_path / "a.ckpt"
-    spec = write_spec(tmp_path, agent=SMALL_AGENT, train="base_iterations = 6\n")
-    assert run_cli(["train", "--spec", spec, "--condition", "baseline", "--worlds", worlds,
-                    "--corpus", corpus, "--imaginations", imags, "--seed", "5",
-                    "--out", ckpt]) == 0
-    return ["--ckpt", ckpt, "--worlds", worlds, "--corpus", corpus, "--imaginations", imags]
+    assert run_cli(["train", "--spec", spec, "--condition", "baseline", "--data", data,
+                    "--seed", "5", "--out", ckpt]) == 0
+    return spec, data, ckpt
+
+
+@pytest.fixture
+def probe_inputs(trained):
+    """probe-attention's input flags: the 6-episode train split and the
+    baseline checkpoint trained on it."""
+    _, data, ckpt = trained
+    return ["--ckpt", ckpt, "--data", data, "--split", "train"]
+
+
+@pytest.fixture
+def eval_copy(trained, tmp_path, capsys):
+    """A copy of the trained fixture's data directory, and a function that
+    runs `eval` of its checkpoint on a split of the copy and returns the exit
+    code and stderr; it checks that a failed eval writes no metrics file."""
+    _, data, ckpt = trained
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+
+    def run_eval(split="train"):
+        capsys.readouterr()
+        metrics = tmp_path / "m.tsv"
+        code = run_cli(["eval", "--ckpt", ckpt, "--condition", "baseline", "--data", copy,
+                        "--split", split, "--seed", "2", "--out", metrics])
+        assert code == 0 or not metrics.exists()
+        return code, capsys.readouterr().err
+
+    return copy, run_eval
 
 
 class TestCli:
-    def test_gen_world_deterministic_files(self, tmp_path):
-        a = tmp_path / "a.txt"
-        b = tmp_path / "b.txt"
+    def test_data_files_are_deterministic(self, tmp_path):
+        spec = write_spec(tmp_path, sizes=(4, 1, 2))
+        a = tmp_path / "a"
+        b = tmp_path / "b"
         for out in (a, b):
-            code = harness.main(["gen-world", "--seed", "7", "--count", "4", "--out", str(out)])
+            code = harness.main(["data", "--spec", str(spec), "--out", str(out)])
             assert code == 0
-        assert a.read_bytes() == b.read_bytes()
+        assert sorted(p.name for p in a.iterdir()) == sorted(DATA_FILES)
+        for name in DATA_FILES:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_unknown_flag_exits_2(self):
-        proc = run_harness("gen-world", "--bogus-flag", "1")
-        assert proc.returncode == 2 and proc.stderr.startswith("usage: imnav gen-world")
+        proc = run_harness("data", "--bogus-flag", "1")
+        assert proc.returncode == 2 and proc.stderr.startswith("usage: imnav data")
 
     def test_eval_requires_checkpoint_flag(self):
-        proc = run_harness("eval", "--condition", "imagine", "--worlds", "w", "--corpus", "c",
-                           "--imaginations", "i", "--seed", "0", "--out", "m")
+        proc = run_harness("eval", "--condition", "imagine", "--data", "d", "--split",
+                           "val_unseen", "--seed", "0", "--out", "m")
         assert proc.returncode == 2 and "--ckpt" in proc.stderr
 
-    def test_seed_required_for_generation(self):
-        proc = run_harness("gen-world", "--out", "w.txt")
-        assert proc.returncode == 2 and "--seed" in proc.stderr
+    def test_spec_required_for_data(self):
+        proc = run_harness("data", "--out", "d")
+        assert proc.returncode == 2 and "--spec" in proc.stderr
+
+    def test_eval_and_probe_attention_require_a_split(self, capsys):
+        for command in (["eval", "--condition", "imagine", "--seed", "0", "--out", "m"],
+                        ["probe-attention"]):
+            with pytest.raises(SystemExit) as exc:
+                run_cli([*command, "--ckpt", "k", "--data", "d"])
+            assert exc.value.code == 2 and "--split" in capsys.readouterr().err, command
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["probe-attention", "--ckpt", "k", "--data", "d", "--split", "bogus"])
+        assert exc.value.code == 2 and "'bogus'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--templates", "--lexicon-nouns", "--lexicon-blacklist"])
     def test_asset_path_flags_are_gone(self, tmp_path, flag):
         # the packaged data files are the one source of templates and lexicon
+        args = ["data", "--spec", "s", "--out", "d"]
+        assert parses(args)
         with pytest.raises(SystemExit) as exc:
-            run_cli(["gen-corpus", "--worlds", "w", "--seed", "1", "--out", "c", flag, "x"])
+            run_cli([*args, flag, "x"])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("flag", ["--layout", "--n-nodes"])
     def test_removed_layout_flags_are_gone(self, flag):
         # fork worlds are the only layout
+        args = ["data", "--spec", "s", "--out", "d"]
+        assert parses(args)
         with pytest.raises(SystemExit) as exc:
-            run_cli(["gen-world", "--seed", "1", "--out", "w", flag, "8"])
+            run_cli([*args, flag, "8"])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("command, flag", [
-        ("gen-world", "--mode"), ("train", "--val-worlds"), ("train", "--val-corpus"),
+        ("data", "--mode"), ("train", "--val-worlds"), ("train", "--val-corpus"),
         ("train", "--val-imaginations"), ("train", "--eval-interval")])
     def test_episode_mode_and_mid_training_eval_flags_are_gone(self, command, flag):
-        required = ["--spec", "s", "--condition", "baseline", "--worlds", "w", "--corpus", "c",
-                    "--imaginations", "i"] * (command == "train")
+        required = {"data": ["--spec", "s", "--out", "o"],
+                    "train": ["--spec", "s", "--condition", "baseline", "--data", "d",
+                              "--seed", "1", "--out", "o"]}[command]
+        assert parses([command, *required])
         with pytest.raises(SystemExit) as exc:
-            run_cli([command, *required, "--seed", "1", "--out", "o", flag, "x"])
+            run_cli([command, *required, flag, "x"])
         assert exc.value.code == 2
 
-    def test_worlds_file_with_coarse_episode_exits_1(self, tmp_path, capsys):
-        worlds, _, _ = gen_dataset(tmp_path, count=2)
-        lines = worlds.read_text().splitlines()
-        idx = next(i for i, line in enumerate(lines) if line.startswith("episode 1 "))
-        lines[idx] = lines[idx].replace(" fine ", " coarse ", 1)
-        worlds.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        assert run_cli(["gen-corpus", "--worlds", worlds, "--seed", "1",
-                        "--out", tmp_path / "c.txt"]) == 1
-        err = capsys.readouterr().err
+    def test_worlds_file_with_coarse_episode_exits_1(self, eval_copy):
+        data, run_eval = eval_copy
+        idx = edit_line(data / "train_worlds.txt", "episode 1 ",
+                        lambda line: line.replace(" fine ", " coarse ", 1))
+        code, err = run_eval()
+        assert code == 1
         assert f":{idx + 1}:" in err and "'coarse'" in err
-        assert not (tmp_path / "c.txt").exists()
+
+    def test_world_without_episode_record_exits_1(self, eval_copy):
+        data, run_eval = eval_copy
+        edit_line(data / "train_worlds.txt", "episode 1 ", lambda line: None)
+        code, err = run_eval()
+        assert code == 1
+        assert err.startswith("error: ") and "world 1 has no episode record" in err
+
+    def test_split_files_must_hold_that_split(self, eval_copy):
+        # a worlds file says which split its worlds belong to; eval labels its
+        # metrics row with the split it was asked for, so they must agree
+        data, run_eval = eval_copy
+        for kind in ("worlds", "corpus", "imag"):
+            shutil.copy(data / f"val_seen_{kind}.txt", data / f"val_unseen_{kind}.txt")
+        code, err = run_eval("val_unseen")
+        assert code == 1
+        assert err.startswith("error: ") and "'val_seen', not 'val_unseen'" in err
+        assert run_eval("val_seen")[0] == 0
 
     def test_report_rejects_the_old_metrics_header(self, tmp_path, capsys):
         path = tmp_path / "old.tsv"
@@ -145,89 +223,82 @@ class TestCli:
     def test_route_longer_than_max_steps_exits_1_before_any_work(self, tmp_path, capsys):
         # seven forks make 15-edge routes: 16 decisions with the stop, one
         # more than AgentConfig.max_steps; six forks still fit
-        assert run_cli(["gen-world", "--n-forks", "6", "--count", "1", "--seed", "1",
-                        "--out", tmp_path / "w6.txt"]) == 0
-        assert run_cli(["gen-world", "--n-forks", "7", "--count", "1", "--seed", "1",
-                        "--out", tmp_path / "w7.txt"]) == 1
-        assert "n_forks=7" in capsys.readouterr().err and not (tmp_path / "w7.txt").exists()
+        for forks, code in ((6, 0), (7, 1)):
+            spec = write_spec(tmp_path, world=f"n_forks = {forks}\n", sizes=(1, 1, 1))
+            assert run_cli(["data", "--spec", spec, "--out", tmp_path / f"d{forks}"]) == code
+        assert "n_forks=7" in capsys.readouterr().err and not (tmp_path / "d7").exists()
+        assert (tmp_path / "d6" / "train_worlds.txt").exists()
         with pytest.raises(ConfigurationError, match="n_forks=7"):
             harness.ExperimentSpec(world={"n_forks": 7})
 
     @pytest.mark.parametrize("count", [0, -2])
-    def test_gen_world_count_below_1_exits_1_writing_nothing(self, tmp_path, capsys, count):
-        out = tmp_path / "w.txt"
-        assert run_cli(["gen-world", "--count", count, "--seed", "1", "--out", out]) == 1
+    def test_train_worlds_below_1_exits_1_writing_nothing(self, tmp_path, capsys, count):
+        spec = write_spec(tmp_path, sizes=(count, 1, 1))
+        assert run_cli(["data", "--spec", spec, "--out", tmp_path / "d"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"--count {count}" in err
-        assert list(tmp_path.iterdir()) == []
+        assert err.startswith("error: ") and f"train_worlds must be >= 1, got {count}" in err
+        assert list(tmp_path.iterdir()) == [spec]
 
-    def test_missing_input_file_exits_1(self, tmp_path):
-        code = run_cli(["gen-corpus", "--worlds", tmp_path / "nope.txt", "--seed", "1",
-                        "--out", tmp_path / "c.txt"])
+    def test_missing_input_file_exits_1(self, trained, tmp_path):
+        _, _, ckpt = trained
+        code = run_cli(["eval", "--ckpt", ckpt, "--condition", "baseline",
+                        "--data", tmp_path / "nope", "--split", "train", "--seed", "1",
+                        "--out", tmp_path / "m.tsv"])
         assert code == 1
 
-    def test_worlds_file_with_short_episode_path_exits_1(self, tmp_path, capsys):
-        worlds, _, _ = gen_dataset(tmp_path, count=2)
-        lines = worlds.read_text().splitlines()
-        idx = next(i for i, line in enumerate(lines) if line.startswith("episode 1 "))
-        lines[idx] = lines[idx].rsplit(" ", 1)[0]     # drop the goal, keep the node count
-        worlds.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        assert run_cli(["gen-corpus", "--worlds", worlds, "--seed", "1",
-                        "--out", tmp_path / "c.txt"]) == 1
-        assert f":{idx + 1}:" in capsys.readouterr().err
-        assert not (tmp_path / "c.txt").exists()
+    def test_worlds_file_with_short_episode_path_exits_1(self, eval_copy):
+        data, run_eval = eval_copy
+        # drop the goal, keep the node count
+        idx = edit_line(data / "train_worlds.txt", "episode 1 ",
+                        lambda line: line.rsplit(" ", 1)[0])
+        code, err = run_eval()
+        assert code == 1
+        assert f":{idx + 1}:" in err
 
     def test_unknown_corpus_word_exits_1(self, tmp_path, capsys):
-        worlds, corpus, imags = gen_dataset(tmp_path, count=3)
+        spec, data = gen_dataset(tmp_path, sizes=(3, 1, 1), agent=SMALL_AGENT,
+                                 train="base_iterations = 1\n")
         ckpt = tmp_path / "a.ckpt"
-        files = ["--worlds", worlds, "--corpus", corpus, "--imaginations", imags]
-        spec = write_spec(tmp_path, agent=SMALL_AGENT, train="base_iterations = 1\n")
-        baseline = ["--spec", spec, "--condition", "baseline"]
-        assert run_cli(["train", *baseline, *files, "--seed", "5", "--out", ckpt]) == 0
-        lines = corpus.read_text().splitlines()
-        first = next(i for i, line in enumerate(lines) if line.startswith("instr "))
-        fields = lines[first].split(" ")
-        fields[5] = "stroll"          # instr <idx> <world> <mode> <n> <tokens...>
-        lines[first] = " ".join(fields)
-        corpus.write_text("\n".join(lines) + "\n")
+        baseline = ["--spec", spec, "--condition", "baseline", "--data", data]
+        assert run_cli(["train", *baseline, "--seed", "5", "--out", ckpt]) == 0
+
+        def stroll(line):
+            fields = line.split(" ")
+            fields[5] = "stroll"          # instr <idx> <world> <mode> <n> <tokens...>
+            return " ".join(fields)
+
+        edit_line(data / "train_corpus.txt", "instr ", stroll)
         capsys.readouterr()
-        assert run_cli(["train", *baseline, *files, "--seed", "5",
-                        "--out", tmp_path / "b.ckpt"]) == 1
-        assert run_cli(["eval", "--ckpt", ckpt, "--condition", "baseline", *files, "--seed", "2",
-                        "--out", tmp_path / "m.tsv"]) == 1
+        assert run_cli(["train", *baseline, "--seed", "5", "--out", tmp_path / "b.ckpt"]) == 1
+        assert run_cli(["eval", "--ckpt", ckpt, "--condition", "baseline", "--data", data,
+                        "--split", "train", "--seed", "2", "--out", tmp_path / "m.tsv"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all("'stroll'" in line and "instruction 0" in line
                                      for line in err)
 
     def test_train_eval_flow(self, tmp_path, capsys):
-        worlds, corpus, imags = gen_dataset(tmp_path)
+        spec, data = gen_dataset(tmp_path, agent=SMALL_AGENT, train="base_iterations = 12\n")
         ckpt = tmp_path / "a.ckpt"
         curves = tmp_path / "curves.tsv"
-        spec = write_spec(tmp_path, agent=SMALL_AGENT, train="base_iterations = 12\n")
-        assert run_cli(["train", "--spec", spec, "--condition", "baseline", "--worlds", worlds,
-                        "--corpus", corpus, "--imaginations", imags, "--seed", "5",
-                        "--out", ckpt, "--curves", curves]) == 0
+        assert run_cli(["train", "--spec", spec, "--condition", "baseline", "--data", data,
+                        "--seed", "5", "--out", ckpt, "--curves", curves]) == 0
         metrics = tmp_path / "m.tsv"
         capsys.readouterr()
-        assert run_cli(["eval", "--ckpt", ckpt, "--condition", "baseline", "--worlds", worlds,
-                        "--corpus", corpus, "--imaginations", imags, "--seed", "2",
-                        "--out", metrics]) == 0
+        assert run_cli(["eval", "--ckpt", ckpt, "--condition", "baseline", "--data", data,
+                        "--split", "train", "--seed", "2", "--out", metrics]) == 0
         (rec, cond), = ev.read_metrics(metrics)
-        assert rec.count == 6 and cond == "baseline"
+        assert rec.count == 6 and cond == "baseline" and rec.split == "train"
         assert curves.read_text().count("\n") >= 12
         # the printed row is the row written
         assert capsys.readouterr().out.splitlines() == metrics.read_text().splitlines()[-1:]
 
     def test_train_takes_d_v_and_k_views_from_worlds(self, tmp_path):
-        worlds, corpus, imags = gen_dataset(tmp_path, count=3,
-                                            world_flags=("--d-v", "24", "--k", "8"))
+        spec, data = gen_dataset(tmp_path, world="d_v = 24\nk_views = 8\n", sizes=(3, 1, 1),
+                                 agent=SMALL_AGENT, train="base_iterations = 2\n")
         ckpt = tmp_path / "a.ckpt"
-        spec = write_spec(tmp_path, world="d_v = 24\n", agent=SMALL_AGENT,
-                          train="base_iterations = 2\n")
-        assert run_cli(["train", "--spec", spec, "--condition", "baseline", "--worlds", worlds,
-                        "--corpus", corpus, "--imaginations", imags, "--seed", "5",
-                        "--out", ckpt]) == 0
+        spec.write_text(spec.read_text().replace("k_views = 8\n", ""))   # k_views: the data's
+        assert run_cli(["train", "--spec", spec, "--condition", "baseline", "--data", data,
+                        "--seed", "5", "--out", ckpt]) == 0
         cfg = tr.load_checkpoint(ckpt).agent_config
         assert (cfg.d_v, cfg.k_views) == (24, 8)
 
@@ -251,24 +322,74 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and names in err
 
-    def test_report_merges_and_aggregates(self, tmp_path):
-        worlds, corpus, imags = gen_dataset(tmp_path)
-        ckpt = tmp_path / "a.ckpt"
-        spec = write_spec(tmp_path, agent=SMALL_AGENT, train="base_iterations = 6\n")
-        assert run_cli(["train", "--spec", spec, "--condition", "baseline", "--worlds", worlds,
-                        "--corpus", corpus, "--imaginations", imags, "--seed", "5",
-                        "--out", ckpt]) == 0
+    def test_report_merges_and_aggregates(self, trained, tmp_path):
+        _, data, ckpt = trained
         m1 = tmp_path / "m1.tsv"
         m2 = tmp_path / "m2.tsv"
         for seed, out in (("1", m1), ("2", m2)):
-            assert run_cli(["eval", "--ckpt", ckpt, "--condition", "baseline", "--worlds", worlds,
-                            "--corpus", corpus, "--imaginations", imags, "--seed", seed,
-                            "--out", out]) == 0
+            assert run_cli(["eval", "--ckpt", ckpt, "--condition", "baseline", "--data", data,
+                            "--split", "val_unseen", "--seed", seed, "--out", out]) == 0
         out = tmp_path / "summary.tsv"
         assert run_cli(["report", m1, m2, "--out", out]) == 0
         merged = out.read_text().splitlines()
         body = [l for l in merged if l and not l.startswith(("#", "split\t"))]
         assert len(body) == 1 and body[0].endswith("\t2")
+
+    def test_readme_commands_parse(self):
+        """Every `imnav ...` line of README's code blocks, joined with its
+        backslash continuations, is a command line the CLI accepts."""
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", (ROOT / "README.md").read_text(),
+                            flags=re.M | re.S)
+        lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line, comments=True) for line in lines
+                    if line.lstrip().startswith("imnav ")]
+        assert {argv[1] for argv in commands} >= {"data", "train", "eval", "ablate",
+                                                  "probe-attention", "report"}
+        parser = harness.build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail("README: " + " ".join(argv))
+
+
+def assert_same(a, b, where="split"):
+    """`a` equals `b` field by field, through dataclasses, containers and
+    numpy arrays (which must also agree in dtype)."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b), where
+        for f in dataclasses.fields(a):
+            assert_same(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b), where
+    elif isinstance(a, (list, tuple)):
+        assert type(a) is type(b) and len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same(x, y, f"{where}[{i}]")
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys(), where
+        for k in a:
+            assert_same(a[k], b[k], f"{where}[{k!r}]")
+    else:
+        assert a == b, (where, a, b)
+
+
+class TestDataDirectory:
+    def test_read_split_equals_the_built_split(self, tmp_path):
+        """Each split read back from `imnav data` is the split `ablate`
+        builds: episodes, worlds, records, kept subs, imaginations, token ids,
+        vocabulary and split name."""
+        spec_path, data = gen_dataset(
+            tmp_path, data_seed=4, sizes=(3, 2, 2),
+            world="n_forks = 3\nk_views = 8\nsigma_obs = 0.2\nfidelity = 0.7\nsigma_gen = 0.1\n")
+        built = harness.build_spec_splits(harness.read_experiment_spec(spec_path))
+        for name in wd.SPLITS:
+            read = ds.read_split(data, name)
+            assert read.split == name and [it.episode.world.split for it in read.items] == (
+                [name] * len(built[name].items))
+            assert any(it.imaginations for it in read.items) and any(
+                it.record.kept for it in read.items)
+            assert_same(read, built[name], name)
 
 
 def metrics_row(split, condition, sr, spl=0.5, ne=1.0, tl=4.0, n=40, seed=1):
@@ -387,11 +508,10 @@ class TestExperimentSpec:
         (["tau = 0"], "tau"),
     ])
     def test_train_rejects_bad_numbers_before_reading_data(self, tmp_path, capsys, flags, named):
-        missing = tmp_path / "missing.txt"
+        missing = tmp_path / "missing"
         spec = write_spec(tmp_path, train="".join(line + "\n" for line in flags))
-        assert run_cli(["train", "--spec", spec, "--condition", "baseline", "--worlds", missing,
-                        "--corpus", missing, "--imaginations", missing, "--seed", "1",
-                        "--out", tmp_path / "a.ckpt"]) == 1
+        assert run_cli(["train", "--spec", spec, "--condition", "baseline", "--data", missing,
+                        "--seed", "1", "--out", tmp_path / "a.ckpt"]) == 1
         err = capsys.readouterr().err
         assert named in err and "missing input file" not in err
 
@@ -467,23 +587,7 @@ class TestExperimentSpec:
 
 
 class TestDefaults:
-    """Flags and spec keys take their defaults from the config dataclass fields."""
-    REQUIRED = {
-        "gen-world": ["--seed", "1", "--out", "w"],
-        "imagine": ["--worlds", "w", "--corpus", "c", "--seed", "1", "--out", "i"],
-    }
-    FIELDS = {
-        "gen-world": {wd.WorldConfig: ("split", "n_forks", "k_views", "sigma_obs"),
-                      ag.AgentConfig: ("d_v",)},
-        "imagine": {im.ImaginationConfig: ("fidelity", "sigma_gen")},
-    }
-
-    @pytest.mark.parametrize("command", ["gen-world", "imagine"])
-    def test_parser_defaults_are_field_defaults(self, command):
-        args = harness.build_parser().parse_args([command, *self.REQUIRED[command]])
-        for cls, names in self.FIELDS[command].items():
-            for name in names:
-                assert getattr(args, name) == getattr(cls, name), (command, name)
+    """Spec keys take their defaults from the config dataclass fields."""
 
     def test_spec_defaults_are_field_defaults(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -530,7 +634,8 @@ class TestAblateSmoke:
 
     def test_shipped_desk_spec_is_byte_identical_across_workers(self, desk_runs):
         outs = desk_runs
-        for name in ("metrics.tsv", "summary.txt", "verdicts.txt"):
+        for name in ("metrics.tsv", "summary.txt", "verdicts.txt",
+                     *(f"data/{name}" for name in DATA_FILES)):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
         assert len((outs[0] / "verdicts.txt").read_text().splitlines()) == 7
 
@@ -603,46 +708,43 @@ class TestAblateSmoke:
 
 
 class TestCliEqualsAblate:
-    """`imnav train` and `imnav eval` on CLI-generated files compute, byte for
-    byte, what `imnav ablate` computes for the same spec, seed and data."""
-    SEED, DATA_SEED = 3, 1
+    """`imnav train` and `imnav eval` on the files of `imnav data` compute,
+    byte for byte, what `imnav ablate` computes for the same spec and seed."""
+    SEED = 3
     CONDITIONS = "baseline imagine null_test wrong_test goal_only no_aux infonce text_only"
+    # every world and imagination value differs from its default
+    WORLD = ("n_forks = 3\nk_views = 8\nd_v = 24\nsigma_obs = 0.2\n"
+             "fidelity = 0.7\nsigma_gen = 0.1\n")
 
     @pytest.fixture(scope="class")
     def run(self, tmp_path_factory):
-        """The spec, the ablation's output directory and the CLI's train and
-        val_unseen files."""
+        """The spec, the ablation's output directory and the data directory."""
         tmp_path = tmp_path_factory.mktemp("cli_ablate")
-        spec = write_spec(tmp_path, self.CONDITIONS, seeds=str(self.SEED),
-                          data_seed=self.DATA_SEED, world="d_v = 24\n", sizes=(6, 2, 4),
-                          agent=SMALL_AGENT, train="base_iterations = 6\niterations = 8\n")
+        spec = write_spec(tmp_path, self.CONDITIONS, seeds=str(self.SEED), data_seed=1,
+                          world=self.WORLD, sizes=(6, 2, 4), agent=SMALL_AGENT,
+                          train="base_iterations = 6\niterations = 8\n")
         out = tmp_path / "ablate"
         assert run_cli(["ablate", "--spec", spec, "--out-dir", out, "--quiet"]) == 0
-        files = {}
-        for split, offset in (("train", 0), ("val_unseen", 90019)):
-            # the seeds dataset.standard_splits derives from the spec's data_seed
-            d = self.DATA_SEED
-            worlds, corpus, imags = (tmp_path / f"{split}_{kind}.txt"
-                                     for kind in ("worlds", "corpus", "imag"))
-            assert run_cli(["gen-world", "--split", split, "--count", 6 if split == "train" else 4,
-                            "--d-v", "24", "--seed", 7 * d + offset, "--out", worlds]) == 0
-            assert run_cli(["gen-corpus", "--worlds", worlds, "--seed", 13 * d + offset + 1,
-                            "--out", corpus]) == 0
-            assert run_cli(["imagine", "--worlds", worlds, "--corpus", corpus,
-                            "--seed", 17 * d + offset + 2, "--out", imags]) == 0
-            files[split] = ["--worlds", worlds, "--corpus", corpus, "--imaginations", imags]
-        return spec, out, files
+        data = tmp_path / "data"
+        assert run_cli(["data", "--spec", spec, "--out", data]) == 0
+        return spec, out, data
 
     @staticmethod
     def body(path):
         return [line for line in Path(path).read_text().splitlines() if not line.startswith("#")]
 
+    def test_ablate_writes_the_data_of_imnav_data(self, run):
+        _, out, data = run
+        assert sorted(p.name for p in (out / "data").iterdir()) == sorted(DATA_FILES)
+        for name in DATA_FILES:
+            assert self.body(out / "data" / name) == self.body(data / name), name
+
     def test_train_and_eval_reproduce_the_ablation(self, run, tmp_path):
-        spec, out, files = run
+        spec, out, data = run
         seed = self.SEED
         for cond in ("baseline", "imagine", "no_aux", "infonce", "text_only"):
             init = [] if cond == "baseline" else ["--init-from", tmp_path / "baseline.bin"]
-            proc = run_harness("train", "--spec", spec, "--condition", cond, *files["train"],
+            proc = run_harness("train", "--spec", spec, "--condition", cond, "--data", data,
                                *init, "--seed", seed, "--out", tmp_path / f"{cond}.bin",
                                "--curves", tmp_path / f"{cond}.tsv")
             assert proc.returncode == 0, proc.stderr
@@ -650,22 +752,23 @@ class TestCliEqualsAblate:
                     == (out / "ckpt" / f"{cond}_{seed}.bin").read_bytes()), cond
             assert (self.body(tmp_path / f"{cond}.tsv")
                     == self.body(out / "curves" / f"{cond}_{seed}.tsv")), cond
-        rows = {line.split("\t")[1]: line for line in self.body(out / "metrics.tsv")
-                if line.startswith("val_unseen\t")}
-        assert sorted(rows) == sorted(self.CONDITIONS.split())
-        for cond, want in rows.items():
+        rows = {tuple(line.split("\t")[:2]): line for line in self.body(out / "metrics.tsv")[1:]}
+        assert sorted(rows) == sorted((split, cond) for split in ("val_seen", "val_unseen")
+                                      for cond in self.CONDITIONS.split())
+        for (split, cond), want in rows.items():
             ckpt = tmp_path / ("imagine.bin" if cond in harness.TEST_CONDITIONS else f"{cond}.bin")
-            proc = run_harness("eval", "--ckpt", ckpt, "--condition", cond, *files["val_unseen"],
-                               "--seed", seed, "--out", tmp_path / f"m_{cond}.tsv")
+            metrics = tmp_path / f"m_{split}_{cond}.tsv"
+            proc = run_harness("eval", "--ckpt", ckpt, "--condition", cond, "--data", data,
+                               "--split", split, "--seed", seed, "--out", metrics)
             assert proc.returncode == 0, proc.stderr
-            assert self.body(tmp_path / f"m_{cond}.tsv")[1:] == [want], cond
-            assert proc.stdout.splitlines() == [want], cond
+            assert self.body(metrics)[1:] == [want], (split, cond)
+            assert proc.stdout.splitlines() == [want], (split, cond)
 
     def test_train_checkpoint_ignores_inherited_blas_threads(self, run, tmp_path):
-        spec, _, files = run
+        spec, _, data = run
         ckpts = [tmp_path / f"threads{n}.bin" for n in (2, 1)]
         for n, ckpt in zip((2, 1), ckpts):
-            proc = run_harness("train", "--spec", spec, "--condition", "baseline", *files["train"],
+            proc = run_harness("train", "--spec", spec, "--condition", "baseline", "--data", data,
                                "--seed", self.SEED, "--out", ckpt, blas_threads=n)
             assert proc.returncode == 0, proc.stderr
         assert ckpts[0].read_bytes() == ckpts[1].read_bytes()
@@ -673,10 +776,10 @@ class TestCliEqualsAblate:
     @pytest.mark.parametrize("condition, init", [("imagine", False), ("text_only", False),
                                                  ("baseline", True)])
     def test_init_from_required_for_finetunes_only(self, run, tmp_path, capsys, condition, init):
-        spec, out, files = run
+        spec, out, data = run
         extra = ["--init-from", out / "ckpt" / f"baseline_{self.SEED}.bin"] * init
         capsys.readouterr()
-        assert run_cli(["train", "--spec", spec, "--condition", condition, *files["train"],
+        assert run_cli(["train", "--spec", spec, "--condition", condition, "--data", data,
                         *extra, "--seed", "1", "--out", tmp_path / "a.bin"]) == 1
         assert "--init-from" in capsys.readouterr().err
         assert not (tmp_path / "a.bin").exists()
@@ -687,10 +790,12 @@ class TestCliEqualsAblate:
         ("--lr-multiplier", "1"), ("--stage-fractions", "0.5 0.25 0.25"),
         ("--no-imaginations", None), ("--d", "32"), ("--heads", "2"), ("--cross-layers", "1")])
     def test_removed_train_flags_exit_2(self, flag, value):
+        # --d must not abbreviate --data
+        args = ["train", "--spec", "s", "--condition", "baseline", "--data", "d",
+                "--seed", "1", "--out", "o"]
+        assert parses(args)
         with pytest.raises(SystemExit) as exc:
-            run_cli(["train", "--spec", "s", "--condition", "baseline", "--worlds", "w",
-                     "--corpus", "c", "--imaginations", "i", "--seed", "1", "--out", "o",
-                     flag, *(value.split() if value else [])])
+            run_cli([*args, flag, *(value.split() if value else [])])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("command, args", [
@@ -699,17 +804,19 @@ class TestCliEqualsAblate:
         ("eval", ["--ckpt", "k", "--condition", "imagine", "--policy", "null"]),
         ("eval", ["--ckpt", "k", "--condition", "correct"])])
     def test_condition_is_required_and_replaces_policy(self, command, args):
+        common = ["--data", "d", "--seed", "1", "--out", "o"] + (
+            ["--split", "val_unseen"] if command == "eval" else [])
+        assert parses([command, *args[:2], "--condition", "baseline", *common])
         with pytest.raises(SystemExit) as exc:
-            run_cli([command, *args, "--worlds", "w", "--corpus", "c", "--imaginations", "i",
-                     "--seed", "1", "--out", "o"])
+            run_cli([command, *args, *common])
         assert exc.value.code == 2
 
     def test_spec_d_v_must_match_the_files(self, run, tmp_path, capsys):
-        spec, out, files = run
+        spec, out, data = run
         other = tmp_path / "spec.cfg"     # world.d_v left at its default, 16; the files have 24
         other.write_text(spec.read_text().replace("d_v = 24\n", ""))
         capsys.readouterr()
-        assert run_cli(["train", "--spec", other, "--condition", "baseline", *files["train"],
+        assert run_cli(["train", "--spec", other, "--condition", "baseline", "--data", data,
                         "--seed", "1", "--out", tmp_path / "a.bin"]) == 1
         err = capsys.readouterr().err
         assert "d_v = 16" in err and "d_v = 24" in err

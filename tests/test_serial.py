@@ -105,6 +105,17 @@ class TestWorldsRoundTrip:
         with pytest.raises(FormatError, match="world 0 "):
             serial.read_worlds(path)
 
+    def test_missing_episode_record_names_the_world(self, bundle, tmp_path):
+        # a world without its episode would reach the corpus reader as None
+        path = tmp_path / "w.txt"
+        serial.write_worlds(path, bundle["library"], bundle["pairs"])
+        lines = path.read_text().splitlines()
+        kept = [l for l in lines if not l.startswith("episode 2 ")]
+        assert len(kept) == len(lines) - 1
+        path.write_text("\n".join(kept) + "\n")
+        with pytest.raises(FormatError, match="world 2 has no episode record"):
+            serial.read_worlds(path)
+
     @pytest.mark.parametrize("tag, column", [("world", 7), ("edge", 3), ("view", 2), ("view", 4),
                                              ("place", 2), ("episode", 3), ("episode", 7)])
     def test_undeclared_node_names_the_line(self, bundle, tmp_path, tag, column):
