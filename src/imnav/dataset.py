@@ -31,12 +31,11 @@ class Split:
     split: str
 
 
-def load_assets(d_v=None, library=None):
-    """The packaged data: the landmark library (`library` if given, else the
-    packaged one at feature width `d_v`), the instruction templates, and the
-    tagger lexicon extended with the library's landmark words."""
-    if library is None:
-        library = wd.load_library(DATA_DIR / "landmarks.txt", d_v=d_v)
+def load_assets(d_v=None):
+    """The packaged data: the landmark library at feature width `d_v`, the
+    instruction templates, and the tagger lexicon extended with the
+    library's landmark words."""
+    library = wd.load_library(DATA_DIR / "landmarks.txt", d_v=d_v)
     templates = ins.load_templates(DATA_DIR / "templates.txt")
     lexicon = ins.load_lexicon(DATA_DIR / "lexicon_nouns.txt",
                                DATA_DIR / "lexicon_blacklist.txt", library)
@@ -96,7 +95,7 @@ def read_split(data_dir, split):
         raise FormatError(f"{worlds}: holds worlds of split {others[0]!r}, not {split!r}")
     records, world_indices = serial.read_corpus(corpus, pairs)
     sets = serial.read_imaginations(imags, len(records), library.d_v)
-    _, templates, _ = load_assets(library=library)
+    templates = ins.load_templates(DATA_DIR / "templates.txt")
     return bundle([pairs[i][1] for i in world_indices], records, sets,
                   ins.build_vocab(templates, library), library, split)
 

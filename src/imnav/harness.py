@@ -5,17 +5,16 @@ Subcommands: data, train, eval, ablate, probe-attention, report. Exit codes:
 
 Spec keys take their types and defaults from the fields of WorldConfig,
 ImaginationConfig, AgentConfig, TrainConfig and ExperimentSpec. `data` writes
-a spec's three splits into a directory, as `ablate` does into its run
-directory's data/; `train`, `eval` and `probe-attention` read a split from it
-by name.
+a spec's three splits into a directory; `train`, `eval` and `probe-attention`
+read a split from it by name. `ablate` runs `data`, then each seed's `train`
+and `eval` steps (`train_step`, `eval_step`) on those files.
 
 Each condition is defined once: `training_job` gives the configs that train
-it, `eval_policy` the policy it is evaluated under. `ablate`, `train` and
-`eval` all use them, and all run their work in workers spawned with one BLAS
-thread (`_pinned_pool`), so `train` and `eval` on an ablation's data and seed
-compute what it computes, byte for byte. The baseline trains from scratch,
-the other trained conditions finetune it, and null/wrong/goal-only evaluate
-imagine's checkpoint.
+it, `eval_policy` the policy it is evaluated under. All steps run in workers
+spawned with one BLAS thread (`_pinned_pool`), so `train` and `eval` on an
+ablation's data and seed compute what it computes, byte for byte. The
+baseline trains from scratch, the other trained conditions finetune its
+checkpoint, and null/wrong/goal-only evaluate imagine's checkpoint.
 """
 
 from __future__ import annotations
@@ -120,17 +119,13 @@ SPEC_KEYS = {
 }
 
 
-def command_line():
-    return "imnav " + " ".join(shlex.quote(a) for a in sys.argv[1:])
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_data(args):
     spec = read_experiment_spec(args.spec)
-    for name, (seg, kept, vsize) in write_data(spec, args.out, command_line()).items():
+    for name, (seg, kept, vsize) in write_data(spec, args.out, args.produced_by).items():
         print(f"wrote {getattr(spec, name + '_worlds')} {name} episodes to {args.out} "
               f"(avg segments {seg:.2f}, avg kept {kept:.2f}, vocab {vsize})")
     return 0
@@ -164,30 +159,41 @@ def eval_policy(condition):
     return "null" if condition == "baseline" else TEST_CONDITIONS.get(condition, "correct")
 
 
+def train_step(spec, split, condition, seed, out, init_from=None, curves=None, command=""):
+    """Train `condition` of `spec` at `seed` on `split` (a finetune from the checkpoint at
+    `init_from`), writing the checkpoint to `out` and curve rows to `curves`; returns its cfg."""
+    base_agent, init_values = _agent_config(split, spec), None
+    if init_from:
+        base = tr.load_checkpoint(init_from)
+        base_agent, init_values = base.agent_config, base.values
+    acfg, cfg = training_job(spec, condition, seed, base_agent)
+    ckpt, rows = tr.train(split, acfg, cfg, init_values=init_values)
+    tr.save_checkpoint(ckpt, out)
+    if curves:
+        serial.write_curves(curves, rows, command=command, seed=seed)
+    return cfg
+
+
+def eval_step(ckpt_path, split, condition, seed):
+    """The (MetricsRecord, condition) of checkpoint `ckpt_path` on `split` under `condition`'s policy."""
+    agent = tr.agent_from_checkpoint(tr.load_checkpoint(ckpt_path))
+    return ev.evaluate(agent, split.items, eval_policy(condition), seed=seed,
+                       split=split.split), condition
+
+
 def _train(args):
     spec = read_experiment_spec(args.spec)
     if (args.condition == "baseline") == (args.init_from is not None):
         raise ConfigurationError(f"{args.condition} {'takes no' if args.init_from else 'needs'} "
                                  "--init-from: a finetune starts from the baseline's checkpoint")
-    split = ds.read_split(args.data, "train")
-    base_agent, init_values = _agent_config(split, spec), None
-    if args.init_from:
-        base = tr.load_checkpoint(args.init_from)
-        base_agent, init_values = base.agent_config, base.values
-    acfg, cfg = training_job(spec, args.condition, args.seed, base_agent)
-    ckpt, curves = tr.train(split, acfg, cfg, init_values=init_values)
-    tr.save_checkpoint(ckpt, args.out)
-    if args.curves:
-        serial.write_curves(args.curves, curves, command=command_line(), seed=args.seed)
+    cfg = train_step(spec, ds.read_split(args.data, "train"), args.condition, args.seed,
+                     args.out, args.init_from, args.curves, args.produced_by)
     return f"trained {cfg.iterations} iterations, checkpoint at {args.out}"
 
 
 def _eval(args):
-    split = ds.read_split(args.data, args.split)
-    agent = tr.agent_from_checkpoint(tr.load_checkpoint(args.ckpt))
-    row = (ev.evaluate(agent, split.items, eval_policy(args.condition), seed=args.seed,
-                       split=split.split), args.condition)
-    ev.write_metrics(args.out, [row], command=command_line(), seed=args.seed)
+    row = eval_step(args.ckpt, ds.read_split(args.data, args.split), args.condition, args.seed)
+    ev.write_metrics(args.out, [row], command=args.produced_by, seed=args.seed)
     return ev.metrics_line(*row)
 
 
@@ -288,49 +294,37 @@ def write_data(spec, out_dir, command):
 
 
 def _seed_job(spec, seed, out_dir, quiet):
-    """Train the base agent plus every finetune condition for one seed and
-    evaluate all conditions; runs in a worker process of `run_ablation`."""
+    """The train steps of one seed's trained conditions, then the eval steps
+    of all, on out_dir/data; runs in a worker of `run_ablation`. The finetunes
+    share one train split object, so they compute their stage 1 once."""
     out_dir = Path(out_dir)
-    splits = build_spec_splits(spec)
-    rows, checkpoints = [], {}
+    splits = {name: ds.read_split(out_dir / "data", name) for name in wd.SPLITS}
+    command, rows = f"ablate {spec.name}", []
+
+    def ckpt(cond):
+        return out_dir / "ckpt" / f"{cond}_{seed}.bin"
 
     def log(msg):
         if not quiet:
             print(f"[seed {seed}] {msg}", flush=True)
 
-    def train(cond, init_values=None):
-        agent_config, cfg = training_job(spec, cond, seed, acfg)
-        log(f"training condition {cond} ({cfg.iterations} iterations)")
-        try:
-            ckpt, curves = tr.train(splits["train"], agent_config, cfg, init_values=init_values)
-        except ImnavError as exc:
-            raise ImnavError(f"condition {cond} failed at seed {seed}: {exc}") from exc
-        checkpoints[cond] = ckpt
-        tr.save_checkpoint(ckpt, out_dir / "ckpt" / f"{cond}_{seed}.bin")
-        serial.write_curves(out_dir / "curves" / f"{cond}_{seed}.tsv", curves,
-                            command=f"ablate {spec.name}", seed=seed)
-
     serial.write_text(out_dir / "threads" / f"seed_{seed}.txt",
                       [f"{name}={os.environ.get(name, 'unset')}" for name in BLAS_THREAD_VARS],
-                      command=f"ablate {spec.name}", seed=seed)
-    acfg = _agent_config(splits["train"], spec)
-    train("baseline")
-    for cond in spec.conditions:
-        if cond in TRAIN_CONDITIONS:
-            train(cond, init_values=checkpoints["baseline"].values)
-
-    for cond in spec.conditions:
-        agent = tr.agent_from_checkpoint(
-            checkpoints["imagine" if cond in TEST_CONDITIONS else cond])
-        for split_name in ("val_seen", "val_unseen"):
-            try:
-                rec = ev.evaluate(agent, splits[split_name].items, eval_policy(cond),
-                                  seed=seed, split=split_name)
-            except ImnavError as exc:
-                raise ImnavError(f"condition {cond} failed at seed {seed}: {exc}") from exc
-            rows.append((rec, cond))
-            log(f"{cond:20s} {split_name:10s} SR {ev.percent(rec.sr, '6.2f')} "
-                f"SPL {ev.percent(rec.spl, '6.2f')}")
+                      command=command, seed=seed)
+    try:  # each loop sets `cond` before its steps run
+        for cond in ("baseline",) + tuple(c for c in spec.conditions if c in TRAIN_CONDITIONS):
+            log(f"training condition {cond}")
+            train_step(spec, splits["train"], cond, seed, ckpt(cond),
+                       init_from=None if cond == "baseline" else ckpt("baseline"),
+                       curves=out_dir / "curves" / f"{cond}_{seed}.tsv", command=command)
+        for cond in spec.conditions:
+            for split_name in ("val_seen", "val_unseen"):
+                rows.append(eval_step(ckpt("imagine" if cond in TEST_CONDITIONS else cond),
+                                      splits[split_name], cond, seed))
+                log(f"{cond:20s} {split_name:10s} SR {ev.percent(rows[-1][0].sr, '6.2f')} "
+                    f"SPL {ev.percent(rows[-1][0].spl, '6.2f')}")
+    except ImnavError as exc:
+        raise ImnavError(f"condition {cond} failed at seed {seed}: {exc}") from exc
     return rows
 
 
@@ -375,7 +369,8 @@ def _pinned_pool(workers):
 def run_ablation(spec, out_dir, quiet=False, workers=1):
     """Write the data of `spec` into data/ (see `write_data`), run every seed
     in up to `workers` processes and write the metrics, summary and verdicts.
-    Each seed builds the same splits in memory.
+    Each seed reads its splits from data/ and runs the train and eval steps
+    of `imnav train` and `imnav eval` on them (see `_seed_job`).
 
     Each seed runs in a `_pinned_pool` worker, which records its thread
     setting in threads/seed_<seed>.txt, so the output is the same bytes for
@@ -469,7 +464,7 @@ def cmd_report(args):
         tsv.append("\t".join([split, cond, *(ev.percent(s[k]) for k in
                                              ("sr_mean", "sr_std", "spl_mean", "spl_std")),
                               f"{s['ne_mean']:.4f}", f"{s['tl_mean']:.4f}", str(s["n_rows"])]))
-    serial.write_text(args.out, tsv, command=command_line())
+    serial.write_text(args.out, tsv, command=args.produced_by)
     print(format_summary(summary))
     print(f"merged {len(rows)} rows into {args.out}")
     return 0
@@ -538,8 +533,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.produced_by = "imnav " + shlex.join(argv)  # the files' `# produced-by:` header
     try:
         return args.func(args)
     except FileNotFoundError as exc:

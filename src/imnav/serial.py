@@ -1,7 +1,8 @@
 """Versioned text serialization: worlds, corpora, imaginations, curves.
 
 One record per line, a type tag first. Float fields use decimal text: %.9g for
-float32 payloads (exact round-trip) and %.17g for float64 coordinates. Every
+float32 payloads (exact round-trip), %.17g for float64 coordinates and the
+shortest round-trip form for a world's float64 sigma_obs. Every
 artifact starts with the producing command line and seed as header comments
 and is written atomically. Config values in text are parsed by field type.
 """
@@ -110,7 +111,7 @@ def write_worlds(path, library, pairs, command="", seed=None):
     for w_idx, (world, episode) in enumerate(pairs):
         start, goal = world.designated if world.designated else ("-", "-")
         lines.append(f"world {w_idx} {world.split} {world.k_views} {world.d_v} "
-                     f"{f32(world.sigma_obs)} {world.n_nodes} {start} {goal}")
+                     f"{float(world.sigma_obs)!r} {world.n_nodes} {start} {goal}")
         for node in range(world.n_nodes):
             x, y = world.positions[node]
             lines.append(f"node {w_idx} {node} {f64(x)} {f64(y)}")

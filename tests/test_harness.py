@@ -123,15 +123,14 @@ def eval_copy(trained, tmp_path, capsys):
 
 class TestCli:
     def test_data_files_are_deterministic(self, tmp_path):
-        spec = write_spec(tmp_path, sizes=(4, 1, 2))
-        a = tmp_path / "a"
-        b = tmp_path / "b"
-        for out in (a, b):
-            code = harness.main(["data", "--spec", str(spec), "--out", str(out)])
-            assert code == 0
-        assert sorted(p.name for p in a.iterdir()) == sorted(DATA_FILES)
-        for name in DATA_FILES:
-            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        # one --out for both runs: the files' headers name the command line
+        spec, out = write_spec(tmp_path, sizes=(4, 1, 2)), tmp_path / "data"
+        runs = []
+        for _ in range(2):
+            assert harness.main(["data", "--spec", str(spec), "--out", str(out)]) == 0
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(runs[0]) == sorted(DATA_FILES)
+        assert runs[0] == runs[1]
 
     def test_unknown_flag_exits_2(self):
         proc = run_harness("data", "--bogus-flag", "1")
@@ -376,8 +375,8 @@ def assert_same(a, b, where="split"):
 
 class TestDataDirectory:
     def test_read_split_equals_the_built_split(self, tmp_path):
-        """Each split read back from `imnav data` is the split `ablate`
-        builds: episodes, worlds, records, kept subs, imaginations, token ids,
+        """Each split read back from `imnav data` is the split it was built
+        from: episodes, worlds, records, kept subs, imaginations, token ids,
         vocabulary and split name."""
         spec_path, data = gen_dataset(
             tmp_path, data_seed=4, sizes=(3, 2, 2),
@@ -390,6 +389,66 @@ class TestDataDirectory:
             assert any(it.imaginations for it in read.items) and any(
                 it.record.kept for it in read.items)
             assert_same(read, built[name], name)
+
+    def test_sigma_obs_reads_back_exactly(self, tmp_path):
+        # observation noise is drawn with the float64 sigma_obs, so 9 digits are not enough
+        _, data = gen_dataset(tmp_path, sizes=(2, 1, 1), world="sigma_obs = 0.1234567891234\n")
+        for name in wd.SPLITS:
+            assert {item.episode.world.sigma_obs for item in ds.read_split(data, name).items} == {
+                0.1234567891234}
+
+    def test_produced_by_names_the_argv_given_to_main(self, trained, tmp_path, monkeypatch):
+        """The header names the arguments `main` parsed, not this process's
+        sys.argv, also for `eval`, which writes from a pinned worker."""
+        spec, _, ckpt = trained
+        monkeypatch.setattr(sys, "argv", ["some_driver.py", "--flag"])
+        data_argv = ["data", "--spec", str(spec), "--out", str(tmp_path / "data")]
+        eval_argv = ["eval", "--ckpt", str(ckpt), "--condition", "baseline",
+                     "--data", str(tmp_path / "data"), "--split", "val_seen", "--seed", "1",
+                     "--out", str(tmp_path / "m.tsv")]
+        for argv, path in ((data_argv, tmp_path / "data" / "train_worlds.txt"),
+                           (eval_argv, tmp_path / "m.tsv")):
+            assert run_cli(argv) == 0
+            assert "# produced-by: imnav " + shlex.join(argv) in path.read_text().splitlines()
+
+
+class TestSeedJob:
+    """`_seed_job` run directly on a directory whose data/ `imnav data` wrote."""
+
+    @staticmethod
+    def run_dir(tmp_path, **spec):
+        """The spec of `gen_dataset(tmp_path, **spec)`, whose data/ is in
+        tmp_path, with the output directories `run_ablation` makes."""
+        spec_path, _ = gen_dataset(tmp_path, seeds="4", agent=SMALL_AGENT, **spec)
+        for sub in ("curves", "ckpt", "threads"):
+            (tmp_path / sub).mkdir()
+        return spec_path
+
+    def test_seed_job_reads_data_not_the_spec(self, tmp_path):
+        spec_path = self.run_dir(tmp_path, conditions="baseline", data_seed=1,
+                                 train="base_iterations = 6\n")
+        spec = dataclasses.replace(harness.read_experiment_spec(spec_path), data_seed=2)
+        with harness._pinned_pool(1) as pool:   # one BLAS thread, as in `imnav train`
+            pool.submit(harness._seed_job, spec, 4, str(tmp_path), True).result()
+        assert run_cli(["train", "--spec", spec_path, "--condition", "baseline",
+                        "--data", tmp_path / "data", "--seed", 4, "--out", tmp_path / "a.bin"]) == 0
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "ckpt" / "baseline_4.bin").read_bytes()
+
+    def test_finetunes_compute_stage_1_once(self, tmp_path, monkeypatch):
+        spec = harness.read_experiment_spec(self.run_dir(
+            tmp_path, conditions="imagine no_aux infonce",
+            train="base_iterations = 4\niterations = 8\n"))
+        calls, step = [], tr._train_step
+
+        def counting_step(*args, **kwargs):
+            calls.append(None)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(tr, "_train_step", counting_step)
+        harness._seed_job(spec, 4, str(tmp_path), quiet=True)
+        iterations, stage1 = spec.train.iterations, spec.train.stage_ends[0]
+        assert stage1 > 0
+        assert len(calls) == spec.base_iterations + iterations + 2 * (iterations - stage1)
 
 
 def metrics_row(split, condition, sr, spl=0.5, ne=1.0, tl=4.0, n=40, seed=1):

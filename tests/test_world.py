@@ -278,7 +278,7 @@ class TestSampleEpisode:
             raise AssertionError("a world was generated")
 
         monkeypatch.setattr(wd, "generate_world", no_world)
-        _, templates, lexicon = ds.load_assets(library=library)
+        _, templates, lexicon = ds.load_assets(d_v=library.d_v)
         with pytest.raises(ConfigurationError, match="mode = 'coarse'"):
             ds.standard_splits(library, templates, lexicon, mode="coarse", train_n=2,
                                val_seen_n=1, val_unseen_n=1, data_seed=0)
