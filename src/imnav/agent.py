@@ -43,27 +43,27 @@ from .errors import (ConfigurationError, ContractError, FormatError, IndexRangeE
                      VocabularyError)
 
 
+DROPOUT_RATE = 0.15   # train-time dropout over imagination tokens
+TEXT_DROPOUT = 0.3    # train-time word-identity dropout
+MAX_STEPS = 15        # greedy decisions per episode, the stop included
+
+
 @dataclass(frozen=True)
 class AgentConfig:
-    vocab_size: int
-    d: int = 64
+    vocab_size: int                   # from the data, as are k_views and d_v
+    d: int = 64                       # from a spec, as are heads and cross_layers
     heads: int = 4
     cross_layers: int = 2
     k_views: int = wd.WorldConfig.k_views
     d_v: int = 16                     # also the feature width of generated data
-    mlp_hidden: int = 0               # 0 -> ceil(2d/3)
-    dropout_rate: float = 0.15
-    text_dropout: float = 0.3         # train-time word-identity dropout
-    imag_source: str = "imagination"  # imagination | text_mean
-    max_steps: int = 15
+    imag_source: str = "imagination"  # from a condition: imagination | text_mean
 
     def __post_init__(self):
+        for name in ("d", "heads", "cross_layers"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d % self.heads != 0:
             raise ConfigurationError(f"d={self.d} not divisible by heads={self.heads}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigurationError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
-        if self.mlp_hidden == 0:
-            object.__setattr__(self, "mlp_hidden", math.ceil(2 * self.d / 3))
         if self.imag_source not in ("imagination", "text_mean"):
             raise ConfigurationError(f"imag_source={self.imag_source!r} not in "
                                      "('imagination', 'text_mean')")
@@ -81,10 +81,12 @@ class AgentConfig:
             key, sep, value = line.partition("=")
             if not sep:
                 raise FormatError(f"agent config line {line!r} is not key=value")
+            if key == "mlp_hidden":   # set by d; `load_values` checks the arrays' widths
+                continue
             if key in RETIRED_KEYS:
                 if value != RETIRED_KEYS[key]:
-                    raise FormatError(f"agent config {key}={value} names a removed variant; "
-                                      f"only {key}={RETIRED_KEYS[key]} loads")
+                    raise FormatError(f"agent config {key}={value} names a removed variant or "
+                                      f"setting; only {key}={RETIRED_KEYS[key]} loads")
                 continue
             if key not in known:
                 raise FormatError(f"unknown agent config key {key!r}")
@@ -98,23 +100,25 @@ class AgentConfig:
             raise FormatError(f"agent config: {exc}") from None
 
 
-# keys of removed agent variants, which older checkpoints store, with the one
-# value each may hold: the value the remaining agent computes
+# keys of removed agent variants and settings, which older checkpoints store,
+# with the one value each may hold: the value the remaining agent computes
 RETIRED_KEYS = {"fusion": "early", "imagination_encoder": "mlp", "concat_target": "text",
-                "imag_order_encoding": "False"}
+                "imag_order_encoding": "False", "dropout_rate": str(DROPOUT_RATE),
+                "text_dropout": str(TEXT_DROPOUT), "max_steps": str(MAX_STEPS)}
 
 
+SINUSOID_SCALE = 0.15
 _SINUSOID_CACHE = {}
 
 
-def sinusoid_table(n, d, scale=0.15):
-    key = (n, d, scale)
+def sinusoid_table(n, d):
+    key = (n, d)
     if key not in _SINUSOID_CACHE:
         pos = np.arange(n)[:, None]
         i = np.arange(d)[None, :]
         angles = pos / np.power(10000.0, (2 * (i // 2)) / d)
         table = np.where(i % 2 == 0, np.sin(angles), np.cos(angles))
-        _SINUSOID_CACHE[key] = (scale * table).astype(np.float32)
+        _SINUSOID_CACHE[key] = (SINUSOID_SCALE * table).astype(np.float32)
     return _SINUSOID_CACHE[key]
 
 
@@ -122,7 +126,7 @@ def init_params(config, seed):
     """Seeded ParamStore; group tags drive the staged finetuning schedule."""
     rng = np.random.default_rng(np.random.SeedSequence([0x1217, seed]))
     store = nc.ParamStore()
-    d, mh, dv = config.d, config.mlp_hidden, config.d_v
+    d, mh, dv = config.d, math.ceil(2 * config.d / 3), config.d_v   # mh: FFN and MLP width
 
     def xavier(shape):
         limit = math.sqrt(6.0 / (shape[0] + shape[1]))
@@ -461,11 +465,11 @@ def context_inputs(agent, token_ids, imaginations, kept_subs, train=False, rng=N
     cfg = agent.config
     nouns = tuple((row, sub.noun_token_indices)
                   for row, sub in _kept_pairs(imaginations, kept_subs))
-    text_keep = nc.dropout_mask((len(token_ids), 1), cfg.text_dropout, rng, train)
+    text_keep = nc.dropout_mask((len(token_ids), 1), TEXT_DROPOUT, rng, train)
     features = imag_keep = None
     if imaginations and cfg.imag_source == "imagination":
         features = np.stack([im.feature for im in imaginations])
-        imag_keep = nc.dropout_mask((len(imaginations), cfg.d), cfg.dropout_rate, rng, train)
+        imag_keep = nc.dropout_mask((len(imaginations), cfg.d), DROPOUT_RATE, rng, train)
     return ContextInputs(token_ids=tuple(token_ids), nouns=nouns, features=features,
                          text_keep=text_keep, imag_keep=imag_keep)
 
@@ -506,7 +510,7 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
     path's observations in path order, all in one `observation_at` call.
     `decide` encodes and decides every teacher episode of a batch in one
     pass, and the teacher path's `actions` supervise its logits. argmax mode
-    follows the greedy policy until stop or `AgentConfig.max_steps` (ties
+    follows the greedy policy until stop or `MAX_STEPS` decisions (ties
     break to the lowest action index), drawing each step's observation when
     it reaches the node. With `aux`, the trajectory lists the (imagination
     token, noun-phrase) pairs of the alignment loss. Deterministic given the
@@ -514,8 +518,8 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
     """
     cfg = agent.config
     world = episode.world
-    if mode == "teacher" and cfg.max_steps < len(episode.teacher_path):
-        raise ContractError("max_steps too small for the teacher path")
+    if mode == "teacher" and MAX_STEPS < len(episode.teacher_path):
+        raise ContractError(f"MAX_STEPS={MAX_STEPS} too small for the teacher path")
 
     inputs = context_inputs(agent, token_ids, imaginations, kept_subs, train=train, rng=drop_rng)
     truncated = False
@@ -534,7 +538,7 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
         node = episode.start
         visited = [node]
         actions, spaces = [], []
-        for _ in range(cfg.max_steps):
+        for _ in range(MAX_STEPS):
             nav = wd.navigable(world, node)
             vis_tokens, pooled = agent.encode_observation(
                 wd.observation_at(world, [node], obs_rng), hist)

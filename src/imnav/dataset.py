@@ -31,7 +31,7 @@ class Split:
     split: str
 
 
-def load_assets(d_v=None):
+def load_assets(d_v):
     """The packaged data: the landmark library at feature width `d_v`, the
     instruction templates, and the tagger lexicon extended with the
     library's landmark words."""

@@ -80,6 +80,9 @@ class ExperimentSpec:
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:
                 raise ConfigurationError(f"experiment lists {name} {repeated} more than once")
+        for name, seeds in (("seeds", self.seeds), ("data_seed", (self.data_seed,))):
+            if min(seeds) < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {min(seeds)}")
         wd.check_mode(self.mode, "world.mode")
         if self.base_iterations < 0:
             raise ConfigurationError(f"base_iterations must be >= 0, got {self.base_iterations}")
@@ -87,8 +90,8 @@ class ExperimentSpec:
         for name in ("train_worlds", "val_seen_worlds", "val_unseen_worlds"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
-        wd.check_route_fits(self.world.get("n_forks", wd.WorldConfig.n_forks),
-                            ag.AgentConfig.max_steps)
+        wd.check_route_fits(self.world.get("n_forks", wd.WorldConfig.n_forks), ag.MAX_STEPS)
+        ag.AgentConfig(vocab_size=1, **self.agent)  # AgentConfig's checks; any vocab_size will do
         unknown = [c for c in self.conditions if c not in ALL_CONDITIONS]
         if unknown:
             raise ConfigurationError(f"unknown conditions {unknown}; valid: {ALL_CONDITIONS}")
@@ -225,6 +228,8 @@ def _run_pinned(work, args):
     """Run `work(args)` in a pinned worker (see `_pinned_pool`) and print the
     text it returns: `train` on an ablation's data and seed then writes that
     ablation's checkpoint, whatever this process's BLAS thread count."""
+    if args.seed < 0:
+        raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
     with _pinned_pool(1) as pool:
         print(pool.submit(work, args).result())
     return 0

@@ -74,6 +74,7 @@ import numpy as np
 from .errors import ContractError, NumericGuardError, ShapeError
 
 DEFAULT_DTYPE = np.float32
+COSINE_EPS = 1e-8   # `cosine_similarity` raises on a norm at or below this
 
 # When False, ops skip recording the backward graph (evaluation fast path).
 _grad_enabled = True
@@ -367,7 +368,7 @@ def softmax(a, axis=-1):
     return _result(np.moveaxis(keys, 0, axis), (a,), back)
 
 
-def dropout_mask(shape, rate, rng, train=True, dtype=DEFAULT_DTYPE):
+def dropout_mask(shape, rate, rng, train=True):
     """The draw step of inverted dropout: per entry 1/keep where
     rng.random(shape) < keep, else 0. None, drawing nothing, at eval or
     rate 0."""
@@ -376,7 +377,7 @@ def dropout_mask(shape, rate, rng, train=True, dtype=DEFAULT_DTYPE):
     if not train or rate == 0.0:
         return None
     keep = 1.0 - rate
-    return (rng.random(shape) < keep).astype(dtype) / np.asarray(keep, dtype=dtype)
+    return (rng.random(shape) < keep).astype(DEFAULT_DTYPE) / np.asarray(keep, dtype=DEFAULT_DTYPE)
 
 
 def dropout(a, mask):
@@ -479,7 +480,7 @@ def l2_norm(a):
     return _result(nrm, (a,), back)
 
 
-def cosine_similarity(a, b, eps=1e-8):
+def cosine_similarity(a, b):
     """Cosines of every row of a (P, d) with every row of b (Q, d), as a
     (P, Q) matrix recorded as one tape node; 1D a and b give their scalar
     cosine (the P = Q = 1 case). Float64 inside, with a near-zero-norm guard."""
@@ -490,7 +491,7 @@ def cosine_similarity(a, b, eps=1e-8):
                          f"equal width, got {a.values.shape}, {b.values.shape}")
     na = np.sqrt((av * av).sum(axis=1))
     nb = np.sqrt((bv * bv).sum(axis=1))
-    if na.min() <= eps or nb.min() <= eps:
+    if na.min() <= COSINE_EPS or nb.min() <= COSINE_EPS:
         raise NumericGuardError(f"cosine_similarity norm below guard: |a|={na.min():.3g} "
                                 f"|b|={nb.min():.3g}")
     norms = np.outer(na, nb)

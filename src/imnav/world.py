@@ -67,22 +67,22 @@ class Library:
         return out
 
 
-def _sampled_unit(rng, d_v, existing, max_cos=PROTOTYPE_MAX_COS):
+def _sampled_unit(rng, d_v, existing):
     for _ in range(10000):
         v = rng.normal(size=d_v)
         v = v / np.linalg.norm(v)
-        if all(abs(float(v @ e)) < max_cos for e in existing):
+        if all(abs(float(v @ e)) < PROTOTYPE_MAX_COS for e in existing):
             return v.astype(np.float32)
     raise SamplingError(f"could not separate {len(existing) + 1} prototypes in d_v={d_v}")
 
 
-def build_library(phrases, held_out_flags, d_v, seed=PROTOTYPE_SEED):
+def build_library(phrases, held_out_flags, d_v):
     """Deterministic prototypes: unit-norm, pairwise |cos| < 0.55."""
     if d_v < 8:
         raise ConfigurationError(f"d_v must be >= 8, got {d_v}")
     if len(set(phrases)) != len(phrases):
         raise ConfigurationError("landmark phrases must be unique")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, d_v]))
+    rng = np.random.default_rng(np.random.SeedSequence([PROTOTYPE_SEED, d_v]))
     vecs = []
     for _ in range(len(phrases) + 1):  # +1 for the background vector
         vecs.append(_sampled_unit(rng, d_v, vecs))
@@ -93,7 +93,7 @@ def build_library(phrases, held_out_flags, d_v, seed=PROTOTYPE_SEED):
     return Library(classes=classes, background=vecs[-1], d_v=d_v)
 
 
-def load_library(path, d_v, seed=PROTOTYPE_SEED):
+def load_library(path, d_v):
     """Read 'phrase[\\t*]' lines; lines ending in a tab-star are held out."""
     phrases, flags = [], []
     with open(path, encoding="utf-8") as fh:
@@ -108,7 +108,7 @@ def load_library(path, d_v, seed=PROTOTYPE_SEED):
             else:
                 phrases.append(line)
                 flags.append(False)
-    return build_library(phrases, flags, d_v, seed)
+    return build_library(phrases, flags, d_v)
 
 
 @dataclass(frozen=True)
@@ -291,6 +291,8 @@ def _check_config(cfg):
         raise ConfigurationError(f"unknown layout {cfg.layout!r}; the only layout is 'forks'")
     if cfg.n_forks < 1:
         raise ConfigurationError("forks layout needs n_forks >= 1")
+    if not (math.isfinite(cfg.sigma_obs) and cfg.sigma_obs >= 0):
+        raise ConfigurationError(f"sigma_obs must be finite and >= 0, got {cfg.sigma_obs}")
     if not cfg.library.classes:
         raise ConfigurationError("landmark library is empty")
     if cfg.library.d_v < 8:

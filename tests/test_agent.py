@@ -78,8 +78,8 @@ class TestConfig:
             ag.AgentConfig(vocab_size=10, d=10, heads=4)
 
     def test_mlp_hidden_default_ratio(self):
-        cfg = ag.AgentConfig(vocab_size=10, d=768)
-        assert cfg.mlp_hidden == 512
+        params = ag.init_params(ag.AgentConfig(vocab_size=10, d=768), seed=0)
+        assert params["t_ff1"].shape == (768, 512)
 
     def test_roundtrip_text(self):
         cfg = ag.AgentConfig(vocab_size=55, d=32, heads=2, imag_source="text_mean")
@@ -92,6 +92,7 @@ class TestConfig:
         ("d=30", "heads"),                     # a value the config rejects
         ("fusion=late", "fusion"),             # a removed variant
         ("imag_order_encoding=True", "imag_order_encoding"),
+        ("heads=0", "heads"),                  # was a ZeroDivisionError
     ])
     def test_bad_text_raises_format_error_naming_it(self, line, named):
         text = ag.AgentConfig(vocab_size=55).to_text() + "\n" + line
@@ -105,22 +106,27 @@ class TestConfig:
             ag.AgentConfig.from_text(text)
 
     def test_removed_variant_keys_load_only_with_the_remaining_value(self):
+        # and the settings that are now constants, as older checkpoints store them
         cfg = ag.AgentConfig(vocab_size=55)
         old = cfg.to_text() + ("\nfusion=early\nimagination_encoder=mlp\nconcat_target=text"
-                               "\nimag_order_encoding=False")
+                               "\nimag_order_encoding=False\nmlp_hidden=43\ndropout_rate=0.15"
+                               "\ntext_dropout=0.3\nmax_steps=15")
         assert ag.AgentConfig.from_text(old) == cfg
         for key, value in (("fusion", "late"), ("imagination_encoder", "transformer"),
-                           ("concat_target", "visual")):
+                           ("concat_target", "visual"), ("dropout_rate", "0.2"),
+                           ("text_dropout", "0.5"), ("max_steps", "10")):
             with pytest.raises(FormatError, match=key):
                 ag.AgentConfig.from_text(f"{cfg.to_text()}\n{key}={value}")
 
     @pytest.mark.parametrize("name", ["base.ckpt", "imagine.ckpt"])
     def test_checkpoints_with_removed_keys_load(self, name):
         # both files store fusion, imagination_encoder, concat_target and
-        # imag_order_encoding at the values of the remaining agent
+        # imag_order_encoding, and mlp_hidden, dropout_rate, text_dropout and
+        # max_steps, at the values of the remaining agent
         ckpt = tr.load_checkpoint(ROOT / "perfbench" / "data" / name)
         agent = tr.agent_from_checkpoint(ckpt)
         assert set(agent.params.names()) == set(ckpt.values)
+        assert ckpt.agent_config == ag.AgentConfig(vocab_size=86, d_v=24)
 
 
 class TestEncodeText:
@@ -173,9 +179,9 @@ class TestEncodeImaginations:
         cfg = setup["agent"].config
         a = setup["agent"].encode_imaginations(feats)
         b = setup["agent"].encode_imaginations(
-            feats, keep=nc.dropout_mask((len(feats), cfg.d), cfg.dropout_rate, None, train=False))
+            feats, keep=nc.dropout_mask((len(feats), cfg.d), ag.DROPOUT_RATE, None, train=False))
         assert a.values.tobytes() == b.values.tobytes()
-        keep = nc.dropout_mask((len(feats), cfg.d), cfg.dropout_rate, np.random.default_rng(0))
+        keep = nc.dropout_mask((len(feats), cfg.d), ag.DROPOUT_RATE, np.random.default_rng(0))
         c = setup["agent"].encode_imaginations(feats, keep=keep)
         assert a.values.tobytes() != c.values.tobytes()
 
@@ -337,16 +343,16 @@ class TestRollout:
             return (ref.random(shape) < 1.0 - rate).astype(np.float32) / np.float32(1.0 - rate)
 
         assert np.array_equal(traj.inputs.text_keep,
-                              keep((len(setup["token_ids"]), 1), cfg.text_dropout))
+                              keep((len(setup["token_ids"]), 1), ag.TEXT_DROPOUT))
         assert np.array_equal(traj.inputs.imag_keep,
-                              keep((len(setup["imags"]), cfg.d), cfg.dropout_rate))
+                              keep((len(setup["imags"]), cfg.d), ag.DROPOUT_RATE))
         assert np.array_equal(traj.observations, np.concatenate(
             [wd.observation_at(world, [node], ref) for node in setup["episode"].teacher_path]))
         assert rng.bit_generator.state == ref.bit_generator.state
 
-    def test_truncation_sets_flag(self, setup):
-        agent = ag.Agent(replace(setup["agent"].config, max_steps=1), setup["agent"].params)
-        traj = ag.rollout(agent, setup["episode"], setup["token_ids"],
+    def test_truncation_sets_flag(self, setup, monkeypatch):
+        monkeypatch.setattr(ag, "MAX_STEPS", 1)
+        traj = ag.rollout(setup["agent"], setup["episode"], setup["token_ids"],
                           setup["record"].instruction.tokens, [], "argmax",
                           obs_rng=np.random.default_rng(0))
         assert traj.truncated or traj.actions[-1] == len(traj.action_spaces[-1])
@@ -474,7 +480,7 @@ class TestGreedyDecoding:
         inputs = ag.context_inputs(agent, item.token_ids, imaginations, item.record.kept)
         world, node, hist = item.episode.world, item.episode.start, agent.params["hist_init"]
         actions, logits = [], []
-        for _ in range(agent.config.max_steps):
+        for _ in range(ag.MAX_STEPS):
             nav = wd.navigable(world, node)
             vis, pooled = agent.encode_observation(wd.observation_at(world, [node], rng), hist)
             text = agent.encode_text([inputs.token_ids])

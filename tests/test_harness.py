@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from imnav import agent as ag
 from imnav import dataset as ds
 from imnav import evaluation as ev
 from imnav import harness
@@ -221,7 +222,7 @@ class TestCli:
 
     def test_route_longer_than_max_steps_exits_1_before_any_work(self, tmp_path, capsys):
         # seven forks make 15-edge routes: 16 decisions with the stop, one
-        # more than AgentConfig.max_steps; six forks still fit
+        # more than agent.MAX_STEPS; six forks still fit
         for forks, code in ((6, 0), (7, 1)):
             spec = write_spec(tmp_path, world=f"n_forks = {forks}\n", sizes=(1, 1, 1))
             assert run_cli(["data", "--spec", spec, "--out", tmp_path / f"d{forks}"]) == code
@@ -320,6 +321,19 @@ class TestCli:
         assert run_cli(["probe-attention", *probe_inputs, flag, value]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and names in err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "probe-attention"])
+    def test_negative_seed_exits_1_writing_nothing(self, trained, tmp_path, capsys, command):
+        spec, data, ckpt = trained
+        out = tmp_path / "out"
+        args = {"train": ["--spec", spec, "--condition", "baseline", "--data", data, "--out", out],
+                "eval": ["--ckpt", ckpt, "--condition", "baseline", "--data", data,
+                         "--split", "train", "--out", out],
+                "probe-attention": ["--ckpt", ckpt, "--data", data, "--split", "train"]}[command]
+        assert run_cli([command, *args, "--seed", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "--seed must be >= 0, got -3" in captured.err
+        assert not captured.out and list(tmp_path.iterdir()) == []
 
     def test_report_merges_and_aggregates(self, trained, tmp_path):
         _, data, ckpt = trained
@@ -590,6 +604,29 @@ class TestExperimentSpec:
         assert "world.mode" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("spec, named", [
+        ({"seeds": "-1"}, "seeds must be >= 0, got -1"),
+        ({"seeds": "3 -2"}, "seeds must be >= 0, got -2"),
+        ({"data_seed": -1}, "data_seed must be >= 0, got -1"),
+        ({"agent": "heads = 0\n"}, "heads must be >= 1, got 0"),
+        ({"agent": "heads = -2\n"}, "heads must be >= 1, got -2"),
+        ({"agent": "d = 0\n"}, "d must be >= 1, got 0"),
+        ({"agent": "cross_layers = 0\n"}, "cross_layers must be >= 1, got 0"),
+        ({"world": "sigma_obs = -0.1\n"}, "sigma_obs must be finite and >= 0, got -0.1"),
+        ({"world": "sigma_obs = nan\n"}, "sigma_obs must be finite and >= 0, got nan"),
+        ({"world": "sigma_obs = inf\n"}, "sigma_obs must be finite and >= 0, got inf"),
+    ], ids=["seed_-1", "second_seed_-2", "data_seed_-1", "heads_0", "heads_-2", "d_0",
+            "cross_layers_0", "sigma_obs_-0.1", "sigma_obs_nan", "sigma_obs_inf"])
+    def test_values_that_cannot_run_exit_1_writing_nothing(self, tmp_path, capsys, spec, named):
+        """`data` and `ablate` each fail naming the key, before they write a file."""
+        path = write_spec(tmp_path, **spec)
+        for command in (["data", "--spec", path, "--out", tmp_path / "data"],
+                        ["ablate", "--spec", path, "--out-dir", tmp_path / "run", "--quiet"]):
+            assert run_cli(command) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and named in err
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_test_conditions_pull_in_imagine_and_baseline(self, tmp_path):
         spec = harness.read_experiment_spec(write_spec(tmp_path, conditions="wrong_test"))
         assert "imagine" in spec.conditions and "baseline" in spec.conditions
@@ -655,6 +692,17 @@ class TestDefaults:
         assert spec == harness.ExperimentSpec(name="defaults")
         assert spec.train == tr.TrainConfig() and spec.imagination == im.ImaginationConfig()
         assert spec.world == {} and spec.agent == {}
+
+    def test_every_agent_setting_has_a_source(self):
+        """An AgentConfig field is set by the data, a spec key or a condition:
+        a setting that none of them sets is a module constant of `agent`."""
+        from_data = {"vocab_size", "k_views"}
+        from_spec = {name for keys in harness.SPEC_KEYS.values()
+                     for cls, name in keys.values() if cls is ag.AgentConfig}
+        from_conditions = {name for _, overrides in harness.TRAIN_CONDITIONS.values()
+                           for name in overrides}
+        fields = {f.name for f in dataclasses.fields(ag.AgentConfig)}
+        assert fields == from_data | from_spec | from_conditions
 
 
 class TestAblateSmoke:

@@ -5,6 +5,7 @@ import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -688,6 +689,38 @@ class TestCheckpointIO:
         with pytest.raises(FormatError, match=named):
             tr.train(tiny_split["train"], tiny_agent_config, cfg, resume=ckpt)
 
+    @pytest.mark.parametrize("width", [22, 20], ids=["ceil_2d_over_3", "other"])
+    def test_checkpoint_with_the_fixed_settings_loads_at_its_one_width(
+            self, tiny_split, tiny_agent_config, tmp_path, width):
+        """A checkpoint written while mlp_hidden, dropout_rate, text_dropout
+        and max_steps were config fields loads to the same config and arrays
+        when its width is ceil(2d/3) = 22 at d = 32; another width is a
+        FormatError naming the first array of that width."""
+        ckpt = self.make_ckpt(tiny_split, tiny_agent_config, iters=1)
+        lines = tiny_agent_config.to_text().splitlines()
+        old_text = "\n".join(lines[:6] + [f"mlp_hidden={width}", "dropout_rate=0.15",
+                                           "text_dropout=0.3"] + lines[6:] + ["max_steps=15"])
+
+        def resized(arrays):   # the feed-forward and imagination-MLP arrays at `width`
+            return {k: np.zeros([width if n == 22 else n for n in a.shape], np.float32)
+                    if k.endswith(("_ff1", "_ff2")) or k.startswith("im_m") else a
+                    for k, a in arrays.items()}
+
+        old = replace(ckpt, agent_config=SimpleNamespace(to_text=lambda: old_text))
+        if width != 22:
+            old = replace(old, **{f: resized(getattr(ckpt, f))
+                                  for f in ("values", "adam_m", "adam_v")})
+        path = tmp_path / "old.ckpt"
+        tr.save_checkpoint(old, path)
+        back = tr.load_checkpoint(path)
+        assert back.agent_config == tiny_agent_config
+        if width == 22:
+            assert all(back.values[k].tobytes() == a.tobytes() for k, a in ckpt.values.items())
+            tr.agent_from_checkpoint(back)
+        else:
+            with pytest.raises(FormatError, match="'t_ff1' has shape"):
+                tr.agent_from_checkpoint(back)
+
     @pytest.mark.parametrize("text", ["agent_config", "rng_state"])
     def test_undecodable_text_raises_format_error(self, tiny_split, tiny_agent_config, tmp_path,
                                                   text):
@@ -778,7 +811,7 @@ class TestStage1Reuse:
         if change == "aux_in_all_stages":
             first, cfg = (self.cfg(aux, aux_in_all_stages=True) for aux in ("cosine", "infonce"))
         elif change == "agent_config":
-            acfg = replace(acfg, text_dropout=0.2)
+            acfg = replace(acfg, heads=4)
         elif change == "init_values":
             values = dict(base)
             name = next(iter(values))
