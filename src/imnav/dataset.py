@@ -1,5 +1,6 @@
 """Split assembly: worlds -> episodes -> instructions -> imaginations, either
-generated or read back from the data directory that `write_split` fills."""
+generated or read back from the data directory that `write_split` fills,
+one <split>.txt file per split."""
 
 from __future__ import annotations
 
@@ -31,15 +32,20 @@ class Split:
     split: str
 
 
-def load_assets(d_v):
-    """The packaged data: the landmark library at feature width `d_v`, the
-    instruction templates, and the tagger lexicon extended with the
-    library's landmark words."""
-    library = wd.load_library(DATA_DIR / "landmarks.txt", d_v=d_v)
+def text_assets(library):
+    """The packaged instruction templates, and the tagger lexicon: the
+    packaged nouns and blacklist, extended with `library`'s landmark words."""
     templates = ins.load_templates(DATA_DIR / "templates.txt")
     lexicon = ins.load_lexicon(DATA_DIR / "lexicon_nouns.txt",
                                DATA_DIR / "lexicon_blacklist.txt", library)
-    return library, templates, lexicon
+    return templates, lexicon
+
+
+def load_assets(d_v):
+    """The packaged data: the landmark library at feature width `d_v`, and
+    its `text_assets`."""
+    library = wd.load_library(DATA_DIR / "landmarks.txt", d_v=d_v)
+    return (library, *text_assets(library))
 
 
 def bundle(episodes, records, imagination_sets, vocab, library, split):
@@ -69,34 +75,44 @@ def build_split(world_config, n_worlds, templates, lexicon, vocab,
     return bundle(episodes, records, sets, vocab, world_config.library, world_config.split)
 
 
-def _split_paths(data_dir, split):
-    return [Path(data_dir) / f"{split}_{kind}.txt" for kind in ("worlds", "corpus", "imag")]
-
-
 def write_split(data_dir, split, command="", seed=None):
-    """Write `split` into `data_dir` as <split>_worlds.txt, <split>_corpus.txt
-    and <split>_imag.txt, and return its corpus statistics."""
-    worlds, corpus, imags = _split_paths(data_dir, split.split)
+    """Write `split` into `data_dir` as <split>.txt (see `serial.write_split`)
+    and return its corpus statistics."""
     records = [item.record for item in split.items]
-    serial.write_worlds(worlds, split.library, [(item.episode.world, item.episode)
-                                                for item in split.items], command, seed)
-    serial.write_corpus(corpus, records, list(range(len(records))), command, seed)
-    serial.write_imaginations(imags, [item.imaginations for item in split.items], command, seed)
+    serial.write_split(Path(data_dir) / f"{split.split}.txt", split.library,
+                       [(item.episode, item.record.instruction, item.imaginations)
+                        for item in split.items], command, seed)
     return ins.corpus_stats(records)
 
 
 def read_split(data_dir, split):
-    """Split `split` of a data directory that `write_split` filled. FormatError
-    if its worlds file holds worlds of another split."""
-    worlds, corpus, imags = _split_paths(data_dir, split)
-    library, pairs = serial.read_worlds(worlds)
-    others = sorted({world.split for world, _ in pairs} - {split})
+    """Split `split` of a data directory that `write_split` filled. Each
+    instruction is segmented and filtered as `build_split` does it, and the
+    j-th imagination of a world belongs to its j-th kept sub-instruction,
+    whose index and landmark class it takes. FormatError if the file holds
+    worlds of another split, or names the world whose imaginations do not
+    match its kept sub-instructions."""
+    path = Path(data_dir) / f"{split}.txt"
+    library, rows = serial.read_split(path)
+    others = sorted({episode.world.split for episode, _, _ in rows} - {split})
     if others:
-        raise FormatError(f"{worlds}: holds worlds of split {others[0]!r}, not {split!r}")
-    records, world_indices = serial.read_corpus(corpus, pairs)
-    sets = serial.read_imaginations(imags, len(records), library.d_v)
-    templates = ins.load_templates(DATA_DIR / "templates.txt")
-    return bundle([pairs[i][1] for i in world_indices], records, sets,
+        raise FormatError(f"{path}: holds worlds of split {others[0]!r}, not {split!r}")
+    templates, lexicon = text_assets(library)
+    records, sets = [], []
+    for w, (_, instruction, drawn) in enumerate(rows):
+        record = ins.build_record(instruction, lexicon)
+        if len(drawn) != len(record.kept):
+            raise FormatError(f"{path}: world {w} has {len(drawn)} imaginations for its "
+                              f"{len(record.kept)} kept sub-instructions")
+        unclassed = [sub.index for sub in record.kept if sub.landmark_class is None]
+        if unclassed:
+            raise FormatError(f"{path}: world {w}: kept sub-instruction {unclassed[0]} has no "
+                              "gold landmark class to imagine")
+        records.append(record)
+        sets.append([im.Imagination(feature=feature, sub_index=sub.index,
+                                    true_class=sub.landmark_class, emitted_class=emitted)
+                     for sub, (emitted, feature) in zip(record.kept, drawn)])
+    return bundle([episode for episode, _, _ in rows], records, sets,
                   ins.build_vocab(templates, library), library, split)
 
 

@@ -1,4 +1,4 @@
-"""Versioned text serialization: worlds, corpora, imaginations, curves.
+"""Versioned text serialization: splits and curves.
 
 One record per line, a type tag first. Float fields use decimal text: %.9g for
 float32 payloads (exact round-trip), %.17g for float64 coordinates and the
@@ -18,12 +18,9 @@ import numpy as np
 
 from . import instructions as ins
 from . import world as wd
-from .errors import FormatError
-from .imagination import Imagination
+from .errors import ConfigurationError, FormatError
 
-WORLDS_TAG = "# imnav-worlds v1"
-CORPUS_TAG = "# imnav-corpus v1"
-IMAGINE_TAG = "# imnav-imagine v1"
+SPLIT_TAG = "# imnav-split v1"
 
 
 def f32(x):
@@ -78,139 +75,167 @@ def write_text(path, lines, tag=None, command="", seed=None):
         fh.write("".join(line + "\n" for line in head + list(lines)))
 
 
-class LineReader:
-    def __init__(self, path, tag):
-        self.path = str(path)
-        with open(path, encoding="utf-8") as fh:
-            self.lines = fh.read().splitlines()
-        if not self.lines or self.lines[0] != tag:
-            raise FormatError(f"{self.path}: expected header {tag!r}")
-
-    def records(self):
-        for lineno, line in enumerate(self.lines, start=1):
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, line.split(" ")
-
-    def fail(self, lineno, message):
-        raise FormatError(f"{self.path}:{lineno}: {message}")
-
-
 # ---------------------------------------------------------------------------
-# worlds + episodes
+# splits
 # ---------------------------------------------------------------------------
 
-def write_worlds(path, library, pairs, command="", seed=None):
-    """`pairs` is a list of (World, Episode)."""
+def write_split(path, library, rows, command="", seed=None):
+    """Write a split file: the library, then for each world `w` of `rows`, a
+    list of (Episode, Instruction, imaginations), its world, node, edge, view
+    and place records, its episode, instruction and gold segments, and one
+    `imag` record per imagination, in kept order. Only what generation drew is
+    written: `dataset.read_split` derives the segmentation and each
+    imagination's sub-instruction and true class from the instruction."""
     lines = [f"library {len(library.classes)} {library.d_v}"]
     for c in library.classes:
         lines.append("class {} {} {} {} {}".format(
             c.id, int(c.held_out), len(c.phrase), " ".join(c.phrase),
             " ".join(f32(x) for x in c.prototype)))
     lines.append("background " + " ".join(f32(x) for x in library.background))
-    for w_idx, (world, episode) in enumerate(pairs):
+    for w, (episode, instruction, imaginations) in enumerate(rows):
+        world = episode.world
         start, goal = world.designated if world.designated else ("-", "-")
-        lines.append(f"world {w_idx} {world.split} {world.k_views} {world.d_v} "
+        lines.append(f"world {w} {world.split} {world.k_views} {world.d_v} "
                      f"{float(world.sigma_obs)!r} {world.n_nodes} {start} {goal}")
         for node in range(world.n_nodes):
             x, y = world.positions[node]
-            lines.append(f"node {w_idx} {node} {f64(x)} {f64(y)}")
+            lines.append(f"node {w} {node} {f64(x)} {f64(y)}")
         for a, b in world.edges:
-            lines.append(f"edge {w_idx} {a} {b}")
+            lines.append(f"edge {w} {a} {b}")
         for node in sorted(world.view_map):
             for view, nb in sorted(world.view_map[node].items()):
-                lines.append(f"view {w_idx} {node} {view} {nb}")
+                lines.append(f"view {w} {node} {view} {nb}")
         for node in sorted(world.placements):
             for cid, view in world.placements[node]:
-                lines.append(f"place {w_idx} {node} {view} {cid}")
-        # v1 columns: the mode, then the target landmark, which no episode has
-        lines.append(f"episode {w_idx} {episode.mode} {episode.start} {episode.goal} "
-                     f"- {len(episode.teacher_path)} "
-                     + " ".join(str(n) for n in episode.teacher_path))
-    write_text(path, lines, WORLDS_TAG, command, seed)
+                lines.append(f"place {w} {node} {view} {cid}")
+        lines.append(f"episode {w} {episode.start} {episode.goal} {len(episode.teacher_path)}"
+                     + "".join(f" {n}" for n in episode.teacher_path))
+        lines.append(f"instr {w} {len(instruction.tokens)}"
+                     + "".join(f" {t}" for t in instruction.tokens))
+        lines.append(f"gold {w} {len(instruction.gold_segments)}" + "".join(
+            f" {s} {e} {'-' if cls is None else cls}"
+            for (s, e), cls in zip(instruction.gold_segments, instruction.gold_landmarks)))
+        lines.extend(f"imag {w} {im.emitted_class} " + " ".join(f32(x) for x in im.feature)
+                     for im in imaginations)
+    write_text(path, lines, SPLIT_TAG, command, seed)
 
 
-def _node(world, text):
-    """Node `text` of a world record; ValueError unless below its n_nodes."""
-    node = int(text)
-    if not 0 <= node < world["n_nodes"]:
-        raise ValueError(f"node {node} outside the world's {world['n_nodes']} nodes")
-    return node
+def _index(text, count, what):
+    """`text` as an index of `count` `what`s; ValueError unless in range."""
+    value = int(text)
+    if not 0 <= value < count:
+        raise ValueError(f"{what} {value} outside [0, {count})")
+    return value
 
 
-def read_worlds(path):
-    """The library and (World, Episode) pairs of a worlds file. FormatError
-    names the line of a malformed record, or of one that names a node its
-    world does not declare, and the world whose node records do not cover
-    0..n_nodes-1 or that has no episode record."""
-    reader = LineReader(path, WORLDS_TAG)
-    classes = []
-    background = None
-    d_v = None
-    worlds_raw = {}
-    episodes_raw = {}
-    for lineno, parts in reader.records():
+def _counted(parts, at, what, width=1):
+    """The fields after the count of `what` at parts[at]; ValueError unless
+    there are `width` of them per counted item."""
+    n, fields = int(parts[at]), parts[at + 1:]
+    if len(fields) != width * n:
+        raise ValueError(f"says {n} {what} but lists {len(fields)} fields, not {width * n}")
+    return fields
+
+
+def _vector(fields, d_v, what):
+    """`fields` as a float32 vector; ValueError unless it has `d_v` of them."""
+    vector = np.asarray([float(x) for x in fields], dtype=np.float32)
+    if len(vector) != d_v:
+        raise ValueError(f"{what} has {len(vector)} dims, expected {d_v}")
+    return vector
+
+
+def read_split(path):
+    """The library of a split file and its (Episode, Instruction, drawn) rows
+    in world order, where `drawn` lists each imagination's (emitted class,
+    feature). FormatError names the line of a malformed record: one with a
+    node, view or class outside its world or library, one that names a world
+    with no world record, or a second world, episode, instr or gold record of
+    a world. It names the world whose node records do not cover
+    0..n_nodes-1 or that has no episode, instr or gold record."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != SPLIT_TAG:
+        raise FormatError(f"{path}: expected header {SPLIT_TAG!r}")
+    classes, background, d_v, worlds = [], None, 0, []
+
+    def world_at(text, record=None):   # world `text`, with no `record` record yet
+        w = worlds[_index(text, len(worlds), "world")]
+        if record in w:
+            raise ValueError(f"a second {record} record for world {text}")
+        return w
+
+    for lineno, line in enumerate(lines, start=1):
+        if not line or line.startswith("#"):
+            continue
+        tag, *parts = line.split(" ")
         try:
-            tag = parts[0]
             if tag == "library":
-                d_v = int(parts[2])
+                d_v = int(parts[1])
             elif tag == "class":
-                cid, held, n_words = int(parts[1]), bool(int(parts[2])), int(parts[3])
-                words = tuple(parts[4:4 + n_words])
-                proto = np.asarray([float(x) for x in parts[4 + n_words:]], dtype=np.float32)
-                if len(proto) != d_v:
-                    reader.fail(lineno, f"prototype has {len(proto)} dims, expected {d_v}")
-                classes.append(wd.LandmarkClass(cid, words, proto, held))
+                n_words = int(parts[2])
+                classes.append(wd.LandmarkClass(
+                    int(parts[0]), tuple(parts[3:3 + n_words]),
+                    _vector(parts[3 + n_words:], d_v, "prototype"), bool(int(parts[1]))))
             elif tag == "background":
-                background = np.asarray([float(x) for x in parts[1:]], dtype=np.float32)
-                if len(background) != d_v:
-                    reader.fail(lineno, f"background has {len(background)} dims, expected {d_v}")
+                background = _vector(parts, d_v, "background")
             elif tag == "world":
-                idx = int(parts[1])
-                w = worlds_raw[idx] = dict(
-                    split=parts[2], k_views=int(parts[3]), d_v=int(parts[4]),
-                    sigma_obs=float(parts[5]), n_nodes=int(parts[6]),
-                    designated=None, nodes={}, edges=[], views={}, places={})
-                if parts[7] != "-":
-                    w["designated"] = (_node(w, parts[7]), _node(w, parts[8]))
-            elif tag == "node":
-                w = worlds_raw[int(parts[1])]
-                w["nodes"][_node(w, parts[2])] = (float(parts[3]), float(parts[4]))
-            elif tag == "edge":
-                w = worlds_raw[int(parts[1])]
-                w["edges"].append((_node(w, parts[2]), _node(w, parts[3])))
-            elif tag == "view":
-                w = worlds_raw[int(parts[1])]
-                w["views"].setdefault(_node(w, parts[2]), {})[int(parts[3])] = _node(w, parts[4])
-            elif tag == "place":
-                w = worlds_raw[int(parts[1])]
-                w["places"].setdefault(_node(w, parts[2]), []).append((int(parts[4]),
-                                                                       int(parts[3])))
+                idx = int(parts[0])
+                if idx != len(worlds):      # worlds are numbered from 0 in file order
+                    raise ValueError(f"a second world record for world {idx}" if idx < len(worlds)
+                                     else f"world {idx} comes before world {len(worlds)}")
+                w = dict(split=parts[1], k_views=int(parts[2]), d_v=int(parts[3]),
+                         sigma_obs=float(parts[4]), n_nodes=int(parts[5]),
+                         designated=None, nodes={}, edges=[], views={}, places={}, drawn=[])
+                wd.check_sigma_obs(w["sigma_obs"])
+                if parts[6] != "-":
+                    w["designated"] = (_index(parts[6], w["n_nodes"], "node"),
+                                       _index(parts[7], w["n_nodes"], "node"))
+                worlds.append(w)
+            elif tag in ("node", "edge", "view", "place"):
+                w = world_at(parts[0])
+                n_nodes, k_views = w["n_nodes"], w["k_views"]
+                node = _index(parts[1], n_nodes, "node")
+                if tag == "node":
+                    w["nodes"][node] = (float(parts[2]), float(parts[3]))
+                elif tag == "edge":
+                    w["edges"].append((node, _index(parts[2], n_nodes, "node")))
+                elif tag == "view":
+                    w["views"].setdefault(node, {})[_index(parts[2], k_views, "view")] = (
+                        _index(parts[3], n_nodes, "node"))
+                else:
+                    w["places"].setdefault(node, []).append(
+                        (_index(parts[3], len(classes), "class"), _index(parts[2], k_views, "view")))
             elif tag == "episode":
-                idx = int(parts[1])
-                w = worlds_raw[idx]
-                n = int(parts[6])
-                if parts[2] != wd.EPISODE_MODE or parts[5] != "-":
-                    reader.fail(lineno, f"episode mode {parts[2]!r} with target {parts[5]!r}: "
-                                f"the only episode mode is {wd.EPISODE_MODE!r}, without a target")
-                if len(parts) != 7 + n:
-                    reader.fail(lineno, f"episode path says {n} nodes but lists {len(parts) - 7}")
-                episodes_raw[idx] = dict(start=_node(w, parts[3]), goal=_node(w, parts[4]),
-                                         path=tuple(_node(w, x) for x in parts[7:]))
+                w = world_at(parts[0], tag)
+                w[tag] = tuple(_index(x, w["n_nodes"], "node")
+                               for x in parts[1:3] + _counted(parts, 3, "nodes"))
+            elif tag == "instr":
+                world_at(parts[0], tag)[tag] = tuple(_counted(parts, 1, "tokens"))
+            elif tag == "gold":
+                fields = _counted(parts, 1, "segments", width=3)
+                world_at(parts[0], tag)[tag] = [
+                    ((int(s), int(e)), None if c == "-" else _index(c, len(classes), "class"))
+                    for s, e, c in zip(fields[0::3], fields[1::3], fields[2::3])]
+            elif tag == "imag":
+                world_at(parts[0])["drawn"].append(
+                    (_index(parts[1], len(classes), "class"), _vector(parts[2:], d_v, "feature")))
             else:
-                reader.fail(lineno, f"unknown record tag {tag!r}")
-        except (ValueError, IndexError, KeyError) as exc:
-            reader.fail(lineno, f"malformed {parts[0]!r} record: {exc}")
+                raise ValueError("unknown record tag")
+        except (ValueError, IndexError, ConfigurationError) as exc:
+            raise FormatError(f"{path}:{lineno}: malformed {tag!r} record: {exc}") from None
     if background is None or not classes:
         raise FormatError(f"{path}: missing library records")
     library = wd.Library(classes=tuple(sorted(classes, key=lambda c: c.id)),
                          background=background, d_v=d_v)
-    pairs = []
-    for idx in sorted(worlds_raw):
-        raw = worlds_raw[idx]
+    rows = []
+    for idx, raw in enumerate(worlds):
         if len(raw["nodes"]) != raw["n_nodes"]:    # each is below n_nodes
             raise FormatError(f"{path}: world {idx} has node records for "
                               f"{len(raw['nodes'])} of its {raw['n_nodes']} nodes")
+        missing = [tag for tag in ("episode", "instr", "gold") if tag not in raw]
+        if missing:
+            raise FormatError(f"{path}: world {idx} has no {missing[0]} record")
         positions = np.asarray([raw["nodes"][i] for i in range(raw["n_nodes"])], dtype=np.float64)
         world = wd.World(
             k_views=raw["k_views"], d_v=raw["d_v"], sigma_obs=raw["sigma_obs"],
@@ -219,133 +244,14 @@ def read_worlds(path):
             view_map={n: raw["views"].get(n, {}) for n in range(raw["n_nodes"])},
             placements={n: tuple(v) for n, v in raw["places"].items()},
             library=library, designated=raw["designated"])
-        ep_raw = episodes_raw.get(idx)
-        if ep_raw is None:
-            raise FormatError(f"{path}: world {idx} has no episode record")
-        pairs.append((world, wd.Episode(world=world, start=ep_raw["start"], goal=ep_raw["goal"],
-                                        teacher_path=ep_raw["path"])))
-    return library, pairs
-
-
-# ---------------------------------------------------------------------------
-# corpus
-# ---------------------------------------------------------------------------
-
-def write_corpus(path, records, world_indices, command="", seed=None):
-    lines = []
-    for idx, (rec, w_idx) in enumerate(zip(records, world_indices)):
-        instr = rec.instruction
-        lines.append(f"instr {idx} {w_idx} {wd.EPISODE_MODE} {len(instr.tokens)}"
-                     + "".join(f" {t}" for t in instr.tokens))
-        golds = "".join(f" {s} {e} {cls if cls is not None else '-'}"
-                        for (s, e), cls in zip(instr.gold_segments, instr.gold_landmarks))
-        lines.append(f"gold {idx} {len(instr.gold_segments)}{golds}")
-        for sub in rec.subs:
-            phrases = "+".join(p.replace(" ", "_") for p in sub.noun_phrases) or "-"
-            indices = " ".join(str(i) for i in sub.noun_token_indices)
-            lines.append(f"seg {idx} {sub.index} {sub.span[0]} {sub.span[1]} "
-                         f"{sub.filter_verdict} "
-                         f"{sub.landmark_class if sub.landmark_class is not None else '-'} "
-                         f"{phrases} {len(sub.noun_token_indices)}"
-                         + (f" {indices}" if indices else ""))
-    write_text(path, lines, CORPUS_TAG, command, seed)
-
-
-def read_corpus(path, pairs):
-    """Rebuild InstructionRecords; `pairs` comes from read_worlds."""
-    reader = LineReader(path, CORPUS_TAG)
-    by_idx = {}
-    for lineno, parts in reader.records():
-        try:
-            tag = parts[0]
-            if tag == "instr":
-                idx, w_idx, n = int(parts[1]), int(parts[2]), int(parts[4])
-                if parts[3] != wd.EPISODE_MODE:
-                    reader.fail(lineno, f"instruction mode {parts[3]!r}: the only episode mode "
-                                f"is {wd.EPISODE_MODE!r}")
-                if len(parts) != 5 + n:
-                    reader.fail(lineno, f"instruction says {n} tokens but lists {len(parts) - 5}")
-                if not 0 <= w_idx < len(pairs):
-                    reader.fail(lineno, f"world index {w_idx} outside the {len(pairs)} worlds")
-                by_idx[idx] = dict(world=w_idx, tokens=tuple(parts[5:]), gold=[], subs=[])
-            elif tag == "gold":
-                idx, n = int(parts[1]), int(parts[2])
-                if len(parts) != 3 + 3 * n:
-                    reader.fail(lineno, f"gold says {n} segments but lists "
-                                f"{len(parts) - 3} fields, not {3 * n}")
-                fields = parts[3:]
-                golds = []
-                for k in range(n):
-                    s, e, cls = fields[3 * k], fields[3 * k + 1], fields[3 * k + 2]
-                    golds.append(((int(s), int(e)), None if cls == "-" else int(cls)))
-                by_idx[idx]["gold"] = golds
-            elif tag == "seg":
-                idx = int(parts[1])
-                n_idx = int(parts[8])
-                if len(parts) != 9 + n_idx:
-                    reader.fail(lineno, f"segment says {n_idx} noun token indices but lists "
-                                f"{len(parts) - 9}")
-                sub = ins.SubInstruction(
-                    index=int(parts[2]), span=(int(parts[3]), int(parts[4])),
-                    tokens=(),
-                    noun_phrases=tuple(p.replace("_", " ") for p in parts[7].split("+")) if parts[7] != "-" else (),
-                    noun_token_indices=tuple(int(x) for x in parts[9:]),
-                    landmark_class=None if parts[6] == "-" else int(parts[6]),
-                    filter_verdict=None if parts[5] == "None" else parts[5])
-                by_idx[idx]["subs"].append(sub)
-            else:
-                reader.fail(lineno, f"unknown record tag {tag!r}")
-        except (ValueError, IndexError, KeyError) as exc:
-            reader.fail(lineno, f"malformed {parts[0]!r} record: {exc}")
-    records = []
-    world_indices = []
-    for idx in sorted(by_idx):
-        raw = by_idx[idx]
-        _, episode = pairs[raw["world"]]
-        instr = ins.Instruction(
-            tokens=raw["tokens"], episode=episode,
-            gold_segments=tuple(sp for sp, _ in raw["gold"]),
+        start, goal, *teacher_path = raw["episode"]
+        episode = wd.Episode(world=world, start=start, goal=goal, teacher_path=tuple(teacher_path))
+        instruction = ins.Instruction(
+            tokens=raw["instr"], episode=episode,
+            gold_segments=tuple(span for span, _ in raw["gold"]),
             gold_landmarks=tuple(cls for _, cls in raw["gold"]))
-        subs = sorted(raw["subs"], key=lambda s: s.index)
-        for sub in subs:
-            sub.tokens = instr.tokens[sub.span[0]:sub.span[1]]
-        rec = ins.InstructionRecord(instruction=instr, subs=subs,
-                                    kept=[s for s in subs if s.filter_verdict == "kept"])
-        records.append(rec)
-        world_indices.append(raw["world"])
-    return records, world_indices
-
-
-# ---------------------------------------------------------------------------
-# imaginations
-# ---------------------------------------------------------------------------
-
-def write_imaginations(path, imagination_sets, command="", seed=None):
-    lines = [f"imag {idx} {im.sub_index} {im.true_class} {im.emitted_class} "
-             + " ".join(f32(x) for x in im.feature)
-             for idx, group in enumerate(imagination_sets) for im in group]
-    write_text(path, lines, IMAGINE_TAG, command, seed)
-
-
-def read_imaginations(path, n_instructions, d_v):
-    reader = LineReader(path, IMAGINE_TAG)
-    sets = [[] for _ in range(n_instructions)]
-    for lineno, parts in reader.records():
-        if parts[0] != "imag":
-            reader.fail(lineno, f"unknown record tag {parts[0]!r}")
-        try:
-            idx = int(parts[1])
-            if not 0 <= idx < n_instructions:
-                reader.fail(lineno, f"instruction index {idx} outside the {n_instructions} "
-                            f"instructions")
-            feature = np.asarray([float(x) for x in parts[5:]], dtype=np.float32)
-            if len(feature) != d_v:
-                reader.fail(lineno, f"feature has {len(feature)} dims, expected {d_v}")
-            sets[idx].append(Imagination(feature=feature, sub_index=int(parts[2]),
-                                         true_class=int(parts[3]), emitted_class=int(parts[4])))
-        except (ValueError, IndexError) as exc:
-            reader.fail(lineno, f"malformed imag record: {exc}")
-    return sets
+        rows.append((episode, instruction, raw["drawn"]))
+    return library, rows
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ PROTOTYPE_SEED = 2026
 PROTOTYPE_MAX_COS = 0.55
 
 SPLITS = ("train", "val_seen", "val_unseen")
-EPISODE_MODE = "fine"   # the only episode mode; specs and data files still name it
+EPISODE_MODE = "fine"   # the only episode mode; specs still name it
 
 
 @dataclass(frozen=True)
@@ -286,13 +286,19 @@ def check_route_fits(n_forks, max_steps):
                                  f"max_steps={max_steps}")
 
 
+def check_sigma_obs(sigma_obs):
+    """ConfigurationError unless the observation noise `sigma_obs` is finite
+    and >= 0; world generation and the split reader both apply it."""
+    if not (math.isfinite(sigma_obs) and sigma_obs >= 0):
+        raise ConfigurationError(f"sigma_obs must be finite and >= 0, got {sigma_obs}")
+
+
 def _check_config(cfg):
     if cfg.layout != "forks":
         raise ConfigurationError(f"unknown layout {cfg.layout!r}; the only layout is 'forks'")
     if cfg.n_forks < 1:
         raise ConfigurationError("forks layout needs n_forks >= 1")
-    if not (math.isfinite(cfg.sigma_obs) and cfg.sigma_obs >= 0):
-        raise ConfigurationError(f"sigma_obs must be finite and >= 0, got {cfg.sigma_obs}")
+    check_sigma_obs(cfg.sigma_obs)
     if not cfg.library.classes:
         raise ConfigurationError("landmark library is empty")
     if cfg.library.d_v < 8:

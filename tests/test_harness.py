@@ -22,7 +22,7 @@ from imnav.errors import ConfigurationError, InputError
 
 ROOT = Path(__file__).resolve().parent.parent
 SMALL_AGENT = "d = 32\nheads = 2\ncross_layers = 1\n"
-DATA_FILES = [f"{split}_{kind}.txt" for split in wd.SPLITS for kind in ("worlds", "corpus", "imag")]
+DATA_FILES = [f"{split}.txt" for split in wd.SPLITS]
 
 
 def run_cli(args):
@@ -186,27 +186,67 @@ class TestCli:
             run_cli([command, *required, flag, "x"])
         assert exc.value.code == 2
 
-    def test_worlds_file_with_coarse_episode_exits_1(self, eval_copy):
-        data, run_eval = eval_copy
-        idx = edit_line(data / "train_worlds.txt", "episode 1 ",
-                        lambda line: line.replace(" fine ", " coarse ", 1))
-        code, err = run_eval()
-        assert code == 1
-        assert f":{idx + 1}:" in err and "'coarse'" in err
-
     def test_world_without_episode_record_exits_1(self, eval_copy):
         data, run_eval = eval_copy
-        edit_line(data / "train_worlds.txt", "episode 1 ", lambda line: None)
+        edit_line(data / "train.txt", "episode 1 ", lambda line: None)
         code, err = run_eval()
         assert code == 1
         assert err.startswith("error: ") and "world 1 has no episode record" in err
 
+    @staticmethod
+    def set_field(column, value):
+        def edit(line):
+            fields = line.split(" ")
+            fields[column] = value
+            return " ".join(fields)
+        return edit
+
+    @pytest.mark.parametrize("prefix, column, value, named", [
+        ("view 0 ", 3, "12", "view 12 outside"),     # K = 12: action 12 is the stop
+        ("place 0 ", 3, "14", "view 14 outside"),
+        ("place 0 ", 4, "99", "class 99 outside"),
+        ("gold 0 ", 5, "99", "class 99 outside"),
+        ("imag 0 ", 2, "99", "class 99 outside"),
+        ("world 0 ", 5, "-0.1", "sigma_obs must be finite and >= 0, got -0.1"),
+        ("world 0 ", None, None, "a second world record for world 0"),
+        ("episode 0 ", None, None, "a second episode record for world 0"),
+        ("instr 0 ", None, None, "a second instr record for world 0"),
+        ("gold 0 ", None, None, "a second gold record for world 0")],
+        ids=["view_past_k", "place_view", "place_class", "gold_class", "imag_class",
+             "negative_sigma_obs", "second_world", "second_episode", "second_instr",
+             "second_gold"])
+    def test_bad_split_record_exits_1_naming_the_line(self, trained, eval_copy, capsys,
+                                                      prefix, column, value, named):
+        """Each record is checked against what it indexes or repeats: eval and
+        train exit 1 with one line naming the line, and write nothing."""
+        spec, _, _ = trained
+        data, run_eval = eval_copy
+        assert wd.WorldConfig.k_views == 12
+        if column is None:      # a copy of the record right after it ("turn right" for "left")
+            idx = edit_line(data / "train.txt", prefix,
+                            lambda line: line + "\n" + line.replace(" left ", " right ")) + 1
+        else:
+            idx = edit_line(data / "train.txt", prefix, self.set_field(column, value))
+        code, err = run_eval()
+        assert code == 1 and err.startswith("error: ") and len(err.splitlines()) == 1
+        assert f"train.txt:{idx + 1}:" in err and named in err
+        ckpt = data.parent / "a.bin"
+        assert run_cli(["train", "--spec", spec, "--condition", "baseline", "--data", data,
+                        "--seed", "5", "--out", ckpt]) == 1
+        assert named in capsys.readouterr().err and not ckpt.exists()
+
+    def test_imagination_count_other_than_the_kept_count_exits_1(self, eval_copy):
+        data, run_eval = eval_copy
+        edit_line(data / "train.txt", "imag 0 ", lambda line: None)
+        code, err = run_eval()
+        assert code == 1 and err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "world 0 has 1 imaginations for its 2 kept sub-instructions" in err
+
     def test_split_files_must_hold_that_split(self, eval_copy):
-        # a worlds file says which split its worlds belong to; eval labels its
+        # a split file says which split its worlds belong to; eval labels its
         # metrics row with the split it was asked for, so they must agree
         data, run_eval = eval_copy
-        for kind in ("worlds", "corpus", "imag"):
-            shutil.copy(data / f"val_seen_{kind}.txt", data / f"val_unseen_{kind}.txt")
+        shutil.copy(data / "val_seen.txt", data / "val_unseen.txt")
         code, err = run_eval("val_unseen")
         assert code == 1
         assert err.startswith("error: ") and "'val_seen', not 'val_unseen'" in err
@@ -227,7 +267,7 @@ class TestCli:
             spec = write_spec(tmp_path, world=f"n_forks = {forks}\n", sizes=(1, 1, 1))
             assert run_cli(["data", "--spec", spec, "--out", tmp_path / f"d{forks}"]) == code
         assert "n_forks=7" in capsys.readouterr().err and not (tmp_path / "d7").exists()
-        assert (tmp_path / "d6" / "train_worlds.txt").exists()
+        assert (tmp_path / "d6" / "train.txt").exists()
         with pytest.raises(ConfigurationError, match="n_forks=7"):
             harness.ExperimentSpec(world={"n_forks": 7})
 
@@ -249,7 +289,7 @@ class TestCli:
     def test_worlds_file_with_short_episode_path_exits_1(self, eval_copy):
         data, run_eval = eval_copy
         # drop the goal, keep the node count
-        idx = edit_line(data / "train_worlds.txt", "episode 1 ",
+        idx = edit_line(data / "train.txt", "episode 1 ",
                         lambda line: line.rsplit(" ", 1)[0])
         code, err = run_eval()
         assert code == 1
@@ -264,10 +304,10 @@ class TestCli:
 
         def stroll(line):
             fields = line.split(" ")
-            fields[5] = "stroll"          # instr <idx> <world> <mode> <n> <tokens...>
+            fields[3] = "stroll"          # instr <w> <n> <tokens...>
             return " ".join(fields)
 
-        edit_line(data / "train_corpus.txt", "instr ", stroll)
+        edit_line(data / "train.txt", "instr ", stroll)
         capsys.readouterr()
         assert run_cli(["train", *baseline, "--seed", "5", "--out", tmp_path / "b.ckpt"]) == 1
         assert run_cli(["eval", "--ckpt", ckpt, "--condition", "baseline", "--data", data,
@@ -420,7 +460,7 @@ class TestDataDirectory:
         eval_argv = ["eval", "--ckpt", str(ckpt), "--condition", "baseline",
                      "--data", str(tmp_path / "data"), "--split", "val_seen", "--seed", "1",
                      "--out", str(tmp_path / "m.tsv")]
-        for argv, path in ((data_argv, tmp_path / "data" / "train_worlds.txt"),
+        for argv, path in ((data_argv, tmp_path / "data" / "train.txt"),
                            (eval_argv, tmp_path / "m.tsv")):
             assert run_cli(argv) == 0
             assert "# produced-by: imnav " + shlex.join(argv) in path.read_text().splitlines()
@@ -845,6 +885,23 @@ class TestCliEqualsAblate:
         assert sorted(p.name for p in (out / "data").iterdir()) == sorted(DATA_FILES)
         for name in DATA_FILES:
             assert self.body(out / "data" / name) == self.body(data / name), name
+
+    def test_reading_and_writing_a_split_is_a_fixed_point(self, run, tmp_path):
+        """`write_split` of each split that `read_split` reads reproduces its
+        file byte for byte, and the split read equals the split the spec
+        builds, field by field: each imagination's sub-instruction, true
+        class, emitted class and feature included."""
+        spec, _, data = run
+        built = harness.build_spec_splits(harness.read_experiment_spec(spec))
+        assert any(im.corrupted for item in built["train"].items for im in item.imaginations)
+        for name in wd.SPLITS:
+            produced_by, seed = (data / f"{name}.txt").read_text().splitlines()[1:3]
+            command = produced_by.removeprefix("# produced-by: ")
+            seed = int(seed.removeprefix("# seed: "))
+            read = ds.read_split(data, name)
+            ds.write_split(tmp_path, read, command=command, seed=seed)
+            assert (tmp_path / f"{name}.txt").read_bytes() == (data / f"{name}.txt").read_bytes()
+            assert_same(read, built[name], name)
 
     def test_train_and_eval_reproduce_the_ablation(self, run, tmp_path):
         spec, out, data = run

@@ -1,8 +1,7 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 
+from imnav import dataset as ds
 from imnav import evaluation as ev
 from imnav import imagination as im
 from imnav import instructions as ins
@@ -10,35 +9,53 @@ from imnav import serial
 from imnav import world as wd
 from imnav.errors import FormatError
 
-DATA = Path(__file__).parent.parent / "src" / "imnav" / "data"
-
 
 @pytest.fixture(scope="module")
-def bundle():
-    library = wd.load_library(DATA / "landmarks.txt", d_v=16)
-    templates = ins.load_templates(DATA / "templates.txt")
-    lexicon = ins.load_lexicon(DATA / "lexicon_nouns.txt", DATA / "lexicon_blacklist.txt", library)
+def split():
+    """A train split of six default worlds at d_v = 16."""
+    library, templates, lexicon = ds.load_assets(d_v=16)
     vocab = ins.build_vocab(templates, library)
-    pairs = []
-    for s in range(6):
-        w = wd.generate_world(wd.WorldConfig(library=library, layout="forks"), seed=s)
-        pairs.append((w, wd.sample_episode(w)))
-    records = ins.build_corpus([e for _, e in pairs], templates, lexicon, seed=1, vocab=vocab)
+    episodes = [wd.sample_episode(wd.generate_world(wd.WorldConfig(library=library), seed=s))
+                for s in range(6)]
+    records = ins.build_corpus(episodes, templates, lexicon, seed=1, vocab=vocab)
     sets = im.imagine_dataset(records, library, im.ImaginationConfig(), seed=2)
-    return dict(library=library, pairs=pairs, records=records, sets=sets)
+    return ds.bundle(episodes, records, sets, vocab, library, "train")
+
+
+def written(split, tmp_path):
+    """The path of `split` written into tmp_path, and its lines."""
+    ds.write_split(tmp_path, split, command="test", seed=1)
+    path = tmp_path / "train.txt"
+    return path, path.read_text().splitlines()
+
+
+def rewritten(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def edited(split, tmp_path, tag, column, value):
+    """`split` written into tmp_path with field `column` of the first `tag`
+    record of world 0 set to `value`; returns the path and the line number."""
+    path, lines = written(split, tmp_path)
+    idx = next(i for i, line in enumerate(lines) if line.startswith(f"{tag} 0 "))
+    fields = lines[idx].split(" ")
+    fields[column] = value
+    lines[idx] = " ".join(fields)
+    return rewritten(path, lines), idx + 1
 
 
 class TestWorldsRoundTrip:
-    def test_exact(self, bundle, tmp_path):
-        path = tmp_path / "w.txt"
-        serial.write_worlds(path, bundle["library"], bundle["pairs"], command="test", seed=1)
-        library, pairs = serial.read_worlds(path)
-        assert len(pairs) == len(bundle["pairs"])
-        for c0, c1 in zip(bundle["library"].classes, library.classes):
+    def test_exact(self, split, tmp_path):
+        path, _ = written(split, tmp_path)
+        library, rows = serial.read_split(path)
+        assert len(rows) == len(split.items)
+        for c0, c1 in zip(split.library.classes, library.classes):
             assert c0.phrase == c1.phrase and c0.held_out == c1.held_out
             assert np.array_equal(c0.prototype, c1.prototype)
-        assert np.array_equal(bundle["library"].background, library.background)
-        for (w0, e0), (w1, e1) in zip(bundle["pairs"], pairs):
+        assert np.array_equal(split.library.background, library.background)
+        for item, (e1, _, _) in zip(split.items, rows):
+            e0, w0, w1 = item.episode, item.episode.world, e1.world
             assert np.array_equal(w0.positions, w1.positions)
             assert w0.edges == w1.edges
             assert w0.view_map == w1.view_map
@@ -51,200 +68,216 @@ class TestWorldsRoundTrip:
         path = tmp_path / "bad.txt"
         path.write_text("not a header\n")
         with pytest.raises(FormatError):
-            serial.read_worlds(path)
+            serial.read_split(path)
 
-    def test_malformed_record_names_line(self, bundle, tmp_path):
-        path = tmp_path / "w.txt"
-        serial.write_worlds(path, bundle["library"], bundle["pairs"])
-        lines = path.read_text().splitlines()
-        idx = next(i for i, l in enumerate(lines) if l.startswith("node"))
-        lines[idx] = "node 0 0 oops 1.0"
-        path.write_text("\n".join(lines) + "\n")
+    def test_malformed_record_names_line(self, split, tmp_path):
+        path, lineno = edited(split, tmp_path, "node", 3, "oops")
         with pytest.raises(FormatError) as exc:
-            serial.read_worlds(path)
-        assert f":{idx + 1}:" in str(exc.value)
-
-    @pytest.mark.parametrize("column, value", [(2, "coarse"), (5, "3")])
-    def test_episode_other_than_fine_rejected(self, bundle, tmp_path, column, value):
-        # v1 episode lines keep a mode and a target column: fine and "-"
-        path = tmp_path / "w.txt"
-        serial.write_worlds(path, bundle["library"], bundle["pairs"])
-        lines = path.read_text().splitlines()
-        idx = next(i for i, l in enumerate(lines) if l.startswith("episode"))
-        fields = lines[idx].split(" ")
-        assert (fields[2], fields[5]) == ("fine", "-")
-        fields[column] = value
-        lines[idx] = " ".join(fields)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match="fine") as exc:
-            serial.read_worlds(path)
-        assert f":{idx + 1}:" in str(exc.value)
-
+            serial.read_split(path)
+        assert f":{lineno}:" in str(exc.value)
 
     @pytest.mark.parametrize("edit", ["drop", "add"])
-    def test_episode_node_count_must_match_its_path(self, bundle, tmp_path, edit):
-        path = tmp_path / "w.txt"
-        serial.write_worlds(path, bundle["library"], bundle["pairs"])
-        lines = path.read_text().splitlines()
+    def test_episode_node_count_must_match_its_path(self, split, tmp_path, edit):
+        path, lines = written(split, tmp_path)
         idx = next(i for i, l in enumerate(lines) if l.startswith("episode"))
-        # episode <w> <mode> <start> <goal> <target> <n> <nodes...>
+        # episode <w> <start> <goal> <n> <nodes...>
         lines[idx] = lines[idx].rsplit(" ", 1)[0] if edit == "drop" else lines[idx] + " 0"
-        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match="nodes") as exc:
-            serial.read_worlds(path)
+            serial.read_split(rewritten(path, lines))
         assert f":{idx + 1}:" in str(exc.value)
 
-
-    def test_missing_node_record_names_the_world(self, bundle, tmp_path):
-        path = tmp_path / "w.txt"
-        serial.write_worlds(path, bundle["library"], bundle["pairs"])
-        lines = path.read_text().splitlines()
+    def test_missing_node_record_names_the_world(self, split, tmp_path):
+        path, lines = written(split, tmp_path)
         kept = [l for l in lines if not l.startswith("node 0 3 ")]
         assert len(kept) == len(lines) - 1
-        path.write_text("\n".join(kept) + "\n")
         with pytest.raises(FormatError, match="world 0 "):
-            serial.read_worlds(path)
+            serial.read_split(rewritten(path, kept))
 
-    def test_missing_episode_record_names_the_world(self, bundle, tmp_path):
-        # a world without its episode would reach the corpus reader as None
-        path = tmp_path / "w.txt"
-        serial.write_worlds(path, bundle["library"], bundle["pairs"])
-        lines = path.read_text().splitlines()
+    def test_missing_episode_record_names_the_world(self, split, tmp_path):
+        path, lines = written(split, tmp_path)
         kept = [l for l in lines if not l.startswith("episode 2 ")]
         assert len(kept) == len(lines) - 1
-        path.write_text("\n".join(kept) + "\n")
         with pytest.raises(FormatError, match="world 2 has no episode record"):
-            serial.read_worlds(path)
+            serial.read_split(rewritten(path, kept))
+
+    @pytest.mark.parametrize("tag", ["instr", "gold"])
+    def test_missing_instr_or_gold_record_names_the_world(self, split, tmp_path, tag):
+        path, lines = written(split, tmp_path)
+        kept = [l for l in lines if not l.startswith(f"{tag} 2 ")]
+        assert len(kept) == len(lines) - 1
+        with pytest.raises(FormatError, match=f"world 2 has no {tag} record"):
+            serial.read_split(rewritten(path, kept))
 
     @pytest.mark.parametrize("tag, column", [("world", 7), ("edge", 3), ("view", 2), ("view", 4),
-                                             ("place", 2), ("episode", 3), ("episode", 7)])
-    def test_undeclared_node_names_the_line(self, bundle, tmp_path, tag, column):
+                                             ("place", 2), ("episode", 2), ("episode", 3),
+                                             ("episode", 7)])
+    def test_undeclared_node_names_the_line(self, split, tmp_path, tag, column):
         # world <w> <split> <k> <d_v> <sigma> <n_nodes> <start> <goal>; edge <w> <a> <b>;
-        # view <w> <node> <view> <neighbour>; place <w> <node> ...;
-        # episode <w> <mode> <start> <goal> <target> <n> <nodes...>
-        path = tmp_path / "w.txt"
-        serial.write_worlds(path, bundle["library"], bundle["pairs"])
-        lines = path.read_text().splitlines()
-        assert bundle["pairs"][0][0].n_nodes < 99
-        idx = next(i for i, l in enumerate(lines) if l.startswith(f"{tag} 0 "))
-        fields = lines[idx].split(" ")
-        fields[column] = "99"
-        lines[idx] = " ".join(fields)
-        path.write_text("\n".join(lines) + "\n")
+        # view <w> <node> <view> <neighbour>; place <w> <node> <view> <class>;
+        # episode <w> <start> <goal> <n> <nodes...>
+        assert split.items[0].episode.world.n_nodes < 99
+        path, lineno = edited(split, tmp_path, tag, column, "99")
         with pytest.raises(FormatError, match="node 99") as exc:
-            serial.read_worlds(path)
-        assert f":{idx + 1}:" in str(exc.value)
+            serial.read_split(path)
+        assert f":{lineno}:" in str(exc.value)
 
-    def test_background_width_must_be_d_v(self, bundle, tmp_path):
-        path = tmp_path / "w.txt"
-        serial.write_worlds(path, bundle["library"], bundle["pairs"])
-        lines = path.read_text().splitlines()
+    @pytest.mark.parametrize("tag, column, value, named", [
+        ("view", 3, "12", "view 12 outside"),
+        ("view", 3, "-1", "view -1"),
+        ("place", 3, "14", "view 14 outside"),
+        ("place", 4, "99", "class 99 outside"),
+        ("gold", 5, "60", "class 60"),
+        ("imag", 2, "60", "class 60"),
+        ("imag", 2, "-1", "class -1")])
+    def test_view_or_class_out_of_range_names_the_line(self, split, tmp_path, tag, column,
+                                                       value, named):
+        # gold <w> <n> (<start> <end> <class|->)...; imag <w> <emitted class> <feature...>
+        assert (split.items[0].episode.world.k_views, len(split.library.classes)) == (12, 60)
+        path, lineno = edited(split, tmp_path, tag, column, value)
+        with pytest.raises(FormatError, match=named) as exc:
+            serial.read_split(path)
+        assert f":{lineno}:" in str(exc.value)
+
+    @pytest.mark.parametrize("sigma_obs", ["-0.1", "nan", "inf"])
+    def test_sigma_obs_that_cannot_generate_names_the_line(self, split, tmp_path, sigma_obs):
+        # world generation's rule: finite and >= 0
+        path, lineno = edited(split, tmp_path, "world", 5, sigma_obs)
+        with pytest.raises(FormatError, match="sigma_obs must be finite and >= 0") as exc:
+            serial.read_split(path)
+        assert f":{lineno}:" in str(exc.value)
+
+    @pytest.mark.parametrize("tag", ["world", "episode", "instr", "gold"])
+    def test_second_record_of_a_world_names_the_line(self, split, tmp_path, tag):
+        path, lines = written(split, tmp_path)
+        idx = next(i for i, l in enumerate(lines) if l.startswith(f"{tag} 0 "))
+        lines.insert(idx + 1, lines[idx].replace(" left ", " right "))
+        with pytest.raises(FormatError, match=f"a second {tag} record for world 0") as exc:
+            serial.read_split(rewritten(path, lines))
+        assert f":{idx + 2}:" in str(exc.value)
+
+    def test_background_width_must_be_d_v(self, split, tmp_path):
+        path, lines = written(split, tmp_path)
         idx = next(i for i, l in enumerate(lines) if l.startswith("background "))
         lines[idx] = lines[idx].rsplit(" ", 1)[0]           # d_v - 1 values
-        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match="background has 15 dims, expected 16") as exc:
-            serial.read_worlds(path)
+            serial.read_split(rewritten(path, lines))
         assert f":{idx + 1}:" in str(exc.value)
 
 
 class TestCorpusRoundTrip:
-    def test_exact(self, bundle, tmp_path):
-        wpath = tmp_path / "w.txt"
-        serial.write_worlds(wpath, bundle["library"], bundle["pairs"])
-        _, pairs = serial.read_worlds(wpath)
-        cpath = tmp_path / "c.txt"
-        serial.write_corpus(cpath, bundle["records"], list(range(len(bundle["records"]))))
-        records, world_indices = serial.read_corpus(cpath, pairs)
-        assert world_indices == list(range(len(bundle["records"])))
-        for r0, r1 in zip(bundle["records"], records):
+    def test_exact(self, split, tmp_path):
+        written(split, tmp_path)
+        read = ds.read_split(tmp_path, "train")
+        for item0, item1 in zip(split.items, read.items):
+            r0, r1 = item0.record, item1.record
             assert r0.instruction.tokens == r1.instruction.tokens
             assert r0.instruction.gold_segments == r1.instruction.gold_segments
             assert r0.instruction.gold_landmarks == r1.instruction.gold_landmarks
-            for s0, s1 in zip(r0.subs, r1.subs):
-                assert (s0.span, s0.filter_verdict, s0.landmark_class) == \
-                       (s1.span, s1.filter_verdict, s1.landmark_class)
-                assert s0.noun_phrases == s1.noun_phrases
-                assert s0.noun_token_indices == s1.noun_token_indices
-            assert len(r0.kept) == len(r1.kept)
+            assert r0.subs == r1.subs and r0.kept == r1.kept
+            assert item0.token_ids == item1.token_ids
 
-    def test_instruction_other_than_fine_rejected(self, bundle, tmp_path):
-        wpath = tmp_path / "w.txt"
-        serial.write_worlds(wpath, bundle["library"], bundle["pairs"])
-        _, pairs = serial.read_worlds(wpath)
-        cpath = tmp_path / "c.txt"
-        serial.write_corpus(cpath, bundle["records"], list(range(len(bundle["records"]))))
-        lines = cpath.read_text().splitlines()
-        idx = next(i for i, l in enumerate(lines) if l.startswith("instr"))
-        assert " fine " in lines[idx]   # instr <idx> <world> <mode> <n> <tokens...>
-        lines[idx] = lines[idx].replace(" fine ", " coarse ", 1)
-        cpath.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match="fine") as exc:
-            serial.read_corpus(cpath, pairs)
-        assert f":{idx + 1}:" in str(exc.value)
-
-
-    @pytest.mark.parametrize("tag, named", [("instr", "tokens"), ("gold", "segments"),
-                                            ("seg", "indices")])
-    def test_a_field_past_the_count_names_the_line(self, bundle, tmp_path, tag, named):
-        # instr <idx> <world> <mode> <n> <n tokens>; gold <idx> <n> <3n fields>;
-        # seg <idx> <index> <start> <end> <verdict> <class> <phrases> <n> <n indices>
-        wpath = tmp_path / "w.txt"
-        serial.write_worlds(wpath, bundle["library"], bundle["pairs"])
-        _, pairs = serial.read_worlds(wpath)
-        cpath = tmp_path / "c.txt"
-        serial.write_corpus(cpath, bundle["records"], list(range(len(bundle["records"]))))
-        lines = cpath.read_text().splitlines()
+    @pytest.mark.parametrize("tag, named", [("instr", "tokens"), ("gold", "segments")])
+    def test_a_field_past_the_count_names_the_line(self, split, tmp_path, tag, named):
+        # instr <w> <n> <n tokens>; gold <w> <n> <3n fields>
+        path, lines = written(split, tmp_path)
         idx = next(i for i, l in enumerate(lines) if l.startswith(tag + " "))
         lines[idx] += " left" if tag == "instr" else " 0"
-        cpath.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match=named) as exc:
-            serial.read_corpus(cpath, pairs)
+            serial.read_split(rewritten(path, lines))
         assert f":{idx + 1}:" in str(exc.value)
-
 
     @pytest.mark.parametrize("world", ["past_last", "-1"])
-    def test_world_index_out_of_range_names_the_line(self, bundle, tmp_path, world):
-        wpath = tmp_path / "w.txt"
-        serial.write_worlds(wpath, bundle["library"], bundle["pairs"])
-        _, pairs = serial.read_worlds(wpath)
-        cpath = tmp_path / "c.txt"
-        serial.write_corpus(cpath, bundle["records"], list(range(len(bundle["records"]))))
-        lines = cpath.read_text().splitlines()
-        idx = next(i for i, l in enumerate(lines) if l.startswith("instr "))
-        fields = lines[idx].split(" ")                      # instr <idx> <world> ...
-        fields[2] = str(len(pairs)) if world == "past_last" else world
+    def test_world_index_out_of_range_names_the_line(self, split, tmp_path, world):
+        index = str(len(split.items)) if world == "past_last" else world
+        path, lineno = edited(split, tmp_path, "instr", 1, index)
+        with pytest.raises(FormatError, match=f"world {index} outside") as exc:
+            serial.read_split(path)
+        assert f":{lineno}:" in str(exc.value)
+
+    @pytest.mark.parametrize("edit", ["class", "tokens"])
+    def test_kept_sub_instruction_without_a_gold_class_names_the_world(self, split, tmp_path,
+                                                                        edit):
+        # a kept step's gold class set to "-", or tokens that no longer split
+        # at the gold segments, leave an imagination without a true class
+        path, lines = written(split, tmp_path)
+        kept = split.items[0].record.kept[0]
+        tag = "gold" if edit == "class" else "instr"
+        idx = next(i for i, line in enumerate(lines) if line.startswith(f"{tag} 0 "))
+        fields = lines[idx].split(" ")
+        if edit == "class":
+            fields[3 + 3 * kept.index + 2] = "-"    # gold <w> <n> (<start> <end> <class>)...
+        else:
+            fields[3 + kept.span[0]] = "."          # instr <w> <n> <tokens...>
         lines[idx] = " ".join(fields)
-        cpath.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match="world index") as exc:
-            serial.read_corpus(cpath, pairs)
-        assert f":{idx + 1}:" in str(exc.value)
+        rewritten(path, lines)
+        with pytest.raises(FormatError, match="world 0: kept sub-instruction .* no gold"):
+            ds.read_split(tmp_path, "train")
+
+    def test_edited_instruction_is_resegmented(self, split, tmp_path):
+        """An instruction edited in the file, with its gold segments, gets the
+        sub-instructions, verdicts and noun positions of its new tokens: a
+        kept step swapped with the unkept step after it moves one place on,
+        and its imagination with it."""
+        w, item, k = next((w, item, k) for w, item in enumerate(split.items)
+                          for k, (a, b) in enumerate(zip(item.record.subs, item.record.subs[1:]))
+                          if a.filter_verdict == "kept" and b.filter_verdict != "kept")
+        subs, instr = item.record.subs, item.record.instruction
+        (s, m), (_, e) = subs[k].span, subs[k + 1].span
+        tokens = instr.tokens[:s] + instr.tokens[m:e] + instr.tokens[s:m] + instr.tokens[e:]
+        golds = list(zip(instr.gold_segments, instr.gold_landmarks))
+        golds[k:k + 2] = [((s, s + e - m), golds[k + 1][1]), ((s + e - m, e), golds[k][1])]
+        gold = " ".join(f"{a} {b} {'-' if c is None else c}" for (a, b), c in golds)
+        path, lines = written(split, tmp_path)
+        for tag, text in (("instr", f"{len(tokens)} {' '.join(tokens)}"),
+                          ("gold", f"{len(golds)} {gold}")):
+            idx = next(i for i, line in enumerate(lines) if line.startswith(f"{tag} {w} "))
+            lines[idx] = f"{tag} {w} {text}"
+        rewritten(path, lines)
+        read = ds.read_split(tmp_path, "train").items[w]
+        moved = read.record.subs[k + 1]
+        assert read.record.instruction.tokens == tokens
+        assert (read.record.subs[k].filter_verdict, moved.filter_verdict) == (
+            subs[k + 1].filter_verdict, "kept")
+        assert moved.noun_token_indices == tuple(i + e - m for i in subs[k].noun_token_indices)
+        assert [sub.index for sub in read.record.kept] == [
+            k + 1 if sub.index == k else sub.index for sub in item.record.kept]
+        assert [(im.sub_index, im.true_class) for im in read.imaginations] == [
+            (k + 1 if im.sub_index == k else im.sub_index, im.true_class)
+            for im in item.imaginations]
 
 
 class TestImaginationsRoundTrip:
-    def test_exact(self, bundle, tmp_path):
-        path = tmp_path / "i.txt"
-        serial.write_imaginations(path, bundle["sets"])
-        sets = serial.read_imaginations(path, len(bundle["sets"]), bundle["library"].d_v)
-        for g0, g1 in zip(bundle["sets"], sets):
-            assert len(g0) == len(g1)
-            for a, b in zip(g0, g1):
+    def test_exact(self, split, tmp_path):
+        written(split, tmp_path)
+        read = ds.read_split(tmp_path, "train")
+        for item0, item1 in zip(split.items, read.items):
+            assert len(item0.imaginations) == len(item1.imaginations)
+            for a, b in zip(item0.imaginations, item1.imaginations):
                 assert np.array_equal(a.feature, b.feature)
                 assert (a.sub_index, a.true_class, a.emitted_class) == \
                        (b.sub_index, b.true_class, b.emitted_class)
 
     @pytest.mark.parametrize("instruction", ["past_last", "-1"])
-    def test_instruction_index_out_of_range_names_the_line(self, bundle, tmp_path, instruction):
-        path = tmp_path / "i.txt"
-        serial.write_imaginations(path, bundle["sets"])
-        lines = path.read_text().splitlines()
-        idx = next(i for i, l in enumerate(lines) if l.startswith("imag "))
-        fields = lines[idx].split(" ")                      # imag <instruction> ...
-        fields[1] = str(len(bundle["sets"])) if instruction == "past_last" else instruction
-        lines[idx] = " ".join(fields)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match="instruction index") as exc:
-            serial.read_imaginations(path, len(bundle["sets"]), bundle["library"].d_v)
-        assert f":{idx + 1}:" in str(exc.value)
+    def test_instruction_index_out_of_range_names_the_line(self, split, tmp_path, instruction):
+        # imag <w> ...: one instruction per world
+        index = str(len(split.items)) if instruction == "past_last" else instruction
+        path, lineno = edited(split, tmp_path, "imag", 1, index)
+        with pytest.raises(FormatError, match=f"world {index} outside") as exc:
+            serial.read_split(path)
+        assert f":{lineno}:" in str(exc.value)
+
+    @pytest.mark.parametrize("edit", ["drop", "add"])
+    def test_imagination_count_must_match_the_kept_count(self, split, tmp_path, edit):
+        path, lines = written(split, tmp_path)
+        kept = len(split.items[0].record.kept)
+        assert kept >= 1
+        idx = next(i for i, l in enumerate(lines) if l.startswith("imag 0 "))
+        lines[idx:idx + 1] = [] if edit == "drop" else [lines[idx]] * 2
+        rewritten(path, lines)
+        n = kept - 1 if edit == "drop" else kept + 1
+        with pytest.raises(FormatError, match=f"world 0 has {n} imaginations for its {kept} "
+                                              "kept sub-instructions"):
+            ds.read_split(tmp_path, "train")
 
 
 class TestMetrics:
