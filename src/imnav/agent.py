@@ -19,11 +19,15 @@ imagination and one observation encoder pass over the batch (the histories
 step in lockstep), then the cross-modal layers over all steps. The first
 layer's context stream takes each episode's context once, not once per
 step: its queries, their keys and values and their scores are the same at
-every step of an episode. Greedy decoding runs the same code with one
-episode and T = 1: its rollout encodes and joins the [text; imagination]
-context once per episode (`EncodedContext`), and each step reuses it, so a
-step pays only for the observation encoder, the cross-modal layers and the
-action head.
+every step of an episode. The last layer's visual stream computes only the
+rows the action head reads: each step's history token and its navigable
+views, padded to the batch's largest navigable set (4 of the K + 1 = 13
+rows on the desk spec). Greedy decoding runs the same code with one episode and T = 1: its
+rollout encodes and joins the [text; imagination] context once per episode
+(`EncodedContext`), and each step reuses it, so a step pays only for the
+observation encoder, the cross-modal layers and the action head. A greedy
+step keeps the plain calls of an unbatched pass, all K + 1 visual rows
+included, so its logits are that pass's bit for bit.
 
 An episode's imaginations are whatever list it is handed: a test-time policy
 transforms the lists before the rollout, and `null` hands over none.
@@ -355,6 +359,16 @@ class Agent:
         zero gradient. With equal-length sets (one episode) nothing is
         padded or masked.
 
+        The action head reads each step's history token and navigable views.
+        When steps share contexts (batch < steps, as in `decide`), the last
+        layer's visual stream computes only those rows (`_read_rows`): the
+        history, the navigable views in `nav` order, then distinct unread
+        views up to 1 + max(len(nav)) rows; every earlier layer, and the
+        visual tokens as the context stream's keys, keep all K + 1. A single
+        step keeps all K + 1 rows, as it keeps layer 0's plain call: with
+        fewer rows its products round differently, and greedy logits would
+        no longer be the unbatched pass's bit for bit.
+
         Returns the (ΣT, A) logits over [navigable views; stop] padded with
         -inf. When `record` is a list it receives, per layer, the context
         stream's (ΣT, heads, Tq, Tk) attention weights as `nc.attention`
@@ -375,6 +389,8 @@ class Agent:
         ctx_keys = _keys(ctx_valid, counts)
         both_keys = _keys(_joined(batch, (ctx_valid, ctx.shape[1]), (None, k + 1)), counts)
 
+        # each step's navigable views among the visual tokens after the history
+        slots = [[v for v, _ in nav] for nav in navs]
         for layer in range(cfg.cross_layers):
             if layer == 0 and batch < steps:
                 # an episode's steps share its context, so it is projected
@@ -384,26 +400,48 @@ class Agent:
             else:
                 ctx = self._block(ctx, nc.concat([ctx, vis], axis=1), f"c{layer}_", record,
                                   both_keys)
+            if layer == cfg.cross_layers - 1 and batch < steps:
+                # only the rows the head reads; a single step keeps all K + 1
+                vis, slots = _read_rows(vis, slots)
             vis = self._block(vis, ctx, f"v{layer}_", mask=ctx_keys)
 
-        view_tokens = nc.take_rows(vis, np.arange(1, k + 1), axis=1)         # (ΣT, K, d)
+        n = vis.shape[1]                                                     # 1 + views
+        view_tokens = nc.take_rows(vis, np.arange(1, n), axis=1)             # (ΣT, n-1, d)
         hist_token = nc.take_rows(vis, [0], axis=1)                          # (ΣT, 1, d)
         # state-conditioned matching score plus a per-view bias term
         match = nc.scale(nc.matmul(view_tokens, nc.transpose(hist_token, (0, 2, 1))),
-                         1.0 / math.sqrt(d))                                # (ΣT, K, 1)
+                         1.0 / math.sqrt(d))                                # (ΣT, n-1, 1)
         view_scores = nc.add(match, nc.matmul(view_tokens, self.params["act_w"]))
         stop_score = nc.matmul(hist_token, self.params["stop_w"])           # (ΣT, 1, 1)
-        scores = nc.concat([view_scores, stop_score], axis=1)               # (ΣT, K+1, 1)
+        scores = nc.concat([view_scores, stop_score], axis=1)               # (ΣT, n, 1)
         # step t's actions in the flat scores; padding repeats the stop index
         lengths = [len(nav) + 1 for nav in navs]
         width = max(lengths)
-        index = [[t * (k + 1) + v for v, _ in nav] + [t * (k + 1) + k] * (width - len(nav))
-                 for t, nav in enumerate(navs)]
-        logits = nc.take_rows(nc.reshape(scores, (steps * (k + 1),)), index)
+        index = [[t * n + s for s in slot] + [t * n + n - 1] * (width - len(slot))
+                 for t, slot in enumerate(slots)]
+        logits = nc.take_rows(nc.reshape(scores, (steps * n,)), index)
         if min(lengths) < width:
             valid = np.arange(width) < np.array(lengths)[:, None]
             logits = nc.add(logits, nc.constant(np.where(valid, 0.0, -np.inf).astype(np.float32)))
         return logits
+
+
+def _read_rows(vis, slots):
+    """The (ΣT, 1 + max nav, d) rows of (ΣT, K+1, d) visual tokens that the
+    action head reads, and each step's view slots among them: its history
+    token, then its navigable views in view order (`navigable` lists them
+    sorted, so this is `nav` order), then the lowest views it does not read,
+    as padding. No row is gathered twice, so the gather's backward scatters
+    by plain indexing."""
+    steps, n, d = vis.shape
+    lengths = np.array([len(slot) for slot in slots])
+    read = np.zeros((steps, n), dtype=bool)
+    read[:, 0] = True
+    read[np.repeat(np.arange(steps), lengths), [1 + v for slot in slots for v in slot]] = True
+    index = np.argsort(~read, axis=1, kind="stable")[:, :1 + lengths.max()]
+    index += np.arange(steps)[:, None] * n
+    return (nc.take_rows(nc.reshape(vis, (steps * n, d)), index),
+            [range(length) for length in lengths])
 
 
 def _valid(lengths):
@@ -569,6 +607,11 @@ def decide(agent, trajectories, record=None):
     """Encode and decide the steps of teacher-mode trajectories in one padded
     pass: one text, one imagination and one observation encoder pass over
     the batch, then `cross_modal_step`.
+
+    Its last visual-stream layer computes only each step's history and
+    navigable view rows (see `cross_modal_step`), so its logits and
+    gradients equal those of computing all K + 1 rows within float32
+    rounding, not bit for bit.
 
     Returns the (ΣT, A) logits of all steps in trajectory order, padded with
     -inf (step t of the first trajectory is row t; its first len(nav) + 1

@@ -917,6 +917,12 @@ class Adam:
                 start = end
             self._flat[group] = (names, *flat)
         self.steps = {g: 0 for g in store.groups()}
+        self._stepped = set()   # groups whose last step's gradients `_grads` holds
+
+    def last_grad(self, name):
+        """The gradient that the last step of `name`'s group applied to it, or
+        None before that group's first step with this optimizer."""
+        return self._grads[name] if self.store.group_of(name) in self._stepped else None
 
     def step(self, lr_by_group):
         live = [g for g, lr in lr_by_group.items() if lr > 0.0]
@@ -926,6 +932,7 @@ class Adam:
                 if g is None:
                     raise ContractError(f"Adam.step: missing grad for {name!r}")
                 np.copyto(self._grads[name], g, casting="same_kind")
+        self._stepped.update(live)
         for group in live:
             _, values, grads, m, v, upd, den = self._flat[group]
             self.steps[group] += 1

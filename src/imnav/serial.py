@@ -150,14 +150,17 @@ def read_split(path):
     in world order, where `drawn` lists each imagination's (emitted class,
     feature). FormatError names the line of a malformed record: one with a
     node, view or class outside its world or library, one that names a world
-    with no world record, or a second world, episode, instr or gold record of
-    a world. It names the world whose node records do not cover
-    0..n_nodes-1 or that has no episode, instr or gold record."""
+    with no world record, a world whose d_v is not the library's, or a second
+    world, episode, instr or gold record of a world; and the library record
+    when its class count is not the number of class records. It names the
+    world whose node records do not cover 0..n_nodes-1 or that has no
+    episode, instr or gold record."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != SPLIT_TAG:
         raise FormatError(f"{path}: expected header {SPLIT_TAG!r}")
     classes, background, d_v, worlds = [], None, 0, []
+    n_classes = library_line = None
 
     def world_at(text, record=None):   # world `text`, with no `record` record yet
         w = worlds[_index(text, len(worlds), "world")]
@@ -171,7 +174,7 @@ def read_split(path):
         tag, *parts = line.split(" ")
         try:
             if tag == "library":
-                d_v = int(parts[1])
+                n_classes, d_v, library_line = int(parts[0]), int(parts[1]), lineno
             elif tag == "class":
                 n_words = int(parts[2])
                 classes.append(wd.LandmarkClass(
@@ -187,6 +190,8 @@ def read_split(path):
                 w = dict(split=parts[1], k_views=int(parts[2]), d_v=int(parts[3]),
                          sigma_obs=float(parts[4]), n_nodes=int(parts[5]),
                          designated=None, nodes={}, edges=[], views={}, places={}, drawn=[])
+                if w["d_v"] != d_v:
+                    raise ValueError(f"d_v {w['d_v']} is not the library's {d_v}")
                 wd.check_sigma_obs(w["sigma_obs"])
                 if parts[6] != "-":
                     w["designated"] = (_index(parts[6], w["n_nodes"], "node"),
@@ -224,8 +229,11 @@ def read_split(path):
                 raise ValueError("unknown record tag")
         except (ValueError, IndexError, ConfigurationError) as exc:
             raise FormatError(f"{path}:{lineno}: malformed {tag!r} record: {exc}") from None
-    if background is None or not classes:
+    if library_line is None or background is None or not classes:
         raise FormatError(f"{path}: missing library records")
+    if len(classes) != n_classes:
+        raise FormatError(f"{path}:{library_line}: malformed 'library' record: says "
+                          f"{n_classes} classes but the file has {len(classes)} class records")
     library = wd.Library(classes=tuple(sorted(classes, key=lambda c: c.id)),
                          background=background, d_v=d_v)
     rows = []

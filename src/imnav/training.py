@@ -187,12 +187,17 @@ def three_stage_schedule(iteration, cfg):
 # training loop
 # ---------------------------------------------------------------------------
 
-def _diagnostic_dump(iteration, breakdown, params):
+def _diagnostic_dump(iteration, breakdown, params, opt):
+    """The diverged iteration's losses, then per parameter its norm and the
+    norm of the gradient its group's last Adam update applied, `none` before
+    the group's first update (the iteration's own backward has not run)."""
     lines = [f"iteration={iteration}",
              f"l_base={breakdown.l_base} l_aux={breakdown.l_aux} total={breakdown.total}"]
     for name, t in params.items():
-        gn = 0.0 if t.grad is None else float(np.linalg.norm(t.grad))
-        lines.append(f"{name}\t|theta|={float(np.linalg.norm(t.values)):.4e}\t|grad|={gn:.4e}")
+        g = opt.last_grad(name)
+        last = "none" if g is None else f"{float(np.linalg.norm(g)):.4e}"
+        lines.append(f"{name}\t|theta|={float(np.linalg.norm(t.values)):.4e}"
+                     f"\t|last_update_grad|={last}")
     return "\n".join(lines)
 
 
@@ -239,7 +244,7 @@ def _train_step(agent, opt, items, batch_idx, lrs, cfg, iteration, rng):
                               total=float(total.values), n_im=len(owners))
     if not math.isfinite(breakdown.total):
         raise TrainingDiverged(f"non-finite loss at iteration {iteration}",
-                               dump=_diagnostic_dump(iteration, breakdown, params))
+                               dump=_diagnostic_dump(iteration, breakdown, params, opt))
     nc.backward(total)
     for name, t in params.items():
         if t.grad is None and lrs[params.group_of(name)] > 0.0:

@@ -677,6 +677,58 @@ class TestPaddedBatch:
         for name, grad in want_grads.items():
             assert np.abs(got_grads[name] - grad).max() <= tol * np.abs(grad).max(), name
 
+    def test_read_rows_pad_with_distinct_unread_views(self):
+        """Each step keeps its history row, then its navigable view rows, then
+        pads with views it does not read, no row twice, so the gather's
+        backward needs no scatter-add."""
+        steps, n, d = 3, 13, 2
+        vis = nc.Tensor(np.arange(steps * n * d, dtype=np.float32).reshape(steps, n, d),
+                        requires_grad=True)
+        rows, slots = ag._read_rows(vis, [[4], [0, 7], [2, 5, 11]])
+        positions = rows.values[..., 0] / d - n * np.arange(steps)[:, None]
+        assert positions.tolist() == [[0, 5, 1, 2], [0, 1, 8, 2], [0, 3, 6, 12]]
+        assert [list(s) for s in slots] == [[0], [0, 1], [0, 1, 2]]
+        nc.backward(nc.sum_(rows))
+        assert vis.grad.sum() == rows.values.size
+
+    def test_desk_batch_last_visual_layer_computes_the_read_rows(self, desk_batch,
+                                                                 monkeypatch):
+        """The last visual-stream layer of a teacher-forced batch computes only
+        each step's history and navigable view rows, padded with unread views:
+        its logits and every parameter gradient equal, within float32
+        rounding, those of computing all K + 1 rows."""
+        items, cfg = desk_batch
+        agent = ag.Agent(cfg, ag.init_params(cfg, seed=5))
+        rng = np.random.default_rng(8)
+        trajs = [ag.rollout(agent, it.episode, it.token_ids, it.record.instruction.tokens,
+                            it.imaginations, "teacher", obs_rng=rng, kept_subs=it.record.kept,
+                            train=True, drop_rng=rng) for it in items]
+        navs = [nav for t in trajs for nav in t.action_spaces]
+        assert {len(nav) for nav in navs} == {1, 2, 3}
+        queries, runs, attention = [], [], nc.attention
+
+        def spy(xq, *args, **kwargs):
+            queries.append(xq.shape)
+            return attention(xq, *args, **kwargs)
+
+        monkeypatch.setattr(nc, "attention", spy)
+        for read_rows in (ag._read_rows, lambda vis, slots: (vis, slots)):
+            monkeypatch.setattr(ag, "_read_rows", read_rows)
+            queries.clear()
+            agent.params.zero_grads()
+            logits, _, _ = ag.decide(agent, trajs)
+            nc.backward(tr.imitation_loss(logits, [t.actions for t in trajs]))
+            runs.append((queries[-1], logits.values.copy(),
+                         {n: t.grad for n, t in agent.params.items() if t.grad is not None}))
+        (got_q, got, got_grads), (want_q, want, want_grads) = runs
+        assert got_q == (len(navs), 4, cfg.d) and want_q == (len(navs), cfg.k_views + 1, cfg.d)
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+        real = np.isfinite(want)
+        assert np.abs(got[real] - want[real]).max() <= 1e-5
+        assert set(got_grads) == set(want_grads)
+        for name, grad in want_grads.items():
+            assert np.abs(got_grads[name] - grad).max() <= 1e-5 * np.abs(grad).max(), name
+
     def test_greedy_step_keeps_the_plain_calls(self, setup, episodes, monkeypatch):
         """A greedy step shares its context with no other step: it makes the
         plain attention calls and the per-layer context joins it made before

@@ -163,6 +163,25 @@ class TestWorldsRoundTrip:
             serial.read_split(rewritten(path, lines))
         assert f":{idx + 1}:" in str(exc.value)
 
+    @pytest.mark.parametrize("count", ["59", "61"])
+    def test_library_class_count_must_match_the_class_records(self, split, tmp_path, count):
+        path, lines = written(split, tmp_path)
+        idx = next(i for i, l in enumerate(lines) if l.startswith("library "))
+        assert lines[idx] == "library 60 16"
+        lines[idx] = f"library {count} 16"
+        with pytest.raises(FormatError,
+                           match=f"says {count} classes but the file has 60 class records") as exc:
+            serial.read_split(rewritten(path, lines))
+        assert f":{idx + 1}:" in str(exc.value)
+
+    @pytest.mark.parametrize("d_v", ["15", "17"])
+    def test_world_d_v_must_be_the_librarys(self, split, tmp_path, d_v):
+        # world <w> <split> <k> <d_v> ...
+        path, lineno = edited(split, tmp_path, "world", 4, d_v)
+        with pytest.raises(FormatError, match=f"d_v {d_v} is not the library's 16") as exc:
+            serial.read_split(path)
+        assert f":{lineno}:" in str(exc.value)
+
 
 class TestCorpusRoundTrip:
     def test_exact(self, split, tmp_path):

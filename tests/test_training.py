@@ -407,7 +407,12 @@ class TestTrainLoop:
                              aux_loss="none", use_imaginations=False, seed=0)
         with pytest.raises(tr.TrainingDiverged) as exc:
             tr.train(tiny_split["train"], tiny_agent_config, cfg)
-        assert "iteration" in exc.value.dump
+        head, _, *rows = exc.value.dump.splitlines()
+        assert head.startswith("iteration=") and int(head.partition("=")[2]) > 0
+        # per parameter, the gradient norm of the last update before the divergence
+        norms = [row.split("\t")[2].partition("|last_update_grad|=")[2] for row in rows]
+        assert len(norms) == len(ag.init_params(tiny_agent_config, 0).names())
+        assert max(float(n) for n in norms) > 0.0
 
 
 class TestStage1Gradients:
