@@ -87,11 +87,13 @@ def write_split(data_dir, split, command="", seed=None):
 
 def read_split(data_dir, split):
     """Split `split` of a data directory that `write_split` filled. Each
-    instruction is segmented and filtered as `build_split` does it, and the
-    j-th imagination of a world belongs to its j-th kept sub-instruction,
-    whose index and landmark class it takes. FormatError if the file holds
-    worlds of another split, or names the world whose imaginations do not
-    match its kept sub-instructions."""
+    instruction is segmented and filtered as `build_split` does it, so that
+    segment i takes the landmark class of route step i, and the j-th
+    imagination of a world belongs to its j-th kept sub-instruction, whose
+    index and landmark class it takes. FormatError if the file holds worlds
+    of another split, or names the world whose imaginations do not match its
+    kept sub-instructions, or one of whose kept sub-instructions has no
+    route step that shows a landmark."""
     path = Path(data_dir) / f"{split}.txt"
     library, rows = serial.read_split(path)
     others = sorted({episode.world.split for episode, _, _ in rows} - {split})
@@ -107,7 +109,7 @@ def read_split(data_dir, split):
         unclassed = [sub.index for sub in record.kept if sub.landmark_class is None]
         if unclassed:
             raise FormatError(f"{path}: world {w}: kept sub-instruction {unclassed[0]} has no "
-                              "gold landmark class to imagine")
+                              "route step that shows a landmark to imagine")
         records.append(record)
         sets.append([im.Imagination(feature=feature, sub_index=sub.index,
                                     true_class=sub.landmark_class, emitted_class=emitted)

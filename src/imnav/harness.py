@@ -40,7 +40,8 @@ from . import serial
 from . import training as tr
 from . import world as wd
 from .dataset import DATA_DIR  # noqa: F401  (re-exported for perfbench/)
-from .errors import ConfigurationError, FormatError, ImnavError, IndexRangeError, InputError
+from .errors import (ConfigurationError, FormatError, ImnavError, IndexRangeError, InputError,
+                     TrainingDiverged)
 
 TRAIN_CONDITIONS = {
     # condition -> (aux_loss, agent-config overrides)
@@ -329,7 +330,10 @@ def _seed_job(spec, seed, out_dir, quiet):
                 log(f"{cond:20s} {split_name:10s} SR {ev.percent(rows[-1][0].sr, '6.2f')} "
                     f"SPL {ev.percent(rows[-1][0].spl, '6.2f')}")
     except ImnavError as exc:
-        raise ImnavError(f"condition {cond} failed at seed {seed}: {exc}") from exc
+        message = f"condition {cond} failed at seed {seed}: {exc}"
+        if isinstance(exc, TrainingDiverged):
+            raise TrainingDiverged(message, dump=exc.dump) from exc
+        raise ImnavError(message) from exc
     return rows
 
 
@@ -548,6 +552,8 @@ def main(argv=None):
         return 1
     except ImnavError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, TrainingDiverged):
+            print(exc.dump, file=sys.stderr)
         return 1
 
 

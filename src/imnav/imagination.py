@@ -40,11 +40,11 @@ class Imagination:
 
 
 def imagine(sub, library, config, rng):
-    """One imagination for a kept sub-instruction with a gold landmark class."""
+    """One imagination for a kept sub-instruction with a landmark class."""
     if sub.filter_verdict != "kept":
         raise ContractError(f"imagine() needs a kept sub-instruction, got verdict {sub.filter_verdict!r}")
     if sub.landmark_class is None:
-        raise ContractError("kept sub-instruction has no gold landmark class")
+        raise ContractError("kept sub-instruction has no landmark class to imagine")
     true_class = sub.landmark_class
     emitted = true_class
     if rng.random() >= config.fidelity:

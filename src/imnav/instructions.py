@@ -94,10 +94,25 @@ def build_vocab(templates, library):
 
 @dataclass(frozen=True)
 class Instruction:
+    """The tokens of an episode's instruction. Generation gives it one
+    segment per route step; `build_record` gives segment i the landmark
+    class of route step i (`route_landmarks`)."""
     tokens: tuple
     episode: object
-    gold_segments: tuple          # ((start, end), ...) partition of [0, L)
-    gold_landmarks: tuple         # class id or None per gold segment
+
+
+def route_landmarks(episode):
+    """Per route step of `episode`, the class of the landmark that the view
+    it leaves through shows, or None where that view shows none."""
+    world, path = episode.world, episode.teacher_path
+    out = []
+    for u, v in zip(path[:-1], path[1:]):
+        shown = None
+        for cid, view in world.placements.get(u, ()):   # the last placement is the one seen
+            if world.view_map[u].get(view) == v:
+                shown = cid
+        out.append(shown)
+    return tuple(out)
 
 
 @dataclass
@@ -115,41 +130,19 @@ def generate_instruction(episode, templates, seed, vocab=None):
     """Build the templated instruction for an episode's teacher path."""
     if not templates.step or not templates.move:
         raise ConfigurationError("template set is empty")
-    world = episode.world
+    library = episode.world.library
     rng = np.random.default_rng(np.random.SeedSequence([0x1A57, seed]))
-    segments = []
-    landmarks = []
-
-    def flat(template, phrase=()):
-        out = []
-        for w in template:
-            if w == "{}":
-                out.extend(phrase)
-            else:
-                out.append(w)
-        return out
-
-    path = episode.teacher_path
-    for i, (u, v) in enumerate(zip(path[:-1], path[1:])):
-        view = next(vw for vw, nb in world.view_map[u].items() if nb == v)
-        placed = {vw: cid for cid, vw in world.placements.get(u, ())}
-        last = i == len(path) - 2
-        if view in placed:
-            cls = world.library.by_id(placed[view])
-            pool = templates.final if last else templates.step
-            tpl = pool[int(rng.integers(len(pool)))]
-            segments.append(flat(tpl, cls.phrase) + ["."])
-            landmarks.append(cls.id)
-        else:
-            tpl = templates.move[int(rng.integers(len(templates.move)))]
-            segments.append(list(tpl) + ["."])
-            landmarks.append(None)
-
+    landmarks = route_landmarks(episode)
     tokens = []
-    spans = []
-    for seg in segments:
-        spans.append((len(tokens), len(tokens) + len(seg)))
-        tokens.extend(seg)
+    for i, cid in enumerate(landmarks):
+        if cid is not None:
+            pool = templates.final if i == len(landmarks) - 1 else templates.step
+            tpl = pool[int(rng.integers(len(pool)))]
+            for w in tpl:
+                tokens.extend(library.by_id(cid).phrase if w == "{}" else (w,))
+        else:
+            tokens.extend(templates.move[int(rng.integers(len(templates.move)))])
+        tokens.append(".")
     if vocab is not None:
         known = set(vocab)
         missing = [t for t in tokens if t not in known]
@@ -157,8 +150,7 @@ def generate_instruction(episode, templates, seed, vocab=None):
             raise VocabularyError(f"tokens outside the closed vocabulary: {sorted(set(missing))}")
     if len(tokens) > 80:
         raise ConfigurationError(f"instruction too long: {len(tokens)} tokens")
-    return Instruction(tokens=tuple(tokens), episode=episode,
-                       gold_segments=tuple(spans), gold_landmarks=tuple(landmarks))
+    return Instruction(tokens=tuple(tokens), episode=episode)
 
 
 def segment(instruction):
@@ -227,9 +219,12 @@ class InstructionRecord:
 
 
 def build_record(instruction, lexicon):
+    """Segment and filter `instruction`. When it has one segment per route
+    step, segment i takes the landmark class of route step i."""
     subs = segment(instruction)
-    if tuple(s.span for s in subs) == instruction.gold_segments:
-        for s, cls in zip(subs, instruction.gold_landmarks):
+    landmarks = route_landmarks(instruction.episode)
+    if len(subs) == len(landmarks):
+        for s, cls in zip(subs, landmarks):
             s.landmark_class = cls
     kept = filter_sub_instructions(subs, lexicon)
     return InstructionRecord(instruction=instruction, subs=subs, kept=kept)

@@ -1,9 +1,10 @@
 """Versioned text serialization: splits and curves.
 
-One record per line, a type tag first. Float fields use decimal text: %.9g for
-float32 payloads (exact round-trip), %.17g for float64 coordinates and the
-shortest round-trip form for a world's float64 sigma_obs. Every
-artifact starts with the producing command line and seed as header comments
+One record per line, a type tag first. A split file holds only what generation
+drew; its readers derive the rest as generation does. Float fields use decimal
+text: %.9g for float32 payloads (exact round-trip), %.17g for float64
+coordinates and the shortest round-trip form for a world's float64 sigma_obs.
+Every artifact starts with the producing command line and seed as header comments
 and is written atomically. Config values in text are parsed by field type.
 """
 
@@ -18,9 +19,9 @@ import numpy as np
 
 from . import instructions as ins
 from . import world as wd
-from .errors import ConfigurationError, FormatError
+from .errors import ConfigurationError, FormatError, SamplingError
 
-SPLIT_TAG = "# imnav-split v1"
+SPLIT_TAG = "# imnav-split v2"
 
 
 def f32(x):
@@ -81,11 +82,11 @@ def write_text(path, lines, tag=None, command="", seed=None):
 
 def write_split(path, library, rows, command="", seed=None):
     """Write a split file: the library, then for each world `w` of `rows`, a
-    list of (Episode, Instruction, imaginations), its world, node, edge, view
-    and place records, its episode, instruction and gold segments, and one
-    `imag` record per imagination, in kept order. Only what generation drew is
-    written: `dataset.read_split` derives the segmentation and each
-    imagination's sub-instruction and true class from the instruction."""
+    list of (Episode, Instruction, imaginations), its world, node, edge and
+    place records, its instruction, and one `imag` record per imagination, in
+    kept order. Only what generation drew is written: `read_split` derives
+    the view bindings and the route, and `dataset.read_split` the
+    segmentation and each imagination's sub-instruction and true class."""
     lines = [f"library {len(library.classes)} {library.d_v}"]
     for c in library.classes:
         lines.append("class {} {} {} {} {}".format(
@@ -94,27 +95,18 @@ def write_split(path, library, rows, command="", seed=None):
     lines.append("background " + " ".join(f32(x) for x in library.background))
     for w, (episode, instruction, imaginations) in enumerate(rows):
         world = episode.world
-        start, goal = world.designated if world.designated else ("-", "-")
-        lines.append(f"world {w} {world.split} {world.k_views} {world.d_v} "
-                     f"{float(world.sigma_obs)!r} {world.n_nodes} {start} {goal}")
+        lines.append(f"world {w} {world.split} {world.k_views} {float(world.sigma_obs)!r} "
+                     f"{world.n_nodes} {episode.start} {episode.goal}")
         for node in range(world.n_nodes):
             x, y = world.positions[node]
             lines.append(f"node {w} {node} {f64(x)} {f64(y)}")
         for a, b in world.edges:
             lines.append(f"edge {w} {a} {b}")
-        for node in sorted(world.view_map):
-            for view, nb in sorted(world.view_map[node].items()):
-                lines.append(f"view {w} {node} {view} {nb}")
         for node in sorted(world.placements):
             for cid, view in world.placements[node]:
                 lines.append(f"place {w} {node} {view} {cid}")
-        lines.append(f"episode {w} {episode.start} {episode.goal} {len(episode.teacher_path)}"
-                     + "".join(f" {n}" for n in episode.teacher_path))
         lines.append(f"instr {w} {len(instruction.tokens)}"
                      + "".join(f" {t}" for t in instruction.tokens))
-        lines.append(f"gold {w} {len(instruction.gold_segments)}" + "".join(
-            f" {s} {e} {'-' if cls is None else cls}"
-            for (s, e), cls in zip(instruction.gold_segments, instruction.gold_landmarks)))
         lines.extend(f"imag {w} {im.emitted_class} " + " ".join(f32(x) for x in im.feature)
                      for im in imaginations)
     write_text(path, lines, SPLIT_TAG, command, seed)
@@ -128,15 +120,6 @@ def _index(text, count, what):
     return value
 
 
-def _counted(parts, at, what, width=1):
-    """The fields after the count of `what` at parts[at]; ValueError unless
-    there are `width` of them per counted item."""
-    n, fields = int(parts[at]), parts[at + 1:]
-    if len(fields) != width * n:
-        raise ValueError(f"says {n} {what} but lists {len(fields)} fields, not {width * n}")
-    return fields
-
-
 def _vector(fields, d_v, what):
     """`fields` as a float32 vector; ValueError unless it has `d_v` of them."""
     vector = np.asarray([float(x) for x in fields], dtype=np.float32)
@@ -148,17 +131,21 @@ def _vector(fields, d_v, what):
 def read_split(path):
     """The library of a split file and its (Episode, Instruction, drawn) rows
     in world order, where `drawn` lists each imagination's (emitted class,
-    feature). FormatError names the line of a malformed record: one with a
-    node, view or class outside its world or library, one that names a world
-    with no world record, a world whose d_v is not the library's, or a second
-    world, episode, instr or gold record of a world; and the library record
-    when its class count is not the number of class records. It names the
-    world whose node records do not cover 0..n_nodes-1 or that has no
-    episode, instr or gold record."""
+    feature). Each world's view bindings are derived from its positions and
+    edges (`world.assign_views`), and its episode from its start and goal
+    (`world.sample_episode`). FormatError names the line of a malformed
+    record: one with a node, view or class outside its world or library, one
+    that names a world with no world record, a second world or instr record
+    of a world, an edge that is a self-loop or repeats or gives a node more
+    edges than views; and the library record when its class count is not the
+    number of class records. It names the world whose node records do not
+    cover 0..n_nodes-1, that has no instr record, or that has no path from
+    its start to its goal."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != SPLIT_TAG:
-        raise FormatError(f"{path}: expected header {SPLIT_TAG!r}")
+        raise FormatError(f"{path}: expected header {SPLIT_TAG!r}; "
+                          "re-make the split files with `imnav data`")
     classes, background, d_v, worlds = [], None, 0, []
     n_classes = library_line = None
 
@@ -187,41 +174,36 @@ def read_split(path):
                 if idx != len(worlds):      # worlds are numbered from 0 in file order
                     raise ValueError(f"a second world record for world {idx}" if idx < len(worlds)
                                      else f"world {idx} comes before world {len(worlds)}")
-                w = dict(split=parts[1], k_views=int(parts[2]), d_v=int(parts[3]),
-                         sigma_obs=float(parts[4]), n_nodes=int(parts[5]),
-                         designated=None, nodes={}, edges=[], views={}, places={}, drawn=[])
-                if w["d_v"] != d_v:
-                    raise ValueError(f"d_v {w['d_v']} is not the library's {d_v}")
+                n_nodes = int(parts[4])
+                w = dict(split=parts[1], k_views=int(parts[2]), sigma_obs=float(parts[3]),
+                         designated=(_index(parts[5], n_nodes, "node"),
+                                     _index(parts[6], n_nodes, "node")),
+                         nodes={}, adjacency={n: set() for n in range(n_nodes)}, places={},
+                         drawn=[])
                 wd.check_sigma_obs(w["sigma_obs"])
-                if parts[6] != "-":
-                    w["designated"] = (_index(parts[6], w["n_nodes"], "node"),
-                                       _index(parts[7], w["n_nodes"], "node"))
                 worlds.append(w)
-            elif tag in ("node", "edge", "view", "place"):
+            elif tag in ("node", "edge", "place"):
                 w = world_at(parts[0])
-                n_nodes, k_views = w["n_nodes"], w["k_views"]
+                n_nodes, k_views = len(w["adjacency"]), w["k_views"]
                 node = _index(parts[1], n_nodes, "node")
                 if tag == "node":
                     w["nodes"][node] = (float(parts[2]), float(parts[3]))
                 elif tag == "edge":
-                    w["edges"].append((node, _index(parts[2], n_nodes, "node")))
-                elif tag == "view":
-                    w["views"].setdefault(node, {})[_index(parts[2], k_views, "view")] = (
-                        _index(parts[3], n_nodes, "node"))
+                    other = _index(parts[2], n_nodes, "node")
+                    if other == node or other in w["adjacency"][node]:
+                        raise ValueError(f"edge {node} {other} is a self-loop" if other == node
+                                         else f"a second edge between nodes {node} and {other}")
+                    for a, b in ((node, other), (other, node)):
+                        w["adjacency"][a].add(b)
+                        if len(w["adjacency"][a]) > k_views:
+                            raise ValueError(f"node {a} has more edges than its {k_views} views")
                 else:
                     w["places"].setdefault(node, []).append(
                         (_index(parts[3], len(classes), "class"), _index(parts[2], k_views, "view")))
-            elif tag == "episode":
-                w = world_at(parts[0], tag)
-                w[tag] = tuple(_index(x, w["n_nodes"], "node")
-                               for x in parts[1:3] + _counted(parts, 3, "nodes"))
             elif tag == "instr":
-                world_at(parts[0], tag)[tag] = tuple(_counted(parts, 1, "tokens"))
-            elif tag == "gold":
-                fields = _counted(parts, 1, "segments", width=3)
-                world_at(parts[0], tag)[tag] = [
-                    ((int(s), int(e)), None if c == "-" else _index(c, len(classes), "class"))
-                    for s, e, c in zip(fields[0::3], fields[1::3], fields[2::3])]
+                if int(parts[1]) != len(parts) - 2:
+                    raise ValueError(f"says {parts[1]} tokens but lists {len(parts) - 2}")
+                world_at(parts[0], tag)[tag] = tuple(parts[2:])
             elif tag == "imag":
                 world_at(parts[0])["drawn"].append(
                     (_index(parts[1], len(classes), "class"), _vector(parts[2:], d_v, "feature")))
@@ -238,27 +220,27 @@ def read_split(path):
                          background=background, d_v=d_v)
     rows = []
     for idx, raw in enumerate(worlds):
-        if len(raw["nodes"]) != raw["n_nodes"]:    # each is below n_nodes
+        n_nodes = len(raw["adjacency"])
+        if len(raw["nodes"]) != n_nodes:    # each is below n_nodes
             raise FormatError(f"{path}: world {idx} has node records for "
-                              f"{len(raw['nodes'])} of its {raw['n_nodes']} nodes")
-        missing = [tag for tag in ("episode", "instr", "gold") if tag not in raw]
-        if missing:
-            raise FormatError(f"{path}: world {idx} has no {missing[0]} record")
-        positions = np.asarray([raw["nodes"][i] for i in range(raw["n_nodes"])], dtype=np.float64)
+                              f"{len(raw['nodes'])} of its {n_nodes} nodes")
+        if "instr" not in raw:
+            raise FormatError(f"{path}: world {idx} has no instr record")
+        positions = np.asarray([raw["nodes"][i] for i in range(n_nodes)], dtype=np.float64)
         world = wd.World(
-            k_views=raw["k_views"], d_v=raw["d_v"], sigma_obs=raw["sigma_obs"],
+            k_views=raw["k_views"], d_v=d_v, sigma_obs=raw["sigma_obs"],
             split=raw["split"], positions=positions,
-            edges=tuple(sorted(tuple(sorted(e)) for e in raw["edges"])),
-            view_map={n: raw["views"].get(n, {}) for n in range(raw["n_nodes"])},
+            edges=tuple((a, b) for a in range(n_nodes) for b in sorted(raw["adjacency"][a])
+                        if a < b),
+            view_map=wd.assign_views(positions, raw["adjacency"], raw["k_views"]),
             placements={n: tuple(v) for n, v in raw["places"].items()},
             library=library, designated=raw["designated"])
-        start, goal, *teacher_path = raw["episode"]
-        episode = wd.Episode(world=world, start=start, goal=goal, teacher_path=tuple(teacher_path))
-        instruction = ins.Instruction(
-            tokens=raw["instr"], episode=episode,
-            gold_segments=tuple(span for span, _ in raw["gold"]),
-            gold_landmarks=tuple(cls for _, cls in raw["gold"]))
-        rows.append((episode, instruction, raw["drawn"]))
+        try:
+            episode = wd.sample_episode(world)
+        except SamplingError as exc:
+            raise FormatError(f"{path}: world {idx} has no route: {exc}") from None
+        rows.append((episode, ins.Instruction(tokens=raw["instr"], episode=episode),
+                     raw["drawn"]))
     return library, rows
 
 

@@ -230,9 +230,10 @@ class Episode:
         return shortest_path(self.world, self.start, self.goal)[1]
 
 
-def _assign_views(positions, adj, k_views):
+def assign_views(positions, adj, k_views):
     """Bind each edge to a heading-sector view per endpoint; collisions shift
-    to the next free sector (K >= degree + 1 guarantees room)."""
+    to the next free sector (K >= degree + 1 guarantees room; a node of more
+    than K edges never finishes)."""
     sector = 2.0 * math.pi / k_views
     view_map = {}
     for u in range(len(positions)):
@@ -366,7 +367,7 @@ def _build_forks(cfg, rng):
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
-    view_map = _assign_views(positions, adj, cfg.k_views)
+    view_map = assign_views(positions, adj, cfg.k_views)
 
     resolved = {}
     for node, entries in placements.items():

@@ -186,13 +186,6 @@ class TestCli:
             run_cli([command, *required, flag, "x"])
         assert exc.value.code == 2
 
-    def test_world_without_episode_record_exits_1(self, eval_copy):
-        data, run_eval = eval_copy
-        edit_line(data / "train.txt", "episode 1 ", lambda line: None)
-        code, err = run_eval()
-        assert code == 1
-        assert err.startswith("error: ") and "world 1 has no episode record" in err
-
     @staticmethod
     def set_field(column, value):
         def edit(line):
@@ -202,19 +195,15 @@ class TestCli:
         return edit
 
     @pytest.mark.parametrize("prefix, column, value, named", [
-        ("view 0 ", 3, "12", "view 12 outside"),     # K = 12: action 12 is the stop
+        ("place 0 ", 3, "12", "view 12 outside"),    # K = 12: action 12 is the stop
         ("place 0 ", 3, "14", "view 14 outside"),
         ("place 0 ", 4, "99", "class 99 outside"),
-        ("gold 0 ", 5, "99", "class 99 outside"),
         ("imag 0 ", 2, "99", "class 99 outside"),
-        ("world 0 ", 5, "-0.1", "sigma_obs must be finite and >= 0, got -0.1"),
+        ("world 0 ", 4, "-0.1", "sigma_obs must be finite and >= 0, got -0.1"),
         ("world 0 ", None, None, "a second world record for world 0"),
-        ("episode 0 ", None, None, "a second episode record for world 0"),
-        ("instr 0 ", None, None, "a second instr record for world 0"),
-        ("gold 0 ", None, None, "a second gold record for world 0")],
-        ids=["view_past_k", "place_view", "place_class", "gold_class", "imag_class",
-             "negative_sigma_obs", "second_world", "second_episode", "second_instr",
-             "second_gold"])
+        ("instr 0 ", None, None, "a second instr record for world 0")],
+        ids=["view_past_k", "place_view", "place_class", "imag_class",
+             "negative_sigma_obs", "second_world", "second_instr"])
     def test_bad_split_record_exits_1_naming_the_line(self, trained, eval_copy, capsys,
                                                       prefix, column, value, named):
         """Each record is checked against what it indexes or repeats: eval and
@@ -286,14 +275,26 @@ class TestCli:
                         "--out", tmp_path / "m.tsv"])
         assert code == 1
 
-    def test_worlds_file_with_short_episode_path_exits_1(self, eval_copy):
-        data, run_eval = eval_copy
-        # drop the goal, keep the node count
-        idx = edit_line(data / "train.txt", "episode 1 ",
-                        lambda line: line.rsplit(" ", 1)[0])
-        code, err = run_eval()
-        assert code == 1
-        assert f":{idx + 1}:" in err
+    def test_divergence_dump_is_shown(self, tmp_path, capsys):
+        """`train` and `ablate` print the diverged iteration's losses and a
+        line per parameter after the one-line error, also from a worker."""
+        spec, data = gen_dataset(tmp_path, conditions="baseline", seeds="1", sizes=(2, 1, 1),
+                                 agent=SMALL_AGENT, train="base_iterations = 3\nbase_lr = 1e30\n")
+        dumps = []
+        for argv, error in (
+                (["train", "--spec", spec, "--condition", "baseline", "--data", data,
+                  "--seed", "1", "--out", tmp_path / "a.bin"],
+                 "error: non-finite loss at iteration 1"),
+                (["ablate", "--spec", spec, "--out-dir", tmp_path / "ablate", "--quiet"],
+                 "error: condition baseline failed at seed 1: non-finite loss at iteration 1")):
+            capsys.readouterr()
+            assert run_cli(argv) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert err[:2] == [error, "iteration=1"] and err[2].startswith("l_base=")
+            assert all(re.fullmatch(r"\w+\t\|theta\|=\S+\t\|last_update_grad\|=\S+", line)
+                       for line in err[3:]), err
+            dumps.append(err[1:])
+        assert dumps[0] == dumps[1] and dumps[0][2].startswith("tok_embed\t")
 
     def test_unknown_corpus_word_exits_1(self, tmp_path, capsys):
         spec, data = gen_dataset(tmp_path, sizes=(3, 1, 1), agent=SMALL_AGENT,

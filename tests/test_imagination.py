@@ -90,10 +90,9 @@ class TestImagineDataset:
                 assert np.array_equal(x.feature, y.feature)
                 assert x.emitted_class == y.emitted_class
 
-    def test_no_kept_segments_gives_empty_list(self, library, lexicon):
+    def test_no_kept_segments_gives_empty_list(self, corpus, library, lexicon):
         instr = ins.Instruction(tokens=tuple("go straight . turn left .".split()),
-                                episode=None, gold_segments=((0, 3), (3, 6)),
-                                gold_landmarks=(None, None))
+                                episode=corpus[0].instruction.episode)
         rec = ins.build_record(instr, lexicon)
         sets = im.imagine_dataset([rec], library, im.ImaginationConfig(), seed=0)
         assert sets == [[]]

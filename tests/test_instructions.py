@@ -38,7 +38,7 @@ def make_sub(text):
 class TestGenerate:
     def test_one_segment_per_path_step(self, fine_episode, templates):
         instr = ins.generate_instruction(fine_episode, templates, seed=1)
-        assert len(instr.gold_segments) == len(fine_episode.teacher_path) - 1
+        assert len(ins.segment(instr)) == len(fine_episode.teacher_path) - 1
 
     def test_deterministic(self, fine_episode, templates):
         a = ins.generate_instruction(fine_episode, templates, seed=9)
@@ -48,7 +48,7 @@ class TestGenerate:
     def test_spans_partition_token_range(self, fine_episode, templates):
         instr = ins.generate_instruction(fine_episode, templates, seed=3)
         pos = 0
-        for s, e in instr.gold_segments:
+        for s, e in (sub.span for sub in ins.segment(instr)):
             assert s == pos
             pos = e
         assert pos == len(instr.tokens)
@@ -68,37 +68,42 @@ class TestGenerate:
 class TestSegment:
     def test_two_segments(self):
         instr = ins.Instruction(tokens=tuple("walk past the sofa . turn left .".split()),
-                                episode=None, gold_segments=(), gold_landmarks=())
+                                episode=None)
         subs = ins.segment(instr)
         assert len(subs) == 2
         assert subs[0].tokens == tuple("walk past the sofa .".split())
 
     def test_no_delimiters_single_segment(self):
-        instr = ins.Instruction(tokens=("go", "straight"), episode=None,
-                                gold_segments=(), gold_landmarks=())
+        instr = ins.Instruction(tokens=("go", "straight"), episode=None)
         subs = ins.segment(instr)
         assert len(subs) == 1
         assert subs[0].span == (0, 2)
 
     def test_then_is_a_delimiter(self):
         instr = ins.Instruction(tokens=tuple("go straight then turn at the sofa".split()),
-                                episode=None, gold_segments=(), gold_landmarks=())
+                                episode=None)
         assert len(ins.segment(instr)) == 2
 
     def test_empty_instruction_rejected(self):
-        instr = ins.Instruction(tokens=(), episode=None, gold_segments=(),
-                                gold_landmarks=())
+        instr = ins.Instruction(tokens=(), episode=None)
         with pytest.raises(InputError):
             ins.segment(instr)
 
     def test_matches_gold_on_corpus(self, library, templates, lexicon):
+        """Each generated segment names the phrase of the landmark class it
+        is given, or no phrase when it is given none; the route shows one
+        landmark per fork."""
         worlds = [wd.generate_world(wd.WorldConfig(library=library, layout="forks"), seed=s)
                   for s in range(20)]
         eps = [wd.sample_episode(w) for w in worlds]
         records = ins.build_corpus(eps, templates, lexicon, seed=5)
+        phrases = {c.phrase: c.id for c in library.classes}
         for rec in records:
-            got = tuple(s.span for s in rec.subs)
-            assert got == rec.instruction.gold_segments
+            named = [next((phrases[p] for p in phrases
+                           if f" {' '.join(p)} " in f" {' '.join(s.tokens)} "), None)
+                     for s in rec.subs]
+            assert [s.landmark_class for s in rec.subs] == named
+            assert sum(c is not None for c in named) == wd.WorldConfig.n_forks
 
 
 class TestExtract:
@@ -187,8 +192,7 @@ class TestCorpus:
     def test_stats_simple_mean(self):
         def fake(nsubs, nkept):
             rec = ins.InstructionRecord(
-                instruction=ins.Instruction(tokens=("a",), episode=None, gold_segments=(),
-                                            gold_landmarks=()))
+                instruction=ins.Instruction(tokens=("a",), episode=None))
             rec.subs = [None] * nsubs
             rec.kept = [None] * nkept
             return rec
@@ -207,7 +211,7 @@ class TestCorpus:
         segs = kept = 0
         words = set()
         for rec in records:
-            segs += len(rec.instruction.gold_segments)
+            segs += len(rec.instruction.episode.teacher_path) - 1     # one per route step
             kept += sum(1 for s in rec.subs if s.filter_verdict == "kept")
             words |= set(rec.instruction.tokens)
         assert avg_seg == segs / 30

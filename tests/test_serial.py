@@ -1,3 +1,9 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +14,8 @@ from imnav import instructions as ins
 from imnav import serial
 from imnav import world as wd
 from imnav.errors import FormatError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -76,16 +84,6 @@ class TestWorldsRoundTrip:
             serial.read_split(path)
         assert f":{lineno}:" in str(exc.value)
 
-    @pytest.mark.parametrize("edit", ["drop", "add"])
-    def test_episode_node_count_must_match_its_path(self, split, tmp_path, edit):
-        path, lines = written(split, tmp_path)
-        idx = next(i for i, l in enumerate(lines) if l.startswith("episode"))
-        # episode <w> <start> <goal> <n> <nodes...>
-        lines[idx] = lines[idx].rsplit(" ", 1)[0] if edit == "drop" else lines[idx] + " 0"
-        with pytest.raises(FormatError, match="nodes") as exc:
-            serial.read_split(rewritten(path, lines))
-        assert f":{idx + 1}:" in str(exc.value)
-
     def test_missing_node_record_names_the_world(self, split, tmp_path):
         path, lines = written(split, tmp_path)
         kept = [l for l in lines if not l.startswith("node 0 3 ")]
@@ -93,14 +91,7 @@ class TestWorldsRoundTrip:
         with pytest.raises(FormatError, match="world 0 "):
             serial.read_split(rewritten(path, kept))
 
-    def test_missing_episode_record_names_the_world(self, split, tmp_path):
-        path, lines = written(split, tmp_path)
-        kept = [l for l in lines if not l.startswith("episode 2 ")]
-        assert len(kept) == len(lines) - 1
-        with pytest.raises(FormatError, match="world 2 has no episode record"):
-            serial.read_split(rewritten(path, kept))
-
-    @pytest.mark.parametrize("tag", ["instr", "gold"])
+    @pytest.mark.parametrize("tag", ["instr"])
     def test_missing_instr_or_gold_record_names_the_world(self, split, tmp_path, tag):
         path, lines = written(split, tmp_path)
         kept = [l for l in lines if not l.startswith(f"{tag} 2 ")]
@@ -108,13 +99,11 @@ class TestWorldsRoundTrip:
         with pytest.raises(FormatError, match=f"world 2 has no {tag} record"):
             serial.read_split(rewritten(path, kept))
 
-    @pytest.mark.parametrize("tag, column", [("world", 7), ("edge", 3), ("view", 2), ("view", 4),
-                                             ("place", 2), ("episode", 2), ("episode", 3),
-                                             ("episode", 7)])
+    @pytest.mark.parametrize("tag, column", [("world", 6), ("world", 7), ("edge", 2),
+                                             ("edge", 3), ("place", 2)])
     def test_undeclared_node_names_the_line(self, split, tmp_path, tag, column):
-        # world <w> <split> <k> <d_v> <sigma> <n_nodes> <start> <goal>; edge <w> <a> <b>;
-        # view <w> <node> <view> <neighbour>; place <w> <node> <view> <class>;
-        # episode <w> <start> <goal> <n> <nodes...>
+        # world <w> <split> <k> <sigma> <n_nodes> <start> <goal>; edge <w> <a> <b>;
+        # place <w> <node> <view> <class>
         assert split.items[0].episode.world.n_nodes < 99
         path, lineno = edited(split, tmp_path, tag, column, "99")
         with pytest.raises(FormatError, match="node 99") as exc:
@@ -122,16 +111,15 @@ class TestWorldsRoundTrip:
         assert f":{lineno}:" in str(exc.value)
 
     @pytest.mark.parametrize("tag, column, value, named", [
-        ("view", 3, "12", "view 12 outside"),
-        ("view", 3, "-1", "view -1"),
+        ("place", 3, "12", "view 12 outside"),
+        ("place", 3, "-1", "view -1"),
         ("place", 3, "14", "view 14 outside"),
         ("place", 4, "99", "class 99 outside"),
-        ("gold", 5, "60", "class 60"),
         ("imag", 2, "60", "class 60"),
         ("imag", 2, "-1", "class -1")])
     def test_view_or_class_out_of_range_names_the_line(self, split, tmp_path, tag, column,
                                                        value, named):
-        # gold <w> <n> (<start> <end> <class|->)...; imag <w> <emitted class> <feature...>
+        # place <w> <node> <view> <class>; imag <w> <emitted class> <feature...>
         assert (split.items[0].episode.world.k_views, len(split.library.classes)) == (12, 60)
         path, lineno = edited(split, tmp_path, tag, column, value)
         with pytest.raises(FormatError, match=named) as exc:
@@ -141,12 +129,12 @@ class TestWorldsRoundTrip:
     @pytest.mark.parametrize("sigma_obs", ["-0.1", "nan", "inf"])
     def test_sigma_obs_that_cannot_generate_names_the_line(self, split, tmp_path, sigma_obs):
         # world generation's rule: finite and >= 0
-        path, lineno = edited(split, tmp_path, "world", 5, sigma_obs)
+        path, lineno = edited(split, tmp_path, "world", 4, sigma_obs)
         with pytest.raises(FormatError, match="sigma_obs must be finite and >= 0") as exc:
             serial.read_split(path)
         assert f":{lineno}:" in str(exc.value)
 
-    @pytest.mark.parametrize("tag", ["world", "episode", "instr", "gold"])
+    @pytest.mark.parametrize("tag", ["world", "instr"])
     def test_second_record_of_a_world_names_the_line(self, split, tmp_path, tag):
         path, lines = written(split, tmp_path)
         idx = next(i for i, l in enumerate(lines) if l.startswith(f"{tag} 0 "))
@@ -174,13 +162,72 @@ class TestWorldsRoundTrip:
             serial.read_split(rewritten(path, lines))
         assert f":{idx + 1}:" in str(exc.value)
 
-    @pytest.mark.parametrize("d_v", ["15", "17"])
-    def test_world_d_v_must_be_the_librarys(self, split, tmp_path, d_v):
-        # world <w> <split> <k> <d_v> ...
-        path, lineno = edited(split, tmp_path, "world", 4, d_v)
-        with pytest.raises(FormatError, match=f"d_v {d_v} is not the library's 16") as exc:
+
+    @pytest.mark.parametrize("column", [6, 7])
+    def test_start_or_goal_dash_names_the_line(self, split, tmp_path, column):
+        # world <w> <split> <k> <sigma> <n_nodes> <start> <goal>: every world has a route
+        path, lineno = edited(split, tmp_path, "world", column, "-")
+        with pytest.raises(FormatError, match="'-'") as exc:
             serial.read_split(path)
         assert f":{lineno}:" in str(exc.value)
+
+    def test_world_without_a_route_names_the_world(self, split, tmp_path):
+        path, lines = written(split, tmp_path)
+        start, goal = split.items[1].episode.world.designated
+        first = split.items[1].episode.teacher_path[:2]
+        kept = [l for l in lines if l != f"edge 1 {min(first)} {max(first)}"]
+        assert len(kept) == len(lines) - 1
+        with pytest.raises(FormatError, match=f"world 1 has no route: no path from {start} "
+                                              f"to {goal}"):
+            serial.read_split(rewritten(path, kept))
+
+    @pytest.mark.parametrize("edge, named", [("1 0", "a second edge between nodes 1 and 0"),
+                                             ("0 1", "a second edge between nodes 0 and 1"),
+                                             ("2 2", "edge 2 2 is a self-loop")])
+    def test_repeated_edge_or_self_loop_names_the_line(self, split, tmp_path, edge, named):
+        path, lines = written(split, tmp_path)
+        idx = lines.index("edge 0 0 1")
+        lines.insert(idx + 1, f"edge 0 {edge}")
+        with pytest.raises(FormatError, match=named) as exc:
+            serial.read_split(rewritten(path, lines))
+        assert f":{idx + 2}:" in str(exc.value)
+
+    def test_node_with_more_edges_than_views_names_the_line(self, split, tmp_path):
+        """Binding views to more edges than a node has views never ends, so
+        the file is read in a child process that must finish."""
+        path, _ = edited(split, tmp_path, "world", 3, "2")    # k_views 2 < fork degree 3
+        # without its place records, whose views are past 2, only the edges are at fault
+        rewritten(path, [l for l in path.read_text().splitlines() if not l.startswith("place 0 ")])
+        code = ("import sys; from imnav import serial; from imnav.errors import FormatError\n"
+                "try:\n    serial.read_split(sys.argv[1])\n"
+                "except FormatError as exc:\n    print(exc)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        named = re.search(r":(\d+): malformed 'edge' record: node (\d+) has more edges than "
+                          r"its 2 views", proc.stdout)
+        assert named, proc.stdout
+        line = path.read_text().splitlines()[int(named[1]) - 1]
+        assert line.startswith("edge 0 ") and named[2] in line.split()[2:]   # edge <w> <a> <b>
+
+    def test_v1_file_fails_at_the_header(self, split, tmp_path):
+        path, lines = written(split, tmp_path)
+        lines[0] = "# imnav-split v1"
+        with pytest.raises(FormatError, match="re-make the split files with `imnav data`"):
+            serial.read_split(rewritten(path, lines))
+
+    @pytest.mark.parametrize("record", ["view 0 1 0 0", "episode 0 0 4 3 0 1 2", "gold 0 0"])
+    def test_removed_record_is_an_unknown_tag(self, split, tmp_path, record):
+        # v1's view bindings, route and gold annotation are derived on reading
+        path, lines = written(split, tmp_path)
+        idx = next(i for i, l in enumerate(lines) if l.startswith("instr 0 "))
+        lines.insert(idx, record)
+        with pytest.raises(FormatError, match=f"malformed '{record.split()[0]}' record: "
+                                              "unknown record tag") as exc:
+            serial.read_split(rewritten(path, lines))
+        assert f":{idx + 1}:" in str(exc.value)
 
 
 class TestCorpusRoundTrip:
@@ -190,17 +237,15 @@ class TestCorpusRoundTrip:
         for item0, item1 in zip(split.items, read.items):
             r0, r1 = item0.record, item1.record
             assert r0.instruction.tokens == r1.instruction.tokens
-            assert r0.instruction.gold_segments == r1.instruction.gold_segments
-            assert r0.instruction.gold_landmarks == r1.instruction.gold_landmarks
             assert r0.subs == r1.subs and r0.kept == r1.kept
             assert item0.token_ids == item1.token_ids
 
-    @pytest.mark.parametrize("tag, named", [("instr", "tokens"), ("gold", "segments")])
+    @pytest.mark.parametrize("tag, named", [("instr", "tokens")])
     def test_a_field_past_the_count_names_the_line(self, split, tmp_path, tag, named):
-        # instr <w> <n> <n tokens>; gold <w> <n> <3n fields>
+        # instr <w> <n> <n tokens>
         path, lines = written(split, tmp_path)
         idx = next(i for i, l in enumerate(lines) if l.startswith(tag + " "))
-        lines[idx] += " left" if tag == "instr" else " 0"
+        lines[idx] += " left"
         with pytest.raises(FormatError, match=named) as exc:
             serial.read_split(rewritten(path, lines))
         assert f":{idx + 1}:" in str(exc.value)
@@ -213,56 +258,65 @@ class TestCorpusRoundTrip:
             serial.read_split(path)
         assert f":{lineno}:" in str(exc.value)
 
-    @pytest.mark.parametrize("edit", ["class", "tokens"])
-    def test_kept_sub_instruction_without_a_gold_class_names_the_world(self, split, tmp_path,
-                                                                        edit):
-        # a kept step's gold class set to "-", or tokens that no longer split
-        # at the gold segments, leave an imagination without a true class
+    def test_kept_sub_instruction_without_a_gold_class_names_the_world(self, split, tmp_path):
+        # a delimiter inside a kept step leaves the instruction with more
+        # segments than its route has steps, so no segment has a route step
         path, lines = written(split, tmp_path)
         kept = split.items[0].record.kept[0]
-        tag = "gold" if edit == "class" else "instr"
-        idx = next(i for i, line in enumerate(lines) if line.startswith(f"{tag} 0 "))
+        idx = next(i for i, line in enumerate(lines) if line.startswith("instr 0 "))
         fields = lines[idx].split(" ")
-        if edit == "class":
-            fields[3 + 3 * kept.index + 2] = "-"    # gold <w> <n> (<start> <end> <class>)...
-        else:
-            fields[3 + kept.span[0]] = "."          # instr <w> <n> <tokens...>
+        fields[3 + kept.span[0]] = "."          # instr <w> <n> <tokens...>
         lines[idx] = " ".join(fields)
         rewritten(path, lines)
-        with pytest.raises(FormatError, match="world 0: kept sub-instruction .* no gold"):
+        # the rest of the step, after its new one-token segment, is still kept
+        with pytest.raises(FormatError, match=f"world 0: kept sub-instruction {kept.index + 1} "
+                                              "has no route step that shows a landmark"):
             ds.read_split(tmp_path, "train")
 
-    def test_edited_instruction_is_resegmented(self, split, tmp_path):
-        """An instruction edited in the file, with its gold segments, gets the
-        sub-instructions, verdicts and noun positions of its new tokens: a
-        kept step swapped with the unkept step after it moves one place on,
-        and its imagination with it."""
+    @staticmethod
+    def with_instruction(split, tmp_path, w, tokens):
+        """`split` written into tmp_path with the tokens of world `w` replaced."""
+        path, lines = written(split, tmp_path)
+        idx = next(i for i, line in enumerate(lines) if line.startswith(f"instr {w} "))
+        lines[idx] = f"instr {w} {len(tokens)} {' '.join(tokens)}"
+        rewritten(path, lines)
+
+    def test_kept_step_moved_off_its_route_step_names_the_world(self, split, tmp_path):
+        """A kept step swapped with the unkept step after it describes a
+        route step whose view shows no landmark."""
         w, item, k = next((w, item, k) for w, item in enumerate(split.items)
                           for k, (a, b) in enumerate(zip(item.record.subs, item.record.subs[1:]))
                           if a.filter_verdict == "kept" and b.filter_verdict != "kept")
-        subs, instr = item.record.subs, item.record.instruction
+        subs, tokens = item.record.subs, item.record.instruction.tokens
         (s, m), (_, e) = subs[k].span, subs[k + 1].span
-        tokens = instr.tokens[:s] + instr.tokens[m:e] + instr.tokens[s:m] + instr.tokens[e:]
-        golds = list(zip(instr.gold_segments, instr.gold_landmarks))
-        golds[k:k + 2] = [((s, s + e - m), golds[k + 1][1]), ((s + e - m, e), golds[k][1])]
-        gold = " ".join(f"{a} {b} {'-' if c is None else c}" for (a, b), c in golds)
-        path, lines = written(split, tmp_path)
-        for tag, text in (("instr", f"{len(tokens)} {' '.join(tokens)}"),
-                          ("gold", f"{len(golds)} {gold}")):
-            idx = next(i for i, line in enumerate(lines) if line.startswith(f"{tag} {w} "))
-            lines[idx] = f"{tag} {w} {text}"
-        rewritten(path, lines)
+        self.with_instruction(split, tmp_path, w,
+                              tokens[:s] + tokens[m:e] + tokens[s:m] + tokens[e:])
+        with pytest.raises(FormatError, match=f"world {w}: kept sub-instruction {k + 1} has no "
+                                              "route step that shows a landmark"):
+            ds.read_split(tmp_path, "train")
+
+    def test_edited_instruction_is_resegmented(self, split, tmp_path):
+        """An instruction edited in the file gets the sub-instructions,
+        verdicts and noun positions of its new tokens: an unkept step given a
+        longer wording moves every later step, and its noun positions, one
+        token on, while each segment keeps its route step's class."""
+        w, item, k = next((w, item, k) for w, item in enumerate(split.items)
+                          for k, sub in enumerate(item.record.subs)
+                          if len(sub.tokens) == 3 and sub.filter_verdict != "kept"
+                          and any(later.index > k for later in item.record.kept))
+        subs, tokens = item.record.subs, item.record.instruction.tokens
+        s, e = subs[k].span
+        new = tokens[:s] + ("walk", "toward", "it", ".") + tokens[e:]
+        self.with_instruction(split, tmp_path, w, new)
         read = ds.read_split(tmp_path, "train").items[w]
-        moved = read.record.subs[k + 1]
-        assert read.record.instruction.tokens == tokens
-        assert (read.record.subs[k].filter_verdict, moved.filter_verdict) == (
-            subs[k + 1].filter_verdict, "kept")
-        assert moved.noun_token_indices == tuple(i + e - m for i in subs[k].noun_token_indices)
-        assert [sub.index for sub in read.record.kept] == [
-            k + 1 if sub.index == k else sub.index for sub in item.record.kept]
+        assert read.record.instruction.tokens == new
+        assert [(sub.span, sub.noun_token_indices, sub.filter_verdict, sub.landmark_class)
+                for sub in read.record.subs[k + 1:]] == [
+            (tuple(i + 1 for i in sub.span), tuple(i + 1 for i in sub.noun_token_indices),
+             sub.filter_verdict, sub.landmark_class) for sub in subs[k + 1:]]
+        assert read.record.subs[k].filter_verdict != "kept"
         assert [(im.sub_index, im.true_class) for im in read.imaginations] == [
-            (k + 1 if im.sub_index == k else im.sub_index, im.true_class)
-            for im in item.imaginations]
+            (im.sub_index, im.true_class) for im in item.imaginations]
 
 
 class TestImaginationsRoundTrip:
