@@ -2,8 +2,8 @@
 
 One record per line, a type tag first. A split file holds only what generation
 drew; its readers derive the rest as generation does. Float fields use decimal
-text: %.9g for float32 payloads (exact round-trip), %.17g for float64
-coordinates and the shortest round-trip form for a world's float64 sigma_obs.
+text: %.9g for float32 payloads (exact round-trip) and the shortest
+round-trip form for a world's float64 sigma_obs.
 Every artifact starts with the producing command line and seed as header comments
 and is written atomically. Config values in text are parsed by field type.
 """
@@ -19,17 +19,13 @@ import numpy as np
 
 from . import instructions as ins
 from . import world as wd
-from .errors import ConfigurationError, FormatError, SamplingError
+from .errors import ConfigurationError, FormatError
 
-SPLIT_TAG = "# imnav-split v2"
+SPLIT_TAG = "# imnav-split v3"
 
 
 def f32(x):
     return f"{float(x):.9g}"
-
-
-def f64(x):
-    return f"{float(x):.17g}"
 
 
 def _parse_bool(text):
@@ -82,10 +78,11 @@ def write_text(path, lines, tag=None, command="", seed=None):
 
 def write_split(path, library, rows, command="", seed=None):
     """Write a split file: the library, then for each world `w` of `rows`, a
-    list of (Episode, Instruction, imaginations), its world, node, edge and
-    place records, its instruction, and one `imag` record per imagination, in
-    kept order. Only what generation drew is written: `read_split` derives
-    the view bindings and the route, and `dataset.read_split` the
+    list of (Episode, Instruction, imaginations), its world record, its
+    instruction, and one `imag` record per imagination, in kept order. Only
+    what generation drew is written: the world record holds the world's
+    split, k_views, sigma_obs and fork count, and the draws `fork_world`
+    builds it from (`world.fork_draws`); `dataset.read_split` derives the
     segmentation and each imagination's sub-instruction and true class."""
     lines = [f"library {len(library.classes)} {library.d_v}"]
     for c in library.classes:
@@ -95,16 +92,9 @@ def write_split(path, library, rows, command="", seed=None):
     lines.append("background " + " ".join(f32(x) for x in library.background))
     for w, (episode, instruction, imaginations) in enumerate(rows):
         world = episode.world
+        draws = wd.fork_draws(world)
         lines.append(f"world {w} {world.split} {world.k_views} {float(world.sigma_obs)!r} "
-                     f"{world.n_nodes} {episode.start} {episode.goal}")
-        for node in range(world.n_nodes):
-            x, y = world.positions[node]
-            lines.append(f"node {w} {node} {f64(x)} {f64(y)}")
-        for a, b in world.edges:
-            lines.append(f"edge {w} {a} {b}")
-        for node in sorted(world.placements):
-            for cid, view in world.placements[node]:
-                lines.append(f"place {w} {node} {view} {cid}")
+                     f"{len(draws[0])}" + "".join(f" {d}" for part in draws for d in part))
         lines.append(f"instr {w} {len(instruction.tokens)}"
                      + "".join(f" {t}" for t in instruction.tokens))
         lines.extend(f"imag {w} {im.emitted_class} " + " ".join(f32(x) for x in im.feature)
@@ -131,16 +121,17 @@ def _vector(fields, d_v, what):
 def read_split(path):
     """The library of a split file and its (Episode, Instruction, drawn) rows
     in world order, where `drawn` lists each imagination's (emitted class,
-    feature). Each world's view bindings are derived from its positions and
-    edges (`world.assign_views`), and its episode from its start and goal
-    (`world.sample_episode`). FormatError names the line of a malformed
-    record: one with a node, view or class outside its world or library, one
-    that names a world with no world record, a second world or instr record
-    of a world, an edge that is a self-loop or repeats or gives a node more
-    edges than views; and the library record when its class count is not the
-    number of class records. It names the world whose node records do not
-    cover 0..n_nodes-1, that has no instr record, or that has no path from
-    its start to its goal."""
+    feature). Each world is built from its recorded draws by
+    `world.fork_world`, the function that generated it, and its episode is
+    its route (`world.sample_episode`). FormatError names the line of a
+    malformed record: one with a class outside the library, one that names a
+    world with no world record, or a second world or instr record of a
+    world; a world record whose sigma_obs, k_views or fork count could not
+    generate a world, whose draw count is not 4 * n_forks + 1, or whose draws
+    `fork_world` rejects (a class outside the split's pool or drawn twice, a
+    side other than 1 or -1, a view that is not free at its node); and the
+    library record when its class count is not the number of class records.
+    It names the world that has no instr record."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != SPLIT_TAG:
@@ -148,6 +139,9 @@ def read_split(path):
                           "re-make the split files with `imnav data`")
     classes, background, d_v, worlds = [], None, 0, []
     n_classes = library_line = None
+
+    def malformed(lineno, tag, exc):
+        return FormatError(f"{path}:{lineno}: malformed {tag!r} record: {exc}")
 
     def world_at(text, record=None):   # world `text`, with no `record` record yet
         w = worlds[_index(text, len(worlds), "world")]
@@ -174,32 +168,15 @@ def read_split(path):
                 if idx != len(worlds):      # worlds are numbered from 0 in file order
                     raise ValueError(f"a second world record for world {idx}" if idx < len(worlds)
                                      else f"world {idx} comes before world {len(worlds)}")
-                n_nodes = int(parts[4])
-                w = dict(split=parts[1], k_views=int(parts[2]), sigma_obs=float(parts[3]),
-                         designated=(_index(parts[5], n_nodes, "node"),
-                                     _index(parts[6], n_nodes, "node")),
-                         nodes={}, adjacency={n: set() for n in range(n_nodes)}, places={},
-                         drawn=[])
-                wd.check_sigma_obs(w["sigma_obs"])
-                worlds.append(w)
-            elif tag in ("node", "edge", "place"):
-                w = world_at(parts[0])
-                n_nodes, k_views = len(w["adjacency"]), w["k_views"]
-                node = _index(parts[1], n_nodes, "node")
-                if tag == "node":
-                    w["nodes"][node] = (float(parts[2]), float(parts[3]))
-                elif tag == "edge":
-                    other = _index(parts[2], n_nodes, "node")
-                    if other == node or other in w["adjacency"][node]:
-                        raise ValueError(f"edge {node} {other} is a self-loop" if other == node
-                                         else f"a second edge between nodes {node} and {other}")
-                    for a, b in ((node, other), (other, node)):
-                        w["adjacency"][a].add(b)
-                        if len(w["adjacency"][a]) > k_views:
-                            raise ValueError(f"node {a} has more edges than its {k_views} views")
-                else:
-                    w["places"].setdefault(node, []).append(
-                        (_index(parts[3], len(classes), "class"), _index(parts[2], k_views, "view")))
+                k_views, sigma_obs, n_forks = int(parts[2]), float(parts[3]), int(parts[4])
+                draws = [int(d) for d in parts[5:]]
+                wd.check_sigma_obs(sigma_obs)
+                wd.check_forks(k_views, n_forks)
+                if len(draws) != 4 * n_forks + 1:
+                    raise ValueError(f"has {len(draws)} draws; n_forks={n_forks} makes "
+                                     f"{4 * n_forks + 1}")
+                worlds.append(dict(line=lineno, split=parts[1], k_views=k_views,
+                                   sigma_obs=sigma_obs, n_forks=n_forks, draws=draws, drawn=[]))
             elif tag == "instr":
                 if int(parts[1]) != len(parts) - 2:
                     raise ValueError(f"says {parts[1]} tokens but lists {len(parts) - 2}")
@@ -210,7 +187,7 @@ def read_split(path):
             else:
                 raise ValueError("unknown record tag")
         except (ValueError, IndexError, ConfigurationError) as exc:
-            raise FormatError(f"{path}:{lineno}: malformed {tag!r} record: {exc}") from None
+            raise malformed(lineno, tag, exc) from None
     if library_line is None or background is None or not classes:
         raise FormatError(f"{path}: missing library records")
     if len(classes) != n_classes:
@@ -220,25 +197,17 @@ def read_split(path):
                          background=background, d_v=d_v)
     rows = []
     for idx, raw in enumerate(worlds):
-        n_nodes = len(raw["adjacency"])
-        if len(raw["nodes"]) != n_nodes:    # each is below n_nodes
-            raise FormatError(f"{path}: world {idx} has node records for "
-                              f"{len(raw['nodes'])} of its {n_nodes} nodes")
         if "instr" not in raw:
             raise FormatError(f"{path}: world {idx} has no instr record")
-        positions = np.asarray([raw["nodes"][i] for i in range(n_nodes)], dtype=np.float64)
-        world = wd.World(
-            k_views=raw["k_views"], d_v=d_v, sigma_obs=raw["sigma_obs"],
-            split=raw["split"], positions=positions,
-            edges=tuple((a, b) for a in range(n_nodes) for b in sorted(raw["adjacency"][a])
-                        if a < b),
-            view_map=wd.assign_views(positions, raw["adjacency"], raw["k_views"]),
-            placements={n: tuple(v) for n, v in raw["places"].items()},
-            library=library, designated=raw["designated"])
+        n, draws = raw["n_forks"], raw["draws"]
+        views = iter(draws[3 * n:])
         try:
-            episode = wd.sample_episode(world)
-        except SamplingError as exc:
-            raise FormatError(f"{path}: world {idx} has no route: {exc}") from None
+            world = wd.fork_world(library, raw["k_views"], raw["sigma_obs"], raw["split"],
+                                  draws[:n], draws[n:2 * n], draws[2 * n:3 * n],
+                                  lambda taken: next(views))
+        except ConfigurationError as exc:
+            raise malformed(raw["line"], "world", exc) from None
+        episode = wd.sample_episode(world)
         rows.append((episode, ins.Instruction(tokens=raw["instr"], episode=episode),
                      raw["drawn"]))
     return library, rows

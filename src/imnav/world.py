@@ -9,7 +9,10 @@ the discrete action space.
 Every world is a chain of disambiguation forks (the one layout, `forks`): at
 each fork the two branches are geometrically mirrored and differ only in
 which landmark class is shown, so route choice is informative only through
-landmark identity. Each world designates its route, from the start of the
+landmark identity. A world follows from a few draws: its landmark and decoy
+classes and one side per fork, and the view, bound to no edge, on which each
+dead end and the goal show a class. `fork_world` builds it from them, for
+generation and for the split reader alike. Each world designates its route, from the start of the
 approach corridor to the end of the last correct branch, and that route is
 its episode. Episodes have one mode, `fine`: the instruction gives one
 segment per route step (see `instructions`).
@@ -162,7 +165,8 @@ class World:
         return self._base[node]
 
     def edge_length(self, a, b):
-        return float(np.linalg.norm(self.positions[a] - self.positions[b]))
+        p = self.positions
+        return math.hypot(p[a, 0] - p[b, 0], p[a, 1] - p[b, 1])
 
 
 def navigable(world, node):
@@ -230,34 +234,6 @@ class Episode:
         return shortest_path(self.world, self.start, self.goal)[1]
 
 
-def assign_views(positions, adj, k_views):
-    """Bind each edge to a heading-sector view per endpoint; collisions shift
-    to the next free sector (K >= degree + 1 guarantees room; a node of more
-    than K edges never finishes)."""
-    sector = 2.0 * math.pi / k_views
-    view_map = {}
-    for u in range(len(positions)):
-        taken = {}
-        for v in sorted(adj[u]):
-            d = positions[v] - positions[u]
-            ang = math.atan2(d[1], d[0]) % (2.0 * math.pi)
-            view = int(round(ang / sector)) % k_views
-            while view in taken:
-                view = (view + 1) % k_views
-            taken[view] = v
-        view_map[u] = taken
-    return view_map
-
-
-def _free_view(view_map, node, placed, k_views, rng):
-    """A random view of `node` that no edge and no (class, view) of `placed` uses."""
-    used = set(view_map[node]) | {v for _, v in placed}
-    free = [v for v in range(k_views) if v not in used]
-    if not free:
-        raise ConfigurationError(f"no free view at node {node}")
-    return int(free[int(rng.integers(len(free)))])
-
-
 FORK_DEGREE = 3   # a fork node's edges: the approach and its two branches
 MIN_NODES = 8     # the approach corridor is padded until a world has this many
 PRE_LEN = 1       # the shortest approach corridor
@@ -294,112 +270,142 @@ def check_sigma_obs(sigma_obs):
         raise ConfigurationError(f"sigma_obs must be finite and >= 0, got {sigma_obs}")
 
 
+def check_forks(k_views, n_forks):
+    """ConfigurationError unless a world of `n_forks` forks (>= 1) can bind
+    each node's edges to distinct views among its `k_views` (K >= FORK_DEGREE
+    + 1); world generation and the split reader both apply it."""
+    if n_forks < 1:
+        raise ConfigurationError("forks layout needs n_forks >= 1")
+    if k_views < FORK_DEGREE + 1:
+        raise ConfigurationError(
+            f"K={k_views} too small for max degree {FORK_DEGREE} (need K >= degree + 1)")
+
+
 def _check_config(cfg):
     if cfg.layout != "forks":
         raise ConfigurationError(f"unknown layout {cfg.layout!r}; the only layout is 'forks'")
-    if cfg.n_forks < 1:
-        raise ConfigurationError("forks layout needs n_forks >= 1")
+    check_forks(cfg.k_views, cfg.n_forks)
     check_sigma_obs(cfg.sigma_obs)
     if not cfg.library.classes:
         raise ConfigurationError("landmark library is empty")
     if cfg.library.d_v < 8:
         raise ConfigurationError("d_v must be >= 8")
-    if cfg.k_views < FORK_DEGREE + 1:
-        raise ConfigurationError(
-            f"K={cfg.k_views} too small for max degree {FORK_DEGREE} (need K >= degree + 1)")
     if cfg.split not in SPLITS:
         raise ConfigurationError(f"unknown split {cfg.split!r}")
 
 
-def _build_forks(cfg, rng):
-    """Chain of mirrored forks; wrong branches are dead ends marked by decoy
-    landmarks, correct branches by instruction landmarks."""
-    n_forks = cfg.n_forks
-    pre = _approach_len(n_forks)
+def _fork_nodes(n_forks):
+    """(fork, correct branch, dead end) node ids of each fork, in route order."""
+    first = _approach_len(n_forks) + 1
+    return [(f, f + 1, f + 2) for f in range(first, first + 3 * n_forks, 3)]
 
-    positions = [(0.0, 0.0)]
-    nodes_pre = []
-    for i in range(pre):
-        positions.append((float(i + 1), 0.0))
-        nodes_pre.append(len(positions) - 1)
-    edges = []
-    path = [0] + nodes_pre
-    for a, b in zip(path[:-1], path[1:]):
-        edges.append((a, b))
 
-    placements = {}
-    pool = cfg.library.pool(cfg.split)
-    need = 2 * n_forks
-    if len(pool) < need:
-        raise ConfigurationError(f"split {cfg.split} pool has {len(pool)} classes, need {need}")
-    classes = [pool[i] for i in rng.permutation(len(pool))[:need]]
-    landmarks = classes[:n_forks]
-    decoys = classes[n_forks:]
+def _bind_views(world, node):
+    """{view: neighbor} of `node`: each edge takes the heading-sector view
+    that points along it, and a collision shifts to the next free sector
+    (K >= FORK_DEGREE + 1 leaves room)."""
+    sector = 2.0 * math.pi / world.k_views
+    taken = {}
+    for nb in world.neighbors(node):
+        dx, dy = world.positions[nb] - world.positions[node]
+        view = int(round((math.atan2(dy, dx) % (2.0 * math.pi)) / sector)) % world.k_views
+        while view in taken:
+            view = (view + 1) % world.k_views
+        taken[view] = nb
+    return taken
 
-    x = float(pre)
-    y = 0.0
-    cur = path[-1]
-    for k in range(n_forks):
-        # fork node
-        x += 1.0
-        positions.append((x, y))
-        fork = len(positions) - 1
-        edges.append((cur, fork))
-        side = 1.0 if rng.integers(2) == 0 else -1.0
-        positions.append((x + 1.0, y + side))
-        cont = len(positions) - 1
-        positions.append((x + 1.0, y - side))
-        dead = len(positions) - 1
-        edges.append((fork, cont))
-        edges.append((fork, dead))
-        placements.setdefault(fork, []).append(("L", landmarks[k], cont))
-        placements.setdefault(fork, []).append(("D", decoys[k], dead))
-        placements.setdefault(dead, []).append(("F", decoys[k], None))
-        path.extend([fork, cont])
-        x += 1.0
-        y += side
-        cur = cont
-    goal = cur
-    placements.setdefault(goal, []).append(("F", landmarks[-1], None))
 
-    positions = np.asarray(positions, dtype=np.float64)
-    adj = {i: [] for i in range(len(positions))}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    view_map = assign_views(positions, adj, cfg.k_views)
+def _free_view(world, node, choose_view):
+    """The view `choose_view` picks at `node`, checked to be one that no edge uses."""
+    view = choose_view(world.view_map[node])
+    if not 0 <= view < world.k_views or view in world.view_map[node]:
+        raise ConfigurationError(f"view {view} is not free at node {node}")
+    return view
 
-    resolved = {}
-    for node, entries in placements.items():
-        out = []
-        for kind, cid, toward in entries:
-            if toward is not None:
-                view = next(v for v, nb in view_map[node].items() if nb == toward)
-            else:
-                view = _free_view(view_map, node, out, cfg.k_views, rng)
-            out.append((cid, view))
-        resolved[node] = tuple(out)
 
-    return positions, tuple(sorted(tuple(sorted(e)) for e in edges)), view_map, resolved, (0, goal)
+def fork_world(library, k_views, sigma_obs, split, landmarks, decoys, sides, choose_view):
+    """The fork world of these draws, one of each per fork. Fork k's correct
+    branch turns toward `sides[k]` (+1 or -1), and its wrong branch, a dead
+    end, toward the other side. The fork shows `landmarks[k]` on its view
+    toward the correct branch and `decoys[k]` on its view toward the dead
+    end. The dead end shows `decoys[k]` again, and the goal, the end of the
+    last correct branch, shows the last landmark, each on a view that no
+    edge uses: `choose_view(taken)` picks it, given the node's {view:
+    neighbor} bindings, for each dead end in fork order and then for the
+    goal. The route runs from node 0 to the goal. ConfigurationError unless
+    `check_forks` holds, the classes are distinct and in the split's pool,
+    each side is +1 or -1, and each chosen view is free."""
+    n_forks = len(landmarks)
+    check_forks(k_views, n_forks)
+    pool, seen = set(library.pool(split)), set()
+    for cid in (*landmarks, *decoys):
+        if cid not in pool:
+            raise ConfigurationError(f"class {cid} is not in the {split} pool")
+        if cid in seen:
+            raise ConfigurationError(f"class {cid} is drawn twice")
+        seen.add(cid)
+    for side in sides:
+        if side not in (1, -1):
+            raise ConfigurationError(f"side {side} is not 1 or -1")
+
+    forks = _fork_nodes(n_forks)
+    positions = [(float(i), 0.0) for i in range(forks[0][0])]     # node 0, then the approach
+    edges = [(i, i + 1) for i in range(forks[0][0] - 1)]
+    y, prev = 0.0, forks[0][0] - 1
+    for k, ((fork, cont, dead), side) in enumerate(zip(forks, sides)):
+        x = float(fork - k)               # a fork is 3 nodes and 2 units of x past the last
+        positions += [(x, y), (x + 1.0, y + side), (x + 1.0, y - side)]
+        edges += [(prev, fork), (fork, cont), (fork, dead)]
+        y, prev = y + side, cont
+    goal = forks[-1][1]
+    world = World(k_views=k_views, d_v=library.d_v, sigma_obs=sigma_obs, split=split,
+                  positions=np.asarray(positions, dtype=np.float64), edges=tuple(sorted(edges)),
+                  view_map={}, placements={}, library=library, designated=(0, goal))
+    for node in range(world.n_nodes):
+        world.view_map[node] = _bind_views(world, node)
+    for (fork, cont, dead), landmark, decoy in zip(forks, landmarks, decoys):
+        toward = {nb: view for view, nb in world.view_map[fork].items()}
+        world.placements[fork] = ((landmark, toward[cont]), (decoy, toward[dead]))
+        world.placements[dead] = ((decoy, _free_view(world, dead, choose_view)),)
+    world.placements[goal] = ((landmarks[-1], _free_view(world, goal, choose_view)),)
+    return world
+
+
+def fork_draws(world):
+    """The draws `fork_world` built `world` from, in generation's order: its
+    landmarks, decoys, sides and free views, n_forks of each but n_forks + 1
+    free views."""
+    n_forks = (len(world.placements) - 1) // 2    # each fork and its dead end, then the goal
+    forks = _fork_nodes(n_forks)
+    landmarks = [world.placements[fork][0][0] for fork, _, _ in forks]
+    decoys = [world.placements[fork][1][0] for fork, _, _ in forks]
+    sides = [int(world.positions[cont, 1] - world.positions[fork, 1]) for fork, cont, _ in forks]
+    views = [world.placements[node][0][1]
+             for node in [dead for _, _, dead in forks] + [world.designated[1]]]
+    return landmarks, decoys, sides, views
 
 
 def generate_world(config, seed):
-    """Deterministic construction of a fork world."""
+    """Deterministic construction of a fork world: draw 2 * n_forks distinct
+    classes of the split's pool (the landmarks, then the decoys), one side
+    per fork, and a free view for each dead end and the goal, and build it
+    with `fork_world`."""
     _check_config(config)
+    n_forks, k_views = config.n_forks, config.k_views
+    pool = config.library.pool(config.split)
+    if len(pool) < 2 * n_forks:
+        raise ConfigurationError(f"split {config.split} pool has {len(pool)} classes, "
+                                 f"need {2 * n_forks}")
     rng = np.random.default_rng(np.random.SeedSequence([0xA11D, seed]))
-    positions, edges, view_map, placements, designated = _build_forks(config, rng)
-    return World(
-        k_views=config.k_views,
-        d_v=config.library.d_v,
-        sigma_obs=config.sigma_obs,
-        split=config.split,
-        positions=positions,
-        edges=edges,
-        view_map=view_map,
-        placements=placements,
-        library=config.library,
-        designated=designated,
-    )
+    classes = [pool[i] for i in rng.permutation(len(pool))[:2 * n_forks]]
+    sides = [1 if rng.integers(2) == 0 else -1 for _ in range(n_forks)]
+
+    def choose_view(taken):
+        free = [v for v in range(k_views) if v not in taken]
+        return free[int(rng.integers(len(free)))]
+
+    return fork_world(config.library, k_views, config.sigma_obs, config.split,
+                      classes[:n_forks], classes[n_forks:], sides, choose_view)
 
 
 def sample_episode(world):

@@ -194,15 +194,17 @@ class TestCli:
             return " ".join(fields)
         return edit
 
+    # world <w> <split> <k_views> <sigma_obs> <n_forks> <draws...>: with two
+    # forks, column 6 is the first landmark and column 14, the last, the
+    # goal's free view
     @pytest.mark.parametrize("prefix, column, value, named", [
-        ("place 0 ", 3, "12", "view 12 outside"),    # K = 12: action 12 is the stop
-        ("place 0 ", 3, "14", "view 14 outside"),
-        ("place 0 ", 4, "99", "class 99 outside"),
+        ("world 0 ", 14, "12", "view 12 is not free"),    # K = 12: action 12 is the stop
+        ("world 0 ", 6, "99", "class 99 is not in the train pool"),
         ("imag 0 ", 2, "99", "class 99 outside"),
         ("world 0 ", 4, "-0.1", "sigma_obs must be finite and >= 0, got -0.1"),
         ("world 0 ", None, None, "a second world record for world 0"),
         ("instr 0 ", None, None, "a second instr record for world 0")],
-        ids=["view_past_k", "place_view", "place_class", "imag_class",
+        ids=["view_past_k", "landmark_class", "imag_class",
              "negative_sigma_obs", "second_world", "second_instr"])
     def test_bad_split_record_exits_1_naming_the_line(self, trained, eval_copy, capsys,
                                                       prefix, column, value, named):
@@ -210,7 +212,7 @@ class TestCli:
         train exit 1 with one line naming the line, and write nothing."""
         spec, _, _ = trained
         data, run_eval = eval_copy
-        assert wd.WorldConfig.k_views == 12
+        assert (wd.WorldConfig.k_views, wd.WorldConfig.n_forks) == (12, 2)
         if column is None:      # a copy of the record right after it ("turn right" for "left")
             idx = edit_line(data / "train.txt", prefix,
                             lambda line: line + "\n" + line.replace(" left ", " right ")) + 1

@@ -89,7 +89,7 @@ class TestSegment:
         with pytest.raises(InputError):
             ins.segment(instr)
 
-    def test_matches_gold_on_corpus(self, library, templates, lexicon):
+    def test_matches_route_landmark_classes_on_corpus(self, library, templates, lexicon):
         """Each generated segment names the phrase of the landmark class it
         is given, or no phrase when it is given none; the route shows one
         landmark per fork."""

@@ -9,6 +9,7 @@ import pytest
 
 from imnav import dataset as ds
 from imnav import evaluation as ev
+from imnav import harness
 from imnav import imagination as im
 from imnav import instructions as ins
 from imnav import serial
@@ -79,48 +80,25 @@ class TestWorldsRoundTrip:
             serial.read_split(path)
 
     def test_malformed_record_names_line(self, split, tmp_path):
-        path, lineno = edited(split, tmp_path, "node", 3, "oops")
+        path, lineno = edited(split, tmp_path, "world", 5, "oops")     # n_forks
         with pytest.raises(FormatError) as exc:
             serial.read_split(path)
         assert f":{lineno}:" in str(exc.value)
 
-    def test_missing_node_record_names_the_world(self, split, tmp_path):
+    def test_missing_instr_record_names_the_world(self, split, tmp_path):
         path, lines = written(split, tmp_path)
-        kept = [l for l in lines if not l.startswith("node 0 3 ")]
+        kept = [l for l in lines if not l.startswith("instr 2 ")]
         assert len(kept) == len(lines) - 1
-        with pytest.raises(FormatError, match="world 0 "):
+        with pytest.raises(FormatError, match="world 2 has no instr record"):
             serial.read_split(rewritten(path, kept))
-
-    @pytest.mark.parametrize("tag", ["instr"])
-    def test_missing_instr_or_gold_record_names_the_world(self, split, tmp_path, tag):
-        path, lines = written(split, tmp_path)
-        kept = [l for l in lines if not l.startswith(f"{tag} 2 ")]
-        assert len(kept) == len(lines) - 1
-        with pytest.raises(FormatError, match=f"world 2 has no {tag} record"):
-            serial.read_split(rewritten(path, kept))
-
-    @pytest.mark.parametrize("tag, column", [("world", 6), ("world", 7), ("edge", 2),
-                                             ("edge", 3), ("place", 2)])
-    def test_undeclared_node_names_the_line(self, split, tmp_path, tag, column):
-        # world <w> <split> <k> <sigma> <n_nodes> <start> <goal>; edge <w> <a> <b>;
-        # place <w> <node> <view> <class>
-        assert split.items[0].episode.world.n_nodes < 99
-        path, lineno = edited(split, tmp_path, tag, column, "99")
-        with pytest.raises(FormatError, match="node 99") as exc:
-            serial.read_split(path)
-        assert f":{lineno}:" in str(exc.value)
 
     @pytest.mark.parametrize("tag, column, value, named", [
-        ("place", 3, "12", "view 12 outside"),
-        ("place", 3, "-1", "view -1"),
-        ("place", 3, "14", "view 14 outside"),
-        ("place", 4, "99", "class 99 outside"),
         ("imag", 2, "60", "class 60"),
         ("imag", 2, "-1", "class -1")])
     def test_view_or_class_out_of_range_names_the_line(self, split, tmp_path, tag, column,
                                                        value, named):
-        # place <w> <node> <view> <class>; imag <w> <emitted class> <feature...>
-        assert (split.items[0].episode.world.k_views, len(split.library.classes)) == (12, 60)
+        # imag <w> <emitted class> <feature...>
+        assert len(split.library.classes) == 60
         path, lineno = edited(split, tmp_path, tag, column, value)
         with pytest.raises(FormatError, match=named) as exc:
             serial.read_split(path)
@@ -162,42 +140,94 @@ class TestWorldsRoundTrip:
             serial.read_split(rewritten(path, lines))
         assert f":{idx + 1}:" in str(exc.value)
 
+    @staticmethod
+    def world_record(split, w=0):
+        """(the world record of world `w` as written, its n_forks, its
+        draws): world <w> <split> <k_views> <sigma_obs> <n_forks> <draws...>"""
+        world = split.items[w].episode.world
+        draws = [d for part in wd.fork_draws(world) for d in part]
+        n_forks = len(draws) // 4
+        return (f"world {w} {world.split} {world.k_views} {world.sigma_obs!r} {n_forks} "
+                + " ".join(map(str, draws)), n_forks, draws)
 
-    @pytest.mark.parametrize("column", [6, 7])
-    def test_start_or_goal_dash_names_the_line(self, split, tmp_path, column):
-        # world <w> <split> <k> <sigma> <n_nodes> <start> <goal>: every world has a route
-        path, lineno = edited(split, tmp_path, "world", column, "-")
-        with pytest.raises(FormatError, match="'-'") as exc:
-            serial.read_split(path)
-        assert f":{lineno}:" in str(exc.value)
+    def test_world_record_holds_the_draws(self, split, tmp_path):
+        """Landmarks, decoys, sides, then the free views of the dead ends and
+        the goal, which show the decoys and the last landmark."""
+        _, lines = written(split, tmp_path)
+        for w, item in enumerate(split.items):
+            line, n, draws = self.world_record(split, w)
+            assert line in lines and len(draws) == 4 * n + 1 and n == wd.WorldConfig.n_forks
+            world = item.episode.world
+            landmarks, decoys, sides = draws[:n], draws[n:2 * n], draws[2 * n:3 * n]
+            assert set(sides) <= {1, -1} and len({*landmarks, *decoys}) == 2 * n
+            goal = item.episode.goal
+            assert world.placements[goal] == ((landmarks[-1], draws[-1]),)
+            shown = sorted(cid for entries in world.placements.values() for cid, _ in entries)
+            assert shown == sorted(landmarks + 2 * decoys + landmarks[-1:])
+        assert not [l for l in lines if l.split(" ")[0] in ("node", "edge", "place")]
 
-    def test_world_without_a_route_names_the_world(self, split, tmp_path):
+    @staticmethod
+    def free_and_bound_views(split):
+        """World 0's goal, a free view of it other than the recorded one, and
+        the view its one edge uses."""
+        world = split.items[0].episode.world
+        goal = split.items[0].episode.goal
+        (bound,) = world.view_map[goal]
+        recorded = world.placements[goal][0][1]
+        other = next(v for v in range(world.k_views) if v not in (bound, recorded))
+        return goal, other, bound
+
+    @pytest.mark.parametrize("case", [
+        "landmark_outside_library", "landmark_held_out", "decoy_repeats_landmark",
+        "side_0", "side_2", "view_past_k", "view_negative", "view_on_edge", "draw_dash",
+        "too_few_draws", "too_many_draws", "no_forks"])
+    def test_draw_that_cannot_build_the_world_names_the_line(self, split, tmp_path, case):
+        """Recorded draws are checked as generation would have drawn them."""
+        line, n, draws = self.world_record(split)
+        head, fields = line.split(" ")[:6], line.split(" ")[6:]
+        goal, other, bound = self.free_and_bound_views(split)
+        held_out = next(c.id for c in split.library.classes if c.held_out)
+        edits = {   # case -> (draw index, value, message)
+            "landmark_outside_library": (0, "60", "class 60 is not in the train pool"),
+            "landmark_held_out": (0, str(held_out), f"class {held_out} is not in the train pool"),
+            "decoy_repeats_landmark": (n, str(draws[0]), f"class {draws[0]} is drawn twice"),
+            "side_0": (2 * n, "0", "side 0 is not 1 or -1"),
+            "side_2": (2 * n, "2", "side 2 is not 1 or -1"),
+            "view_past_k": (-1, "12", f"view 12 is not free at node {goal}"),
+            "view_negative": (-1, "-1", f"view -1 is not free at node {goal}"),
+            "view_on_edge": (-1, str(bound), f"view {bound} is not free at node {goal}"),
+            "draw_dash": (1, "-", "'-'")}
+        if case in edits:
+            index, value, named = edits[case]
+            fields[index] = value
+        elif case == "no_forks":
+            head[5], named = "0", "needs n_forks >= 1"
+        else:
+            fields = fields[:-1] if case == "too_few_draws" else fields + [str(other)]
+            named = f"has {len(fields)} draws; n_forks={n} makes {4 * n + 1}"
         path, lines = written(split, tmp_path)
-        start, goal = split.items[1].episode.world.designated
-        first = split.items[1].episode.teacher_path[:2]
-        kept = [l for l in lines if l != f"edge 1 {min(first)} {max(first)}"]
-        assert len(kept) == len(lines) - 1
-        with pytest.raises(FormatError, match=f"world 1 has no route: no path from {start} "
-                                              f"to {goal}"):
-            serial.read_split(rewritten(path, kept))
-
-    @pytest.mark.parametrize("edge, named", [("1 0", "a second edge between nodes 1 and 0"),
-                                             ("0 1", "a second edge between nodes 0 and 1"),
-                                             ("2 2", "edge 2 2 is a self-loop")])
-    def test_repeated_edge_or_self_loop_names_the_line(self, split, tmp_path, edge, named):
-        path, lines = written(split, tmp_path)
-        idx = lines.index("edge 0 0 1")
-        lines.insert(idx + 1, f"edge 0 {edge}")
-        with pytest.raises(FormatError, match=named) as exc:
+        idx = lines.index(line)
+        lines[idx] = " ".join(head + fields)
+        with pytest.raises(FormatError, match=re.escape(named)) as exc:
             serial.read_split(rewritten(path, lines))
-        assert f":{idx + 2}:" in str(exc.value)
+        assert f":{idx + 1}: malformed 'world' record" in str(exc.value)
+
+    def test_another_free_view_is_read_as_drawn(self, split, tmp_path):
+        # the recorded free view is where the goal shows its class; the
+        # graph and its view bindings do not depend on it
+        line, _, _ = self.world_record(split)
+        goal, other, _ = self.free_and_bound_views(split)
+        path, lines = written(split, tmp_path)
+        lines[lines.index(line)] = line.rsplit(" ", 1)[0] + f" {other}"
+        _, rows = serial.read_split(rewritten(path, lines))
+        world, built = rows[0][0].world, split.items[0].episode.world
+        assert world.placements[goal] == ((built.placements[goal][0][0], other),)
+        assert world.edges == built.edges and world.view_map == built.view_map
 
     def test_node_with_more_edges_than_views_names_the_line(self, split, tmp_path):
         """Binding views to more edges than a node has views never ends, so
         the file is read in a child process that must finish."""
-        path, _ = edited(split, tmp_path, "world", 3, "2")    # k_views 2 < fork degree 3
-        # without its place records, whose views are past 2, only the edges are at fault
-        rewritten(path, [l for l in path.read_text().splitlines() if not l.startswith("place 0 ")])
+        path, lineno = edited(split, tmp_path, "world", 3, "2")   # k_views 2 < fork degree 3
         code = ("import sys; from imnav import serial; from imnav.errors import FormatError\n"
                 "try:\n    serial.read_split(sys.argv[1])\n"
                 "except FormatError as exc:\n    print(exc)")
@@ -206,11 +236,8 @@ class TestWorldsRoundTrip:
         proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
                               text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        named = re.search(r":(\d+): malformed 'edge' record: node (\d+) has more edges than "
-                          r"its 2 views", proc.stdout)
-        assert named, proc.stdout
-        line = path.read_text().splitlines()[int(named[1]) - 1]
-        assert line.startswith("edge 0 ") and named[2] in line.split()[2:]   # edge <w> <a> <b>
+        assert (f":{lineno}: malformed 'world' record: K=2 too small for max degree 3"
+                in proc.stdout), proc.stdout
 
     def test_v1_file_fails_at_the_header(self, split, tmp_path):
         path, lines = written(split, tmp_path)
@@ -218,9 +245,18 @@ class TestWorldsRoundTrip:
         with pytest.raises(FormatError, match="re-make the split files with `imnav data`"):
             serial.read_split(rewritten(path, lines))
 
-    @pytest.mark.parametrize("record", ["view 0 1 0 0", "episode 0 0 4 3 0 1 2", "gold 0 0"])
+    def test_v2_file_fails_at_the_header(self, split, tmp_path):
+        path, lines = written(split, tmp_path)
+        lines[0] = "# imnav-split v2"
+        with pytest.raises(FormatError, match="expected header '# imnav-split v3'; re-make the "
+                                              "split files with `imnav data`"):
+            serial.read_split(rewritten(path, lines))
+
+    @pytest.mark.parametrize("record", ["view 0 1 0 0", "episode 0 0 4 3 0 1 2", "gold 0 0",
+                                        "node 0 0 0 0", "edge 0 0 1", "place 0 4 6 33"])
     def test_removed_record_is_an_unknown_tag(self, split, tmp_path, record):
-        # v1's view bindings, route and gold annotation are derived on reading
+        # v1's view bindings, route and gold annotation, and v2's nodes,
+        # edges and placements, are derived on reading
         path, lines = written(split, tmp_path)
         idx = next(i for i, l in enumerate(lines) if l.startswith("instr 0 "))
         lines.insert(idx, record)
@@ -228,6 +264,36 @@ class TestWorldsRoundTrip:
                                               "unknown record tag") as exc:
             serial.read_split(rewritten(path, lines))
         assert f":{idx + 1}:" in str(exc.value)
+
+
+class TestSplitFileRoundTrip:
+    """Writing what `dataset.read_split` read from a split file gives the
+    file back byte for byte."""
+
+    @staticmethod
+    def assert_rewritten(splits, out):
+        """Write each split into out/a, and what is read from there into out/b."""
+        first, second = out / "a", out / "b"
+        first.mkdir(parents=True)
+        second.mkdir()
+        for split in splits.values():
+            ds.write_split(first, split, command="test", seed=0)
+            ds.write_split(second, ds.read_split(first, split.split), command="test", seed=0)
+            name = f"{split.split}.txt"
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_desk_data(self, tmp_path):
+        spec = harness.read_experiment_spec(ROOT / "experiments" / "desk.cfg")
+        self.assert_rewritten(harness.build_spec_splits(spec), tmp_path)
+
+    @pytest.mark.parametrize("n_forks", [1, 2, 3, 4, 5])
+    def test_fork_and_view_counts(self, tmp_path, n_forks):
+        library, templates, lexicon = ds.load_assets(d_v=16)
+        for k_views in (6, 8, 10, 12):
+            self.assert_rewritten(ds.standard_splits(
+                library, templates, lexicon, n_forks=n_forks, k_views=k_views, train_n=4,
+                val_seen_n=4, val_unseen_n=4, data_seed=n_forks * 100 + k_views),
+                tmp_path / str(k_views))
 
 
 class TestCorpusRoundTrip:
@@ -258,7 +324,7 @@ class TestCorpusRoundTrip:
             serial.read_split(path)
         assert f":{lineno}:" in str(exc.value)
 
-    def test_kept_sub_instruction_without_a_gold_class_names_the_world(self, split, tmp_path):
+    def test_kept_step_without_a_route_landmark_names_the_world(self, split, tmp_path):
         # a delimiter inside a kept step leaves the instruction with more
         # segments than its route has steps, so no segment has a route step
         path, lines = written(split, tmp_path)

@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,6 +32,13 @@ def fork_worlds(library):
     for n_forks, split, seed in WORLDS:
         yield wd.generate_world(wd.WorldConfig(library=library, n_forks=n_forks, split=split),
                                 seed=seed)
+
+
+def sweep_worlds(library):
+    """A fork world for each fork count 1-5, view count and split."""
+    for n_forks, k_views, split in itertools.product(range(1, 6), (4, 6, 8, 10, 12), wd.SPLITS):
+        cfg = wd.WorldConfig(library=library, n_forks=n_forks, k_views=k_views, split=split)
+        yield wd.generate_world(cfg, seed=n_forks * 100 + k_views)
 
 
 def reachable(world, start):
@@ -116,6 +124,29 @@ class TestGeneration:
             w = wd.generate_world(wd.WorldConfig(library=library, layout="forks"), seed=seed)
             used = {cid for entries in w.placements.values() for cid, _ in entries}
             assert all(not library.by_id(c).held_out for c in used)
+
+    def test_fork_world_rebuilds_from_its_draws(self, library):
+        """`fork_world` builds the same world from the draws `fork_draws`
+        reads off a generated one."""
+        for w in sweep_worlds(library):
+            landmarks, decoys, sides, views = wd.fork_draws(w)
+            assert len(landmarks) == len(decoys) == len(sides) == len(views) - 1
+            views = iter(views)
+            built = wd.fork_world(library, w.k_views, w.sigma_obs, w.split, landmarks, decoys,
+                                  sides, lambda taken: next(views))
+            assert next(views, None) is None
+            assert built.positions.tobytes() == w.positions.tobytes()
+            assert (built.edges, built.view_map, built.placements, built.designated) == \
+                   (w.edges, w.view_map, w.placements, w.designated)
+
+    def test_edge_length_is_the_euclidean_norm(self, library):
+        # fork edges are offsets (1, 0) and (1, +-1), whose lengths 1 and
+        # sqrt(2) every float64 formula rounds alike
+        for w in sweep_worlds(library):
+            for a, b in w.edges:
+                norm = float(np.linalg.norm(w.positions[a] - w.positions[b]))
+                assert w.edge_length(a, b) == w.edge_length(b, a) == norm
+                assert norm in (1.0, math.sqrt(2.0))
 
     def test_fork_world_shape(self, fork_world):
         assert fork_world.n_nodes == 8
