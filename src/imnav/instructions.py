@@ -13,6 +13,7 @@ uninformative and get a sub-instruction dropped unless a better phrase exists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +66,11 @@ class FilterLexicon:
             raise ConfigurationError(
                 f"noun lexicon and blacklist overlap: {sorted(self.noun_lexicon & self.blacklist)}")
 
+    @cached_property
+    def words(self):
+        """The words a candidate noun phrase is made of: lexicon and blacklist."""
+        return self.noun_lexicon | self.blacklist
+
 
 def load_lexicon(nouns_path, blacklist_path, library=None):
     def read(path):
@@ -96,23 +102,9 @@ def build_vocab(templates, library):
 class Instruction:
     """The tokens of an episode's instruction. Generation gives it one
     segment per route step; `build_record` gives segment i the landmark
-    class of route step i (`route_landmarks`)."""
+    class of route step i (`Episode.route_landmarks`)."""
     tokens: tuple
     episode: object
-
-
-def route_landmarks(episode):
-    """Per route step of `episode`, the class of the landmark that the view
-    it leaves through shows, or None where that view shows none."""
-    world, path = episode.world, episode.teacher_path
-    out = []
-    for u, v in zip(path[:-1], path[1:]):
-        shown = None
-        for cid, view in world.placements.get(u, ()):   # the last placement is the one seen
-            if world.view_map[u].get(view) == v:
-                shown = cid
-        out.append(shown)
-    return tuple(out)
 
 
 @dataclass
@@ -127,12 +119,13 @@ class SubInstruction:
 
 
 def generate_instruction(episode, templates, seed, vocab=None):
-    """Build the templated instruction for an episode's teacher path."""
+    """Build the templated instruction for an episode's teacher path.
+    VocabularyError if `vocab` is given and lacks one of its tokens."""
     if not templates.step or not templates.move:
         raise ConfigurationError("template set is empty")
     library = episode.world.library
     rng = np.random.default_rng(np.random.SeedSequence([0x1A57, seed]))
-    landmarks = route_landmarks(episode)
+    landmarks = episode.route_landmarks
     tokens = []
     for i, cid in enumerate(landmarks):
         if cid is not None:
@@ -144,8 +137,7 @@ def generate_instruction(episode, templates, seed, vocab=None):
             tokens.extend(templates.move[int(rng.integers(len(templates.move)))])
         tokens.append(".")
     if vocab is not None:
-        known = set(vocab)
-        missing = [t for t in tokens if t not in known]
+        missing = [t for t in tokens if t not in vocab]
         if missing:
             raise VocabularyError(f"tokens outside the closed vocabulary: {sorted(set(missing))}")
     if len(tokens) > 80:
@@ -172,11 +164,11 @@ def segment(instruction):
 
 def _candidate_runs(sub, lexicon):
     """Maximal runs of lexicon/blacklist words; each rooted at its last word."""
-    union = lexicon.noun_lexicon | lexicon.blacklist
+    words = lexicon.words
     runs = []
     cur = []
     for offset, tok in enumerate(sub.tokens):
-        if tok in union:
+        if tok in words:
             cur.append((offset, tok))
         elif cur:
             runs.append(cur)
@@ -222,7 +214,7 @@ def build_record(instruction, lexicon):
     """Segment and filter `instruction`. When it has one segment per route
     step, segment i takes the landmark class of route step i."""
     subs = segment(instruction)
-    landmarks = route_landmarks(instruction.episode)
+    landmarks = instruction.episode.route_landmarks
     if len(subs) == len(landmarks):
         for s, cls in zip(subs, landmarks):
             s.landmark_class = cls
@@ -232,6 +224,7 @@ def build_record(instruction, lexicon):
 
 def build_corpus(episodes, templates, lexicon, seed, vocab=None):
     """One InstructionRecord per episode, deterministically sub-seeded."""
+    vocab = None if vocab is None else frozenset(vocab)
     records = []
     for i, ep in enumerate(episodes):
         instr = generate_instruction(ep, templates, seed=seed * 100003 + i, vocab=vocab)

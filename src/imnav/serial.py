@@ -127,9 +127,10 @@ def read_split(path):
     malformed record: one with a class outside the library, one that names a
     world with no world record, or a second world or instr record of a
     world; a world record whose sigma_obs, k_views or fork count could not
-    generate a world, whose draw count is not 4 * n_forks + 1, or whose draws
-    `fork_world` rejects (a class outside the split's pool or drawn twice, a
-    side other than 1 or -1, a view that is not free at its node); and the
+    generate a world, whose draw count is not 4 * n_forks + 1, or whose split
+    or draws `fork_world` rejects (a split outside `world.SPLITS`, a class
+    outside the split's pool or drawn twice, a side other than 1 or -1, a
+    view that is not free at its node); and the
     library record when its class count is not the number of class records.
     It names the world that has no instr record."""
     with open(path, encoding="utf-8") as fh:

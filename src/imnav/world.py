@@ -12,7 +12,10 @@ which landmark class is shown, so route choice is informative only through
 landmark identity. A world follows from a few draws: its landmark and decoy
 classes and one side per fork, and the view, bound to no edge, on which each
 dead end and the goal show a class. `fork_world` builds it from them, for
-generation and for the split reader alike. Each world designates its route, from the start of the
+generation and for the split reader alike. What depends only on the fork
+count, k_views and the sides (positions, edges, view bindings, adjacency and
+the route) is one read-only `ForkLayout`, built once per pattern and shared
+by its worlds. Each world designates its route, from the start of the
 approach corridor to the end of the last correct branch, and that route is
 its episode. Episodes have one mode, `fine`: the instruction gives one
 segment per route step (see `instructions`).
@@ -24,6 +27,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -53,15 +57,25 @@ class Library:
     classes: tuple
     background: np.ndarray
     d_v: int
+    # split -> pool, filled in once by __post_init__
+    _pools: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        seen = tuple(c.id for c in self.classes if not c.held_out)
+        unseen = tuple(c.id for c in self.classes if c.held_out)
+        object.__setattr__(self, "_pools", {split: unseen if split == "val_unseen" else seen
+                                            for split in SPLITS})
 
     def by_id(self, cid):
         return self.classes[cid]
 
     def pool(self, split):
-        """Class ids available to worlds of a split."""
-        if split == "val_unseen":
-            return [c.id for c in self.classes if c.held_out]
-        return [c.id for c in self.classes if not c.held_out]
+        """Class ids available to worlds of a split, as a tuple: the held-out
+        classes for val_unseen, the others for train and val_seen.
+        ConfigurationError for a split outside SPLITS."""
+        if split not in self._pools:
+            raise ConfigurationError(f"unknown split {split!r}; the splits are {', '.join(SPLITS)}")
+        return self._pools[split]
 
     def words(self):
         out = set()
@@ -71,10 +85,12 @@ class Library:
 
 
 def _sampled_unit(rng, d_v, existing):
+    # one product per candidate; float64 as when each pair was a float(v @ e)
+    accepted = np.asarray(existing, dtype=np.float64).reshape(len(existing), d_v)
     for _ in range(10000):
         v = rng.normal(size=d_v)
         v = v / np.linalg.norm(v)
-        if all(abs(float(v @ e)) < PROTOTYPE_MAX_COS for e in existing):
+        if not existing or np.abs(accepted @ v).max() < PROTOTYPE_MAX_COS:
             return v.astype(np.float32)
     raise SamplingError(f"could not separate {len(existing) + 1} prototypes in d_v={d_v}")
 
@@ -137,20 +153,22 @@ class World:
     view_map: dict                     # node -> {view: neighbor}
     placements: dict                   # node -> ((class_id, view), ...)
     library: Library
-    designated: tuple | None = None    # (start, goal) of the route
-    _adj: dict = field(default_factory=dict, repr=False)
+    route: tuple | None = None         # the designated route's nodes, start to goal
+    _adj: dict = field(default_factory=dict, repr=False)   # node -> sorted neighbors
     _base: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        adj = {i: [] for i in range(len(self.positions))}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        self._adj = {k: sorted(v) for k, v in adj.items()}
+        if not self._adj:
+            self._adj = _adjacency(len(self.positions), self.edges)
 
     @property
     def n_nodes(self):
         return len(self.positions)
+
+    @property
+    def designated(self):
+        """(start, goal) of the route, or None for a world without one."""
+        return None if self.route is None else (self.route[0], self.route[-1])
 
     def neighbors(self, node):
         return self._adj[node]
@@ -233,6 +251,21 @@ class Episode:
         evaluation reads it under every imagination policy."""
         return shortest_path(self.world, self.start, self.goal)[1]
 
+    @cached_property
+    def route_landmarks(self):
+        """Per step of the teacher path, the class of the landmark that the
+        view it leaves through shows, or None where that view shows none;
+        found once per episode, for its instruction and its record."""
+        world, path = self.world, self.teacher_path
+        out = []
+        for u, v in zip(path[:-1], path[1:]):
+            shown = None
+            for cid, view in world.placements.get(u, ()):   # the last placement is the one seen
+                if world.view_map[u].get(view) == v:
+                    shown = cid
+            out.append(shown)
+        return tuple(out)
+
 
 FORK_DEGREE = 3   # a fork node's edges: the approach and its two branches
 MIN_NODES = 8     # the approach corridor is padded until a world has this many
@@ -240,8 +273,10 @@ PRE_LEN = 1       # the shortest approach corridor
 
 
 def _approach_len(n_forks):
-    """Corridor nodes before the first fork: PRE_LEN, padded until the
-    world's 2 + pre + 3 * n_forks nodes reach MIN_NODES."""
+    """Corridor nodes before the first fork: PRE_LEN, padded until
+    2 + pre + 3 * n_forks reaches MIN_NODES. A world has 1 + pre + 3 *
+    n_forks nodes (node 0, the corridor, three per fork), so an n_forks = 1
+    world has 7."""
     return max(PRE_LEN, MIN_NODES - 2 - 3 * n_forks)
 
 
@@ -290,8 +325,6 @@ def _check_config(cfg):
         raise ConfigurationError("landmark library is empty")
     if cfg.library.d_v < 8:
         raise ConfigurationError("d_v must be >= 8")
-    if cfg.split not in SPLITS:
-        raise ConfigurationError(f"unknown split {cfg.split!r}")
 
 
 def _fork_nodes(n_forks):
@@ -300,27 +333,80 @@ def _fork_nodes(n_forks):
     return [(f, f + 1, f + 2) for f in range(first, first + 3 * n_forks, 3)]
 
 
-def _bind_views(world, node):
+def _adjacency(n_nodes, edges):
+    """{node: sorted neighbor tuple} of a graph of `n_nodes` and `edges`."""
+    adj = {i: [] for i in range(n_nodes)}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return {k: tuple(sorted(v)) for k, v in adj.items()}
+
+
+def _bind_views(positions, neighbors, k_views, node):
     """{view: neighbor} of `node`: each edge takes the heading-sector view
     that points along it, and a collision shifts to the next free sector
     (K >= FORK_DEGREE + 1 leaves room)."""
-    sector = 2.0 * math.pi / world.k_views
+    sector = 2.0 * math.pi / k_views
     taken = {}
-    for nb in world.neighbors(node):
-        dx, dy = world.positions[nb] - world.positions[node]
-        view = int(round((math.atan2(dy, dx) % (2.0 * math.pi)) / sector)) % world.k_views
+    for nb in neighbors:
+        dx, dy = positions[nb] - positions[node]
+        view = int(round((math.atan2(dy, dx) % (2.0 * math.pi)) / sector)) % k_views
         while view in taken:
-            view = (view + 1) % world.k_views
+            view = (view + 1) % k_views
         taken[view] = nb
     return taken
 
 
-def _free_view(world, node, choose_view):
-    """The view `choose_view` picks at `node`, checked to be one that no edge uses."""
-    view = choose_view(world.view_map[node])
-    if not 0 <= view < world.k_views or view in world.view_map[node]:
-        raise ConfigurationError(f"view {view} is not free at node {node}")
-    return view
+@dataclass(frozen=True)
+class ForkLayout:
+    """What a fork world's fork count, k_views and sides fix, shared by
+    every world of that pattern. Its arrays and maps are read-only."""
+    positions: np.ndarray     # (n, 2) float64
+    edges: tuple              # ((a, b) with a < b, ...)
+    adj: MappingProxyType     # node -> sorted neighbor tuple
+    view_map: MappingProxyType  # node -> read-only {view: neighbor}
+    forks: tuple              # (fork, correct branch, dead end) per fork
+    toward: tuple             # per fork: its views toward the correct branch and the dead end
+    route: tuple              # node 0 to the goal, the end of the last correct branch
+
+
+def _build_layout(n_forks, k_views, sides):
+    """The ForkLayout of `n_forks` forks whose correct branches turn toward
+    `sides`. The graph is a tree, so its route is the only path to the goal."""
+    forks = _fork_nodes(n_forks)
+    positions = [(float(i), 0.0) for i in range(forks[0][0])]     # node 0, then the approach
+    edges = [(i, i + 1) for i in range(forks[0][0] - 1)]
+    y, prev = 0.0, forks[0][0] - 1
+    for k, ((fork, cont, dead), side) in enumerate(zip(forks, sides)):
+        x = float(fork - k)               # a fork is 3 nodes and 2 units of x past the last
+        positions += [(x, y), (x + 1.0, y + side), (x + 1.0, y - side)]
+        edges += [(prev, fork), (fork, cont), (fork, dead)]
+        y, prev = y + side, cont
+    positions = np.asarray(positions, dtype=np.float64)
+    positions.flags.writeable = False
+    adj = _adjacency(len(positions), edges)
+    view_map = {node: _bind_views(positions, adj[node], k_views, node) for node in adj}
+    toward = []
+    for fork, cont, dead in forks:
+        views = {nb: view for view, nb in view_map[fork].items()}
+        toward.append((views[cont], views[dead]))
+    route = tuple(range(forks[0][0])) + tuple(n for fork, cont, _ in forks for n in (fork, cont))
+    return ForkLayout(positions=positions, edges=tuple(sorted(edges)),
+                      adj=MappingProxyType(adj),
+                      view_map=MappingProxyType({node: MappingProxyType(views)
+                                                 for node, views in view_map.items()}),
+                      forks=tuple(forks), toward=tuple(toward), route=route)
+
+
+_LAYOUTS = {}
+
+
+def fork_layout(n_forks, k_views, sides):
+    """The shared ForkLayout of a fork pattern, built on first use."""
+    key = (n_forks, k_views, tuple(sides))
+    if key not in _LAYOUTS:
+        _LAYOUTS[key] = _build_layout(*key)
+    return _LAYOUTS[key]
 
 
 def fork_world(library, k_views, sigma_obs, split, landmarks, decoys, sides, choose_view):
@@ -332,12 +418,15 @@ def fork_world(library, k_views, sigma_obs, split, landmarks, decoys, sides, cho
     last correct branch, shows the last landmark, each on a view that no
     edge uses: `choose_view(taken)` picks it, given the node's {view:
     neighbor} bindings, for each dead end in fork order and then for the
-    goal. The route runs from node 0 to the goal. ConfigurationError unless
-    `check_forks` holds, the classes are distinct and in the split's pool,
-    each side is +1 or -1, and each chosen view is free."""
+    goal. The route runs from node 0 to the goal. The world shares its
+    pattern's `fork_layout` and owns only its placements. ConfigurationError
+    unless the split is one of SPLITS, `check_forks` holds, the classes are
+    distinct and in the split's pool, each side is +1 or -1, and each chosen
+    view is free."""
+    pool = library.pool(split)
     n_forks = len(landmarks)
     check_forks(k_views, n_forks)
-    pool, seen = set(library.pool(split)), set()
+    seen = set()
     for cid in (*landmarks, *decoys):
         if cid not in pool:
             raise ConfigurationError(f"class {cid} is not in the {split} pool")
@@ -348,27 +437,25 @@ def fork_world(library, k_views, sigma_obs, split, landmarks, decoys, sides, cho
         if side not in (1, -1):
             raise ConfigurationError(f"side {side} is not 1 or -1")
 
-    forks = _fork_nodes(n_forks)
-    positions = [(float(i), 0.0) for i in range(forks[0][0])]     # node 0, then the approach
-    edges = [(i, i + 1) for i in range(forks[0][0] - 1)]
-    y, prev = 0.0, forks[0][0] - 1
-    for k, ((fork, cont, dead), side) in enumerate(zip(forks, sides)):
-        x = float(fork - k)               # a fork is 3 nodes and 2 units of x past the last
-        positions += [(x, y), (x + 1.0, y + side), (x + 1.0, y - side)]
-        edges += [(prev, fork), (fork, cont), (fork, dead)]
-        y, prev = y + side, cont
-    goal = forks[-1][1]
-    world = World(k_views=k_views, d_v=library.d_v, sigma_obs=sigma_obs, split=split,
-                  positions=np.asarray(positions, dtype=np.float64), edges=tuple(sorted(edges)),
-                  view_map={}, placements={}, library=library, designated=(0, goal))
-    for node in range(world.n_nodes):
-        world.view_map[node] = _bind_views(world, node)
-    for (fork, cont, dead), landmark, decoy in zip(forks, landmarks, decoys):
-        toward = {nb: view for view, nb in world.view_map[fork].items()}
-        world.placements[fork] = ((landmark, toward[cont]), (decoy, toward[dead]))
-        world.placements[dead] = ((decoy, _free_view(world, dead, choose_view)),)
-    world.placements[goal] = ((landmarks[-1], _free_view(world, goal, choose_view)),)
-    return world
+    layout = fork_layout(n_forks, k_views, sides)
+
+    def free_view(node):   # the view `choose_view` picks, checked to be one no edge uses
+        taken = layout.view_map[node]
+        view = choose_view(taken)
+        if not 0 <= view < k_views or view in taken:
+            raise ConfigurationError(f"view {view} is not free at node {node}")
+        return view
+
+    placements = {}
+    for (fork, _, dead), (to_cont, to_dead), landmark, decoy in zip(
+            layout.forks, layout.toward, landmarks, decoys):
+        placements[fork] = ((landmark, to_cont), (decoy, to_dead))
+        placements[dead] = ((decoy, free_view(dead)),)
+    goal = layout.route[-1]
+    placements[goal] = ((landmarks[-1], free_view(goal)),)
+    return World(k_views=k_views, d_v=library.d_v, sigma_obs=sigma_obs, split=split,
+                 positions=layout.positions, edges=layout.edges, view_map=layout.view_map,
+                 placements=placements, library=library, route=layout.route, _adj=layout.adj)
 
 
 def fork_draws(world):
@@ -411,8 +498,7 @@ def generate_world(config, seed):
 def sample_episode(world):
     """The episode of a world: its designated route, whose length
     (`route_edges`) follows from the world's config."""
-    if world.designated is None:
+    if world.route is None:
         raise SamplingError("world has no designated route")
     start, goal = world.designated
-    path, _ = shortest_path(world, start, goal)
-    return Episode(world=world, start=start, goal=goal, teacher_path=tuple(path))
+    return Episode(world=world, start=start, goal=goal, teacher_path=world.route)

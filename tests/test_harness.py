@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import hashlib
 import os
 import re
 import shlex
@@ -132,6 +133,26 @@ class TestCli:
             runs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert sorted(runs[0]) == sorted(DATA_FILES)
         assert runs[0] == runs[1]
+
+    def test_desk_data_bytes_are_pinned(self, tmp_path):
+        """`imnav data` on the shipped desk spec writes these split files.
+        The digests are the SHA-256 of each file's non-comment lines (the
+        header names the command line). Re-record them only for an intended
+        change of the data, as with perfbench's reference.json: a speedup of
+        split building must leave every byte as it was."""
+        pinned = {
+            "train.txt": "47945572c2e6a4a75e54e3dd09e3fe2e3b6dabe6d662d3d729803871290d7f3b",
+            "val_seen.txt": "20c185272a1aa3bc7ff93bd56fd395f43b57d1b35072b1f776bb28fb05a44784",
+            "val_unseen.txt": "041bb4202be63888a2266c4da1bb39aa7c68d1f4a6ee38832c6e42d320751e09",
+        }
+        out = tmp_path / "data"
+        assert run_cli(["data", "--spec", ROOT / "experiments" / "desk.cfg", "--out", out]) == 0
+        got = {}
+        for name in DATA_FILES:
+            with open(out / name, "rb") as fh:
+                body = b"".join(line for line in fh if not line.startswith(b"#"))
+            got[name] = hashlib.sha256(body).hexdigest()
+        assert got == pinned
 
     def test_unknown_flag_exits_2(self):
         proc = run_harness("data", "--bogus-flag", "1")

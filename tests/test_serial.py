@@ -212,6 +212,24 @@ class TestWorldsRoundTrip:
             serial.read_split(rewritten(path, lines))
         assert f":{idx + 1}: malformed 'world' record" in str(exc.value)
 
+    @pytest.mark.parametrize("classes", ["seen", "held_out"])
+    def test_unknown_split_names_the_line(self, split, tmp_path, classes):
+        """A mistyped split names its world line, whether the world draws
+        the seen classes it was written with or held-out ones."""
+        line, n, _ = self.world_record(split)
+        fields = line.split(" ")
+        fields[2] = "val_unsen"
+        if classes == "held_out":
+            fields[6:6 + 2 * n] = map(str, split.library.pool("val_unseen")[:2 * n])
+        path, lines = written(split, tmp_path)
+        idx = lines.index(line)
+        lines[idx] = " ".join(fields)
+        rewritten(path, lines)
+        for read in (serial.read_split, lambda path: ds.read_split(path.parent, "train")):
+            with pytest.raises(FormatError, match=re.escape(
+                    f":{idx + 1}: malformed 'world' record: unknown split 'val_unsen'")):
+                read(path)
+
     def test_another_free_view_is_read_as_drawn(self, split, tmp_path):
         # the recorded free view is where the goal shows its class; the
         # graph and its view bindings do not depend on it

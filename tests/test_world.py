@@ -68,9 +68,39 @@ class TestLibrary:
         unseen_pool = set(library.pool("val_unseen"))
         assert not train_pool & unseen_pool
 
+    def test_pools_are_built_once(self, library):
+        for split in wd.SPLITS:
+            assert isinstance(library.pool(split), tuple)
+            assert library.pool(split) is library.pool(split)
+        assert library.pool("train") == library.pool("val_seen")
+
+    @pytest.mark.parametrize("split", ["val_unsen", "test", ""])
+    def test_unknown_split_has_no_pool(self, library, split):
+        before = dict(library._pools)
+        with pytest.raises(ConfigurationError, match=f"unknown split {split!r}"):
+            library.pool(split)
+        with pytest.raises(ConfigurationError, match=f"unknown split {split!r}"):
+            wd.fork_world(library, 12, 0.1, split, [0, 1], [2, 3], [1, -1], lambda taken: 0)
+        assert library._pools == before and split not in library._pools
+
     def test_phrases_unique(self, library):
         texts = [c.text for c in library.classes]
         assert len(set(texts)) == len(texts)
+
+    @pytest.mark.parametrize("d_v", [16, 24, 33])
+    def test_prototypes_match_the_pairwise_reference(self, d_v):
+        """build_library tests a candidate against every accepted vector in
+        one product; the pairwise test accepts the same candidates."""
+        rng = np.random.default_rng(np.random.SeedSequence([wd.PROTOTYPE_SEED, d_v]))
+        vecs = []
+        while len(vecs) < 61:   # 60 classes and the background
+            v = rng.normal(size=d_v)
+            v = v / np.linalg.norm(v)
+            if all(abs(float(v @ e)) < wd.PROTOTYPE_MAX_COS for e in vecs):
+                vecs.append(v.astype(np.float32))
+        built = wd.load_library(DATA / "landmarks.txt", d_v=d_v)
+        assert np.stack([c.prototype for c in built.classes] + [built.background]).tobytes() \
+            == np.stack(vecs).tobytes()
 
     def test_separation(self, library):
         vecs = [c.prototype for c in library.classes] + [library.background]
@@ -148,12 +178,119 @@ class TestGeneration:
                 assert w.edge_length(a, b) == w.edge_length(b, a) == norm
                 assert norm in (1.0, math.sqrt(2.0))
 
+    def test_node_counts(self, library):
+        """1 + pre + 3 * n_forks nodes: the corridor pads n_forks >= 2 worlds
+        to MIN_NODES or more, and leaves an n_forks = 1 world one short."""
+        for n_forks, nodes in zip(range(1, 7), (7, 8, 11, 14, 17, 20)):
+            w = wd.generate_world(wd.WorldConfig(library=library, n_forks=n_forks), seed=n_forks)
+            assert w.n_nodes == nodes == 1 + wd._approach_len(n_forks) + 3 * n_forks
+
     def test_fork_world_shape(self, fork_world):
         assert fork_world.n_nodes == 8
         assert fork_world.designated is not None
         start, goal = fork_world.designated
         path, _ = wd.shortest_path(fork_world, start, goal)
         assert len(path) - 1 == 5
+
+
+def unshared_fork_world(library, k_views, sigma_obs, split, landmarks, decoys, sides,
+                        choose_view):
+    """Reference: a fork world built on its own, as before layouts were
+    shared; it binds each node's views one by one."""
+    def bind(node):
+        sector, taken = 2.0 * math.pi / k_views, {}
+        for nb in sorted(b if a == node else a for a, b in edges if node in (a, b)):
+            dx, dy = positions[nb] - positions[node]
+            view = int(round((math.atan2(dy, dx) % (2.0 * math.pi)) / sector)) % k_views
+            while view in taken:
+                view = (view + 1) % k_views
+            taken[view] = nb
+        return taken
+
+    def free_view(node):
+        view = choose_view(view_map[node])
+        assert 0 <= view < k_views and view not in view_map[node]
+        return view
+
+    forks = wd._fork_nodes(len(landmarks))
+    positions = [(float(i), 0.0) for i in range(forks[0][0])]
+    edges = [(i, i + 1) for i in range(forks[0][0] - 1)]
+    y, prev = 0.0, forks[0][0] - 1
+    for k, ((fork, cont, dead), side) in enumerate(zip(forks, sides)):
+        x = float(fork - k)
+        positions += [(x, y), (x + 1.0, y + side), (x + 1.0, y - side)]
+        edges += [(prev, fork), (fork, cont), (fork, dead)]
+        y, prev = y + side, cont
+    positions = np.asarray(positions, dtype=np.float64)
+    view_map = {node: bind(node) for node in range(len(positions))}
+    placements = {}
+    for (fork, cont, dead), landmark, decoy in zip(forks, landmarks, decoys):
+        toward = {nb: view for view, nb in view_map[fork].items()}
+        placements[fork] = ((landmark, toward[cont]), (decoy, toward[dead]))
+        placements[dead] = ((decoy, free_view(dead)),)
+    goal = forks[-1][1]
+    placements[goal] = ((landmarks[-1], free_view(goal)),)
+    world = wd.World(k_views=k_views, d_v=library.d_v, sigma_obs=sigma_obs, split=split,
+                     positions=positions, edges=tuple(sorted(edges)), view_map=view_map,
+                     placements=placements, library=library)
+    return world, wd.shortest_path(world, 0, goal)[0]
+
+
+class TestSharedLayout:
+    @staticmethod
+    def both(library, n_forks, k_views, sides, seed):
+        """The world of these draws built from the shared layout and built
+        on its own, with the same free views drawn."""
+        classes = list(library.pool("train")[seed % 7:][:2 * n_forks])
+        out = []
+        for build in (wd.fork_world, unshared_fork_world):
+            rng = np.random.default_rng(seed)
+            out.append(build(library, k_views, 0.1, "train", classes[:n_forks],
+                             classes[n_forks:], sides,
+                             lambda taken: int(rng.choice([v for v in range(k_views)
+                                                           if v not in taken]))))
+        return out
+
+    def test_equals_a_world_built_on_its_own(self, library):
+        for n_forks in range(1, 6):
+            for k_views in range(4, 17):
+                for seed, sides in enumerate(itertools.product((1, -1), repeat=n_forks)):
+                    shared, (alone, route) = self.both(library, n_forks, k_views, sides, seed)
+                    assert shared.positions.dtype == alone.positions.dtype
+                    assert shared.positions.tobytes() == alone.positions.tobytes()
+                    assert (shared.edges, shared.view_map, shared.placements) == \
+                           (alone.edges, alone.view_map, alone.placements)
+                    assert (shared.k_views, shared.d_v, shared.sigma_obs, shared.split) == \
+                           (alone.k_views, alone.d_v, alone.sigma_obs, alone.split)
+                    assert shared.route == route and shared.designated == (0, route[-1])
+                    for node in range(alone.n_nodes):
+                        assert tuple(shared.neighbors(node)) == tuple(alone.neighbors(node))
+                    ep = wd.sample_episode(shared)
+                    assert ep.teacher_path == route
+                    assert ep.shortest_len == wd.shortest_path(alone, 0, route[-1])[1]
+
+    def test_shared_arrays_and_maps_are_read_only(self, library):
+        w = wd.generate_world(wd.WorldConfig(library=library, n_forks=3), seed=4)
+        with pytest.raises(ValueError):
+            w.positions[0, 0] = 5.0
+        with pytest.raises(TypeError):
+            w.view_map[0] = {}
+        with pytest.raises(TypeError):
+            w.view_map[1][0] = 0
+        with pytest.raises(TypeError):
+            w._adj[0] = ()
+        with pytest.raises((TypeError, AttributeError)):
+            w.neighbors(1).append(0)
+
+    def test_worlds_of_one_layout_keep_their_own_placements(self, library):
+        a = self.both(library, 2, 12, (1, -1), seed=0)[0]
+        b = self.both(library, 2, 12, (1, -1), seed=3)[0]
+        assert a.positions is b.positions and a.view_map is b.view_map
+        assert a.placements is not b.placements and a.placements != b.placements
+        fork = wd._fork_nodes(2)[0][0]
+        pano_a, pano_b = a.base_panorama(fork), b.base_panorama(fork)
+        assert a._base is not b._base and not np.array_equal(pano_a, pano_b)
+        assert list(a._base) == list(b._base) == [fork]
 
 
 class TestNavigable:
@@ -171,8 +308,11 @@ class TestNavigable:
                 assert [v for v, _ in nav] == sorted(v for v, _ in nav)
 
     def test_isolated_node_hand_built(self, library):
-        w = wd.generate_world(wd.WorldConfig(library=library), seed=1)
-        w.view_map[99] = {}
+        # a generated world's view map is its layout's, shared and read-only
+        w = wd.World(k_views=12, d_v=16, sigma_obs=0.0, split="train",
+                     positions=np.asarray([(0.0, 0.0), (1.0, 0.0)]), edges=((0, 1),),
+                     view_map={0: {0: 1}, 1: {6: 0}, 99: {}}, placements={},
+                     library=library)
         assert wd.navigable(w, 99) == []
 
     def test_unknown_node(self, fork_world):
