@@ -11,7 +11,8 @@ keys) and the visual stream (visual tokens attending over context keys).
 `decide(record=)` hands back each layer's raw context-stream weights, which
 is what the attention probe inspects. Imagination tokens join only
 the context stream, with no order encoding: they form a set. Action logits
-are per-navigable-view scores plus a stop score read off the history token.
+are per-navigable-view scores plus a stop score read off the history token,
+all from one fused op, `nc.action_logits`, in training and greedy steps alike.
 Under teacher forcing the path is known in advance, so a rollout only draws
 its dropout multipliers and observations, and `decide` encodes and decides
 all episodes of a training batch in one padded pass: one text, one
@@ -359,7 +360,9 @@ class Agent:
         zero gradient. With equal-length sets (one episode) nothing is
         padded or masked.
 
-        The action head reads each step's history token and navigable views.
+        The action head, one `nc.action_logits` call, reads each step's
+        history token h and navigable views v in place: a view's logit is
+        (v · h) / √d + v · act_w, and the stop logit is h · stop_w.
         When steps share contexts (batch < steps, as in `decide`), the last
         layer's visual stream computes only those rows (`_read_rows`): the
         history, the navigable views in `nav` order, then distinct unread
@@ -377,7 +380,7 @@ class Agent:
         keys weigh exactly 0. The visual stream records nothing.
         """
         cfg = self.config
-        d, k = cfg.d, cfg.k_views
+        k = cfg.k_views
         batch, steps = len(counts), visual_tokens.shape[0]
         if context.text.shape[0] != batch or sum(counts) != steps or len(navs) != steps:
             raise ShapeError(f"{context.text.shape[0]} contexts, step counts {list(counts)}, "
@@ -405,25 +408,18 @@ class Agent:
                 vis, slots = _read_rows(vis, slots)
             vis = self._block(vis, ctx, f"v{layer}_", mask=ctx_keys)
 
-        n = vis.shape[1]                                                     # 1 + views
-        view_tokens = nc.take_rows(vis, np.arange(1, n), axis=1)             # (ΣT, n-1, d)
-        hist_token = nc.take_rows(vis, [0], axis=1)                          # (ΣT, 1, d)
-        # state-conditioned matching score plus a per-view bias term
-        match = nc.scale(nc.matmul(view_tokens, nc.transpose(hist_token, (0, 2, 1))),
-                         1.0 / math.sqrt(d))                                # (ΣT, n-1, 1)
-        view_scores = nc.add(match, nc.matmul(view_tokens, self.params["act_w"]))
-        stop_score = nc.matmul(hist_token, self.params["stop_w"])           # (ΣT, 1, 1)
-        scores = nc.concat([view_scores, stop_score], axis=1)               # (ΣT, n, 1)
-        # step t's actions in the flat scores; padding repeats the stop index
+        # step t's actions among its n = 1 + views scores, the stop last;
+        # padding repeats the stop index
+        n = vis.shape[1]
         lengths = [len(nav) + 1 for nav in navs]
         width = max(lengths)
         index = [[t * n + s for s in slot] + [t * n + n - 1] * (width - len(slot))
                  for t, slot in enumerate(slots)]
-        logits = nc.take_rows(nc.reshape(scores, (steps * n,)), index)
+        pad = None
         if min(lengths) < width:
-            valid = np.arange(width) < np.array(lengths)[:, None]
-            logits = nc.add(logits, nc.constant(np.where(valid, 0.0, -np.inf).astype(np.float32)))
-        return logits
+            pad = np.where(np.arange(width) < np.array(lengths)[:, None], 0.0,
+                           -np.inf).astype(np.float32)
+        return nc.action_logits(vis, self.params["act_w"], self.params["stop_w"], index, pad)
 
 
 def _read_rows(vis, slots):
@@ -613,9 +609,11 @@ def decide(agent, trajectories, record=None):
     gradients equal those of computing all K + 1 rows within float32
     rounding, not bit for bit.
 
-    Returns the (ΣT, A) logits of all steps in trajectory order, padded with
-    -inf (step t of the first trajectory is row t; its first len(nav) + 1
-    columns are its actions), and the (P, d) imagination tokens h and
+    Returns the (ΣT, A) action logits of all steps in trajectory order, the
+    navigable views' then the stop's, as `cross_modal_step`'s one
+    `nc.action_logits` call scores them, padded with -inf (step t of the
+    first trajectory is row t; its first len(nav) + 1 columns are its
+    actions), and the (P, d) imagination tokens h and
     noun-phrase means s̄ of the trajectories' alignment pairs in order (None
     and None without pairs). `record` is handed to `cross_modal_step`: a list
     receives each layer's (ΣT, heads, Tq, Tk) context-stream weights.

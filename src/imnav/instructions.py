@@ -71,6 +71,12 @@ class FilterLexicon:
         """The words a candidate noun phrase is made of: lexicon and blacklist."""
         return self.noun_lexicon | self.blacklist
 
+    @cached_property
+    def outcomes(self):
+        """Segment tokens -> their filter outcome (`_outcome`), filled as
+        segments are filtered: segments repeat across instructions."""
+        return {}
+
 
 def load_lexicon(nouns_path, blacklist_path, library=None):
     def read(path):
@@ -162,43 +168,38 @@ def segment(instruction):
             for i, sp in enumerate(spans)]
 
 
-def _candidate_runs(sub, lexicon):
-    """Maximal runs of lexicon/blacklist words; each rooted at its last word."""
-    words = lexicon.words
-    runs = []
-    cur = []
-    for offset, tok in enumerate(sub.tokens):
-        if tok in words:
-            cur.append((offset, tok))
+def _outcome(tokens, lexicon):
+    """The filter verdict of a segment's tokens, its informative noun phrases
+    and the offsets of their tokens in the segment. A candidate phrase is a
+    maximal run of lexicon/blacklist words, rooted at its last word."""
+    runs, cur = [], []
+    for offset, tok in enumerate(tokens):
+        if tok in lexicon.words:
+            cur.append(offset)
         elif cur:
             runs.append(cur)
             cur = []
     if cur:
         runs.append(cur)
-    out = []
-    for run in runs:
-        words = tuple(t for _, t in run)
-        root = words[-1]
-        indices = tuple(sub.span[0] + off for off, _ in run)
-        out.append((words, indices, root in lexicon.blacklist))
-    return out
+    informative = [run for run in runs if tokens[run[-1]] not in lexicon.blacklist]
+    if informative:
+        return ("kept", tuple(" ".join(tokens[i] for i in run) for run in informative),
+                tuple(i for run in informative for i in run))
+    return ("blacklisted" if runs else "no_noun"), (), ()
 
 
 def filter_sub_instructions(subs, lexicon):
     """Assign verdicts and return the kept sub-instructions in order."""
     kept = []
     for sub in subs:
-        runs = _candidate_runs(sub, lexicon)
-        informative = [(words, idx) for words, idx, blk in runs if not blk]
-        if informative:
-            sub.filter_verdict = "kept"
-            sub.noun_phrases = tuple(" ".join(w) for w, _ in informative)
-            sub.noun_token_indices = tuple(i for _, idx in informative for i in idx)
+        outcome = lexicon.outcomes.get(sub.tokens)
+        if outcome is None:
+            outcome = lexicon.outcomes[sub.tokens] = _outcome(sub.tokens, lexicon)
+        sub.filter_verdict, phrases, offsets = outcome
+        if phrases:
+            sub.noun_phrases = phrases
+            sub.noun_token_indices = tuple(sub.span[0] + i for i in offsets)
             kept.append(sub)
-        elif runs:
-            sub.filter_verdict = "blacklisted"
-        else:
-            sub.filter_verdict = "no_noun"
     return kept
 
 

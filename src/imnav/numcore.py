@@ -24,6 +24,12 @@ layer, `attention(counts=)` takes them once per episode: it projects and
 scores them once per episode, not once per step, and sums their gradients
 over the steps before the products with the weights.
 
+`action_logits` fuses the agent's action head the same way: the view and
+stop scores of a batch of steps, their gather into each step's actions and
+an optional -inf pad, as one tape node. It reads the views in place instead
+of gathering them, and its float32 values are the single-op chain's bit for
+bit.
+
 `Adam` keeps each parameter group's values and moments in one flat buffer,
 whose views the parameters and moment dicts hold, and updates a group in
 one pass of elementwise operations over its gathered gradients.
@@ -830,6 +836,54 @@ def ffn(x, w1, w2):
                 x.take_grad(g_x)
 
     return _result(vals, (x, w1, w2), back)
+
+
+def action_logits(vis, act_w, stop_w, index, pad=None):
+    """The action head over (ΣT, n, d) visual rows, row 0 of each step its
+    history token h and rows 1.. its views v, recorded as one tape node.
+    Its scores are (v · h) · float32(1/√d) + v · act_w per view, then the
+    stop score h · stop_w last, n per step; the logits are the flat scores
+    at the (ΣT, A) positions `index`, plus `pad` (e.g. -inf on padding)
+    when given. The products are those of the chain of single ops, in the
+    same shapes and order, so the values are that chain's bit for bit; the
+    views are read in place, not gathered. The backward scatter-adds the
+    logits' gradient into the scores by np.add.at, so an index may repeat,
+    as the stop index does on padding."""
+    v = vis.values
+    if v.ndim != 3 or v.shape[1] < 2:
+        raise ShapeError(f"action_logits needs (steps, 1 + views, d) rows, got {v.shape}")
+    steps, n, d = v.shape
+    index = np.asarray(index, dtype=np.intp)
+    views, hist = v[:, 1:], v[:, :1]
+    c = v.dtype.type(1.0 / math.sqrt(d))
+    scores = np.empty((steps, n, 1), v.dtype)
+    match = np.matmul(views, hist.transpose(0, 2, 1))
+    match *= c
+    np.add(match, np.matmul(views, act_w.values), out=scores[:, :-1])
+    np.matmul(hist, stop_w.values, out=scores[:, -1:])
+    vals = scores.reshape(steps * n)[index]
+    if pad is not None:
+        vals += pad
+
+    def back(g):
+        g_flat = np.zeros(steps * n, g.dtype)
+        np.add.at(g_flat, index, g)
+        g_scores = g_flat.reshape(steps, n, 1)
+        g_view, g_stop = g_scores[:, :-1], g_scores[:, -1:]
+        if act_w.requires_grad:
+            act_w.take_grad(_weight_grad(views, g_view))
+        if stop_w.requires_grad:
+            stop_w.take_grad(_weight_grad(hist, g_stop))
+        if vis.requires_grad:
+            g_match = g_view * c
+            g_vis = np.empty_like(v)
+            np.matmul(g_view, _transposed(act_w), out=g_vis[:, 1:])
+            g_vis[:, 1:] += np.matmul(g_match, hist)
+            np.matmul(g_match.transpose(0, 2, 1), views, out=g_vis[:, :1])
+            g_vis[:, :1] += np.matmul(g_stop, _transposed(stop_w))
+            vis.take_grad(g_vis)
+
+    return _result(vals, (vis, act_w, stop_w), back)
 
 
 # ---------------------------------------------------------------------------

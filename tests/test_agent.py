@@ -732,7 +732,8 @@ class TestPaddedBatch:
     def test_greedy_step_keeps_the_plain_calls(self, setup, episodes, monkeypatch):
         """A greedy step shares its context with no other step: it makes the
         plain attention calls and the per-layer context joins it made before
-        the per-episode form, and its logits are the oracle's byte for byte."""
+        the per-episode form, scores its actions with one fused head call,
+        and its logits are the oracle's byte for byte."""
         agent = self.make(setup, {})
         e = episodes[2]
         assert e["imags"]
@@ -742,10 +743,10 @@ class TestPaddedBatch:
         obs = wd.observation_at(e["episode"].world, [node], np.random.default_rng(0))
         vis, _ = agent.encode_observation(obs, agent.params["hist_init"])
         nav = wd.navigable(e["episode"].world, node)
-        attention, concat = nc.attention, nc.concat
+        attention, concat, head = nc.attention, nc.concat, nc.action_logits
         monkeypatch.setattr(nc, "attention", self.repeated_context(attention))
         oracle = agent.cross_modal_step(context, vis, [1], [nav]).values.tobytes()
-        calls = {"attention": [], "concat": 0}
+        calls = {"attention": [], "concat": 0, "action_logits": 0}
 
         def spy_attention(*args, **kwargs):
             calls["attention"].append(kwargs.get("counts"))
@@ -755,12 +756,18 @@ class TestPaddedBatch:
             calls["concat"] += 1
             return concat(*args, **kwargs)
 
+        def spy_head(*args, **kwargs):
+            calls["action_logits"] += 1
+            return head(*args, **kwargs)
+
         monkeypatch.setattr(nc, "attention", spy_attention)
         monkeypatch.setattr(nc, "concat", spy_concat)
+        monkeypatch.setattr(nc, "action_logits", spy_head)
         logits = agent.cross_modal_step(context, vis, [1], [nav])
         layers = agent.config.cross_layers
-        # two streams per layer; a context join per layer and the scores' join
-        assert calls == {"attention": [None] * 2 * layers, "concat": layers + 1}
+        # two streams per layer and a context join per layer; the head joins
+        # its view and stop scores inside its one call
+        assert calls == {"attention": [None] * 2 * layers, "concat": layers, "action_logits": 1}
         assert logits.values.tobytes() == oracle
 
     def test_record_of_a_padded_batch_cuts_to_each_episodes_record(self, setup, episodes):

@@ -127,6 +127,19 @@ class TestExtract:
         assert self.filtered("enter the kitchen with blue walls", lexicon) == (
             "kept", ("kitchen", "blue walls"), (2, 4, 5))
 
+    def test_repeated_segment_takes_its_own_span(self, lexicon):
+        """Outcomes are kept per lexicon by segment tokens; a repeat of a
+        segment elsewhere in an instruction gets indices in its own span."""
+        instruction = ins.Instruction(tokens=tuple(
+            "walk past the pool table . turn left . walk past the pool table .".split()),
+            episode=None)
+        subs = ins.segment(instruction)
+        kept = ins.filter_sub_instructions(subs, lexicon)
+        assert [s.index for s in kept] == [0, 2]
+        assert [s.noun_token_indices for s in kept] == [(3, 4), (12, 13)]
+        assert subs[1].filter_verdict == "blacklisted"
+        assert lexicon.outcomes[subs[0].tokens] == ("kept", ("pool table",), (3, 4))
+
 
 class TestFilter:
     def test_turn_left_blacklisted(self, lexicon):

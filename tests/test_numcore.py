@@ -304,6 +304,27 @@ def attention_by_repeat(xq, xkv, wq, wk, wv, wo, heads, record=None, mask=None, 
                         record=record, mask=mask)
 
 
+def action_logits_chain(vis, act_w, stop_w, index, pad=None):
+    """The action head as a chain of single ops (the fused op's oracle):
+    gather the views and the history, score, join the scores, gather the
+    actions, then add the pad."""
+    steps, n, d = vis.shape
+    views = nc.take_rows(vis, np.arange(1, n), axis=1)
+    hist = nc.take_rows(vis, [0], axis=1)
+    match = nc.scale(nc.matmul(views, nc.transpose(hist, (0, 2, 1))), 1.0 / math.sqrt(d))
+    scores = nc.concat([nc.add(match, nc.matmul(views, act_w)), nc.matmul(hist, stop_w)], axis=1)
+    logits = nc.take_rows(nc.reshape(scores, (steps * n,)), index)
+    return logits if pad is None else nc.add(logits, nc.constant(pad))
+
+
+# a batch of read rows: steps with 1, 2 and 3 navigable views among 1 + 3
+# rows, each padded to 4 actions by repeating its stop index
+HEAD_VIEWS = (1, 2, 3)
+HEAD_INDEX = np.array([[t * 4 + s for s in range(v)] + [t * 4 + 3] * (4 - v)
+                       for t, v in enumerate(HEAD_VIEWS)])
+HEAD_PAD = np.where(np.arange(4) <= np.array(HEAD_VIEWS)[:, None], 0.0, -np.inf).astype(np.float32)
+
+
 # uneven steps per episode, and a (B, tq) mask padding two of the three
 # episodes' query keys
 EPISODE_COUNTS = (2, 1, 3)
@@ -486,6 +507,52 @@ class TestFusedOps:
             chain = nc.add(xi, nc.matmul(nc.relu(nc.matmul(xi, w1)), w2)).values
             assert np.array_equal(nc.ffn(xi, w1, w2).values, chain)
             assert np.abs(fused[i] - chain).max() < 1e-6
+
+    def test_action_logits_forward_equals_op_chain(self):
+        """Bit for bit at a greedy step's shape, all K + 1 rows with some
+        views navigable, and on a padded batch of read rows."""
+        rng = np.random.default_rng(37)
+        d, k = 64, 12
+        act_w, stop_w = t(rng.normal(size=(d, 1))), t(rng.normal(size=(d, 1)))
+        vis = t(rng.normal(size=(1, k + 1, d)))
+        for nav in ([0, 5, 11], list(range(k)), [7]):
+            index = [nav + [k]]
+            fused = nc.action_logits(vis, act_w, stop_w, index)
+            assert fused.values.tobytes() == action_logits_chain(vis, act_w, stop_w,
+                                                                 index).values.tobytes()
+        rows = t(rng.normal(size=(3, 4, d)))
+        fused = nc.action_logits(rows, act_w, stop_w, HEAD_INDEX, HEAD_PAD).values
+        chain = action_logits_chain(rows, act_w, stop_w, HEAD_INDEX, HEAD_PAD).values
+        assert fused.tobytes() == chain.tobytes()
+        assert np.isneginf(fused).sum() == 3
+        with pytest.raises(ShapeError):
+            nc.action_logits(t(np.zeros((4, d))), act_w, stop_w, [[0]])
+
+    def test_action_logits_gradcheck(self):
+        """Against central differences, with repeated stop indices scattered
+        back (probe-weighted, no pad) and through a -inf pad (cross-entropy),
+        and its float64 gradients against those of its op chain."""
+        rng = np.random.default_rng(41)
+        probe = rng.normal(size=HEAD_INDEX.shape)
+        targets = [1, 0, 3]
+        arrays = [rng.normal(size=(3, 4, self.D)), rng.normal(size=(self.D, 1)),
+                  rng.normal(size=(self.D, 1))]
+
+        def probed(op):
+            return lambda ts: nc.mean(nc.mul(op(*ts, HEAD_INDEX), nc.constant(probe)))
+
+        def padded(op):
+            return lambda ts: nc.mean(nc.cross_entropy(op(*ts, HEAD_INDEX, HEAD_PAD), targets))
+
+        for build in (probed, padded):
+            check_gradients(build(nc.action_logits), arrays, tol=1e-4)
+            grads = []
+            for op in (nc.action_logits, action_logits_chain):
+                leaves = [nc.Tensor(a, requires_grad=True) for a in arrays]
+                nc.backward(build(op)(leaves))
+                grads.append([leaf.grad for leaf in leaves])
+            for fused, chain in zip(*grads):
+                assert np.abs(fused - chain).max() < 1e-12
 
     def test_attention_rejects_mismatched_batch(self):
         rng = np.random.default_rng(29)
