@@ -8,11 +8,11 @@ view-index embedding + a recurrent summary token for panoramas.
 The cross-modal policy alternates two attention streams per layer: the
 context stream ([text; imagination] tokens attending over context + visual
 keys) and the visual stream (visual tokens attending over context keys).
-`decide(record=)` hands back each layer's raw context-stream weights, which
-is what the attention probe inspects. Imagination tokens join only
-the context stream, with no order encoding: they form a set. Action logits
-are per-navigable-view scores plus a stop score read off the history token,
-all from one fused op, `nc.action_logits`, in training and greedy steps alike.
+`decide(record=)` hands back each layer's raw context-stream weights.
+Imagination tokens join only the context stream, with no order encoding:
+they form a set. Action logits are per-navigable-view scores plus a stop
+score read off the history token, all from one fused op, `nc.action_logits`,
+in training and greedy steps alike.
 Under teacher forcing the path is known in advance, so a rollout only draws
 its dropout multipliers and observations, and `decide` encodes and decides
 all episodes of a training batch in one padded pass: one text, one
@@ -44,7 +44,7 @@ import numpy as np
 from . import numcore as nc
 from . import serial
 from . import world as wd
-from .errors import (ConfigurationError, ContractError, FormatError, IndexRangeError, ShapeError,
+from .errors import (ConfigurationError, ContractError, FormatError, ShapeError,
                      VocabularyError)
 
 
@@ -631,51 +631,3 @@ def decide(agent, trajectories, record=None):
     starts = np.cumsum(context.imag_counts) - context.imag_counts
     h = nc.take_rows(context.imag, [starts[b] + row for b, row, _ in pairs])
     return logits, h, noun_phrase_means(context.text, [(b, p) for b, _, p in pairs])
-
-
-def attention_probe(trajectory, weights, layer, head, imag_index, k=3):
-    """Top-k text tokens and views attended by an imagination query, at the
-    first step where the imagination's referent is visible in the panorama.
-
-    `weights` is what `decide(record=)` recorded for this trajectory alone:
-    per layer, the (T, heads, Tq, Tk) context-stream weights, whose queries
-    are [text; imagination] and whose keys are those tokens then the
-    history token and the K views."""
-    if not weights:
-        raise ContractError("trajectory has no attention records")
-    if k < 1:
-        raise IndexRangeError(f"k {k} is below 1: the top-k lists need at least one entry")
-    if not 0 <= imag_index < len(trajectory.imaginations):
-        raise IndexRangeError(f"imagination {imag_index} outside the episode's "
-                              f"{len(trajectory.imaginations)} imaginations")
-    target = trajectory.imaginations[imag_index].true_class
-    world = trajectory.episode.world
-    step = None
-    for t, node in enumerate(trajectory.visited):
-        if any(cid == target for cid, _ in world.placements.get(node, ())):
-            step = t
-            break
-    if step is None or step >= weights[0].shape[0]:
-        raise ContractError(f"referent class {target} never visible along the trajectory")
-
-    if not 0 <= layer < len(weights):
-        raise IndexRangeError(f"no context attention at layer {layer}")
-    rec = weights[layer][step]                                  # (heads, Tq, Tk)
-    if not 0 <= head < rec.shape[0]:
-        raise IndexRangeError(f"head {head} outside the {rec.shape[0]} heads")
-    n_text, n_queries = len(trajectory.tokens), rec.shape[1]
-    if imag_index >= n_queries - n_text:
-        raise IndexRangeError(f"imagination {imag_index} has no token in the context")
-    row = rec[head, n_text + imag_index]
-
-    def topk(indices, labels):
-        weightsv = row[indices]
-        order = np.argsort(-weightsv, kind="stable")[:k]
-        return [(labels[i], float(weightsv[i])) for i in order]
-
-    top_tokens = topk(np.arange(n_text), trajectory.tokens)
-    # visual keys: history token first, then the K views
-    vis_keys = np.arange(n_queries, rec.shape[2])
-    view_labels = ["history"] + [f"view{j}" for j in range(world.k_views)]
-    top_views = topk(vis_keys, view_labels[:len(vis_keys)])
-    return top_tokens, top_views

@@ -17,10 +17,6 @@ class ContractError(ImnavError):
     """A documented precondition was violated by the caller."""
 
 
-class IndexRangeError(ImnavError, IndexError):
-    """An index given by the caller is outside what it indexes."""
-
-
 class VocabularyError(ImnavError):
     """A token or phrase is outside the closed vocabulary."""
 

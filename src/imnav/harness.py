@@ -1,13 +1,13 @@
 """Command-line front end and experiment orchestration.
 
-Subcommands: data, train, eval, ablate, probe-attention, report. Exit codes:
-0 ok, 1 runtime/I-O error, 2 usage.
+Subcommands: data, train, eval, ablate, report. Exit codes: 0 ok,
+1 runtime/I-O error, 2 usage.
 
 Spec keys take their types and defaults from the fields of WorldConfig,
 ImaginationConfig, AgentConfig, TrainConfig and ExperimentSpec. `data` writes
-a spec's three splits into a directory; `train`, `eval` and `probe-attention`
-read a split from it by name. `ablate` runs `data`, then each seed's `train`
-and `eval` steps (`train_step`, `eval_step`) on those files.
+a spec's three splits into a directory; `train` and `eval` read a split from
+it by name. `ablate` runs `data`, then each seed's `train` and `eval` steps
+(`train_step`, `eval_step`) on those files.
 
 Each condition is defined once: `training_job` gives the configs that train
 it, `eval_policy` the policy it is evaluated under. All steps run in workers
@@ -35,13 +35,11 @@ from . import agent as ag
 from . import dataset as ds
 from . import evaluation as ev
 from . import imagination as im
-from . import numcore as nc
 from . import serial
 from . import training as tr
 from . import world as wd
 from .dataset import DATA_DIR  # noqa: F401  (re-exported for perfbench/)
-from .errors import (ConfigurationError, FormatError, ImnavError, IndexRangeError, InputError,
-                     TrainingDiverged)
+from .errors import ConfigurationError, FormatError, ImnavError, InputError, TrainingDiverged
 
 TRAIN_CONDITIONS = {
     # condition -> (aux_loss, agent-config overrides)
@@ -165,11 +163,18 @@ def eval_policy(condition):
 
 def train_step(spec, split, condition, seed, out, init_from=None, curves=None, command=""):
     """Train `condition` of `spec` at `seed` on `split` (a finetune from the checkpoint at
-    `init_from`), writing the checkpoint to `out` and curve rows to `curves`; returns its cfg."""
+    `init_from`), writing the checkpoint to `out` and curve rows to `curves`; returns its cfg.
+    A base checkpoint whose agent is not the spec's on `split` raises ConfigurationError."""
     base_agent, init_values = _agent_config(split, spec), None
     if init_from:
         base = tr.load_checkpoint(init_from)
-        base_agent, init_values = base.agent_config, base.values
+        differ = [f"{name} = {getattr(base.agent_config, name)} (spec: {value})"
+                  for name, value in vars(base_agent).items()
+                  if getattr(base.agent_config, name) != value]
+        if differ:
+            raise ConfigurationError(f"{init_from}: the base agent differs from the spec's on "
+                                     f"this data: {', '.join(differ)}")
+        init_values = base.values
     acfg, cfg = training_job(spec, condition, seed, base_agent)
     ckpt, rows = tr.train(split, acfg, cfg, init_values=init_values)
     tr.save_checkpoint(ckpt, out)
@@ -199,30 +204,6 @@ def _eval(args):
     row = eval_step(args.ckpt, ds.read_split(args.data, args.split), args.condition, args.seed)
     ev.write_metrics(args.out, [row], command=args.produced_by, seed=args.seed)
     return ev.metrics_line(*row)
-
-
-def _probe_attention(args):
-    split = ds.read_split(args.data, args.split)
-    if not 0 <= args.episode < len(split.items):
-        raise IndexRangeError(f"episode {args.episode} outside the split's "
-                              f"{len(split.items)} episodes")
-    agent = tr.agent_from_checkpoint(tr.load_checkpoint(args.ckpt))
-    item = split.items[args.episode]
-    with nc.no_grad():
-        traj = ag.rollout(agent, item.episode, item.token_ids, item.record.instruction.tokens,
-                          item.imaginations, "teacher",
-                          obs_rng=ev.observation_rng(args.seed, args.episode),
-                          kept_subs=item.record.kept)
-        weights = []
-        ag.decide(agent, [traj], record=weights)
-    tokens, views = ag.attention_probe(traj, weights, args.layer, args.head, args.imagination,
-                                       k=args.k)
-    return "\n".join([
-        f"episode {args.episode}, imagination {args.imagination} "
-        f"(class {traj.imaginations[args.imagination].true_class}), "
-        f"layer {args.layer}, head {args.head}",
-        "top attended language tokens: " + ", ".join(f"{t} ({w:.3f})" for t, w in tokens),
-        "top attended views:           " + ", ".join(f"{v} ({w:.3f})" for v, w in views)])
 
 
 def _run_pinned(work, args):
@@ -519,18 +500,6 @@ def build_parser():
                    help="seeds trained in parallel processes, each with one BLAS thread")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("probe-attention", help="top attended tokens/views for an imagination")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--split", required=True, choices=wd.SPLITS)
-    p.add_argument("--episode", type=int, default=0)
-    p.add_argument("--imagination", type=int, default=0)
-    p.add_argument("--layer", type=int, default=0)
-    p.add_argument("--head", type=int, default=0)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=partial(_run_pinned, _probe_attention))
 
     p = sub.add_parser("report", help="merge metrics files into a summary")
     p.add_argument("metrics", nargs="+")

@@ -56,7 +56,7 @@ class TrainConfig:
     lr_multiplier: float = 10.0
     schedule: str = "three_stage"     # three_stage | flat
     flat_lr: float = 1e-3
-    aux_in_all_stages: bool = False
+    aux_in_all_stages: bool = False   # retired: only False; experiment specs still name it
     use_imaginations: bool = True     # False for base-agent pretraining
     seed: int = 0
 
@@ -78,6 +78,9 @@ class TrainConfig:
             raise ConfigurationError(f"unknown aux_loss {self.aux_loss!r}")
         if self.schedule not in ("three_stage", "flat"):
             raise ConfigurationError(f"unknown schedule {self.schedule!r}")
+        if self.aux_in_all_stages:
+            raise ConfigurationError("aux_in_all_stages = true is retired: the alignment loss "
+                                     "runs from stage 2 on")
 
     @property
     def aux_lam(self):
@@ -221,8 +224,7 @@ def _train_step(agent, opt, items, batch_idx, lrs, cfg, iteration, rng):
     lives only in this frame, so it is freed before the next forward."""
     params = agent.params
     # alignment pairs are built only in iterations whose loss reads them
-    aux = cfg.aux_loss != "none" and (
-        cfg.aux_in_all_stages or cfg.schedule == "flat" or iteration >= cfg.stage_ends[0])
+    aux = cfg.aux_loss != "none" and (cfg.schedule == "flat" or iteration >= cfg.stage_ends[0])
     batch = [items[int(b)] for b in batch_idx]
     trajs = [ag.rollout(agent, item.episode, item.token_ids, item.record.instruction.tokens,
                         item.imaginations if cfg.use_imaginations else [],
@@ -266,12 +268,11 @@ def clear_stage1():
 
 def _stage1_key(agent_config, cfg, init_values):
     """What stage 1 of a finetune reads besides its split, or None when train
-    neither keeps nor reuses stage 1. Unless the alignment loss runs in all
-    stages, stage 1 reads none of its fields, so they are set to fixed values."""
+    neither keeps nor reuses stage 1. Stage 1 reads none of the alignment
+    loss's fields, so they are set to fixed values."""
     if cfg.schedule == "flat" or init_values is None or cfg.stage_ends[0] == 0:
         return None
-    if not cfg.aux_in_all_stages:
-        cfg = replace(cfg, aux_loss="none", lam=0.0, infonce_lam=0.0, tau=1.0)
+    cfg = replace(cfg, aux_loss="none", lam=0.0, infonce_lam=0.0, tau=1.0)
     digest = hashlib.blake2b()
     for name, arr in init_values.items():
         arr = np.ascontiguousarray(arr)
@@ -340,7 +341,7 @@ def train(split, agent_config, cfg, init_values=None, resume=None):
     A three-stage finetune from `init_values` keeps a copy of its state and
     curve rows at the end of stage 1. A later call whose stage 1 reads the
     same split object, agent config, init values and config (up to the
-    alignment loss, when that is off in stage 1) resumes from that copy
+    alignment loss, which stage 1 does not run) resumes from that copy
     instead of recomputing stage 1; its results are the same bytes.
     """
     global _stage1

@@ -864,56 +864,6 @@ class TestBatchedIteration:
             assert np.abs(grad - want).max() < 1e-5 * max(1.0, float(np.abs(want).max())), name
 
 
-class TestAttentionProbe:
-    @staticmethod
-    def recorded(setup):
-        """A teacher rollout and the context weights its own `decide` recorded."""
-        weights = []
-        traj = run_rollout(setup, setup["imags"], mode="teacher", record=weights)
-        return traj, weights
-
-    @staticmethod
-    def _rig_rows(traj, weights, fill):
-        """Overwrite the first imagination query's layer-0 attention row at
-        every step; the queries are [text; imagination]."""
-        for step in weights[0]:
-            fill(step, len(traj.tokens))
-
-    def test_one_hot_row(self, setup):
-        traj, weights = self.recorded(setup)
-
-        def fill(w, q):
-            w[0, q, :] = 0.0
-            w[0, q, 2] = 1.0
-
-        self._rig_rows(traj, weights, fill)
-        tokens, _ = ag.attention_probe(traj, weights, layer=0, head=0, imag_index=0, k=1)
-        assert tokens[0][0] == traj.tokens[2]
-
-    def test_uniform_ties_break_low_index(self, setup):
-        traj, weights = self.recorded(setup)
-
-        def fill(w, q):
-            w[0, q, :] = 1.0 / w.shape[2]
-
-        self._rig_rows(traj, weights, fill)
-        tokens, views = ag.attention_probe(traj, weights, layer=0, head=0, imag_index=0, k=2)
-        assert tokens[0][0] == traj.tokens[0]
-        assert views[0][0] == "history"
-
-    def test_k_clamped_to_key_count(self, setup):
-        traj, weights = self.recorded(setup)
-        tokens, views = ag.attention_probe(traj, weights, layer=0, head=0, imag_index=0,
-                                           k=10 ** 6)
-        assert len(tokens) == len(traj.tokens)
-        assert len(views) == setup["world"].k_views + 1
-
-    def test_bad_index(self, setup):
-        traj, weights = self.recorded(setup)
-        with pytest.raises(IndexError):
-            ag.attention_probe(traj, weights, layer=0, head=0, imag_index=99)
-
-
 class TestAgentGradcheck:
     def test_policy_gradient_matches_finite_differences(self, setup):
         """End-to-end: loss through text + imagination + cross-modal layers."""

@@ -96,14 +96,6 @@ def trained(tmp_path_factory):
 
 
 @pytest.fixture
-def probe_inputs(trained):
-    """probe-attention's input flags: the 6-episode train split and the
-    baseline checkpoint trained on it."""
-    _, data, ckpt = trained
-    return ["--ckpt", ckpt, "--data", data, "--split", "train"]
-
-
-@pytest.fixture
 def eval_copy(trained, tmp_path, capsys):
     """A copy of the trained fixture's data directory, and a function that
     runs `eval` of its checkpoint on a split of the copy and returns the exit
@@ -167,15 +159,22 @@ class TestCli:
         proc = run_harness("data", "--out", "d")
         assert proc.returncode == 2 and "--spec" in proc.stderr
 
-    def test_eval_and_probe_attention_require_a_split(self, capsys):
-        for command in (["eval", "--condition", "imagine", "--seed", "0", "--out", "m"],
-                        ["probe-attention"]):
-            with pytest.raises(SystemExit) as exc:
-                run_cli([*command, "--ckpt", "k", "--data", "d"])
-            assert exc.value.code == 2 and "--split" in capsys.readouterr().err, command
+    def test_eval_requires_a_split(self, capsys):
+        args = ["eval", "--condition", "imagine", "--seed", "0", "--out", "m", "--ckpt", "k",
+                "--data", "d"]
         with pytest.raises(SystemExit) as exc:
-            run_cli(["probe-attention", "--ckpt", "k", "--data", "d", "--split", "bogus"])
+            run_cli(args)
+        assert exc.value.code == 2 and "--split" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*args, "--split", "bogus"])
         assert exc.value.code == 2 and "'bogus'" in capsys.readouterr().err
+
+    def test_probe_attention_is_gone(self, capsys):
+        # the one-episode attention print left with agent.attention_probe
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["probe-attention", "--ckpt", "k", "--data", "d", "--split", "train"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'probe-attention'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--templates", "--lexicon-nouns", "--lexicon-blacklist"])
     def test_asset_path_flags_are_gone(self, tmp_path, flag):
@@ -366,34 +365,13 @@ class TestCli:
         cfg = tr.load_checkpoint(ckpt).agent_config
         assert (cfg.d_v, cfg.k_views) == (24, 8)
 
-    def test_probe_attention_runs(self, probe_inputs, capsys):
-        assert run_cli(["probe-attention", *probe_inputs, "--episode", "0",
-                        "--imagination", "0", "--layer", "0", "--head", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "top attended language tokens" in out
-
-    @pytest.mark.parametrize("flag, value, names", [
-        ("--head", -1, "head -1"), ("--imagination", -1, "imagination -1"),
-        ("--episode", -1, "episode -1"), ("--episode", 6, "episode 6"),
-        ("--layer", 1, "layer 1"), ("--layer", -1, "layer -1"), ("--k", 0, "k 0"),
-        ("--k", -1, "k -1")],
-        ids=["head_-1", "imagination_-1", "episode_-1", "episode_past_split", "layer_1",
-             "layer_-1", "k_0", "k_-1"])
-    def test_probe_attention_bad_index_exits_1(self, probe_inputs, capsys, flag, value, names):
-        """Each index is checked against what it indexes (6 episodes, 2
-        heads, one cross-modal layer), negative ones included."""
-        assert run_cli(["probe-attention", *probe_inputs, flag, value]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and names in err
-
-    @pytest.mark.parametrize("command", ["train", "eval", "probe-attention"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
     def test_negative_seed_exits_1_writing_nothing(self, trained, tmp_path, capsys, command):
         spec, data, ckpt = trained
         out = tmp_path / "out"
         args = {"train": ["--spec", spec, "--condition", "baseline", "--data", data, "--out", out],
                 "eval": ["--ckpt", ckpt, "--condition", "baseline", "--data", data,
-                         "--split", "train", "--out", out],
-                "probe-attention": ["--ckpt", ckpt, "--data", data, "--split", "train"]}[command]
+                         "--split", "train", "--out", out]}[command]
         assert run_cli([command, *args, "--seed", "-3"]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "--seed must be >= 0, got -3" in captured.err
@@ -420,8 +398,7 @@ class TestCli:
         lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
         commands = [shlex.split(line, comments=True) for line in lines
                     if line.lstrip().startswith("imnav ")]
-        assert {argv[1] for argv in commands} >= {"data", "train", "eval", "ablate",
-                                                  "probe-attention", "report"}
+        assert {argv[1] for argv in commands} == {"data", "train", "eval", "ablate", "report"}
         parser = harness.build_parser()
         for argv in commands:
             try:
@@ -666,6 +643,18 @@ class TestExperimentSpec:
         out_dir = tmp_path / "out"
         assert run_cli(["ablate", "--spec", path, "--out-dir", out_dir, "--quiet"]) == 1
         assert "world.mode" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_alignment_loss_in_all_stages_fails_before_building_data(self, tmp_path, capsys):
+        # the key stays for specs that name it false, as desk.cfg does
+        desk = harness.read_experiment_spec(ROOT / "experiments" / "desk.cfg")
+        assert desk.train.aux_in_all_stages is False
+        path = write_spec(tmp_path, train="aux_in_all_stages = true\n")
+        with pytest.raises(ConfigurationError, match="aux_in_all_stages"):
+            harness.read_experiment_spec(path)
+        out_dir = tmp_path / "out"
+        assert run_cli(["ablate", "--spec", path, "--out-dir", out_dir, "--quiet"]) == 1
+        assert "aux_in_all_stages" in capsys.readouterr().err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("spec, named", [
@@ -970,6 +959,23 @@ class TestCliEqualsAblate:
         assert run_cli(["train", "--spec", spec, "--condition", condition, "--data", data,
                         *extra, "--seed", "1", "--out", tmp_path / "a.bin"]) == 1
         assert "--init-from" in capsys.readouterr().err
+        assert not (tmp_path / "a.bin").exists()
+
+    def test_finetune_of_a_base_with_another_agent_exits_1(self, run, tmp_path, capsys):
+        """A spec whose [agent] differs from the base checkpoint's agent is
+        refused, naming each field that differs, before any checkpoint is
+        written."""
+        spec, out, data = run
+        other = tmp_path / "other.cfg"
+        other.write_text(spec.read_text().replace("heads = 2", "heads = 4")
+                         .replace("cross_layers = 1", "cross_layers = 2"))
+        capsys.readouterr()
+        assert run_cli(["train", "--spec", other, "--condition", "imagine", "--data", data,
+                        "--init-from", out / "ckpt" / f"baseline_{self.SEED}.bin",
+                        "--seed", "1", "--out", tmp_path / "a.bin"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "heads = 2 (spec: 4)" in err and "cross_layers = 1 (spec: 2)" in err
         assert not (tmp_path / "a.bin").exists()
 
     @pytest.mark.parametrize("flag, value", [
