@@ -23,12 +23,20 @@ step: its queries, their keys and values and their scores are the same at
 every step of an episode. The last layer's visual stream computes only the
 rows the action head reads: each step's history token and its navigable
 views, padded to the batch's largest navigable set (4 of the K + 1 = 13
-rows on the desk spec). Greedy decoding runs the same code with one episode and T = 1: its
-rollout encodes and joins the [text; imagination] context once per episode
-(`EncodedContext`), and each step reuses it, so a step pays only for the
-observation encoder, the cross-modal layers and the action head. A greedy
-step keeps the plain calls of an unbatched pass, all K + 1 visual rows
-included, so its logits are that pass's bit for bit.
+rows on the desk spec).
+
+A greedy rollout encodes and joins the [text; imagination] context once per
+episode (`EncodedContext`), and each step reuses it. Under `nc.no_grad()`,
+as `evaluate` runs it, a step is one step of one episode with no tape to
+record: `encode_observation`, `cross_modal_step` and `advance_history` then
+compute it on plain arrays, through the forward kernels that numcore's ops
+record (`nc.mean_forward`, `nc.attention_forward`, `nc.ffn_forward`,
+`nc.action_logits_forward`), with no Tensor, closure, mask or padding. The
+context joins all K + 1 visual tokens at every layer, as in an unbatched
+pass of the ops, whose numpy products the kernels make in the same shapes
+and order, so a greedy step's logits are that pass's bit for bit. Every
+other pass, teacher batches and taped single steps alike, runs the taped
+batched body.
 
 An episode's imaginations are whatever list it is handed: a test-time policy
 transforms the lists before the rollout, and `null` hands over none.
@@ -212,13 +220,11 @@ class ContextInputs:
 @dataclass
 class Trajectory:
     episode: object
-    tokens: tuple
     visited: list
     actions: list                      # teacher: the teacher path's actions
     action_spaces: list
-    logits: list                       # argmax: (A,) per step; teacher: empty (`decide`)
+    logits: list                       # argmax: an (A,) array per step; teacher: empty (`decide`)
     aux_pairs: list                    # (imagination token row, noun-token positions)
-    imaginations: list
     truncated: bool = False
     # teacher mode: the inputs `decide` turns into logits
     inputs: ContextInputs | None = None
@@ -292,7 +298,8 @@ class Agent:
         Token 0 of an episode's step t is its history token, which summarises
         the episode's steps < t; the B histories advance in lockstep,
         max(T) - 1 times. The history after the last step is left to
-        `advance_history`, for the callers that read it.
+        `advance_history`, for the callers that read it. A greedy step (see
+        `_untaped_step`) gets both as arrays.
         """
         cfg = self.config
         pano = np.asarray(panoramas, dtype=np.float32)
@@ -303,6 +310,11 @@ class Agent:
         if sum(counts) != steps or min(counts) < 1:
             raise ShapeError(f"{steps} panoramas for step counts {counts}")
         p, batch = self.params, len(counts)
+        if _untaped_step(steps):
+            views = pano @ p["vis_proj"].values + p["view_embed"].values
+            pooled = nc.mean_forward(views, axis=1) @ p["hist_wp"].values
+            hist = _values(hist_state).reshape(1, 1, cfg.d)
+            return np.concatenate([hist, views], axis=1), pooled
         views = nc.add(nc.matmul(nc.constant(pano), p["vis_proj"]), p["view_embed"])
         pooled = nc.matmul(nc.mean(views, axis=1), p["hist_wp"])               # (ΣT, d)
         hist_tokens = hist_state if hist_state.shape[0] == batch else nc.repeat(hist_state, [batch])
@@ -321,8 +333,12 @@ class Agent:
         return nc.concat([hist_tokens, views], axis=1), pooled
 
     def advance_history(self, hist_state, pooled_step):
-        """The (B, d) histories after a step whose pooled views are (B, d)."""
-        return nc.tanh(nc.add(nc.matmul(hist_state, self.params["hist_wh"]), pooled_step))
+        """The (B, d) histories after a step whose pooled views are (B, d):
+        an array when those are, as a greedy step's are."""
+        wh = self.params["hist_wh"]
+        if isinstance(pooled_step, np.ndarray):
+            return np.tanh(_values(hist_state) @ wh.values + pooled_step)
+        return nc.tanh(nc.add(nc.matmul(hist_state, wh), pooled_step))
 
     # ------------------------------------------------------------------
     # attention plumbing
@@ -338,6 +354,14 @@ class Agent:
                          counts=counts)
         return nc.ffn(x, p[prefix + "ff1"], p[prefix + "ff2"])
 
+    def _untaped_block(self, q_tokens, kv_tokens, prefix, record=None):
+        """`_block` of arrays, with no mask: the kernels its two ops record."""
+        p = self.params
+        x, _ = nc.attention_forward(q_tokens, kv_tokens, p[prefix + "wq"].values,
+                                    p[prefix + "wk"].values, p[prefix + "wv"].values,
+                                    p[prefix + "wo"].values, self.config.heads, record=record)
+        return nc.ffn_forward(x, p[prefix + "ff1"].values, p[prefix + "ff2"].values)[0]
+
     # ------------------------------------------------------------------
     # cross-modal policy
     # ------------------------------------------------------------------
@@ -349,28 +373,22 @@ class Agent:
         `visual_tokens`; `navs` holds the sorted navigable (view, neighbor)
         lists of all ΣT steps in episode order.
 
-        When an episode has more than one step, layer 0's context stream
-        projects and scores the episode's context tokens once for all its
-        steps (`nc.attention(counts=)`); its output, and every later layer,
-        holds context tokens per step. With one step per episode, as in
-        greedy decoding, the context joins the step's visual tokens as at
-        every other layer. Each step's context tokens are padded to the
+        A greedy step (see `_untaped_step`) is `_untaped_logits`. Every other
+        pass records its tape: layer 0's context stream projects and scores
+        each episode's context tokens once for all its steps
+        (`nc.attention(counts=)`); its output, and every later layer, holds
+        context tokens per step. Each step's context tokens are padded to the
         batch's longest, and key-padding masks keep the padding out of every
         softmax. Padded queries are computed but read by nothing, so they get
-        zero gradient. With equal-length sets (one episode) nothing is
-        padded or masked.
+        zero gradient. The last layer's visual stream computes only the rows
+        the action head reads (`_read_rows`): the history, the navigable
+        views in `nav` order, then distinct unread views up to
+        1 + max(len(nav)) rows; every earlier layer, and the visual tokens as
+        the context stream's keys, keep all K + 1.
 
         The action head, one `nc.action_logits` call, reads each step's
         history token h and navigable views v in place: a view's logit is
         (v · h) / √d + v · act_w, and the stop logit is h · stop_w.
-        When steps share contexts (batch < steps, as in `decide`), the last
-        layer's visual stream computes only those rows (`_read_rows`): the
-        history, the navigable views in `nav` order, then distinct unread
-        views up to 1 + max(len(nav)) rows; every earlier layer, and the
-        visual tokens as the context stream's keys, keep all K + 1. A single
-        step keeps all K + 1 rows, as it keeps layer 0's plain call: with
-        fewer rows its products round differently, and greedy logits would
-        no longer be the unbatched pass's bit for bit.
 
         Returns the (ΣT, A) logits over [navigable views; stop] padded with
         -inf. When `record` is a list it receives, per layer, the context
@@ -385,9 +403,10 @@ class Agent:
         if context.text.shape[0] != batch or sum(counts) != steps or len(navs) != steps:
             raise ShapeError(f"{context.text.shape[0]} contexts, step counts {list(counts)}, "
                              f"{steps} visual token sets and {len(navs)} navigable lists")
-        # masks of the real context tokens, None when nothing is padded: then
-        # the arithmetic is exactly that of an unbatched pass. The visual
-        # token sets all have K + 1 tokens.
+        if _untaped_step(steps):
+            return self._untaped_logits(context, _values(visual_tokens), navs[0], record)
+        # masks of the real context tokens, None when nothing is padded. The
+        # visual token sets all have K + 1 tokens.
         ctx, ctx_valid, vis = context.tokens, context.valid, visual_tokens
         ctx_keys = _keys(ctx_valid, counts)
         both_keys = _keys(_joined(batch, (ctx_valid, ctx.shape[1]), (None, k + 1)), counts)
@@ -395,16 +414,12 @@ class Agent:
         # each step's navigable views among the visual tokens after the history
         slots = [[v for v, _ in nav] for nav in navs]
         for layer in range(cfg.cross_layers):
-            if layer == 0 and batch < steps:
-                # an episode's steps share its context, so it is projected
-                # and scored once; a single step (greedy decoding) keeps the
-                # plain call, whose fewer numpy calls cost less there
+            if layer == 0:
                 ctx = self._block(ctx, vis, "c0_", record, ctx_valid, counts)
             else:
                 ctx = self._block(ctx, nc.concat([ctx, vis], axis=1), f"c{layer}_", record,
                                   both_keys)
-            if layer == cfg.cross_layers - 1 and batch < steps:
-                # only the rows the head reads; a single step keeps all K + 1
+            if layer == cfg.cross_layers - 1:
                 vis, slots = _read_rows(vis, slots)
             vis = self._block(vis, ctx, f"v{layer}_", mask=ctx_keys)
 
@@ -420,6 +435,19 @@ class Agent:
             pad = np.where(np.arange(width) < np.array(lengths)[:, None], 0.0,
                            -np.inf).astype(np.float32)
         return nc.action_logits(vis, self.params["act_w"], self.params["stop_w"], index, pad)
+
+    def _untaped_logits(self, context, vis, nav, record):
+        """The (1, A) logits array of a greedy step's (1, K+1, d) visual
+        tokens: the one context joins all K + 1 of them at every layer, with
+        nothing padded or masked, and the head scores every view."""
+        p, k = self.params, self.config.k_views
+        ctx = context.tokens.values
+        for layer in range(self.config.cross_layers):
+            ctx = self._untaped_block(ctx, np.concatenate([ctx, vis], axis=1), f"c{layer}_",
+                                      record)
+            vis = self._untaped_block(vis, ctx, f"v{layer}_")
+        index = np.array([[v for v, _ in nav] + [k]], dtype=np.intp)
+        return nc.action_logits_forward(vis, p["act_w"].values, p["stop_w"].values, index)[0]
 
 
 def _read_rows(vis, slots):
@@ -438,6 +466,17 @@ def _read_rows(vis, slots):
     index += np.arange(steps)[:, None] * n
     return (nc.take_rows(nc.reshape(vis, (steps * n, d)), index),
             [range(length) for length in lengths])
+
+
+def _untaped_step(steps):
+    """Whether a pass over `steps` steps is a greedy step: one step of one
+    episode while no tape is recorded. Such a step computes on arrays."""
+    return steps == 1 and not nc.grad_enabled()
+
+
+def _values(x):
+    """The values of a Tensor; an array as it is."""
+    return x.values if isinstance(x, nc.Tensor) else x
 
 
 def _valid(lengths):
@@ -548,7 +587,10 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
     break to the lowest action index), drawing each step's observation when
     it reaches the node. With `aux`, the trajectory lists the (imagination
     token, noun-phrase) pairs of the alignment loss. Deterministic given the
-    rng streams.
+    rng streams. Under `nc.no_grad()`, as `evaluate` runs it, every greedy
+    step computes on arrays after `build_context` (see the module
+    docstring). `tokens`, the instruction's words, is read by nothing; it
+    keeps its place among the positional arguments.
     """
     cfg = agent.config
     world = episode.world
@@ -576,9 +618,8 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
             nav = wd.navigable(world, node)
             vis_tokens, pooled = agent.encode_observation(
                 wd.observation_at(world, [node], obs_rng), hist)
-            logits = nc.reshape(agent.cross_modal_step(context, vis_tokens, [1], [nav]),
-                                (len(nav) + 1,))
-            action = int(logits.values.argmax())
+            logits = _values(agent.cross_modal_step(context, vis_tokens, [1], [nav]))[0]
+            action = int(logits.argmax())
             logits_list.append(logits)
             actions.append(action)
             spaces.append(nav)
@@ -593,9 +634,8 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
         raise ContractError(f"unknown rollout mode {mode!r}")
 
     aux_pairs = list(inputs.nouns) if aux and cfg.imag_source == "imagination" else []
-    return Trajectory(episode=episode, tokens=tuple(tokens), visited=visited, actions=actions,
-                      action_spaces=spaces, logits=logits_list, aux_pairs=aux_pairs,
-                      imaginations=list(imaginations), truncated=truncated,
+    return Trajectory(episode=episode, visited=visited, actions=actions, action_spaces=spaces,
+                      logits=logits_list, aux_pairs=aux_pairs, truncated=truncated,
                       inputs=inputs if mode == "teacher" else None, observations=observations)
 
 

@@ -26,6 +26,7 @@ import shlex
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -394,7 +395,9 @@ def run_ablation(spec, out_dir, quiet=False, workers=1):
 
 def summarize(rows):
     """Group (MetricsRecord, condition) rows by (split, condition): mean and
-    sample stdev over seeds. Two rows of one (split, condition, seed) raise
+    sample stdev over seeds, and `sr_exact`, the mean SR as the exact
+    fraction of each row's successes round(sr * count) over its count, which
+    the verdicts compare. Two rows of one (split, condition, seed) raise
     InputError, since each seed counts once."""
     groups = {}
     for rec, cond in rows:
@@ -410,6 +413,7 @@ def summarize(rows):
         out[key] = dict(
             n_rows=len(members),
             sr_mean=float(np.mean(srs)), sr_std=float(np.std(srs, ddof=1)) if len(srs) > 1 else 0.0,
+            sr_exact=sum(Fraction(round(m.sr * m.count), m.count) for m in members) / len(members),
             spl_mean=float(np.mean(spls)), spl_std=float(np.std(spls, ddof=1)) if len(spls) > 1 else 0.0,
             ne_mean=float(np.mean([m.ne_mean for m in members])),
             tl_mean=float(np.mean([m.tl_mean for m in members])))
@@ -427,16 +431,18 @@ def format_summary(summary):
 
 
 def verdict_lines(summary, conditions, split="val_unseen"):
-    """One PASS/FAIL line per hypothesis whose two conditions ran."""
+    """One PASS/FAIL line per hypothesis whose two conditions ran. The
+    verdict compares the exact Δ of the `sr_exact` means with the margin,
+    so a Δ at exactly its margin passes; the line prints the float Δ."""
     lines = []
     for name, lhs, rhs, margin in HYPOTHESES:
         a, b = summary.get((split, lhs)), summary.get((split, rhs))
         if lhs not in conditions or rhs not in conditions or a is None or b is None:
             continue
-        delta = a["sr_mean"] - b["sr_mean"]
-        ok = abs(100 * delta) <= 2.0 if margin is None else 100 * delta >= margin
+        delta = 100 * (a["sr_exact"] - b["sr_exact"])
+        ok = abs(delta) <= 2 if margin is None else delta >= Fraction(margin)
         lines.append(f"hypothesis {name}: {'PASS' if ok else 'FAIL'} "
-                     f"(Δ={ev.percent(delta, '+.1f')} SR)")
+                     f"(Δ={ev.percent(a['sr_mean'] - b['sr_mean'], '+.1f')} SR)")
     return lines
 
 

@@ -66,9 +66,16 @@ float already; a numpy scalar (from a full reduction or a scalar index)
 becomes a 0-d array, and nothing is copied. `Tensor(values)` is for leaves
 and constants: it turns lists and scalars into arrays and casts any
 non-float array to float32, while float32/float64 arrays pass uncopied.
-Greedy decoding pushes one step of one episode through about 40 ops, so
-their cost is per-call overhead, not arithmetic: ops keep their Python and
-numpy calls few, and do work only the backward needs inside the backward.
+Ops keep their Python and numpy calls few, and do work only the backward
+needs inside the backward.
+
+Forward-kernel rule: the forward arithmetic of `mean`, `attention`'s plain
+form, `ffn` and `action_logits` lives in array functions (`mean_forward`,
+`attention_forward`, `ffn_forward`, `action_logits_forward`) that the ops
+call and record. A caller that records no tape and takes a single step of
+a single episode, as greedy decoding does, calls the same kernels on plain
+arrays, so its values are the ops' bit for bit without a Tensor or closure
+per op.
 """
 
 from __future__ import annotations
@@ -84,6 +91,11 @@ COSINE_EPS = 1e-8   # `cosine_similarity` raises on a norm at or below this
 
 # When False, ops skip recording the backward graph (evaluation fast path).
 _grad_enabled = True
+
+
+def grad_enabled():
+    """Whether ops record the backward graph: False inside `no_grad`."""
+    return _grad_enabled
 
 
 class no_grad:
@@ -423,11 +435,17 @@ def concat(tensors, axis=0):
     return _result(vals, tuple(tensors), back)
 
 
+def mean_forward(x, axis=None):
+    """The arithmetic of `mean` on an array."""
+    n = x.size if axis is None else x.shape[axis]
+    return (np.add.reduce(x, axis=axis, dtype=np.float64) / n).astype(x.dtype)
+
+
 def mean(a, axis=None):
     """Mean with float64 accumulation: the float64 sum divided by the count,
     which is what np.mean(dtype=np.float64) computes."""
     n = a.values.size if axis is None else a.values.shape[axis]
-    vals = (np.add.reduce(a.values, axis=axis, dtype=np.float64) / n).astype(a.values.dtype)
+    vals = mean_forward(a.values, axis)
 
     def back(g):
         if a.requires_grad:
@@ -641,13 +659,13 @@ def _key_major(tk, lead, heads, tq, dtype):
 def _attend(weights, weights_h, vh, wo, out_shape, heads, record):
     """The softmax over keys of the scaled, masked key-major scores in
     `weights`, in place, then the weighted values `out` (out_shape) and their
-    output projection."""
+    output projection by the (d, d) array wo."""
     _softmax_keys(weights)
     if record is not None:
         record.append(np.ascontiguousarray(weights_h.swapaxes(-1, -2)))
     out = np.empty(out_shape, weights.dtype)
     np.matmul(weights_h.swapaxes(-1, -2), vh, out=_heads(out, heads))
-    return out, out @ wo.values
+    return out, out @ wo
 
 
 def _attend_grad(g, out, weights, vh, wo, c, heads):
@@ -663,6 +681,25 @@ def _attend_grad(g, out, weights, vh, wo, c, heads):
     _softmax_keys_grad(weights, g_scores)
     g_scores *= c
     return g_out, g_scores, g_scores_h
+
+
+def attention_forward(xq, xkv, wq, wk, wv, wo, heads, mask=None, record=None):
+    """The arithmetic of `attention`'s plain form on arrays, with shapes the
+    caller has checked: the residual sub-block's (..., tq, d) values, and the
+    arrays its backward reads, (qh, kh, vh, weights, weights_h, out, c)."""
+    lead, tq, tk, d = xq.shape[:-2], xq.shape[-2], xkv.shape[-2], wq.shape[1]
+    q, k, v = xq @ wq, xkv @ wk, xkv @ wv
+    qh, kh, vh = _heads(q, heads), _heads(k, heads), _heads(v, heads)
+    dtype = np.result_type(q, k, v)
+    weights, weights_h = _key_major(tk, lead, heads, tq, dtype)
+    np.matmul(kh, np.ascontiguousarray(qh.swapaxes(-1, -2)), out=weights_h)
+    c = dtype.type(1.0 / math.sqrt(d // heads))
+    weights *= c
+    if mask is not None:
+        weights[~mask.transpose((mask.ndim - 1,) + tuple(range(mask.ndim - 1)))] = -np.inf
+    out, vals = _attend(weights, weights_h, vh, wo, lead + (tq, d), heads, record)
+    vals += xq
+    return vals, (qh, kh, vh, weights, weights_h, out, c)
 
 
 def attention(xq, xkv, wq, wk, wv, wo, heads, record=None, mask=None, counts=None):
@@ -699,17 +736,9 @@ def attention(xq, xkv, wq, wk, wv, wo, heads, record=None, mask=None, counts=Non
     if mask is not None and (mask.shape != lead + (tk,) or not mask.any(axis=-1).all()):
         raise ShapeError(f"attention key mask must be {lead + (tk,)} with a "
                          f"true entry per row, got {mask.shape}")
-    q, k, v = xqv @ wq.values, xkvv @ wk.values, xkvv @ wv.values
-    qh, kh, vh = _heads(q, heads), _heads(k, heads), _heads(v, heads)
-    dtype = np.result_type(q, k, v)
-    weights, weights_h = _key_major(tk, lead, heads, tq, dtype)
-    np.matmul(kh, np.ascontiguousarray(qh.swapaxes(-1, -2)), out=weights_h)
-    c = dtype.type(1.0 / math.sqrt(d // heads))
-    weights *= c
-    if mask is not None:
-        weights[~mask.transpose((mask.ndim - 1,) + tuple(range(mask.ndim - 1)))] = -np.inf
-    out, vals = _attend(weights, weights_h, vh, wo, lead + (tq, d), heads, record)
-    vals += xqv
+    vals, (qh, kh, vh, weights, weights_h, out, c) = attention_forward(
+        xqv, xkvv, wq.values, wk.values, wv.values, wo.values, heads, mask, record)
+    dtype = weights.dtype
 
     def back(g):
         g_out, g_scores, g_scores_h = _attend_grad(g, out, weights, vh, wo, c, heads)
@@ -772,7 +801,7 @@ def _episode_attention(xq, xkv, wq, wk, wv, wo, heads, record, mask, counts):
     np.take(v_own, episode, axis=0, out=v[:, :tq], mode="clip")
     v[:, tq:] = v_step
     vh = _heads(v, heads)
-    out, vals = _attend(weights, weights_h, vh, wo, (steps, tq, d), heads, record)
+    out, vals = _attend(weights, weights_h, vh, wo.values, (steps, tq, d), heads, record)
     vals += xqv[episode]
 
     def back(g):
@@ -814,13 +843,20 @@ def _episode_attention(xq, xkv, wq, wk, wv, wo, heads, record, mask, counts):
     return _result(vals, (xq, xkv, wq, wk, wv, wo), back)
 
 
+def ffn_forward(x, w1, w2):
+    """The arithmetic of `ffn` on arrays: x + relu(x @ w1) @ w2, and the
+    relu rows h its backward reads."""
+    h = x @ w1
+    np.maximum(h, 0, out=h)
+    vals = h @ w2
+    vals += x
+    return vals, h
+
+
 def ffn(x, w1, w2):
     """The residual feed-forward sub-block x + relu(x @ w1) @ w2, recorded as
     one tape node; x is (..., n, d)."""
-    h = x.values @ w1.values
-    np.maximum(h, 0, out=h)
-    vals = h @ w2.values
-    vals += x.values
+    vals, h = ffn_forward(x.values, w1.values, w2.values)
 
     def back(g):
         if w2.requires_grad:
@@ -838,9 +874,29 @@ def ffn(x, w1, w2):
     return _result(vals, (x, w1, w2), back)
 
 
+def action_logits_forward(v, act_w, stop_w, index, pad=None):
+    """The arithmetic of `action_logits` on arrays: the logits of the
+    (ΣT, n, d) rows v at the flat score positions of the index array
+    `index`, plus `pad` when given, and the arrays its backward reads,
+    (views, hist, c)."""
+    steps, n, d = v.shape
+    views, hist = v[:, 1:], v[:, :1]
+    c = v.dtype.type(1.0 / math.sqrt(d))
+    scores = np.empty((steps, n, 1), v.dtype)
+    match = np.matmul(views, hist.transpose(0, 2, 1))
+    match *= c
+    np.add(match, np.matmul(views, act_w), out=scores[:, :-1])
+    np.matmul(hist, stop_w, out=scores[:, -1:])
+    vals = scores.reshape(steps * n)[index]
+    if pad is not None:
+        vals += pad
+    return vals, (views, hist, c)
+
+
 def action_logits(vis, act_w, stop_w, index, pad=None):
     """The action head over (ΣT, n, d) visual rows, row 0 of each step its
-    history token h and rows 1.. its views v, recorded as one tape node.
+    history token h and rows 1.. its views v (none for a stop-only step),
+    recorded as one tape node.
     Its scores are (v · h) · float32(1/√d) + v · act_w per view, then the
     stop score h · stop_w last, n per step; the logits are the flat scores
     at the (ΣT, A) positions `index`, plus `pad` (e.g. -inf on padding)
@@ -850,20 +906,11 @@ def action_logits(vis, act_w, stop_w, index, pad=None):
     logits' gradient into the scores by np.add.at, so an index may repeat,
     as the stop index does on padding."""
     v = vis.values
-    if v.ndim != 3 or v.shape[1] < 2:
+    if v.ndim != 3 or v.shape[1] < 1:
         raise ShapeError(f"action_logits needs (steps, 1 + views, d) rows, got {v.shape}")
-    steps, n, d = v.shape
+    steps, n, _ = v.shape
     index = np.asarray(index, dtype=np.intp)
-    views, hist = v[:, 1:], v[:, :1]
-    c = v.dtype.type(1.0 / math.sqrt(d))
-    scores = np.empty((steps, n, 1), v.dtype)
-    match = np.matmul(views, hist.transpose(0, 2, 1))
-    match *= c
-    np.add(match, np.matmul(views, act_w.values), out=scores[:, :-1])
-    np.matmul(hist, stop_w.values, out=scores[:, -1:])
-    vals = scores.reshape(steps * n)[index]
-    if pad is not None:
-        vals += pad
+    vals, (views, hist, c) = action_logits_forward(v, act_w.values, stop_w.values, index, pad)
 
     def back(g):
         g_flat = np.zeros(steps * n, g.dtype)

@@ -248,11 +248,11 @@ class TestPermutationInvariance:
         rev = run_rollout(setup, list(reversed(setup["imags"])), mode="argmax", agent=agent64)
         assert fwd.visited == rev.visited
         for a, b in zip(fwd.logits, rev.logits):
-            assert np.abs(a.values - b.values).max() < 1e-6
+            assert np.abs(a - b).max() < 1e-6
         f32f = run_rollout(setup, setup["imags"], mode="argmax")
         f32r = run_rollout(setup, list(reversed(setup["imags"])), mode="argmax")
         for a, b in zip(f32f.logits, f32r.logits):
-            assert np.abs(a.values - b.values).max() < 1e-4
+            assert np.abs(a - b).max() < 1e-4
 
 
 class TestCrossModal:
@@ -300,6 +300,8 @@ class TestCrossModal:
         vis, _ = agent.encode_observation(obs, agent.params["hist_init"])
         logits = agent.cross_modal_step(context, vis, [1], [[]])
         assert logits.shape == (1, 1)
+        with nc.no_grad():     # the greedy step's array path
+            assert agent.cross_modal_step(context, vis, [1], [[]]).shape == (1, 1)
 
 
 class TestVariants:
@@ -437,6 +439,17 @@ def episodes(setup):
     return out
 
 
+def unbatched_observation(agent, obs, hist):
+    """One step's (1, K+1, d) visual tokens and (1, d) pooled views as a plain
+    unbatched pass of the ops makes them, and the history after the step:
+    the reference for a greedy step's observation encoder."""
+    p = agent.params
+    views = nc.add(nc.matmul(nc.constant(obs), p["vis_proj"]), p["view_embed"])
+    pooled = nc.matmul(nc.mean(views, axis=1), p["hist_wp"])
+    vis = nc.concat([nc.reshape(hist, (1, 1, agent.config.d)), views], axis=1)
+    return vis, pooled, nc.tanh(nc.add(nc.matmul(hist, p["hist_wh"]), pooled))
+
+
 def unbatched_logits(agent, text, imag, vis, nav):
     """One decision as a plain unbatched pass makes it: the (1, L, d) text and
     (N, d) imagination tokens (or None) joined for the step, nothing padded,
@@ -482,7 +495,8 @@ class TestGreedyDecoding:
         actions, logits = [], []
         for _ in range(ag.MAX_STEPS):
             nav = wd.navigable(world, node)
-            vis, pooled = agent.encode_observation(wd.observation_at(world, [node], rng), hist)
+            vis, _, after = unbatched_observation(agent, wd.observation_at(world, [node], rng),
+                                                  hist)
             text = agent.encode_text([inputs.token_ids])
             if agent.config.imag_source == "text_mean":
                 imag = (ag.noun_phrase_means(text, [(0, pos) for _, pos in inputs.nouns])
@@ -495,7 +509,7 @@ class TestGreedyDecoding:
             if actions[-1] == len(nav):
                 break
             node = nav[actions[-1]][1]
-            hist = agent.advance_history(hist, pooled)
+            hist = after
         return actions, logits
 
     @pytest.mark.parametrize("imag_source", ["imagination", "text_mean"])
@@ -522,10 +536,46 @@ class TestGreedyDecoding:
                     rng = np.random.default_rng(np.random.SeedSequence([0xE7A1, 6, i]))
                     actions, logits = self.stepwise(agent, item, sets[i], rng)
                     assert traj.actions == actions, (policy, i)
-                    assert [step.values.tobytes() for step in traj.logits] == logits, (policy, i)
+                    assert [step.tobytes() for step in traj.logits] == logits, (policy, i)
                     steps += len(actions)
         # the episodes carry imaginations and take several steps
         assert all(item.imaginations for item in items) and steps > 2 * len(items) * 4
+
+    def test_greedy_rollout_makes_no_tensor_after_its_context(self, setup, items, monkeypatch):
+        """Under no_grad an argmax rollout makes Tensors only in `build_context`:
+        each of its steps, however many it takes, computes on arrays and
+        records no tape node."""
+        cfg = ag.AgentConfig(vocab_size=len(setup["vocab"]), d=32, heads=2)
+        agent, made = ag.Agent(cfg, ag.init_params(cfg, seed=4)), []
+        result, init, build = nc._result, nc.Tensor.__init__, ag.build_context
+
+        def spy_result(*args):
+            made.append("op")
+            return result(*args)
+
+        def spy_init(tensor, *args, **kwargs):
+            made.append("tensor")
+            init(tensor, *args, **kwargs)
+
+        def spy_build(*args, **kwargs):
+            context = build(*args, **kwargs)
+            made.append("context")
+            return context
+
+        monkeypatch.setattr(nc, "_result", spy_result)
+        monkeypatch.setattr(nc.Tensor, "__init__", spy_init)
+        monkeypatch.setattr(ag, "build_context", spy_build)
+        steps = set()
+        with nc.no_grad():
+            for i, item in enumerate(items):
+                made.clear()
+                traj = ag.rollout(agent, item.episode, item.token_ids,
+                                  item.record.instruction.tokens, item.imaginations, "argmax",
+                                  obs_rng=ev.observation_rng(0, i), kept_subs=item.record.kept)
+                assert "op" in made and made[-1] == "context" and made.count("context") == 1
+                assert all(type(step) is np.ndarray for step in traj.logits)
+                steps.add(len(traj.actions))
+        assert len(steps) > 1, steps
 
 
 class TestPaddedBatch:
@@ -595,19 +645,30 @@ class TestPaddedBatch:
     @pytest.mark.parametrize("overrides", VARIANTS)
     def test_batch_of_one_is_the_unbatched_pass_bitwise(self, setup, episodes, overrides,
                                                         monkeypatch):
+        """One untaped step of one episode, a greedy step, computes on arrays
+        with no attention op, so no mask: its visual tokens, pooled views,
+        next history and logits are the unbatched pass's byte for byte."""
         agent = self.make(setup, overrides)
         masks = self.masks_seen(monkeypatch)
-        for e in episodes:
-            context = ag.build_context(agent, [ag.context_inputs(agent, e["token_ids"], e["imags"],
-                                                                 e["kept"])])
-            node = e["episode"].start
-            obs = wd.observation_at(e["episode"].world, [node], np.random.default_rng(0))
-            vis, _ = agent.encode_observation(obs, agent.params["hist_init"])
-            nav = wd.navigable(e["episode"].world, node)
-            logits = agent.cross_modal_step(context, vis, [1], [nav])
-            want = unbatched_logits(agent, context.text, context.imag, vis, nav)
-            assert logits.values.tobytes() == want.values.tobytes()
-        assert masks and all(m is None for m in masks)
+        hist = agent.params["hist_init"]
+        with nc.no_grad():
+            for e in episodes:
+                context = ag.build_context(agent, [ag.context_inputs(
+                    agent, e["token_ids"], e["imags"], e["kept"])])
+                node = e["episode"].start
+                obs = wd.observation_at(e["episode"].world, [node], np.random.default_rng(0))
+                nav = wd.navigable(e["episode"].world, node)
+                want_vis, want_pooled, want_next = unbatched_observation(agent, obs, hist)
+                want = unbatched_logits(agent, context.text, context.imag, want_vis, nav)
+                masks.clear()
+                vis, pooled = agent.encode_observation(obs, hist)
+                logits = agent.cross_modal_step(context, vis, [1], [nav])
+                after = agent.advance_history(hist, pooled)
+                assert masks == []
+                for got, ref in ((vis, want_vis), (pooled, want_pooled), (after, want_next),
+                                 (logits[0], want)):
+                    assert type(got) is np.ndarray and got.shape == ref.shape
+                    assert got.tobytes() == ref.values.tobytes()
 
     @pytest.fixture(scope="class")
     def desk_batch(self):
@@ -646,7 +707,7 @@ class TestPaddedBatch:
         trajs = [ag.rollout(agent, it.episode, it.token_ids, it.record.instruction.tokens,
                             it.imaginations, "teacher", obs_rng=rng, kept_subs=it.record.kept,
                             train=True, drop_rng=rng) for it in items]
-        assert len({len(t.tokens) for t in trajs}) > 1 and all(t.imaginations for t in trajs)
+        assert len({len(it.token_ids) for it in items}) > 1 and all(it.imaginations for it in items)
         assert min(len(t.action_spaces) for t in trajs) > 1
         runs, forms, attention = [], [], nc.attention
 
@@ -730,10 +791,11 @@ class TestPaddedBatch:
             assert np.abs(got_grads[name] - grad).max() <= 1e-5 * np.abs(grad).max(), name
 
     def test_greedy_step_keeps_the_plain_calls(self, setup, episodes, monkeypatch):
-        """A greedy step shares its context with no other step: it makes the
-        plain attention calls and the per-layer context joins it made before
-        the per-episode form, scores its actions with one fused head call,
-        and its logits are the oracle's byte for byte."""
+        """An untaped greedy step makes the plain kernel calls of an unbatched
+        pass: an attention and a feed-forward kernel per stream and layer,
+        with no mask and the context joined to all K + 1 visual tokens, and
+        one head kernel; it records no tape node, and its logits are the
+        unbatched pass's byte for byte."""
         agent = self.make(setup, {})
         e = episodes[2]
         assert e["imags"]
@@ -743,32 +805,31 @@ class TestPaddedBatch:
         obs = wd.observation_at(e["episode"].world, [node], np.random.default_rng(0))
         vis, _ = agent.encode_observation(obs, agent.params["hist_init"])
         nav = wd.navigable(e["episode"].world, node)
-        attention, concat, head = nc.attention, nc.concat, nc.action_logits
-        monkeypatch.setattr(nc, "attention", self.repeated_context(attention))
-        oracle = agent.cross_modal_step(context, vis, [1], [nav]).values.tobytes()
-        calls = {"attention": [], "concat": 0, "action_logits": 0}
+        want = unbatched_logits(agent, context.text, context.imag, vis, nav).values.tobytes()
+        kernels = {"attention_forward": [], "ffn_forward": [], "action_logits_forward": [],
+                   "_result": []}
 
-        def spy_attention(*args, **kwargs):
-            calls["attention"].append(kwargs.get("counts"))
-            return attention(*args, **kwargs)
+        def spy(name):
+            kernel = getattr(nc, name)
 
-        def spy_concat(*args, **kwargs):
-            calls["concat"] += 1
-            return concat(*args, **kwargs)
+            def call(*args, **kwargs):
+                kernels[name].append((args[0].shape, args[1].shape if name == "attention_forward"
+                                      else None, kwargs.get("mask")))
+                return kernel(*args, **kwargs)
+            return call
 
-        def spy_head(*args, **kwargs):
-            calls["action_logits"] += 1
-            return head(*args, **kwargs)
-
-        monkeypatch.setattr(nc, "attention", spy_attention)
-        monkeypatch.setattr(nc, "concat", spy_concat)
-        monkeypatch.setattr(nc, "action_logits", spy_head)
-        logits = agent.cross_modal_step(context, vis, [1], [nav])
-        layers = agent.config.cross_layers
-        # two streams per layer and a context join per layer; the head joins
-        # its view and stop scores inside its one call
-        assert calls == {"attention": [None] * 2 * layers, "concat": layers, "action_logits": 1}
-        assert logits.values.tobytes() == oracle
+        for name in kernels:
+            monkeypatch.setattr(nc, name, spy(name))
+        with nc.no_grad():
+            logits = agent.cross_modal_step(context, vis, [1], [nav])
+        layers, k, tc = agent.config.cross_layers, agent.config.k_views, context.tokens.shape[1]
+        d = agent.config.d
+        assert kernels["attention_forward"] == [((1, tc, d), (1, tc + k + 1, d), None),
+                                                ((1, k + 1, d), (1, tc, d), None)] * layers
+        assert len(kernels["ffn_forward"]) == 2 * layers
+        assert [shape for shape, _, _ in kernels["action_logits_forward"]] == [(1, k + 1, d)]
+        assert kernels["_result"] == []
+        assert logits.tobytes() == want
 
     def test_record_of_a_padded_batch_cuts_to_each_episodes_record(self, setup, episodes):
         """`decide(record=)` over two episodes with different context lengths
@@ -866,13 +927,15 @@ class TestBatchedIteration:
 
 class TestAgentGradcheck:
     def test_policy_gradient_matches_finite_differences(self, setup):
-        """End-to-end: loss through text + imagination + cross-modal layers."""
+        """End-to-end: loss through text + imagination + cross-modal layers,
+        over two steps of one episode, so that the finite differences, run
+        under no_grad, take the taped body too (not a greedy step's arrays)."""
         cfg = ag.AgentConfig(vocab_size=12, d=16, heads=2, cross_layers=1, k_views=4, d_v=8)
         params = ag.init_params(cfg, seed=0)
         checked = ["tok_embed", "t_im", "im_m1", "vis_proj", "c0_wq", "v0_wk", "act_w"]
         rng = np.random.default_rng(0)
         feats = rng.normal(size=(2, 8)).astype(np.float32)
-        pano = rng.normal(size=(4, 8)).astype(np.float32)
+        pano = rng.normal(size=(2, 4, 8)).astype(np.float32)
 
         def build(tensors):
             store = nc.ParamStore()
@@ -885,9 +948,9 @@ class TestAgentGradcheck:
             a = ag.Agent(cfg, store)
             ctx = ag.EncodedContext(text=a.encode_text([[1, 3, 5]]), text_lengths=(3,),
                                     imag=a.encode_imaginations(feats), imag_counts=(2,))
-            vis, _ = a.encode_observation(pano[None], store["hist_init"])
-            logits = a.cross_modal_step(ctx, vis, [1], [[(0, 1), (2, 3)]])
-            return nc.cross_entropy(nc.reshape(logits, (3,)), 1)
+            vis, _ = a.encode_observation(pano, store["hist_init"])
+            logits = a.cross_modal_step(ctx, vis, [2], [[(0, 1), (2, 3)], [(1, 2)]])
+            return nc.mean(nc.cross_entropy(logits, [1, 0]))
 
         arrays = [params[name].values.astype(np.float64) for name in checked]
         check_gradients(build, arrays, tol=1e-4)

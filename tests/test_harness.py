@@ -710,23 +710,49 @@ class TestExperimentSpec:
             harness.read_experiment_spec(path)
 
     def test_verdict_format(self):
-        summary = {("val_unseen", "imagine"): dict(sr_mean=0.5, n_rows=2),
-                   ("val_unseen", "wrong_test"): dict(sr_mean=0.3, n_rows=2)}
+        summary = harness.summarize([metrics_row("val_unseen", "imagine", 0.5, seed=s)
+                                     for s in (1, 2)] +
+                                    [metrics_row("val_unseen", "wrong_test", 0.3, seed=s)
+                                     for s in (1, 2)])
         lines = harness.verdict_lines(summary, ["imagine", "wrong_test"])
         assert lines == ["hypothesis correct>wrong: PASS (Δ=+20.0 SR)"]
 
     def test_text_only_verdict(self):
-        summary = {("val_unseen", "imagine"): dict(sr_mean=0.335, n_rows=1),
-                   ("val_unseen", "text_only"): dict(sr_mean=0.212, n_rows=1),
-                   ("val_unseen", "baseline"): dict(sr_mean=0.30, n_rows=1)}
-        lines = harness.verdict_lines(summary, ["baseline", "imagine", "text_only"])
+        def summary(text_only):
+            return harness.summarize([metrics_row("val_unseen", cond, sr, n=1000)
+                                      for cond, sr in (("imagine", 0.335), ("text_only", text_only),
+                                                       ("baseline", 0.30))])
+        lines = harness.verdict_lines(summary(0.212), ["baseline", "imagine", "text_only"])
         assert "hypothesis imagine>text_only: PASS (Δ=+12.3 SR)" in lines
-        summary[("val_unseen", "text_only")] = dict(sr_mean=0.30, n_rows=1)
-        lines = harness.verdict_lines(summary, ["baseline", "imagine", "text_only"])
+        lines = harness.verdict_lines(summary(0.30), ["baseline", "imagine", "text_only"])
         assert "hypothesis imagine>text_only: FAIL (Δ=+3.5 SR)" in lines
         # no verdict without the text_only condition
-        lines = harness.verdict_lines(summary, ["baseline", "imagine"])
+        lines = harness.verdict_lines(summary(0.212), ["baseline", "imagine"])
         assert not any("text_only" in line for line in lines)
+
+    @pytest.mark.parametrize("rhs_successes", [(29, 22, 35, 18, 26), (27, 33, 21, 36, 25)])
+    @pytest.mark.parametrize("hypothesis", harness.HYPOTHESES, ids=lambda h: h[0])
+    def test_verdict_at_exactly_its_margin(self, hypothesis, rhs_successes):
+        """At 5 seeds of 60 episodes Δ moves in steps of 1/3 SR point, so a Δ
+        lands exactly on its margin, where the float means differ from it by
+        a rounding: exactly at the margin PASSes, one success short FAILs.
+        The other condition's successes are rotated over the seeds, so equal
+        totals do not mean equal rows."""
+        name, lhs, rhs, margin = hypothesis
+        need = 6 if margin is None else round(3 * margin)    # successes over 300 episodes
+        cases = [(need, "PASS"), (need + 1, "FAIL")] if margin is None else [
+            (need, "PASS"), (need - 1, "FAIL")]
+        if margin is None:       # |Δ| <= 2: the lower side too
+            cases += [(-need, "PASS"), (-need - 1, "FAIL")]
+        rotated = rhs_successes[1:] + rhs_successes[:1]
+        for extra, verdict in cases:
+            lhs_successes = [n + extra // 5 + (i < extra % 5) for i, n in enumerate(rotated)]
+            assert sum(lhs_successes) - sum(rhs_successes) == extra
+            rows = [metrics_row("val_unseen", cond, n / 60, n=60, seed=seed)
+                    for cond, successes in ((lhs, lhs_successes), (rhs, rhs_successes))
+                    for seed, n in enumerate(successes)]
+            (line,) = harness.verdict_lines(harness.summarize(rows), [lhs, rhs])
+            assert line.startswith(f"hypothesis {name}: {verdict} (Δ="), (extra, line)
 
     def test_every_condition_is_named_by_a_hypothesis(self):
         # a trained or test-time condition that no verdict reads has no claim to test
