@@ -26,17 +26,16 @@ views, padded to the batch's largest navigable set (4 of the K + 1 = 13
 rows on the desk spec).
 
 A greedy rollout encodes and joins the [text; imagination] context once per
-episode (`EncodedContext`), and each step reuses it. Under `nc.no_grad()`,
-as `evaluate` runs it, a step is one step of one episode with no tape to
-record: `encode_observation`, `cross_modal_step` and `advance_history` then
-compute it on plain arrays, through the forward kernels that numcore's ops
-record (`nc.mean_forward`, `nc.attention_forward`, `nc.ffn_forward`,
-`nc.action_logits_forward`), with no Tensor, closure, mask or padding. The
-context joins all K + 1 visual tokens at every layer, as in an unbatched
-pass of the ops, whose numpy products the kernels make in the same shapes
-and order, so a greedy step's logits are that pass's bit for bit. Every
-other pass, teacher batches and taped single steps alike, runs the taped
-batched body.
+episode (`EncodedContext`), off the tape, and each step reuses it. Its
+steps hold their history and visual tokens as arrays, and array inputs
+make `encode_observation`, `advance_history` and `cross_modal_step` compute
+one step of one episode on arrays, through the forward kernels that
+numcore's ops record (`nc.mean_forward`, `nc.attention_forward`,
+`nc.ffn_forward`, `nc.action_logits_forward`), with no Tensor, closure,
+mask or padding. The context joins all K + 1 visual tokens at every layer,
+as in an unbatched pass of the ops, whose numpy products the kernels make
+in the same shapes and order, so a greedy step's logits are that pass's bit
+for bit, inside `nc.no_grad()` or not. Tensor inputs run the taped body.
 
 An episode's imaginations are whatever list it is handed: a test-time policy
 transforms the lists before the rollout, and `null` hands over none.
@@ -298,8 +297,8 @@ class Agent:
         Token 0 of an episode's step t is its history token, which summarises
         the episode's steps < t; the B histories advance in lockstep,
         max(T) - 1 times. The history after the last step is left to
-        `advance_history`, for the callers that read it. A greedy step (see
-        `_untaped_step`) gets both as arrays.
+        `advance_history`, for the callers that read it. An array (1, d)
+        history, a greedy step's, takes one step on arrays and returns arrays.
         """
         cfg = self.config
         pano = np.asarray(panoramas, dtype=np.float32)
@@ -310,11 +309,12 @@ class Agent:
         if sum(counts) != steps or min(counts) < 1:
             raise ShapeError(f"{steps} panoramas for step counts {counts}")
         p, batch = self.params, len(counts)
-        if _untaped_step(steps):
+        if isinstance(hist_state, np.ndarray):
+            if steps != 1:
+                raise ShapeError(f"an array pass takes one step, not {steps}")
             views = pano @ p["vis_proj"].values + p["view_embed"].values
             pooled = nc.mean_forward(views, axis=1) @ p["hist_wp"].values
-            hist = _values(hist_state).reshape(1, 1, cfg.d)
-            return np.concatenate([hist, views], axis=1), pooled
+            return np.concatenate([hist_state.reshape(1, 1, cfg.d), views], axis=1), pooled
         views = nc.add(nc.matmul(nc.constant(pano), p["vis_proj"]), p["view_embed"])
         pooled = nc.matmul(nc.mean(views, axis=1), p["hist_wp"])               # (ΣT, d)
         hist_tokens = hist_state if hist_state.shape[0] == batch else nc.repeat(hist_state, [batch])
@@ -334,10 +334,10 @@ class Agent:
 
     def advance_history(self, hist_state, pooled_step):
         """The (B, d) histories after a step whose pooled views are (B, d):
-        an array when those are, as a greedy step's are."""
+        an array when the histories are, as a greedy step's are."""
         wh = self.params["hist_wh"]
-        if isinstance(pooled_step, np.ndarray):
-            return np.tanh(_values(hist_state) @ wh.values + pooled_step)
+        if isinstance(hist_state, np.ndarray):
+            return np.tanh(hist_state @ wh.values + pooled_step)
         return nc.tanh(nc.add(nc.matmul(hist_state, wh), pooled_step))
 
     # ------------------------------------------------------------------
@@ -373,16 +373,16 @@ class Agent:
         `visual_tokens`; `navs` holds the sorted navigable (view, neighbor)
         lists of all ΣT steps in episode order.
 
-        A greedy step (see `_untaped_step`) is `_untaped_logits`. Every other
-        pass records its tape: layer 0's context stream projects and scores
-        each episode's context tokens once for all its steps
-        (`nc.attention(counts=)`); its output, and every later layer, holds
-        context tokens per step. Each step's context tokens are padded to the
-        batch's longest, and key-padding masks keep the padding out of every
-        softmax. Padded queries are computed but read by nothing, so they get
-        zero gradient. The last layer's visual stream computes only the rows
-        the action head reads (`_read_rows`): the history, the navigable
-        views in `nav` order, then distinct unread views up to
+        Array `visual_tokens`, a greedy step's, take one step of one episode,
+        `_untaped_logits`. Tensor ones record the tape: layer 0's context
+        stream projects and scores each episode's context tokens once for all
+        its steps (`nc.attention(counts=)`); its output, and every later
+        layer, holds context tokens per step. Each step's context tokens are
+        padded to the batch's longest, and key-padding masks keep the padding
+        out of every softmax. Padded queries are computed but read by nothing,
+        so they get zero gradient. The last layer's visual stream computes
+        only the rows the action head reads (`_read_rows`): the history, the
+        navigable views in `nav` order, then distinct unread views up to
         1 + max(len(nav)) rows; every earlier layer, and the visual tokens as
         the context stream's keys, keep all K + 1.
 
@@ -403,8 +403,10 @@ class Agent:
         if context.text.shape[0] != batch or sum(counts) != steps or len(navs) != steps:
             raise ShapeError(f"{context.text.shape[0]} contexts, step counts {list(counts)}, "
                              f"{steps} visual token sets and {len(navs)} navigable lists")
-        if _untaped_step(steps):
-            return self._untaped_logits(context, _values(visual_tokens), navs[0], record)
+        if isinstance(visual_tokens, np.ndarray):
+            if list(counts) != [1]:
+                raise ShapeError(f"an array pass takes one step, not step counts {list(counts)}")
+            return self._untaped_logits(context, visual_tokens, navs[0], record)
         # masks of the real context tokens, None when nothing is padded. The
         # visual token sets all have K + 1 tokens.
         ctx, ctx_valid, vis = context.tokens, context.valid, visual_tokens
@@ -466,17 +468,6 @@ def _read_rows(vis, slots):
     index += np.arange(steps)[:, None] * n
     return (nc.take_rows(nc.reshape(vis, (steps * n, d)), index),
             [range(length) for length in lengths])
-
-
-def _untaped_step(steps):
-    """Whether a pass over `steps` steps is a greedy step: one step of one
-    episode while no tape is recorded. Such a step computes on arrays."""
-    return steps == 1 and not nc.grad_enabled()
-
-
-def _values(x):
-    """The values of a Tensor; an array as it is."""
-    return x.values if isinstance(x, nc.Tensor) else x
 
 
 def _valid(lengths):
@@ -587,10 +578,10 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
     break to the lowest action index), drawing each step's observation when
     it reaches the node. With `aux`, the trajectory lists the (imagination
     token, noun-phrase) pairs of the alignment loss. Deterministic given the
-    rng streams. Under `nc.no_grad()`, as `evaluate` runs it, every greedy
-    step computes on arrays after `build_context` (see the module
-    docstring). `tokens`, the instruction's words, is read by nothing; it
-    keeps its place among the positional arguments.
+    rng streams. argmax mode builds its context off the tape and steps on
+    arrays, so its logits are the same bytes inside `nc.no_grad()` or not.
+    `tokens`, the instruction's words, is read by nothing; it keeps its
+    place among the positional arguments.
     """
     cfg = agent.config
     world = episode.world
@@ -609,8 +600,9 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
         actions = [next(i for i, (_, nb) in enumerate(nav) if nb == nxt)
                    for nav, nxt in zip(spaces, visited[1:])] + [len(spaces[-1])]
     elif mode == "argmax":
-        context = build_context(agent, [inputs])
-        hist = agent.params["hist_init"]
+        with nc.no_grad():
+            context = build_context(agent, [inputs])
+        hist = agent.params["hist_init"].values
         node = episode.start
         visited = [node]
         actions, spaces = [], []
@@ -618,7 +610,7 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
             nav = wd.navigable(world, node)
             vis_tokens, pooled = agent.encode_observation(
                 wd.observation_at(world, [node], obs_rng), hist)
-            logits = _values(agent.cross_modal_step(context, vis_tokens, [1], [nav]))[0]
+            logits = agent.cross_modal_step(context, vis_tokens, [1], [nav])[0]
             action = int(logits.argmax())
             logits_list.append(logits)
             actions.append(action)

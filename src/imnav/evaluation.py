@@ -20,7 +20,6 @@ import numpy as np
 
 from . import agent as ag
 from . import imagination as im
-from . import numcore as nc
 from . import serial
 from .errors import ConfigurationError, ContractError, FormatError, InputError
 
@@ -108,17 +107,16 @@ def evaluate(agent, items, policy, seed, radius=SUCCESS_RADIUS, split=None):
     sets = apply_policy([it.imaginations for it in items], policy, seed)
 
     results = []
-    with nc.no_grad():
-        for i, item in enumerate(items):
-            ep = item.episode
-            traj = ag.rollout(agent, ep, item.token_ids, item.record.instruction.tokens,
-                              sets[i], "argmax", obs_rng=observation_rng(seed, i),
-                              kept_subs=item.record.kept)
-            final = traj.visited[-1]
-            ne = navigation_error(ep.world, final, ep.goal)
-            results.append(EpisodeResult(
-                episode_id=i, final_node=final, success=ne <= radius, ne=ne,
-                tl=trajectory_length(ep.world, traj.visited), shortest_len=ep.shortest_len))
+    for i, item in enumerate(items):
+        ep = item.episode
+        traj = ag.rollout(agent, ep, item.token_ids, item.record.instruction.tokens,
+                          sets[i], "argmax", obs_rng=observation_rng(seed, i),
+                          kept_subs=item.record.kept)
+        final = traj.visited[-1]
+        ne = navigation_error(ep.world, final, ep.goal)
+        results.append(EpisodeResult(
+            episode_id=i, final_node=final, success=ne <= radius, ne=ne,
+            tl=trajectory_length(ep.world, traj.visited), shortest_len=ep.shortest_len))
 
     n = len(results)
     return MetricsRecord(
@@ -144,7 +142,10 @@ def write_metrics(path, rows, command="", seed=None):
 
 def read_metrics(path):
     """The (MetricsRecord, condition) rows of a metrics file, with SR and SPL
-    converted from the file's percentages to fractions."""
+    converted from the file's percentages to fractions. FormatError names
+    the line of a row with a missing or unparsable field, an n below 1, an
+    SR or SPL outside [0, 100], or an NE or TL that is negative or not
+    finite."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     body = [(i + 1, l) for i, l in enumerate(lines) if l and not l.startswith("#")]
@@ -158,10 +159,18 @@ def read_metrics(path):
             raise FormatError(f"{path}:{lineno}: expected {len(METRICS_COLUMNS)} columns, "
                               f"got {len(parts)}")
         try:
-            rows.append((MetricsRecord(
-                sr=float(parts[2]) / 100.0, spl=float(parts[3]) / 100.0, ne_mean=float(parts[4]),
-                tl_mean=float(parts[5]), count=int(parts[6]), seed=int(parts[7]),
-                split=parts[0]), parts[1]))
+            sr, spl, ne, tl = (float(x) for x in parts[2:6])
+            count, seed = int(parts[6]), int(parts[7])
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: bad field: {exc}") from exc
+        if count < 1:
+            raise FormatError(f"{path}:{lineno}: n must be >= 1, got {count}")
+        for name, value in (("SR", sr), ("SPL", spl)):
+            if not 0.0 <= value <= 100.0:
+                raise FormatError(f"{path}:{lineno}: {name} must be in [0, 100], got {value}")
+        for name, value in (("NE", ne), ("TL", tl)):
+            if not 0.0 <= value < np.inf:
+                raise FormatError(f"{path}:{lineno}: {name} must be finite and >= 0, got {value}")
+        rows.append((MetricsRecord(sr=sr / 100.0, spl=spl / 100.0, ne_mean=ne, tl_mean=tl,
+                                   count=count, seed=seed, split=parts[0]), parts[1]))
     return rows

@@ -275,8 +275,6 @@ def write_data(spec, out_dir, command):
     `dataset.write_split`); returns {split: corpus statistics}. A spec that
     cannot build raises before `out_dir` is made."""
     splits = build_spec_splits(spec)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     return {name: ds.write_split(out_dir, split, command=command, seed=spec.data_seed)
             for name, split in splits.items()}
 
@@ -370,8 +368,6 @@ def run_ablation(spec, out_dir, quiet=False, workers=1):
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     out_dir = Path(out_dir)
     write_data(spec, out_dir / "data", command=f"ablate {spec.name}")
-    for sub in ("curves", "ckpt", "threads"):
-        (out_dir / sub).mkdir(parents=True, exist_ok=True)
 
     rows = []
     with _pinned_pool(min(workers, len(spec.seeds))) as pool:

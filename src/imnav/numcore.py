@@ -72,10 +72,9 @@ needs inside the backward.
 Forward-kernel rule: the forward arithmetic of `mean`, `attention`'s plain
 form, `ffn` and `action_logits` lives in array functions (`mean_forward`,
 `attention_forward`, `ffn_forward`, `action_logits_forward`) that the ops
-call and record. A caller that records no tape and takes a single step of
-a single episode, as greedy decoding does, calls the same kernels on plain
-arrays, so its values are the ops' bit for bit without a Tensor or closure
-per op.
+call and record. A caller that holds plain arrays, as greedy decoding
+does, calls the same kernels on them, so its values are the ops' bit for
+bit without a Tensor or closure per op.
 """
 
 from __future__ import annotations
@@ -89,13 +88,8 @@ from .errors import ContractError, NumericGuardError, ShapeError
 DEFAULT_DTYPE = np.float32
 COSINE_EPS = 1e-8   # `cosine_similarity` raises on a norm at or below this
 
-# When False, ops skip recording the backward graph (evaluation fast path).
+# When False, ops skip recording the backward graph.
 _grad_enabled = True
-
-
-def grad_enabled():
-    """Whether ops record the backward graph: False inside `no_grad`."""
-    return _grad_enabled
 
 
 class no_grad:

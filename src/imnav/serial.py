@@ -49,9 +49,11 @@ def parse_field(cls, name, text):
 @contextmanager
 def atomic_open(path, mode="w"):
     """A temporary file beside `path` that replaces it when the block completes
-    and is removed if the block raises: `path` is never left half-written."""
+    and is removed if the block raises: `path` is never left half-written.
+    The directory of `path` is made if it is missing."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    path.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
@@ -110,6 +112,15 @@ def _index(text, count, what):
     return value
 
 
+def _next_id(text, count, what):
+    """`text` as the id of `what` record `count`, from 0 in file order; else ValueError."""
+    value = int(text)
+    if value != count:
+        raise ValueError(f"a second {what} record for {what} {value}" if value < count
+                         else f"{what} {value} comes before {what} {count}")
+    return value
+
+
 def _vector(fields, d_v, what):
     """`fields` as a float32 vector; ValueError unless it has `d_v` of them."""
     vector = np.asarray([float(x) for x in fields], dtype=np.float32)
@@ -125,12 +136,13 @@ def read_split(path):
     `world.fork_world`, the function that generated it, and its episode is
     its route (`world.sample_episode`). FormatError names the line of a
     malformed record: one with a class outside the library, one that names a
-    world with no world record, or a second world or instr record of a
-    world; a world record whose sigma_obs, k_views or fork count could not
-    generate a world, whose draw count is not 4 * n_forks + 1, or whose split
-    or draws `fork_world` rejects (a split outside `world.SPLITS`, a class
-    outside the split's pool or drawn twice, a side other than 1 or -1, a
-    view that is not free at its node); and the
+    world with no world record, or a second instr record of a world; a class
+    or world record whose id is not the next in file order (classes and
+    worlds are numbered from 0); a world record whose sigma_obs, k_views or
+    fork count could not generate a world, whose draw count is not
+    4 * n_forks + 1, or whose split or draws `fork_world` rejects (a split
+    outside `world.SPLITS`, a class outside the split's pool or drawn twice,
+    a side other than 1 or -1, a view that is not free at its node); and the
     library record when its class count is not the number of class records.
     It names the world that has no instr record."""
     with open(path, encoding="utf-8") as fh:
@@ -160,15 +172,12 @@ def read_split(path):
             elif tag == "class":
                 n_words = int(parts[2])
                 classes.append(wd.LandmarkClass(
-                    int(parts[0]), tuple(parts[3:3 + n_words]),
+                    _next_id(parts[0], len(classes), "class"), tuple(parts[3:3 + n_words]),
                     _vector(parts[3 + n_words:], d_v, "prototype"), bool(int(parts[1]))))
             elif tag == "background":
                 background = _vector(parts, d_v, "background")
             elif tag == "world":
-                idx = int(parts[0])
-                if idx != len(worlds):      # worlds are numbered from 0 in file order
-                    raise ValueError(f"a second world record for world {idx}" if idx < len(worlds)
-                                     else f"world {idx} comes before world {len(worlds)}")
+                _next_id(parts[0], len(worlds), "world")
                 k_views, sigma_obs, n_forks = int(parts[2]), float(parts[3]), int(parts[4])
                 draws = [int(d) for d in parts[5:]]
                 wd.check_sigma_obs(sigma_obs)
@@ -194,8 +203,7 @@ def read_split(path):
     if len(classes) != n_classes:
         raise FormatError(f"{path}:{library_line}: malformed 'library' record: says "
                           f"{n_classes} classes but the file has {len(classes)} class records")
-    library = wd.Library(classes=tuple(sorted(classes, key=lambda c: c.id)),
-                         background=background, d_v=d_v)
+    library = wd.Library(classes=tuple(classes), background=background, d_v=d_v)
     rows = []
     for idx, raw in enumerate(worlds):
         if "instr" not in raw:

@@ -1,3 +1,4 @@
+import contextlib
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -14,7 +15,8 @@ from imnav import instructions as ins
 from imnav import numcore as nc
 from imnav import training as tr
 from imnav import world as wd
-from imnav.errors import ConfigurationError, ContractError, FormatError, VocabularyError
+from imnav.errors import (ConfigurationError, ContractError, FormatError, ShapeError,
+                          VocabularyError)
 from fdcheck import check_gradients
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -300,8 +302,8 @@ class TestCrossModal:
         vis, _ = agent.encode_observation(obs, agent.params["hist_init"])
         logits = agent.cross_modal_step(context, vis, [1], [[]])
         assert logits.shape == (1, 1)
-        with nc.no_grad():     # the greedy step's array path
-            assert agent.cross_modal_step(context, vis, [1], [[]]).shape == (1, 1)
+        # the greedy step's array path
+        assert agent.cross_modal_step(context, vis.values, [1], [[]]).shape == (1, 1)
 
 
 class TestVariants:
@@ -542,16 +544,18 @@ class TestGreedyDecoding:
         assert all(item.imaginations for item in items) and steps > 2 * len(items) * 4
 
     def test_greedy_rollout_makes_no_tensor_after_its_context(self, setup, items, monkeypatch):
-        """Under no_grad an argmax rollout makes Tensors only in `build_context`:
-        each of its steps, however many it takes, computes on arrays and
-        records no tape node."""
+        """Inside or outside no_grad, an argmax rollout makes Tensors only in
+        `build_context`, and records no tape node there: each of its steps,
+        however many it takes, computes on arrays."""
         cfg = ag.AgentConfig(vocab_size=len(setup["vocab"]), d=32, heads=2)
         agent, made = ag.Agent(cfg, ag.init_params(cfg, seed=4)), []
         result, init, build = nc._result, nc.Tensor.__init__, ag.build_context
 
         def spy_result(*args):
             made.append("op")
-            return result(*args)
+            out = result(*args)
+            assert out._backward is None and not out.requires_grad
+            return out
 
         def spy_init(tensor, *args, **kwargs):
             made.append("tensor")
@@ -565,17 +569,39 @@ class TestGreedyDecoding:
         monkeypatch.setattr(nc, "_result", spy_result)
         monkeypatch.setattr(nc.Tensor, "__init__", spy_init)
         monkeypatch.setattr(ag, "build_context", spy_build)
+        assert all(p.requires_grad for _, p in agent.params.items())
         steps = set()
-        with nc.no_grad():
-            for i, item in enumerate(items):
-                made.clear()
-                traj = ag.rollout(agent, item.episode, item.token_ids,
-                                  item.record.instruction.tokens, item.imaginations, "argmax",
-                                  obs_rng=ev.observation_rng(0, i), kept_subs=item.record.kept)
-                assert "op" in made and made[-1] == "context" and made.count("context") == 1
-                assert all(type(step) is np.ndarray for step in traj.logits)
-                steps.add(len(traj.actions))
+        for scope in (nc.no_grad, contextlib.nullcontext):
+            with scope():
+                for i, item in enumerate(items):
+                    made.clear()
+                    traj = ag.rollout(agent, item.episode, item.token_ids,
+                                      item.record.instruction.tokens, item.imaginations,
+                                      "argmax", obs_rng=ev.observation_rng(0, i),
+                                      kept_subs=item.record.kept)
+                    assert "op" in made and made[-1] == "context" and made.count("context") == 1
+                    assert all(type(step) is np.ndarray for step in traj.logits)
+                    steps.add(len(traj.actions))
         assert len(steps) > 1, steps
+
+    def test_greedy_rollout_ignores_the_callers_no_grad(self, setup, items):
+        """An argmax rollout takes the same actions, with the same logit bytes,
+        inside and outside no_grad."""
+        cfg = ag.AgentConfig(vocab_size=len(setup["vocab"]), d=32, heads=2)
+        agent = ag.Agent(cfg, ag.init_params(cfg, seed=4))
+        steps = 0
+        for i, item in enumerate(items):
+            runs = []
+            for scope in (nc.no_grad, contextlib.nullcontext):
+                with scope():
+                    traj = ag.rollout(agent, item.episode, item.token_ids,
+                                      item.record.instruction.tokens, item.imaginations,
+                                      "argmax", obs_rng=ev.observation_rng(0, i),
+                                      kept_subs=item.record.kept)
+                runs.append((traj.actions, [step.tobytes() for step in traj.logits]))
+            assert runs[0] == runs[1], i
+            steps += len(runs[0][0])
+        assert steps > 2 * len(items)
 
 
 class TestPaddedBatch:
@@ -645,30 +671,45 @@ class TestPaddedBatch:
     @pytest.mark.parametrize("overrides", VARIANTS)
     def test_batch_of_one_is_the_unbatched_pass_bitwise(self, setup, episodes, overrides,
                                                         monkeypatch):
-        """One untaped step of one episode, a greedy step, computes on arrays
-        with no attention op, so no mask: its visual tokens, pooled views,
-        next history and logits are the unbatched pass's byte for byte."""
+        """One step of one episode handed an array history, a greedy step,
+        computes on arrays with no attention op, so no mask: its visual
+        tokens, pooled views, next history and logits are the unbatched
+        pass's byte for byte."""
         agent = self.make(setup, overrides)
         masks = self.masks_seen(monkeypatch)
         hist = agent.params["hist_init"]
-        with nc.no_grad():
-            for e in episodes:
-                context = ag.build_context(agent, [ag.context_inputs(
-                    agent, e["token_ids"], e["imags"], e["kept"])])
-                node = e["episode"].start
-                obs = wd.observation_at(e["episode"].world, [node], np.random.default_rng(0))
-                nav = wd.navigable(e["episode"].world, node)
-                want_vis, want_pooled, want_next = unbatched_observation(agent, obs, hist)
-                want = unbatched_logits(agent, context.text, context.imag, want_vis, nav)
-                masks.clear()
-                vis, pooled = agent.encode_observation(obs, hist)
-                logits = agent.cross_modal_step(context, vis, [1], [nav])
-                after = agent.advance_history(hist, pooled)
-                assert masks == []
-                for got, ref in ((vis, want_vis), (pooled, want_pooled), (after, want_next),
-                                 (logits[0], want)):
-                    assert type(got) is np.ndarray and got.shape == ref.shape
-                    assert got.tobytes() == ref.values.tobytes()
+        for e in episodes:
+            context = ag.build_context(agent, [ag.context_inputs(
+                agent, e["token_ids"], e["imags"], e["kept"])])
+            node = e["episode"].start
+            obs = wd.observation_at(e["episode"].world, [node], np.random.default_rng(0))
+            nav = wd.navigable(e["episode"].world, node)
+            want_vis, want_pooled, want_next = unbatched_observation(agent, obs, hist)
+            want = unbatched_logits(agent, context.text, context.imag, want_vis, nav)
+            masks.clear()
+            vis, pooled = agent.encode_observation(obs, hist.values)
+            logits = agent.cross_modal_step(context, vis, [1], [nav])
+            after = agent.advance_history(hist.values, pooled)
+            assert masks == []
+            for got, ref in ((vis, want_vis), (pooled, want_pooled), (after, want_next),
+                             (logits[0], want)):
+                assert type(got) is np.ndarray and got.shape == ref.shape
+                assert got.tobytes() == ref.values.tobytes()
+
+    def test_array_pass_of_more_than_one_step_raises(self, setup, episodes):
+        agent = self.make(setup, {})
+        e = episodes[0]
+        context = ag.build_context(agent, [ag.context_inputs(agent, e["token_ids"], e["imags"],
+                                                             e["kept"])])
+        path = list(e["episode"].teacher_path[:2])
+        obs = wd.observation_at(e["episode"].world, path, np.random.default_rng(0))
+        navs = [wd.navigable(e["episode"].world, node) for node in path]
+        hist = agent.params["hist_init"]
+        with pytest.raises(ShapeError, match="an array pass takes one step"):
+            agent.encode_observation(obs, hist.values)
+        vis, _ = agent.encode_observation(obs, hist)
+        with pytest.raises(ShapeError, match="an array pass takes one step"):
+            agent.cross_modal_step(context, vis.values, [2], navs)
 
     @pytest.fixture(scope="class")
     def desk_batch(self):
@@ -791,11 +832,11 @@ class TestPaddedBatch:
             assert np.abs(got_grads[name] - grad).max() <= 1e-5 * np.abs(grad).max(), name
 
     def test_greedy_step_keeps_the_plain_calls(self, setup, episodes, monkeypatch):
-        """An untaped greedy step makes the plain kernel calls of an unbatched
-        pass: an attention and a feed-forward kernel per stream and layer,
-        with no mask and the context joined to all K + 1 visual tokens, and
-        one head kernel; it records no tape node, and its logits are the
-        unbatched pass's byte for byte."""
+        """A greedy step, handed array visual tokens, makes the plain kernel
+        calls of an unbatched pass: an attention and a feed-forward kernel
+        per stream and layer, with no mask and the context joined to all
+        K + 1 visual tokens, and one head kernel; it records no tape node,
+        and its logits are the unbatched pass's byte for byte."""
         agent = self.make(setup, {})
         e = episodes[2]
         assert e["imags"]
@@ -820,8 +861,7 @@ class TestPaddedBatch:
 
         for name in kernels:
             monkeypatch.setattr(nc, name, spy(name))
-        with nc.no_grad():
-            logits = agent.cross_modal_step(context, vis, [1], [nav])
+        logits = agent.cross_modal_step(context, vis.values, [1], [nav])
         layers, k, tc = agent.config.cross_layers, agent.config.k_views, context.tokens.shape[1]
         d = agent.config.d
         assert kernels["attention_forward"] == [((1, tc, d), (1, tc + k + 1, d), None),
@@ -928,8 +968,7 @@ class TestBatchedIteration:
 class TestAgentGradcheck:
     def test_policy_gradient_matches_finite_differences(self, setup):
         """End-to-end: loss through text + imagination + cross-modal layers,
-        over two steps of one episode, so that the finite differences, run
-        under no_grad, take the taped body too (not a greedy step's arrays)."""
+        over two steps of one episode."""
         cfg = ag.AgentConfig(vocab_size=12, d=16, heads=2, cross_layers=1, k_views=4, d_v=8)
         params = ag.init_params(cfg, seed=0)
         checked = ["tok_embed", "t_im", "im_m1", "vis_proj", "c0_wq", "v0_wk", "act_w"]

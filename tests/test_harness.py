@@ -271,6 +271,39 @@ class TestCli:
         assert "split condition SR SPL NE TL n seed" in capsys.readouterr().err
         assert not (tmp_path / "r.tsv").exists()
 
+    @pytest.mark.parametrize("column, value, named", [
+        (6, "0", "n must be >= 1, got 0"), (6, "-60", "n must be >= 1, got -60"),
+        (2, "nan", "SR must be in [0, 100], got nan"), (2, "150", "SR must be in [0, 100]"),
+        (3, "-40", "SPL must be in [0, 100]"), (4, "-1", "NE must be finite and >= 0"),
+        (4, "nan", "NE must be finite and >= 0"), (5, "inf", "TL must be finite and >= 0")])
+    def test_report_rejects_a_malformed_metrics_row(self, tmp_path, capsys, column, value,
+                                                    named):
+        good, bad = tmp_path / "good.tsv", tmp_path / "bad.tsv"
+        ev.write_metrics(good, [metrics_row("val_unseen", "imagine", 0.5)])
+        lines = good.read_text().splitlines()
+        fields = lines[-1].split("\t")
+        fields[column] = value
+        bad.write_text("\n".join(lines[:-1] + ["\t".join(fields)]) + "\n")
+        assert run_cli(["report", good, "--out", tmp_path / "r.tsv"]) == 0
+        capsys.readouterr()
+        (tmp_path / "r.tsv").unlink()
+        assert run_cli(["report", good, bad, "--out", tmp_path / "r.tsv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}:{len(lines)}: {named}")
+        assert not captured.out and not (tmp_path / "r.tsv").exists()
+
+    def test_train_eval_and_report_make_a_missing_output_directory(self, trained, tmp_path):
+        spec, data, ckpt = trained
+        ckpt_out, metrics, merged = (tmp_path / "a" / "b.ckpt", tmp_path / "m" / "n" / "m.tsv",
+                                     tmp_path / "r" / "r.tsv")
+        assert run_cli(["train", "--spec", spec, "--condition", "baseline", "--data", data,
+                        "--seed", "5", "--out", ckpt_out]) == 0
+        assert ckpt_out.read_bytes() == ckpt.read_bytes()
+        assert run_cli(["eval", "--ckpt", ckpt_out, "--condition", "baseline", "--data", data,
+                        "--split", "train", "--seed", "2", "--out", metrics]) == 0
+        assert run_cli(["report", metrics, "--out", merged]) == 0
+        assert len(ev.read_metrics(metrics)) == 1 and merged.exists()
+
     def test_route_longer_than_max_steps_exits_1_before_any_work(self, tmp_path, capsys):
         # seven forks make 15-edge routes: 16 decisions with the stop, one
         # more than agent.MAX_STEPS; six forks still fit

@@ -121,6 +121,18 @@ class TestWorldsRoundTrip:
             serial.read_split(rewritten(path, lines))
         assert f":{idx + 2}:" in str(exc.value)
 
+    @pytest.mark.parametrize("at, new_id, named", [
+        (2, "1", "a second class record for class 1"),   # classes 0, 1, 1, ...
+        (1, "2", "class 2 comes before class 1")])       # classes 0, 2, 2, ...
+    def test_class_out_of_order_names_the_line(self, split, tmp_path, at, new_id, named):
+        path, lines = written(split, tmp_path)
+        idx = [i for i, l in enumerate(lines) if l.startswith("class ")][at]
+        assert lines[idx].startswith(f"class {at} ")
+        lines[idx] = f"class {new_id} " + lines[idx].split(" ", 2)[2]
+        with pytest.raises(FormatError, match=f"malformed 'class' record: {named}") as exc:
+            serial.read_split(rewritten(path, lines))
+        assert f":{idx + 1}:" in str(exc.value)
+
     def test_background_width_must_be_d_v(self, split, tmp_path):
         path, lines = written(split, tmp_path)
         idx = next(i for i, l in enumerate(lines) if l.startswith("background "))
