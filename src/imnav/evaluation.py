@@ -21,6 +21,7 @@ import numpy as np
 from . import agent as ag
 from . import imagination as im
 from . import serial
+from . import world as wd
 from .errors import ConfigurationError, ContractError, FormatError, InputError
 
 SUCCESS_RADIUS = 1.0
@@ -143,9 +144,9 @@ def write_metrics(path, rows, command="", seed=None):
 def read_metrics(path):
     """The (MetricsRecord, condition) rows of a metrics file, with SR and SPL
     converted from the file's percentages to fractions. FormatError names
-    the line of a row with a missing or unparsable field, an n below 1, an
-    SR or SPL outside [0, 100], or an NE or TL that is negative or not
-    finite."""
+    the line of a row with a missing or unparsable field, a split outside
+    `world.SPLITS`, an n below 1, an SR or SPL outside [0, 100], an NE or TL
+    that is negative or not finite, or a negative seed."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     body = [(i + 1, l) for i, l in enumerate(lines) if l and not l.startswith("#")]
@@ -163,8 +164,13 @@ def read_metrics(path):
             count, seed = int(parts[6]), int(parts[7])
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: bad field: {exc}") from exc
+        if parts[0] not in wd.SPLITS:
+            raise FormatError(f"{path}:{lineno}: unknown split {parts[0]!r}; the splits are "
+                              f"{', '.join(wd.SPLITS)}")
         if count < 1:
             raise FormatError(f"{path}:{lineno}: n must be >= 1, got {count}")
+        if seed < 0:
+            raise FormatError(f"{path}:{lineno}: seed must be >= 0, got {seed}")
         for name, value in (("SR", sr), ("SPL", spl)):
             if not 0.0 <= value <= 100.0:
                 raise FormatError(f"{path}:{lineno}: {name} must be in [0, 100], got {value}")

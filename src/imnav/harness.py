@@ -449,7 +449,13 @@ def cmd_ablate(args):
 
 
 def cmd_report(args):
-    rows = [row for path in args.metrics for row in ev.read_metrics(path)]
+    rows = []
+    for path in args.metrics:
+        for row in ev.read_metrics(path):
+            if row[1] not in ALL_CONDITIONS:
+                raise FormatError(f"{path}: unknown condition {row[1]!r}; the conditions are "
+                                  f"{', '.join(ALL_CONDITIONS)}")
+            rows.append(row)
     summary = summarize(rows)
     tsv = ["split\tcondition\tsr_mean\tsr_std\tspl_mean\tspl_std\tne_mean\ttl_mean\truns"]
     for (split, cond), s in summary.items():
@@ -520,6 +526,9 @@ def main(argv=None):
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:   # any other file that cannot be read or written
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except ImnavError as exc:
         print(f"error: {exc}", file=sys.stderr)

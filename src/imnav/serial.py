@@ -83,9 +83,10 @@ def write_split(path, library, rows, command="", seed=None):
     list of (Episode, Instruction, imaginations), its world record, its
     instruction, and one `imag` record per imagination, in kept order. Only
     what generation drew is written: the world record holds the world's
-    split, k_views, sigma_obs and fork count, and the draws `fork_world`
-    builds it from (`world.fork_draws`); `dataset.read_split` derives the
-    segmentation and each imagination's sub-instruction and true class."""
+    split, k_views, sigma_obs and fork count, and the draws it keeps
+    (`World.draws`, in `world.fork_world`'s order); `dataset.read_split`
+    derives the segmentation and each imagination's sub-instruction and
+    true class."""
     lines = [f"library {len(library.classes)} {library.d_v}"]
     for c in library.classes:
         lines.append("class {} {} {} {} {}".format(
@@ -94,9 +95,8 @@ def write_split(path, library, rows, command="", seed=None):
     lines.append("background " + " ".join(f32(x) for x in library.background))
     for w, (episode, instruction, imaginations) in enumerate(rows):
         world = episode.world
-        draws = wd.fork_draws(world)
         lines.append(f"world {w} {world.split} {world.k_views} {float(world.sigma_obs)!r} "
-                     f"{len(draws[0])}" + "".join(f" {d}" for part in draws for d in part))
+                     f"{len(world.draws) // 4}" + "".join(f" {d}" for d in world.draws))
         lines.append(f"instr {w} {len(instruction.tokens)}"
                      + "".join(f" {t}" for t in instruction.tokens))
         lines.extend(f"imag {w} {im.emitted_class} " + " ".join(f32(x) for x in im.feature)
@@ -132,19 +132,17 @@ def _vector(fields, d_v, what):
 def read_split(path):
     """The library of a split file and its (Episode, Instruction, drawn) rows
     in world order, where `drawn` lists each imagination's (emitted class,
-    feature). Each world is built from its recorded draws by
-    `world.fork_world`, the function that generated it, and its episode is
-    its route (`world.sample_episode`). FormatError names the line of a
-    malformed record: one with a class outside the library, one that names a
-    world with no world record, or a second instr record of a world; a class
-    or world record whose id is not the next in file order (classes and
-    worlds are numbered from 0); a world record whose sigma_obs, k_views or
-    fork count could not generate a world, whose draw count is not
-    4 * n_forks + 1, or whose split or draws `fork_world` rejects (a split
-    outside `world.SPLITS`, a class outside the split's pool or drawn twice,
-    a side other than 1 or -1, a view that is not free at its node); and the
-    library record when its class count is not the number of class records.
-    It names the world that has no instr record."""
+    feature). Each world record's draws go as they are to `world.fork_world`,
+    the function that generated the world, and its episode is its route
+    (`world.sample_episode`). FormatError names the line of a malformed
+    record: one with a class outside the library, one that names a world
+    with no world record, or a second instr record of a world; a class or
+    world record whose id is not the next in file order (classes and worlds
+    are numbered from 0); a world record whose draw count is not 4 * n_forks
+    + 1 for its n_forks, or whose split, k_views, sigma_obs or draws
+    `fork_world` rejects; and the library record when its class count is not
+    the number of class records. It names the world that has no instr
+    record."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != SPLIT_TAG:
@@ -180,13 +178,11 @@ def read_split(path):
                 _next_id(parts[0], len(worlds), "world")
                 k_views, sigma_obs, n_forks = int(parts[2]), float(parts[3]), int(parts[4])
                 draws = [int(d) for d in parts[5:]]
-                wd.check_sigma_obs(sigma_obs)
-                wd.check_forks(k_views, n_forks)
                 if len(draws) != 4 * n_forks + 1:
                     raise ValueError(f"has {len(draws)} draws; n_forks={n_forks} makes "
                                      f"{4 * n_forks + 1}")
                 worlds.append(dict(line=lineno, split=parts[1], k_views=k_views,
-                                   sigma_obs=sigma_obs, n_forks=n_forks, draws=draws, drawn=[]))
+                                   sigma_obs=sigma_obs, draws=draws, drawn=[]))
             elif tag == "instr":
                 if int(parts[1]) != len(parts) - 2:
                     raise ValueError(f"says {parts[1]} tokens but lists {len(parts) - 2}")
@@ -208,12 +204,9 @@ def read_split(path):
     for idx, raw in enumerate(worlds):
         if "instr" not in raw:
             raise FormatError(f"{path}: world {idx} has no instr record")
-        n, draws = raw["n_forks"], raw["draws"]
-        views = iter(draws[3 * n:])
         try:
             world = wd.fork_world(library, raw["k_views"], raw["sigma_obs"], raw["split"],
-                                  draws[:n], draws[n:2 * n], draws[2 * n:3 * n],
-                                  lambda taken: next(views))
+                                  raw["draws"])
         except ConfigurationError as exc:
             raise malformed(raw["line"], "world", exc) from None
         episode = wd.sample_episode(world)

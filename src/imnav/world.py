@@ -9,16 +9,17 @@ the discrete action space.
 Every world is a chain of disambiguation forks (the one layout, `forks`): at
 each fork the two branches are geometrically mirrored and differ only in
 which landmark class is shown, so route choice is informative only through
-landmark identity. A world follows from a few draws: its landmark and decoy
-classes and one side per fork, and the view, bound to no edge, on which each
-dead end and the goal show a class. `fork_world` builds it from them, for
-generation and for the split reader alike. What depends only on the fork
-count, k_views and the sides (positions, edges, view bindings, adjacency and
-the route) is one read-only `ForkLayout`, built once per pattern and shared
-by its worlds. Each world designates its route, from the start of the
-approach corridor to the end of the last correct branch, and that route is
-its episode. Episodes have one mode, `fine`: the instruction gives one
-segment per route step (see `instructions`).
+landmark identity. A world follows from its draws, a plain tuple of ints:
+its landmark and decoy classes and one side per fork, then the view, bound
+to no edge, on which each dead end and the goal show a class. `fork_world`
+alone builds a world from them, checks them and keeps them, for generation
+and for the split reader alike. What depends only on the fork count,
+k_views and the sides (positions, edges, view bindings, adjacency, free
+views and the route) is one read-only `ForkLayout`, built once per pattern
+and shared by its worlds. Each world designates its route, from the start
+of the approach corridor to the end of the last correct branch, and that
+route is its episode. Episodes have one mode, `fine`: the instruction gives
+one segment per route step (see `instructions`).
 """
 
 from __future__ import annotations
@@ -154,6 +155,7 @@ class World:
     placements: dict                   # node -> ((class_id, view), ...)
     library: Library
     route: tuple | None = None         # the designated route's nodes, start to goal
+    draws: tuple | None = None         # what `fork_world` built it from
     _adj: dict = field(default_factory=dict, repr=False)   # node -> sorted neighbors
     _base: dict = field(default_factory=dict, repr=False)
 
@@ -298,17 +300,10 @@ def check_route_fits(n_forks, max_steps):
                                  f"max_steps={max_steps}")
 
 
-def check_sigma_obs(sigma_obs):
-    """ConfigurationError unless the observation noise `sigma_obs` is finite
-    and >= 0; world generation and the split reader both apply it."""
-    if not (math.isfinite(sigma_obs) and sigma_obs >= 0):
-        raise ConfigurationError(f"sigma_obs must be finite and >= 0, got {sigma_obs}")
-
-
 def check_forks(k_views, n_forks):
     """ConfigurationError unless a world of `n_forks` forks (>= 1) can bind
     each node's edges to distinct views among its `k_views` (K >= FORK_DEGREE
-    + 1); world generation and the split reader both apply it."""
+    + 1); generation applies it before it draws, `fork_world` to its draws."""
     if n_forks < 1:
         raise ConfigurationError("forks layout needs n_forks >= 1")
     if k_views < FORK_DEGREE + 1:
@@ -320,7 +315,6 @@ def _check_config(cfg):
     if cfg.layout != "forks":
         raise ConfigurationError(f"unknown layout {cfg.layout!r}; the only layout is 'forks'")
     check_forks(cfg.k_views, cfg.n_forks)
-    check_sigma_obs(cfg.sigma_obs)
     if not cfg.library.classes:
         raise ConfigurationError("landmark library is empty")
     if cfg.library.d_v < 8:
@@ -368,6 +362,7 @@ class ForkLayout:
     forks: tuple              # (fork, correct branch, dead end) per fork
     toward: tuple             # per fork: its views toward the correct branch and the dead end
     route: tuple              # node 0 to the goal, the end of the last correct branch
+    free: tuple               # the views no edge uses, per dead end in fork order, then the goal
 
 
 def _build_layout(n_forks, k_views, sides):
@@ -391,11 +386,13 @@ def _build_layout(n_forks, k_views, sides):
         views = {nb: view for view, nb in view_map[fork].items()}
         toward.append((views[cont], views[dead]))
     route = tuple(range(forks[0][0])) + tuple(n for fork, cont, _ in forks for n in (fork, cont))
+    free = tuple(tuple(v for v in range(k_views) if v not in view_map[node])
+                 for node in [dead for _, _, dead in forks] + [route[-1]])
     return ForkLayout(positions=positions, edges=tuple(sorted(edges)),
                       adj=MappingProxyType(adj),
                       view_map=MappingProxyType({node: MappingProxyType(views)
                                                  for node, views in view_map.items()}),
-                      forks=tuple(forks), toward=tuple(toward), route=route)
+                      forks=tuple(forks), toward=tuple(toward), route=route, free=free)
 
 
 _LAYOUTS = {}
@@ -409,23 +406,30 @@ def fork_layout(n_forks, k_views, sides):
     return _LAYOUTS[key]
 
 
-def fork_world(library, k_views, sigma_obs, split, landmarks, decoys, sides, choose_view):
-    """The fork world of these draws, one of each per fork. Fork k's correct
-    branch turns toward `sides[k]` (+1 or -1), and its wrong branch, a dead
-    end, toward the other side. The fork shows `landmarks[k]` on its view
-    toward the correct branch and `decoys[k]` on its view toward the dead
-    end. The dead end shows `decoys[k]` again, and the goal, the end of the
-    last correct branch, shows the last landmark, each on a view that no
-    edge uses: `choose_view(taken)` picks it, given the node's {view:
-    neighbor} bindings, for each dead end in fork order and then for the
-    goal. The route runs from node 0 to the goal. The world shares its
-    pattern's `fork_layout` and owns only its placements. ConfigurationError
-    unless the split is one of SPLITS, `check_forks` holds, the classes are
-    distinct and in the split's pool, each side is +1 or -1, and each chosen
-    view is free."""
-    pool = library.pool(split)
-    n_forks = len(landmarks)
+def fork_world(library, k_views, sigma_obs, split, draws):
+    """The fork world of `draws`, 4 * n_forks + 1 ints: n_forks landmarks,
+    n_forks decoys, n_forks sides, then a free view for each dead end in
+    fork order and for the goal. Fork k's correct branch turns toward side
+    k (+1 or -1), and its wrong branch, a dead end, toward the other side.
+    The fork shows landmark k on its view toward the correct branch and
+    decoy k on its view toward the dead end. The dead end shows decoy k
+    again, and the goal, the end of the last correct branch, shows the last
+    landmark, each on its free view, one that no edge uses. The route runs
+    from node 0 to the goal. The world shares its pattern's `fork_layout`,
+    owns its placements and keeps `draws` as a tuple. ConfigurationError
+    unless the count is 4 * n_forks + 1, `check_forks` holds, sigma_obs is
+    finite and >= 0, the split is one of SPLITS, the classes are distinct
+    and in the split's pool, each side is +1 or -1, and each view is free."""
+    draws = tuple(draws)
+    n_forks = (len(draws) - 1) // 4
+    if len(draws) != 4 * n_forks + 1:
+        raise ConfigurationError(f"{len(draws)} draws are not 4 * n_forks + 1")
     check_forks(k_views, n_forks)
+    if not (math.isfinite(sigma_obs) and sigma_obs >= 0):
+        raise ConfigurationError(f"sigma_obs must be finite and >= 0, got {sigma_obs}")
+    pool = library.pool(split)
+    landmarks, decoys = draws[:n_forks], draws[n_forks:2 * n_forks]
+    sides, views = draws[2 * n_forks:3 * n_forks], draws[3 * n_forks:]
     seen = set()
     for cid in (*landmarks, *decoys):
         if cid not in pool:
@@ -438,47 +442,30 @@ def fork_world(library, k_views, sigma_obs, split, landmarks, decoys, sides, cho
             raise ConfigurationError(f"side {side} is not 1 or -1")
 
     layout = fork_layout(n_forks, k_views, sides)
-
-    def free_view(node):   # the view `choose_view` picks, checked to be one no edge uses
-        taken = layout.view_map[node]
-        view = choose_view(taken)
-        if not 0 <= view < k_views or view in taken:
-            raise ConfigurationError(f"view {view} is not free at node {node}")
-        return view
-
-    placements = {}
-    for (fork, _, dead), (to_cont, to_dead), landmark, decoy in zip(
-            layout.forks, layout.toward, landmarks, decoys):
-        placements[fork] = ((landmark, to_cont), (decoy, to_dead))
-        placements[dead] = ((decoy, free_view(dead)),)
     goal = layout.route[-1]
-    placements[goal] = ((landmarks[-1], free_view(goal)),)
+    nodes = [dead for _, _, dead in layout.forks] + [goal]
+    for node, view, free in zip(nodes, views, layout.free):
+        if view not in free:
+            raise ConfigurationError(f"view {view} is not free at node {node}")
+    placements = {}
+    for (fork, _, dead), (to_cont, to_dead), landmark, decoy, view in zip(
+            layout.forks, layout.toward, landmarks, decoys, views):
+        placements[fork] = ((landmark, to_cont), (decoy, to_dead))
+        placements[dead] = ((decoy, view),)
+    placements[goal] = ((landmarks[-1], views[-1]),)
     return World(k_views=k_views, d_v=library.d_v, sigma_obs=sigma_obs, split=split,
                  positions=layout.positions, edges=layout.edges, view_map=layout.view_map,
-                 placements=placements, library=library, route=layout.route, _adj=layout.adj)
-
-
-def fork_draws(world):
-    """The draws `fork_world` built `world` from, in generation's order: its
-    landmarks, decoys, sides and free views, n_forks of each but n_forks + 1
-    free views."""
-    n_forks = (len(world.placements) - 1) // 2    # each fork and its dead end, then the goal
-    forks = _fork_nodes(n_forks)
-    landmarks = [world.placements[fork][0][0] for fork, _, _ in forks]
-    decoys = [world.placements[fork][1][0] for fork, _, _ in forks]
-    sides = [int(world.positions[cont, 1] - world.positions[fork, 1]) for fork, cont, _ in forks]
-    views = [world.placements[node][0][1]
-             for node in [dead for _, _, dead in forks] + [world.designated[1]]]
-    return landmarks, decoys, sides, views
+                 placements=placements, library=library, route=layout.route, _adj=layout.adj,
+                 draws=draws)
 
 
 def generate_world(config, seed):
     """Deterministic construction of a fork world: draw 2 * n_forks distinct
     classes of the split's pool (the landmarks, then the decoys), one side
-    per fork, and a free view for each dead end and the goal, and build it
-    with `fork_world`."""
+    per fork, and one view of each of its layout's `free` tuples, and build
+    it from those draws with `fork_world`."""
     _check_config(config)
-    n_forks, k_views = config.n_forks, config.k_views
+    n_forks = config.n_forks
     pool = config.library.pool(config.split)
     if len(pool) < 2 * n_forks:
         raise ConfigurationError(f"split {config.split} pool has {len(pool)} classes, "
@@ -486,13 +473,10 @@ def generate_world(config, seed):
     rng = np.random.default_rng(np.random.SeedSequence([0xA11D, seed]))
     classes = [pool[i] for i in rng.permutation(len(pool))[:2 * n_forks]]
     sides = [1 if rng.integers(2) == 0 else -1 for _ in range(n_forks)]
-
-    def choose_view(taken):
-        free = [v for v in range(k_views) if v not in taken]
-        return free[int(rng.integers(len(free)))]
-
-    return fork_world(config.library, k_views, config.sigma_obs, config.split,
-                      classes[:n_forks], classes[n_forks:], sides, choose_view)
+    views = [free[int(rng.integers(len(free)))]
+             for free in fork_layout(n_forks, config.k_views, sides).free]
+    return fork_world(config.library, config.k_views, config.sigma_obs, config.split,
+                      classes + sides + views)
 
 
 def sample_episode(world):

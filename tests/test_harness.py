@@ -275,7 +275,8 @@ class TestCli:
         (6, "0", "n must be >= 1, got 0"), (6, "-60", "n must be >= 1, got -60"),
         (2, "nan", "SR must be in [0, 100], got nan"), (2, "150", "SR must be in [0, 100]"),
         (3, "-40", "SPL must be in [0, 100]"), (4, "-1", "NE must be finite and >= 0"),
-        (4, "nan", "NE must be finite and >= 0"), (5, "inf", "TL must be finite and >= 0")])
+        (4, "nan", "NE must be finite and >= 0"), (5, "inf", "TL must be finite and >= 0"),
+        (0, "val_unsen", "unknown split 'val_unsen'"), (7, "-7", "seed must be >= 0, got -7")])
     def test_report_rejects_a_malformed_metrics_row(self, tmp_path, capsys, column, value,
                                                     named):
         good, bad = tmp_path / "good.tsv", tmp_path / "bad.tsv"
@@ -291,6 +292,35 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {bad}:{len(lines)}: {named}")
         assert not captured.out and not (tmp_path / "r.tsv").exists()
+
+    def test_report_rejects_an_unknown_condition(self, tmp_path, capsys):
+        path = tmp_path / "m.tsv"
+        ev.write_metrics(path, [metrics_row("val_unseen", "imagine", 0.5),
+                                metrics_row("val_unseen", "nonsense", 0.5)])
+        assert run_cli(["report", path, "--out", tmp_path / "r.tsv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: unknown condition 'nonsense'")
+        assert not captured.out and not (tmp_path / "r.tsv").exists()
+
+    @pytest.mark.parametrize("command", ["report", "data"])
+    def test_output_that_cannot_be_written_exits_1(self, tmp_path, command):
+        """An output path under a regular file fails with one `error:` line,
+        no traceback, and writes nothing."""
+        blocker = tmp_path / "afile"
+        blocker.write_text("kept\n")
+        if command == "report":
+            source = tmp_path / "m.tsv"
+            ev.write_metrics(source, [metrics_row("val_unseen", "imagine", 0.5)])
+            args = ["report", source, "--out", blocker / "r.tsv"]
+        else:
+            source = write_spec(tmp_path)
+            args = ["data", "--spec", source, "--out", blocker / "data"]
+        proc = run_harness(*args)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+        assert sorted(tmp_path.iterdir()) == sorted([blocker, source])
+        assert blocker.read_text() == "kept\n"
 
     def test_train_eval_and_report_make_a_missing_output_directory(self, trained, tmp_path):
         spec, data, ckpt = trained

@@ -157,7 +157,7 @@ class TestWorldsRoundTrip:
         """(the world record of world `w` as written, its n_forks, its
         draws): world <w> <split> <k_views> <sigma_obs> <n_forks> <draws...>"""
         world = split.items[w].episode.world
-        draws = [d for part in wd.fork_draws(world) for d in part]
+        draws = list(world.draws)
         n_forks = len(draws) // 4
         return (f"world {w} {world.split} {world.k_views} {world.sigma_obs!r} {n_forks} "
                 + " ".join(map(str, draws)), n_forks, draws)
@@ -212,8 +212,8 @@ class TestWorldsRoundTrip:
         if case in edits:
             index, value, named = edits[case]
             fields[index] = value
-        elif case == "no_forks":
-            head[5], named = "0", "needs n_forks >= 1"
+        elif case == "no_forks":   # with the one draw an n_forks = 0 record holds
+            head[5], fields, named = "0", fields[-1:], "needs n_forks >= 1"
         else:
             fields = fields[:-1] if case == "too_few_draws" else fields + [str(other)]
             named = f"has {len(fields)} draws; n_forks={n} makes {4 * n + 1}"

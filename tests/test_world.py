@@ -80,7 +80,7 @@ class TestLibrary:
         with pytest.raises(ConfigurationError, match=f"unknown split {split!r}"):
             library.pool(split)
         with pytest.raises(ConfigurationError, match=f"unknown split {split!r}"):
-            wd.fork_world(library, 12, 0.1, split, [0, 1], [2, 3], [1, -1], lambda taken: 0)
+            wd.fork_world(library, 12, 0.1, split, [0, 1, 2, 3, 1, -1, 0, 0, 0])
         assert library._pools == before and split not in library._pools
 
     def test_phrases_unique(self, library):
@@ -156,18 +156,20 @@ class TestGeneration:
             assert all(not library.by_id(c).held_out for c in used)
 
     def test_fork_world_rebuilds_from_its_draws(self, library):
-        """`fork_world` builds the same world from the draws `fork_draws`
-        reads off a generated one."""
+        """`fork_world` builds the same world from the draws a generated one
+        keeps."""
         for w in sweep_worlds(library):
-            landmarks, decoys, sides, views = wd.fork_draws(w)
-            assert len(landmarks) == len(decoys) == len(sides) == len(views) - 1
-            views = iter(views)
-            built = wd.fork_world(library, w.k_views, w.sigma_obs, w.split, landmarks, decoys,
-                                  sides, lambda taken: next(views))
-            assert next(views, None) is None
+            n_forks = (len(w.placements) - 1) // 2   # each fork and its dead end, the goal
+            assert isinstance(w.draws, tuple) and len(w.draws) == 4 * n_forks + 1
+            built = wd.fork_world(library, w.k_views, w.sigma_obs, w.split, w.draws)
             assert built.positions.tobytes() == w.positions.tobytes()
-            assert (built.edges, built.view_map, built.placements, built.designated) == \
-                   (w.edges, w.view_map, w.placements, w.designated)
+            assert (built.edges, built.view_map, built.placements, built.route, built.draws) == \
+                   (w.edges, w.view_map, w.placements, w.route, w.draws)
+
+    def test_draw_count_other_than_4_n_forks_plus_1_is_rejected(self, library, fork_world):
+        for draws in (fork_world.draws[:-1], fork_world.draws + (0,), ()):
+            with pytest.raises(ConfigurationError, match=r"draws are not 4 \* n_forks \+ 1"):
+                wd.fork_world(library, 12, 0.1, "train", draws)
 
     def test_edge_length_is_the_euclidean_norm(self, library):
         # fork edges are offsets (1, 0) and (1, +-1), whose lengths 1 and
@@ -193,10 +195,10 @@ class TestGeneration:
         assert len(path) - 1 == 5
 
 
-def unshared_fork_world(library, k_views, sigma_obs, split, landmarks, decoys, sides,
-                        choose_view):
-    """Reference: a fork world built on its own, as before layouts were
-    shared; it binds each node's views one by one."""
+def unshared_graph(n_forks, k_views, sides):
+    """Reference: the fork nodes, positions, edges and view map of a fork
+    world built on its own, as before layouts were shared; it binds each
+    node's views one by one."""
     def bind(node):
         sector, taken = 2.0 * math.pi / k_views, {}
         for nb in sorted(b if a == node else a for a, b in edges if node in (a, b)):
@@ -207,12 +209,7 @@ def unshared_fork_world(library, k_views, sigma_obs, split, landmarks, decoys, s
             taken[view] = nb
         return taken
 
-    def free_view(node):
-        view = choose_view(view_map[node])
-        assert 0 <= view < k_views and view not in view_map[node]
-        return view
-
-    forks = wd._fork_nodes(len(landmarks))
+    forks = wd._fork_nodes(n_forks)
     positions = [(float(i), 0.0) for i in range(forks[0][0])]
     edges = [(i, i + 1) for i in range(forks[0][0] - 1)]
     y, prev = 0.0, forks[0][0] - 1
@@ -223,51 +220,78 @@ def unshared_fork_world(library, k_views, sigma_obs, split, landmarks, decoys, s
         y, prev = y + side, cont
     positions = np.asarray(positions, dtype=np.float64)
     view_map = {node: bind(node) for node in range(len(positions))}
+    return forks, positions, edges, view_map
+
+
+def unshared_free_views(n_forks, k_views, sides):
+    """Reference: the views no edge uses in `unshared_graph`, per dead end
+    in fork order, then at the goal."""
+    forks, _, _, view_map = unshared_graph(n_forks, k_views, sides)
+    return [[v for v in range(k_views) if v not in view_map[node]]
+            for node in [dead for _, _, dead in forks] + [forks[-1][1]]]
+
+
+def unshared_fork_world(library, k_views, sigma_obs, split, landmarks, decoys, sides, views):
+    """Reference: a fork world built on its own from its draws, the dead
+    ends and then the goal showing their classes on `views`."""
+    forks, positions, edges, view_map = unshared_graph(len(landmarks), k_views, sides)
     placements = {}
-    for (fork, cont, dead), landmark, decoy in zip(forks, landmarks, decoys):
+    for (fork, cont, dead), landmark, decoy, shown in zip(forks, landmarks, decoys, views):
         toward = {nb: view for view, nb in view_map[fork].items()}
         placements[fork] = ((landmark, toward[cont]), (decoy, toward[dead]))
-        placements[dead] = ((decoy, free_view(dead)),)
+        placements[dead] = ((decoy, shown),)
     goal = forks[-1][1]
-    placements[goal] = ((landmarks[-1], free_view(goal)),)
+    placements[goal] = ((landmarks[-1], views[-1]),)
+    for node, view in zip([dead for _, _, dead in forks] + [goal], views):
+        assert 0 <= view < k_views and view not in view_map[node]
     world = wd.World(k_views=k_views, d_v=library.d_v, sigma_obs=sigma_obs, split=split,
                      positions=positions, edges=tuple(sorted(edges)), view_map=view_map,
                      placements=placements, library=library)
     return world, wd.shortest_path(world, 0, goal)[0]
 
 
+def layout_sweep():
+    """(n_forks, k_views, seed, sides) of every layout with 1-5 forks and
+    4-16 views; the seed numbers the side patterns of a fork count."""
+    for n_forks in range(1, 6):
+        for k_views in range(4, 17):
+            for seed, sides in enumerate(itertools.product((1, -1), repeat=n_forks)):
+                yield n_forks, k_views, seed, sides
+
+
 class TestSharedLayout:
     @staticmethod
     def both(library, n_forks, k_views, sides, seed):
         """The world of these draws built from the shared layout and built
-        on its own, with the same free views drawn."""
+        on its own, with the same views drawn from the reference's free
+        views."""
         classes = list(library.pool("train")[seed % 7:][:2 * n_forks])
-        out = []
-        for build in (wd.fork_world, unshared_fork_world):
-            rng = np.random.default_rng(seed)
-            out.append(build(library, k_views, 0.1, "train", classes[:n_forks],
-                             classes[n_forks:], sides,
-                             lambda taken: int(rng.choice([v for v in range(k_views)
-                                                           if v not in taken]))))
-        return out
+        rng = np.random.default_rng(seed)
+        views = [int(rng.choice(free)) for free in unshared_free_views(n_forks, k_views, sides)]
+        return (wd.fork_world(library, k_views, 0.1, "train", classes + list(sides) + views),
+                unshared_fork_world(library, k_views, 0.1, "train", classes[:n_forks],
+                                    classes[n_forks:], sides, views))
+
+    def test_free_views_are_those_no_edge_uses(self, library):
+        for n_forks, k_views, _, sides in layout_sweep():
+            free = wd.fork_layout(n_forks, k_views, sides).free
+            assert free == tuple(map(tuple, unshared_free_views(n_forks, k_views, sides)))
 
     def test_equals_a_world_built_on_its_own(self, library):
-        for n_forks in range(1, 6):
-            for k_views in range(4, 17):
-                for seed, sides in enumerate(itertools.product((1, -1), repeat=n_forks)):
-                    shared, (alone, route) = self.both(library, n_forks, k_views, sides, seed)
-                    assert shared.positions.dtype == alone.positions.dtype
-                    assert shared.positions.tobytes() == alone.positions.tobytes()
-                    assert (shared.edges, shared.view_map, shared.placements) == \
-                           (alone.edges, alone.view_map, alone.placements)
-                    assert (shared.k_views, shared.d_v, shared.sigma_obs, shared.split) == \
-                           (alone.k_views, alone.d_v, alone.sigma_obs, alone.split)
-                    assert shared.route == route and shared.designated == (0, route[-1])
-                    for node in range(alone.n_nodes):
-                        assert tuple(shared.neighbors(node)) == tuple(alone.neighbors(node))
-                    ep = wd.sample_episode(shared)
-                    assert ep.teacher_path == route
-                    assert ep.shortest_len == wd.shortest_path(alone, 0, route[-1])[1]
+        for n_forks, k_views, seed, sides in layout_sweep():
+            shared, (alone, route) = self.both(library, n_forks, k_views, sides, seed)
+            assert shared.positions.dtype == alone.positions.dtype
+            assert shared.positions.tobytes() == alone.positions.tobytes()
+            assert (shared.edges, shared.view_map, shared.placements) == \
+                   (alone.edges, alone.view_map, alone.placements)
+            assert (shared.k_views, shared.d_v, shared.sigma_obs, shared.split) == \
+                   (alone.k_views, alone.d_v, alone.sigma_obs, alone.split)
+            assert shared.route == route and shared.designated == (0, route[-1])
+            for node in range(alone.n_nodes):
+                assert tuple(shared.neighbors(node)) == tuple(alone.neighbors(node))
+            ep = wd.sample_episode(shared)
+            assert ep.teacher_path == route
+            assert ep.shortest_len == wd.shortest_path(alone, 0, route[-1])[1]
 
     def test_shared_arrays_and_maps_are_read_only(self, library):
         w = wd.generate_world(wd.WorldConfig(library=library, n_forks=3), seed=4)
