@@ -354,12 +354,12 @@ class Agent:
                          counts=counts)
         return nc.ffn(x, p[prefix + "ff1"], p[prefix + "ff2"])
 
-    def _untaped_block(self, q_tokens, kv_tokens, prefix, record=None):
+    def _untaped_block(self, q_tokens, kv_tokens, prefix):
         """`_block` of arrays, with no mask: the kernels its two ops record."""
         p = self.params
         x, _ = nc.attention_forward(q_tokens, kv_tokens, p[prefix + "wq"].values,
                                     p[prefix + "wk"].values, p[prefix + "wv"].values,
-                                    p[prefix + "wo"].values, self.config.heads, record=record)
+                                    p[prefix + "wo"].values, self.config.heads)
         return nc.ffn_forward(x, p[prefix + "ff1"].values, p[prefix + "ff2"].values)[0]
 
     # ------------------------------------------------------------------
@@ -374,17 +374,18 @@ class Agent:
         lists of all ΣT steps in episode order.
 
         Array `visual_tokens`, a greedy step's, take one step of one episode,
-        `_untaped_logits`. Tensor ones record the tape: layer 0's context
-        stream projects and scores each episode's context tokens once for all
-        its steps (`nc.attention(counts=)`); its output, and every later
-        layer, holds context tokens per step. Each step's context tokens are
-        padded to the batch's longest, and key-padding masks keep the padding
-        out of every softmax. Padded queries are computed but read by nothing,
-        so they get zero gradient. The last layer's visual stream computes
-        only the rows the action head reads (`_read_rows`): the history, the
-        navigable views in `nav` order, then distinct unread views up to
-        1 + max(len(nav)) rows; every earlier layer, and the visual tokens as
-        the context stream's keys, keep all K + 1.
+        `_untaped_logits`, which records no weights. Tensor ones record the
+        tape: layer 0's context stream projects and scores each episode's
+        context tokens once for all its steps (`nc.attention(counts=)`); its
+        output, and every later layer, holds context tokens per step. Each
+        step's context tokens are padded to the batch's longest, and
+        key-padding masks keep the padding out of every softmax. Padded
+        queries are computed but read by nothing, so they get zero gradient.
+        The last layer's visual stream computes only the rows the action head
+        reads (`_read_rows`): the history, the navigable views in `nav` order,
+        then distinct unread views up to 1 + max(len(nav)) rows; every earlier
+        layer, and the visual tokens as the context stream's keys, keep all
+        K + 1.
 
         The action head, one `nc.action_logits` call, reads each step's
         history token h and navigable views v in place: a view's logit is
@@ -406,7 +407,7 @@ class Agent:
         if isinstance(visual_tokens, np.ndarray):
             if list(counts) != [1]:
                 raise ShapeError(f"an array pass takes one step, not step counts {list(counts)}")
-            return self._untaped_logits(context, visual_tokens, navs[0], record)
+            return self._untaped_logits(context, visual_tokens, navs[0])
         # masks of the real context tokens, None when nothing is padded. The
         # visual token sets all have K + 1 tokens.
         ctx, ctx_valid, vis = context.tokens, context.valid, visual_tokens
@@ -438,15 +439,14 @@ class Agent:
                            -np.inf).astype(np.float32)
         return nc.action_logits(vis, self.params["act_w"], self.params["stop_w"], index, pad)
 
-    def _untaped_logits(self, context, vis, nav, record):
+    def _untaped_logits(self, context, vis, nav):
         """The (1, A) logits array of a greedy step's (1, K+1, d) visual
         tokens: the one context joins all K + 1 of them at every layer, with
         nothing padded or masked, and the head scores every view."""
         p, k = self.params, self.config.k_views
         ctx = context.tokens.values
         for layer in range(self.config.cross_layers):
-            ctx = self._untaped_block(ctx, np.concatenate([ctx, vis], axis=1), f"c{layer}_",
-                                      record)
+            ctx = self._untaped_block(ctx, np.concatenate([ctx, vis], axis=1), f"c{layer}_")
             vis = self._untaped_block(vis, ctx, f"v{layer}_")
         index = np.array([[v for v, _ in nav] + [k]], dtype=np.intp)
         return nc.action_logits_forward(vis, p["act_w"].values, p["stop_w"].values, index)[0]

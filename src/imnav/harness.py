@@ -167,7 +167,7 @@ def train_step(spec, split, condition, seed, out, init_from=None, curves=None, c
     `init_from`), writing the checkpoint to `out` and curve rows to `curves`; returns its cfg.
     A base checkpoint whose agent is not the spec's on `split` raises ConfigurationError."""
     base_agent, init_values = _agent_config(split, spec), None
-    if init_from:
+    if init_from is not None:
         base = tr.load_checkpoint(init_from)
         differ = [f"{name} = {getattr(base.agent_config, name)} (spec: {value})"
                   for name, value in vars(base_agent).items()
@@ -451,7 +451,10 @@ def cmd_ablate(args):
 def cmd_report(args):
     rows = []
     for path in args.metrics:
-        for row in ev.read_metrics(path):
+        file_rows = ev.read_metrics(path)
+        if not file_rows:
+            raise FormatError(f"{path}: holds a header and no metrics rows")
+        for row in file_rows:
             if row[1] not in ALL_CONDITIONS:
                 raise FormatError(f"{path}: unknown condition {row[1]!r}; the conditions are "
                                   f"{', '.join(ALL_CONDITIONS)}")

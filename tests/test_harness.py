@@ -302,6 +302,15 @@ class TestCli:
         assert captured.err.startswith(f"error: {path}: unknown condition 'nonsense'")
         assert not captured.out and not (tmp_path / "r.tsv").exists()
 
+    def test_report_rejects_a_file_of_no_rows(self, tmp_path, capsys):
+        good, empty = tmp_path / "good.tsv", tmp_path / "empty.tsv"
+        ev.write_metrics(good, [metrics_row("val_unseen", "imagine", 0.5)])
+        ev.write_metrics(empty, [], command="imnav eval", seed=1)
+        assert run_cli(["report", good, empty, "--out", tmp_path / "r.tsv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {empty}: holds a header and no metrics rows")
+        assert not captured.out and not (tmp_path / "r.tsv").exists()
+
     @pytest.mark.parametrize("command", ["report", "data"])
     def test_output_that_cannot_be_written_exits_1(self, tmp_path, command):
         """An output path under a regular file fails with one `error:` line,
@@ -1048,6 +1057,16 @@ class TestCliEqualsAblate:
         assert run_cli(["train", "--spec", spec, "--condition", condition, "--data", data,
                         *extra, "--seed", "1", "--out", tmp_path / "a.bin"]) == 1
         assert "--init-from" in capsys.readouterr().err
+        assert not (tmp_path / "a.bin").exists()
+
+    def test_empty_init_from_is_a_missing_file(self, run, tmp_path, capsys):
+        """`--init-from ""`, as an unset shell variable gives it, is a
+        missing base checkpoint, not a finetune from a random base."""
+        spec, _, data = run
+        capsys.readouterr()
+        assert run_cli(["train", "--spec", spec, "--condition", "imagine", "--data", data,
+                        "--init-from", "", "--seed", "1", "--out", tmp_path / "a.bin"]) == 1
+        assert capsys.readouterr().err.startswith("error: missing input file")
         assert not (tmp_path / "a.bin").exists()
 
     def test_finetune_of_a_base_with_another_agent_exits_1(self, run, tmp_path, capsys):

@@ -43,6 +43,11 @@ def rewritten(path, lines):
     return path
 
 
+def read_train(path):
+    """What `dataset.read_split` reads from the train split file at `path`."""
+    return ds.read_split(path.parent, "train")
+
+
 def edited(split, tmp_path, tag, column, value):
     """`split` written into tmp_path with field `column` of the first `tag`
     record of world 0 set to `value`; returns the path and the line number."""
@@ -57,14 +62,16 @@ def edited(split, tmp_path, tag, column, value):
 class TestWorldsRoundTrip:
     def test_exact(self, split, tmp_path):
         path, _ = written(split, tmp_path)
-        library, rows = serial.read_split(path)
-        assert len(rows) == len(split.items)
+        read = read_train(path)
+        library = read.library
+        assert len(read.items) == len(split.items)
         for c0, c1 in zip(split.library.classes, library.classes):
             assert c0.phrase == c1.phrase and c0.held_out == c1.held_out
             assert np.array_equal(c0.prototype, c1.prototype)
         assert np.array_equal(split.library.background, library.background)
-        for item, (e1, _, _) in zip(split.items, rows):
-            e0, w0, w1 = item.episode, item.episode.world, e1.world
+        for item, item1 in zip(split.items, read.items):
+            e0, e1 = item.episode, item1.episode
+            w0, w1 = e0.world, e1.world
             assert np.array_equal(w0.positions, w1.positions)
             assert w0.edges == w1.edges
             assert w0.view_map == w1.view_map
@@ -74,15 +81,15 @@ class TestWorldsRoundTrip:
                    (e1.start, e1.goal, e1.teacher_path, e1.mode)
 
     def test_header_required(self, tmp_path):
-        path = tmp_path / "bad.txt"
+        path = tmp_path / "train.txt"
         path.write_text("not a header\n")
         with pytest.raises(FormatError):
-            serial.read_split(path)
+            read_train(path)
 
     def test_malformed_record_names_line(self, split, tmp_path):
         path, lineno = edited(split, tmp_path, "world", 5, "oops")     # n_forks
         with pytest.raises(FormatError) as exc:
-            serial.read_split(path)
+            read_train(path)
         assert f":{lineno}:" in str(exc.value)
 
     def test_missing_instr_record_names_the_world(self, split, tmp_path):
@@ -90,7 +97,7 @@ class TestWorldsRoundTrip:
         kept = [l for l in lines if not l.startswith("instr 2 ")]
         assert len(kept) == len(lines) - 1
         with pytest.raises(FormatError, match="world 2 has no instr record"):
-            serial.read_split(rewritten(path, kept))
+            read_train(rewritten(path, kept))
 
     @pytest.mark.parametrize("tag, column, value, named", [
         ("imag", 2, "60", "class 60"),
@@ -101,7 +108,7 @@ class TestWorldsRoundTrip:
         assert len(split.library.classes) == 60
         path, lineno = edited(split, tmp_path, tag, column, value)
         with pytest.raises(FormatError, match=named) as exc:
-            serial.read_split(path)
+            read_train(path)
         assert f":{lineno}:" in str(exc.value)
 
     @pytest.mark.parametrize("sigma_obs", ["-0.1", "nan", "inf"])
@@ -109,7 +116,7 @@ class TestWorldsRoundTrip:
         # world generation's rule: finite and >= 0
         path, lineno = edited(split, tmp_path, "world", 4, sigma_obs)
         with pytest.raises(FormatError, match="sigma_obs must be finite and >= 0") as exc:
-            serial.read_split(path)
+            read_train(path)
         assert f":{lineno}:" in str(exc.value)
 
     @pytest.mark.parametrize("tag", ["world", "instr"])
@@ -118,7 +125,7 @@ class TestWorldsRoundTrip:
         idx = next(i for i, l in enumerate(lines) if l.startswith(f"{tag} 0 "))
         lines.insert(idx + 1, lines[idx].replace(" left ", " right "))
         with pytest.raises(FormatError, match=f"a second {tag} record for world 0") as exc:
-            serial.read_split(rewritten(path, lines))
+            read_train(rewritten(path, lines))
         assert f":{idx + 2}:" in str(exc.value)
 
     @pytest.mark.parametrize("at, new_id, named", [
@@ -130,7 +137,7 @@ class TestWorldsRoundTrip:
         assert lines[idx].startswith(f"class {at} ")
         lines[idx] = f"class {new_id} " + lines[idx].split(" ", 2)[2]
         with pytest.raises(FormatError, match=f"malformed 'class' record: {named}") as exc:
-            serial.read_split(rewritten(path, lines))
+            read_train(rewritten(path, lines))
         assert f":{idx + 1}:" in str(exc.value)
 
     def test_background_width_must_be_d_v(self, split, tmp_path):
@@ -138,7 +145,7 @@ class TestWorldsRoundTrip:
         idx = next(i for i, l in enumerate(lines) if l.startswith("background "))
         lines[idx] = lines[idx].rsplit(" ", 1)[0]           # d_v - 1 values
         with pytest.raises(FormatError, match="background has 15 dims, expected 16") as exc:
-            serial.read_split(rewritten(path, lines))
+            read_train(rewritten(path, lines))
         assert f":{idx + 1}:" in str(exc.value)
 
     @pytest.mark.parametrize("count", ["59", "61"])
@@ -149,7 +156,7 @@ class TestWorldsRoundTrip:
         lines[idx] = f"library {count} 16"
         with pytest.raises(FormatError,
                            match=f"says {count} classes but the file has 60 class records") as exc:
-            serial.read_split(rewritten(path, lines))
+            read_train(rewritten(path, lines))
         assert f":{idx + 1}:" in str(exc.value)
 
     @staticmethod
@@ -221,7 +228,7 @@ class TestWorldsRoundTrip:
         idx = lines.index(line)
         lines[idx] = " ".join(head + fields)
         with pytest.raises(FormatError, match=re.escape(named)) as exc:
-            serial.read_split(rewritten(path, lines))
+            read_train(rewritten(path, lines))
         assert f":{idx + 1}: malformed 'world' record" in str(exc.value)
 
     @pytest.mark.parametrize("classes", ["seen", "held_out"])
@@ -236,11 +243,9 @@ class TestWorldsRoundTrip:
         path, lines = written(split, tmp_path)
         idx = lines.index(line)
         lines[idx] = " ".join(fields)
-        rewritten(path, lines)
-        for read in (serial.read_split, lambda path: ds.read_split(path.parent, "train")):
-            with pytest.raises(FormatError, match=re.escape(
-                    f":{idx + 1}: malformed 'world' record: unknown split 'val_unsen'")):
-                read(path)
+        with pytest.raises(FormatError, match=re.escape(
+                f":{idx + 1}: malformed 'world' record: unknown split 'val_unsen'")):
+            read_train(rewritten(path, lines))
 
     def test_another_free_view_is_read_as_drawn(self, split, tmp_path):
         # the recorded free view is where the goal shows its class; the
@@ -249,8 +254,8 @@ class TestWorldsRoundTrip:
         goal, other, _ = self.free_and_bound_views(split)
         path, lines = written(split, tmp_path)
         lines[lines.index(line)] = line.rsplit(" ", 1)[0] + f" {other}"
-        _, rows = serial.read_split(rewritten(path, lines))
-        world, built = rows[0][0].world, split.items[0].episode.world
+        read = read_train(rewritten(path, lines))
+        world, built = read.items[0].episode.world, split.items[0].episode.world
         assert world.placements[goal] == ((built.placements[goal][0][0], other),)
         assert world.edges == built.edges and world.view_map == built.view_map
 
@@ -258,8 +263,9 @@ class TestWorldsRoundTrip:
         """Binding views to more edges than a node has views never ends, so
         the file is read in a child process that must finish."""
         path, lineno = edited(split, tmp_path, "world", 3, "2")   # k_views 2 < fork degree 3
-        code = ("import sys; from imnav import serial; from imnav.errors import FormatError\n"
-                "try:\n    serial.read_split(sys.argv[1])\n"
+        code = ("import sys; from pathlib import Path; from imnav import dataset\n"
+                "from imnav.errors import FormatError\n"
+                "try:\n    dataset.read_split(Path(sys.argv[1]).parent, 'train')\n"
                 "except FormatError as exc:\n    print(exc)")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
@@ -273,14 +279,14 @@ class TestWorldsRoundTrip:
         path, lines = written(split, tmp_path)
         lines[0] = "# imnav-split v1"
         with pytest.raises(FormatError, match="re-make the split files with `imnav data`"):
-            serial.read_split(rewritten(path, lines))
+            read_train(rewritten(path, lines))
 
     def test_v2_file_fails_at_the_header(self, split, tmp_path):
         path, lines = written(split, tmp_path)
         lines[0] = "# imnav-split v2"
         with pytest.raises(FormatError, match="expected header '# imnav-split v3'; re-make the "
                                               "split files with `imnav data`"):
-            serial.read_split(rewritten(path, lines))
+            read_train(rewritten(path, lines))
 
     @pytest.mark.parametrize("record", ["view 0 1 0 0", "episode 0 0 4 3 0 1 2", "gold 0 0",
                                         "node 0 0 0 0", "edge 0 0 1", "place 0 4 6 33"])
@@ -292,7 +298,7 @@ class TestWorldsRoundTrip:
         lines.insert(idx, record)
         with pytest.raises(FormatError, match=f"malformed '{record.split()[0]}' record: "
                                               "unknown record tag") as exc:
-            serial.read_split(rewritten(path, lines))
+            read_train(rewritten(path, lines))
         assert f":{idx + 1}:" in str(exc.value)
 
 
@@ -343,7 +349,7 @@ class TestCorpusRoundTrip:
         idx = next(i for i, l in enumerate(lines) if l.startswith(tag + " "))
         lines[idx] += " left"
         with pytest.raises(FormatError, match=named) as exc:
-            serial.read_split(rewritten(path, lines))
+            read_train(rewritten(path, lines))
         assert f":{idx + 1}:" in str(exc.value)
 
     @pytest.mark.parametrize("world", ["past_last", "-1"])
@@ -351,7 +357,7 @@ class TestCorpusRoundTrip:
         index = str(len(split.items)) if world == "past_last" else world
         path, lineno = edited(split, tmp_path, "instr", 1, index)
         with pytest.raises(FormatError, match=f"world {index} outside") as exc:
-            serial.read_split(path)
+            read_train(path)
         assert f":{lineno}:" in str(exc.value)
 
     def test_kept_step_without_a_route_landmark_names_the_world(self, split, tmp_path):
@@ -432,7 +438,7 @@ class TestImaginationsRoundTrip:
         index = str(len(split.items)) if instruction == "past_last" else instruction
         path, lineno = edited(split, tmp_path, "imag", 1, index)
         with pytest.raises(FormatError, match=f"world {index} outside") as exc:
-            serial.read_split(path)
+            read_train(path)
         assert f":{lineno}:" in str(exc.value)
 
     @pytest.mark.parametrize("edit", ["drop", "add"])
@@ -447,6 +453,20 @@ class TestImaginationsRoundTrip:
         with pytest.raises(FormatError, match=f"world 0 has {n} imaginations for its {kept} "
                                               "kept sub-instructions"):
             ds.read_split(tmp_path, "train")
+
+    def test_first_world_fault_is_reported_first(self, split, tmp_path):
+        """Worlds are assembled in file order: world 0's missing imagination
+        is reported before a later world's draw that cannot build it."""
+        path, lines = written(split, tmp_path)
+        kept = len(split.items[0].record.kept)
+        line, n, _ = TestWorldsRoundTrip.world_record(split, w=1)
+        fields = line.split(" ")
+        fields[6 + 2 * n] = "0"                 # world 1's first side
+        lines[lines.index(line)] = " ".join(fields)
+        lines.remove(next(l for l in lines if l.startswith("imag 0 ")))
+        with pytest.raises(FormatError, match=f"world 0 has {kept - 1} imaginations for its "
+                                              f"{kept} kept sub-instructions"):
+            read_train(rewritten(path, lines))
 
 
 class TestMetrics:
