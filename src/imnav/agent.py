@@ -218,7 +218,6 @@ class ContextInputs:
 
 @dataclass
 class Trajectory:
-    episode: object
     visited: list
     actions: list                      # teacher: the teacher path's actions
     action_spaces: list
@@ -567,8 +566,10 @@ def _kept_pairs(imaginations, kept_subs):
 
 
 def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
-            kept_subs=(), train=False, drop_rng=None, aux=False):
-    """Run one episode.
+            kept_subs=(), train=False, aux=False):
+    """Run one episode. `obs_rng` is its one random stream: with `train`,
+    the dropout multipliers are drawn from it (`context_inputs`) before the
+    observations.
 
     teacher mode only draws: the dropout multipliers, then the teacher
     path's observations in path order, all in one `observation_at` call.
@@ -578,7 +579,7 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
     break to the lowest action index), drawing each step's observation when
     it reaches the node. With `aux`, the trajectory lists the (imagination
     token, noun-phrase) pairs of the alignment loss. Deterministic given the
-    rng streams. argmax mode builds its context off the tape and steps on
+    rng stream. argmax mode builds its context off the tape and steps on
     arrays, so its logits are the same bytes inside `nc.no_grad()` or not.
     `tokens`, the instruction's words, is read by nothing; it keeps its
     place among the positional arguments.
@@ -588,7 +589,7 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
     if mode == "teacher" and MAX_STEPS < len(episode.teacher_path):
         raise ContractError(f"MAX_STEPS={MAX_STEPS} too small for the teacher path")
 
-    inputs = context_inputs(agent, token_ids, imaginations, kept_subs, train=train, rng=drop_rng)
+    inputs = context_inputs(agent, token_ids, imaginations, kept_subs, train=train, rng=obs_rng)
     truncated = False
     observations = None
     logits_list = []
@@ -626,7 +627,7 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
         raise ContractError(f"unknown rollout mode {mode!r}")
 
     aux_pairs = list(inputs.nouns) if aux and cfg.imag_source == "imagination" else []
-    return Trajectory(episode=episode, visited=visited, actions=actions, action_spaces=spaces,
+    return Trajectory(visited=visited, actions=actions, action_spaces=spaces,
                       logits=logits_list, aux_pairs=aux_pairs, truncated=truncated,
                       inputs=inputs if mode == "teacher" else None, observations=observations)
 

@@ -62,7 +62,7 @@ def bundle(episodes, records, imagination_sets, vocab, library, split):
 
     def token_ids(index, rec):
         try:
-            return tuple(word_to_id[t] for t in rec.instruction.tokens)
+            return tuple(word_to_id[t] for t in rec.tokens)
         except KeyError as exc:
             raise FormatError(f"instruction {index}: word {exc.args[0]!r} is not in the "
                               "vocabulary of the packaged templates and landmarks") from None
@@ -78,7 +78,7 @@ def build_split(world_config, n_worlds, templates, lexicon, vocab,
     """Generate `n_worlds` worlds with one episode each and build the corpus."""
     episodes = [wd.sample_episode(wd.generate_world(world_config, seed=world_seed * 1009 + i))
                 for i in range(n_worlds)]
-    records = ins.build_corpus(episodes, templates, lexicon, seed=text_seed, vocab=vocab)
+    records = ins.build_corpus(episodes, templates, lexicon, seed=text_seed)
     sets = im.imagine_dataset(records, world_config.library, imagination_config, seed=imagine_seed)
     return bundle(episodes, records, sets, vocab, world_config.library, world_config.split)
 
@@ -100,7 +100,7 @@ def write_split(data_dir, split, command="", seed=None):
             " ".join(serial.f32(x) for x in c.prototype)))
     lines.append("background " + " ".join(serial.f32(x) for x in library.background))
     for w, item in enumerate(split.items):
-        world, tokens = item.episode.world, item.record.instruction.tokens
+        world, tokens = item.episode.world, item.record.tokens
         lines.append(f"world {w} {world.split} {world.k_views} {float(world.sigma_obs)!r} "
                      f"{len(world.draws) // 4}" + "".join(f" {d}" for d in world.draws))
         lines.append(f"instr {w} {len(tokens)}" + "".join(f" {t}" for t in tokens))
@@ -235,7 +235,7 @@ def read_split(data_dir, split):
         if world.split != split:
             raise FormatError(f"{path}: holds worlds of split {world.split!r}, not {split!r}")
         episode = wd.sample_episode(world)
-        record = ins.build_record(ins.Instruction(tokens=raw["instr"], episode=episode), lexicon)
+        record = ins.build_record(raw["instr"], episode.route_landmarks, lexicon)
         drawn = raw["drawn"]
         if len(drawn) != len(record.kept):
             raise FormatError(f"{path}: world {w} has {len(drawn)} imaginations for its "

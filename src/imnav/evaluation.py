@@ -1,7 +1,7 @@
 """Standard VLN metrics and split evaluation under imagination policies.
 
 The metrics are SR, SPL, NE and TL. An episode succeeds when the agent stops
-within SUCCESS_RADIUS of the goal (NE <= radius). SPL follows the standard
+within SUCCESS_RADIUS of the goal, boundary included. SPL follows the standard
 success-weighted-by-inverse-path-length definition,
 SPL = (1/N) * sum_i S_i * l_i / max(p_i, l_i), with l_i the shortest-path
 length and p_i the agent's traversed length (TL). Metric arithmetic is
@@ -97,7 +97,7 @@ def apply_policy(imagination_sets, policy, seed):
     raise ConfigurationError(f"unknown imagination policy {policy!r}")
 
 
-def evaluate(agent, items, policy, seed, radius=SUCCESS_RADIUS, split=None):
+def evaluate(agent, items, policy, seed, split=None):
     """Greedy rollouts over a split under an imagination policy.
 
     `items` is a list of dataset bundles (episode, record, imaginations,
@@ -110,13 +110,13 @@ def evaluate(agent, items, policy, seed, radius=SUCCESS_RADIUS, split=None):
     results = []
     for i, item in enumerate(items):
         ep = item.episode
-        traj = ag.rollout(agent, ep, item.token_ids, item.record.instruction.tokens,
+        traj = ag.rollout(agent, ep, item.token_ids, item.record.tokens,
                           sets[i], "argmax", obs_rng=observation_rng(seed, i),
                           kept_subs=item.record.kept)
         final = traj.visited[-1]
         ne = navigation_error(ep.world, final, ep.goal)
         results.append(EpisodeResult(
-            episode_id=i, final_node=final, success=ne <= radius, ne=ne,
+            episode_id=i, final_node=final, success=ne <= SUCCESS_RADIUS, ne=ne,
             tl=trajectory_length(ep.world, traj.visited), shortest_len=ep.shortest_len))
 
     n = len(results)

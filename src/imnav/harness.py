@@ -1,7 +1,7 @@
 """Command-line front end and experiment orchestration.
 
 Subcommands: data, train, eval, ablate, report. Exit codes: 0 ok,
-1 runtime/I-O error, 2 usage.
+1 runtime/I-O error, 2 usage. An empty path flag is exit 1 before any work.
 
 Spec keys take their types and defaults from the fields of WorldConfig,
 ImaginationConfig, AgentConfig, TrainConfig and ExperimentSpec. `data` writes
@@ -179,7 +179,7 @@ def train_step(spec, split, condition, seed, out, init_from=None, curves=None, c
     acfg, cfg = training_job(spec, condition, seed, base_agent)
     ckpt, rows = tr.train(split, acfg, cfg, init_values=init_values)
     tr.save_checkpoint(ckpt, out)
-    if curves:
+    if curves is not None:
         serial.write_curves(curves, rows, command=command, seed=seed)
     return cfg
 
@@ -426,13 +426,14 @@ def format_summary(summary):
     return "\n".join(lines)
 
 
-def verdict_lines(summary, conditions, split="val_unseen"):
-    """One PASS/FAIL line per hypothesis whose two conditions ran. The
-    verdict compares the exact Δ of the `sr_exact` means with the margin,
-    so a Δ at exactly its margin passes; the line prints the float Δ."""
+def verdict_lines(summary, conditions):
+    """One PASS/FAIL line per hypothesis whose two conditions ran on
+    val_unseen. The verdict compares the exact Δ of the `sr_exact` means
+    with the margin, so a Δ at exactly its margin passes; the line prints
+    the float Δ."""
     lines = []
     for name, lhs, rhs, margin in HYPOTHESES:
-        a, b = summary.get((split, lhs)), summary.get((split, rhs))
+        a, b = summary.get(("val_unseen", lhs)), summary.get(("val_unseen", rhs))
         if lhs not in conditions or rhs not in conditions or a is None or b is None:
             continue
         delta = 100 * (a["sr_exact"] - b["sr_exact"])
@@ -474,6 +475,10 @@ def cmd_report(args):
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
+
+# the flags that name a file or directory, by their argparse dest
+PATH_FLAGS = ("spec", "data", "init_from", "curves", "ckpt", "out", "out_dir")
+
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="imnav",
@@ -525,6 +530,10 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     args.produced_by = "imnav " + shlex.join(argv)  # the files' `# produced-by:` header
+    for dest in PATH_FLAGS:   # "" would name the current directory, or no file at all
+        if getattr(args, dest, None) == "":
+            print(f"error: --{dest.replace('_', '-')} is an empty path", file=sys.stderr)
+            return 1
     try:
         return args.func(args)
     except FileNotFoundError as exc:

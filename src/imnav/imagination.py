@@ -2,8 +2,8 @@
 
 Each kept sub-instruction maps to one feature vector built from its landmark
 class prototype: with probability `fidelity` the true class is emitted and
-otherwise a uniformly random wrong class, plus isotropic noise. The detection
-audit classifies each vector to its nearest prototype by cosine similarity.
+otherwise a uniformly random wrong class, plus isotropic noise. The test-time
+policies (`goal_only`, `shuffle_wrong`) transform the per-instruction lists.
 """
 
 from __future__ import annotations
@@ -66,37 +66,6 @@ def imagine_dataset(records, library, config, seed):
         rng = np.random.default_rng(np.random.SeedSequence([0x1AC7, seed, i]))
         out.append([imagine(sub, library, config, rng) for sub in rec.kept])
     return out
-
-
-def fidelity_check(imagination_set, library):
-    """Nearest-prototype detection audit.
-
-    An imagination is detected iff its nearest prototype (cosine) is its true
-    class. Returns (fraction detected overall, fraction of instructions whose
-    every imagination is detected); the latter counts only instructions that
-    have at least one imagination.
-    """
-    flat = [im for group in imagination_set for im in group]
-    if not flat:
-        raise InputError("empty imagination set")
-    protos = np.stack([c.prototype for c in library.classes]).astype(np.float32)
-    protos = protos / np.linalg.norm(protos, axis=1, keepdims=True)
-    feats = np.stack([im.feature for im in flat])
-    feats = feats / np.maximum(np.linalg.norm(feats, axis=1, keepdims=True), 1e-12)
-    nearest = np.argmax(feats @ protos.T, axis=1)
-    detected = nearest == np.asarray([im.true_class for im in flat])
-    frac_detected = float(detected.mean())
-
-    idx = 0
-    all_ok = []
-    for group in imagination_set:
-        if not group:
-            continue
-        k = len(group)
-        all_ok.append(bool(detected[idx:idx + k].all()))
-        idx += k
-    frac_all = float(np.mean(all_ok))
-    return frac_detected, frac_all
 
 
 def goal_only(imaginations):

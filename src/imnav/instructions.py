@@ -1,8 +1,10 @@
 """Templated instruction generation, segmentation, and noun-phrase filtering.
 
-Instructions are closed-vocabulary token sequences built from templates, one
-segment per teacher-path step: landmark-referencing at steps whose target
+An instruction is a tuple of closed-vocabulary tokens built from templates,
+one segment per teacher-path step: landmark-referencing at steps whose target
 view shows a landmark, non-visual otherwise, goal-naming at the final step.
+`build_record` takes the tokens and the route's landmark classes, so a record
+holds no reference to its episode or world.
 
 Segmentation splits at delimiter tokens. The tagger is a lexicon chunker: a
 candidate noun phrase is a maximal run of lexicon words, rooted at its last
@@ -17,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, VocabularyError
+from .errors import ConfigurationError, InputError
 
 DELIMITERS = (".", "then")
 
@@ -78,7 +80,7 @@ class FilterLexicon:
         return {}
 
 
-def load_lexicon(nouns_path, blacklist_path, library=None):
+def load_lexicon(nouns_path, blacklist_path, library):
     def read(path):
         out = set()
         with open(path, encoding="utf-8") as fh:
@@ -88,14 +90,11 @@ def load_lexicon(nouns_path, blacklist_path, library=None):
                     out.add(line)
         return out
 
-    nouns = read(nouns_path)
     blacklist = read(blacklist_path)
-    if library is not None:
-        landmark_words = library.words()
-        if landmark_words & blacklist:
-            raise ConfigurationError("blacklist contains landmark words")
-        nouns |= landmark_words
-    return FilterLexicon(frozenset(nouns), frozenset(blacklist))
+    landmark_words = library.words()
+    if landmark_words & blacklist:
+        raise ConfigurationError("blacklist contains landmark words")
+    return FilterLexicon(frozenset(read(nouns_path) | landmark_words), frozenset(blacklist))
 
 
 def build_vocab(templates, library):
@@ -104,29 +103,20 @@ def build_vocab(templates, library):
     return tuple(sorted(words))
 
 
-@dataclass(frozen=True)
-class Instruction:
-    """The tokens of an episode's instruction. Generation gives it one
-    segment per route step; `build_record` gives segment i the landmark
-    class of route step i (`Episode.route_landmarks`)."""
-    tokens: tuple
-    episode: object
-
-
 @dataclass
 class SubInstruction:
     index: int
     span: tuple                   # (start, end) token indices
     tokens: tuple
-    noun_phrases: tuple = ()
     noun_token_indices: tuple = ()
     landmark_class: int | None = None
     filter_verdict: str | None = None   # kept | no_noun | blacklisted
 
 
-def generate_instruction(episode, templates, seed, vocab=None):
-    """Build the templated instruction for an episode's teacher path.
-    VocabularyError if `vocab` is given and lacks one of its tokens."""
+def generate_instruction(episode, templates, seed):
+    """The tokens of the templated instruction for an episode's teacher
+    path, one segment per route step. Its words are those of `build_vocab`
+    on the same templates and the episode's library."""
     if not templates.step or not templates.move:
         raise ConfigurationError("template set is empty")
     library = episode.world.library
@@ -142,18 +132,14 @@ def generate_instruction(episode, templates, seed, vocab=None):
         else:
             tokens.extend(templates.move[int(rng.integers(len(templates.move)))])
         tokens.append(".")
-    if vocab is not None:
-        missing = [t for t in tokens if t not in vocab]
-        if missing:
-            raise VocabularyError(f"tokens outside the closed vocabulary: {sorted(set(missing))}")
     if len(tokens) > 80:
         raise ConfigurationError(f"instruction too long: {len(tokens)} tokens")
-    return Instruction(tokens=tuple(tokens), episode=episode)
+    return tuple(tokens)
 
 
-def segment(instruction):
-    """Split at delimiter tokens; each delimiter closes the span it ends."""
-    tokens = instruction.tokens
+def segment(tokens):
+    """Split an instruction's tokens at delimiter tokens; each delimiter
+    closes the span it ends."""
     if not tokens:
         raise InputError("cannot segment an empty instruction")
     spans = []
@@ -169,8 +155,8 @@ def segment(instruction):
 
 
 def _outcome(tokens, lexicon):
-    """The filter verdict of a segment's tokens, its informative noun phrases
-    and the offsets of their tokens in the segment. A candidate phrase is a
+    """The filter verdict of a segment's tokens and the offsets in the
+    segment of its informative noun phrases' tokens. A candidate phrase is a
     maximal run of lexicon/blacklist words, rooted at its last word."""
     runs, cur = [], []
     for offset, tok in enumerate(tokens):
@@ -183,9 +169,8 @@ def _outcome(tokens, lexicon):
         runs.append(cur)
     informative = [run for run in runs if tokens[run[-1]] not in lexicon.blacklist]
     if informative:
-        return ("kept", tuple(" ".join(tokens[i] for i in run) for run in informative),
-                tuple(i for run in informative for i in run))
-    return ("blacklisted" if runs else "no_noun"), (), ()
+        return "kept", tuple(i for run in informative for i in run)
+    return ("blacklisted" if runs else "no_noun"), ()
 
 
 def filter_sub_instructions(subs, lexicon):
@@ -195,9 +180,8 @@ def filter_sub_instructions(subs, lexicon):
         outcome = lexicon.outcomes.get(sub.tokens)
         if outcome is None:
             outcome = lexicon.outcomes[sub.tokens] = _outcome(sub.tokens, lexicon)
-        sub.filter_verdict, phrases, offsets = outcome
-        if phrases:
-            sub.noun_phrases = phrases
+        sub.filter_verdict, offsets = outcome
+        if offsets:
             sub.noun_token_indices = tuple(sub.span[0] + i for i in offsets)
             kept.append(sub)
     return kept
@@ -205,32 +189,29 @@ def filter_sub_instructions(subs, lexicon):
 
 @dataclass
 class InstructionRecord:
-    """One instruction with its segmentation and filter outcome."""
-    instruction: Instruction
+    """One instruction's tokens with their segmentation and filter outcome."""
+    tokens: tuple
     subs: list = field(default_factory=list)
     kept: list = field(default_factory=list)
 
 
-def build_record(instruction, lexicon):
-    """Segment and filter `instruction`. When it has one segment per route
-    step, segment i takes the landmark class of route step i."""
-    subs = segment(instruction)
-    landmarks = instruction.episode.route_landmarks
+def build_record(tokens, landmarks, lexicon):
+    """Segment and filter an instruction's `tokens`. When it has one segment
+    per route step, segment i takes landmarks[i], the landmark class of route
+    step i (`Episode.route_landmarks`)."""
+    subs = segment(tokens)
     if len(subs) == len(landmarks):
         for s, cls in zip(subs, landmarks):
             s.landmark_class = cls
     kept = filter_sub_instructions(subs, lexicon)
-    return InstructionRecord(instruction=instruction, subs=subs, kept=kept)
+    return InstructionRecord(tokens=tokens, subs=subs, kept=kept)
 
 
-def build_corpus(episodes, templates, lexicon, seed, vocab=None):
+def build_corpus(episodes, templates, lexicon, seed):
     """One InstructionRecord per episode, deterministically sub-seeded."""
-    vocab = None if vocab is None else frozenset(vocab)
-    records = []
-    for i, ep in enumerate(episodes):
-        instr = generate_instruction(ep, templates, seed=seed * 100003 + i, vocab=vocab)
-        records.append(build_record(instr, lexicon))
-    return records
+    return [build_record(generate_instruction(ep, templates, seed=seed * 100003 + i),
+                         ep.route_landmarks, lexicon)
+            for i, ep in enumerate(episodes)]
 
 
 def corpus_stats(records):
@@ -242,5 +223,5 @@ def corpus_stats(records):
     kept_total = sum(len(r.kept) for r in records)
     vocab = set()
     for r in records:
-        vocab.update(r.instruction.tokens)
+        vocab.update(r.tokens)
     return seg_total / n, kept_total / n, len(vocab)

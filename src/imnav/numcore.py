@@ -969,8 +969,12 @@ class ParamStore:
             t.grad = None
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
-    """Adam with bias correction; per-group step counters and learning rates.
+    """Adam with bias correction (`ADAM_BETA1`, `ADAM_BETA2`, `ADAM_EPS`);
+    per-group step counters and learning rates.
 
     Each group's parameter values and moments live in one flat buffer per
     group, and every parameter's `.values`, `m[name]` and `v[name]` become
@@ -986,11 +990,8 @@ class Adam:
     before it changes anything.
     """
 
-    def __init__(self, store, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, store):
         self.store = store
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m, self.v, self._grads = {}, {}, {}
         self._flat = {}     # group -> (names, values, grads, m, v, two temporaries)
         for group in store.groups():
@@ -1033,16 +1034,16 @@ class Adam:
             self.steps[group] += 1
             lr, tstep = lr_by_group[group], self.steps[group]
             # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) (g g)
-            m *= self.beta1
-            m += np.multiply(grads, 1.0 - self.beta1, out=upd)
-            v *= self.beta2
+            m *= ADAM_BETA1
+            m += np.multiply(grads, 1.0 - ADAM_BETA1, out=upd)
+            v *= ADAM_BETA2
             np.multiply(grads, grads, out=upd)
-            v += np.multiply(upd, 1.0 - self.beta2, out=upd)
+            v += np.multiply(upd, 1.0 - ADAM_BETA2, out=upd)
             # values -= lr mhat / (sqrt(vhat) + eps)
-            np.divide(v, 1.0 - self.beta2 ** tstep, out=den)
+            np.divide(v, 1.0 - ADAM_BETA2 ** tstep, out=den)
             np.sqrt(den, out=den)
-            den += self.eps
-            np.divide(m, 1.0 - self.beta1 ** tstep, out=upd)
+            den += ADAM_EPS
+            np.divide(m, 1.0 - ADAM_BETA1 ** tstep, out=upd)
             upd *= lr
             upd /= den
             values -= upd

@@ -226,10 +226,9 @@ def _train_step(agent, opt, items, batch_idx, lrs, cfg, iteration, rng):
     # alignment pairs are built only in iterations whose loss reads them
     aux = cfg.aux_loss != "none" and (cfg.schedule == "flat" or iteration >= cfg.stage_ends[0])
     batch = [items[int(b)] for b in batch_idx]
-    trajs = [ag.rollout(agent, item.episode, item.token_ids, item.record.instruction.tokens,
+    trajs = [ag.rollout(agent, item.episode, item.token_ids, item.record.tokens,
                         item.imaginations if cfg.use_imaginations else [],
-                        "teacher", obs_rng=rng, kept_subs=item.record.kept,
-                        train=True, drop_rng=rng, aux=aux)
+                        "teacher", obs_rng=rng, kept_subs=item.record.kept, train=True, aux=aux)
              for item in batch]
     logits, h, s = ag.decide(agent, trajs)
     l_base = imitation_loss(logits, [t.actions for t in trajs])
@@ -500,6 +499,9 @@ def _read_checkpoint(path):
         steps = json.loads(r.text())
         iteration = r.u32()
         rng_state = json.loads(r.text())
+        trailing = len(fh.read())
+    if trailing:
+        raise FormatError(f"{path}: {trailing} bytes follow the checkpoint's RNG state")
     return Checkpoint(version=version, agent_config=config, values=values,
                       adam_m=adam_m, adam_v=adam_v, adam_steps=steps,
                       iteration=iteration, rng_state=rng_state)

@@ -31,13 +31,14 @@ def setup():
     vocab = ins.build_vocab(templates, library)
     world = wd.generate_world(wd.WorldConfig(library=library), seed=1)
     episode = wd.sample_episode(world)
-    record = ins.build_record(ins.generate_instruction(episode, templates, seed=2, vocab=vocab), lexicon)
+    record = ins.build_record(ins.generate_instruction(episode, templates, seed=2),
+                              episode.route_landmarks, lexicon)
     imags = im.imagine_dataset([record], library, im.ImaginationConfig(sigma_gen=0.0, fidelity=1.0), seed=0)[0]
     config = ag.AgentConfig(vocab_size=len(vocab))
     params = ag.init_params(config, seed=0)
     agent = ag.Agent(config, params)
     word_to_id = {w: i for i, w in enumerate(vocab)}
-    token_ids = [word_to_id[t] for t in record.instruction.tokens]
+    token_ids = [word_to_id[t] for t in record.tokens]
     return dict(library=library, vocab=vocab, world=world, episode=episode,
                 record=record, imags=imags, agent=agent, token_ids=token_ids)
 
@@ -47,7 +48,7 @@ def run_rollout(s, imaginations, mode="teacher", seed=0, agent=None, record=None
     and `record`, a list, receives its context-stream attention weights."""
     agent = agent or s["agent"]
     traj = ag.rollout(agent, s["episode"], s["token_ids"],
-                      s["record"].instruction.tokens, imaginations, mode,
+                      s["record"].tokens, imaginations, mode,
                       obs_rng=np.random.default_rng(seed), kept_subs=s["record"].kept)
     if mode == "teacher":
         ag.decide(agent, [traj], record=record)
@@ -284,9 +285,9 @@ class TestCrossModal:
     def test_grad_reaches_imagination_params(self, setup):
         agent = setup["agent"]
         traj = ag.rollout(agent, setup["episode"], setup["token_ids"],
-                          setup["record"].instruction.tokens, setup["imags"], "teacher",
+                          setup["record"].tokens, setup["imags"], "teacher",
                           obs_rng=np.random.default_rng(0), kept_subs=setup["record"].kept,
-                          train=True, drop_rng=np.random.default_rng(1))
+                          train=True)
         logits, _, _ = ag.decide(agent, [traj])
         loss = tr.imitation_loss(logits, [traj.actions])
         agent.params.zero_grads()
@@ -340,8 +341,8 @@ class TestRollout:
         agent, world, cfg = setup["agent"], setup["world"], setup["agent"].config
         rng, ref = np.random.default_rng(4), np.random.default_rng(4)
         traj = ag.rollout(agent, setup["episode"], setup["token_ids"],
-                          setup["record"].instruction.tokens, setup["imags"], "teacher",
-                          obs_rng=rng, kept_subs=setup["record"].kept, train=True, drop_rng=rng)
+                          setup["record"].tokens, setup["imags"], "teacher",
+                          obs_rng=rng, kept_subs=setup["record"].kept, train=True)
 
         def keep(shape, rate):
             return (ref.random(shape) < 1.0 - rate).astype(np.float32) / np.float32(1.0 - rate)
@@ -357,7 +358,7 @@ class TestRollout:
     def test_truncation_sets_flag(self, setup, monkeypatch):
         monkeypatch.setattr(ag, "MAX_STEPS", 1)
         traj = ag.rollout(setup["agent"], setup["episode"], setup["token_ids"],
-                          setup["record"].instruction.tokens, [], "argmax",
+                          setup["record"].tokens, [], "argmax",
                           obs_rng=np.random.default_rng(0))
         assert traj.truncated or traj.actions[-1] == len(traj.action_spaces[-1])
 
@@ -392,9 +393,9 @@ class TestBatchedTeacher:
         agent = ag.Agent(cfg, ag.init_params(cfg, seed=8))
         batched_rng, stepwise_rng = np.random.default_rng(3), np.random.default_rng(3)
         traj = ag.rollout(agent, setup["episode"], setup["token_ids"],
-                          setup["record"].instruction.tokens, setup["imags"], "teacher",
+                          setup["record"].tokens, setup["imags"], "teacher",
                           obs_rng=batched_rng, kept_subs=setup["record"].kept,
-                          train=True, drop_rng=batched_rng)
+                          train=True)
         logits, _, _ = ag.decide(agent, [traj])
         agent.params.zero_grads()
         nc.backward(tr.imitation_loss(logits, [traj.actions]))
@@ -429,12 +430,12 @@ def episodes(setup):
         world = wd.generate_world(wd.WorldConfig(library=library, n_forks=forks),
                                   seed=seed)
         episode = wd.sample_episode(world)
-        record = ins.build_record(ins.generate_instruction(episode, templates, seed=seed,
-                                                           vocab=vocab), lexicon)
+        record = ins.build_record(ins.generate_instruction(episode, templates, seed=seed),
+                                  episode.route_landmarks, lexicon)
         imags = im.imagine_dataset([record], library, im.ImaginationConfig(sigma_gen=0.0),
                                    seed=seed)[0]
-        out.append(dict(episode=episode, tokens=record.instruction.tokens, kept=record.kept,
-                        token_ids=[word_to_id[t] for t in record.instruction.tokens],
+        out.append(dict(episode=episode, tokens=record.tokens, kept=record.kept,
+                        token_ids=[word_to_id[t] for t in record.tokens],
                         imags=imags[:n_imags]))
     assert len({len(e["episode"].teacher_path) for e in out}) > 1
     assert len({len(e["tokens"]) for e in out}) > 1
@@ -576,7 +577,7 @@ class TestGreedyDecoding:
                 for i, item in enumerate(items):
                     made.clear()
                     traj = ag.rollout(agent, item.episode, item.token_ids,
-                                      item.record.instruction.tokens, item.imaginations,
+                                      item.record.tokens, item.imaginations,
                                       "argmax", obs_rng=ev.observation_rng(0, i),
                                       kept_subs=item.record.kept)
                     assert "op" in made and made[-1] == "context" and made.count("context") == 1
@@ -595,7 +596,7 @@ class TestGreedyDecoding:
             for scope in (nc.no_grad, contextlib.nullcontext):
                 with scope():
                     traj = ag.rollout(agent, item.episode, item.token_ids,
-                                      item.record.instruction.tokens, item.imaginations,
+                                      item.record.tokens, item.imaginations,
                                       "argmax", obs_rng=ev.observation_rng(0, i),
                                       kept_subs=item.record.kept)
                 runs.append((traj.actions, [step.tobytes() for step in traj.logits]))
@@ -621,8 +622,8 @@ class TestPaddedBatch:
     @staticmethod
     def roll(agent, eps, rng, aux=False):
         return [ag.rollout(agent, e["episode"], e["token_ids"], e["tokens"], e["imags"], "teacher",
-                           obs_rng=rng, kept_subs=e["kept"], train=True,
-                           drop_rng=rng, aux=aux) for e in eps]
+                           obs_rng=rng, kept_subs=e["kept"], train=True, aux=aux)
+                for e in eps]
 
     @staticmethod
     def masks_seen(monkeypatch):
@@ -655,7 +656,7 @@ class TestPaddedBatch:
         assert batched_rng.bit_generator.state == single_rng.bit_generator.state
         for tb, (ts, single) in zip(step_rows(padded, trajs), singles):
             (ts_steps,) = step_rows(single, [ts])
-            assert len(tb) == len(ts_steps) == len(ts.episode.teacher_path)
+            assert len(tb) == len(ts_steps) == len(ts.visited)
             for a, b in zip(tb, ts_steps):
                 assert a.shape == b.shape
                 assert np.abs(a - b).max() < 1e-5
@@ -745,9 +746,9 @@ class TestPaddedBatch:
         items, cfg = desk_batch
         agent = ag.Agent(cfg, _cast_params(ag.init_params(cfg, seed=3), dtype))
         rng = np.random.default_rng(8)
-        trajs = [ag.rollout(agent, it.episode, it.token_ids, it.record.instruction.tokens,
+        trajs = [ag.rollout(agent, it.episode, it.token_ids, it.record.tokens,
                             it.imaginations, "teacher", obs_rng=rng, kept_subs=it.record.kept,
-                            train=True, drop_rng=rng) for it in items]
+                            train=True) for it in items]
         assert len({len(it.token_ids) for it in items}) > 1 and all(it.imaginations for it in items)
         assert min(len(t.action_spaces) for t in trajs) > 1
         runs, forms, attention = [], [], nc.attention
@@ -802,9 +803,9 @@ class TestPaddedBatch:
         items, cfg = desk_batch
         agent = ag.Agent(cfg, ag.init_params(cfg, seed=5))
         rng = np.random.default_rng(8)
-        trajs = [ag.rollout(agent, it.episode, it.token_ids, it.record.instruction.tokens,
+        trajs = [ag.rollout(agent, it.episode, it.token_ids, it.record.tokens,
                             it.imaginations, "teacher", obs_rng=rng, kept_subs=it.record.kept,
-                            train=True, drop_rng=rng) for it in items]
+                            train=True) for it in items]
         navs = [nav for t in trajs for nav in t.action_spaces]
         assert {len(nav) for nav in navs} == {1, 2, 3}
         queries, runs, attention = [], [], nc.attention

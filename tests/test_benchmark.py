@@ -65,7 +65,7 @@ def world_rows(splits):
     """Per world of `splits`, in split and world order: its split, draws,
     instruction tokens, token ids, and each imagination's emitted class and
     feature bytes."""
-    return [[name, item.episode.world.draws, item.record.instruction.tokens,
+    return [[name, item.episode.world.draws, item.record.tokens,
              item.token_ids, [[im.emitted_class, im.feature.tobytes().hex()]
                               for im in item.imaginations]]
             for name in wd.SPLITS for item in splits[name].items]

@@ -37,16 +37,17 @@ def small_agent(splits):
 
 class TestSuccess:
     """`evaluate` counts an episode as a success when its final node lies
-    within the radius of the goal, boundary included."""
+    within `SUCCESS_RADIUS` of the goal, boundary included."""
 
     @staticmethod
     def stop_at(monkeypatch, splits, small_agent, final, radius):
         """The metrics of one episode whose rollout moves from the start to
-        `final` and stops there."""
+        `final` and stops there, under a success radius of `radius`."""
         item = splits["val_seen"].items[0]
         monkeypatch.setattr(ag, "rollout", lambda *args, **kwargs: SimpleNamespace(
             visited=[item.episode.start, final]))
-        return ev.evaluate(small_agent, [item], "correct", seed=0, radius=radius)
+        monkeypatch.setattr(ev, "SUCCESS_RADIUS", radius)
+        return ev.evaluate(small_agent, [item], "correct", seed=0)
 
     def test_at_goal(self, monkeypatch, splits, small_agent):
         goal = splits["val_seen"].items[0].episode.goal
@@ -163,7 +164,7 @@ class TestEvaluate:
             for i, item in enumerate(items):
                 rng = np.random.default_rng(np.random.SeedSequence([0xE7A1, 9, i]))
                 traj = ag.rollout(small_agent, item.episode, item.token_ids,
-                                  item.record.instruction.tokens, sets[i], "argmax",
+                                  item.record.tokens, sets[i], "argmax",
                                   obs_rng=rng, kept_subs=item.record.kept)
                 w = item.episode.world
                 final = traj.visited[-1]

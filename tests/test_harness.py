@@ -19,7 +19,7 @@ from imnav import harness
 from imnav import imagination as im
 from imnav import training as tr
 from imnav import world as wd
-from imnav.errors import ConfigurationError, InputError
+from imnav.errors import ConfigurationError, FormatError, InputError
 
 ROOT = Path(__file__).resolve().parent.parent
 SMALL_AGENT = "d = 32\nheads = 2\ncross_layers = 1\n"
@@ -368,6 +368,58 @@ class TestCli:
                         "--data", tmp_path / "nope", "--split", "train", "--seed", "1",
                         "--out", tmp_path / "m.tsv"])
         assert code == 1
+
+    @pytest.mark.parametrize("command, flag", [
+        ("data", "--spec"), ("data", "--out"),
+        ("train", "--spec"), ("train", "--data"), ("train", "--init-from"), ("train", "--curves"),
+        ("train", "--out"),
+        ("eval", "--ckpt"), ("eval", "--data"), ("eval", "--out"),
+        ("ablate", "--spec"), ("ablate", "--out-dir"),
+        ("report", "--out")])
+    def test_empty_path_flag_exits_1_before_any_work(self, trained, tmp_path, capsys,
+                                                     monkeypatch, command, flag):
+        """An empty path, as an unset shell variable gives it, is one `error:`
+        line naming the flag, exit 1, before any work: nothing is written,
+        here or in the current directory, and no train or eval step starts."""
+        spec, data, ckpt = trained
+        metrics = tmp_path / "m.tsv"
+        ev.write_metrics(metrics, [metrics_row("val_unseen", "imagine", 0.5)])
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+
+        def no_pool(workers):
+            raise AssertionError("a train or eval step started")
+
+        monkeypatch.setattr(harness, "_pinned_pool", no_pool)
+        args = {
+            "data": ["data", "--spec", spec, "--out", "d"],
+            "train": ["train", "--spec", spec, "--condition", "imagine", "--data", data,
+                      "--init-from", ckpt, "--curves", "c.tsv", "--seed", "1", "--out", "a.bin"],
+            "eval": ["eval", "--ckpt", ckpt, "--condition", "baseline", "--data", data,
+                     "--split", "train", "--seed", "1", "--out", "m.tsv"],
+            "ablate": ["ablate", "--spec", spec, "--out-dir", "runs"],
+            "report": ["report", metrics, "--out", "r.tsv"]}[command]
+        args[args.index(flag) + 1] = ""
+        capsys.readouterr()
+        assert run_cli(args) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and flag in line.split()
+        assert list(work.iterdir()) == []
+
+    def test_checkpoint_with_trailing_bytes_is_refused(self, trained, tmp_path, capsys):
+        """Bytes after a checkpoint's RNG state are a FormatError naming the
+        file, and `imnav eval` of it exits 1 writing no metrics."""
+        spec, data, ckpt = trained
+        padded = tmp_path / "padded.ckpt"
+        padded.write_bytes(ckpt.read_bytes() + b"twenty-one more bytes")
+        with pytest.raises(FormatError, match=f"{re.escape(str(padded))}: 21 bytes follow"):
+            tr.load_checkpoint(padded)
+        capsys.readouterr()
+        assert run_cli(["eval", "--ckpt", padded, "--condition", "baseline", "--data", data,
+                        "--split", "train", "--seed", "1", "--out", tmp_path / "m.tsv"]) == 1
+        assert str(padded) in capsys.readouterr().err
+        assert not (tmp_path / "m.tsv").exists()
 
     def test_divergence_dump_is_shown(self, tmp_path, capsys):
         """`train` and `ablate` print the diverged iteration's losses and a
@@ -1060,13 +1112,13 @@ class TestCliEqualsAblate:
         assert not (tmp_path / "a.bin").exists()
 
     def test_empty_init_from_is_a_missing_file(self, run, tmp_path, capsys):
-        """`--init-from ""`, as an unset shell variable gives it, is a
-        missing base checkpoint, not a finetune from a random base."""
+        """`--init-from ""`, as an unset shell variable gives it, names no
+        base checkpoint: it is refused, not a finetune from a random base."""
         spec, _, data = run
         capsys.readouterr()
         assert run_cli(["train", "--spec", spec, "--condition", "imagine", "--data", data,
                         "--init-from", "", "--seed", "1", "--out", tmp_path / "a.bin"]) == 1
-        assert capsys.readouterr().err.startswith("error: missing input file")
+        assert capsys.readouterr().err == "error: --init-from is an empty path\n"
         assert not (tmp_path / "a.bin").exists()
 
     def test_finetune_of_a_base_with_another_agent_exits_1(self, run, tmp_path, capsys):

@@ -90,60 +90,10 @@ class TestImagineDataset:
                 assert np.array_equal(x.feature, y.feature)
                 assert x.emitted_class == y.emitted_class
 
-    def test_no_kept_segments_gives_empty_list(self, corpus, library, lexicon):
-        instr = ins.Instruction(tokens=tuple("go straight . turn left .".split()),
-                                episode=corpus[0].instruction.episode)
-        rec = ins.build_record(instr, lexicon)
+    def test_no_kept_segments_gives_empty_list(self, library, lexicon):
+        rec = ins.build_record(tuple("go straight . turn left .".split()), (None, None), lexicon)
         sets = im.imagine_dataset([rec], library, im.ImaginationConfig(), seed=0)
         assert sets == [[]]
-
-
-class TestFidelityCheck:
-    def test_perfect_oracle(self, corpus, library):
-        sets = im.imagine_dataset(corpus, library,
-                                  im.ImaginationConfig(sigma_gen=0.0, fidelity=1.0), seed=0)
-        assert im.fidelity_check(sets, library) == (1.0, 1.0)
-
-    def test_forced_miss(self, corpus, library):
-        sets = im.imagine_dataset(corpus, library,
-                                  im.ImaginationConfig(sigma_gen=0.0, fidelity=0.0), seed=0)
-        frac, _ = im.fidelity_check(sets, library)
-        assert frac == 0.0
-
-    def test_calibration_monte_carlo(self, library):
-        # 10k imaginations at the default operating point
-        subs = [kept_sub(int(i % 20), index=0) for i in range(10000)]
-        cfg = im.ImaginationConfig(sigma_gen=0.05, fidelity=0.95)
-        rng = np.random.default_rng(11)
-        sets = [[im.imagine(s, library, cfg, rng)] for s in subs]
-        frac, frac_all = im.fidelity_check(sets, library)
-        assert abs(frac - 0.95) < 0.02
-        assert frac_all == frac  # single-imagination instructions
-
-    def test_detection_converges_to_fidelity(self, library):
-        for fid in (0.8, 0.9, 1.0):
-            cfg = im.ImaginationConfig(sigma_gen=0.01, fidelity=fid)
-            rng = np.random.default_rng(int(fid * 100))
-            sets = [[im.imagine(kept_sub(i % 15), library, cfg, rng)] for i in range(10000)]
-            frac, _ = im.fidelity_check(sets, library)
-            assert abs(frac - fid) < 0.02
-
-    def test_orthogonal_prototypes_high_snr(self):
-        # exactly orthogonal prototypes: standard basis rows in d_v=32
-        protos = np.eye(32, dtype=np.float32)
-        classes = tuple(wd.LandmarkClass(i, (f"thing{i}",), protos[i]) for i in range(8))
-        lib = wd.Library(classes=classes, background=protos[20], d_v=32)
-        # per-component noise below 0.3; nearest-prototype stays near-perfect
-        for sigma in (0.05, 0.15):
-            cfg = im.ImaginationConfig(sigma_gen=sigma, fidelity=1.0)
-            rng = np.random.default_rng(0)
-            sets = [[im.imagine(kept_sub(i % 8), lib, cfg, rng)] for i in range(10000)]
-            frac, _ = im.fidelity_check(sets, lib)
-            assert frac > 0.999
-
-    def test_empty_set_rejected(self, library):
-        with pytest.raises(InputError):
-            im.fidelity_check([[], []], library)
 
 
 class TestGoalOnly:

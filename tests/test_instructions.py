@@ -4,7 +4,7 @@ import pytest
 
 from imnav import instructions as ins
 from imnav import world as wd
-from imnav.errors import ConfigurationError, InputError, VocabularyError
+from imnav.errors import ConfigurationError, InputError
 
 DATA = Path(__file__).parent.parent / "src" / "imnav" / "data"
 
@@ -43,51 +43,40 @@ class TestGenerate:
     def test_deterministic(self, fine_episode, templates):
         a = ins.generate_instruction(fine_episode, templates, seed=9)
         b = ins.generate_instruction(fine_episode, templates, seed=9)
-        assert a.tokens == b.tokens
+        assert a == b
 
     def test_spans_partition_token_range(self, fine_episode, templates):
-        instr = ins.generate_instruction(fine_episode, templates, seed=3)
+        tokens = ins.generate_instruction(fine_episode, templates, seed=3)
         pos = 0
-        for s, e in (sub.span for sub in ins.segment(instr)):
+        for s, e in (sub.span for sub in ins.segment(tokens)):
             assert s == pos
             pos = e
-        assert pos == len(instr.tokens)
-        assert len(instr.tokens) <= 80
-
-    def test_vocabulary_error_for_unknown_landmark(self, fine_episode, templates, library):
-        tiny_vocab = ("walk", "the")
-        with pytest.raises(VocabularyError):
-            ins.generate_instruction(fine_episode, templates, seed=0, vocab=tiny_vocab)
+        assert pos == len(tokens)
+        assert len(tokens) <= 80
 
     def test_tokens_in_closed_vocab(self, fine_episode, templates, library):
         vocab = ins.build_vocab(templates, library)
-        instr = ins.generate_instruction(fine_episode, templates, seed=4, vocab=vocab)
-        assert all(t in set(vocab) for t in instr.tokens)
+        tokens = ins.generate_instruction(fine_episode, templates, seed=4)
+        assert all(t in set(vocab) for t in tokens)
 
 
 class TestSegment:
     def test_two_segments(self):
-        instr = ins.Instruction(tokens=tuple("walk past the sofa . turn left .".split()),
-                                episode=None)
-        subs = ins.segment(instr)
+        subs = ins.segment(tuple("walk past the sofa . turn left .".split()))
         assert len(subs) == 2
         assert subs[0].tokens == tuple("walk past the sofa .".split())
 
     def test_no_delimiters_single_segment(self):
-        instr = ins.Instruction(tokens=("go", "straight"), episode=None)
-        subs = ins.segment(instr)
+        subs = ins.segment(("go", "straight"))
         assert len(subs) == 1
         assert subs[0].span == (0, 2)
 
     def test_then_is_a_delimiter(self):
-        instr = ins.Instruction(tokens=tuple("go straight then turn at the sofa".split()),
-                                episode=None)
-        assert len(ins.segment(instr)) == 2
+        assert len(ins.segment(tuple("go straight then turn at the sofa".split()))) == 2
 
     def test_empty_instruction_rejected(self):
-        instr = ins.Instruction(tokens=(), episode=None)
         with pytest.raises(InputError):
-            ins.segment(instr)
+            ins.segment(())
 
     def test_matches_route_landmark_classes_on_corpus(self, library, templates, lexicon):
         """Each generated segment names the phrase of the landmark class it
@@ -107,38 +96,36 @@ class TestSegment:
 
 
 class TestExtract:
-    """The informative noun phrases `filter_sub_instructions` records: the
-    runs of lexicon words not rooted on the blacklist."""
+    """The noun-phrase token positions `filter_sub_instructions` records:
+    those of the runs of lexicon words not rooted on the blacklist."""
 
     @staticmethod
     def filtered(text, lexicon):
         sub = make_sub(text)
         ins.filter_sub_instructions([sub], lexicon)
-        return sub.filter_verdict, sub.noun_phrases, sub.noun_token_indices
+        return sub.filter_verdict, sub.noun_token_indices
 
     def test_pool_table(self, lexicon):
         assert self.filtered("walk past the pool table", lexicon) == (
-            "kept", ("pool table",), (3, 4))
+            "kept", (3, 4))
 
     def test_go_straight_then_left_has_none(self, lexicon):
-        assert self.filtered("go straight then left", lexicon) == ("blacklisted", (), ())
+        assert self.filtered("go straight then left", lexicon) == ("blacklisted", ())
 
     def test_multiword_runs(self, lexicon):
         assert self.filtered("enter the kitchen with blue walls", lexicon) == (
-            "kept", ("kitchen", "blue walls"), (2, 4, 5))
+            "kept", (2, 4, 5))
 
     def test_repeated_segment_takes_its_own_span(self, lexicon):
         """Outcomes are kept per lexicon by segment tokens; a repeat of a
         segment elsewhere in an instruction gets indices in its own span."""
-        instruction = ins.Instruction(tokens=tuple(
-            "walk past the pool table . turn left . walk past the pool table .".split()),
-            episode=None)
-        subs = ins.segment(instruction)
+        subs = ins.segment(tuple(
+            "walk past the pool table . turn left . walk past the pool table .".split()))
         kept = ins.filter_sub_instructions(subs, lexicon)
         assert [s.index for s in kept] == [0, 2]
         assert [s.noun_token_indices for s in kept] == [(3, 4), (12, 13)]
         assert subs[1].filter_verdict == "blacklisted"
-        assert lexicon.outcomes[subs[0].tokens] == ("kept", ("pool table",), (3, 4))
+        assert lexicon.outcomes[subs[0].tokens] == ("kept", (3, 4))
 
 
 class TestFilter:
@@ -162,7 +149,7 @@ class TestFilter:
         kept = ins.filter_sub_instructions([sub], lexicon)
         assert kept == [sub]
         assert sub.filter_verdict == "kept"
-        assert sub.noun_phrases == ("pool table",)
+        assert sub.noun_token_indices == (3, 4)
 
     def test_order_preserved(self, lexicon):
         subs = [make_sub("walk past the sofa"), make_sub("turn left"), make_sub("head to the piano")]
@@ -204,8 +191,7 @@ class TestCorpus:
 
     def test_stats_simple_mean(self):
         def fake(nsubs, nkept):
-            rec = ins.InstructionRecord(
-                instruction=ins.Instruction(tokens=("a",), episode=None))
+            rec = ins.InstructionRecord(tokens=("a",))
             rec.subs = [None] * nsubs
             rec.kept = [None] * nkept
             return rec
@@ -223,10 +209,10 @@ class TestCorpus:
         # independent recount
         segs = kept = 0
         words = set()
-        for rec in records:
-            segs += len(rec.instruction.episode.teacher_path) - 1     # one per route step
+        for ep, rec in zip(eps, records):
+            segs += len(ep.teacher_path) - 1     # one per route step
             kept += sum(1 for s in rec.subs if s.filter_verdict == "kept")
-            words |= set(rec.instruction.tokens)
+            words |= set(rec.tokens)
         assert avg_seg == segs / 30
         assert avg_kept == kept / 30
         assert vocab_size == len(words)

@@ -1120,7 +1120,7 @@ class TestAdam:
 
         store = nc.ParamStore()
         x = store.add("x", nc.Tensor(np.asarray(1.5, dtype=np.float64)), "base")
-        opt = nc.Adam(store, beta1, beta2, eps)
+        opt = nc.Adam(store)
         got = []
         for _ in range(5):
             store.zero_grads()

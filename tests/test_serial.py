@@ -26,7 +26,7 @@ def split():
     vocab = ins.build_vocab(templates, library)
     episodes = [wd.sample_episode(wd.generate_world(wd.WorldConfig(library=library), seed=s))
                 for s in range(6)]
-    records = ins.build_corpus(episodes, templates, lexicon, seed=1, vocab=vocab)
+    records = ins.build_corpus(episodes, templates, lexicon, seed=1)
     sets = im.imagine_dataset(records, library, im.ImaginationConfig(), seed=2)
     return ds.bundle(episodes, records, sets, vocab, library, "train")
 
@@ -338,7 +338,7 @@ class TestCorpusRoundTrip:
         read = ds.read_split(tmp_path, "train")
         for item0, item1 in zip(split.items, read.items):
             r0, r1 = item0.record, item1.record
-            assert r0.instruction.tokens == r1.instruction.tokens
+            assert r0.tokens == r1.tokens
             assert r0.subs == r1.subs and r0.kept == r1.kept
             assert item0.token_ids == item1.token_ids
 
@@ -389,7 +389,7 @@ class TestCorpusRoundTrip:
         w, item, k = next((w, item, k) for w, item in enumerate(split.items)
                           for k, (a, b) in enumerate(zip(item.record.subs, item.record.subs[1:]))
                           if a.filter_verdict == "kept" and b.filter_verdict != "kept")
-        subs, tokens = item.record.subs, item.record.instruction.tokens
+        subs, tokens = item.record.subs, item.record.tokens
         (s, m), (_, e) = subs[k].span, subs[k + 1].span
         self.with_instruction(split, tmp_path, w,
                               tokens[:s] + tokens[m:e] + tokens[s:m] + tokens[e:])
@@ -406,12 +406,12 @@ class TestCorpusRoundTrip:
                           for k, sub in enumerate(item.record.subs)
                           if len(sub.tokens) == 3 and sub.filter_verdict != "kept"
                           and any(later.index > k for later in item.record.kept))
-        subs, tokens = item.record.subs, item.record.instruction.tokens
+        subs, tokens = item.record.subs, item.record.tokens
         s, e = subs[k].span
         new = tokens[:s] + ("walk", "toward", "it", ".") + tokens[e:]
         self.with_instruction(split, tmp_path, w, new)
         read = ds.read_split(tmp_path, "train").items[w]
-        assert read.record.instruction.tokens == new
+        assert read.record.tokens == new
         assert [(sub.span, sub.noun_token_indices, sub.filter_verdict, sub.landmark_class)
                 for sub in read.record.subs[k + 1:]] == [
             (tuple(i + 1 for i in sub.span), tuple(i + 1 for i in sub.noun_token_indices),

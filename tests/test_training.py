@@ -333,10 +333,9 @@ class TestTrainLoop:
         params = ag.init_params(tiny_agent_config, seed=0)
         agent = ag.Agent(tiny_agent_config, params)
         item = tiny_split["train"].items[0]
-        traj = ag.rollout(agent, item.episode, item.token_ids, item.record.instruction.tokens,
+        traj = ag.rollout(agent, item.episode, item.token_ids, item.record.tokens,
                           item.imaginations, "teacher", obs_rng=np.random.default_rng(0),
-                          kept_subs=item.record.kept, train=True,
-                          drop_rng=np.random.default_rng(0), aux=True)
+                          kept_subs=item.record.kept, train=True, aux=True)
         _, h, s = ag.decide(agent, [traj])
         loss = tr.cosine_alignment_loss(h, s)
         params.zero_grads()
