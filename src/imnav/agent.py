@@ -26,16 +26,16 @@ views, padded to the batch's largest navigable set (4 of the K + 1 = 13
 rows on the desk spec).
 
 A greedy rollout encodes and joins the [text; imagination] context once per
-episode (`EncodedContext`), off the tape, and each step reuses it. Its
-steps hold their history and visual tokens as arrays, and array inputs
-make `encode_observation`, `advance_history` and `cross_modal_step` compute
-one step of one episode on arrays, through the forward kernels that
-numcore's ops record (`nc.mean_forward`, `nc.attention_forward`,
-`nc.ffn_forward`, `nc.action_logits_forward`), with no Tensor, closure,
-mask or padding. The context joins all K + 1 visual tokens at every layer,
-as in an unbatched pass of the ops, whose numpy products the kernels make
-in the same shapes and order, so a greedy step's logits are that pass's bit
-for bit, inside `nc.no_grad()` or not. Tensor inputs run the taped body.
+episode (`EncodedContext`), which each step reuses; an evaluation agent's
+context records nothing. Its steps hold their history and visual tokens as
+arrays, and array inputs make `encode_observation`, `advance_history` and
+`cross_modal_step` compute one step of one episode on arrays, through the
+forward kernels that numcore's ops record (`nc.mean_forward`,
+`nc.attention_forward`, `nc.ffn_forward`, `nc.action_logits_forward`), with
+no Tensor, closure, mask or padding. The context joins all K + 1 visual
+tokens at every layer, as in an unbatched pass of the ops, whose numpy
+products the kernels make in the same shapes and order, so a greedy step's
+logits are that pass's bit for bit. Tensor inputs run the taped body.
 
 An episode's imaginations are whatever list it is handed: a test-time policy
 transforms the lists before the rollout, and `null` hands over none.
@@ -579,8 +579,7 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
     break to the lowest action index), drawing each step's observation when
     it reaches the node. With `aux`, the trajectory lists the (imagination
     token, noun-phrase) pairs of the alignment loss. Deterministic given the
-    rng stream. argmax mode builds its context off the tape and steps on
-    arrays, so its logits are the same bytes inside `nc.no_grad()` or not.
+    rng stream. argmax mode's steps compute on arrays and record nothing.
     `tokens`, the instruction's words, is read by nothing; it keeps its
     place among the positional arguments.
     """
@@ -601,8 +600,7 @@ def rollout(agent, episode, token_ids, tokens, imaginations, mode, obs_rng,
         actions = [next(i for i, (_, nb) in enumerate(nav) if nb == nxt)
                    for nav, nxt in zip(spaces, visited[1:])] + [len(spaces[-1])]
     elif mode == "argmax":
-        with nc.no_grad():
-            context = build_context(agent, [inputs])
+        context = build_context(agent, [inputs])
         hist = agent.params["hist_init"].values
         node = episode.start
         visited = [node]

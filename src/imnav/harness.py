@@ -169,12 +169,7 @@ def train_step(spec, split, condition, seed, out, init_from=None, curves=None, c
     base_agent, init_values = _agent_config(split, spec), None
     if init_from is not None:
         base = tr.load_checkpoint(init_from)
-        differ = [f"{name} = {getattr(base.agent_config, name)} (spec: {value})"
-                  for name, value in vars(base_agent).items()
-                  if getattr(base.agent_config, name) != value]
-        if differ:
-            raise ConfigurationError(f"{init_from}: the base agent differs from the spec's on "
-                                     f"this data: {', '.join(differ)}")
+        _check_agent(init_from, base.agent_config, "spec", **vars(base_agent))
         init_values = base.values
     acfg, cfg = training_job(spec, condition, seed, base_agent)
     ckpt, rows = tr.train(split, acfg, cfg, init_values=init_values)
@@ -184,11 +179,24 @@ def train_step(spec, split, condition, seed, out, init_from=None, curves=None, c
     return cfg
 
 
+def _check_agent(path, acfg, source, **wanted):
+    """Raise ConfigurationError naming checkpoint `path` and each field of `acfg` not as `wanted`."""
+    differ = [f"{name} = {getattr(acfg, name)} ({source}: {value})"
+              for name, value in wanted.items() if getattr(acfg, name) != value]
+    if differ:
+        raise ConfigurationError(f"{path}: the checkpoint's agent differs from the {source}'s: "
+                                 f"{', '.join(differ)}")
+
+
 def eval_step(ckpt_path, split, condition, seed):
-    """The (MetricsRecord, condition) of checkpoint `ckpt_path` on `split` under `condition`'s policy."""
-    agent = tr.agent_from_checkpoint(tr.load_checkpoint(ckpt_path))
-    return ev.evaluate(agent, split.items, eval_policy(condition), seed=seed,
-                       split=split.split), condition
+    """The (MetricsRecord, condition) of checkpoint `ckpt_path` on `split` under `condition`'s
+    policy; a checkpoint trained on other data raises ConfigurationError."""
+    ckpt = tr.load_checkpoint(ckpt_path)
+    if split.items:   # a split with no worlds is `evaluate`'s error
+        _check_agent(ckpt_path, ckpt.agent_config, "data", vocab_size=len(split.vocab),
+                     k_views=split.items[0].episode.world.k_views, d_v=split.library.d_v)
+    return ev.evaluate(tr.agent_from_checkpoint(ckpt), split.items, eval_policy(condition),
+                       seed=seed, split=split.split), condition
 
 
 def _train(args):

@@ -9,7 +9,8 @@ keys) relative of the exact sum, and a float64 cast cost about 5x the sum.
 The sums over an episode's steps (`_segment_sum`, in `repeat`'s backward and
 `attention`'s per-episode form) are one-hot products through BLAS, about a
 tenth of the time of np.add.reduceat. A tape is just the implicit graph of
-Tensor parents; `backward` walks it in reverse topological order.
+Tensor parents; `backward` walks it in reverse topological order. An op
+records a tape node if and only if one of its inputs requires grad.
 
 `attention` and `ffn` are fused residual sub-blocks: each records one tape
 node for a whole transformer sub-block, residual add included, and computes
@@ -88,24 +89,6 @@ from .errors import ContractError, NumericGuardError, ShapeError
 DEFAULT_DTYPE = np.float32
 COSINE_EPS = 1e-8   # `cosine_similarity` raises on a norm at or below this
 
-# When False, ops skip recording the backward graph.
-_grad_enabled = True
-
-
-class no_grad:
-    """Context manager that disables graph recording."""
-
-    def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
-        return self
-
-    def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
-        return False
-
 
 class Tensor:
     __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward")
@@ -155,12 +138,12 @@ def constant(values):
 
 def _result(values, parents, backward_fn):
     """Wrap an op's freshly computed float values (see the op-result rule in
-    the module docstring) as its result, recording the tape edge when
-    tracking is on."""
+    the module docstring) as its result, recording the tape edge when a
+    parent requires grad."""
     out = Tensor.__new__(Tensor)
     out.values = values if type(values) is np.ndarray else np.asarray(values)
     out.grad = None
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad, out._parents, out._backward = True, parents, backward_fn
     else:
         out.requires_grad, out._parents, out._backward = False, (), None

@@ -384,8 +384,11 @@ def train(split, agent_config, cfg, init_values=None, resume=None):
 
 
 def agent_from_checkpoint(ckpt):
+    """An agent for evaluation: the checkpoint's weights, all off the tape."""
     params = ag.init_params(ckpt.agent_config, seed=0)
     load_values(params, ckpt.values)
+    for _, t in params.items():
+        t.requires_grad = False
     return ag.Agent(ckpt.agent_config, params)
 
 
@@ -474,6 +477,8 @@ def load_checkpoint(path):
         return _read_checkpoint(path)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: unreadable checkpoint text: {exc}") from None
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _read_checkpoint(path):
@@ -501,7 +506,7 @@ def _read_checkpoint(path):
         rng_state = json.loads(r.text())
         trailing = len(fh.read())
     if trailing:
-        raise FormatError(f"{path}: {trailing} bytes follow the checkpoint's RNG state")
+        raise FormatError(f"{trailing} bytes follow the checkpoint's RNG state")
     return Checkpoint(version=version, agent_config=config, values=values,
                       adam_m=adam_m, adam_v=adam_v, adam_steps=steps,
                       iteration=iteration, rng_state=rng_state)

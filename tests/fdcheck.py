@@ -44,9 +44,7 @@ def check_gradients(build, arrays, h=1e-3, tol=1e-4):
                 for t, a in zip(tensors, arrays)]
 
     def scalar_fn(arrs):
-        ts = [nc.Tensor(a) for a in arrs]
-        with nc.no_grad():
-            return float(build(ts).values)
+        return float(build([nc.Tensor(a) for a in arrs]).values)
 
     numeric = fd_gradients(scalar_fn, arrays, h=h)
     worst = 0.0

@@ -1,4 +1,3 @@
-import contextlib
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -534,23 +533,31 @@ class TestGreedyDecoding:
             ev.evaluate(agent, items, policy, seed=6)
             sets = ev.apply_policy([item.imaginations for item in items], policy, 6)
             assert len(decoded) == len(items)
-            with nc.no_grad():
-                for i, (item, traj) in enumerate(zip(items, decoded)):
-                    rng = np.random.default_rng(np.random.SeedSequence([0xE7A1, 6, i]))
-                    actions, logits = self.stepwise(agent, item, sets[i], rng)
-                    assert traj.actions == actions, (policy, i)
-                    assert [step.tobytes() for step in traj.logits] == logits, (policy, i)
-                    steps += len(actions)
+            for i, (item, traj) in enumerate(zip(items, decoded)):
+                rng = np.random.default_rng(np.random.SeedSequence([0xE7A1, 6, i]))
+                actions, logits = self.stepwise(agent, item, sets[i], rng)
+                assert traj.actions == actions, (policy, i)
+                assert [step.tobytes() for step in traj.logits] == logits, (policy, i)
+                steps += len(actions)
         # the episodes carry imaginations and take several steps
         assert all(item.imaginations for item in items) and steps > 2 * len(items) * 4
 
     def test_greedy_rollout_makes_no_tensor_after_its_context(self, setup, items, monkeypatch):
-        """Inside or outside no_grad, an argmax rollout makes Tensors only in
-        `build_context`, and records no tape node there: each of its steps,
-        however many it takes, computes on arrays."""
-        cfg = ag.AgentConfig(vocab_size=len(setup["vocab"]), d=32, heads=2)
-        agent, made = ag.Agent(cfg, ag.init_params(cfg, seed=4)), []
-        result, init, build = nc._result, nc.Tensor.__init__, ag.build_context
+        """On an evaluation agent, whose parameters are all off the tape,
+        `evaluate` under every policy runs argmax rollouts that make Tensors
+        only in `build_context` and record no tape node there: each of their
+        steps, however many it takes, computes on arrays."""
+        agents = []
+        for imag_source in ("imagination", "text_mean"):
+            cfg = ag.AgentConfig(vocab_size=len(setup["vocab"]), d=32, heads=2,
+                                 imag_source=imag_source)
+            values = {name: t.values for name, t in ag.init_params(cfg, seed=4).items()}
+            agents.append(tr.agent_from_checkpoint(tr.Checkpoint(
+                version=tr.CHECKPOINT_VERSION, agent_config=cfg, values=values, adam_m={},
+                adam_v={}, adam_steps={}, iteration=0, rng_state={})))
+            assert not any(p.requires_grad for _, p in agents[-1].params.items())
+        made, steps = [], []
+        result, init, build, rollout = nc._result, nc.Tensor.__init__, ag.build_context, ag.rollout
 
         def spy_result(*args):
             made.append("op")
@@ -567,42 +574,22 @@ class TestGreedyDecoding:
             made.append("context")
             return context
 
+        def spy_rollout(*args, **kwargs):
+            made.clear()
+            traj = rollout(*args, **kwargs)
+            assert "op" in made and made[-1] == "context" and made.count("context") == 1
+            assert all(type(step) is np.ndarray for step in traj.logits)
+            steps.append(len(traj.actions))
+            return traj
+
         monkeypatch.setattr(nc, "_result", spy_result)
         monkeypatch.setattr(nc.Tensor, "__init__", spy_init)
         monkeypatch.setattr(ag, "build_context", spy_build)
-        assert all(p.requires_grad for _, p in agent.params.items())
-        steps = set()
-        for scope in (nc.no_grad, contextlib.nullcontext):
-            with scope():
-                for i, item in enumerate(items):
-                    made.clear()
-                    traj = ag.rollout(agent, item.episode, item.token_ids,
-                                      item.record.tokens, item.imaginations,
-                                      "argmax", obs_rng=ev.observation_rng(0, i),
-                                      kept_subs=item.record.kept)
-                    assert "op" in made and made[-1] == "context" and made.count("context") == 1
-                    assert all(type(step) is np.ndarray for step in traj.logits)
-                    steps.add(len(traj.actions))
-        assert len(steps) > 1, steps
-
-    def test_greedy_rollout_ignores_the_callers_no_grad(self, setup, items):
-        """An argmax rollout takes the same actions, with the same logit bytes,
-        inside and outside no_grad."""
-        cfg = ag.AgentConfig(vocab_size=len(setup["vocab"]), d=32, heads=2)
-        agent = ag.Agent(cfg, ag.init_params(cfg, seed=4))
-        steps = 0
-        for i, item in enumerate(items):
-            runs = []
-            for scope in (nc.no_grad, contextlib.nullcontext):
-                with scope():
-                    traj = ag.rollout(agent, item.episode, item.token_ids,
-                                      item.record.tokens, item.imaginations,
-                                      "argmax", obs_rng=ev.observation_rng(0, i),
-                                      kept_subs=item.record.kept)
-                runs.append((traj.actions, [step.tobytes() for step in traj.logits]))
-            assert runs[0] == runs[1], i
-            steps += len(runs[0][0])
-        assert steps > 2 * len(items)
+        monkeypatch.setattr(ag, "rollout", spy_rollout)
+        for agent in agents:
+            for policy in ev.POLICIES:
+                ev.evaluate(agent, items, policy, seed=0)
+        assert len(steps) == 2 * len(ev.POLICIES) * len(items) and len(set(steps)) > 1, steps
 
 
 class TestPaddedBatch:
@@ -889,29 +876,28 @@ class TestPaddedBatch:
         assert len({text + imag for text, imag in lengths}) == 2
         width = max(text for text, _ in lengths)
         tq = width + max(imag for _, imag in lengths)
-        with nc.no_grad():
-            trajs = [roll(e, seed) for seed, e in enumerate(pair)]
-            padded = []
-            ag.decide(agent, trajs, record=padded)
-            assert len(padded) == agent.config.cross_layers
-            first = 0
-            for seed, (e, traj, (text, imag)) in enumerate(zip(pair, trajs, lengths)):
-                single = []
-                ag.decide(agent, [roll(e, seed)], record=single)
-                steps = len(traj.action_spaces)
-                queries = np.r_[np.arange(text), width + np.arange(imag)]
-                keys = np.r_[queries, tq + np.arange(agent.config.k_views + 1)]
-                pads = np.setdiff1d(np.arange(tq), queries)
-                for layer, alone in zip(padded, single):
-                    rows = layer[first:first + steps]
-                    assert rows.shape[-2:] == (tq, tq + agent.config.k_views + 1)
-                    assert np.abs(rows.sum(axis=-1) - 1.0).max() < 1e-5
-                    assert np.all(rows[..., pads] == 0.0)
-                    cut = rows[:, :, queries][..., keys]
-                    assert cut.shape == alone.shape
-                    assert np.abs(cut - alone).max() < 1e-6
-                first += steps
-            assert first == padded[0].shape[0]
+        trajs = [roll(e, seed) for seed, e in enumerate(pair)]
+        padded = []
+        ag.decide(agent, trajs, record=padded)
+        assert len(padded) == agent.config.cross_layers
+        first = 0
+        for seed, (e, traj, (text, imag)) in enumerate(zip(pair, trajs, lengths)):
+            single = []
+            ag.decide(agent, [roll(e, seed)], record=single)
+            steps = len(traj.action_spaces)
+            queries = np.r_[np.arange(text), width + np.arange(imag)]
+            keys = np.r_[queries, tq + np.arange(agent.config.k_views + 1)]
+            pads = np.setdiff1d(np.arange(tq), queries)
+            for layer, alone in zip(padded, single):
+                rows = layer[first:first + steps]
+                assert rows.shape[-2:] == (tq, tq + agent.config.k_views + 1)
+                assert np.abs(rows.sum(axis=-1) - 1.0).max() < 1e-5
+                assert np.all(rows[..., pads] == 0.0)
+                cut = rows[:, :, queries][..., keys]
+                assert cut.shape == alone.shape
+                assert np.abs(cut - alone).max() < 1e-6
+            first += steps
+        assert first == padded[0].shape[0]
 
 
 class TestBatchedIteration:

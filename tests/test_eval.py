@@ -159,24 +159,22 @@ class TestEvaluate:
         rec = ev.evaluate(small_agent, items, "correct", seed=9)
         sets = ev.apply_policy([i.imaginations for i in items], "correct", 9)
         srs, spls, nes, tls = [], [], [], []
-        import imnav.numcore as nc
-        with nc.no_grad():
-            for i, item in enumerate(items):
-                rng = np.random.default_rng(np.random.SeedSequence([0xE7A1, 9, i]))
-                traj = ag.rollout(small_agent, item.episode, item.token_ids,
-                                  item.record.tokens, sets[i], "argmax",
-                                  obs_rng=rng, kept_subs=item.record.kept)
-                w = item.episode.world
-                final = traj.visited[-1]
-                ne = math.dist(w.positions[final], w.positions[item.episode.goal])
-                tl = sum(math.dist(w.positions[a], w.positions[b])
-                         for a, b in zip(traj.visited[:-1], traj.visited[1:]))
-                shortest = wd.shortest_path(w, item.episode.start, item.episode.goal)[1]
-                s = ne <= 1.0
-                srs.append(s)
-                spls.append(shortest / max(tl, shortest) if s else 0.0)
-                nes.append(ne)
-                tls.append(tl)
+        for i, item in enumerate(items):
+            rng = np.random.default_rng(np.random.SeedSequence([0xE7A1, 9, i]))
+            traj = ag.rollout(small_agent, item.episode, item.token_ids,
+                              item.record.tokens, sets[i], "argmax",
+                              obs_rng=rng, kept_subs=item.record.kept)
+            w = item.episode.world
+            final = traj.visited[-1]
+            ne = math.dist(w.positions[final], w.positions[item.episode.goal])
+            tl = sum(math.dist(w.positions[a], w.positions[b])
+                     for a, b in zip(traj.visited[:-1], traj.visited[1:]))
+            shortest = wd.shortest_path(w, item.episode.start, item.episode.goal)[1]
+            s = ne <= 1.0
+            srs.append(s)
+            spls.append(shortest / max(tl, shortest) if s else 0.0)
+            nes.append(ne)
+            tls.append(tl)
         assert abs(rec.sr - np.mean(srs)) < 1e-12
         assert abs(rec.spl - np.mean(spls)) < 1e-9
         assert abs(rec.ne_mean - np.mean(nes)) < 1e-9

@@ -5,6 +5,7 @@ import os
 import re
 import shlex
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -419,6 +420,56 @@ class TestCli:
         assert run_cli(["eval", "--ckpt", padded, "--condition", "baseline", "--data", data,
                         "--split", "train", "--seed", "1", "--out", tmp_path / "m.tsv"]) == 1
         assert str(padded) in capsys.readouterr().err
+        assert not (tmp_path / "m.tsv").exists()
+
+    @staticmethod
+    def damaged(raw, case):
+        """A checkpoint's bytes `raw`, damaged as `case` says."""
+        config_end = 10 + struct.unpack_from("<I", raw, 6)[0]   # magic, version, u32, text
+        rank_at = config_end + 8 + struct.unpack_from("<I", raw, config_end + 4)[0]
+        return {"cut_in_magic": lambda: raw[:3],
+                "cut_in_config": lambda: raw[:config_end - 1],
+                "cut_in_first_array": lambda: raw[:rank_at + 2],
+                "cut_in_rng_state": lambda: raw[:-1],
+                "magic": lambda: b"IMNAX" + raw[5:],
+                "version": lambda: raw[:5] + b"\x02" + raw[6:],
+                "rank": lambda: raw[:rank_at] + struct.pack("<I", 9) + raw[rank_at + 4:],
+                "config_line": lambda: (raw[:10] + raw[10:config_end].replace(b"=", b":", 1)
+                                        + raw[config_end:])}[case]()
+
+    @pytest.mark.parametrize("case, says", [
+        ("cut_in_magic", "bad checkpoint magic"), ("cut_in_config", "truncated"),
+        ("cut_in_first_array", "truncated"), ("cut_in_rng_state", "truncated"),
+        ("magic", "bad checkpoint magic"), ("version", "unsupported checkpoint version 2"),
+        ("rank", "implausible array rank 9"), ("config_line", "is not key=value")])
+    def test_damaged_checkpoint_error_names_the_file(self, trained, tmp_path, capsys, case,
+                                                     says):
+        """Each format error of a damaged checkpoint names its file once, and
+        `imnav eval` of it exits 1 with that one `error:` line."""
+        spec, data, ckpt = trained
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(self.damaged(ckpt.read_bytes(), case))
+        with pytest.raises(FormatError, match=re.escape(says)) as exc:
+            tr.load_checkpoint(bad)
+        assert str(exc.value).startswith(f"{bad}: ") and str(exc.value).count(str(bad)) == 1
+        capsys.readouterr()
+        assert run_cli(["eval", "--ckpt", bad, "--condition", "baseline", "--data", data,
+                        "--split", "train", "--seed", "1", "--out", tmp_path / "m.tsv"]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {exc.value}"]
+        assert not (tmp_path / "m.tsv").exists()
+
+    def test_eval_on_data_of_another_d_v_exits_1_naming_the_checkpoint(self, trained, tmp_path,
+                                                                       capsys):
+        """`imnav eval` of a checkpoint on data whose d_v is not its agent's
+        is one `error:` line naming the checkpoint and each field that
+        differs, before any episode runs, and writes no metrics."""
+        _, _, ckpt = trained
+        _, data = gen_dataset(tmp_path, world="d_v = 24\n", sizes=(3, 1, 1), agent=SMALL_AGENT)
+        capsys.readouterr()
+        assert run_cli(["eval", "--ckpt", ckpt, "--condition", "imagine", "--data", data,
+                        "--split", "train", "--seed", "1", "--out", tmp_path / "m.tsv"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {ckpt}: ") and "d_v = 16 (data: 24)" in line
         assert not (tmp_path / "m.tsv").exists()
 
     def test_divergence_dump_is_shown(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 interpreter: an import cycle between modules fails here, whatever order the
 other tests happen to import them in."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -37,3 +38,13 @@ def test_serial_imports_no_other_module():
     loaded = run_fresh("import sys, imnav.serial\n"
                        "print(*sorted(m for m in sys.modules if m.startswith('imnav.')))")
     assert loaded.split() == ["imnav.serial"]
+
+
+def test_only_training_rebinds_a_module_global():
+    """The one mutable module state of the package is `training._stage1`,
+    the kept stage 1 of the last finetune: no other `global` statement."""
+    found = sorted({(path.stem, name)
+                    for path in (SRC / "imnav").glob("*.py")
+                    for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                    if isinstance(node, ast.Global) for name in node.names})
+    assert found == [("training", "_stage1")]

@@ -174,7 +174,7 @@ class TestBackward:
         nc.backward(loss)
         assert abs(float(x.grad) - 6.0) < 1e-6
 
-    def test_independent_leaf_gets_no_grad(self):
+    def test_independent_leaf_keeps_grad_none(self):
         x = t([1.0, 2.0], grad=True)
         y = t([3.0, 4.0], grad=True)
         nc.backward(nc.mean(nc.mul(y, y)))
